@@ -19,7 +19,7 @@ Quickstart
 >>> spec = WorkloadSpec(dimension=2, center_low=-10, center_high=10,
 ...                     radius=RadiusDistribution(mean=2.0, std=0.5))
 >>> workload = QueryWorkloadGenerator(spec, seed=1).generate(500)
->>> labelled = LabelledWorkload.from_queries(workload, engine.mean_value)
+>>> labelled = LabelledWorkload.from_engine(workload, engine)
 >>> model = LLMModel(dimension=2)
 >>> _ = model.fit(labelled)
 >>> query = Query(center=np.array([0.0, 0.0]), radius=2.0)
@@ -30,7 +30,10 @@ Performance architecture
 ------------------------
 The query-processing engine is built around five fast paths so latency
 stays at "trained-model speed" — independent of the data size and, for
-single queries, sublinear in the number of prototypes ``K``:
+localised traffic, sublinear in the number of prototypes ``K``.  Every
+query runs through them: the single-query methods (``predict_mean``,
+``regression_models``, ``predict_value``, ``execute_q1``, ``execute_q2``,
+``select_subspace``, ...) are batches of one.
 
 * **Batched prediction** — :meth:`LLMModel.predict_mean_batch`,
   :meth:`LLMModel.predict_q2_batch` and :meth:`LLMModel.predict_value_batch`
@@ -42,16 +45,14 @@ single queries, sublinear in the number of prototypes ``K``:
   batch size 1,000 this is an order of magnitude (10x+) faster than the
   per-query loop (see ``benchmarks/bench_batch_throughput.py``, which
   records the measured speedup in ``BENCH_batch.json``).
-* **Prototype pruning** — single-query processing prunes the prototype scan
-  through a :class:`~repro.dbms.spatial_index.PrototypeIndex`, a uniform
-  grid over the radius-augmented prototype space: a query only tests the
-  prototypes within ``theta + max_k theta_k`` of its center, a superset of
-  the overlap set ``W(q)``.  Batched prediction composes with the same
-  index: the candidate *union* of the whole batch is computed in one
-  vectorised pass and, when it covers a small fraction of ``K`` (localised
-  traffic), the degree/evaluation matrices shrink to ``(m, |U|)``
-  block-sparse form — 20x+ at ``K ~ 8k`` — falling back to the dense path
-  automatically for scattered batches.
+* **Prototype pruning** — at large ``K`` a
+  :class:`~repro.dbms.spatial_index.PrototypeIndex`, a uniform grid over the
+  radius-augmented prototype space, yields the candidate *union* of a whole
+  batch in one vectorised pass: a query can only overlap prototypes within
+  ``theta + max_k theta_k`` of its center.  When the union covers a small
+  fraction of ``K`` (localised traffic), the degree/evaluation matrices
+  shrink to ``(m, |U|)`` block-sparse form — 20x+ at ``K ~ 8k`` — falling
+  back to the dense path automatically for scattered batches.
 * **Batched exact execution on sufficient statistics** — the exact
   executor answers whole batches from mergeable per-query sufficient
   statistics (count/sum for Q1; center-referenced Gram moments for Q2,
@@ -63,9 +64,8 @@ single queries, sublinear in the number of prototypes ``K``:
   *inside* the query ball contribute precomputed per-cell aggregates with
   zero row-level work, so batch cost scales with the selection boundary
   rather than its volume.  Rank-deficient or near-singular subspaces fall
-  back per query to the dense SVD solver, keeping
-  :meth:`~repro.dbms.executor.ExactQueryEngine.execute_q2` semantics to
-  1e-12.
+  back per query to the dense SVD least-squares solver, so answers keep
+  its minimum-norm semantics.
 * **Sharded parallel execution** — a
   :class:`~repro.dbms.sharding.ShardedQueryEngine` partitions the rows
   into contiguous shards and fans the scan kernels out over a thread pool

@@ -25,12 +25,7 @@ from .learning_rates import (
 from .convergence import ConvergenceTracker, ConvergenceRecord
 from .avq import GrowingQuantizer, FixedKQuantizer
 from .sgd import apply_winner_update
-from .prediction import (
-    NeighborhoodPredictor,
-    normalized_overlap_weights,
-    normalized_weight_rows,
-    overlapping_prototypes,
-)
+from .prediction import NeighborhoodPredictor, normalized_weight_rows
 from .model import LLMModel, TrainingReport
 from .training import StreamingTrainer
 from .persistence import load_model, save_model
@@ -50,8 +45,6 @@ __all__ = [
     "FixedKQuantizer",
     "apply_winner_update",
     "NeighborhoodPredictor",
-    "overlapping_prototypes",
-    "normalized_overlap_weights",
     "normalized_weight_rows",
     "LLMModel",
     "TrainingReport",

@@ -5,11 +5,13 @@ the query space, learns the LLM coefficients by SGD from a stream of
 ``(query, answer)`` pairs (Algorithm 1), tracks convergence, and after
 training answers
 
-* Q1 mean-value queries (:meth:`LLMModel.predict_mean`),
-* Q2 regression queries (:meth:`LLMModel.regression_models`), and
-* data-value predictions (:meth:`LLMModel.predict_value`)
+* Q1 mean-value queries (:meth:`LLMModel.predict_mean_batch`),
+* Q2 regression queries (:meth:`LLMModel.predict_q2_batch`), and
+* data-value predictions (:meth:`LLMModel.predict_value_batch`)
 
-without any access to the underlying data store.
+without any access to the underlying data store.  The single-query forms
+(:meth:`LLMModel.predict_mean`, :meth:`LLMModel.regression_models`,
+:meth:`LLMModel.predict_value`) are batches of one.
 """
 
 from __future__ import annotations
@@ -114,8 +116,8 @@ class LLMModel:
         self.training = training or TrainingConfig()
         #: Pruning-index policy forwarded to the predictor: ``None`` lets the
         #: predictor auto-enable it at the measured prototype-count
-        #: crossover; ``True``/``False`` force it on or off (both the
-        #: single-query scan pruning and the block-sparse batch mode).
+        #: crossover; ``True``/``False`` force the block-sparse batch mode
+        #: on or off.
         self.use_pruning_index = use_pruning_index
         self._vigilance = self.config.vigilance(self.dimension)
         self._quantizer = GrowingQuantizer(vigilance=self._vigilance)
@@ -355,7 +357,11 @@ class LLMModel:
     # prediction (Section V)
     # ------------------------------------------------------------------ #
     def predict_mean(self, query: Query) -> float:
-        """Predict the Q1 answer of an unseen query (Algorithm 2)."""
+        """Predict the Q1 answer of an unseen query (Algorithm 2).
+
+        A batch of one: the query's ``(1, d + 1)`` row and its own norm
+        order go straight to the batch kernel.
+        """
         return self._predictor().predict_mean(query)
 
     def predict_mean_with_diagnostics(
@@ -363,10 +369,6 @@ class LLMModel:
     ) -> tuple[float, PredictionDiagnostics]:
         """Q1 prediction plus the neighbourhood used to produce it."""
         return self._predictor().predict_mean_with_diagnostics(query)
-
-    def predict_means(self, queries: Sequence[Query]) -> np.ndarray:
-        """Predict the Q1 answers of many queries via the batch fast path."""
-        return self.predict_mean_batch(queries)
 
     def predict_mean_batch(
         self,
@@ -510,10 +512,6 @@ class LLMModel:
         predictor = self._predictor()
         probe_radius = radius if radius is not None else self.average_prototype_radius()
         return predictor.predict_value(point, probe_radius, self.config.norm_order)
-
-    def predict_values(self, points: np.ndarray, radius: float | None = None) -> np.ndarray:
-        """Vector form of :meth:`predict_value` (delegates to the batch path)."""
-        return self.predict_value_batch(points, radius)
 
     def predict_value_batch(
         self, points: np.ndarray, radius: float | None = None

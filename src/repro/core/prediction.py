@@ -14,21 +14,17 @@ LLMs are evaluated at their own radii and combined with the same weights
 prototype is used (extrapolation).
 
 The predictor snapshots the LLM parameters into dense arrays at
-construction time so a prediction costs a handful of vectorised O(dK)
-operations — the data-size-independent cost the paper reports.  Two further
-fast paths are layered on top:
-
-* **batch processing** — :meth:`NeighborhoodPredictor.predict_mean_batch`,
-  :meth:`NeighborhoodPredictor.predict_q2_batch` and
-  :meth:`NeighborhoodPredictor.predict_value_batch` take an ``(m, d + 1)``
-  query matrix and compute the full ``(m, K)`` overlap-degree matrix and the
-  weighted LLM evaluations as matrix operations, with no per-query Python
-  loop; and
-* **prototype pruning** — when ``K`` is large, a
-  :class:`~repro.dbms.spatial_index.PrototypeIndex` over the radius-augmented
-  prototype space restricts the single-query overlap computation to a
-  candidate superset of ``W(q)``, making per-query latency sublinear in ``K``
-  for localised workloads.
+construction time, and every prediction runs through one batch kernel: an
+``(m, d + 1)`` query matrix is turned into the full ``(m, K)`` overlap-degree
+matrix and the weighted LLM evaluations as matrix operations, with no
+per-query Python loop (:meth:`NeighborhoodPredictor.predict_mean_batch`,
+:meth:`NeighborhoodPredictor.predict_q2_batch`,
+:meth:`NeighborhoodPredictor.predict_value_batch`).  The single-query
+methods are batches of one over the same kernel.  When ``K`` is large, a
+:class:`~repro.dbms.spatial_index.PrototypeIndex` over the radius-augmented
+prototype space restricts the batch to the candidate union of its queries
+(block-sparse ``(m, |U|)`` matrices), which keeps latency sublinear in ``K``
+for localised workloads.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..exceptions import DimensionalityMismatchError, InvalidQueryError, NotFittedError
-from ..queries.geometry import overlap_degree, overlap_degree_matrix
+from ..queries.geometry import overlap_degree_matrix
 from ..queries.query import Query
 from .prototypes import LocalLinearMap, RegressionPlane
 
@@ -47,17 +43,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dbms.spatial_index import PrototypeIndex
 
 __all__ = [
-    "overlapping_prototypes",
-    "normalized_overlap_weights",
     "normalized_weight_rows",
     "NeighborhoodPredictor",
     "PredictionDiagnostics",
 ]
 
 #: Prototype count at which the predictor builds a pruning index by default.
-#: Below this the dense vectorised scan is faster than the grid lookup (the
-#: per-query Python overhead of walking candidate cells amortises only once
-#: K reaches the low thousands; measured crossover is around K ≈ 2–4k).
+#: The crossover (K ≈ 2–4k) was measured for one-query probes of the index;
+#: a batch uses the index through its candidate union, switching per batch
+#: on :data:`DEFAULT_BATCH_PRUNING_FRACTION`.
 DEFAULT_PRUNING_THRESHOLD = 2048
 
 #: Candidate-union fraction below which batched prediction switches from the
@@ -70,49 +64,10 @@ DEFAULT_PRUNING_THRESHOLD = 2048
 DEFAULT_BATCH_PRUNING_FRACTION = 0.5
 
 
-def overlapping_prototypes(
-    query: Query, maps: Sequence[LocalLinearMap]
-) -> list[tuple[int, float]]:
-    """Return ``[(index, delta)]`` for every LLM whose prototype overlaps ``query``.
-
-    The degree of overlap compares the data subspace of the query with the
-    data subspace ``D(x_k, theta_k)`` represented by each prototype.
-    """
-    result: list[tuple[int, float]] = []
-    for index, llm in enumerate(maps):
-        degree = overlap_degree(
-            query.center,
-            query.radius,
-            llm.center,
-            llm.radius,
-            p=query.norm_order,
-        )
-        if degree > 0.0:
-            result.append((index, degree))
-    return result
-
-
-def normalized_overlap_weights(
-    overlaps: list[tuple[int, float]]
-) -> list[tuple[int, float]]:
-    """Normalise overlap degrees into weights summing to one.
-
-    If every degree is zero (possible when all the overlapping pairs just
-    touch), uniform weights are returned so the prediction stays defined.
-    """
-    if not overlaps:
-        return []
-    total = sum(degree for _, degree in overlaps)
-    if total <= 0.0:
-        uniform = 1.0 / len(overlaps)
-        return [(index, uniform) for index, _ in overlaps]
-    return [(index, degree / total) for index, degree in overlaps]
-
-
 def normalized_weight_rows(
     degree_matrix: np.ndarray, overlap_mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise batched form of :func:`normalized_overlap_weights`.
+    """Normalise each row of overlap degrees into weights summing to one.
 
     Parameters
     ----------
@@ -121,9 +76,9 @@ def normalized_weight_rows(
     overlap_mask:
         Optional ``(m, K)`` boolean mask marking which pairs count as
         overlapping; defaults to ``degree_matrix > 0``.  Passing an explicit
-        mask reproduces the just-touching convention of
-        :func:`normalized_overlap_weights`: a row whose flagged degrees all
-        sum to zero gets uniform weights over the flagged entries.
+        mask reproduces the just-touching convention: a row whose flagged
+        degrees all sum to zero gets uniform weights over the flagged
+        entries, so the prediction stays defined.
 
     Returns
     -------
@@ -183,8 +138,8 @@ class NeighborhoodPredictor:
     maps:
         The trained local linear maps.
     use_pruning_index:
-        Whether neighbourhood construction should prune the prototype scan
-        through a :class:`~repro.dbms.spatial_index.PrototypeIndex`.
+        Whether batched prediction may prune the prototype scan through a
+        :class:`~repro.dbms.spatial_index.PrototypeIndex`.
         ``None`` (the default) enables pruning automatically once the
         prototype count reaches :data:`DEFAULT_PRUNING_THRESHOLD`.
     batch_pruning_fraction:
@@ -246,85 +201,12 @@ class NeighborhoodPredictor:
 
     @property
     def uses_pruning_index(self) -> bool:
-        """Whether single-query processing prunes through a prototype index."""
+        """Whether batched prediction prunes through a prototype index."""
         return self._pruning_index is not None
 
     def _require_maps(self) -> None:
         if not self._maps:
             raise NotFittedError("the model holds no local linear maps yet")
-
-    def _check_dimension(self, query: Query) -> None:
-        if query.dimension != self._centers.shape[1]:
-            raise DimensionalityMismatchError(
-                f"query has dimension {query.dimension}, model expects "
-                f"{self._centers.shape[1]}"
-            )
-
-    def _overlap_degrees(
-        self, query: Query, rows: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Vectorised Equation (9) against every (or a subset of) prototype."""
-        centers = self._centers if rows is None else self._centers[rows]
-        radii = self._radii if rows is None else self._radii[rows]
-        return overlap_degree_matrix(
-            query.center[np.newaxis, :],
-            np.array([query.radius]),
-            centers,
-            radii,
-            p=query.norm_order,
-        )[0]
-
-    def _closest_prototype(self, query_vector: np.ndarray) -> int:
-        """Index of the closest prototype in the query vectorial space."""
-        distances = np.linalg.norm(
-            self._prototypes - query_vector[np.newaxis, :], axis=1
-        )
-        return int(np.argmin(distances))
-
-    def _neighborhood(self, query: Query) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Return (indices, normalised weights, extrapolated flag)."""
-        self._require_maps()
-        self._check_dimension(query)
-        candidate_rows: np.ndarray | None = None
-        if self._pruning_index is not None:
-            candidate_rows = self._pruning_index.candidates(
-                query.center, query.radius
-            )
-        if candidate_rows is None:
-            degrees = self._overlap_degrees(query)
-            indices = np.nonzero(degrees > 0.0)[0]
-        elif candidate_rows.size:
-            degrees = self._overlap_degrees(query, rows=candidate_rows)
-            local = np.nonzero(degrees > 0.0)[0]
-            indices = candidate_rows[local]
-            degrees = degrees[local] if local.size else degrees
-        else:
-            indices = candidate_rows
-        if indices.size:
-            weights = degrees if candidate_rows is not None else degrees[indices]
-            total = weights.sum()
-            if total <= 0.0:
-                weights = np.full(indices.size, 1.0 / indices.size)
-            else:
-                weights = weights / total
-            return indices, weights, False
-        # Extrapolation: use only the closest prototype in the query space.
-        closest = self._closest_prototype(query.to_vector())
-        return np.array([closest]), np.array([1.0]), True
-
-    def _evaluate_maps(self, indices: np.ndarray, query_vector: np.ndarray) -> np.ndarray:
-        """Vectorised ``f_k(q)`` for the selected LLMs."""
-        difference = query_vector[np.newaxis, :] - self._prototypes[indices]
-        return self._means[indices] + np.sum(self._slopes[indices] * difference, axis=1)
-
-    def _evaluate_maps_at_own_radius(
-        self, indices: np.ndarray, point: np.ndarray
-    ) -> np.ndarray:
-        """Vectorised ``f_k(x, theta_k)`` (Equation 14) for the selected LLMs."""
-        difference = point[np.newaxis, :] - self._centers[indices]
-        return self._means[indices] + np.sum(
-            self._center_slopes[indices] * difference, axis=1
-        )
 
     # ------------------------------------------------------------------ #
     # batch internals
@@ -363,7 +245,7 @@ class NeighborhoodPredictor:
         return weights, extrapolated
 
     def _closest_prototypes(self, query_vectors: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`_closest_prototype` over query-vector rows."""
+        """Index of the closest prototype (query vectorial space) per row."""
         distances = np.linalg.norm(
             query_vectors[:, np.newaxis, :] - self._prototypes[np.newaxis, :, :],
             axis=2,
@@ -456,27 +338,37 @@ class NeighborhoodPredictor:
         offsets = means - np.sum(slopes * centers, axis=1)
         return offsets[np.newaxis, :] + points @ slopes.T
 
+    def _weighted_means(
+        self, query_matrix: np.ndarray, norm_order: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """Q1 values plus the batch weights, extrapolation mask and columns."""
+        matrix = self._as_query_matrix(query_matrix)
+        weights, extrapolated, columns = self._batch_weight_matrix(matrix, norm_order)
+        values = np.sum(weights * self._evaluate_all_maps(matrix, columns), axis=1)
+        return values, weights, extrapolated, columns
+
     # ------------------------------------------------------------------ #
     # Q1: average-value prediction (Algorithm 2)
     # ------------------------------------------------------------------ #
     def predict_mean(self, query: Query) -> float:
-        """Predict the Q1 answer of an unseen query."""
-        indices, weights, _ = self._neighborhood(query)
-        values = self._evaluate_maps(indices, query.to_vector())
-        return float(weights @ values)
+        """Predict the Q1 answer of an unseen query (a batch of one)."""
+        return float(self.predict_mean_batch(_query_row(query), query.norm_order)[0])
 
     def predict_mean_with_diagnostics(
         self, query: Query
     ) -> tuple[float, PredictionDiagnostics]:
         """Predict the Q1 answer and report which LLMs contributed."""
-        indices, weights, extrapolated = self._neighborhood(query)
-        values = self._evaluate_maps(indices, query.to_vector())
-        diagnostics = PredictionDiagnostics(
-            used_indices=tuple(int(index) for index in indices),
-            weights=tuple(float(weight) for weight in weights),
-            extrapolated=extrapolated,
+        values, weights, extrapolated, columns = self._weighted_means(
+            _query_row(query), query.norm_order
         )
-        return float(weights @ values), diagnostics
+        local = np.nonzero(weights[0])[0]
+        used = local if columns is None else columns[local]
+        diagnostics = PredictionDiagnostics(
+            used_indices=tuple(int(index) for index in used),
+            weights=tuple(float(weight) for weight in weights[0, local]),
+            extrapolated=bool(extrapolated[0]),
+        )
+        return float(values[0]), diagnostics
 
     def predict_mean_batch(
         self, query_matrix: np.ndarray, norm_order: float = 2.0
@@ -486,8 +378,7 @@ class NeighborhoodPredictor:
         The whole batch is processed as matrix arithmetic: one ``(m, K)``
         overlap-degree computation, one ``(m, K)`` LLM evaluation via a
         single matrix product, and a row-wise weighted sum — no per-query
-        Python loop.  Results match :meth:`predict_mean` to floating-point
-        rounding (the equivalence suite asserts 1e-12 agreement).
+        Python loop.
         """
         return self.predict_mean_batch_with_coverage(query_matrix, norm_order)[0]
 
@@ -502,10 +393,8 @@ class NeighborhoodPredictor:
         closest prototype alone), which is the confidence signal a hybrid
         serving layer uses to fall back to exact execution.
         """
-        matrix = self._as_query_matrix(query_matrix)
-        weights, extrapolated, columns = self._batch_weight_matrix(matrix, norm_order)
-        values = self._evaluate_all_maps(matrix, columns)
-        return np.sum(weights * values, axis=1), ~extrapolated
+        values, _, extrapolated, _ = self._weighted_means(query_matrix, norm_order)
+        return values, ~extrapolated
 
     def batch_coverage(
         self, query_matrix: np.ndarray, norm_order: float = 2.0
@@ -520,11 +409,7 @@ class NeighborhoodPredictor:
     # ------------------------------------------------------------------ #
     def regression_models(self, query: Query) -> list[RegressionPlane]:
         """Return the list ``S`` of local linear models explaining ``g`` over ``D(x, theta)``."""
-        indices, weights, _ = self._neighborhood(query)
-        return [
-            self._maps[int(index)].regression_plane(weight=float(weight))
-            for index, weight in zip(indices, weights)
-        ]
+        return self.predict_q2_batch(_query_row(query), query.norm_order)[0]
 
     def predict_q2_batch(
         self, query_matrix: np.ndarray, norm_order: float = 2.0
@@ -543,8 +428,7 @@ class NeighborhoodPredictor:
         """Batched Q2 prediction plus the per-query coverage mask.
 
         Returns ``(plane_lists, covered)``; an uncovered query's plane list
-        holds the single extrapolated closest-prototype plane, exactly as
-        :meth:`regression_models` would produce.
+        holds the single extrapolated closest-prototype plane.
         """
         matrix = self._as_query_matrix(query_matrix)
         weights, extrapolated, columns = self._batch_weight_matrix(matrix, norm_order)
@@ -564,17 +448,14 @@ class NeighborhoodPredictor:
     # A2: data-value prediction (Equation 14)
     # ------------------------------------------------------------------ #
     def predict_value(self, point: np.ndarray, radius: float, norm_order: float = 2.0) -> float:
-        """Predict the data value ``u = g(x)`` at a point.
+        """Predict the data value ``u = g(x)`` at a point (a batch of one).
 
         The point together with a radius forms a probe query; each
         overlapping LLM is evaluated at its *own* radius (Equation 14) and
         the evaluations are combined with the normalised overlap weights.
         """
-        point_arr = np.asarray(point, dtype=float).ravel()
-        query = Query(center=point_arr, radius=radius, norm_order=norm_order)
-        indices, weights, _ = self._neighborhood(query)
-        values = self._evaluate_maps_at_own_radius(indices, point_arr)
-        return float(weights @ values)
+        row = np.asarray(point, dtype=float).ravel()[np.newaxis, :]
+        return float(self.predict_value_batch(row, radius, norm_order)[0])
 
     def predict_value_batch(
         self, points: np.ndarray, radius: float, norm_order: float = 2.0
@@ -597,8 +478,7 @@ class NeighborhoodPredictor:
         values = self._evaluate_all_maps_at_own_radius(pts, columns)
         return np.sum(weights * values, axis=1)
 
-    def predict_values(
-        self, points: np.ndarray, radius: float, norm_order: float = 2.0
-    ) -> np.ndarray:
-        """Vector form of :meth:`predict_value` over the rows of ``points``."""
-        return self.predict_value_batch(points, radius, norm_order)
+
+def _query_row(query: Query) -> np.ndarray:
+    """The ``(1, d + 1)`` query matrix of one query."""
+    return query.to_vector()[np.newaxis, :]

@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..analysis.instrument import make_lock
 from ..baselines.ols import OLSRegressor
 from ..data.synthetic import SyntheticDataset
 from ..exceptions import (
@@ -46,6 +47,7 @@ from .storage import SQLiteDataStore
 __all__ = [
     "ExactQueryEngine",
     "ExecutionStatistics",
+    "SingleQueryMixin",
     "Q2BatchSolution",
     "SegmentedBatchPipeline",
     "moment_column_count",
@@ -71,8 +73,8 @@ _BATCH_SCAN_ELEMENTS = 262_144
 #: order of margin inside the 1e-12 budget the differential harness pins
 #: across every engine pair (the previous 1e4 cap sat exactly at the
 #: budget, and the harness's soak mode found batches straddling it).
-#: Collinear or otherwise ill-conditioned subspaces are answered by exactly
-#: the same SVD solver as :meth:`ExactQueryEngine.execute_q2` (ball-shaped
+#: Collinear or otherwise ill-conditioned subspaces are answered by the
+#: dense SVD least-squares solver of :func:`q2_answer_from_rows` (ball-shaped
 #: dNN selections sit at single-digit condition numbers, so the fallback is
 #: rare in practice).
 _GRAM_CONDITION_RTOL = 1e-3
@@ -109,15 +111,6 @@ class ExecutionStatistics:
     min_query_seconds: float = math.inf
     max_query_seconds: float = 0.0
 
-    def record(self, scanned: int, selected: int, seconds: float) -> None:
-        """Add one query's counters."""
-        self.queries_executed += 1
-        self.rows_scanned += scanned
-        self.rows_selected += selected
-        self.total_seconds += seconds
-        self.min_query_seconds = min(self.min_query_seconds, seconds)
-        self.max_query_seconds = max(self.max_query_seconds, seconds)
-
     def record_batch(
         self, count: int, scanned: int, selected: int, seconds: float
     ) -> None:
@@ -125,7 +118,7 @@ class ExecutionStatistics:
 
         The per-query latency of a batch is the amortised share of the batch
         wall-clock time, so :attr:`mean_seconds` stays comparable across
-        single and batched executions.
+        batch sizes (a single-query call records a batch of one).
         """
         if count <= 0:
             return
@@ -567,7 +560,7 @@ def _fill_q2_answers(
 def _lp_rows(diff: np.ndarray, p: float) -> np.ndarray:
     """Row-wise Lp norms with the same elementwise formulation as
     :func:`~repro.queries.geometry.pairwise_lp_distance` (bit-identical
-    selections between the segmented and the per-query paths)."""
+    selections between the segmented pipeline and the full scans)."""
     if math.isinf(p):
         return np.max(np.abs(diff), axis=1)
     if p == 2.0:
@@ -592,29 +585,21 @@ class SegmentedBatchPipeline:
     shard's row range).  Statistics of disjoint row sets merge by plain
     addition, exactly like the scan kernels'.
 
+    The grid, the clustered rows and each aggregate table are built once,
+    on first use, under one build lock; queries read them without locking.
+
     Parameters
     ----------
     inputs, outputs:
         The ``(n, d)`` input matrix and ``(n,)`` output vector of the rows.
-    base_index:
-        Optional coarser :class:`GridIndex` already built over the same
-        rows (the single-query index); reused when the fine-grid sizing
-        would not exceed its resolution.
     """
 
-    def __init__(
-        self,
-        inputs: np.ndarray,
-        outputs: np.ndarray,
-        *,
-        base_index: GridIndex | None = None,
-    ) -> None:
+    def __init__(self, inputs: np.ndarray, outputs: np.ndarray) -> None:
         self._inputs = inputs
         self._outputs = outputs
-        self._base_index = base_index
+        self._build_lock = make_lock("pipeline.build")
         self._grid: GridIndex | None = None
-        self._clustered_inputs: np.ndarray | None = None
-        self._clustered_outputs: np.ndarray | None = None
+        self._clustered: tuple[np.ndarray, np.ndarray] | None = None
         self._cell_aggregate_cache: dict[str, np.ndarray] = {}
 
     @property
@@ -627,37 +612,51 @@ class SegmentedBatchPipeline:
 
     @property
     def grid(self) -> GridIndex:
-        """The fine batch grid (lazy: built on the first indexed batch).
+        """The fine batch grid (lazy: built on the first indexed query).
 
-        The single-query index targets a few hundred rows per cell because
-        its per-query probe walks cells in Python; the batch pipeline pays
-        no per-cell Python cost, so a much finer grid (a few rows per cell,
-        see :func:`~repro.dbms.spatial_index.batch_grid_cells_per_dimension`)
-        trims the candidate superset towards the exact selection and every
+        The pipeline pays no per-cell Python cost, so it uses a fine grid (a
+        few rows per cell, see
+        :func:`~repro.dbms.spatial_index.batch_grid_cells_per_dimension`)
+        that trims the candidate superset towards the exact selection; every
         candidate-proportional stage speeds up with it.
         """
-        if self._grid is None:
-            cells = batch_grid_cells_per_dimension(self.size, self.dimension)
-            if (
-                self._base_index is not None
-                and cells <= self._base_index.cells_per_dimension
-            ):
-                self._grid = self._base_index
-            else:
-                self._grid = GridIndex(self._inputs, cells_per_dimension=cells)
-        return self._grid
+        grid = self._grid
+        if grid is None:
+            with self._build_lock:
+                if self._grid is None:
+                    cells = batch_grid_cells_per_dimension(self.size, self.dimension)
+                    self._grid = GridIndex(self._inputs, cells_per_dimension=cells)
+                grid = self._grid
+        return grid
 
     def _clustered_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cell-clustered copies of the rows (lazy)."""
-        if self._clustered_inputs is None:
+        """Cell-clustered copies of ``(inputs, outputs)`` (lazy)."""
+        clustered = self._clustered
+        if clustered is None:
             order = self.grid.clustered_order
-            self._clustered_inputs = self._inputs[order]
-            self._clustered_outputs = self._outputs[order]
-        if self._clustered_inputs is None or self._clustered_outputs is None:
-            raise InternalInvariantError(
-                "clustered row arrays missing after lazy build"
-            )
-        return self._clustered_inputs, self._clustered_outputs
+            with self._build_lock:
+                if self._clustered is None:
+                    self._clustered = (self._inputs[order], self._outputs[order])
+                clustered = self._clustered
+        return clustered
+
+    def select_rows(
+        self, center: np.ndarray, radius: float, p: float
+    ) -> tuple[np.ndarray, int]:
+        """Ascending ids of the rows inside one ball, plus rows scanned.
+
+        A batch of one through the fine grid: the ball's candidate ranges,
+        the exact Lp test on the candidates, then a gather back to row ids.
+        """
+        grid = self.grid
+        qid, starts, ends = grid.candidate_ranges_batch(
+            center[np.newaxis, :], np.array([radius]), p=p
+        )
+        positions, _ = expand_ranges(qid, starts, ends)
+        clustered_inputs, _ = self._clustered_arrays()
+        inside = _lp_rows(clustered_inputs[positions] - center, p) <= radius
+        rows = np.sort(grid.clustered_order[positions[inside]])
+        return rows, int(positions.size)
 
     def _cell_aggregates(self, kind: str) -> np.ndarray:
         """Per-occupied-cell sufficient statistics (lazy, one-time build).
@@ -672,24 +671,28 @@ class SegmentedBatchPipeline:
         if cached is not None:
             return cached
         grid = self.grid
-        offsets = grid.cell_row_offsets
-        cell_counts = np.diff(offsets)
         clustered_inputs, clustered_outputs = self._clustered_arrays()
-        if kind == "q1":
-            aggregates = np.empty((cell_counts.size, 2), dtype=float)
-            aggregates[:, 0] = cell_counts
-            aggregates[:, 1] = np.add.reduceat(clustered_outputs, offsets[:-1])
-        else:
-            references = np.repeat(grid.cell_centers, cell_counts, axis=0)
-            products = moment_products(
-                clustered_inputs - references, clustered_outputs
-            )
-            aggregates = np.empty(
-                (cell_counts.size, 1 + products.shape[1]), dtype=float
-            )
-            aggregates[:, 0] = cell_counts
-            aggregates[:, 1:] = np.add.reduceat(products, offsets[:-1], axis=0)
-        self._cell_aggregate_cache[kind] = aggregates
+        with self._build_lock:
+            cached = self._cell_aggregate_cache.get(kind)
+            if cached is not None:
+                return cached
+            offsets = grid.cell_row_offsets
+            cell_counts = np.diff(offsets)
+            if kind == "q1":
+                aggregates = np.empty((cell_counts.size, 2), dtype=float)
+                aggregates[:, 0] = cell_counts
+                aggregates[:, 1] = np.add.reduceat(clustered_outputs, offsets[:-1])
+            else:
+                references = np.repeat(grid.cell_centers, cell_counts, axis=0)
+                products = moment_products(
+                    clustered_inputs - references, clustered_outputs
+                )
+                aggregates = np.empty(
+                    (cell_counts.size, 1 + products.shape[1]), dtype=float
+                )
+                aggregates[:, 0] = cell_counts
+                aggregates[:, 1:] = np.add.reduceat(products, offsets[:-1], axis=0)
+            self._cell_aggregate_cache[kind] = aggregates
         return aggregates
 
     @staticmethod
@@ -783,17 +786,48 @@ class SegmentedBatchPipeline:
         return counts, sums, scanned
 
 
-class ExactQueryEngine:
+class SingleQueryMixin:
+    """Single-query conveniences of the exact engines: batches of one.
+
+    The engine class supplies ``execute_q1_batch`` / ``execute_q2_batch``.
+    Each call here runs through them, so it returns bit for bit the batch
+    answer, raises :class:`~repro.exceptions.EmptySubspaceError` on an
+    empty subspace, and is counted in the engine statistics as a batch of
+    one.
+    """
+
+    def execute_q1(self, query: Query) -> QueryAnswer:
+        """Execute an exact mean-value query (Definition 4)."""
+        return _only_answer(self.execute_q1_batch([query]))
+
+    def execute_q2(self, query: Query) -> QueryAnswer:
+        """Execute an exact regression query: OLS over the selected subspace."""
+        return _only_answer(self.execute_q2_batch([query]))
+
+    def mean_value(self, query: Query) -> float:
+        """Convenience oracle used by training streams: the Q1 scalar answer."""
+        return self.execute_q1(query).mean
+
+
+def _only_answer(answers: list[QueryAnswer | None]) -> QueryAnswer:
+    """The answer of a batch of one run with ``on_empty="raise"``."""
+    if len(answers) != 1 or answers[0] is None:
+        raise InternalInvariantError("a batch of one returned no single answer")
+    return answers[0]
+
+
+class ExactQueryEngine(SingleQueryMixin):
     """Execute exact Q1 and Q2 queries against a dataset.
 
-    The engine can operate in three modes, in decreasing order of typical
-    speed for selective queries:
+    The engine answers every query through its batch entry points, in one
+    of two modes:
 
-    * against an in-memory grid index (``use_index=True``, default),
-    * against in-memory arrays with a full per-query distance scan
-      (``use_index=False``),
-    * directly against a :class:`~repro.dbms.storage.SQLiteDataStore`
-      table using a bounding-box pushdown (``from_store``).
+    * through the segmented pipeline over a fine grid index
+      (``use_index=True``, default), or
+    * by a chunked full distance scan (``use_index=False``).
+
+    :meth:`from_store` builds the engine over a table of a
+    :class:`~repro.dbms.storage.SQLiteDataStore`.
     """
 
     #: Whether the batch entry points accept a call-scoped ``route=``
@@ -801,23 +835,13 @@ class ExactQueryEngine:
     #: callers like the serving layer must not forward one).
     supports_route = False
 
-    def __init__(
-        self,
-        dataset: SyntheticDataset,
-        *,
-        use_index: bool = True,
-        cells_per_dimension: int | None = None,
-    ) -> None:
+    def __init__(self, dataset: SyntheticDataset, *, use_index: bool = True) -> None:
         self._dataset = dataset
         self._inputs = dataset.inputs
         self._outputs = dataset.outputs
-        self._index: GridIndex | None = None
         self._pipeline: SegmentedBatchPipeline | None = None
         if use_index:
-            self._index = GridIndex(self._inputs, cells_per_dimension=cells_per_dimension)
-            self._pipeline = SegmentedBatchPipeline(
-                self._inputs, self._outputs, base_index=self._index
-            )
+            self._pipeline = SegmentedBatchPipeline(self._inputs, self._outputs)
         self.statistics = ExecutionStatistics()
 
     # ------------------------------------------------------------------ #
@@ -846,67 +870,32 @@ class ExactQueryEngine:
     # ------------------------------------------------------------------ #
     # selection
     # ------------------------------------------------------------------ #
-    def _check_query_dimension(self, query: Query) -> None:
-        if query.dimension != self.dimension:
-            raise StorageError(
-                f"query has dimension {query.dimension} but the dataset has "
-                f"{self.dimension}"
+    def _select(self, query: Query) -> tuple[np.ndarray, int]:
+        """``(ascending selected row ids, rows scanned)`` of one query."""
+        if self._pipeline is not None:
+            return self._pipeline.select_rows(
+                query.center, query.radius, query.norm_order
             )
-
-    def _select_rows(self, query: Query) -> tuple[np.ndarray, int]:
-        """Return ``(selected row ids, rows scanned)`` of one dNN selection."""
-        if self._index is not None:
-            candidate_rows = self._index.candidate_rows(query.center, query.radius)
-            scanned = int(candidate_rows.size)
-            if candidate_rows.size:
-                distances = pairwise_lp_distance(
-                    self._inputs[candidate_rows], query.center, p=query.norm_order
-                )
-                selected_rows = candidate_rows[distances <= query.radius]
-            else:
-                selected_rows = candidate_rows
-        else:
-            scanned = self.size
-            distances = pairwise_lp_distance(
-                self._inputs, query.center, p=query.norm_order
-            )
-            selected_rows = np.nonzero(distances <= query.radius)[0]
-        return selected_rows, scanned
+        distances = pairwise_lp_distance(self._inputs, query.center, p=query.norm_order)
+        return np.nonzero(distances <= query.radius)[0], self.size
 
     def select_subspace(self, query: Query) -> tuple[np.ndarray, np.ndarray]:
-        """Return the ``(inputs, outputs)`` of the rows inside ``D(x, theta)``."""
-        self._check_query_dimension(query)
+        """Return the ``(inputs, outputs)`` of the rows inside ``D(x, theta)``.
+
+        Rows come in ascending row-id order; an empty subspace gives empty
+        arrays.
+        """
+        self._validate_batch([query], "raise")
         start = time.perf_counter()
-        selected_rows, scanned = self._select_rows(query)
+        rows, scanned = self._select(query)
         elapsed = time.perf_counter() - start
-        self.statistics.record(scanned, int(selected_rows.size), elapsed)
-        return self._inputs[selected_rows], self._outputs[selected_rows]
+        self.statistics.record_batch(1, scanned, int(rows.size), elapsed)
+        return self._inputs[rows], self._outputs[rows]
 
     def cardinality(self, query: Query) -> int:
         """Return ``n_theta(x)``: the number of rows inside the subspace."""
-        inputs, _ = self.select_subspace(query)
-        return int(inputs.shape[0])
-
-    # ------------------------------------------------------------------ #
-    # exact answers
-    # ------------------------------------------------------------------ #
-    def execute_q1(self, query: Query) -> QueryAnswer:
-        """Execute an exact mean-value query (Definition 4)."""
-        _, outputs = self.select_subspace(query)
-        if outputs.size == 0:
-            raise EmptySubspaceError(
-                f"query {query!r} selected no rows; its Q1 answer is undefined"
-            )
-        return QueryAnswer(mean=float(np.mean(outputs)), cardinality=int(outputs.size))
-
-    def execute_q2(self, query: Query) -> QueryAnswer:
-        """Execute an exact regression query: OLS over the selected subspace."""
-        inputs, outputs = self.select_subspace(query)
-        if outputs.size == 0:
-            raise EmptySubspaceError(
-                f"query {query!r} selected no rows; its Q2 answer is undefined"
-            )
-        return q2_answer_from_rows(inputs, outputs)
+        answer = self.execute_q1_batch([query], on_empty="null")[0]
+        return 0 if answer is None else answer.cardinality
 
     # ------------------------------------------------------------------ #
     # batched execution
@@ -926,7 +915,8 @@ class ExactQueryEngine:
         exact Lp membership test over all candidates, and per-query segment
         sums.  Without an index the batch is answered by chunked ``(m, n)``
         distance-matrix arithmetic.  Either way there is no per-query
-        Python loop and answers match :meth:`execute_q1` to 1e-12.
+        Python loop, and a query's answer does not depend on the rest of
+        its batch.
 
         Parameters
         ----------
@@ -978,10 +968,9 @@ class ExactQueryEngine:
         kernel — and every well-conditioned query is solved by the blocked
         OLS of :func:`solve_q2_sufficient_statistics` (one batched ``(d, d)``
         solve for the whole batch).  Queries with rank-deficient or
-        near-singular subspaces fall back to the dense per-query solver, so
-        answers match :meth:`execute_q2` (coefficients and means to 1e-12,
-        the R² variance ratio to 1e-9) while the batch throughput is several
-        times the per-query loop's.
+        near-singular subspaces fall back to the dense per-query least-squares
+        solver over the query's selected rows, keeping its minimum-norm
+        semantics.
 
         ``on_empty`` behaves exactly as in :meth:`execute_q1_batch`.
         """
@@ -1026,14 +1015,7 @@ class ExactQueryEngine:
 
     def _execute_q2_dense(self, query: Query) -> tuple[QueryAnswer, int]:
         """Per-query Q2 fallback; returns ``(answer, rows scanned)``."""
-        selected_rows, fallback_scanned = self._select_rows(query)
-        answer = q2_answer_from_rows(
-            self._inputs[selected_rows], self._outputs[selected_rows]
-        )
-        return answer, fallback_scanned
+        rows, scanned = self._select(query)
+        return q2_answer_from_rows(self._inputs[rows], self._outputs[rows]), scanned
 
     _raise_on_empty = staticmethod(_raise_on_empty_answers)
-
-    def mean_value(self, query: Query) -> float:
-        """Convenience oracle used by training streams: the Q1 scalar answer."""
-        return self.execute_q1(query).mean

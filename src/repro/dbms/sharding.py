@@ -73,16 +73,13 @@ from typing import Sequence
 import numpy as np
 
 from ..data.synthetic import SyntheticDataset
-from ..exceptions import (
-    ConfigurationError,
-    InternalInvariantError,
-    StorageError,
-)
+from ..exceptions import ConfigurationError, StorageError
 from ..queries.geometry import pairwise_lp_distance
 from ..queries.query import Query, QueryAnswer
 from .executor import (
     ExecutionStatistics,
     SegmentedBatchPipeline,
+    SingleQueryMixin,
     _fill_q1_answers,
     _fill_q2_answers,
     _group_by_norm_order,
@@ -219,7 +216,7 @@ def _pipeline_statistics(
     return counts, sums, scanned
 
 
-class ShardedQueryEngine:
+class ShardedQueryEngine(SingleQueryMixin):
     """Answer exact Q1/Q2 batches over row shards merged by blocked statistics.
 
     Parameters
@@ -242,7 +239,8 @@ class ShardedQueryEngine:
 
     The engine mirrors the :class:`~repro.dbms.executor.ExactQueryEngine`
     batch API (``execute_q1_batch`` / ``execute_q2_batch`` with the same
-    ``on_empty`` contract, plus single-query conveniences), so
+    ``on_empty`` contract, plus the shared batch-of-one conveniences of
+    :class:`~repro.dbms.executor.SingleQueryMixin`), so
     :class:`~repro.core.training.StreamingTrainer` can label workloads
     through it unchanged.
     """
@@ -636,28 +634,3 @@ class ShardedQueryEngine:
         return q2_answer_from_rows(self._inputs[selected], self._outputs[selected])
 
     _raise_on_empty = staticmethod(_raise_on_empty_answers)
-
-    # ------------------------------------------------------------------ #
-    # single-query conveniences (StreamingTrainer compatibility)
-    # ------------------------------------------------------------------ #
-    def execute_q1(self, query: Query) -> QueryAnswer:
-        """Single-query Q1 through the sharded batch path."""
-        answer = self.execute_q1_batch([query])[0]
-        if answer is None:
-            raise InternalInvariantError(
-                "sharded Q1 batch path returned no answer for its one query"
-            )
-        return answer
-
-    def execute_q2(self, query: Query) -> QueryAnswer:
-        """Single-query Q2 through the sharded batch path."""
-        answer = self.execute_q2_batch([query])[0]
-        if answer is None:
-            raise InternalInvariantError(
-                "sharded Q2 batch path returned no answer for its one query"
-            )
-        return answer
-
-    def mean_value(self, query: Query) -> float:
-        """Convenience oracle used by training streams: the Q1 scalar answer."""
-        return self.execute_q1(query).mean

@@ -4,10 +4,10 @@ The exact executor must repeatedly select the rows inside a ball
 ``D(x, theta)``.  A full scan touches every row per query; the paper's setup
 uses a B-tree index on the input attributes to prune this.  Here we provide
 an in-memory uniform grid index: the input domain is split into equal-width
-cells per dimension, each cell keeps the row ids that fall inside it, and a
-ball query only visits the cells intersecting the ball's bounding box.  For
-the moderate dimensionalities used by the paper (d between 2 and 6) this is
-a simple and effective pruning structure.
+cells per dimension and the rows are laid out sorted by cell, so a batch of
+ball queries becomes contiguous candidate row ranges over the cells that
+intersect each ball.  For the moderate dimensionalities used by the paper
+(d between 2 and 6) this is a simple and effective pruning structure.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from typing import Iterable
 
 import numpy as np
 
+from ..analysis.instrument import make_lock
 from ..exceptions import (
     ConfigurationError,
     DimensionalityMismatchError,
     InternalInvariantError,
 )
-from ..queries.geometry import pairwise_lp_distance
 
 __all__ = [
     "GridIndex",
@@ -42,10 +42,10 @@ def batch_grid_cells_per_dimension(
 
     The segmented batch pipeline pays no per-cell Python cost, so it targets
     a few rows per cell (``count / rows_per_cell`` cells in total) — much
-    finer than the single-query index — trimming the candidate superset
-    towards the exact selection.  Shared by the single-engine batch grid and
-    the per-shard grids of the sharded engine so both layers size their
-    cells identically for the same row count.
+    finer than :class:`GridIndex`'s default — trimming the candidate
+    superset towards the exact selection.  Shared by the single-engine
+    batch grid and the per-shard grids of the sharded engine so both layers
+    size their cells identically for the same row count.
     """
     if dimension < 1:
         raise ConfigurationError(f"dimension must be >= 1, got {dimension}")
@@ -146,6 +146,11 @@ _CANDIDATE_MARGIN = 1e-9
 class GridIndex:
     """Uniform grid over the input space mapping cells to row indices.
 
+    The cell-clustered layout behind the batch candidate ranges is built
+    once, on first use, under a lock; :meth:`candidate_rows` walks a lazily
+    built per-cell dictionary instead (the prototype index's one-query
+    probe, see :meth:`PrototypeIndex.candidates`).
+
     Parameters
     ----------
     points:
@@ -195,13 +200,15 @@ class GridIndex:
         self._low = low
         self._cell_width = span / self._cells_per_dimension
 
-        # Per-cell row-id dictionary for single-query probing; built lazily
-        # since the batched candidate path never reads it (a dedicated batch
-        # grid would otherwise pay an O(n) interpreted loop for nothing).
+        # Per-cell row-id dictionary for candidate_rows; built lazily since
+        # the batched candidate path never reads it (it costs an O(n)
+        # interpreted loop).
         self._cells: dict[tuple[int, ...], list[int]] | None = None
 
         # Clustered (cell-sorted) layout for the batched candidate path;
-        # built lazily on first use since single-query probing never needs it.
+        # built lazily on first use under _layout_lock.  _clustered_order is
+        # published last, so a reader that sees it sees the whole layout.
+        self._layout_lock = make_lock("grid.layout")
         self._clustered_order: np.ndarray | None = None
         self._clustered_flat: np.ndarray | None = None
         self._cell_flats: np.ndarray = np.empty(0, dtype=np.int64)
@@ -267,22 +274,25 @@ class GridIndex:
     def _ensure_clustered(self) -> None:
         if self._clustered_order is not None:
             return
-        coords = self._cell_coordinates(self._points).astype(np.int64)
-        flat = coords @ self._flat_strides()
-        order = np.argsort(flat, kind="stable")
-        self._clustered_order = order
-        self._clustered_flat = flat[order]
-        # Occupied-cell directory: flat ids, row segment per cell, centers.
-        flats, first = np.unique(self._clustered_flat, return_index=True)
-        self._cell_flats = flats
-        self._cell_row_offsets = np.append(first, self._count).astype(np.int64)
-        strides = self._flat_strides()
-        cell_coords = (flats[:, np.newaxis] // strides[np.newaxis, :]) % (
-            self._cells_per_dimension
-        )
-        self._cell_centers_array = (
-            self._low + (cell_coords + 0.5) * self._cell_width
-        )
+        with self._layout_lock:
+            if self._clustered_order is not None:
+                return
+            coords = self._cell_coordinates(self._points).astype(np.int64)
+            flat = coords @ self._flat_strides()
+            order = np.argsort(flat, kind="stable")
+            self._clustered_flat = flat[order]
+            # Occupied-cell directory: flat ids, row segment per cell, centers.
+            flats, first = np.unique(self._clustered_flat, return_index=True)
+            self._cell_flats = flats
+            self._cell_row_offsets = np.append(first, self._count).astype(np.int64)
+            strides = self._flat_strides()
+            cell_coords = (flats[:, np.newaxis] // strides[np.newaxis, :]) % (
+                self._cells_per_dimension
+            )
+            self._cell_centers_array = (
+                self._low + (cell_coords + 0.5) * self._cell_width
+            )
+            self._clustered_order = order
 
     @property
     def cell_flats(self) -> np.ndarray:
@@ -557,24 +567,6 @@ class GridIndex:
                 rows.extend(bucket)
         return np.asarray(rows, dtype=int)
 
-    def query_ball(
-        self, center: np.ndarray, radius: float, p: float = 2.0
-    ) -> np.ndarray:
-        """Return the row indices of points inside ``D(center, radius)``.
-
-        The grid provides candidates; the exact Lp test filters them.
-        """
-        candidates = self.candidate_rows(center, radius)
-        if candidates.size == 0:
-            return candidates
-        distances = pairwise_lp_distance(self._points[candidates], center, p=p)
-        return candidates[distances <= radius]
-
-    def selectivity(self, center: np.ndarray, radius: float, p: float = 2.0) -> float:
-        """Return the fraction of indexed rows selected by a ball query."""
-        selected = self.query_ball(center, radius, p=p)
-        return float(selected.size) / float(self._count)
-
 
 class PrototypeIndex:
     """Pruning index over the radius-augmented prototype space.
@@ -586,8 +578,10 @@ class PrototypeIndex:
     lies within ``theta + max_k theta_k`` of the query center, so a
     :class:`GridIndex` over the prototype *centers*, probed with that
     inflated radius, yields a small candidate superset of ``W(q)`` — the
-    exact degree test then runs over candidates only, making single-query
-    neighbourhood construction sublinear in ``K`` for localised workloads.
+    exact degree test then runs over candidates only, making neighbourhood
+    construction sublinear in ``K`` for localised workloads (batched
+    prediction through :meth:`candidates_union`, the trainer's winner
+    pruning through :meth:`candidates`).
 
     The bounding box used by the grid contains the Lp ball for every
     ``p >= 1`` (the L-infinity box is the largest), so the candidate set is a

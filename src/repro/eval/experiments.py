@@ -36,7 +36,7 @@ from ..metrics.evaluation import (
     evaluate_q2_goodness_of_fit,
     evaluate_value_prediction,
 )
-from ..queries.query import Query, QueryResultPair
+from ..queries.query import Query
 from ..queries.stream import LabelledWorkload
 from ..queries.workload import QueryWorkloadGenerator, RadiusDistribution, WorkloadSpec
 
@@ -271,17 +271,7 @@ def build_context(
     generator = QueryWorkloadGenerator(spec, seed=seed)
     total = training_queries + testing_queries
     queries = generator.generate(total)
-    # Label the whole workload through the batched exact path (the segmented
-    # indexed pipeline) instead of one execute_q1 per query — the same
-    # fast path the pipelined trainer uses; empty subspaces are dropped.
-    answers = engine.execute_q1_batch(queries, on_empty="null")
-    labelled = LabelledWorkload(
-        pairs=tuple(
-            QueryResultPair(query=query, answer=answer.mean)
-            for query, answer in zip(queries, answers)
-            if answer is not None
-        )
-    )
+    labelled = LabelledWorkload.from_engine(queries, engine)
     fraction = training_queries / total
     training, testing = labelled.split(fraction, seed=seed)
     return ExperimentContext(
@@ -360,9 +350,7 @@ def run_local_approximation_example(
     engine = ExactQueryEngine(dataset)
     radius = RadiusDistribution(mean=0.08, std=0.03)
     generator = QueryWorkloadGenerator(_workload_spec(dataset, radius), seed=seed)
-    labelled = LabelledWorkload.from_queries(
-        generator.generate(training_queries), engine.mean_value, skip_errors=True
-    )
+    labelled = LabelledWorkload.from_engine(generator.generate(training_queries), engine)
     model = LLMModel(
         dimension=1,
         config=ModelConfig(quantization_coefficient=coefficient),
@@ -374,7 +362,7 @@ def run_local_approximation_example(
     inputs, outputs = engine.select_subspace(target)
 
     planes = model.regression_models(target)
-    llm_predictions = _llm_subspace_predictions(model, target, inputs)
+    llm_predictions = _llm_subspace_predictions(planes, inputs)
 
     reg = OLSRegressor().fit(inputs, outputs)
     plr = MARSRegressor(max_basis_functions=max(model.prototype_count, 6)).fit(

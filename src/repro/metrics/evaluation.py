@@ -11,7 +11,8 @@ These functions implement the measurement procedures of Section VI:
 
 They operate on an exact engine (which supplies both the subspaces and the
 ground-truth answers) and any trained model exposing the
-``predict_mean`` / ``regression_models`` / ``predict_value`` interface.
+``predict_mean_batch`` / ``regression_models`` / ``predict_value_batch``
+interface.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from ..baselines.ols import OLSRegressor
 from ..baselines.plr import MARSRegressor
 from ..dbms.executor import ExactQueryEngine
-from ..exceptions import EmptySubspaceError
 from ..queries.query import Query
 from .regression import cod, fvu, rmse
 
@@ -79,42 +79,38 @@ def evaluate_q1_accuracy(
     engine: ExactQueryEngine,
     queries: Sequence[Query],
 ) -> QueryAccuracyReport:
-    """Compute the RMSE of the model's Q1 predictions against exact answers."""
-    actual: list[float] = []
-    predicted: list[float] = []
-    skipped = 0
-    for query in queries:
-        try:
-            truth = engine.execute_q1(query).mean
-        except EmptySubspaceError:
-            skipped += 1
-            continue
-        actual.append(truth)
-        predicted.append(float(model.predict_mean(query)))
-    if not actual:
+    """Compute the RMSE of the model's Q1 predictions against exact answers.
+
+    The exact answers come from one engine batch and the predictions from
+    one model batch; queries selecting no rows are skipped.
+    """
+    batch = list(queries)
+    answers = engine.execute_q1_batch(batch, on_empty="null")
+    answered = [query for query, answer in zip(batch, answers) if answer is not None]
+    skipped = len(batch) - len(answered)
+    if not answered:
         return QueryAccuracyReport(
             rmse=float("nan"), evaluated_queries=0, skipped_queries=skipped
         )
-    actual_arr = np.asarray(actual)
-    predicted_arr = np.asarray(predicted)
+    actual_arr = np.array([answer.mean for answer in answers if answer is not None])
+    predicted_arr = np.asarray(model.predict_mean_batch(answered), dtype=float)
     return QueryAccuracyReport(
         rmse=rmse(actual_arr, predicted_arr),
-        evaluated_queries=len(actual),
+        evaluated_queries=len(answered),
         skipped_queries=skipped,
         actual=actual_arr,
         predicted=predicted_arr,
     )
 
 
-def _llm_subspace_predictions(model, query: Query, inputs: np.ndarray) -> np.ndarray:
-    """Predict data values inside a subspace with the model's local planes.
+def _llm_subspace_predictions(planes: list, inputs: np.ndarray) -> np.ndarray:
+    """Predict data values inside a subspace with a Q2 answer's planes.
 
     The Q2 answer is a *piecewise* approximation (Equation 13): each point
     ``x`` in the subspace is predicted by the plane whose prototype center
     is closest to it, i.e. the plane responsible for the local region
     ``D_k`` the point falls into.
     """
-    planes = model.regression_models(query)
     centers = np.vstack([plane.prototype_center for plane in planes])
     points = np.atleast_2d(np.asarray(inputs, dtype=float))
     # (n, K) distances from every point to every plane's prototype center.
@@ -162,8 +158,9 @@ def evaluate_q2_goodness_of_fit(
             skipped += 1
             continue
 
-        llm_predictions = _llm_subspace_predictions(model, query, inputs)
-        local_model_counts.append(len(model.regression_models(query)))
+        planes = model.regression_models(query)
+        llm_predictions = _llm_subspace_predictions(planes, inputs)
+        local_model_counts.append(len(planes))
         llm_fvus.append(fvu(outputs, llm_predictions))
         llm_cods.append(cod(outputs, llm_predictions))
 
@@ -237,7 +234,7 @@ def evaluate_value_prediction(
             inputs, outputs
         )
 
-        llm_values = model.predict_values(probes, query.radius)
+        llm_values = model.predict_value_batch(probes, query.radius)
         reg_values = reg.predict(probes)
         plr_values = plr.predict(probes)
 

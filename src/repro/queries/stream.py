@@ -203,6 +203,23 @@ class LabelledWorkload:
             )
         return cls(pairs=pairs)
 
+    @classmethod
+    def from_engine(cls, queries: Sequence[Query], engine) -> "LabelledWorkload":
+        """Label queries with exact Q1 answers in one engine batch.
+
+        ``engine`` is anything with ``execute_q1_batch`` (the single or the
+        sharded exact engine); queries that select no rows are dropped.
+        """
+        batch = list(queries)
+        answers = engine.execute_q1_batch(batch, on_empty="null")
+        return cls(
+            pairs=tuple(
+                QueryResultPair(query=query, answer=answer.mean)
+                for query, answer in zip(batch, answers)
+                if answer is not None
+            )
+        )
+
     def split(self, training_fraction: float, *, seed: int | None = None) -> tuple[
         "LabelledWorkload", "LabelledWorkload"
     ]:

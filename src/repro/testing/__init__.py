@@ -1,10 +1,12 @@
-"""Testing utilities: deterministic fault injection for the serving stack.
+"""Testing utilities: fault injection and brute-force reference answers.
 
 This subpackage is part of the library's *robustness surface*, not of the
-serving hot path: tests, the CI fault-matrix soak and the lifecycle
-benchmark use it to inject engine exceptions, slow batches, truncated or
-corrupt model files and mid-swap crashes, then assert that the stack
-degrades instead of dying.
+serving hot path.  Tests, the CI fault-matrix soak and the lifecycle
+benchmark use :mod:`.faults` to inject engine exceptions, slow batches,
+truncated or corrupt model files and mid-swap crashes, then assert that the
+stack degrades instead of dying.  :mod:`.oracle` recomputes exact and model
+answers query by query with no shared kernel code, the reference every
+batch path is tested against.
 """
 
 from .faults import (
@@ -16,9 +18,12 @@ from .faults import (
     corrupt_model_file,
     truncate_journal,
 )
+from .oracle import ExactOracle, ModelOracle
 
 __all__ = [
     "ArmedFault",
+    "ExactOracle",
+    "ModelOracle",
     "FaultInjector",
     "FaultyEngine",
     "FaultyModel",

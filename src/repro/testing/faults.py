@@ -177,14 +177,13 @@ class _CallCounts:
 
 
 class FaultyEngine:
-    """Wrap an exact engine with fault points on every entry point.
+    """Wrap an exact engine with fault points on its batch entry points.
 
-    Fires ``"{name}.q1_batch"`` / ``"{name}.q2_batch"`` /
-    ``"{name}.q1"`` / ``"{name}.q2"`` before delegating (default
-    ``name="engine"``).  Everything else (``supports_route``, statistics,
-    ...) is delegated untouched, so the wrapper drops into any place an
-    engine is accepted — the serving registry, a trainer, a sharded
-    fan-out.
+    Fires ``"{name}.q1_batch"`` / ``"{name}.q2_batch"`` before delegating
+    (default ``name="engine"``).  Everything else (``supports_route``,
+    statistics, ...) is delegated untouched, so the wrapper drops into any
+    place an engine is accepted — the serving registry, a trainer, a
+    sharded fan-out.
     """
 
     def __init__(
@@ -214,18 +213,6 @@ class FaultyEngine:
     def execute_q2_batch(self, queries: Sequence[Query], **kwargs: object):
         self._fire("q2_batch", batch=len(queries))
         return self._inner.execute_q2_batch(queries, **kwargs)  # type: ignore[attr-defined]
-
-    def execute_q1(self, query: Query):
-        self._fire("q1")
-        return self._inner.execute_q1(query)  # type: ignore[attr-defined]
-
-    def execute_q2(self, query: Query):
-        self._fire("q2")
-        return self._inner.execute_q2(query)  # type: ignore[attr-defined]
-
-    def mean_value(self, query: Query) -> float:
-        self._fire("q1")
-        return self._inner.mean_value(query)  # type: ignore[attr-defined]
 
     def __getattr__(self, item: str):
         return getattr(self._inner, item)

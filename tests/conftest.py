@@ -101,7 +101,7 @@ def sensor_workload(sensor_engine):
         radius=RadiusDistribution(mean=0.12, std=0.03),
     )
     queries = QueryWorkloadGenerator(spec, seed=3).generate(600)
-    return LabelledWorkload.from_queries(queries, sensor_engine.mean_value)
+    return LabelledWorkload.from_engine(queries, sensor_engine)
 
 
 @pytest.fixture(scope="session")

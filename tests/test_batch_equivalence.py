@@ -1,12 +1,14 @@
-"""Equivalence suite: batch query processing vs the single-query path.
+"""Equivalence suite: the batch kernels vs the brute-force oracle.
 
 The batch engine (``predict_mean_batch`` / ``predict_q2_batch`` /
 ``predict_value_batch``) computes the full ``(m, K)`` overlap-degree matrix
 and the weighted LLM evaluations as matrix operations.  These tests assert
-that the batched answers agree with the per-query path to within 1e-12
-across dimensions d in {1, 2, 6}, including the zero-overlap extrapolation
-branch and the (defensive) all-degrees-zero uniform-weight branch, and that
-the prototype-pruning index never changes a single-query answer.
+that the batched answers agree with :mod:`repro.testing.oracle` (map-by-map
+Algorithms 2 and 3 and Equation 14; a full Lp scan plus ``lstsq`` on the
+exact side) to within 1e-12 across dimensions d in {1, 2, 6}, including the
+zero-overlap extrapolation branch and the (defensive) all-degrees-zero
+uniform-weight branch, and that the prototype-pruning index never changes
+an answer.
 """
 
 from __future__ import annotations
@@ -16,15 +18,12 @@ import pytest
 
 from repro.config import ModelConfig, TrainingConfig
 from repro.core.model import LLMModel
-from repro.core.prediction import (
-    NeighborhoodPredictor,
-    normalized_overlap_weights,
-    normalized_weight_rows,
-)
+from repro.core.prediction import NeighborhoodPredictor, normalized_weight_rows
 from repro.core.prototypes import LocalLinearMap
 from repro.exceptions import DimensionalityMismatchError, InvalidQueryError
 from repro.queries.geometry import overlap_degree, overlap_degree_matrix
 from repro.queries.query import Query
+from repro.testing.oracle import ExactOracle, ModelOracle, normalized_overlap_weights
 
 DIMENSIONS = (1, 2, 6)
 TOLERANCE = 1e-12
@@ -108,39 +107,35 @@ class TestOverlapDegreeMatrix:
 
 class TestQ1Equivalence:
     def test_batch_matches_single(self, setup):
-        _, _, predictor, queries, matrix = setup
+        _, maps, predictor, queries, matrix = setup
         batch = predictor.predict_mean_batch(matrix)
-        single = np.array([predictor.predict_mean(query) for query in queries])
+        oracle = ModelOracle(maps)
+        single = np.array([oracle.predict_mean(query) for query in queries])
         assert batch.shape == single.shape
         np.testing.assert_allclose(batch, single, rtol=0.0, atol=TOLERANCE)
 
     def test_extrapolation_branch_is_exercised(self, setup):
-        _, _, predictor, queries, _ = setup
-        flags = [
-            predictor.predict_mean_with_diagnostics(query)[1].extrapolated
-            for query in queries
-        ]
+        _, maps, _, queries, _ = setup
+        oracle = ModelOracle(maps)
+        flags = [oracle.neighborhood(query)[2] for query in queries]
         assert any(flags) and not all(flags)
 
     def test_batch_reports_extrapolated_rows(self, setup):
-        _, _, predictor, queries, matrix = setup
+        _, maps, predictor, queries, matrix = setup
         _, extrapolated = predictor._batch_neighborhood(matrix, norm_order=2.0)
-        expected = np.array(
-            [
-                predictor.predict_mean_with_diagnostics(query)[1].extrapolated
-                for query in queries
-            ]
-        )
+        oracle = ModelOracle(maps)
+        expected = np.array([oracle.neighborhood(query)[2] for query in queries])
         np.testing.assert_array_equal(extrapolated, expected)
 
 
 class TestQ2Equivalence:
     def test_batch_planes_match_single(self, setup):
-        _, _, predictor, queries, matrix = setup
+        _, maps, predictor, queries, matrix = setup
         batch = predictor.predict_q2_batch(matrix)
         assert len(batch) == len(queries)
+        oracle = ModelOracle(maps)
         for planes, query in zip(batch, queries):
-            expected = predictor.regression_models(query)
+            expected = oracle.regression_models(query)
             assert len(planes) == len(expected)
             for plane, reference in zip(planes, expected):
                 assert plane.weight == pytest.approx(reference.weight, abs=TOLERANCE)
@@ -154,7 +149,7 @@ class TestQ2Equivalence:
 
 class TestValuePredictionEquivalence:
     def test_batch_matches_single(self, setup):
-        dimension, _, predictor, _, _ = setup
+        dimension, maps, predictor, _, _ = setup
         rng = np.random.default_rng(23)
         points = np.vstack(
             [
@@ -164,25 +159,23 @@ class TestValuePredictionEquivalence:
         )
         radius = 0.15
         batch = predictor.predict_value_batch(points, radius)
-        single = np.array(
-            [predictor.predict_value(point, radius) for point in points]
-        )
+        oracle = ModelOracle(maps)
+        single = np.array([oracle.predict_value(point, radius) for point in points])
         np.testing.assert_allclose(batch, single, rtol=0.0, atol=TOLERANCE)
 
 
 class TestPruningIndexEquivalence:
     def test_pruned_single_query_matches_full_scan(self, setup):
-        _, maps, predictor, queries, _ = setup
+        _, maps, _, queries, _ = setup
         pruned = NeighborhoodPredictor(maps, use_pruning_index=True)
         assert pruned.uses_pruning_index
+        oracle = ModelOracle(maps)
         for query in queries:
-            assert pruned.predict_mean(query) == pytest.approx(
-                predictor.predict_mean(query), abs=TOLERANCE
-            )
-            _, diag_pruned = pruned.predict_mean_with_diagnostics(query)
-            _, diag_full = predictor.predict_mean_with_diagnostics(query)
-            assert diag_pruned.used_indices == diag_full.used_indices
-            assert diag_pruned.extrapolated == diag_full.extrapolated
+            value, diagnostics = pruned.predict_mean_with_diagnostics(query)
+            assert value == pytest.approx(oracle.predict_mean(query), abs=TOLERANCE)
+            indices, _, extrapolated = oracle.neighborhood(query)
+            assert diagnostics.used_indices == tuple(indices)
+            assert diagnostics.extrapolated == extrapolated
 
     def test_auto_threshold(self):
         from repro.core.prediction import DEFAULT_PRUNING_THRESHOLD
@@ -248,17 +241,9 @@ class TestModelBatchAPI:
     def test_predict_mean_batch_matches_loop(self, trained):
         queries = _mixed_queries(2, count=40, seed=31)
         batch = trained.predict_mean_batch(queries)
-        single = np.array([trained.predict_mean(query) for query in queries])
+        oracle = ModelOracle(trained.local_maps)
+        single = np.array([oracle.predict_mean(query) for query in queries])
         np.testing.assert_allclose(batch, single, rtol=0.0, atol=TOLERANCE)
-
-    def test_predict_means_delegates_to_batch(self, trained):
-        queries = _mixed_queries(2, count=10, seed=37)
-        np.testing.assert_allclose(
-            trained.predict_means(queries),
-            trained.predict_mean_batch(queries),
-            rtol=0.0,
-            atol=0.0,
-        )
 
     def test_heterogeneous_norm_orders(self, trained):
         rng = np.random.default_rng(41)
@@ -271,14 +256,16 @@ class TestModelBatchAPI:
             for order in (1.0, 2.0, np.inf, 2.0, 1.0, 3.0)
         ]
         batch = trained.predict_mean_batch(queries)
-        single = np.array([trained.predict_mean(query) for query in queries])
+        oracle = ModelOracle(trained.local_maps)
+        single = np.array([oracle.predict_mean(query) for query in queries])
         np.testing.assert_allclose(batch, single, rtol=0.0, atol=TOLERANCE)
 
     def test_q2_batch_matches_loop(self, trained):
         queries = _mixed_queries(2, count=15, seed=43)
         batch = trained.predict_q2_batch(queries)
+        oracle = ModelOracle(trained.local_maps)
         for planes, query in zip(batch, queries):
-            expected = trained.regression_models(query)
+            expected = oracle.regression_models(query)
             assert len(planes) == len(expected)
             for plane, reference in zip(planes, expected):
                 assert plane.weight == pytest.approx(reference.weight, abs=TOLERANCE)
@@ -287,7 +274,10 @@ class TestModelBatchAPI:
         rng = np.random.default_rng(47)
         points = rng.uniform(0, 1, size=(20, 2))
         batch = trained.predict_value_batch(points, 0.1)
-        single = np.array([trained.predict_value(p, 0.1) for p in points])
+        oracle = ModelOracle(trained.local_maps)
+        single = np.array(
+            [oracle.predict_value(p, 0.1, trained.config.norm_order) for p in points]
+        )
         np.testing.assert_allclose(batch, single, rtol=0.0, atol=TOLERANCE)
 
     def test_raw_matrix_input(self, trained):
@@ -412,7 +402,7 @@ class TestBatchPruningEquivalence:
 
 
 class TestExecutorQ2BatchEquivalence:
-    """``execute_q2_batch`` vs the per-query ``execute_q2`` loop."""
+    """``execute_q2_batch`` vs the full-scan ``lstsq`` oracle."""
 
     @pytest.fixture(params=DIMENSIONS, scope="class")
     def setup(self, request):
@@ -457,25 +447,25 @@ class TestExecutorQ2BatchEquivalence:
         dataset, queries = setup
         engine = ExactQueryEngine(dataset, use_index=use_index)
         answers = engine.execute_q2_batch(queries, on_empty="null")
+        oracle = ExactOracle(dataset.inputs, dataset.outputs)
         for query, answer in zip(queries, answers):
-            try:
-                expected = engine.execute_q2(query)
-            except Exception:
+            expected = oracle.q2(query)
+            if expected is None:
                 assert answer is None
                 continue
             assert answer is not None
-            assert answer.cardinality == expected.cardinality
+            assert answer.cardinality == oracle.count(query)
             np.testing.assert_allclose(
-                answer.mean, expected.mean, rtol=TOLERANCE, atol=TOLERANCE
+                answer.mean, oracle.mean(query), rtol=TOLERANCE, atol=TOLERANCE
             )
             np.testing.assert_allclose(
-                answer.coefficients,
-                expected.coefficients,
-                rtol=1e-9,
+                oracle.fitted(query, answer.coefficients),
+                oracle.fitted(query, expected),
+                rtol=TOLERANCE,
                 atol=TOLERANCE,
             )
             np.testing.assert_allclose(
-                answer.r_squared, expected.r_squared, rtol=1e-9, atol=1e-9
+                answer.coefficients, expected, rtol=1e-9, atol=TOLERANCE
             )
 
     def test_indexed_and_scan_batches_agree(self, setup):
@@ -529,18 +519,18 @@ class TestExecutorBatchEquivalence:
         return dataset, ExactQueryEngine(dataset)
 
     def test_batch_matches_single_indexed(self, engine):
-        _, indexed = engine
+        dataset, indexed = engine
         queries = _mixed_queries(2, count=20, seed=61)
         answers = indexed.execute_q1_batch(queries, on_empty="null")
+        oracle = ExactOracle(dataset.inputs, dataset.outputs)
         for query, answer in zip(queries, answers):
-            try:
-                expected = indexed.execute_q1(query)
-            except Exception:
+            expected = oracle.mean(query)
+            if expected is None:
                 assert answer is None
                 continue
             assert answer is not None
-            assert answer.mean == pytest.approx(expected.mean, abs=1e-12)
-            assert answer.cardinality == expected.cardinality
+            assert answer.mean == pytest.approx(expected, abs=1e-12)
+            assert answer.cardinality == oracle.count(query)
 
     def test_batch_matches_single_full_scan(self, engine):
         from repro.dbms.executor import ExactQueryEngine
@@ -553,10 +543,10 @@ class TestExecutorBatchEquivalence:
             Query(center=np.array([0.7, 0.3]), radius=0.25, norm_order=np.inf),
         ]
         answers = scan.execute_q1_batch(queries)
+        oracle = ExactOracle(dataset.inputs, dataset.outputs)
         for query, answer in zip(queries, answers):
-            expected = scan.execute_q1(query)
-            assert answer.mean == pytest.approx(expected.mean, rel=1e-12)
-            assert answer.cardinality == expected.cardinality
+            assert answer.mean == pytest.approx(oracle.mean(query), rel=1e-12)
+            assert answer.cardinality == oracle.count(query)
 
     def test_full_scan_sub_chunking(self, engine, monkeypatch):
         # Force a tiny memory budget so the batch is processed in several

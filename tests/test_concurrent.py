@@ -56,7 +56,7 @@ def _train_model(engine: ExactQueryEngine, count: int = 250) -> LLMModel:
         norm_order=2.0,
     )
     queries = QueryWorkloadGenerator(spec, seed=1).generate(count)
-    workload = LabelledWorkload.from_queries(queries, engine.mean_value)
+    workload = LabelledWorkload.from_engine(queries, engine)
     model = LLMModel(
         dimension=2,
         config=ModelConfig(quantization_coefficient=0.15, norm_order=2.0),

@@ -122,7 +122,7 @@ class TestPrediction:
 
     def test_predict_means_batch(self, trained):
         queries = [q for q, _ in _linear_pairs(20, seed=3)]
-        values = trained.predict_means(queries)
+        values = trained.predict_mean_batch(queries)
         expected = np.array([q.center[0] + 2 * q.center[1] for q in queries])
         assert values.shape == (20,)
         assert np.sqrt(np.mean((values - expected) ** 2)) < 0.15
@@ -148,7 +148,7 @@ class TestPrediction:
 
     def test_predict_values_batch_shape(self, trained):
         points = np.random.default_rng(0).uniform(0, 1, size=(15, 2))
-        assert trained.predict_values(points).shape == (15,)
+        assert trained.predict_value_batch(points).shape == (15,)
 
     def test_diagnostics_and_describe(self, trained):
         description = trained.describe()

@@ -5,14 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.prediction import (
-    NeighborhoodPredictor,
-    normalized_overlap_weights,
-    overlapping_prototypes,
-)
+from repro.core.prediction import NeighborhoodPredictor
 from repro.core.prototypes import LocalLinearMap
 from repro.exceptions import NotFittedError
 from repro.queries.query import Query
+from repro.testing.oracle import (
+    ModelOracle,
+    normalized_overlap_weights,
+    overlapping_prototypes,
+)
 
 
 def _llm(center, radius, mean, slope=None):
@@ -145,11 +146,12 @@ class TestCoverageSignal:
         values, covered = predictor.predict_mean_batch_with_coverage(matrix)
         assert np.array_equal(plain, values)
         assert np.array_equal(covered, predictor.batch_coverage(matrix))
-        # Covered rows agree with the single-query path's diagnostics.
+        # Covered rows are exactly those the brute-force oracle does not
+        # extrapolate.
+        oracle = ModelOracle(maps)
         for row, is_covered in zip(matrix, covered):
             query = Query(center=row[:-1], radius=float(row[-1]))
-            _, diagnostics = predictor.predict_mean_with_diagnostics(query)
-            assert bool(is_covered) == (not diagnostics.extrapolated)
+            assert bool(is_covered) == (not oracle.neighborhood(query)[2])
 
     def test_q2_with_coverage_matches_plain_batch(self, maps):
         predictor = NeighborhoodPredictor(maps)
@@ -216,5 +218,5 @@ class TestValuePrediction:
     def test_batch_value_prediction(self, maps):
         predictor = NeighborhoodPredictor(maps)
         points = np.array([[0.2, 0.2], [0.5, 0.5], [0.8, 0.8]])
-        values = predictor.predict_values(points, radius=0.1)
+        values = predictor.predict_value_batch(points, radius=0.1)
         assert np.allclose(values, [0.2, 0.5, 0.8])

@@ -14,6 +14,7 @@ from repro.dbms.executor import ExactQueryEngine
 from repro.exceptions import NotFittedError, ReproError
 from repro.queries.query import Query
 from repro.queries.workload import QueryWorkloadGenerator, RadiusDistribution, WorkloadSpec
+from repro.testing.oracle import ExactOracle
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +85,9 @@ class TestStreamingTrainer:
         trainer = StreamingTrainer(model, engine)
         pairs = list(trainer.label_queries(workload_queries[:10]))
         assert len(pairs) == 10
+        oracle = ExactOracle(engine.dataset.inputs, engine.dataset.outputs)
         for pair in pairs:
-            assert pair.answer == pytest.approx(engine.execute_q1(pair.query).mean)
+            assert pair.answer == pytest.approx(oracle.mean(pair.query), abs=1e-12)
 
     def test_label_queries_batches_transparently(self, engine, workload_queries):
         model = LLMModel(dimension=2)

@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.ols import OLSRegressor
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine, ExecutionStatistics
 from repro.dbms.storage import SQLiteDataStore
 from repro.exceptions import EmptySubspaceError, StorageError
 from repro.queries.geometry import pairwise_lp_distance
 from repro.queries.query import Query
+from repro.testing.oracle import ExactOracle
 
 
 @pytest.fixture(scope="module")
@@ -85,12 +85,11 @@ class TestQ2:
         with pytest.raises(EmptySubspaceError):
             engine.execute_q2(Query(center=np.array([9.0, 9.0]), radius=0.01))
 
-    def test_q2_agrees_with_direct_ols(self, engine):
+    def test_q2_agrees_with_direct_ols(self, engine, linear_dataset):
         query = Query(center=np.array([0.4, 0.4]), radius=0.25)
-        inputs, outputs = engine.select_subspace(query)
-        direct = OLSRegressor().fit(inputs, outputs)
+        oracle = ExactOracle(linear_dataset.inputs, linear_dataset.outputs)
         answer = engine.execute_q2(query)
-        assert np.allclose(answer.coefficients, direct.coefficients)
+        assert np.allclose(answer.coefficients, oracle.q2(query))
 
 
 class TestQ1Batch:
@@ -158,7 +157,7 @@ class TestStatistics:
     def test_running_aggregates_are_constant_memory(self):
         stats = ExecutionStatistics()
         for index in range(9_999):
-            stats.record(10, 5, 0.001 * (1 + index % 3))
+            stats.record_batch(1, 10, 5, 0.001 * (1 + index % 3))
         assert stats.queries_executed == 9_999
         assert stats.min_seconds == pytest.approx(0.001)
         assert stats.max_seconds == pytest.approx(0.003)
@@ -171,9 +170,9 @@ class TestStatistics:
 
     def test_merge_and_snapshot(self):
         first = ExecutionStatistics()
-        first.record(100, 10, 0.01)
+        first.record_batch(1, 100, 10, 0.01)
         second = ExecutionStatistics()
-        second.record(200, 20, 0.03)
+        second.record_batch(1, 200, 20, 0.03)
         frozen = first.snapshot()
         first.merge(second)
         assert first.queries_executed == 2
@@ -188,7 +187,7 @@ class TestStatistics:
 
     def test_merge_with_unused_statistics_keeps_extrema(self):
         used = ExecutionStatistics()
-        used.record(10, 5, 0.02)
+        used.record_batch(1, 10, 5, 0.02)
         used.merge(ExecutionStatistics())
         assert used.queries_executed == 1
         assert used.min_seconds == pytest.approx(0.02)
@@ -198,7 +197,7 @@ class TestStatistics:
         # The deprecated raw-latency accessor (warning shipped two releases
         # ago) is gone for good; the O(1) aggregates are the only surface.
         stats = ExecutionStatistics()
-        stats.record(10, 5, 0.01)
+        stats.record_batch(1, 10, 5, 0.01)
         assert not hasattr(stats, "per_query_seconds")
 
     def test_empty_statistics_read_as_zero(self):
@@ -209,7 +208,7 @@ class TestStatistics:
 
     def test_reset(self):
         stats = ExecutionStatistics()
-        stats.record(10, 5, 0.01)
+        stats.record_batch(1, 10, 5, 0.01)
         stats.reset()
         assert stats.queries_executed == 0
         assert stats.mean_seconds == 0.0

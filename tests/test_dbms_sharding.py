@@ -23,6 +23,7 @@ from repro.dbms.sharding import ShardedQueryEngine, shard_bounds
 from repro.dbms.storage import SQLiteDataStore
 from repro.exceptions import ConfigurationError, EmptySubspaceError, StorageError
 from repro.queries.query import Query
+from repro.testing.oracle import ExactOracle
 
 DIMENSIONS = (1, 2, 6)
 TOLERANCE = 1e-12
@@ -67,6 +68,32 @@ def _mixed_queries(
     return queries
 
 
+def _assert_q2_matches_oracle(answers, queries, dataset) -> None:
+    """Q2 answers vs the full-scan ``lstsq`` oracle: counts and means to
+    1e-12, fitted values on the selected rows to 1e-12, coefficients to
+    1e-9 relative."""
+    oracle = ExactOracle(dataset.inputs, dataset.outputs)
+    for query, answer in zip(queries, answers):
+        expected = oracle.q2(query)
+        if expected is None:
+            assert answer is None
+            continue
+        assert answer is not None
+        assert answer.cardinality == oracle.count(query)
+        np.testing.assert_allclose(
+            answer.mean, oracle.mean(query), rtol=TOLERANCE, atol=TOLERANCE
+        )
+        np.testing.assert_allclose(
+            oracle.fitted(query, answer.coefficients),
+            oracle.fitted(query, expected),
+            rtol=TOLERANCE,
+            atol=TOLERANCE,
+        )
+        np.testing.assert_allclose(
+            answer.coefficients, expected, rtol=1e-9, atol=TOLERANCE
+        )
+
+
 def _assert_answers_match(sharded_answers, reference_answers) -> None:
     for answer, reference in zip(sharded_answers, reference_answers):
         if reference is None:
@@ -104,34 +131,26 @@ class TestShardBounds:
 class TestShardedEquivalence:
     def test_q2_matches_per_query_engine(self, dimension):
         dataset = _dataset(dimension)
-        reference = ExactQueryEngine(dataset)
         queries = _mixed_queries(dataset)
         with ShardedQueryEngine(dataset, num_shards=3, backend="serial") as engine:
             answers = engine.execute_q2_batch(queries, on_empty="null")
-        expected = []
-        for query in queries:
-            try:
-                expected.append(reference.execute_q2(query))
-            except EmptySubspaceError:
-                expected.append(None)
-        _assert_answers_match(answers, expected)
+        _assert_q2_matches_oracle(answers, queries, dataset)
 
     def test_q1_matches_per_query_engine(self, dimension):
         dataset = _dataset(dimension)
-        reference = ExactQueryEngine(dataset)
+        oracle = ExactOracle(dataset.inputs, dataset.outputs)
         queries = _mixed_queries(dataset)
         with ShardedQueryEngine(dataset, num_shards=3, backend="serial") as engine:
             answers = engine.execute_q1_batch(queries, on_empty="null")
         for query, answer in zip(queries, answers):
-            try:
-                expected = reference.execute_q1(query)
-            except EmptySubspaceError:
+            expected = oracle.mean(query)
+            if expected is None:
                 assert answer is None
                 continue
             assert answer is not None
-            assert answer.cardinality == expected.cardinality
+            assert answer.cardinality == oracle.count(query)
             np.testing.assert_allclose(
-                answer.mean, expected.mean, rtol=TOLERANCE, atol=TOLERANCE
+                answer.mean, expected, rtol=TOLERANCE, atol=TOLERANCE
             )
 
     def test_sharded_matches_unsharded_batch(self, dimension):
@@ -226,13 +245,10 @@ class TestShardMergeStatistics:
             inputs=inputs, outputs=outputs, name="tiny", domain=(0.0, 1.0)
         )
         query = Query(center=np.array([0.5, 0.5]), radius=0.4)
-        reference = ExactQueryEngine(dataset).execute_q2(query)
         with ShardedQueryEngine(dataset, num_shards=5, backend="serial") as engine:
             answer = engine.execute_q2(query)
-        assert answer.cardinality == reference.cardinality == 9
-        np.testing.assert_allclose(
-            answer.coefficients, reference.coefficients, rtol=1e-9, atol=TOLERANCE
-        )
+        assert answer.cardinality == 9
+        _assert_q2_matches_oracle([answer], [query], dataset)
 
 
 class TestBackends:
@@ -248,15 +264,11 @@ class TestBackends:
     def test_process_backend_smoke(self):
         dataset = _dataset(2, size=800)
         query = Query(center=np.array([0.5, 0.5]), radius=0.25)
-        reference = ExactQueryEngine(dataset).execute_q2(query)
         with ShardedQueryEngine(
             dataset, num_shards=2, backend="processes", max_workers=2
         ) as engine:
             answer = engine.execute_q2(query)
-        assert answer.cardinality == reference.cardinality
-        np.testing.assert_allclose(
-            answer.coefficients, reference.coefficients, rtol=1e-9, atol=TOLERANCE
-        )
+        _assert_q2_matches_oracle([answer], [query], dataset)
 
     def test_invalid_backend(self):
         with pytest.raises(ConfigurationError):
@@ -436,11 +448,9 @@ class TestEngineContract:
     def test_mean_value_oracle(self):
         dataset = _dataset(2, size=400)
         query = Query(center=np.array([0.5, 0.5]), radius=0.3)
-        reference = ExactQueryEngine(dataset)
+        expected = ExactOracle(dataset.inputs, dataset.outputs).mean(query)
         with ShardedQueryEngine(dataset, num_shards=2, backend="serial") as engine:
-            assert engine.mean_value(query) == pytest.approx(
-                reference.execute_q1(query).mean, abs=TOLERANCE
-            )
+            assert engine.mean_value(query) == pytest.approx(expected, abs=TOLERANCE)
 
 
 class TestFromStore:
@@ -452,16 +462,9 @@ class TestFromStore:
             engine = ShardedQueryEngine.from_store(
                 store, dataset.name, num_shards=3, backend="serial"
             )
-        reference = ExactQueryEngine(dataset)
         with engine:
             answers = engine.execute_q2_batch(queries, on_empty="null")
-        expected = []
-        for query in queries:
-            try:
-                expected.append(reference.execute_q2(query))
-            except EmptySubspaceError:
-                expected.append(None)
-        _assert_answers_match(answers, expected)
+        _assert_q2_matches_oracle(answers, queries, dataset)
 
     def test_scan_row_range_partitions(self):
         dataset = _dataset(2, size=250)

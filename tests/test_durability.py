@@ -83,7 +83,7 @@ def _workload(low: float, high: float, count: int, seed: int):
 
 
 def _train_model(engine, queries) -> LLMModel:
-    workload = LabelledWorkload.from_queries(queries, engine.mean_value)
+    workload = LabelledWorkload.from_engine(queries, engine)
     model = LLMModel(
         dimension=2,
         config=ModelConfig(quantization_coefficient=0.1),

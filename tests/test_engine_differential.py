@@ -1,16 +1,19 @@
 """Randomized differential harness pinning every execution path together.
 
-The engine matrix (per-query, single-engine batch — indexed and scan —
-sharded-scan, sharded-indexed, adaptively routed) must compute identical
-Q1/Q2 answers: same selected counts, means equal to 1e-12, coefficients of
-the batched family equal to 1e-12 (per-query reference to the documented
-1e-9 relative contract, since it solves by per-query SVD rather than the
-blocked normal equations).  This harness generates seeded stores and
-workloads across dimensions, data layouts (uniform, clustered, duplicate
-rows, degenerate manifolds, tiny tables), all norm-order families, empty
-and rank-deficient subspaces, and asserts the full equality chain case by
-case — the growing engines x backends x grids matrix is exactly where
-silent drift creeps in, and this is the tripwire.
+The engine matrix (single-engine batch — indexed and scan — sharded-scan,
+sharded-indexed, adaptively routed) must compute identical Q1/Q2 answers:
+same selected counts, means equal to 1e-12, coefficients of the batched
+family equal to 1e-12.  Every path is also checked against the brute-force
+oracle of :mod:`repro.testing.oracle` (full Lp scan, ``lstsq`` on
+``[1, x]``): counts equal, means and Q2 fitted values on the selected rows
+to 1e-12, coefficients to the documented 1e-9 relative contract (the
+oracle solves by SVD rather than the blocked normal equations).  This
+harness generates seeded stores and workloads across dimensions, data
+layouts (uniform, clustered, duplicate rows, degenerate manifolds, tiny
+tables), all norm-order families, empty and rank-deficient subspaces, and
+asserts the full equality chain case by case — the growing engines x
+backends x grids matrix is exactly where silent drift creeps in, and this
+is the tripwire.
 
 Case matrix: 4 dimensions x 5 layouts x 5 seeds x {q1, q2} = 200 seeded
 cases in CI.  Set ``REPRO_DIFFERENTIAL_SOAK=<n>`` to append ``n`` extra
@@ -31,8 +34,8 @@ from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine
 from repro.dbms.sharding import ShardedQueryEngine
 from repro.dbms.storage import SQLiteDataStore
-from repro.exceptions import EmptySubspaceError
 from repro.queries.query import Query
+from repro.testing.oracle import ExactOracle
 
 DIMENSIONS = (1, 2, 3, 6)
 LAYOUTS = ("uniform", "clustered", "duplicate", "degenerate", "tiny")
@@ -48,8 +51,8 @@ FAMILY_RTOL = 1e-12
 #: worst-case relative deviation is ~2e-11; the CI-tier seeded matrix in
 #: fact meets 1e-12, soak seeds occasionally exercise the cap).
 FAMILY_COEFF_RTOL = 1e-10
-#: The per-query reference solves by SVD instead of the blocked normal
-#: equations; the engines document 1e-12 absolute / 1e-9 relative there.
+#: The oracle solves by SVD instead of the blocked normal equations; the
+#: engines document 1e-12 absolute / 1e-9 relative there.
 REFERENCE_RTOL = 1e-9
 
 
@@ -164,17 +167,6 @@ def _make_workload(
     return queries
 
 
-def _per_query_reference(engine: ExactQueryEngine, queries, kind: str):
-    execute = engine.execute_q1 if kind == "q1" else engine.execute_q2
-    answers = []
-    for query in queries:
-        try:
-            answers.append(execute(query))
-        except EmptySubspaceError:
-            answers.append(None)
-    return answers
-
-
 def _batch_answers(engine, queries, kind: str):
     if kind == "q1":
         return engine.execute_q1_batch(queries, on_empty="null")
@@ -216,35 +208,37 @@ def _assert_family_equal(label: str, answers, reference) -> None:
             )
 
 
-def _assert_reference_equal(label: str, answers, reference) -> None:
-    """Batched answers vs the per-query SVD reference (documented contract)."""
-    for position, (answer, expected) in enumerate(zip(answers, reference)):
+def _assert_oracle_equal(label: str, answers, queries, oracle: ExactOracle) -> None:
+    """Engine answers vs the brute-force oracle."""
+    for position, (answer, query) in enumerate(zip(answers, queries)):
         context = f"{label}[{position}]"
-        if expected is None:
+        expected_mean = oracle.mean(query)
+        if expected_mean is None:
             assert answer is None, context
             continue
         assert answer is not None, context
-        assert answer.cardinality == expected.cardinality, context
+        assert answer.cardinality == oracle.count(query), context
         np.testing.assert_allclose(
             answer.mean,
-            expected.mean,
+            expected_mean,
             rtol=FAMILY_RTOL,
             atol=FAMILY_ATOL,
             err_msg=context,
         )
-        if expected.coefficients is not None:
+        if answer.coefficients is not None:
+            expected = oracle.q2(query)
             np.testing.assert_allclose(
-                answer.coefficients,
-                expected.coefficients,
-                rtol=REFERENCE_RTOL,
+                oracle.fitted(query, answer.coefficients),
+                oracle.fitted(query, expected),
+                rtol=FAMILY_RTOL,
                 atol=FAMILY_ATOL,
                 err_msg=context,
             )
             np.testing.assert_allclose(
-                answer.r_squared,
-                expected.r_squared,
-                rtol=1e-9,
-                atol=1e-9,
+                answer.coefficients,
+                expected,
+                rtol=REFERENCE_RTOL,
+                atol=FAMILY_ATOL,
                 err_msg=context,
             )
 
@@ -282,11 +276,11 @@ def test_engine_paths_agree(dimension: int, layout: str, seed: int, kind: str):
 
     indexed_engine = ExactQueryEngine(dataset, use_index=True)
     scan_engine = ExactQueryEngine(dataset, use_index=False)
+    oracle = ExactOracle(dataset.inputs, dataset.outputs)
 
-    reference = _per_query_reference(indexed_engine, queries, kind)
     batch_reference = _batch_answers(indexed_engine, queries, kind)
 
-    _assert_reference_equal("batch-indexed", batch_reference, reference)
+    _assert_oracle_equal("batch-indexed", batch_reference, queries, oracle)
     _assert_family_equal(
         "batch-scan", _batch_answers(scan_engine, queries, kind), batch_reference
     )
@@ -294,7 +288,7 @@ def test_engine_paths_agree(dimension: int, layout: str, seed: int, kind: str):
         with engine:
             answers = _batch_answers(engine, queries, kind)
         _assert_family_equal(f"sharded-{route}", answers, batch_reference)
-        _assert_reference_equal(f"sharded-{route}", answers, reference)
+        _assert_oracle_equal(f"sharded-{route}", answers, queries, oracle)
 
 
 # --------------------------------------------------------------------------- #

@@ -44,6 +44,7 @@ from repro.testing import (
     corrupt_model_file,
 )
 from repro.testing.faults import CORRUPTION_MODES
+from repro.testing.oracle import ExactOracle
 
 TABLE = "sensors"
 
@@ -69,7 +70,7 @@ def _train_model(
         radius=RadiusDistribution(mean=0.1, std=0.02),
     )
     queries = QueryWorkloadGenerator(spec, seed=1).generate(count)
-    workload = LabelledWorkload.from_queries(queries, engine.mean_value)
+    workload = LabelledWorkload.from_engine(queries, engine)
     model = LLMModel(
         dimension=2,
         config=ModelConfig(quantization_coefficient=0.15),
@@ -192,10 +193,11 @@ class TestGroupContainment:
         )
         assert results[2].source == "error"
         assert results[1].source == "exact" and results[1].ok
+        dataset = service.engine_for("other").dataset
         assert results[1].value == pytest.approx(
-            service.engine_for("other").execute_q1(
+            ExactOracle(dataset.inputs, dataset.outputs).mean(
                 results[1].statement.to_query(2.0)
-            ).mean
+            )
         )
 
     def test_error_results_are_counted_in_statistics(self, base_engine):
@@ -354,7 +356,9 @@ class TestCircuitBreaker:
         results = service.execute_script([_q1(0.5, 0.5)], mode="hybrid")
         assert results[0].ok and results[0].degraded
         assert results[0].source == "fallback"
-        exact = base_engine.execute_q1(results[0].statement.to_query(2.0)).mean
+        exact = ExactOracle(
+            base_engine.dataset.inputs, base_engine.dataset.outputs
+        ).mean(results[0].statement.to_query(2.0))
         assert results[0].value == pytest.approx(exact)
         assert service.statistics_for(TABLE).degraded_count == 1
 

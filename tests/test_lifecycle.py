@@ -74,7 +74,7 @@ def _workload(center_low: float, center_high: float, count: int, seed: int) -> l
 
 
 def _train_model(engine, queries) -> LLMModel:
-    workload = LabelledWorkload.from_queries(queries, engine.mean_value)
+    workload = LabelledWorkload.from_engine(queries, engine)
     model = LLMModel(
         dimension=2,
         # A fine quantization grows enough prototypes to genuinely cover
@@ -353,7 +353,7 @@ class TestDriftStateMachine:
                 Query(center=np.array([0.08, 0.08]), radius=0.08),
             ]
             model.fit(
-                LabelledWorkload.from_queries(corner, engine.mean_value)
+                LabelledWorkload.from_engine(corner, engine)
             )
             return model
 

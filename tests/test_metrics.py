@@ -98,7 +98,7 @@ def evaluation_setup():
     engine = ExactQueryEngine(dataset)
     spec = WorkloadSpec(dimension=2, radius=RadiusDistribution(mean=0.12, std=0.02))
     queries = QueryWorkloadGenerator(spec, seed=1).generate(900)
-    workload = LabelledWorkload.from_queries(queries, engine.mean_value)
+    workload = LabelledWorkload.from_engine(queries, engine)
     model = LLMModel(dimension=2, config=ModelConfig(quantization_coefficient=0.06))
     model.fit(workload)
     test_queries = QueryWorkloadGenerator(spec, seed=99).generate(60)

@@ -83,6 +83,32 @@ class TestLabelledWorkload:
         with pytest.raises(WorkloadError):
             LabelledWorkload.from_queries(queries, oracle=failing, skip_errors=True)
 
+    def test_from_engine_labels_one_batch_and_drops_empty(self):
+        from repro.data.synthetic import SyntheticDataset
+        from repro.dbms.executor import ExactQueryEngine
+        from repro.testing.oracle import ExactOracle
+
+        rng = np.random.default_rng(4)
+        inputs = rng.uniform(0, 1, size=(500, 2))
+        dataset = SyntheticDataset(
+            inputs=inputs, outputs=inputs.sum(axis=1), name="t", domain=(0.0, 1.0)
+        )
+        engine = ExactQueryEngine(dataset)
+        far = Query(center=np.array([9.0, 9.0]), radius=0.01)
+        queries = _queries(6)[:3] + [far] + _queries(6)[3:]
+        workload = LabelledWorkload.from_engine(queries, engine)
+        assert workload.queries == [q for q in queries if q is not far]
+        oracle = ExactOracle(dataset.inputs, dataset.outputs)
+        np.testing.assert_allclose(
+            workload.answers,
+            [oracle.mean(q) for q in workload.queries],
+            rtol=0.0,
+            atol=1e-12,
+        )
+        assert engine.statistics.queries_executed == len(queries)
+        with pytest.raises(WorkloadError):
+            LabelledWorkload.from_engine([far], engine)
+
     def test_split_partitions_pairs(self):
         workload = self._workload(30)
         train, test = workload.split(0.8, seed=0)

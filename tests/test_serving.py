@@ -25,6 +25,7 @@ from repro.queries.workload import (
     RadiusDistribution,
     WorkloadSpec,
 )
+from repro.testing.oracle import ExactOracle, ModelOracle
 
 TABLE = "sensors"
 
@@ -53,7 +54,7 @@ def _train_model(
         norm_order=norm_order,
     )
     queries = QueryWorkloadGenerator(spec, seed=1).generate(count)
-    workload = LabelledWorkload.from_queries(queries, engine.mean_value)
+    workload = LabelledWorkload.from_engine(queries, engine)
     model = LLMModel(
         dimension=2,
         config=ModelConfig(quantization_coefficient=0.15, norm_order=norm_order),
@@ -77,6 +78,18 @@ def half_model(engine) -> LLMModel:
 @pytest.fixture(scope="module")
 def full_model(engine) -> LLMModel:
     return _train_model(engine, center_high=1.0)
+
+
+@pytest.fixture(scope="module")
+def exact(engine) -> ExactOracle:
+    """Brute-force reference for every exact answer the service gives."""
+    return ExactOracle(engine.dataset.inputs, engine.dataset.outputs)
+
+
+@pytest.fixture(scope="module")
+def half_oracle(half_model) -> ModelOracle:
+    """Brute-force reference for every model answer of ``half_model``."""
+    return ModelOracle(half_model.local_maps)
 
 
 @pytest.fixture()
@@ -151,7 +164,7 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             AnalyticsService(route="bogus")
 
-    def test_register_model_from_file(self, tmp_path, engine, half_model):
+    def test_register_model_from_file(self, tmp_path, engine, half_model, half_oracle):
         from repro.core.persistence import save_model
 
         path = save_model(half_model, tmp_path / "model.json")
@@ -162,7 +175,7 @@ class TestRegistry:
         value = service.execute(
             f"SELECT AVG(u) FROM {TABLE} WITHIN 0.1 OF (0.2, 0.3)", mode="model"
         )
-        assert value == half_model.predict_mean(query)
+        assert value == pytest.approx(half_oracle.predict_mean(query), abs=1e-12)
 
     def test_register_table_from_store(self, engine):
         dataset = _dataset(size=500, seed=3)
@@ -175,7 +188,7 @@ class TestRegistry:
                 f"SELECT COUNT(*) FROM {TABLE} WITHIN 0.3 OF (0.5, 0.5)",
                 mode="exact",
             )
-        reference = ExactQueryEngine(dataset).cardinality(
+        reference = ExactOracle(dataset.inputs, dataset.outputs).count(
             Query(center=np.array([0.5, 0.5]), radius=0.3)
         )
         assert count == reference
@@ -197,9 +210,10 @@ class TestNormResolution:
         )
         value = service.execute(statement, mode="model")
         l1_query = Query(center=np.array([0.4, 0.4]), radius=0.1, norm_order=1.0)
-        assert value == pytest.approx(model.predict_mean(l1_query), abs=1e-12)
+        expected = ModelOracle(model.local_maps).predict_mean(l1_query)
+        assert value == pytest.approx(expected, abs=1e-12)
 
-    def test_explicit_norm_clause_wins(self, engine, half_model):
+    def test_explicit_norm_clause_wins(self, engine, half_model, exact):
         service = AnalyticsService(engines={TABLE: engine}, models={TABLE: half_model})
         statement = parse_statement(
             f"SELECT COUNT(*) FROM {TABLE} WITHIN 0.1 OF (0.5, 0.5) NORM INF"
@@ -208,12 +222,12 @@ class TestNormResolution:
         chebyshev = Query(
             center=np.array([0.5, 0.5]), radius=0.1, norm_order=float("inf")
         )
-        assert count == engine.cardinality(chebyshev)
-        assert count > engine.cardinality(chebyshev.with_norm_order(2.0))
+        assert count == exact.count(chebyshev)
+        assert count > exact.count(chebyshev.with_norm_order(2.0))
 
 
 class TestExactMode:
-    def test_script_matches_per_query_engine(self, service, engine, half_model):
+    def test_script_matches_per_query_engine(self, service, half_model, exact):
         statements = _mixed_statements(30)
         results = service.execute_script(statements, mode="exact")
         assert all(result.source == "exact" for result in results)
@@ -221,16 +235,14 @@ class TestExactMode:
         for result in results:
             query = result.statement.to_query(order)
             if result.kind == "q1":
-                assert result.value == pytest.approx(
-                    engine.execute_q1(query).mean, abs=1e-12
-                )
+                assert result.value == pytest.approx(exact.mean(query), abs=1e-12)
             elif result.kind == "count":
-                assert result.value == engine.cardinality(query)
+                assert result.value == exact.count(query)
             else:
-                answer = engine.execute_q2(query)
+                coefficients = exact.q2(query)
                 intercept, slope = result.value[0]
-                assert intercept == pytest.approx(answer.coefficients[0], abs=1e-9)
-                assert np.allclose(slope, answer.coefficients[1:], atol=1e-9)
+                assert intercept == pytest.approx(coefficients[0], abs=1e-9)
+                assert np.allclose(slope, coefficients[1:], atol=1e-9)
 
     def test_exact_requires_engine(self, half_model):
         service = AnalyticsService(models={TABLE: half_model})
@@ -283,7 +295,7 @@ class TestModelMode:
                 f"SELECT AVG(u) FROM {TABLE} WITHIN 0.1 OF (0.2, 0.2)", mode="model"
             )
 
-    def test_q1_and_q2_match_model_batches(self, service, half_model):
+    def test_q1_and_q2_match_model_batches(self, service, half_model, half_oracle):
         statements = [
             f"SELECT AVG(u) FROM {TABLE} WITHIN 0.1 OF (0.2, 0.2)",
             f"SELECT REGRESSION(u) FROM {TABLE} WITHIN 0.1 OF (0.3, 0.25)",
@@ -291,10 +303,10 @@ class TestModelMode:
         results = service.execute_script(statements, mode="model")
         q1_query = results[0].statement.to_query(half_model.config.norm_order)
         assert results[0].value == pytest.approx(
-            half_model.predict_mean(q1_query), abs=1e-12
+            half_oracle.predict_mean(q1_query), abs=1e-12
         )
         q2_query = results[1].statement.to_query(half_model.config.norm_order)
-        planes = half_model.regression_models(q2_query)
+        planes = half_oracle.regression_models(q2_query)
         assert len(results[1].value) == len(planes)
         for (intercept, slope), plane in zip(results[1].value, planes):
             assert intercept == pytest.approx(plane.intercept, abs=1e-12)
@@ -302,7 +314,9 @@ class TestModelMode:
 
 
 class TestHybridMode:
-    def test_hybrid_partitions_model_and_fallback(self, service, engine, half_model):
+    def test_hybrid_partitions_model_and_fallback(
+        self, service, half_model, exact, half_oracle
+    ):
         statements = _mixed_statements(60)
         results = service.execute_script(statements, mode="hybrid")
         sources = {result.source for result in results}
@@ -315,31 +329,27 @@ class TestHybridMode:
             query = result.statement.to_query(order)
             if result.kind == "count":
                 assert result.source == "exact"
-                assert result.value == engine.cardinality(query)
+                assert result.value == exact.count(query)
                 continue
             assert result.source == ("model" if is_covered else "fallback")
             if result.kind == "q1":
                 if is_covered:
                     assert result.value == pytest.approx(
-                        half_model.predict_mean(query), abs=1e-12
+                        half_oracle.predict_mean(query), abs=1e-12
                     )
                 else:
-                    assert result.value == pytest.approx(
-                        engine.execute_q1(query).mean, abs=1e-12
-                    )
+                    assert result.value == pytest.approx(exact.mean(query), abs=1e-12)
             elif result.kind == "q2":
                 if is_covered:
-                    planes = half_model.regression_models(query)
+                    planes = half_oracle.regression_models(query)
                     assert [pair[0] for pair in result.value] == pytest.approx(
                         [plane.intercept for plane in planes], abs=1e-12
                     )
                 else:
-                    answer = engine.execute_q2(query)
+                    coefficients = exact.q2(query)
                     intercept, slope = result.value[0]
-                    assert intercept == pytest.approx(
-                        answer.coefficients[0], abs=1e-9
-                    )
-                    assert np.allclose(slope, answer.coefficients[1:], atol=1e-9)
+                    assert intercept == pytest.approx(coefficients[0], abs=1e-9)
+                    assert np.allclose(slope, coefficients[1:], atol=1e-9)
 
     def test_fallback_rate_reported(self, service):
         statements = [
@@ -353,16 +363,16 @@ class TestHybridMode:
         partition = stats.model_answered + stats.exact_answered + stats.fallback_count
         assert partition == stats.statements_executed
 
-    def test_hybrid_without_model_serves_exact(self, engine):
+    def test_hybrid_without_model_serves_exact(self, engine, exact):
         service = AnalyticsService(engines={TABLE: engine})
         value = service.execute(
             f"SELECT AVG(u) FROM {TABLE} WITHIN 0.2 OF (0.5, 0.5)", mode="hybrid"
         )
         query = Query(center=np.array([0.5, 0.5]), radius=0.2)
-        assert value == pytest.approx(engine.execute_q1(query).mean, abs=1e-12)
+        assert value == pytest.approx(exact.mean(query), abs=1e-12)
         assert service.statistics_for(TABLE).fallback_count == 0
 
-    def test_hybrid_without_engine_serves_model(self, half_model):
+    def test_hybrid_without_engine_serves_model(self, half_model, half_oracle):
         service = AnalyticsService(models={TABLE: half_model})
         # Out-of-coverage statement: no exact tier, so the model
         # extrapolates rather than failing.
@@ -374,9 +384,9 @@ class TestHybridMode:
             radius=0.05,
             norm_order=half_model.config.norm_order,
         )
-        assert value == pytest.approx(half_model.predict_mean(query), abs=1e-12)
+        assert value == pytest.approx(half_oracle.predict_mean(query), abs=1e-12)
 
-    def test_hybrid_with_unfitted_model_falls_back(self, engine):
+    def test_hybrid_with_unfitted_model_falls_back(self, engine, exact):
         service = AnalyticsService(
             engines={TABLE: engine}, models={TABLE: LLMModel(dimension=2)}
         )
@@ -384,7 +394,7 @@ class TestHybridMode:
             f"SELECT AVG(u) FROM {TABLE} WITHIN 0.2 OF (0.5, 0.5)", mode="hybrid"
         )
         query = Query(center=np.array([0.5, 0.5]), radius=0.2)
-        assert value == pytest.approx(engine.execute_q1(query).mean, abs=1e-12)
+        assert value == pytest.approx(exact.mean(query), abs=1e-12)
         assert service.statistics_for(TABLE).fallback_count == 1
 
     def test_hybrid_empty_fallback_is_documented_empty(self, service):
