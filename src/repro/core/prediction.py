@@ -49,9 +49,17 @@ __all__ = [
 ]
 
 #: Prototype count at which the predictor builds a pruning index by default.
-#: The crossover (K ≈ 2–4k) was measured for one-query probes of the index;
-#: a batch uses the index through its candidate union, switching per batch
-#: on :data:`DEFAULT_BATCH_PRUNING_FRACTION`.
+#: Every query reaches the index through a batch's candidate union
+#: (switching per batch on :data:`DEFAULT_BATCH_PRUNING_FRACTION`); the
+#: trade-off depends on the batch size and the radii.  Measured on a 2-vCPU
+#: container (d = 2, uniform prototypes): with prototype and query radii of
+#: 0.005–0.02 the pruned path costs 1.6x the dense one for a batch of one at
+#: K = 2048, breaks even near K ≈ 3k and is 0.55x at K = 8192, while
+#: 16-query batches run 0.2–0.6x from K = 1024 up; with radii of 0.04–0.11
+#: (the query radii of the default workloads) a batch of one breaks even
+#: only near K ≈ 8k, and batches of 16 or more get unions too wide to prune
+#: (1.0–1.3x, the union pass wasted).  2048 favours small batches of
+#: localised queries over single wide ones.
 DEFAULT_PRUNING_THRESHOLD = 2048
 
 #: Candidate-union fraction below which batched prediction switches from the
@@ -97,22 +105,18 @@ def normalized_weight_rows(
         )
     flagged = np.where(mask, degrees, 0.0)
     totals = flagged.sum(axis=1)
-    counts = mask.sum(axis=1)
-    needs_extrapolation = counts == 0
-
-    weights = np.zeros_like(degrees)
+    needs_extrapolation = ~mask.any(axis=1)
     positive_rows = totals > 0.0
-    if np.any(positive_rows):
-        weights[positive_rows] = (
-            flagged[positive_rows] / totals[positive_rows, np.newaxis]
-        )
-    # Defensive just-touching branch: overlap is flagged but every degree is
-    # zero, so fall back to uniform weights over the flagged prototypes.
-    uniform_rows = (~positive_rows) & (~needs_extrapolation)
-    if np.any(uniform_rows):
-        weights[uniform_rows] = (
-            mask[uniform_rows] / counts[uniform_rows, np.newaxis]
-        )
+    weights = flagged / np.where(positive_rows, totals, 1.0)[:, np.newaxis]
+    if not positive_rows.all():
+        weights[~positive_rows] = 0.0
+        # Defensive just-touching branch: overlap is flagged but every
+        # degree is zero, so fall back to uniform weights over the flagged
+        # prototypes.
+        uniform_rows = (~positive_rows) & (~needs_extrapolation)
+        if uniform_rows.any():
+            uniform = mask[uniform_rows]
+            weights[uniform_rows] = uniform / uniform.sum(axis=1)[:, np.newaxis]
     return weights, needs_extrapolation
 
 
@@ -180,6 +184,12 @@ class NeighborhoodPredictor:
             self._means = np.empty(0)
             self._slopes = np.empty((0, 0))
             self._center_slopes = np.empty((0, 0))
+        # Intercepts of the LLMs written as ``offset + slope . q``: at the
+        # query vector (Algorithm 2) and at the own radius (Equation 14).
+        self._offsets = self._means - np.sum(self._slopes * self._prototypes, axis=1)
+        self._own_radius_offsets = self._means - np.sum(
+            self._center_slopes * self._centers, axis=1
+        )
         if use_pruning_index is None:
             use_pruning_index = len(maps) >= DEFAULT_PRUNING_THRESHOLD
         self._pruning_index: "PrototypeIndex | None" = None
@@ -220,9 +230,9 @@ class NeighborhoodPredictor:
                 f"query matrix has width {matrix.shape[1]}, model expects "
                 f"{self._prototypes.shape[1]} (center plus radius)"
             )
-        if not np.all(np.isfinite(matrix)):
+        if not np.isfinite(matrix).all():
             raise InvalidQueryError("query matrix must contain only finite values")
-        if np.any(matrix[:, -1] <= 0.0):
+        if (matrix[:, -1] <= 0.0).any():
             raise InvalidQueryError("query radii must all be positive")
         return matrix
 
@@ -239,7 +249,7 @@ class NeighborhoodPredictor:
             matrix[:, :-1], matrix[:, -1], self._centers, self._radii, p=norm_order
         )
         weights, extrapolated = normalized_weight_rows(degrees)
-        if np.any(extrapolated):
+        if extrapolated.any():
             rows = np.nonzero(extrapolated)[0]
             weights[rows, self._closest_prototypes(matrix[rows])] = 1.0
         return weights, extrapolated
@@ -296,7 +306,7 @@ class NeighborhoodPredictor:
             p=norm_order,
         )
         weights, extrapolated = normalized_weight_rows(degrees)
-        if np.any(extrapolated):
+        if extrapolated.any():
             rows = np.nonzero(extrapolated)[0]
             closest = self._closest_prototypes(matrix[rows])
             missing = np.setdiff1d(closest, columns)
@@ -318,25 +328,20 @@ class NeighborhoodPredictor:
         self, matrix: np.ndarray, columns: np.ndarray | None = None
     ) -> np.ndarray:
         """``(m, K)`` (or ``(m, |columns|)``) matrix of ``f_k(q_i)``."""
-        slopes = self._slopes if columns is None else self._slopes[columns]
-        prototypes = (
-            self._prototypes if columns is None else self._prototypes[columns]
-        )
-        means = self._means if columns is None else self._means[columns]
-        offsets = means - np.sum(slopes * prototypes, axis=1)
-        return offsets[np.newaxis, :] + matrix @ slopes.T
+        if columns is None:
+            return self._offsets + matrix @ self._slopes.T
+        return self._offsets[columns] + matrix @ self._slopes[columns].T
 
     def _evaluate_all_maps_at_own_radius(
         self, points: np.ndarray, columns: np.ndarray | None = None
     ) -> np.ndarray:
         """``(m, K)`` (or sparse) matrix of ``f_k(x_i, theta_k)`` (Eq. 14)."""
-        slopes = (
-            self._center_slopes if columns is None else self._center_slopes[columns]
+        if columns is None:
+            return self._own_radius_offsets + points @ self._center_slopes.T
+        return (
+            self._own_radius_offsets[columns]
+            + points @ self._center_slopes[columns].T
         )
-        centers = self._centers if columns is None else self._centers[columns]
-        means = self._means if columns is None else self._means[columns]
-        offsets = means - np.sum(slopes * centers, axis=1)
-        return offsets[np.newaxis, :] + points @ slopes.T
 
     def _weighted_means(
         self, query_matrix: np.ndarray, norm_order: float
@@ -344,7 +349,7 @@ class NeighborhoodPredictor:
         """Q1 values plus the batch weights, extrapolation mask and columns."""
         matrix = self._as_query_matrix(query_matrix)
         weights, extrapolated, columns = self._batch_weight_matrix(matrix, norm_order)
-        values = np.sum(weights * self._evaluate_all_maps(matrix, columns), axis=1)
+        values = (weights * self._evaluate_all_maps(matrix, columns)).sum(axis=1)
         return values, weights, extrapolated, columns
 
     # ------------------------------------------------------------------ #
@@ -434,12 +439,12 @@ class NeighborhoodPredictor:
         weights, extrapolated, columns = self._batch_weight_matrix(matrix, norm_order)
         results: list[list[RegressionPlane]] = []
         for row in weights:
-            indices = np.nonzero(row)[0]
-            mapped = indices if columns is None else columns[indices]
+            local = np.flatnonzero(row)
+            mapped = local if columns is None else columns[local]
             results.append(
                 [
-                    self._maps[int(index)].regression_plane(weight=float(row[local]))
-                    for local, index in zip(indices, mapped)
+                    self._maps[index].regression_plane(weight=weight)
+                    for index, weight in zip(mapped.tolist(), row[local].tolist())
                 ]
             )
         return results, ~extrapolated
@@ -476,7 +481,7 @@ class NeighborhoodPredictor:
         matrix = self._as_query_matrix(np.hstack([pts, radii]))
         weights, _, columns = self._batch_weight_matrix(matrix, norm_order)
         values = self._evaluate_all_maps_at_own_radius(pts, columns)
-        return np.sum(weights * values, axis=1)
+        return (weights * values).sum(axis=1)
 
 
 def _query_row(query: Query) -> np.ndarray:

@@ -19,6 +19,7 @@ paths.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -343,6 +344,13 @@ def translate_cell_moments(
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _gram_pairs(dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, b)`` index arrays of the upper-triangle moment columns, in order."""
+    first, second = np.triu_indices(dimension)
+    return first, second
+
+
 @dataclass(frozen=True)
 class Q2BatchSolution:
     """Blocked-OLS answers recovered from merged Q2 sufficient statistics."""
@@ -379,12 +387,9 @@ def solve_q2_sufficient_statistics(
     sum_y = moments[:, d]
     sum_yy = moments[:, d + 1]
     sum_zy = moments[:, d + 2 : 2 * d + 2]
-    gram = np.zeros((m, d, d), dtype=float)
-    column = 2 * d + 2
-    for a in range(d):
-        for b in range(a, d):
-            gram[:, a, b] = gram[:, b, a] = moments[:, column]
-            column += 1
+    gram = np.empty((m, d, d), dtype=float)
+    first, second = _gram_pairs(d)
+    gram[:, first, second] = gram[:, second, first] = moments[:, 2 * d + 2 :]
 
     weight = np.where(counts > 0, counts, 1).astype(float)
     z_bar = sum_z / weight[:, np.newaxis]
@@ -406,7 +411,7 @@ def solve_q2_sufficient_statistics(
     )
     needs_fallback |= ~finite
     solvable = (~needs_fallback) & (counts > 0)
-    if np.any(solvable):
+    if solvable.any():
         eigenvalues = np.linalg.eigvalsh(gram_c[solvable])
         smallest, largest = eigenvalues[:, 0], eigenvalues[:, -1]
         # ``sum_a sum z_a^2``: the uncentred moment scale anchoring the
@@ -422,7 +427,7 @@ def solve_q2_sufficient_statistics(
         solvable[rows[ill]] = False
 
     slope = np.zeros((m, d), dtype=float)
-    if np.any(solvable):
+    if solvable.any():
         slope[solvable] = np.linalg.solve(
             gram_c[solvable], cross_c[solvable][:, :, np.newaxis]
         )[:, :, 0]
@@ -436,13 +441,18 @@ def solve_q2_sufficient_statistics(
         - 2.0 * np.einsum("ij,ij->i", slope, cross_c)
         + np.einsum("ij,ijk,ik->i", slope, gram_c, slope)
     )
+    # Constant outputs (TSS 0) score 1.0 when the residual is
+    # ``np.isclose(residual, 0.0)`` (default atol 1e-8), else 0.0.
+    positive = tss > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         r_squared = np.where(
-            tss > 0.0,
-            1.0 - residual / np.where(tss > 0.0, tss, 1.0),
-            np.where(np.isclose(residual, 0.0), 1.0, 0.0),
+            positive,
+            1.0 - residual / np.where(positive, tss, 1.0),
+            np.where(np.abs(residual) <= 1e-8, 1.0, 0.0),
         )
-    coefficients = np.column_stack([intercept, slope])
+    coefficients = np.empty((m, d + 1), dtype=float)
+    coefficients[:, 0] = intercept
+    coefficients[:, 1:] = slope
     return Q2BatchSolution(
         means=y_bar,
         coefficients=coefficients,
@@ -452,12 +462,13 @@ def solve_q2_sufficient_statistics(
 
 
 def _group_by_norm_order(queries: Sequence[Query]) -> list[tuple[float, np.ndarray]]:
-    """Group batch positions by norm order (preserving original positions)."""
-    orders = np.array([query.norm_order for query in queries], dtype=float)
-    groups: list[tuple[float, np.ndarray]] = []
-    for order in np.unique(orders):
-        groups.append((float(order), np.nonzero(orders == order)[0]))
-    return groups
+    """Group batch positions by norm order (ascending order, positions kept)."""
+    orders = [query.norm_order for query in queries]
+    distinct = sorted(set(orders))
+    if len(distinct) == 1:
+        return [(distinct[0], np.arange(len(orders)))]
+    array = np.array(orders, dtype=float)
+    return [(order, np.flatnonzero(array == order)) for order in distinct]
 
 
 def _validate_batch_queries(
@@ -562,12 +573,12 @@ def _lp_rows(diff: np.ndarray, p: float) -> np.ndarray:
     :func:`~repro.queries.geometry.pairwise_lp_distance` (bit-identical
     selections between the segmented pipeline and the full scans)."""
     if math.isinf(p):
-        return np.max(np.abs(diff), axis=1)
+        return np.abs(diff).max(axis=1)
     if p == 2.0:
-        return np.sqrt(np.sum(diff * diff, axis=1))
+        return np.sqrt((diff * diff).sum(axis=1))
     if p == 1.0:
-        return np.sum(np.abs(diff), axis=1)
-    return np.power(np.sum(np.power(np.abs(diff), p), axis=1), 1.0 / p)
+        return np.abs(diff).sum(axis=1)
+    return np.power(np.power(np.abs(diff), p).sum(axis=1), 1.0 / p)
 
 
 class SegmentedBatchPipeline:
@@ -701,9 +712,9 @@ class SegmentedBatchPipeline:
     ) -> None:
         """Accumulate contiguous per-query segments of ``values`` into ``out``."""
         nonempty = counts > 0
-        if not np.any(nonempty):
+        if not nonempty.any():
             return
-        segment_offsets = (np.cumsum(counts) - counts)[nonempty]
+        segment_offsets = (counts.cumsum() - counts)[nonempty]
         out[nonempty] += np.add.reduceat(values, segment_offsets, axis=0)
 
     def segment_statistics(
@@ -933,7 +944,7 @@ class ExactQueryEngine(SingleQueryMixin):
             return []
         start = time.perf_counter()
         answers: list[QueryAnswer | None] = [None] * len(batch)
-        centers = np.vstack([query.center for query in batch])
+        centers = np.array([query.center for query in batch])
         radii = np.array([query.radius for query in batch])
         scanned = 0
         selected = 0
@@ -979,7 +990,7 @@ class ExactQueryEngine(SingleQueryMixin):
             return []
         start = time.perf_counter()
         answers: list[QueryAnswer | None] = [None] * len(batch)
-        centers = np.vstack([query.center for query in batch])
+        centers = np.array([query.center for query in batch])
         radii = np.array([query.radius for query in batch])
         scanned = 0
         selected = 0

@@ -17,10 +17,11 @@ Each shard owns two interchangeable kernels producing identical statistics:
   (:func:`~repro.dbms.executor.q1_sufficient_statistics_scan` /
   :func:`~repro.dbms.executor.q2_sufficient_statistics_scan`), and
 * an **indexed** segmented pipeline over the shard's own cell-clustered
-  fine grid (:class:`~repro.dbms.executor.SegmentedBatchPipeline`, built
-  lazily from the shard's row range): candidate ranges from one vectorised
-  grid pass, materialized per-cell aggregates for cells certified inside
-  the ball, row-level exact tests only on boundary cells.
+  fine grid (:class:`~repro.dbms.executor.SegmentedBatchPipeline` over the
+  shard's row range, its grid built on the shard's first indexed batch):
+  candidate ranges from one vectorised grid pass, materialized per-cell
+  aggregates for cells certified inside the ball, row-level exact tests
+  only on boundary cells.
 
 Because the moments of disjoint row partitions add exactly — and the
 center-referenced moment layout is a property of the query, not of the row
@@ -274,9 +275,12 @@ class ShardedQueryEngine(SingleQueryMixin):
             for start, stop in zip(self._bounds[:-1], self._bounds[1:])
         ]
         self.route = route
-        self._pipelines: list[SegmentedBatchPipeline | None] = [None] * len(
-            self._shards
-        )
+        # Constructing a pipeline only stores its rows; the grid, clustered
+        # layout and cell aggregates are built on the shard's first indexed
+        # batch, under the pipeline's own build lock.
+        self._pipelines = [
+            SegmentedBatchPipeline(inputs, outputs) for inputs, outputs in self._shards
+        ]
         self._shard_extents: np.ndarray | None = None
         self._shard_grid_cells: list[int] | None = None
         self._pool: Executor | None = None
@@ -393,20 +397,6 @@ class ShardedQueryEngine(SingleQueryMixin):
                 )
         return self._pool
 
-    def _ensure_pipeline(self, index: int) -> SegmentedBatchPipeline:
-        """The shard's indexed pipeline, built lazily from its row range.
-
-        Within one batch every shard is processed by exactly one pool task,
-        so lazy construction is race-free; the grid, clustered layout and
-        cell aggregates amortise across subsequent indexed batches.
-        """
-        pipeline = self._pipelines[index]
-        if pipeline is None:
-            inputs, outputs = self._shards[index]
-            pipeline = SegmentedBatchPipeline(inputs, outputs)
-            self._pipelines[index] = pipeline
-        return pipeline
-
     # ------------------------------------------------------------------ #
     # adaptive routing
     # ------------------------------------------------------------------ #
@@ -517,7 +507,7 @@ class ShardedQueryEngine(SingleQueryMixin):
             def run(index: int) -> tuple[np.ndarray, np.ndarray, int]:
                 if routes[index] == "indexed":
                     return _pipeline_statistics(
-                        self._ensure_pipeline(index), centers, radii, p, kind
+                        self._pipelines[index], centers, radii, p, kind
                     )
                 inputs, outputs = self._shards[index]
                 return _scan_statistics(inputs, outputs, centers, radii, p, kind)
@@ -563,7 +553,7 @@ class ShardedQueryEngine(SingleQueryMixin):
             return []
         start = time.perf_counter()
         answers: list[QueryAnswer | None] = [None] * len(batch)
-        centers = np.vstack([query.center for query in batch])
+        centers = np.array([query.center for query in batch])
         radii = np.array([query.radius for query in batch])
         scanned = 0
         selected = 0
@@ -601,7 +591,7 @@ class ShardedQueryEngine(SingleQueryMixin):
             return []
         start = time.perf_counter()
         answers: list[QueryAnswer | None] = [None] * len(batch)
-        centers = np.vstack([query.center for query in batch])
+        centers = np.array([query.center for query in batch])
         radii = np.array([query.radius for query in batch])
         scanned = 0
         selected = 0

@@ -126,12 +126,11 @@ def expand_ranges(
     :meth:`PrototypeIndex.candidates_union`.
     """
     lengths = ends - starts
-    offsets = np.cumsum(lengths) - lengths
-    total = int(lengths.sum())
-    positions = np.arange(total, dtype=np.int64) + np.repeat(
-        starts - offsets, lengths
-    )
-    return positions, np.repeat(query_ids, lengths)
+    offsets = lengths.cumsum() - lengths
+    total = int(offsets[-1] + lengths[-1]) if lengths.size else 0
+    positions = np.arange(total, dtype=np.int64)
+    positions += (starts - offsets).repeat(lengths)
+    return positions, query_ids.repeat(lengths)
 
 #: Relative inflation applied to the query radius when computing candidate
 #: cell bounds.  The cell-pruning tests below compare floating-point
@@ -185,6 +184,10 @@ class GridIndex:
                 f"cells_per_dimension must be >= 1, got {cells_per_dimension}"
             )
         self._cells_per_dimension = int(cells_per_dimension)
+        # Row-major strides of the cell grid (last dimension contiguous).
+        self._strides = self._cells_per_dimension ** np.arange(
+            self._dimension - 1, -1, -1, dtype=np.int64
+        )
 
         if bounds is None:
             low = pts.min(axis=0)
@@ -251,8 +254,10 @@ class GridIndex:
     # ------------------------------------------------------------------ #
     def _cell_coordinates(self, points: np.ndarray) -> np.ndarray:
         """Map points to integer cell coordinates, clipping to the grid."""
-        raw = np.floor((points - self._low) / self._cell_width).astype(int)
-        return np.clip(raw, 0, self._cells_per_dimension - 1)
+        raw = np.floor((points - self._low) / self._cell_width).astype(np.int64)
+        # minimum/maximum rather than np.clip: same result, a fraction of
+        # the per-call cost on the small arrays of one query.
+        return np.minimum(np.maximum(raw, 0), self._cells_per_dimension - 1)
 
     def _candidate_cells(
         self, center: np.ndarray, radius: float
@@ -266,27 +271,20 @@ class GridIndex:
     # ------------------------------------------------------------------ #
     # clustered layout (batched candidate generation)
     # ------------------------------------------------------------------ #
-    def _flat_strides(self) -> np.ndarray:
-        """Row-major strides of the cell grid (last dimension contiguous)."""
-        cpd = self._cells_per_dimension
-        return cpd ** np.arange(self._dimension - 1, -1, -1, dtype=np.int64)
-
     def _ensure_clustered(self) -> None:
         if self._clustered_order is not None:
             return
         with self._layout_lock:
             if self._clustered_order is not None:
                 return
-            coords = self._cell_coordinates(self._points).astype(np.int64)
-            flat = coords @ self._flat_strides()
+            flat = self._cell_coordinates(self._points) @ self._strides
             order = np.argsort(flat, kind="stable")
             self._clustered_flat = flat[order]
             # Occupied-cell directory: flat ids, row segment per cell, centers.
             flats, first = np.unique(self._clustered_flat, return_index=True)
             self._cell_flats = flats
             self._cell_row_offsets = np.append(first, self._count).astype(np.int64)
-            strides = self._flat_strides()
-            cell_coords = (flats[:, np.newaxis] // strides[np.newaxis, :]) % (
+            cell_coords = (flats[:, np.newaxis] // self._strides[np.newaxis, :]) % (
                 self._cells_per_dimension
             )
             self._cell_centers_array = (
@@ -391,6 +389,9 @@ class GridIndex:
     def _ranges_batch(
         self, centers: np.ndarray, radii: np.ndarray, p: float, *, classify: bool
     ) -> tuple[np.ndarray, ...]:
+        # Every step is one array operation over the whole batch; a batch of
+        # one pays each step's fixed NumPy call cost once, so steps are
+        # fused where that keeps the arithmetic (and the ranges) unchanged.
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         radii = np.asarray(radii, dtype=float).ravel()
         if centers.shape[1] != self._dimension:
@@ -402,10 +403,11 @@ class GridIndex:
             raise ConfigurationError(
                 "centers and radii must have the same number of rows"
             )
-        if radii.size and (np.min(radii) < 0 or not np.all(np.isfinite(radii))):
+        if not ((radii >= 0.0) & (radii < math.inf)).all():
             raise ConfigurationError("radii must all be finite and >= 0")
         self._ensure_clustered()
-        if self._clustered_flat is None:
+        clustered_flat = self._clustered_flat
+        if clustered_flat is None:
             raise InternalInvariantError(
                 "clustered cell ids missing after _ensure_clustered"
             )
@@ -414,34 +416,36 @@ class GridIndex:
         if m == 0:
             return empty, empty, empty, empty, empty, empty
 
+        # Bounding-box cells of every ball: low corners in rows [0, m), high
+        # corners in rows [m, 2m) of one coordinate pass.
         reach = radii * (1.0 + _CANDIDATE_MARGIN)
-        lo = self._cell_coordinates(centers - reach[:, np.newaxis]).astype(np.int64)
-        hi = self._cell_coordinates(centers + reach[:, np.newaxis]).astype(np.int64)
+        column = reach[:, np.newaxis]
+        corners = self._cell_coordinates(
+            np.concatenate([centers - column, centers + column])
+        )
+        lo, hi = corners[:m], corners[m:]
 
         # Enumerate every combination of leading-dimension cells (ragged
         # cross product across queries) with the repeat/mixed-radix idiom.
         lead_counts = hi[:, : d - 1] - lo[:, : d - 1] + 1  # (m, d - 1)
-        blocks_per_query = (
-            np.prod(lead_counts, axis=1, dtype=np.int64)
-            if d > 1
-            else np.ones(m, dtype=np.int64)
-        )
-        total_blocks = int(blocks_per_query.sum())
-        qid = np.repeat(np.arange(m, dtype=np.int64), blocks_per_query)
-        offsets = np.cumsum(blocks_per_query) - blocks_per_query
-        rank = np.arange(total_blocks, dtype=np.int64) - offsets[qid]
-        lead_coords = np.empty((total_blocks, max(d - 1, 0)), dtype=np.int64)
-        stride = np.ones(m, dtype=np.int64)
+        blocks_per_query = lead_counts.prod(axis=1)  # all ones when d == 1
+        qid = np.arange(m, dtype=np.int64).repeat(blocks_per_query)
+        rank = np.arange(qid.size, dtype=np.int64)
+        rank -= (blocks_per_query.cumsum() - blocks_per_query)[qid]
+        lead_coords = np.empty((qid.size, d - 1), dtype=np.int64)
+        block_lo = lo[qid]
+        block_counts = lead_counts[qid]
         for k in range(d - 2, -1, -1):
-            lead_coords[:, k] = lo[qid, k] + (rank // stride[qid]) % lead_counts[qid, k]
-            stride = stride * lead_counts[:, k]
+            lead_coords[:, k] = block_lo[:, k] + rank % block_counts[:, k]
+            rank //= block_counts[:, k]
 
         # Lp distances from each query center to its block's leading cell
         # box: the *closest* point of the box bounds the candidate test
         # (edge cells extend to infinity, matching coordinate clipping) and
-        # the *farthest* corner bounds the fully-inside test.
-        keep = np.ones(total_blocks, dtype=bool)
-        shrunk = radii * (1.0 - _CANDIDATE_MARGIN)
+        # the *farthest* corner bounds the fully-inside test.  ``half`` and
+        # ``half_inner`` are the chords those leave along the last dimension.
+        block_reach = reach[qid]
+        block_shrunk = radii[qid] * (1.0 - _CANDIDATE_MARGIN)
         if d > 1:
             low_edges = self._low[: d - 1] + lead_coords * self._cell_width[: d - 1]
             high_edges = low_edges + self._cell_width[: d - 1]
@@ -453,52 +457,49 @@ class GridIndex:
                 np.maximum(low_edges - block_centers, block_centers - high_edges), 0.0
             )
             if math.isinf(p):
-                keep = np.max(clamp, axis=1) <= reach[qid]
-                half = reach[qid]
+                keep = clamp.max(axis=1) <= block_reach
+                half = block_reach
                 half_inner = np.where(
-                    np.max(far, axis=1) <= shrunk[qid], shrunk[qid], -1.0
+                    far.max(axis=1) <= block_shrunk, block_shrunk, -1.0
                 )
             else:
-                gp = np.sum(np.power(clamp, p), axis=1)
-                rp = np.power(reach[qid], p)
+                gp = np.power(clamp, p).sum(axis=1)
+                rp = np.power(block_reach, p)
                 keep = gp <= rp
                 with np.errstate(invalid="ignore"):
                     half = np.power(np.maximum(rp - gp, 0.0), 1.0 / p)
-                    gp_far = np.sum(np.power(far, p), axis=1)
-                    rp_in = np.power(shrunk[qid], p)
+                    gp_far = np.power(far, p).sum(axis=1)
+                    rp_in = np.power(block_shrunk, p)
                     half_inner = np.where(
                         gp_far <= rp_in,
                         np.power(np.maximum(rp_in - gp_far, 0.0), 1.0 / p),
                         -1.0,
                     )
+            qid = qid[keep]
+            half = half[keep]
+            half_inner = half_inner[keep]
+            lead_coords = lead_coords[keep]
         else:
-            half = reach[qid]
-            half_inner = shrunk[qid]
+            half = block_reach
+            half_inner = block_shrunk
 
-        qid = qid[keep]
-        half = half[keep]
-        half_inner = half_inner[keep]
-        lead_coords = lead_coords[keep]
+        # Last-dimension chord ends in one coordinate pass, narrowed to the
+        # bounding box (the chord can only narrow it, never widen it).
+        blocks = qid.size
         last_center = centers[qid, d - 1]
         width = self._cell_width[d - 1]
         low = self._low[d - 1]
         top = self._cells_per_dimension - 1
-        last_lo = np.clip(
-            np.floor((last_center - half - low) / width).astype(np.int64), 0, top
-        )
-        last_hi = np.clip(
-            np.floor((last_center + half - low) / width).astype(np.int64), 0, top
-        )
-        # The chord can only narrow the bounding-box extent, never widen it.
-        last_lo = np.maximum(last_lo, lo[qid, d - 1])
-        last_hi = np.minimum(last_hi, hi[qid, d - 1])
-
-        strides = self._flat_strides()
-        base = lead_coords @ strides[: d - 1] if d > 1 else np.zeros(qid.size, np.int64)
+        chord = np.floor(
+            (np.concatenate([last_center - half, last_center + half]) - low) / width
+        ).astype(np.int64)
+        last_lo = np.minimum(np.maximum(chord[:blocks], lo[qid, d - 1]), top)
+        last_hi = np.maximum(np.minimum(chord[blocks:], hi[qid, d - 1]), 0)
+        base = lead_coords @ self._strides[: d - 1]
 
         if not classify:
-            starts = np.searchsorted(self._clustered_flat, base + last_lo, side="left")
-            ends = np.searchsorted(self._clustered_flat, base + last_hi, side="right")
+            starts = clustered_flat.searchsorted(base + last_lo, side="left")
+            ends = clustered_flat.searchsorted(base + last_hi, side="right")
             nonempty = ends > starts
             return qid[nonempty], starts[nonempty], ends[nonempty], empty, empty, empty
 
@@ -521,30 +522,28 @@ class GridIndex:
         bnd_qid = np.concatenate([qid, qid])
         bnd_first = np.concatenate([base + last_lo, base + inner_hi + 1])
         bnd_last = np.concatenate([base + inner_lo - 1, base + last_hi])
-        order = np.argsort(bnd_qid, kind="stable")
+        order = bnd_qid.argsort(kind="stable")
+        ok = bnd_last[order] >= bnd_first[order]
+        order = order[ok]
         bnd_qid = bnd_qid[order]
-        bnd_first = bnd_first[order]
-        bnd_last = bnd_last[order]
-        ok = bnd_last >= bnd_first
-        bnd_starts = np.searchsorted(self._clustered_flat, bnd_first[ok], side="left")
-        bnd_ends = np.searchsorted(self._clustered_flat, bnd_last[ok], side="right")
+        bnd_starts = clustered_flat.searchsorted(bnd_first[order], side="left")
+        bnd_ends = clustered_flat.searchsorted(bnd_last[order], side="right")
         bnd_keep = bnd_ends > bnd_starts
-        bnd_qid = bnd_qid[ok][bnd_keep]
-        bnd_starts = bnd_starts[bnd_keep]
-        bnd_ends = bnd_ends[bnd_keep]
 
-        in_ok = has_inner
-        cell_starts = np.searchsorted(
-            self._cell_flats, (base + inner_lo)[in_ok], side="left"
-        )
-        cell_ends = np.searchsorted(
-            self._cell_flats, (base + inner_hi)[in_ok], side="right"
+        inner_base = (base + inner_lo)[has_inner]
+        cell_starts = self._cell_flats.searchsorted(inner_base, side="left")
+        cell_ends = self._cell_flats.searchsorted(
+            (base + inner_hi)[has_inner], side="right"
         )
         cell_keep = cell_ends > cell_starts
-        inner_qid = qid[in_ok][cell_keep]
-        cell_starts = cell_starts[cell_keep]
-        cell_ends = cell_ends[cell_keep]
-        return bnd_qid, bnd_starts, bnd_ends, inner_qid, cell_starts, cell_ends
+        return (
+            bnd_qid[bnd_keep],
+            bnd_starts[bnd_keep],
+            bnd_ends[bnd_keep],
+            qid[has_inner][cell_keep],
+            cell_starts[cell_keep],
+            cell_ends[cell_keep],
+        )
 
     # ------------------------------------------------------------------ #
     # queries

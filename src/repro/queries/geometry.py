@@ -127,16 +127,19 @@ def lp_distance_matrix(
     out = np.empty((m, k), dtype=float)
     chunk = max(_BATCH_CHUNK_ELEMENTS // max(k * d, 1), 1)
     for start in range(0, m, chunk):
-        diff = a[start : start + chunk, np.newaxis, :] - b[np.newaxis, :, :]
+        diff = a[start : start + chunk, np.newaxis, :] - b
+        target = out[start : start + chunk]
         if math.isinf(p):
-            out[start : start + chunk] = np.max(np.abs(diff), axis=2)
+            np.abs(diff, out=diff).max(axis=2, out=target)
         elif p == 2.0:
-            out[start : start + chunk] = np.sqrt(np.sum(diff * diff, axis=2))
+            np.sqrt((diff * diff).sum(axis=2), out=target)
         elif p == 1.0:
-            out[start : start + chunk] = np.sum(np.abs(diff), axis=2)
+            np.abs(diff, out=diff).sum(axis=2, out=target)
         else:
-            out[start : start + chunk] = np.power(
-                np.sum(np.power(np.abs(diff), p), axis=2), 1.0 / p
+            np.power(
+                np.power(np.abs(diff, out=diff), p, out=diff).sum(axis=2),
+                1.0 / p,
+                out=target,
             )
     return out
 
@@ -245,13 +248,15 @@ def overlap_degree_matrix(
             f"radii shapes {radii_a.shape}/{radii_b.shape} do not match the "
             f"{distances.shape} center-distance matrix"
         )
-    totals = radii_a[:, np.newaxis] + radii_b[np.newaxis, :]
-    overlapping = distances <= totals
-    numerators = np.maximum(
-        distances, np.abs(radii_a[:, np.newaxis] - radii_b[np.newaxis, :])
+    column_a = radii_a[:, np.newaxis]
+    totals = column_a + radii_b
+    numerators = np.maximum(distances, np.abs(column_a - radii_b))
+    # Disjoint pairs and non-positive radius sums keep the ratio 1 (degree
+    # 0).  Numerators are non-negative, so no degree exceeds 1; only a
+    # negative prototype radius can push one below 0.
+    overlapping = (distances <= totals) & (totals > 0.0)
+    ratios = np.divide(
+        numerators, totals, out=np.ones_like(distances), where=overlapping
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        degrees = np.where(totals > 0, 1.0 - numerators / totals, 0.0)
-    degrees = np.clip(degrees, 0.0, 1.0)
-    degrees[~overlapping] = 0.0
-    return degrees
+    degrees = 1.0 - ratios
+    return np.maximum(degrees, 0.0, out=degrees)

@@ -49,7 +49,7 @@ class Query:
             )
         if center.size == 0:
             raise InvalidQueryError("query center must have at least one dimension")
-        if not np.all(np.isfinite(center)):
+        if not np.isfinite(center).all():
             raise InvalidQueryError("query center must contain only finite values")
         if not np.isfinite(self.radius) or self.radius <= 0:
             raise InvalidQueryError(f"query radius must be positive, got {self.radius}")

@@ -62,6 +62,24 @@ class ExactOracle:
         solution, *_ = np.linalg.lstsq(design, self.outputs[rows], rcond=None)
         return solution
 
+    def r_squared(self, query: Query) -> float | None:
+        """``1 - RSS / TSS`` of the :meth:`q2` fit, or ``None`` when empty.
+
+        Constant outputs (``TSS == 0``) score 1.0 when the residuals are
+        numerically zero and 0.0 otherwise, the engines' convention.
+        """
+        rows = self.select(query)
+        if not rows.size:
+            return None
+        design, outputs = self._design(rows), self.outputs[rows]
+        coefficients, *_ = np.linalg.lstsq(design, outputs, rcond=None)
+        residuals = outputs - design @ coefficients
+        rss = float(np.sum(residuals * residuals))
+        tss = float(np.sum((outputs - np.mean(outputs)) ** 2))
+        if tss == 0.0:
+            return 1.0 if np.isclose(rss, 0.0) else 0.0
+        return 1.0 - rss / tss
+
     def fitted(self, query: Query, coefficients: np.ndarray) -> np.ndarray:
         """Values a plane fits on the query's selected rows.
 

@@ -467,6 +467,9 @@ class TestExecutorQ2BatchEquivalence:
             np.testing.assert_allclose(
                 answer.coefficients, expected, rtol=1e-9, atol=TOLERANCE
             )
+            np.testing.assert_allclose(
+                answer.r_squared, oracle.r_squared(query), rtol=1e-9, atol=1e-9
+            )
 
     def test_indexed_and_scan_batches_agree(self, setup):
         from repro.dbms.executor import ExactQueryEngine

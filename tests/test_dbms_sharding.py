@@ -70,8 +70,8 @@ def _mixed_queries(
 
 def _assert_q2_matches_oracle(answers, queries, dataset) -> None:
     """Q2 answers vs the full-scan ``lstsq`` oracle: counts and means to
-    1e-12, fitted values on the selected rows to 1e-12, coefficients to
-    1e-9 relative."""
+    1e-12, fitted values on the selected rows to 1e-12, coefficients and
+    R^2 to 1e-9 relative."""
     oracle = ExactOracle(dataset.inputs, dataset.outputs)
     for query, answer in zip(queries, answers):
         expected = oracle.q2(query)
@@ -91,6 +91,9 @@ def _assert_q2_matches_oracle(answers, queries, dataset) -> None:
         )
         np.testing.assert_allclose(
             answer.coefficients, expected, rtol=1e-9, atol=TOLERANCE
+        )
+        np.testing.assert_allclose(
+            answer.r_squared, oracle.r_squared(query), rtol=1e-9, atol=1e-9
         )
 
 
@@ -342,10 +345,10 @@ class TestIndexedRouting:
             dataset, num_shards=3, backend="serial", route="scan"
         ) as engine:
             engine.execute_q1_batch(queries, on_empty="null")
-            assert all(pipeline is None for pipeline in engine._pipelines)
+            assert all(pipeline._grid is None for pipeline in engine._pipelines)
             engine.route = "indexed"
             engine.execute_q1_batch(queries, on_empty="null")
-            assert all(pipeline is not None for pipeline in engine._pipelines)
+            assert all(pipeline._grid is not None for pipeline in engine._pipelines)
 
     def test_indexed_route_thread_and_process_backends(self):
         dataset = _dataset(2, size=900)

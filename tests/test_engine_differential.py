@@ -208,8 +208,10 @@ def _assert_family_equal(label: str, answers, reference) -> None:
             )
 
 
-def _assert_oracle_equal(label: str, answers, queries, oracle: ExactOracle) -> None:
-    """Engine answers vs the brute-force oracle."""
+def _assert_oracle_equal(
+    label: str, kind: str, answers, queries, oracle: ExactOracle
+) -> None:
+    """Engine answers vs the brute-force oracle (Q2 checks on ``kind="q2"``)."""
     for position, (answer, query) in enumerate(zip(answers, queries)):
         context = f"{label}[{position}]"
         expected_mean = oracle.mean(query)
@@ -225,7 +227,8 @@ def _assert_oracle_equal(label: str, answers, queries, oracle: ExactOracle) -> N
             atol=FAMILY_ATOL,
             err_msg=context,
         )
-        if answer.coefficients is not None:
+        if kind == "q2":
+            assert answer.coefficients is not None, context
             expected = oracle.q2(query)
             np.testing.assert_allclose(
                 oracle.fitted(query, answer.coefficients),
@@ -239,6 +242,13 @@ def _assert_oracle_equal(label: str, answers, queries, oracle: ExactOracle) -> N
                 expected,
                 rtol=REFERENCE_RTOL,
                 atol=FAMILY_ATOL,
+                err_msg=context,
+            )
+            np.testing.assert_allclose(
+                answer.r_squared,
+                oracle.r_squared(query),
+                rtol=1e-9,
+                atol=1e-9,
                 err_msg=context,
             )
 
@@ -280,7 +290,7 @@ def test_engine_paths_agree(dimension: int, layout: str, seed: int, kind: str):
 
     batch_reference = _batch_answers(indexed_engine, queries, kind)
 
-    _assert_oracle_equal("batch-indexed", batch_reference, queries, oracle)
+    _assert_oracle_equal("batch-indexed", kind, batch_reference, queries, oracle)
     _assert_family_equal(
         "batch-scan", _batch_answers(scan_engine, queries, kind), batch_reference
     )
@@ -288,7 +298,7 @@ def test_engine_paths_agree(dimension: int, layout: str, seed: int, kind: str):
         with engine:
             answers = _batch_answers(engine, queries, kind)
         _assert_family_equal(f"sharded-{route}", answers, batch_reference)
-        _assert_oracle_equal(f"sharded-{route}", answers, queries, oracle)
+        _assert_oracle_equal(f"sharded-{route}", kind, answers, queries, oracle)
 
 
 # --------------------------------------------------------------------------- #

@@ -7,8 +7,8 @@ and of the exact engines (``execute_q1``, ``execute_q2``, ``mean_value``,
 
 * equal its batch-of-one call bit for bit, and
 * match the brute-force oracle of :mod:`repro.testing.oracle` within
-  1e-12 (Q2 through fitted values on the selected rows, coefficients to
-  1e-9 relative).
+  1e-12 (Q2 through fitted values on the selected rows, coefficients and
+  R^2 to 1e-9 relative).
 
 Cases cover d in {1, 2, 6} and p in {1, 2, 3, inf}, empty overlap sets
 (extrapolation), empty subspaces, duplicate rows, a collinear subspace and
@@ -243,6 +243,9 @@ def _assert_exact_contract(engine, dataset, queries: list[Query]) -> None:
             atol=TOLERANCE,
         )
         np.testing.assert_allclose(q2.coefficients, expected, rtol=1e-9, atol=TOLERANCE)
+        np.testing.assert_allclose(
+            q2.r_squared, oracle.r_squared(query), rtol=1e-9, atol=1e-9
+        )
 
 
 @pytest.mark.parametrize("layout", ("uniform", "duplicate", "collinear"))
