@@ -12,15 +12,11 @@ scalability setup (R2, d = 2, N = 40,000):
   engine traffic, but ``partial_fit`` running through
   :class:`~repro.core.sgd.FusedTrainingKernel` (incremental ``Gamma``);
 * the **pipelined trainer** — ``StreamingTrainer.train`` pulling chunks
-  through ``execute_q1_batch``, with prefetch off and on, on the single
-  segmented engine and on sharded engines at 1 and 2 workers
-  (``route="auto"``); and
-* the opt-in ``within_chunk="stale-winners"`` mode, together with its
-  divergence from the strict default (prototype count and parameter
-  deltas), since it trades strict sequencing for fused winner selection.
+  through ``execute_q1_batch``, on the single segmented engine and on
+  sharded engines at 1 and 2 workers (their default ``route="auto"``).
 
-The headline requirement asserted here: the default bitwise-equivalent
-pipelined mode reaches **>= 5x** the seed per-query loop's training
+The headline requirement asserted here: the bitwise-equivalent pipelined
+trainer reaches **>= 5x** the seed per-query loop's training
 queries/s, and produces a model *identical* to the sequential loop over
 the same labelled stream (prototype matrix compared bit-for-bit).
 
@@ -145,23 +141,8 @@ def _per_query_incremental_loop(model: LLMModel, engine, queries) -> dict:
     return _breakdown_stats(breakdown)
 
 
-def _pipelined(
-    model: LLMModel,
-    engine,
-    queries,
-    *,
-    batch_size: int,
-    prefetch: bool = False,
-    engine_selector=None,
-    within_chunk: str = "strict",
-) -> dict:
-    breakdown = StreamingTrainer(model, engine).train(
-        queries,
-        batch_size=batch_size,
-        prefetch=prefetch,
-        engine=engine_selector,
-        within_chunk=within_chunk,
-    )
+def _pipelined(model: LLMModel, engine, queries, *, batch_size: int) -> dict:
+    breakdown = StreamingTrainer(model, engine).train(queries, batch_size=batch_size)
     return _breakdown_stats(breakdown)
 
 
@@ -244,19 +225,9 @@ def run_training_throughput(
         else 0.0
     )
 
-    # --- pipelined trainer, prefetch off / on --------------------------- #
-    # The model of the default run doubles as the strict reference for the
-    # stale-winners divergence comparison below (identical configuration).
-    strict_reference = _fresh_model(dimension)
+    # --- pipelined trainer on the single engine ------------------------- #
     pipelined_stats = _pipelined(
-        strict_reference, engine, queries, batch_size=batch_size
-    )
-    prefetch_stats = _pipelined(
-        _fresh_model(dimension),
-        engine,
-        queries,
-        batch_size=batch_size,
-        prefetch=True,
+        _fresh_model(dimension), engine, queries, batch_size=batch_size
     )
 
     # --- sharded engines (1 vs multi-core), adaptive routing ------------ #
@@ -266,37 +237,8 @@ def run_training_throughput(
             dataset, backend="threads", max_workers=workers
         ) as sharded:
             sharded_stats[f"workers={workers}"] = _pipelined(
-                _fresh_model(dimension),
-                sharded,
-                queries,
-                batch_size=batch_size,
-                engine_selector="auto",
+                _fresh_model(dimension), sharded, queries, batch_size=batch_size
             )
-
-    # --- stale-winners mode, with divergence vs the strict default ------ #
-    stale_model = _fresh_model(dimension)
-    stale_stats = _pipelined(
-        stale_model,
-        engine,
-        queries,
-        batch_size=batch_size,
-        within_chunk="stale-winners",
-    )
-    shared = min(stale_model.prototype_count, strict_reference.prototype_count)
-    stale_stats["divergence"] = {
-        "prototype_count_strict": strict_reference.prototype_count,
-        "prototype_count_stale": stale_model.prototype_count,
-        "max_abs_prototype_deviation": float(
-            np.max(
-                np.abs(
-                    stale_model.prototype_matrix()[:shared]
-                    - strict_reference.prototype_matrix()[:shared]
-                )
-            )
-        )
-        if shared
-        else 0.0,
-    }
 
     speedup = (
         pipelined_stats["queries_per_second"] / seed_stats["queries_per_second"]
@@ -317,9 +259,7 @@ def run_training_throughput(
         "seed_loop": seed_stats,
         "per_query_incremental": incremental_stats,
         "pipelined": pipelined_stats,
-        "pipelined_prefetch": prefetch_stats,
         "sharded": sharded_stats,
-        "stale_winners": stale_stats,
         "equivalence": {
             "prototypes_bitwise_equal": prototypes_equal,
             "criterion_trajectory_equal": winners_equal,
@@ -342,8 +282,6 @@ def _format(result: dict) -> str:
     seed_loop = result["seed_loop"]
     incremental = result["per_query_incremental"]
     pipelined = result["pipelined"]
-    prefetch = result["pipelined_prefetch"]
-    stale = result["stale_winners"]
     lines = [
         "Training throughput (Fig-12 setup: R2, d=2, N="
         f"{result['setup']['dataset_size']:,})",
@@ -355,16 +293,12 @@ def _format(result: dict) -> str:
         f" (engine share {incremental['query_execution_share']:.1%})",
         f"  pipelined (default):    {pipelined['queries_per_second']:,.0f} q/s"
         f" (engine share {pipelined['query_execution_share']:.1%})",
-        f"  pipelined (prefetch):   {prefetch['queries_per_second']:,.0f} q/s",
     ]
     for label, stats in result["sharded"].items():
         lines.append(
             f"  sharded auto {label}:  {stats['queries_per_second']:,.0f} q/s"
         )
     lines += [
-        f"  stale-winners mode:     {stale['queries_per_second']:,.0f} q/s"
-        f" (K {stale['divergence']['prototype_count_stale']} vs strict "
-        f"{stale['divergence']['prototype_count_strict']})",
         f"  speedup vs seed loop:   {result['speedup_vs_seed_loop']:.1f}x"
         f" (required >= {result['required_speedup']:.0f}x)",
         f"  speedup vs fused loop:  {result['speedup_incremental_loop']:.1f}x",
@@ -402,8 +336,6 @@ def _extract(result: dict) -> dict:
         "seed_loop_qps": result["seed_loop"]["queries_per_second"],
         "incremental_qps": result["per_query_incremental"]["queries_per_second"],
         "pipelined_qps": result["pipelined"]["queries_per_second"],
-        "prefetch_qps": result["pipelined_prefetch"]["queries_per_second"],
-        "stale_winners_qps": result["stale_winners"]["queries_per_second"],
         "speedup_vs_seed_loop": result["speedup_vs_seed_loop"],
         "speedup_incremental_loop": result["speedup_incremental_loop"],
         "prototypes_bitwise_equal": float(
@@ -425,8 +357,6 @@ SPEC = BenchmarkSpec(
         "seed_loop_qps": "info",
         "incremental_qps": "info",
         "pipelined_qps": "higher",
-        "prefetch_qps": "info",
-        "stale_winners_qps": "info",
         "speedup_vs_seed_loop": "higher",
         "speedup_incremental_loop": "info",
         "prototypes_bitwise_equal": "info",

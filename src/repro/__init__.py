@@ -68,15 +68,17 @@ query runs through them: the single-query methods (``predict_mean``,
   its minimum-norm semantics.
 * **Sharded parallel execution** — a
   :class:`~repro.dbms.sharding.ShardedQueryEngine` partitions the rows
-  into contiguous shards and fans the scan kernels out over a thread pool
-  (GIL-releasing NumPy kernels; a process backend is available and
-  benchmarked, threads won on the reference container) before merging the
+  into contiguous shards and fans the per-shard kernels out over a thread
+  pool (GIL-releasing NumPy kernels) or a process pool before merging the
   per-shard statistics exactly.  Per-shard moments add, so blocked OLS
   over shards equals single-shot OLS; ``benchmarks/bench_shard_scaling.py``
-  records the scaling trajectory in ``BENCH_shard.json``.  Prefer threads
-  unless the workload is dominated by Python-level glue (then processes
-  sidestep the GIL at the cost of shipping queries and statistics across
-  process boundaries).
+  records the scaling trajectory in ``BENCH_shard.json``.  Which pool wins
+  depends on the host.  On a 1-CPU container threads won: a process pool
+  ships queries and statistics across process boundaries with no second
+  core to repay it.  On a 2-vCPU host (2 workers, 8 shards, 400-query
+  batches over 200k rows) processes beat threads by 4-20% on scan-routed
+  batches and on wide or moderate auto-routed ones, and tie on selective
+  or 16-query batches.
 * **Incremental training state** — the prototypes live in one
   capacity-doubling dense ``(K, d + 1)`` matrix
   (:class:`~repro.core.prototypes.LocalModelParameters`) that SGD updates

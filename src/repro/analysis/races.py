@@ -257,10 +257,6 @@ class RaceRegistry:
                 del held.order[index]
                 break
 
-    def held_locks(self) -> frozenset[int]:
-        """Tokens of the locks the calling thread currently holds."""
-        return frozenset(self._held.order)
-
     # ------------------------------------------------------------------ #
     # lockset algorithm
     # ------------------------------------------------------------------ #

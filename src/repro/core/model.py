@@ -23,19 +23,17 @@ import numpy as np
 
 from ..config import ModelConfig, TrainingConfig
 from ..exceptions import (
-    ConfigurationError,
     DimensionalityMismatchError,
     InternalInvariantError,
     NotFittedError,
 )
 from ..queries.query import Query, QueryResultPair
-from ..queries.stream import LabelledWorkload
 from .avq import GrowingQuantizer
 from .convergence import ConvergenceRecord, ConvergenceTracker
 from .learning_rates import LearningRateSchedule, get_schedule
 from .prediction import NeighborhoodPredictor, PredictionDiagnostics
 from .prototypes import LocalLinearMap, RegressionPlane
-from .sgd import CHUNK_MODES, FusedTrainingKernel
+from .sgd import FusedTrainingKernel
 
 __all__ = ["LLMModel", "TrainingReport"]
 
@@ -228,22 +226,14 @@ class LLMModel:
         return record
 
     def partial_fit_batch(
-        self,
-        queries: Sequence[Query],
-        answers: Sequence[float],
-        *,
-        within_chunk: str = "strict",
+        self, queries: Sequence[Query], answers: Sequence[float]
     ) -> list[ConvergenceRecord]:
         """Process a chunk of ``(query, answer)`` pairs in stream order.
 
         The chunk is handed to the fused kernel as one ``(m, d + 1)``
-        matrix.  In the default ``within_chunk="strict"`` mode the result
-        is *bit-for-bit identical* to calling :meth:`partial_fit` per pair
-        (same winner sequence, same prototypes, same criterion trajectory);
-        ``within_chunk="stale-winners"`` trades strict sequencing for a
-        fused chunk-level winner-distance computation (see
-        :class:`~repro.core.sgd.FusedTrainingKernel` for the exact
-        semantics of the approximation).
+        matrix.  The result is *bit-for-bit identical* to calling
+        :meth:`partial_fit` per pair (same winner sequence, same
+        prototypes, same criterion trajectory).
 
         Consumption stops early when the convergence criterion fires
         mid-chunk — exactly where the sequential loop would have stopped —
@@ -252,11 +242,6 @@ class LLMModel:
         pairs actually absorbed).  Dimension validation is eager over the
         whole chunk.
         """
-        if within_chunk not in CHUNK_MODES:
-            raise ConfigurationError(
-                f"within_chunk must be one of {CHUNK_MODES}, got "
-                f"{within_chunk!r}"
-            )
         batch = list(queries)
         values = [float(answer) for answer in answers]
         if len(batch) != len(values):
@@ -272,9 +257,7 @@ class LLMModel:
         if self._frozen or not batch:
             return []
         matrix = np.vstack([query.to_vector() for query in batch])
-        records = self._kernel.process_chunk(
-            matrix, values, within_chunk=within_chunk
-        )
+        records = self._kernel.process_chunk(matrix, values)
         for record in records:
             self._absorb(record)
         if self._tracker.has_converged():
@@ -334,10 +317,6 @@ class LLMModel:
         )
         self.last_report = report
         return report
-
-    def fit_workload(self, workload: LabelledWorkload, *, reset: bool = False) -> TrainingReport:
-        """Convenience wrapper: train from a labelled workload."""
-        return self.fit(workload, reset=reset)
 
     def reset(self) -> None:
         """Drop every prototype and restart the training state."""

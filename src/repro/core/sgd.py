@@ -28,7 +28,13 @@ keeping the gradient direction of Theorem 4:
   estimate), which equalises the convergence rates of intercept and slope
   without the heavy-tailed steps of plain per-sample normalisation.
 
-DESIGN.md records this substitution.
+The step exists twice, with the same floating-point operations in the same
+order: :func:`apply_winner_update` updates one
+:class:`~repro.core.prototypes.LocalLinearMap` object (the readable
+reference), and :class:`FusedTrainingKernel` writes the same update through
+the dense parameter stores.  Every training path runs the fused kernel, one
+pair at a time in stream order, so a chunk of pairs trains exactly the model
+the sequential Algorithm-1 loop would.
 """
 
 from __future__ import annotations
@@ -47,11 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .convergence import ConvergenceRecord, ConvergenceTracker
     from .learning_rates import LearningRateSchedule
 
-__all__ = ["WinnerUpdate", "apply_winner_update", "FusedTrainingKernel", "CHUNK_MODES"]
-
-#: The chunk-processing modes of :meth:`FusedTrainingKernel.process_chunk`
-#: (and of every API forwarding a ``within_chunk`` argument to it).
-CHUNK_MODES = ("strict", "stale-winners")
+__all__ = ["WinnerUpdate", "apply_winner_update", "FusedTrainingKernel"]
 
 
 @dataclass(frozen=True)
@@ -62,11 +64,6 @@ class WinnerUpdate:
     slope_shift: float
     intercept_shift: float
     prediction_error: float
-
-    @property
-    def total_change(self) -> float:
-        """Aggregate parameter change caused by this update."""
-        return self.prototype_shift + self.slope_shift + abs(self.intercept_shift)
 
 
 def apply_winner_update(
@@ -154,11 +151,6 @@ _INDEX_SLACK_FRACTION = 0.25
 #: rebuilt (fresh prototypes are scanned densely until then).
 _INDEX_FRESH_LIMIT = 64
 
-#: Element budget of one block of the stale-winners distance matrix
-#: (``block_rows x K x (d + 1)``); keeps the fused distance computation
-#: cache-resident for large chunks against large prototype sets.
-_STALE_BLOCK_ELEMENTS = 4_000_000
-
 
 class FusedTrainingKernel:
     """Chunk-oriented training updates fused over the dense parameter stores.
@@ -176,24 +168,12 @@ class FusedTrainingKernel:
     ``ConvergenceTracker.observe`` step (the training equivalence suite
     pins this).
 
-    Two chunk modes are offered by :meth:`process_chunk`:
+    :meth:`process_chunk` processes its pairs one at a time in stream order,
+    selecting every winner against the *current* prototype matrix, so a
+    chunk is bitwise-identical to calling :meth:`process_pair` per pair.
 
-    * ``"strict"`` (default) — pairs are processed one at a time in stream
-      order; every winner is selected against the *current* prototype
-      matrix.  Results are bitwise-identical to calling
-      :meth:`process_pair` per pair, and therefore to the sequential loop.
-    * ``"stale-winners"`` — the distances of the whole chunk to the
-      chunk-start prototypes are computed in one fused block operation;
-      per-pair winner selection then reads the precomputed row (stale with
-      respect to intra-chunk prototype *motion*) plus exact distances to
-      any prototypes *grown* within the chunk.  The Theorem-4 update itself
-      still uses the winner's current parameters, so only the selection is
-      approximate.  This trades strict sequencing for O(d) per-pair
-      selection cost and is measured (divergence included) by
-      ``benchmarks/bench_training_throughput.py``.
-
-    When ``K`` reaches ``prune_threshold`` the strict path additionally
-    prunes the winner scan through a
+    When ``K`` reaches ``prune_threshold`` the kernel additionally prunes
+    the winner scan through a
     :class:`~repro.dbms.spatial_index.PrototypeIndex` over a snapshot of
     the prototype matrix: the index is probed with the vigilance radius
     plus the total prototype movement accumulated since the snapshot (an
@@ -256,11 +236,7 @@ class FusedTrainingKernel:
         return self._tracker.observe_step(parameters, winner)
 
     def process_chunk(
-        self,
-        matrix: np.ndarray,
-        answers: "list[float]",
-        *,
-        within_chunk: str = "strict",
+        self, matrix: np.ndarray, answers: "list[float]"
     ) -> "list[ConvergenceRecord]":
         """Process a chunk of pairs, stopping at the convergence criterion.
 
@@ -271,21 +247,12 @@ class FusedTrainingKernel:
         frozen-check-at-loop-top does; the records of the consumed prefix
         are returned.
         """
-        if within_chunk not in CHUNK_MODES:
-            raise ConfigurationError(
-                f"within_chunk must be one of {CHUNK_MODES}, got "
-                f"{within_chunk!r}"
-            )
         records: "list[ConvergenceRecord]" = []
-        if within_chunk == "strict":
-            for position in range(matrix.shape[0]):
-                records.append(
-                    self.process_pair(matrix[position], answers[position])
-                )
-                if self._tracker.has_converged():
-                    break
-            return records
-        return self._process_chunk_stale(matrix, answers)
+        for position in range(matrix.shape[0]):
+            records.append(self.process_pair(matrix[position], answers[position]))
+            if self._tracker.has_converged():
+                break
+        return records
 
     # ------------------------------------------------------------------ #
     # internals
@@ -396,60 +363,3 @@ class FusedTrainingKernel:
         if distances[best] <= self._vigilance:
             return int(candidates[best]), True
         return -1, False
-
-    def _process_chunk_stale(
-        self, matrix: np.ndarray, answers: "list[float]"
-    ) -> "list[ConvergenceRecord]":
-        """The ``within_chunk="stale-winners"`` mode (documented deviation).
-
-        Distances to the chunk-start prototypes are fused into one blocked
-        matrix computation; intra-chunk growth is still checked exactly so a
-        burst of out-of-vigilance queries cannot spawn duplicate prototypes.
-        """
-        parameters = self._quantizer.parameters
-        base_count = len(parameters.maps)
-        stale_distances: np.ndarray | None = None
-        if base_count:
-            base = parameters.training_views()[0].copy()
-            stale_distances = np.empty((matrix.shape[0], base_count))
-            block = max(
-                1, _STALE_BLOCK_ELEMENTS // max(base_count * matrix.shape[1], 1)
-            )
-            for start in range(0, matrix.shape[0], block):
-                stop = start + block
-                stale_distances[start:stop] = np.linalg.norm(
-                    matrix[start:stop, np.newaxis, :] - base[np.newaxis, :, :],
-                    axis=2,
-                )
-        records: "list[ConvergenceRecord]" = []
-        for position in range(matrix.shape[0]):
-            vector = matrix[position]
-            answer = answers[position]
-            count = len(parameters.maps)
-            winner = -1
-            best = np.inf
-            if stale_distances is not None:
-                row = stale_distances[position]
-                winner = int(np.argmin(row))
-                best = float(row[winner])
-            if count > base_count:
-                # Prototypes grown within this chunk: exact distances.
-                fresh = parameters.training_views()[0][base_count:count]
-                fresh_distances = np.linalg.norm(
-                    fresh - vector[np.newaxis, :], axis=1
-                )
-                challenger = int(np.argmin(fresh_distances))
-                if float(fresh_distances[challenger]) < best:
-                    winner = base_count + challenger
-                    best = float(fresh_distances[challenger])
-            if count == 0 or best > self._vigilance:
-                records.append(self._grow(parameters, vector, answer))
-            else:
-                prototypes, slopes, scalars = parameters.training_views()
-                self._apply_update(
-                    prototypes, slopes, scalars, winner, vector, answer
-                )
-                records.append(self._tracker.observe_step(parameters, winner))
-            if self._tracker.has_converged():
-                break
-        return records

@@ -10,52 +10,41 @@ model) that Section VI-B reports.
 
 The paper measures ~99.6% of training wall-clock going to executing the
 training queries against the DBMS, which makes the training loop the
-system's dominant cost.  :meth:`StreamingTrainer.train` therefore runs as a
-*pipelined, vectorized* loop: queries are pulled in chunks and labelled
-through the engine's batched exact path (``execute_q1_batch`` — the
-segmented indexed pipeline on a single engine, the fan-out/merge path on a
-sharded engine), the model consumes each chunk through the fused update
-kernel (:class:`~repro.core.sgd.FusedTrainingKernel`), and an optional
-prefetch thread executes chunk ``k + 1`` while the model is still absorbing
-chunk ``k`` so engine time and model-update time overlap.  In the default
-``within_chunk="strict"`` mode the produced model is *bit-for-bit*
-identical to the sequential per-query loop over the same labelled answers
-(same winner sequence, prototypes and criterion trajectory — the training
-equivalence suite pins this).
+system's dominant cost.  :meth:`StreamingTrainer.train` therefore pulls the
+query stream in chunks and labels each chunk with one call to the engine's
+batched exact path (``execute_q1_batch`` — the segmented indexed pipeline on
+a single engine, the fan-out/merge path on a sharded engine); the model then
+absorbs the chunk's pairs one at a time, in stream order, through the fused
+update kernel (:class:`~repro.core.sgd.FusedTrainingKernel`).  There is one
+loop and no mode: the produced model is *bit-for-bit* identical to the
+sequential per-query loop over the same labelled answers (same winner
+sequence, prototypes and criterion trajectory — the training equivalence
+suite pins this), whatever the chunk size.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..dbms.executor import ExactQueryEngine
 from ..dbms.sharding import ShardedQueryEngine
-from ..exceptions import ConfigurationError, EmptySubspaceError, TransientEngineError
-from ..queries.query import Query, QueryAnswer, QueryResultPair
+from ..exceptions import TransientEngineError
+from ..queries.query import Query, QueryAnswer
 from .model import LLMModel
-from .sgd import CHUNK_MODES
 
 __all__ = ["StreamingTrainer", "TrainingCostBreakdown", "ExactEngine"]
 
-#: Engines a trainer can label workloads against: the single-node exact
+#: Engines a trainer can label its training stream with: the single-node exact
 #: executor or the sharded parallel engine (both expose ``execute_q1`` /
 #: ``execute_q1_batch`` with identical semantics).
 ExactEngine = ExactQueryEngine | ShardedQueryEngine
 
-#: Default training chunk size: matches :meth:`StreamingTrainer.
-#: label_queries` and amortises the engine's per-batch overheads without
-#: growing the documented read-ahead beyond a few hundred queries.
+#: Default training chunk size: amortises the engine's per-batch overheads
+#: without growing the documented read-ahead beyond a few hundred queries.
 DEFAULT_TRAIN_BATCH_SIZE = 256
-
-
-def _empty_subspace_error(query: Query) -> EmptySubspaceError:
-    """The error surfaced when an empty subspace is consumed un-skipped."""
-    return EmptySubspaceError(
-        f"query {query!r} selected no rows; its Q1 answer is undefined"
-    )
 
 
 @dataclass
@@ -69,11 +58,9 @@ class TrainingCostBreakdown:
 
     ``query_execution_seconds`` counts the engine time of *every executed
     chunk*, including queries that turned out to select no rows (skipped
-    pairs pay the same engine cost as processed ones) and, under
-    ``prefetch=True``, an in-flight chunk that convergence made redundant —
-    engine time the run actually spent.  With ``prefetch=True`` the engine
-    and model times overlap in wall-clock, so their sum can exceed the
-    elapsed time of the call.
+    pairs pay the same engine cost as processed ones) and the tail of a
+    chunk that convergence stopped mid-way — engine time the run actually
+    spent.
     """
 
     query_execution_seconds: float = 0.0
@@ -109,17 +96,9 @@ class StreamingTrainer:
     engine:
         The exact engine answering the training queries — either a
         single-node :class:`~repro.dbms.executor.ExactQueryEngine` or a
-        :class:`~repro.dbms.sharding.ShardedQueryEngine`; both
-        :meth:`train` and :meth:`label_queries` go through the engine's
-        batched exact path, so a sharded engine fans every chunk out
-        across its shard workers.
-    skip_empty_subspaces:
-        When ``True`` (default), queries that select no rows are skipped
-        (they have no defined answer); otherwise an
-        :class:`~repro.exceptions.EmptySubspaceError` is raised when the
-        empty query is *consumed*, i.e. after the pairs preceding it in
-        the stream have updated the model — the same model state the
-        sequential loop would leave behind.
+        :class:`~repro.dbms.sharding.ShardedQueryEngine`; :meth:`train`
+        goes through the engine's batched exact path, so a sharded engine
+        fans every chunk out across its shard workers.
     max_engine_retries:
         Retries of a chunk whose engine call raised a
         :class:`~repro.exceptions.TransientEngineError` (flaky storage, a
@@ -137,7 +116,6 @@ class StreamingTrainer:
         model: LLMModel,
         engine: ExactEngine,
         *,
-        skip_empty_subspaces: bool = True,
         max_engine_retries: int = 0,
         retry_backoff_seconds: float = 0.05,
     ) -> None:
@@ -151,46 +129,68 @@ class StreamingTrainer:
             )
         self.model = model
         self.engine = engine
-        self.skip_empty_subspaces = bool(skip_empty_subspaces)
         self.max_engine_retries = int(max_engine_retries)
         self.retry_backoff_seconds = float(retry_backoff_seconds)
 
-    # ------------------------------------------------------------------ #
-    # engine selection / chunk execution (shared by train and label_queries)
-    # ------------------------------------------------------------------ #
-    def _resolve_engine(
-        self, engine: "ExactEngine | str | None"
-    ) -> tuple[ExactEngine, str | None]:
-        """Resolve the ``engine`` selector of :meth:`train` / :meth:`label_queries`.
+    def train(
+        self,
+        queries: Iterable[Query],
+        *,
+        batch_size: int = DEFAULT_TRAIN_BATCH_SIZE,
+    ) -> TrainingCostBreakdown:
+        """Consume queries until the model converges or the stream ends.
 
-        Returns ``(engine, forced_route)``: ``forced_route`` is the routing
-        policy to scope onto each batch call of a sharded engine (``None``
-        leaves the engine's own policy untouched).
+        The stream is pulled in chunks of ``batch_size`` and labelled
+        through the engine's ``execute_q1_batch``; the model absorbs each
+        chunk through :meth:`~repro.core.model.LLMModel.partial_fit_batch`.
+        The trained model is bit-for-bit identical to the sequential
+        per-query loop (one ``execute_q1_batch([q])`` call per query
+        followed by ``partial_fit``) over the same stream — chunking changes
+        only the cost profile, never the result.  Queries that select no
+        rows have no defined answer and are skipped.
+
+        Parameters
+        ----------
+        queries:
+            The training query stream.
+        batch_size:
+            Queries labelled per engine call.  ``1`` recovers the strictly
+            lazy per-query loop.
+
+        Read-ahead
+        ----------
+        The loop pulls up to ``batch_size`` queries from the source
+        iterable and executes them *before* the first pair is consumed, so
+        convergence mid-chunk stops the stream without consuming further
+        input but the in-flight chunk has already been drawn (and
+        executed).  A shared source iterator is therefore advanced by whole
+        chunks; pass ``batch_size=1`` to recover one-query-per-step
+        consumption.
         """
-        if engine is None or engine == "default":
-            return self.engine, None
-        if engine == "auto":
-            return self.engine, "auto"
-        if isinstance(engine, str):
-            raise ValueError(
-                f"engine must be 'auto', 'default', None or an engine "
-                f"instance, got {engine!r}"
-            )
-        return engine, None
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        breakdown = TrainingCostBreakdown()
+        iterator = iter(queries)
+        while not self.model.is_frozen:
+            chunk = list(itertools.islice(iterator, batch_size))
+            if not chunk:
+                break
+            answers, elapsed = self._execute_chunk(chunk)
+            breakdown.query_execution_seconds += elapsed
+            breakdown.chunks_executed += 1
+            self._consume_chunk(chunk, answers, breakdown)
+        breakdown.converged = self.model.is_frozen
+        breakdown.final_prototype_count = self.model.prototype_count
+        return breakdown
 
     def _execute_chunk(
-        self,
-        engine: ExactEngine,
-        chunk: list[Query],
-        forced_route: str | None,
+        self, chunk: list[Query]
     ) -> tuple[list[QueryAnswer | None], float]:
         """Execute one chunk through the batched exact path, timing it.
 
-        Empty subspaces come back as ``None`` slots (the consumer decides
-        whether to skip or raise); a forced route is passed as a
-        call-scoped override, so no engine state is mutated.  Transient
-        engine failures are retried up to ``max_engine_retries`` times
-        with exponential backoff (the whole loop is timed: a retried chunk
+        Empty subspaces come back as ``None`` slots.  Transient engine
+        failures are retried up to ``max_engine_retries`` times with
+        exponential backoff (the whole loop is timed: a retried chunk
         really did cost that much engine time); any other exception, or a
         transient one past the retry budget, propagates.
         """
@@ -199,12 +199,7 @@ class StreamingTrainer:
         delay = self.retry_backoff_seconds
         while True:
             try:
-                if forced_route is not None and isinstance(engine, ShardedQueryEngine):
-                    answers = engine.execute_q1_batch(
-                        chunk, on_empty="null", route=forced_route
-                    )
-                else:
-                    answers = engine.execute_q1_batch(chunk, on_empty="null")
+                answers = self.engine.execute_q1_batch(chunk, on_empty="null")
             except TransientEngineError:
                 if attempt >= self.max_engine_retries:
                     raise
@@ -215,266 +210,33 @@ class StreamingTrainer:
             else:
                 return answers, time.perf_counter() - started
 
-    # ------------------------------------------------------------------ #
-    # training
-    # ------------------------------------------------------------------ #
-    def train(
-        self,
-        queries: Iterable[Query],
-        *,
-        batch_size: int = DEFAULT_TRAIN_BATCH_SIZE,
-        prefetch: bool = False,
-        engine: "ExactEngine | str | None" = None,
-        within_chunk: str = "strict",
-    ) -> TrainingCostBreakdown:
-        """Consume queries until the model converges or the stream ends.
-
-        The stream is pulled in chunks of ``batch_size`` and labelled
-        through the engine's ``execute_q1_batch``; the model absorbs each
-        chunk through :meth:`~repro.core.model.LLMModel.partial_fit_batch`.
-        In the default ``within_chunk="strict"`` mode the trained model is
-        bit-for-bit identical to the sequential per-query loop (one
-        ``execute_q1_batch([q])`` call per query followed by
-        ``partial_fit``) over the same stream — chunking and prefetching
-        change only the cost profile, never the result.
-
-        Parameters
-        ----------
-        queries:
-            The training query stream.
-        batch_size:
-            Queries labelled per engine call.  ``1`` recovers the strictly
-            lazy per-query loop.
-        prefetch:
-            Double-buffer the engine: a background thread executes chunk
-            ``k + 1`` while the model consumes chunk ``k``, overlapping
-            engine time with model-update time.  Worth it when the engine
-            releases the GIL (the NumPy scan/solve kernels do) and a spare
-            core exists; on a single core it merely interleaves.
-        engine:
-            ``None``/``"default"`` uses the trainer's engine as configured;
-            ``"auto"`` enables adaptive routing for this run on a
-            :class:`~repro.dbms.sharding.ShardedQueryEngine` (scoped to
-            each batch call, never mutating the engine's policy) and is a
-            no-op on a single-node engine; an explicit engine instance
-            trains through that engine instead.
-        within_chunk:
-            ``"strict"`` (default) preserves the sequential semantics
-            exactly; ``"stale-winners"`` selects winners against the
-            chunk-start prototype matrix in one fused computation (see
-            :class:`~repro.core.sgd.FusedTrainingKernel`), trading strict
-            sequencing for larger fused updates.
-
-        Read-ahead
-        ----------
-        Like :meth:`label_queries`, the chunked loop pulls up to
-        ``batch_size`` queries from the source iterable and executes them
-        *before* the first pair is consumed, so convergence mid-chunk stops
-        the stream without consuming further input but the in-flight chunk
-        has already been drawn (and executed); with ``prefetch=True`` the
-        read-ahead is up to *two* chunks, and an already-dispatched chunk
-        is drained (its engine time is accounted) before the call returns.
-        A shared source iterator is therefore advanced by whole chunks;
-        pass ``batch_size=1`` to recover one-query-per-step consumption.
-        """
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if within_chunk not in CHUNK_MODES:
-            raise ConfigurationError(
-                f"within_chunk must be one of {CHUNK_MODES}, got "
-                f"{within_chunk!r}"
-            )
-        target, forced_route = self._resolve_engine(engine)
-        if forced_route is not None and not isinstance(target, ShardedQueryEngine):
-            forced_route = None
-        breakdown = TrainingCostBreakdown()
-        iterator = iter(queries)
-
-        def pull() -> list[Query]:
-            chunk: list[Query] = []
-            for query in iterator:
-                chunk.append(query)
-                if len(chunk) >= batch_size:
-                    break
-            return chunk
-
-        if prefetch:
-            self._train_prefetched(target, forced_route, pull, breakdown, within_chunk)
-        else:
-            while not self.model.is_frozen:
-                chunk = pull()
-                if not chunk:
-                    break
-                answers, elapsed = self._execute_chunk(target, chunk, forced_route)
-                breakdown.query_execution_seconds += elapsed
-                breakdown.chunks_executed += 1
-                self._consume_chunk(chunk, answers, breakdown, within_chunk)
-        breakdown.converged = self.model.is_frozen
-        breakdown.final_prototype_count = self.model.prototype_count
-        return breakdown
-
-    def _train_prefetched(
-        self,
-        target: ExactEngine,
-        forced_route: str | None,
-        pull,
-        breakdown: TrainingCostBreakdown,
-        within_chunk: str,
-    ) -> None:
-        """Double-buffered chunk loop: execute chunk k+1 while consuming k."""
-        if self.model.is_frozen:
-            # Mirror the non-prefetch loop: an already-converged model
-            # consumes no input and dispatches no engine work.
-            return
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            chunk = pull()
-            future: Future | None = (
-                pool.submit(self._execute_chunk, target, chunk, forced_route)
-                if chunk
-                else None
-            )
-            pending = chunk
-            while future is not None and not self.model.is_frozen:
-                answers, elapsed = future.result()
-                current = pending
-                breakdown.query_execution_seconds += elapsed
-                breakdown.chunks_executed += 1
-                # Dispatch the next chunk *before* consuming the current one
-                # so the engine works while the model updates.
-                pending = pull()
-                future = (
-                    pool.submit(self._execute_chunk, target, pending, forced_route)
-                    if pending
-                    else None
-                )
-                self._consume_chunk(current, answers, breakdown, within_chunk)
-            if future is not None:
-                # Convergence fired with a chunk in flight: drain it (the
-                # pool cannot abandon a running engine call) and account its
-                # engine time; its pairs are never consumed.
-                answers, elapsed = future.result()
-                breakdown.query_execution_seconds += elapsed
-                breakdown.chunks_executed += 1
-
     def _consume_chunk(
         self,
         chunk: list[Query],
         answers: list[QueryAnswer | None],
         breakdown: TrainingCostBreakdown,
-        within_chunk: str,
     ) -> None:
         """Feed one labelled chunk to the model, in stream order.
 
-        Maximal runs of non-empty pairs go through
-        :meth:`~repro.core.model.LLMModel.partial_fit_batch`; empty slots
-        between runs are skipped (or raise) exactly where the sequential
-        loop would have handled them, and consumption stops at the pair
-        that converges the model.
+        The non-empty pairs go through
+        :meth:`~repro.core.model.LLMModel.partial_fit_batch`, which stops
+        at the pair that converges the model.  An empty slot counts as
+        skipped only if the sequential loop would have reached it, i.e. if
+        it precedes that converging pair.
         """
         started = time.perf_counter()
-        run_queries: list[Query] = []
-        run_answers: list[float] = []
-
-        def flush() -> bool:
-            """Absorb the pending run; returns False once the model froze."""
-            if not run_queries:
-                return not self.model.is_frozen
-            records = self.model.partial_fit_batch(
-                run_queries, run_answers, within_chunk=within_chunk
-            )
-            breakdown.pairs_processed += len(records)
-            breakdown.criterion_trajectory.extend(
-                record.criterion for record in records
-            )
-            del run_queries[:], run_answers[:]
-            return not self.model.is_frozen
-
-        for query, answer in zip(chunk, answers):
-            if answer is None:
-                # The skip (or raise) happens only if the model is still
-                # live once the preceding pairs have been absorbed — the
-                # sequential loop's ordering.
-                if not flush():
-                    break
-                if not self.skip_empty_subspaces:
-                    breakdown.model_update_seconds += time.perf_counter() - started
-                    raise _empty_subspace_error(query)
-                breakdown.pairs_skipped += 1
-                continue
-            run_queries.append(query)
-            run_answers.append(answer.mean)
-        flush()
+        live = [
+            (position, answer.mean)
+            for position, answer in enumerate(answers)
+            if answer is not None
+        ]
+        records = self.model.partial_fit_batch(
+            [chunk[position] for position, _ in live], [mean for _, mean in live]
+        )
+        reached = len(chunk)
+        if self.model.is_frozen and records:
+            reached = live[len(records) - 1][0] + 1
+        breakdown.pairs_processed += len(records)
+        breakdown.pairs_skipped += sum(answer is None for answer in answers[:reached])
+        breakdown.criterion_trajectory.extend(record.criterion for record in records)
         breakdown.model_update_seconds += time.perf_counter() - started
-
-    # ------------------------------------------------------------------ #
-    # labelling
-    # ------------------------------------------------------------------ #
-    def label_queries(
-        self,
-        queries: Iterable[Query],
-        *,
-        batch_size: int = 256,
-        engine: "ExactEngine | str | None" = None,
-    ) -> Iterator[QueryResultPair]:
-        """Yield exact ``(query, answer)`` pairs without updating the model.
-
-        Used to build held-out test workloads ``V`` with ground-truth
-        answers for the accuracy experiments.  The queries are executed
-        through the engine's ``execute_q1_batch`` in chunks of
-        ``batch_size``, amortising the per-query execution overhead — with
-        a :class:`~repro.dbms.sharding.ShardedQueryEngine` each chunk fans
-        out across the shard workers.  Empty subspaces are dropped, or —
-        with ``skip_empty_subspaces=False`` — raise when the empty slot is
-        *reached in yield order*, i.e. after the chunk's preceding pairs
-        have been yielded (the unbatched protocol's ordering, shared with
-        :meth:`train`'s consumption).
-
-        ``engine`` selects what executes the chunks, with the same
-        semantics as :meth:`train`: ``None`` (default) or ``"default"``
-        uses the trainer's engine as configured; ``"auto"`` uses the
-        trainer's engine with adaptive routing scoped onto each batch call
-        — on a :class:`~repro.dbms.sharding.ShardedQueryEngine` each chunk
-        is routed per shard between the scan kernel and the per-shard grid
-        index, and between inline and pooled execution, from a selectivity
-        estimate, while the engine's own ``route`` policy is never
-        mutated; a single-node exact engine already picks its path per
-        construction, so ``"auto"`` is a no-op there.  An explicit engine
-        instance labels through that engine instead.
-
-        Read-ahead
-        ----------
-        The generator pulls up to ``batch_size`` queries from the source
-        iterable and executes them *before* the first pair of the chunk is
-        yielded — the same chunked read-ahead contract as :meth:`train`.
-        A consumer that stops early (e.g. ``itertools.islice``) still pays
-        for the whole in-flight chunk, and a shared source iterator is
-        advanced by whole chunks.  Pass ``batch_size=1`` to recover
-        strictly lazy, one-query-per-yield behaviour.
-        """
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        target, forced_route = self._resolve_engine(engine)
-        if forced_route is not None and not isinstance(target, ShardedQueryEngine):
-            forced_route = None
-        batch: list[Query] = []
-        for query in queries:
-            batch.append(query)
-            if len(batch) >= batch_size:
-                yield from self._label_batch(target, batch, forced_route)
-                batch = []
-        if batch:
-            yield from self._label_batch(target, batch, forced_route)
-
-    def _label_batch(
-        self,
-        engine: ExactEngine,
-        batch: list[Query],
-        forced_route: str | None = None,
-    ) -> Iterator[QueryResultPair]:
-        answers, _ = self._execute_chunk(engine, batch, forced_route)
-        for query, answer in zip(batch, answers):
-            if answer is None:
-                if not self.skip_empty_subspaces:
-                    raise _empty_subspace_error(query)
-                continue
-            yield QueryResultPair(query=query, answer=answer.mean)

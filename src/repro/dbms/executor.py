@@ -36,7 +36,7 @@ from ..exceptions import (
     InternalInvariantError,
     StorageError,
 )
-from ..queries.geometry import lp_distance_matrix, pairwise_lp_distance
+from ..queries.geometry import lp_distance_matrix
 from ..queries.query import Query, QueryAnswer
 from .spatial_index import (
     GridIndex,
@@ -59,41 +59,38 @@ __all__ = [
 ]
 
 #: Cap on the number of float64 elements of one ``(chunk, n)`` distance
-#: matrix in the unindexed batch path.  This is a cache-blocking parameter
-#: as much as a memory cap: 256k elements keeps the per-chunk distance
-#: matrix at ~2 MiB (and the broadcasted difference tensor behind it at a
-#: few MiB), which measures ~2x faster on large scans than the previous
-#: 64 MiB working sets that streamed through DRAM.
+#: matrix in the scan kernels (:func:`q1_sufficient_statistics_scan`,
+#: :func:`q2_sufficient_statistics_scan`), which the sharded engine runs on
+#: every shard its router sends to the scan.  This is a cache-blocking
+#: parameter as much as a memory cap: 256k elements keeps the per-chunk
+#: distance matrix at ~2 MiB (and the broadcasted difference tensor behind
+#: it at a few MiB), which measures ~2x faster on large scans than the
+#: previous 64 MiB working sets that streamed through DRAM.
 _BATCH_SCAN_ELEMENTS = 262_144
 
-#: Relative eigenvalue threshold below which a query's centred Gram matrix
-#: is treated as ill-conditioned and the query falls back to the dense
-#: per-query OLS path.  The normal-equation solve carries a relative error
-#: of roughly ``eps * cond(Gram)``, so capping the fast path at condition
-#: 1e3 bounds its deviation from the SVD solver near 1e-13 relative — an
-#: order of margin inside the 1e-12 budget the differential harness pins
-#: across every engine pair (the previous 1e4 cap sat exactly at the
-#: budget, and the harness's soak mode found batches straddling it).
-#: Collinear or otherwise ill-conditioned subspaces are answered by the
-#: dense SVD least-squares solver of :func:`q2_answer_from_rows` (ball-shaped
-#: dNN selections sit at single-digit condition numbers, so the fallback is
-#: rare in practice).
+#: Floor of a query's centred Gram spectrum, relative to the uncentred
+#: second-moment scale ``trace sum z z^T`` (``z = x - c``: the inputs about
+#: the query center).  The centred Gram is recovered as a difference of
+#: those center-referenced moments, so each entry carries an absolute error
+#: of about ``eps * scale``, and the normal-equation solve divides by the
+#: smallest centred eigenvalue: the slope's relative error is roughly
+#: ``eps * scale / smallest``.  Capping that ratio at 1e3 bounds the fast
+#: path's deviation from the SVD solver near 1e-13 relative — an order of
+#: margin inside the budgets the differential harness pins across every
+#: engine pair.  The ratio is at least the condition number ``largest /
+#: smallest``; it is larger still when a selection is thin in some
+#: direction and its mean sits off the query center (a near-collinear slab,
+#: where a cap on the condition number alone let coefficient errors reach
+#: 1e-9 relative), and when the subspace is exactly degenerate (identical
+#: inputs, or inputs on a lower-dimensional manifold), where every
+#: eigenvalue is cancellation noise of order ``eps * scale``.  Such queries
+#: are answered by the dense SVD least-squares solver of
+#: :func:`q2_answer_from_rows`; ball-shaped dNN selections sit far below
+#: the cap, so the fallback is rare in practice.  Both failure modes were
+#: found by the randomized differential harness
+#: (``tests/test_engine_differential.py``: the degenerate and
+#: near-collinear layouts).
 _GRAM_CONDITION_RTOL = 1e-3
-
-#: Absolute floor of the centred Gram spectrum, relative to the uncentred
-#: second-moment scale (``trace sum z z^T``).  The centred Gram is computed
-#: as a difference of radius-scale second moments, so when a subspace is
-#: exactly degenerate (all selected inputs identical, or confined to a
-#: lower-dimensional manifold) every eigenvalue is pure cancellation noise
-#: of order ``eps * scale`` — the *relative* condition test above cannot see
-#: that, because the noise eigenvalues are all tiny together.  Anything
-#: below 1e-10 of the moment scale is noise, not variance (legitimate
-#: selections have input spread comparable to the query radius, putting
-#: their smallest eigenvalue many orders above this floor); such queries go
-#: to the dense SVD fallback, which resolves the degeneracy with exact
-#: minimum-norm semantics.  Found by the randomized differential harness
-#: (`tests/test_engine_differential.py`, degenerate d=1 layouts).
-_GRAM_SCALE_RTOL = 1e-10
 
 
 @dataclass
@@ -412,16 +409,11 @@ def solve_q2_sufficient_statistics(
     needs_fallback |= ~finite
     solvable = (~needs_fallback) & (counts > 0)
     if solvable.any():
-        eigenvalues = np.linalg.eigvalsh(gram_c[solvable])
-        smallest, largest = eigenvalues[:, 0], eigenvalues[:, -1]
-        # ``sum_a sum z_a^2``: the uncentred moment scale anchoring the
-        # absolute degeneracy floor (see _GRAM_SCALE_RTOL).
+        smallest = np.linalg.eigvalsh(gram_c[solvable])[:, 0]
+        # ``sum_a sum z_a^2``: the uncentred moment scale the centred Gram's
+        # cancellation error is relative to (see _GRAM_CONDITION_RTOL).
         scale = np.einsum("ijj->i", gram[solvable])
-        ill = (
-            (largest <= 0.0)
-            | (largest <= _GRAM_SCALE_RTOL * scale)
-            | (smallest <= _GRAM_CONDITION_RTOL * largest)
-        )
+        ill = smallest <= _GRAM_CONDITION_RTOL * scale
         rows = np.nonzero(solvable)[0]
         needs_fallback[rows[ill]] = True
         solvable[rows[ill]] = False
@@ -830,41 +822,29 @@ def _only_answer(answers: list[QueryAnswer | None]) -> QueryAnswer:
 class ExactQueryEngine(SingleQueryMixin):
     """Execute exact Q1 and Q2 queries against a dataset.
 
-    The engine answers every query through its batch entry points, in one
-    of two modes:
-
-    * through the segmented pipeline over a fine grid index
-      (``use_index=True``, default), or
-    * by a chunked full distance scan (``use_index=False``).
+    The engine answers every query through its batch entry points, over the
+    segmented pipeline of a fine grid index.  A whole-table scan of the
+    same batches is ``ShardedQueryEngine(dataset, num_shards=1,
+    backend="serial", route="scan")``.
 
     :meth:`from_store` builds the engine over a table of a
     :class:`~repro.dbms.storage.SQLiteDataStore`.
     """
 
-    #: Whether the batch entry points accept a call-scoped ``route=``
-    #: argument (the single-engine pipeline has no scan/indexed router, so
-    #: callers like the serving layer must not forward one).
-    supports_route = False
-
-    def __init__(self, dataset: SyntheticDataset, *, use_index: bool = True) -> None:
+    def __init__(self, dataset: SyntheticDataset) -> None:
         self._dataset = dataset
         self._inputs = dataset.inputs
         self._outputs = dataset.outputs
-        self._pipeline: SegmentedBatchPipeline | None = None
-        if use_index:
-            self._pipeline = SegmentedBatchPipeline(self._inputs, self._outputs)
+        self._pipeline = SegmentedBatchPipeline(self._inputs, self._outputs)
         self.statistics = ExecutionStatistics()
 
     # ------------------------------------------------------------------ #
     # constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_store(
-        cls, store: SQLiteDataStore, table_name: str, *, use_index: bool = True
-    ) -> "ExactQueryEngine":
+    def from_store(cls, store: SQLiteDataStore, table_name: str) -> "ExactQueryEngine":
         """Build an engine over a table stored in a SQLite data store."""
-        dataset = store.load_as_dataset(table_name)
-        return cls(dataset, use_index=use_index)
+        return cls(store.load_as_dataset(table_name))
 
     @property
     def dataset(self) -> SyntheticDataset:
@@ -883,12 +863,7 @@ class ExactQueryEngine(SingleQueryMixin):
     # ------------------------------------------------------------------ #
     def _select(self, query: Query) -> tuple[np.ndarray, int]:
         """``(ascending selected row ids, rows scanned)`` of one query."""
-        if self._pipeline is not None:
-            return self._pipeline.select_rows(
-                query.center, query.radius, query.norm_order
-            )
-        distances = pairwise_lp_distance(self._inputs, query.center, p=query.norm_order)
-        return np.nonzero(distances <= query.radius)[0], self.size
+        return self._pipeline.select_rows(query.center, query.radius, query.norm_order)
 
     def select_subspace(self, query: Query) -> tuple[np.ndarray, np.ndarray]:
         """Return the ``(inputs, outputs)`` of the rows inside ``D(x, theta)``.
@@ -921,13 +896,11 @@ class ExactQueryEngine(SingleQueryMixin):
     ) -> list[QueryAnswer | None]:
         """Execute many exact Q1 queries in one pass, amortising overheads.
 
-        With a grid index the whole batch is answered by the segmented
-        candidate pipeline: one vectorised candidate-range generation, one
-        exact Lp membership test over all candidates, and per-query segment
-        sums.  Without an index the batch is answered by chunked ``(m, n)``
-        distance-matrix arithmetic.  Either way there is no per-query
-        Python loop, and a query's answer does not depend on the rest of
-        its batch.
+        The whole batch is answered by the segmented candidate pipeline:
+        one vectorised candidate-range generation, one exact Lp membership
+        test over all candidates, and per-query segment sums.  There is no
+        per-query Python loop, and a query's answer does not depend on the
+        rest of its batch.
 
         Parameters
         ----------
@@ -949,21 +922,12 @@ class ExactQueryEngine(SingleQueryMixin):
         scanned = 0
         selected = 0
         for order, group in _group_by_norm_order(batch):
-            group_centers = centers[group]
-            group_radii = radii[group]
-            if self._pipeline is not None:
-                counts, sums, scanned_group = self._pipeline.segment_statistics(
-                    group_centers, group_radii, order, kind="q1"
-                )
-                sums = sums[:, 0]
-                scanned += scanned_group
-            else:
-                counts, sums = q1_sufficient_statistics_scan(
-                    self._inputs, self._outputs, group_centers, group_radii, p=order
-                )
-                scanned += group.size * self.size
+            counts, sums, scanned_group = self._pipeline.segment_statistics(
+                centers[group], radii[group], order, kind="q1"
+            )
+            scanned += scanned_group
             selected += int(counts.sum())
-            _fill_q1_answers(answers, group, counts, sums)
+            _fill_q1_answers(answers, group, counts, sums[:, 0])
         elapsed = time.perf_counter() - start
         self.statistics.record_batch(len(batch), scanned, selected, elapsed)
         self._raise_on_empty(batch, answers, on_empty, "Q1")
@@ -974,10 +938,9 @@ class ExactQueryEngine(SingleQueryMixin):
     ) -> list[QueryAnswer | None]:
         """Execute many exact Q2 (regression) queries in one pass.
 
-        The batch is reduced to per-query Q2 sufficient statistics — via the
-        segmented index pipeline or, without an index, the chunked scan
-        kernel — and every well-conditioned query is solved by the blocked
-        OLS of :func:`solve_q2_sufficient_statistics` (one batched ``(d, d)``
+        The batch is reduced to per-query Q2 sufficient statistics by the
+        segmented index pipeline, and every well-conditioned query is solved
+        by the blocked OLS of :func:`solve_q2_sufficient_statistics` (one batched ``(d, d)``
         solve for the whole batch).  Queries with rank-deficient or
         near-singular subspaces fall back to the dense per-query least-squares
         solver over the query's selected rows, keeping its minimum-norm
@@ -997,21 +960,10 @@ class ExactQueryEngine(SingleQueryMixin):
         fallback_positions: list[int] = []
         for order, group in _group_by_norm_order(batch):
             group_centers = centers[group]
-            group_radii = radii[group]
-            if self._pipeline is not None:
-                counts, moments, scanned_group = self._pipeline.segment_statistics(
-                    group_centers, group_radii, order, kind="q2"
-                )
-                scanned += scanned_group
-            else:
-                counts, moments = q2_sufficient_statistics_scan(
-                    self._inputs,
-                    self._outputs,
-                    group_centers,
-                    group_radii,
-                    p=order,
-                )
-                scanned += group.size * self.size
+            counts, moments, scanned_group = self._pipeline.segment_statistics(
+                group_centers, radii[group], order, kind="q2"
+            )
+            scanned += scanned_group
             selected += int(counts.sum())
             solution = solve_q2_sufficient_statistics(counts, moments, group_centers)
             _fill_q2_answers(answers, group, counts, solution, fallback_positions)

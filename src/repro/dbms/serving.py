@@ -6,8 +6,8 @@ analytics queries are answered *from the model* without touching the data.
 registry of exact engines and trained models, parses multi-statement
 scripts, groups statements by table and kind, and routes every group
 through the batched fast paths built in earlier PRs —
-``execute_q1_batch`` / ``execute_q2_batch`` on the exact side (single,
-sharded, or ``route="auto"`` engines) and ``predict_mean_batch`` /
+``execute_q1_batch`` / ``execute_q2_batch`` on the exact side (single or
+sharded engines) and ``predict_mean_batch`` /
 ``predict_q2_batch`` on the model side.
 
 Three execution modes are offered:
@@ -96,7 +96,6 @@ __all__ = [
 DEFAULT_NORM_ORDER = 2.0
 
 _MODES = ("exact", "model", "hybrid")
-_ROUTES = (None, "scan", "indexed", "auto")
 _ON_ERROR = ("attach", "raise")
 
 #: Errors that signal caller/configuration mistakes rather than runtime
@@ -697,10 +696,6 @@ class AnalyticsService:
     models:
         Optional initial mapping of table name to trained model
         (:class:`~repro.core.model.LLMModel` interface).
-    route:
-        Optional routing policy (``"scan"``, ``"indexed"`` or ``"auto"``)
-        forwarded call-scoped to engines that advertise
-        ``supports_route`` (the sharded engine); single engines ignore it.
     degradation:
         The :class:`DegradationPolicy` of the guarded execution path
         (retries, timeouts, circuit breakers); defaults are retry-3 with
@@ -722,16 +717,11 @@ class AnalyticsService:
         engines: Mapping[str, object] | None = None,
         models: Mapping[str, object] | None = None,
         *,
-        route: str | None = None,
         degradation: DegradationPolicy | None = None,
         observers: ObserverHub | None = None,
         query_log_size: int = 512,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if route not in _ROUTES:
-            raise ConfigurationError(
-                f"route must be one of {_ROUTES[1:]} or None, got {route!r}"
-            )
         if query_log_size < 0:
             raise ConfigurationError(
                 f"query_log_size must be >= 0, got {query_log_size}"
@@ -741,7 +731,6 @@ class AnalyticsService:
         self._model_versions: dict[str, object] = {}
         self._registry_epochs: dict[str, int] = {}
         self._engine_bindings: dict[str, tuple[str, str]] = {}
-        self._route = route
         self._policy = degradation or DegradationPolicy()
         self._hub = observers or ObserverHub()
         self._clock = clock
@@ -841,7 +830,6 @@ class AnalyticsService:
         table_name: str,
         *,
         table: str | None = None,
-        use_index: bool = True,
     ) -> ExactQueryEngine:
         """Build an exact engine over a catalogued store table and register it.
 
@@ -849,7 +837,7 @@ class AnalyticsService:
         name); returns the constructed engine.
         """
         serving_name = table or table_name
-        engine = ExactQueryEngine.from_store(store, table_name, use_index=use_index)
+        engine = ExactQueryEngine.from_store(store, table_name)
         with self._registry_lock:
             self._engines[serving_name] = engine
             self._engine_bindings[serving_name] = (store.path, table_name)
@@ -892,11 +880,6 @@ class AnalyticsService:
         """All table names known to the service."""
         with self._registry_lock:
             return sorted(set(self._engines) | set(self._models))
-
-    @property
-    def route(self) -> str | None:
-        """The routing policy forwarded to route-aware engines."""
-        return self._route
 
     @property
     def degradation(self) -> DegradationPolicy:
@@ -1310,12 +1293,6 @@ class AnalyticsService:
             table, kind, statements, queries, model, counters
         )
 
-    def _batch_kwargs(self, engine: object) -> dict:
-        kwargs: dict = {"on_empty": "null"}
-        if self._route is not None and getattr(engine, "supports_route", False):
-            kwargs["route"] = self._route
-        return kwargs
-
     def _execute_exact_group(
         self,
         table: str,
@@ -1326,13 +1303,12 @@ class AnalyticsService:
         counters: dict,
     ) -> list[StatementResult]:
         engine = self.engine_for(table)
-        kwargs = self._batch_kwargs(engine)
         results: list[StatementResult] = []
         if kind == "q2":
             answers = self._call_tier(
                 table,
                 "exact",
-                lambda: engine.execute_q2_batch(queries, **kwargs),  # type: ignore[attr-defined]
+                lambda: engine.execute_q2_batch(queries, on_empty="null"),  # type: ignore[attr-defined]
                 counters,
             )
             for statement, answer in zip(statements, answers):
@@ -1341,7 +1317,7 @@ class AnalyticsService:
         answers = self._call_tier(
             table,
             "exact",
-            lambda: engine.execute_q1_batch(queries, **kwargs),  # type: ignore[attr-defined]
+            lambda: engine.execute_q1_batch(queries, on_empty="null"),  # type: ignore[attr-defined]
             counters,
         )
         if kind == "count":

@@ -73,6 +73,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..analysis.instrument import make_lock
 from ..data.synthetic import SyntheticDataset
 from ..exceptions import ConfigurationError, StorageError
 from ..queries.geometry import pairwise_lp_distance
@@ -246,11 +247,6 @@ class ShardedQueryEngine(SingleQueryMixin):
     through it unchanged.
     """
 
-    #: The batch entry points accept a call-scoped ``route=`` argument;
-    #: batch-routing callers (the serving layer, the streaming trainer)
-    #: check this marker before forwarding a routing policy.
-    supports_route = True
-
     def __init__(
         self,
         dataset: SyntheticDataset,
@@ -264,6 +260,8 @@ class ShardedQueryEngine(SingleQueryMixin):
             raise ConfigurationError(
                 f"backend must be 'threads', 'processes' or 'serial', got {backend!r}"
             )
+        if route not in _ROUTES:
+            raise ConfigurationError(f"route must be one of {_ROUTES}, got {route!r}")
         self._dataset = dataset
         self._inputs = dataset.inputs
         self._outputs = dataset.outputs
@@ -274,7 +272,7 @@ class ShardedQueryEngine(SingleQueryMixin):
             (self._inputs[start:stop], self._outputs[start:stop])
             for start, stop in zip(self._bounds[:-1], self._bounds[1:])
         ]
-        self.route = route
+        self._route = route
         # Constructing a pipeline only stores its rows; the grid, clustered
         # layout and cell aggregates are built on the shard's first indexed
         # batch, under the pipeline's own build lock.
@@ -283,6 +281,9 @@ class ShardedQueryEngine(SingleQueryMixin):
         ]
         self._shard_extents: np.ndarray | None = None
         self._shard_grid_cells: list[int] | None = None
+        # The pool is built on the first pooled batch; the lock makes that
+        # build, and close(), happen once however many threads race them.
+        self._pool_lock = make_lock("sharding.pool")
         self._pool: Executor | None = None
         self._closed = False
         self.statistics = ExecutionStatistics()
@@ -357,20 +358,13 @@ class ShardedQueryEngine(SingleQueryMixin):
         """The routing policy: ``"scan"``, ``"indexed"`` or ``"auto"``."""
         return self._route
 
-    @route.setter
-    def route(self, value: str) -> None:
-        if value not in _ROUTES:
-            raise ConfigurationError(
-                f"route must be one of {_ROUTES}, got {value!r}"
-            )
-        self._route = value
-
     def close(self) -> None:
         """Shut the worker pool down; further batch calls will fail."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        self._closed = True
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+            self._closed = True
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def __enter__(self) -> "ShardedQueryEngine":
         return self
@@ -382,20 +376,24 @@ class ShardedQueryEngine(SingleQueryMixin):
         if self._closed:
             raise StorageError("the sharded engine has been closed")
 
-    def _ensure_pool(self) -> Executor | None:
-        self._require_open()
-        if self._backend == "serial":
-            return None
-        if self._pool is None:
-            if self._backend == "threads":
-                self._pool = ThreadPoolExecutor(max_workers=self._max_workers)
-            else:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self._max_workers,
-                    initializer=_process_worker_init,
-                    initargs=(self._inputs, self._outputs, self._bounds),
-                )
-        return self._pool
+    def _ensure_pool(self) -> Executor:
+        """The worker pool of a pooled backend, built on first use."""
+        with self._pool_lock:
+            # Re-checked under the lock: a batch racing close() must not
+            # build a pool on a closed engine.
+            self._require_open()
+            pool = self._pool
+            if pool is None:
+                if self._backend == "threads":
+                    pool = ThreadPoolExecutor(max_workers=self._max_workers)
+                else:
+                    pool = ProcessPoolExecutor(
+                        max_workers=self._max_workers,
+                        initializer=_process_worker_init,
+                        initargs=(self._inputs, self._outputs, self._bounds),
+                    )
+                self._pool = pool
+            return pool
 
     # ------------------------------------------------------------------ #
     # adaptive routing
@@ -424,29 +422,18 @@ class ShardedQueryEngine(SingleQueryMixin):
             self._shard_grid_cells = cells
         return self._shard_extents, self._shard_grid_cells
 
-    def _plan_batch(
-        self, radii: np.ndarray, route_override: str | None = None
-    ) -> tuple[list[str], bool]:
+    def _plan_batch(self, radii: np.ndarray) -> tuple[list[str], bool]:
         """Pick each shard's kernel and whether to dispatch to the pool.
 
         Returns ``(routes, pooled)`` where ``routes[i]`` is ``"scan"`` or
-        ``"indexed"`` for shard ``i``.  ``route_override`` scopes a policy
-        to this one batch without touching the engine's configured
-        :attr:`route` (the call-scoped form the training and labelling
-        loops use).  Forced routes always use the configured pool so forced
-        measurements isolate the kernel choice; the adaptive route
-        additionally drops to inline execution when the estimated touched
-        work is too small to amortise pool dispatch.
+        ``"indexed"`` for shard ``i``.  Forced routes always use the
+        configured pool so forced measurements isolate the kernel choice;
+        the adaptive route additionally drops to inline execution when the
+        estimated touched work is too small to amortise pool dispatch.
         """
-        route = route_override if route_override is not None else self._route
-        if route not in _ROUTES:
-            raise ConfigurationError(
-                f"route must be one of {_ROUTES}, got {route!r}"
-            )
         m = int(radii.shape[0])
-        if route != "auto":
-            routes = [route] * self.num_shards
-            return routes, self._backend != "serial"
+        if self._route != "auto":
+            return [self._route] * self.num_shards, self._backend != "serial"
         extents, grid_cells = self._shard_selectivity_model()
         routes = []
         estimated_elements = 0.0
@@ -483,7 +470,6 @@ class ShardedQueryEngine(SingleQueryMixin):
         radii: np.ndarray,
         p: float,
         kind: str,
-        route_override: str | None = None,
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """Fan one (single-norm) batch out across shards and merge exactly.
 
@@ -492,7 +478,7 @@ class ShardedQueryEngine(SingleQueryMixin):
         rows for indexed shards).
         """
         self._require_open()
-        routes, pooled = self._plan_batch(radii, route_override)
+        routes, pooled = self._plan_batch(radii)
         # The pool (and, for processes, the per-worker shard shipping) is
         # only instantiated once a batch actually dispatches to it.
         pool = self._ensure_pool() if pooled else None
@@ -533,21 +519,9 @@ class ShardedQueryEngine(SingleQueryMixin):
         return _validate_batch_queries(queries, on_empty, self.dimension)
 
     def execute_q1_batch(
-        self,
-        queries: Sequence[Query],
-        *,
-        on_empty: str = "raise",
-        route: str | None = None,
+        self, queries: Sequence[Query], *, on_empty: str = "raise"
     ) -> list[QueryAnswer | None]:
-        """Execute a Q1 batch across all shards and merge ``(count, sum)``.
-
-        ``route`` scopes a routing policy (``"scan"``, ``"indexed"`` or
-        ``"auto"``) to this batch only, leaving the engine's configured
-        policy untouched — the call-scoped form
-        :class:`~repro.core.training.StreamingTrainer` uses so concurrent
-        labelling and training runs can never leak a policy change onto a
-        shared engine.  ``None`` (default) uses the engine's policy.
-        """
+        """Execute a Q1 batch across all shards and merge ``(count, sum)``."""
         batch = self._validate_batch(queries, on_empty)
         if not batch:
             return []
@@ -559,7 +533,7 @@ class ShardedQueryEngine(SingleQueryMixin):
         selected = 0
         for order, group in _group_by_norm_order(batch):
             counts, sums, scanned_group = self._shard_statistics(
-                centers[group], radii[group], order, "q1", route
+                centers[group], radii[group], order, "q1"
             )
             selected += int(counts.sum())
             scanned += scanned_group
@@ -570,11 +544,7 @@ class ShardedQueryEngine(SingleQueryMixin):
         return answers
 
     def execute_q2_batch(
-        self,
-        queries: Sequence[Query],
-        *,
-        on_empty: str = "raise",
-        route: str | None = None,
+        self, queries: Sequence[Query], *, on_empty: str = "raise"
     ) -> list[QueryAnswer | None]:
         """Execute a Q2 batch across all shards via blocked OLS.
 
@@ -583,8 +553,7 @@ class ShardedQueryEngine(SingleQueryMixin):
         (fewer selected rows than ``d + 1``, or a near-singular merged
         Gram) are re-answered by the dense per-query OLS over the full row
         set, preserving :class:`~repro.baselines.ols.OLSRegressor`
-        minimum-norm semantics exactly.  ``route`` scopes a routing policy
-        to this batch only (see :meth:`execute_q1_batch`).
+        minimum-norm semantics exactly.
         """
         batch = self._validate_batch(queries, on_empty)
         if not batch:
@@ -599,7 +568,7 @@ class ShardedQueryEngine(SingleQueryMixin):
         for order, group in _group_by_norm_order(batch):
             group_centers = centers[group]
             counts, moments, scanned_group = self._shard_statistics(
-                group_centers, radii[group], order, "q2", route
+                group_centers, radii[group], order, "q2"
             )
             selected += int(counts.sum())
             scanned += scanned_group

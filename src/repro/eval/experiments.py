@@ -157,8 +157,6 @@ class ExperimentContext:
         *,
         gamma: float = DEFAULT_GAMMA,
         batch_size: int = 256,
-        prefetch: bool = False,
-        engine: "object | str | None" = None,
     ) -> tuple[LLMModel, "TrainingCostBreakdown"]:
         """Train a fresh model through the pipelined streaming trainer.
 
@@ -176,12 +174,8 @@ class ExperimentContext:
             config=ModelConfig(quantization_coefficient=coefficient),
             training=TrainingConfig(convergence_threshold=gamma),
         )
-        trainer = StreamingTrainer(model, self.engine)
-        breakdown = trainer.train(
-            self.training.queries,
-            batch_size=batch_size,
-            prefetch=prefetch,
-            engine=engine,
+        breakdown = StreamingTrainer(model, self.engine).train(
+            self.training.queries, batch_size=batch_size
         )
         return model, breakdown
 
@@ -191,7 +185,6 @@ class ExperimentContext:
         *,
         table: str | None = None,
         engine: "object | None" = None,
-        route: str | None = None,
     ) -> "AnalyticsService":
         """Build an :class:`~repro.dbms.serving.AnalyticsService` over this context.
 
@@ -204,7 +197,7 @@ class ExperimentContext:
         from ..dbms.serving import AnalyticsService
 
         name = table or self.dataset_name
-        service = AnalyticsService(route=route)
+        service = AnalyticsService()
         service.register_engine(name, engine if engine is not None else self.engine)
         if model is not None:
             service.register_model(name, model)

@@ -11,7 +11,6 @@ that space (Definition 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -176,9 +175,3 @@ class QueryResultPair:
             raise InvalidQueryError(
                 f"query answer must be finite, got {self.answer!r}"
             )
-
-
-def iter_query_vectors(queries: Sequence[Query]) -> Iterator[np.ndarray]:
-    """Yield the ``(d + 1)``-dimensional vectors of a sequence of queries."""
-    for query in queries:
-        yield query.to_vector()

@@ -180,10 +180,9 @@ class FaultyEngine:
     """Wrap an exact engine with fault points on its batch entry points.
 
     Fires ``"{name}.q1_batch"`` / ``"{name}.q2_batch"`` before delegating
-    (default ``name="engine"``).  Everything else (``supports_route``,
-    statistics, ...) is delegated untouched, so the wrapper drops into any
-    place an engine is accepted — the serving registry, a trainer, a
-    sharded fan-out.
+    (default ``name="engine"``).  Everything else (statistics, ...) is
+    delegated untouched, so the wrapper drops into any place an engine is
+    accepted — the serving registry, a trainer, a sharded fan-out.
     """
 
     def __init__(
@@ -197,10 +196,6 @@ class FaultyEngine:
     @property
     def inner(self) -> object:
         return self._inner
-
-    @property
-    def supports_route(self) -> bool:
-        return bool(getattr(self._inner, "supports_route", False))
 
     def _fire(self, op: str, **context: object) -> None:
         self.calls.bump(op)

@@ -401,6 +401,13 @@ class TestBatchPruningEquivalence:
         assert columns is None  # union covers most prototypes -> dense path
 
 
+def _whole_table_scan(dataset):
+    """One serial shard over the whole table: the chunked full-scan kernel."""
+    from repro.dbms.sharding import ShardedQueryEngine
+
+    return ShardedQueryEngine(dataset, num_shards=1, backend="serial", route="scan")
+
+
 class TestExecutorQ2BatchEquivalence:
     """``execute_q2_batch`` vs the full-scan ``lstsq`` oracle."""
 
@@ -440,12 +447,12 @@ class TestExecutorQ2BatchEquivalence:
                 )
         return dataset, queries
 
-    @pytest.mark.parametrize("use_index", [True, False])
-    def test_batch_matches_per_query(self, setup, use_index):
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_batch_matches_per_query(self, setup, indexed):
         from repro.dbms.executor import ExactQueryEngine
 
         dataset, queries = setup
-        engine = ExactQueryEngine(dataset, use_index=use_index)
+        engine = ExactQueryEngine(dataset) if indexed else _whole_table_scan(dataset)
         answers = engine.execute_q2_batch(queries, on_empty="null")
         oracle = ExactOracle(dataset.inputs, dataset.outputs)
         for query, answer in zip(queries, answers):
@@ -475,8 +482,8 @@ class TestExecutorQ2BatchEquivalence:
         from repro.dbms.executor import ExactQueryEngine
 
         dataset, queries = setup
-        indexed = ExactQueryEngine(dataset, use_index=True)
-        scan = ExactQueryEngine(dataset, use_index=False)
+        indexed = ExactQueryEngine(dataset)
+        scan = _whole_table_scan(dataset)
         left = indexed.execute_q2_batch(queries, on_empty="null")
         right = scan.execute_q2_batch(queries, on_empty="null")
         for a, b in zip(left, right):
@@ -536,10 +543,8 @@ class TestExecutorBatchEquivalence:
             assert answer.cardinality == oracle.count(query)
 
     def test_batch_matches_single_full_scan(self, engine):
-        from repro.dbms.executor import ExactQueryEngine
-
         dataset, _ = engine
-        scan = ExactQueryEngine(dataset, use_index=False)
+        scan = _whole_table_scan(dataset)
         queries = [
             Query(center=np.array([0.5, 0.5]), radius=0.2),
             Query(center=np.array([0.2, 0.8]), radius=0.3, norm_order=1.0),
@@ -551,21 +556,22 @@ class TestExecutorBatchEquivalence:
             assert answer.mean == pytest.approx(oracle.mean(query), rel=1e-12)
             assert answer.cardinality == oracle.count(query)
 
-    def test_full_scan_sub_chunking(self, engine, monkeypatch):
-        # Force a tiny memory budget so the batch is processed in several
-        # (chunk, n) slices; results must be unchanged.
-        import repro.dbms.executor as executor_module
-        from repro.dbms.executor import ExactQueryEngine
+    def test_full_scan_sub_chunking(self, engine):
+        # A tiny element budget processes the batch in several (chunk, n)
+        # slices of the scan kernels; the statistics must be unchanged.
+        from repro.dbms.executor import (
+            q1_sufficient_statistics_scan,
+            q2_sufficient_statistics_scan,
+        )
 
         dataset, _ = engine
-        scan = ExactQueryEngine(dataset, use_index=False)
         queries = _mixed_queries(2, count=12, seed=67)
-        expected = scan.execute_q1_batch(queries, on_empty="null")
-        monkeypatch.setattr(executor_module, "_BATCH_SCAN_ELEMENTS", 1)
-        chunked = scan.execute_q1_batch(queries, on_empty="null")
-        for left, right in zip(expected, chunked):
-            if left is None:
-                assert right is None
-                continue
-            assert right.mean == pytest.approx(left.mean, rel=1e-12)
-            assert right.cardinality == left.cardinality
+        centers = np.array([query.center for query in queries])
+        radii = np.array([query.radius for query in queries])
+        for kernel in (q1_sufficient_statistics_scan, q2_sufficient_statistics_scan):
+            counts, sums = kernel(dataset.inputs, dataset.outputs, centers, radii)
+            chunked_counts, chunked_sums = kernel(
+                dataset.inputs, dataset.outputs, centers, radii, element_budget=1
+            )
+            np.testing.assert_array_equal(chunked_counts, counts)
+            np.testing.assert_allclose(chunked_sums, sums, rtol=1e-12, atol=1e-12)

@@ -11,10 +11,10 @@ from repro.core.persistence import load_model, model_from_dict, model_to_dict, s
 from repro.core.training import StreamingTrainer
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine
+from repro.dbms.sharding import ShardedQueryEngine
 from repro.exceptions import NotFittedError, ReproError
 from repro.queries.query import Query
 from repro.queries.workload import QueryWorkloadGenerator, RadiusDistribution, WorkloadSpec
-from repro.testing.oracle import ExactOracle
 
 
 @pytest.fixture(scope="module")
@@ -49,14 +49,17 @@ class TestStreamingTrainer:
         # against the DBMS.  The module fixture's dataset is tiny (so the
         # other tests stay fast) which makes exact execution artificially
         # cheap; the claim is about realistic data sizes, so this check uses
-        # a larger dataset scanned without an index.
+        # a larger dataset scanned without an index (one whole-table shard
+        # on the scan kernel).
         rng = np.random.default_rng(3)
         inputs = rng.uniform(0, 1, size=(60_000, 2))
         outputs = np.sin(2 * np.pi * inputs[:, 0]) + inputs[:, 1]
         dataset = SyntheticDataset(
             inputs=inputs, outputs=outputs, name="wave_large", domain=(0.0, 1.0)
         )
-        scan_engine = ExactQueryEngine(dataset, use_index=False)
+        scan_engine = ShardedQueryEngine(
+            dataset, num_shards=1, backend="serial", route="scan"
+        )
         model = LLMModel(dimension=2, config=ModelConfig(quantization_coefficient=0.1))
         breakdown = StreamingTrainer(model, scan_engine).train(workload_queries[:150])
         assert breakdown.query_execution_seconds > breakdown.model_update_seconds
@@ -79,33 +82,6 @@ class TestStreamingTrainer:
         breakdown = trainer.train(outside)
         assert breakdown.pairs_skipped == 1
         assert breakdown.pairs_processed == 0
-
-    def test_label_queries_yields_exact_answers(self, engine, workload_queries):
-        model = LLMModel(dimension=2)
-        trainer = StreamingTrainer(model, engine)
-        pairs = list(trainer.label_queries(workload_queries[:10]))
-        assert len(pairs) == 10
-        oracle = ExactOracle(engine.dataset.inputs, engine.dataset.outputs)
-        for pair in pairs:
-            assert pair.answer == pytest.approx(oracle.mean(pair.query), abs=1e-12)
-
-    def test_label_queries_batches_transparently(self, engine, workload_queries):
-        model = LLMModel(dimension=2)
-        trainer = StreamingTrainer(model, engine)
-        # A batch size smaller than the stream forces several batch flushes;
-        # the yielded pairs must be identical to the unbatched protocol.
-        pairs = list(trainer.label_queries(workload_queries[:10], batch_size=3))
-        assert [pair.query for pair in pairs] == list(workload_queries[:10])
-        with pytest.raises(ValueError):
-            list(trainer.label_queries(workload_queries[:2], batch_size=0))
-
-    def test_label_queries_drops_empty_subspaces(self, engine, workload_queries):
-        model = LLMModel(dimension=2)
-        trainer = StreamingTrainer(model, engine)
-        outside = Query(center=np.array([7.0, 7.0]), radius=0.01)
-        stream = [workload_queries[0], outside, workload_queries[1]]
-        pairs = list(trainer.label_queries(stream))
-        assert [pair.query for pair in pairs] == [workload_queries[0], workload_queries[1]]
 
 
 class TestPersistence:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine, ExecutionStatistics
+from repro.dbms.sharding import ShardedQueryEngine
 from repro.dbms.storage import SQLiteDataStore
 from repro.exceptions import EmptySubspaceError, StorageError
 from repro.queries.geometry import pairwise_lp_distance
@@ -36,8 +37,10 @@ class TestSelection:
         assert inputs.shape[0] == expected == outputs.shape[0]
 
     def test_indexed_and_unindexed_agree(self, linear_dataset):
-        indexed = ExactQueryEngine(linear_dataset, use_index=True)
-        scan = ExactQueryEngine(linear_dataset, use_index=False)
+        indexed = ExactQueryEngine(linear_dataset)
+        scan = ShardedQueryEngine(
+            linear_dataset, num_shards=1, backend="serial", route="scan"
+        )
         query = Query(center=np.array([0.5, 0.5]), radius=0.15)
         a = indexed.execute_q1(query)
         b = scan.execute_q1(query)

@@ -285,9 +285,6 @@ class TestIndexedRouting:
         dataset = _dataset(1, size=50)
         with pytest.raises(ConfigurationError):
             ShardedQueryEngine(dataset, backend="serial", route="btree")
-        with ShardedQueryEngine(dataset, backend="serial") as engine:
-            with pytest.raises(ConfigurationError):
-                engine.route = "fastest"
 
     @pytest.mark.parametrize("dimension", DIMENSIONS)
     def test_indexed_route_matches_scan_route(self, dimension):
@@ -346,7 +343,10 @@ class TestIndexedRouting:
         ) as engine:
             engine.execute_q1_batch(queries, on_empty="null")
             assert all(pipeline._grid is None for pipeline in engine._pipelines)
-            engine.route = "indexed"
+        with ShardedQueryEngine(
+            dataset, num_shards=3, backend="serial", route="indexed"
+        ) as engine:
+            assert all(pipeline._grid is None for pipeline in engine._pipelines)
             engine.execute_q1_batch(queries, on_empty="null")
             assert all(pipeline._grid is not None for pipeline in engine._pipelines)
 
@@ -488,74 +488,6 @@ class TestFromStore:
 
 
 class TestStreamingTrainerIntegration:
-    def test_label_queries_through_sharded_engine(self):
-        from repro.core.model import LLMModel
-        from repro.core.training import StreamingTrainer
-
-        dataset = _dataset(2, size=800)
-        queries = _mixed_queries(dataset, count=20, seed=31)
-        reference_engine = ExactQueryEngine(dataset)
-        model = LLMModel(dimension=2)
-        with ShardedQueryEngine(dataset, num_shards=3, backend="serial") as engine:
-            trainer = StreamingTrainer(model, engine)
-            pairs = list(trainer.label_queries(queries, batch_size=6))
-        reference = StreamingTrainer(LLMModel(dimension=2), reference_engine)
-        expected = list(reference.label_queries(queries, batch_size=6))
-        assert len(pairs) == len(expected)
-        for pair, ref in zip(pairs, expected):
-            assert pair.query is ref.query
-            assert pair.answer == pytest.approx(ref.answer, abs=TOLERANCE)
-
-    def test_label_queries_engine_auto_routes_and_restores(self):
-        from repro.core.model import LLMModel
-        from repro.core.training import StreamingTrainer
-
-        dataset = _dataset(2, size=800)
-        queries = _mixed_queries(dataset, count=12, seed=51)
-        reference = StreamingTrainer(
-            LLMModel(dimension=2), ExactQueryEngine(dataset)
-        )
-        expected = list(reference.label_queries(queries, batch_size=4))
-        with ShardedQueryEngine(
-            dataset, num_shards=3, backend="serial", route="scan"
-        ) as engine:
-            trainer = StreamingTrainer(LLMModel(dimension=2), engine)
-            pairs = list(
-                trainer.label_queries(queries, batch_size=4, engine="auto")
-            )
-            # The labelling run borrowed adaptive routing; the engine's own
-            # policy is restored afterwards.
-            assert engine.route == "scan"
-        assert len(pairs) == len(expected)
-        for pair, ref in zip(pairs, expected):
-            assert pair.answer == pytest.approx(ref.answer, abs=TOLERANCE)
-
-    def test_label_queries_explicit_engine_instance(self):
-        from repro.core.model import LLMModel
-        from repro.core.training import StreamingTrainer
-
-        dataset = _dataset(2, size=500)
-        queries = _mixed_queries(dataset, count=8, seed=61)
-        trainer = StreamingTrainer(
-            LLMModel(dimension=2), ExactQueryEngine(dataset)
-        )
-        with ShardedQueryEngine(dataset, num_shards=2, backend="serial") as other:
-            pairs = list(trainer.label_queries(queries, batch_size=4, engine=other))
-            assert other.statistics.queries_executed > 0
-        assert trainer.engine.statistics.queries_executed == 0
-        assert len(pairs) == len(
-            list(trainer.label_queries(queries, batch_size=4))
-        )
-
-    def test_label_queries_rejects_unknown_engine_selector(self):
-        from repro.core.model import LLMModel
-        from repro.core.training import StreamingTrainer
-
-        dataset = _dataset(2, size=200)
-        trainer = StreamingTrainer(LLMModel(dimension=2), ExactQueryEngine(dataset))
-        with pytest.raises(ValueError):
-            list(trainer.label_queries([], engine="turbo"))
-
     def test_train_through_sharded_engine(self):
         from repro.core.model import LLMModel
         from repro.core.training import StreamingTrainer

@@ -1,7 +1,8 @@
 """Randomized differential harness pinning every execution path together.
 
-The engine matrix (single-engine batch — indexed and scan — sharded-scan,
-sharded-indexed, adaptively routed) must compute identical Q1/Q2 answers:
+The engine matrix (single-engine indexed batch, one-shard whole-table scan,
+sharded-scan, sharded-indexed, adaptively routed) must compute identical
+Q1/Q2 answers:
 same selected counts, means equal to 1e-12, coefficients of the batched
 family equal to 1e-12.  Every path is also checked against the brute-force
 oracle of :mod:`repro.testing.oracle` (full Lp scan, ``lstsq`` on
@@ -10,12 +11,15 @@ to 1e-12, coefficients to the documented 1e-9 relative contract (the
 oracle solves by SVD rather than the blocked normal equations).  This
 harness generates seeded stores and workloads across dimensions, data
 layouts (uniform, clustered, duplicate rows, degenerate manifolds, tiny
-tables), all norm-order families, empty and rank-deficient subspaces, and
-asserts the full equality chain case by case — the growing engines x
-backends x grids matrix is exactly where silent drift creeps in, and this
-is the tripwire.
+tables, near-collinear slabs), all norm-order families, empty and
+rank-deficient subspaces, and asserts the full equality chain case by case
+— the growing engines x backends x grids matrix is exactly where silent
+drift creeps in, and this is the tripwire.  The near-collinear slabs put
+the centred Gram condition numbers of their selections on both sides of
+1e3 (``1 / _GRAM_CONDITION_RTOL``) and send selections down both sides of
+the blocked solve's fallback test, so both are held to the oracle.
 
-Case matrix: 4 dimensions x 5 layouts x 5 seeds x {q1, q2} = 200 seeded
+Case matrix: 4 dimensions x 6 layouts x 5 seeds x {q1, q2} = 240 seeded
 cases in CI.  Set ``REPRO_DIFFERENTIAL_SOAK=<n>`` to append ``n`` extra
 randomly drawn configurations (soak mode)::
 
@@ -31,14 +35,14 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import SyntheticDataset
-from repro.dbms.executor import ExactQueryEngine
+from repro.dbms.executor import _GRAM_CONDITION_RTOL, ExactQueryEngine
 from repro.dbms.sharding import ShardedQueryEngine
 from repro.dbms.storage import SQLiteDataStore
 from repro.queries.query import Query
 from repro.testing.oracle import ExactOracle
 
 DIMENSIONS = (1, 2, 3, 6)
-LAYOUTS = ("uniform", "clustered", "duplicate", "degenerate", "tiny")
+LAYOUTS = ("uniform", "clustered", "duplicate", "degenerate", "tiny", "near_collinear")
 SEEDS = (0, 1, 2, 3, 4)
 
 #: Batched engines all reduce to the same merged sufficient statistics, so
@@ -46,8 +50,9 @@ SEEDS = (0, 1, 2, 3, 4)
 FAMILY_ATOL = 1e-12
 FAMILY_RTOL = 1e-12
 #: Coefficients additionally pass through the blocked Gram solve, which
-#: amplifies the summation-order noise of the moments by the subspace's
-#: condition number (capped at 1e3 by the solver's fallback threshold, so
+#: amplifies the summation-order noise of the moments by the ratio of the
+#: query-centred moment scale to the smallest centred eigenvalue (at least
+#: the condition number; capped at 1e3 by the solver's fallback test, so
 #: worst-case relative deviation is ~2e-11; the CI-tier seeded matrix in
 #: fact meets 1e-12, soak seeds occasionally exercise the cap).
 FAMILY_COEFF_RTOL = 1e-10
@@ -80,6 +85,11 @@ def _configurations() -> list[tuple[int, str, int]]:
 CONFIGURATIONS = _configurations()
 
 
+def near_collinear_ratio(seed: int) -> float:
+    """Minor-to-major spread ratio of a near-collinear slab: 0.01 to 0.1."""
+    return 0.01 * 10.0 ** ((seed % 5) / 4)
+
+
 def _make_dataset(dimension: int, layout: str, seed: int) -> SyntheticDataset:
     rng = np.random.default_rng((seed * 7919 + dimension * 31) % (2**32))
     base_size = 400 if dimension <= 3 else 220
@@ -110,6 +120,15 @@ def _make_dataset(dimension: int, layout: str, seed: int) -> SyntheticDataset:
         # Fewer rows than d + 2: every non-empty selection is under- or
         # exactly-determined, exercising the dense minimum-norm fallback.
         inputs = rng.uniform(0.0, 1.0, size=(dimension + 2, dimension))
+    elif layout == "near_collinear":
+        # A thin slab in a random orientation: unit spread along d - 1
+        # major axes, and a minor-to-major spread ratio of 0.01-0.1 (set
+        # by the seed) along the last.  Selections' centred Gram condition
+        # numbers then run from ~1e1 to ~1e4, across 1e3.
+        basis, _ = np.linalg.qr(rng.normal(size=(dimension, dimension)))
+        offsets = rng.uniform(-0.5, 0.5, size=(base_size, dimension))
+        offsets[:, -1] *= near_collinear_ratio(seed)
+        inputs = 0.5 + offsets @ basis.T
     else:  # pragma: no cover - guarded by the parametrisation
         raise AssertionError(layout)
     slope = rng.normal(0.0, 1.0, size=dimension)
@@ -284,21 +303,71 @@ def test_engine_paths_agree(dimension: int, layout: str, seed: int, kind: str):
             for route in ("scan", "indexed", "auto")
         }
 
-    indexed_engine = ExactQueryEngine(dataset, use_index=True)
-    scan_engine = ExactQueryEngine(dataset, use_index=False)
+    indexed_engine = ExactQueryEngine(dataset)
     oracle = ExactOracle(dataset.inputs, dataset.outputs)
 
     batch_reference = _batch_answers(indexed_engine, queries, kind)
-
     _assert_oracle_equal("batch-indexed", kind, batch_reference, queries, oracle)
-    _assert_family_equal(
-        "batch-scan", _batch_answers(scan_engine, queries, kind), batch_reference
-    )
+
+    # The whole-table scan kernels: one serial shard over every row.
+    with ShardedQueryEngine(
+        dataset, num_shards=1, backend="serial", route="scan"
+    ) as scan_engine:
+        scan_answers = _batch_answers(scan_engine, queries, kind)
+    _assert_family_equal("whole-table-scan", scan_answers, batch_reference)
+    _assert_oracle_equal("whole-table-scan", kind, scan_answers, queries, oracle)
     for route, engine in sharded_engines.items():
         with engine:
             answers = _batch_answers(engine, queries, kind)
         _assert_family_equal(f"sharded-{route}", answers, batch_reference)
         _assert_oracle_equal(f"sharded-{route}", kind, answers, queries, oracle)
+
+
+def _gram_spectra(dataset: SyntheticDataset, queries) -> list[tuple[float, float]]:
+    """``(condition number, scale / smallest)`` of each over-determined selection.
+
+    Both come from the oracle's selected rows: the centred Gram's
+    ``largest / smallest`` eigenvalue, and the trace of the query-centred
+    second moments over the smallest eigenvalue — the ratio the blocked
+    solve caps before falling back to the dense SVD path.
+    """
+    oracle = ExactOracle(dataset.inputs, dataset.outputs)
+    spectra = []
+    for query in queries:
+        rows = oracle.select(query)
+        if rows.size <= dataset.dimension + 1:
+            continue
+        inputs = dataset.inputs[rows]
+        centred = inputs - inputs.mean(axis=0)
+        eigenvalues = np.linalg.eigvalsh(centred.T @ centred)
+        scale = float(np.sum((inputs - query.center) ** 2))
+        spectra.append(
+            (
+                float(eigenvalues[-1] / eigenvalues[0]),
+                scale / float(eigenvalues[0]),
+            )
+        )
+    return spectra
+
+
+@pytest.mark.parametrize("dimension", [d for d in DIMENSIONS if d >= 2])
+def test_near_collinear_selections_straddle_the_condition_cap(dimension: int):
+    """The near-collinear cases test both sides of the blocked solve's floor.
+
+    The seeded workloads must hold selections whose centred Gram condition
+    number is on each side of ``1 / _GRAM_CONDITION_RTOL``, and selections
+    on each side of the solver's own fallback test, so the 1e-12 oracle
+    checks of ``test_engine_paths_agree`` cover both the blocked normal
+    equations and the dense SVD fallback on ill-conditioned data.
+    """
+    cap = 1.0 / _GRAM_CONDITION_RTOL
+    spectra = []
+    for seed in SEEDS:
+        dataset = _make_dataset(dimension, "near_collinear", seed)
+        spectra += _gram_spectra(dataset, _make_workload(dataset, seed))
+    conditions, ratios = zip(*spectra)
+    assert min(conditions) < cap < max(conditions)
+    assert min(ratios) < cap < max(ratios)
 
 
 # --------------------------------------------------------------------------- #
@@ -316,7 +385,7 @@ TRAINING_CONFIGURATIONS = [
 ]
 
 
-def _train_model(engine, queries, *, batch_size: int, engine_selector=None):
+def _train_model(engine, queries, *, batch_size: int):
     from repro.config import ModelConfig, TrainingConfig
     from repro.core.model import LLMModel
     from repro.core.training import StreamingTrainer
@@ -326,9 +395,7 @@ def _train_model(engine, queries, *, batch_size: int, engine_selector=None):
         config=ModelConfig(quantization_coefficient=0.15),
         training=TrainingConfig(convergence_threshold=1e-9),
     )
-    breakdown = StreamingTrainer(model, engine).train(
-        queries, batch_size=batch_size, engine=engine_selector
-    )
+    breakdown = StreamingTrainer(model, engine).train(queries, batch_size=batch_size)
     return model, breakdown
 
 
@@ -345,7 +412,7 @@ def test_training_loop_paths_agree(dimension: int, layout: str, seed: int):
     dataset = _make_dataset(dimension, layout, seed)
     queries = _make_workload(dataset, seed, count=40)
 
-    indexed_engine = ExactQueryEngine(dataset, use_index=True)
+    indexed_engine = ExactQueryEngine(dataset)
     sequential, seq_breakdown = _train_model(
         indexed_engine, queries, batch_size=1
     )
@@ -373,7 +440,7 @@ def test_training_loop_paths_agree(dimension: int, layout: str, seed: int):
         dataset, num_shards=3, backend="serial", route="auto"
     ) as sharded_engine:
         sharded, sharded_breakdown = _train_model(
-            sharded_engine, queries, batch_size=8, engine_selector="auto"
+            sharded_engine, queries, batch_size=8
         )
     assert sharded_breakdown.pairs_skipped == seq_breakdown.pairs_skipped
     assert sharded.prototype_count == sequential.prototype_count

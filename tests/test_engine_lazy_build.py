@@ -1,18 +1,21 @@
 """Concurrent first use of a fresh exact engine.
 
 An engine builds its fine grid, cell-clustered rows and cell aggregates on
-the first indexed query.  Threads that arrive while that one-time build is
-running must wait for it and then get the same answers as a warm engine —
-never a half-published layout.
+the first indexed query, and a pooled sharded engine builds its worker pool
+on the first pooled batch.  Threads that arrive while such a one-time build
+is running must wait for it and then get the same answers as a warm engine
+— never a half-published layout, and never a second pool.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+import repro.dbms.sharding as sharding
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine
 from repro.dbms.sharding import ShardedQueryEngine
@@ -112,3 +115,36 @@ def test_fresh_sharded_engine_first_batches_from_many_threads():
     )
     assert failures == 0
     assert mismatches == []
+
+
+def test_fresh_pooled_engine_builds_one_pool(monkeypatch):
+    # Every thread's first batch needs the pool; the engine must build it
+    # once (close() shuts down only the pool it holds, so a second one
+    # would leak its workers).
+    built: list[ThreadPoolExecutor] = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(sharding, "ThreadPoolExecutor", CountingPool)
+    dataset = _dataset()
+    queries = _queries()
+    pools_per_engine = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(TRIALS):
+            before = len(built)
+            with ShardedQueryEngine(
+                dataset, backend="threads", max_workers=2, route="scan"
+            ) as engine:
+                results = _one_trial(engine, queries)
+            pools_per_engine.append(len(built) - before)
+            assert not any(isinstance(r, Exception) for r in results.values())
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in built:
+            pool.shutdown(wait=True)
+    assert pools_per_engine == [1] * TRIALS

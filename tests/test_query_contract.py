@@ -256,7 +256,7 @@ def test_exact_single_queries_are_batches_of_one(dimension, norm_order, layout):
     queries = _exact_queries(dataset, norm_order)
     for engine in (
         ExactQueryEngine(dataset),
-        ExactQueryEngine(dataset, use_index=False),
+        ShardedQueryEngine(dataset, num_shards=1, backend="serial", route="scan"),
         ShardedQueryEngine(dataset, num_shards=3, backend="serial"),
     ):
         _assert_exact_contract(engine, dataset, queries)

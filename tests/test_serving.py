@@ -160,10 +160,6 @@ class TestRegistry:
         with pytest.raises(SQLSyntaxError):
             service.model_for("a")
 
-    def test_invalid_route_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AnalyticsService(route="bogus")
-
     def test_register_model_from_file(self, tmp_path, engine, half_model, half_oracle):
         from repro.core.persistence import save_model
 
@@ -409,12 +405,11 @@ class TestHybridMode:
 class TestShardedServing:
     def test_sharded_engine_with_auto_route_matches_single(self, engine, half_model):
         with ShardedQueryEngine(
-            engine.dataset, num_shards=4, backend="serial"
+            engine.dataset, num_shards=4, backend="serial", route="auto"
         ) as sharded:
             service = AnalyticsService(
-                engines={TABLE: sharded}, models={TABLE: half_model}, route="auto"
+                engines={TABLE: sharded}, models={TABLE: half_model}
             )
-            assert service.route == "auto"
             statements = _mixed_statements(24)
             results = service.execute_script(statements, mode="hybrid")
         reference = AnalyticsService(

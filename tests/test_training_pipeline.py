@@ -1,15 +1,14 @@
 """Equivalence and behaviour tests of the pipelined training loop.
 
-The chunked, prefetched :meth:`~repro.core.training.StreamingTrainer.train`
-must be *bit-for-bit* identical to the sequential per-query loop in its
-default ``within_chunk="strict"`` mode: same winner sequence, same
-prototype matrix, same criterion trajectory, same
+The chunked :meth:`~repro.core.training.StreamingTrainer.train` must be
+*bit-for-bit* identical to the sequential per-query loop: same winner
+sequence, same prototype matrix, same criterion trajectory, same
 ``TrainingCostBreakdown.pairs_*`` counts.  The sequential reference labels
 through ``execute_q1_batch([q])`` per query (batched Q1 statistics are
 batch-composition independent, so this is the same numerics at every chunk
-size); the suite sweeps seeds x data layouts x chunk sizes x prefetch, the
-engine selectors, the documented stale-winners deviation, and the
-skipped-query engine-time attribution bugfix.
+size); the suite sweeps seeds x data layouts x chunk sizes, the sharded
+engine, convergence mid-chunk, and the skipped-query engine-time
+attribution bugfix.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.core.training import StreamingTrainer
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine
 from repro.dbms.sharding import ShardedQueryEngine
-from repro.exceptions import ConfigurationError, EmptySubspaceError
 from repro.queries.query import Query
 from repro.queries.workload import (
     QueryWorkloadGenerator,
@@ -100,9 +98,7 @@ def _assert_same_state(a: tuple, b: tuple, context: str) -> None:
 class TestChunkedEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_chunked_and_prefetched_match_sequential_bit_for_bit(
-        self, layout: str, seed: int
-    ):
+    def test_chunked_matches_sequential(self, layout: str, seed: int):
         engine = ExactQueryEngine(_make_dataset(layout, seed))
         queries = _make_queries(seed)
 
@@ -112,14 +108,12 @@ class TestChunkedEquivalence:
         )
         reference_state = _state(reference_model)
 
-        for kwargs in (
-            dict(batch_size=16),
-            dict(batch_size=64, prefetch=True),
-            dict(batch_size=1_000),
-        ):
+        for batch_size in (16, 64, 1_000):
             model = _fresh_model()
-            breakdown = StreamingTrainer(model, engine).train(queries, **kwargs)
-            context = f"{layout}/seed{seed}/{kwargs}"
+            breakdown = StreamingTrainer(model, engine).train(
+                queries, batch_size=batch_size
+            )
+            context = f"{layout}/seed{seed}/batch_size={batch_size}"
             _assert_same_state(_state(model), reference_state, context)
             assert breakdown.pairs_processed == reference.pairs_processed, context
             assert breakdown.pairs_skipped == reference.pairs_skipped, context
@@ -151,20 +145,40 @@ class TestChunkedEquivalence:
         # The chunked loop never pulled past the in-flight chunk.
         assert breakdown.chunks_executed <= (ref.pairs_processed // 64) + 1
 
-    def test_prefetched_convergence_drains_inflight_chunk(self):
-        engine = ExactQueryEngine(_make_dataset("wave", 1))
-        queries = _make_queries(4, count=300)
+    def test_empty_query_after_mid_chunk_convergence_is_not_skipped(self):
+        # The converging chunk also holds an empty query *after* the pair
+        # that froze the model; the sequential loop never reached it, so it
+        # must not count as skipped.
+        engine = ExactQueryEngine(_make_dataset("wave", 0))
+        queries = _make_queries(3, count=300)
+        queries[20] = Query(center=np.array([30.0, 6.0]), radius=0.01)
         config = ModelConfig(quantization_coefficient=0.9)
         training = TrainingConfig(
             convergence_threshold=0.5, min_steps=5, convergence_window=5
         )
-        model = LLMModel(dimension=2, config=config, training=training)
-        breakdown = StreamingTrainer(model, engine).train(
-            queries, batch_size=32, prefetch=True
-        )
-        assert breakdown.converged
-        # The drained in-flight chunk is engine time the run actually spent.
-        assert breakdown.query_execution_seconds > 0.0
+        sequential = LLMModel(dimension=2, config=config, training=training)
+        ref = StreamingTrainer(sequential, engine).train(queries, batch_size=1)
+        assert ref.converged and ref.pairs_processed + ref.pairs_skipped < 20
+
+        chunked = LLMModel(dimension=2, config=config, training=training)
+        breakdown = StreamingTrainer(chunked, engine).train(queries, batch_size=64)
+        assert breakdown.chunks_executed == 1
+        assert breakdown.pairs_processed == ref.pairs_processed
+        assert breakdown.pairs_skipped == ref.pairs_skipped
+
+    def test_frozen_model_consumes_no_input(self):
+        engine = ExactQueryEngine(_make_dataset("uniform", 1))
+        queries = _make_queries(2, count=60)
+        model = _fresh_model()
+        model._frozen = True
+        stream = iter(queries)
+        breakdown = StreamingTrainer(model, engine).train(stream, batch_size=16)
+        assert breakdown.pairs_processed == 0
+        assert breakdown.chunks_executed == 0
+        # The shared iterator was not advanced by a single query.
+        assert next(stream) is queries[0]
+        with pytest.raises(ValueError):
+            StreamingTrainer(model, engine).train(stream, batch_size=0)
 
 
 class TestEngineSelectors:
@@ -176,15 +190,10 @@ class TestEngineSelectors:
         StreamingTrainer(reference_model, single).train(queries, batch_size=40)
 
         with ShardedQueryEngine(
-            dataset, num_shards=3, backend="serial", route="scan"
+            dataset, num_shards=3, backend="serial", route="auto"
         ) as sharded:
-            previous_route = sharded.route
             model = _fresh_model()
-            StreamingTrainer(model, sharded).train(
-                queries, batch_size=40, engine="auto"
-            )
-            # The route override is call-scoped: the policy never changes.
-            assert sharded.route == previous_route
+            StreamingTrainer(model, sharded).train(queries, batch_size=40)
         # Sharded merge order differs from the single engine's summation, so
         # the equality is the differential harness's 1e-12 envelope, not
         # bitwise.
@@ -195,41 +204,6 @@ class TestEngineSelectors:
             rtol=1e-9,
             atol=1e-12,
         )
-
-    def test_frozen_model_consumes_no_input_with_or_without_prefetch(self):
-        engine = ExactQueryEngine(_make_dataset("uniform", 1))
-        queries = _make_queries(2, count=60)
-        for prefetch in (False, True):
-            model = _fresh_model()
-            model._frozen = True
-            stream = iter(queries)
-            breakdown = StreamingTrainer(model, engine).train(
-                stream, batch_size=16, prefetch=prefetch
-            )
-            assert breakdown.pairs_processed == 0
-            assert breakdown.chunks_executed == 0
-            # The shared iterator was not advanced by a single query.
-            assert next(stream) is queries[0]
-
-    def test_within_chunk_is_validated_before_any_engine_work(self):
-        engine = ExactQueryEngine(_make_dataset("uniform", 1))
-        trainer = StreamingTrainer(_fresh_model(), engine)
-        stream = iter(_make_queries(2, count=20))
-        with pytest.raises(ConfigurationError):
-            trainer.train(stream, within_chunk="stale")
-        assert next(stream, None) is not None  # nothing was pulled
-
-    def test_explicit_engine_instance_and_bad_selector(self):
-        dataset = _make_dataset("uniform", 0)
-        queries = _make_queries(6, count=40)
-        trainer = StreamingTrainer(_fresh_model(), ExactQueryEngine(dataset))
-        other = ExactQueryEngine(_make_dataset("wave", 0))
-        breakdown = trainer.train(queries, engine=other)
-        assert breakdown.pairs_processed > 0
-        with pytest.raises(ValueError):
-            trainer.train(queries, engine="warp-speed")
-        with pytest.raises(ValueError):
-            trainer.train(queries, batch_size=0)
 
 
 class TestCostAccounting:
@@ -246,59 +220,6 @@ class TestCostAccounting:
         assert breakdown.pairs_processed == 0
         assert breakdown.query_execution_seconds > 0.0
         assert breakdown.chunks_executed == 1
-
-    def test_raise_mode_surfaces_empty_subspace_after_preceding_pairs(self):
-        engine = ExactQueryEngine(_make_dataset("uniform", 2))
-        queries = _make_queries(7, count=40)
-        model = _fresh_model()
-        trainer = StreamingTrainer(model, engine, skip_empty_subspaces=False)
-        with pytest.raises(EmptySubspaceError):
-            trainer.train(queries, batch_size=16)
-        # The pairs before the first empty query were consumed (the
-        # sequential loop's model state at the raise point).
-        assert model.steps == 5
-
-
-class TestStaleWinnersMode:
-    def test_stale_mode_trains_a_usable_model_and_is_documentedly_different(self):
-        engine = ExactQueryEngine(_make_dataset("wave", 3))
-        queries = _make_queries(8)
-        strict = _fresh_model()
-        StreamingTrainer(strict, engine).train(queries, batch_size=64)
-        stale = _fresh_model()
-        breakdown = StreamingTrainer(stale, engine).train(
-            queries, batch_size=64, within_chunk="stale-winners"
-        )
-        assert breakdown.pairs_processed > 0
-        assert stale.is_fitted
-        # Same quantization regime even though sequencing is relaxed.
-        assert (
-            abs(stale.prototype_count - strict.prototype_count)
-            <= max(3, strict.prototype_count // 2)
-        )
-        probe = Query(center=np.array([0.5, 0.5]), radius=0.15)
-        assert np.isfinite(stale.predict_mean(probe))
-
-    def test_stale_mode_with_batch_size_one_matches_strict(self):
-        # Chunks of one pair have no staleness: both modes reduce to the
-        # same per-pair sequence.
-        engine = ExactQueryEngine(_make_dataset("uniform", 3))
-        queries = _make_queries(9, count=60)
-        strict = _fresh_model()
-        StreamingTrainer(strict, engine).train(queries, batch_size=1)
-        stale = _fresh_model()
-        StreamingTrainer(stale, engine).train(
-            queries, batch_size=1, within_chunk="stale-winners"
-        )
-        _assert_same_state(_state(stale), _state(strict), "bs1 stale==strict")
-
-    def test_unknown_mode_rejected(self):
-        engine = ExactQueryEngine(_make_dataset("uniform", 0))
-        model = _fresh_model()
-        with pytest.raises(ConfigurationError):
-            model.partial_fit_batch(
-                _make_queries(0, count=4), [0.0] * 4, within_chunk="psychic"
-            )
 
 
 class TestPartialFitBatch:
