@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dbms.sharding import ShardedQueryEngine
+from repro.dbms.executor import ExactQueryEngine
 from repro.eval.experiments import build_context
 
 
@@ -61,9 +61,7 @@ def test_exact_q1_latency_indexed(setup, benchmark):
 
 def test_exact_q1_latency_full_scan(setup, benchmark):
     context, _, query = setup
-    scan_engine = ShardedQueryEngine(
-        context.dataset, num_shards=1, backend="serial", route="scan"
-    )
+    scan_engine = ExactQueryEngine(context.dataset, route="scan")
     answer = benchmark(scan_engine.execute_q1, query)
     assert answer.cardinality > 0
 

@@ -1,11 +1,12 @@
-"""Sharded batch execution vs the single-engine batch paths.
+"""Sharded vs one-shard batch execution of the exact engine.
 
-The sharded engine answers exact Q1/Q2 batches by fanning per-shard
-sufficient-statistics kernels out over a worker pool and merging exactly
-(blocked OLS for Q2).  Since PR 3 each shard owns two kernels — the
-cache-blocked full scan and a per-shard grid-indexed segmented pipeline —
-plus an adaptive router (``route="auto"``) choosing between them from a
-selectivity estimate.  This benchmark measures, on an N >= 200k workload:
+An :class:`~repro.dbms.executor.ExactQueryEngine` with a pool backend
+answers exact Q1/Q2 batches by fanning per-shard sufficient-statistics
+kernels out over a worker pool and merging exactly (blocked OLS for Q2).
+Each shard owns two kernels — the cache-blocked full scan and a per-shard
+grid-indexed segmented pipeline — and an adaptive router
+(``route="auto"``) can choose between them from a selectivity estimate.
+This benchmark measures, on an N >= 200k workload:
 
 * the classic backend/worker axis (thread and process pools, 1 and 2+
   workers) on the unselective scan-regime workload of the Figure-12
@@ -45,7 +46,6 @@ from repro.bench.cli import pytest_entry, script_main
 
 from repro.data.synthetic import make_rosenbrock_dataset, normalize_dataset
 from repro.dbms.executor import ExactQueryEngine
-from repro.dbms.sharding import ShardedQueryEngine
 from repro.eval.timing import measure_amortized_latency
 from repro.queries.workload import (
     QueryWorkloadGenerator,
@@ -132,9 +132,7 @@ def run_shard_scaling(
     # ------------------------------------------------------------------ #
     scan_radius = RadiusDistribution(*SELECTIVITY_REGIMES["scan"])
     scan_queries = _workload(dimension, scan_radius, batch_size, seed)
-    single_scan = ShardedQueryEngine(
-        dataset, num_shards=1, backend="serial", route="scan"
-    )
+    single_scan = ExactQueryEngine(dataset, route="scan")
     single_scan_stats = _measure_engine(
         single_scan, scan_queries, batch_size, repetitions
     )
@@ -144,7 +142,7 @@ def run_shard_scaling(
     runs: list[dict] = []
     for backend in backends:
         for workers in worker_counts:
-            with ShardedQueryEngine(
+            with ExactQueryEngine(
                 dataset, backend=backend, max_workers=workers, route="scan"
             ) as engine:
                 stats = _measure_engine(
@@ -201,7 +199,7 @@ def run_shard_scaling(
             "routes": {},
         }
         for route in ("scan", "indexed", "auto"):
-            with ShardedQueryEngine(
+            with ExactQueryEngine(
                 dataset, backend="threads", route=route
             ) as engine:
                 stats = _measure_engine(engine, queries, batch_size, repetitions)

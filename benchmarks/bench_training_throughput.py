@@ -12,8 +12,8 @@ scalability setup (R2, d = 2, N = 40,000):
   engine traffic, but ``partial_fit`` running through
   :class:`~repro.core.sgd.FusedTrainingKernel` (incremental ``Gamma``);
 * the **pipelined trainer** — ``StreamingTrainer.train`` pulling chunks
-  through ``execute_q1_batch``, on the single segmented engine and on
-  sharded engines at 1 and 2 workers (their default ``route="auto"``).
+  through ``execute_q1_batch``, on the default one-shard engine and on
+  thread-pooled engines at 1 and 2 workers (``route="auto"``).
 
 The headline requirement asserted here: the bitwise-equivalent pipelined
 trainer reaches **>= 5x** the seed per-query loop's training
@@ -42,7 +42,6 @@ from repro.core.sgd import apply_winner_update
 from repro.core.training import StreamingTrainer
 from repro.data.synthetic import make_rosenbrock_dataset, normalize_dataset
 from repro.dbms.executor import ExactQueryEngine
-from repro.dbms.sharding import ShardedQueryEngine
 from repro.exceptions import EmptySubspaceError
 from repro.queries.workload import (
     QueryWorkloadGenerator,
@@ -233,8 +232,8 @@ def run_training_throughput(
     # --- sharded engines (1 vs multi-core), adaptive routing ------------ #
     sharded_stats: dict[str, dict] = {}
     for workers in worker_counts:
-        with ShardedQueryEngine(
-            dataset, backend="threads", max_workers=workers
+        with ExactQueryEngine(
+            dataset, backend="threads", max_workers=workers, route="auto"
         ) as sharded:
             sharded_stats[f"workers={workers}"] = _pipelined(
                 _fresh_model(dimension), sharded, queries, batch_size=batch_size

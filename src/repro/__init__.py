@@ -66,11 +66,12 @@ query runs through them: the single-query methods (``predict_mean``,
   rather than its volume.  Rank-deficient or near-singular subspaces fall
   back per query to the dense SVD least-squares solver, so answers keep
   its minimum-norm semantics.
-* **Sharded parallel execution** — a
-  :class:`~repro.dbms.sharding.ShardedQueryEngine` partitions the rows
-  into contiguous shards and fans the per-shard kernels out over a thread
-  pool (GIL-releasing NumPy kernels) or a process pool before merging the
-  per-shard statistics exactly.  Per-shard moments add, so blocked OLS
+* **Sharded parallel execution** — an
+  :class:`~repro.dbms.executor.ExactQueryEngine` built with
+  ``num_shards``/``backend`` partitions the rows into contiguous shards
+  and fans the per-shard kernels out over a thread pool (GIL-releasing
+  NumPy kernels) or a process pool before merging the per-shard
+  statistics exactly.  Per-shard moments add, so blocked OLS
   over shards equals single-shot OLS; ``benchmarks/bench_shard_scaling.py``
   records the scaling trajectory in ``BENCH_shard.json``.  Which pool wins
   depends on the host.  On a 1-CPU container threads won: a process pool
@@ -151,7 +152,6 @@ from .dbms import (
     RecordingObserver,
     ScriptFuture,
     ServingStatistics,
-    ShardedQueryEngine,
     SQLiteDataStore,
     parse_script,
     parse_statement,
@@ -238,7 +238,6 @@ __all__ = [
     "GridIndex",
     "PrototypeIndex",
     "ExactQueryEngine",
-    "ShardedQueryEngine",
     "AnalyticsSession",
     "AnalyticsService",
     "ServingStatistics",

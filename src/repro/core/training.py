@@ -12,14 +12,14 @@ The paper measures ~99.6% of training wall-clock going to executing the
 training queries against the DBMS, which makes the training loop the
 system's dominant cost.  :meth:`StreamingTrainer.train` therefore pulls the
 query stream in chunks and labels each chunk with one call to the engine's
-batched exact path (``execute_q1_batch`` — the segmented indexed pipeline on
-a single engine, the fan-out/merge path on a sharded engine); the model then
-absorbs the chunk's pairs one at a time, in stream order, through the fused
-update kernel (:class:`~repro.core.sgd.FusedTrainingKernel`).  There is one
-loop and no mode: the produced model is *bit-for-bit* identical to the
-sequential per-query loop over the same labelled answers (same winner
-sequence, prototypes and criterion trajectory — the training equivalence
-suite pins this), whatever the chunk size.
+batched exact path (``execute_q1_batch``, fanned out over the engine's
+shards when it has several); the model then absorbs the chunk's pairs one
+at a time, in stream order, through the fused update kernel
+(:class:`~repro.core.sgd.FusedTrainingKernel`).  There is one loop and no
+mode: the produced model is *bit-for-bit* identical to the sequential
+per-query loop over the same labelled answers (same winner sequence,
+prototypes and criterion trajectory — the training equivalence suite pins
+this), whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -30,17 +30,11 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..dbms.executor import ExactQueryEngine
-from ..dbms.sharding import ShardedQueryEngine
 from ..exceptions import TransientEngineError
 from ..queries.query import Query, QueryAnswer
 from .model import LLMModel
 
-__all__ = ["StreamingTrainer", "TrainingCostBreakdown", "ExactEngine"]
-
-#: Engines a trainer can label its training stream with: the single-node exact
-#: executor or the sharded parallel engine (both expose ``execute_q1`` /
-#: ``execute_q1_batch`` with identical semantics).
-ExactEngine = ExactQueryEngine | ShardedQueryEngine
+__all__ = ["StreamingTrainer", "TrainingCostBreakdown"]
 
 #: Default training chunk size: amortises the engine's per-batch overheads
 #: without growing the documented read-ahead beyond a few hundred queries.
@@ -94,11 +88,10 @@ class StreamingTrainer:
     model:
         The model being trained.
     engine:
-        The exact engine answering the training queries — either a
-        single-node :class:`~repro.dbms.executor.ExactQueryEngine` or a
-        :class:`~repro.dbms.sharding.ShardedQueryEngine`; :meth:`train`
-        goes through the engine's batched exact path, so a sharded engine
-        fans every chunk out across its shard workers.
+        The :class:`~repro.dbms.executor.ExactQueryEngine` answering the
+        training queries; :meth:`train` goes through its batched exact
+        path, so an engine with a pool backend fans every chunk out across
+        its shard workers.
     max_engine_retries:
         Retries of a chunk whose engine call raised a
         :class:`~repro.exceptions.TransientEngineError` (flaky storage, a
@@ -114,7 +107,7 @@ class StreamingTrainer:
     def __init__(
         self,
         model: LLMModel,
-        engine: ExactEngine,
+        engine: ExactQueryEngine,
         *,
         max_engine_retries: int = 0,
         retry_backoff_seconds: float = 0.05,

@@ -14,12 +14,10 @@ during the training phase.  This subpackage provides that substrate:
   model's predictor to prune the overlap-set computation,
 * :class:`~repro.dbms.executor.ExactQueryEngine` — the exact executor of
   Q1 (mean value) and Q2 (in-subspace OLS regression), with batched paths
-  built on mergeable sufficient statistics,
-* :class:`~repro.dbms.sharding.ShardedQueryEngine` — parallel batched
-  execution over contiguous row shards whose per-shard statistics merge
-  exactly (blocked OLS for Q2); each shard owns a lazily-built grid-indexed
-  segmented pipeline next to its scan kernel, with an adaptive router
-  picking between them per shard from a selectivity estimate,
+  built on mergeable sufficient statistics over contiguous row shards (one
+  by default, run inline, or several on a thread or process pool); each
+  shard owns a lazily-built grid-indexed segmented pipeline next to its
+  scan kernel, forced per engine or picked per shard by an adaptive router,
 * :class:`~repro.dbms.sqlfront.AnalyticsSession` — a small declarative SQL
   front end implementing the Q1/Q2 syntax sketched in the paper's appendix
   (with ``NORM p`` geometry clauses and multi-statement scripts),
@@ -61,8 +59,12 @@ from .spatial_index import (
     estimate_boundary_fraction,
     estimate_candidate_fraction,
 )
-from .executor import ExactQueryEngine, ExecutionStatistics, SegmentedBatchPipeline
-from .sharding import ShardedQueryEngine, shard_bounds
+from .executor import (
+    ExactQueryEngine,
+    ExecutionStatistics,
+    SegmentedBatchPipeline,
+    shard_bounds,
+)
 from .sqlfront import AnalyticsSession, ParsedStatement, parse_script, parse_statement
 from .serving import (
     AnalyticsService,
@@ -113,7 +115,6 @@ __all__ = [
     "ExactQueryEngine",
     "ExecutionStatistics",
     "SegmentedBatchPipeline",
-    "ShardedQueryEngine",
     "shard_bounds",
     "AnalyticsSession",
     "AnalyticsService",

@@ -3,27 +3,77 @@
 :class:`ExactQueryEngine` is the "ground truth" side of the system context
 (Figure 2): it evaluates the dNN selection over the stored data and then
 computes the exact mean value (Q1) or fits the exact multivariate OLS
-regression over the selected subspace (Q2 / REG).  It also records
-execution statistics (rows scanned, rows selected, wall-clock time) which
-the scalability experiment (Figure 12) reports.
+regression over the selected subspace (Q2 / REG).  It also counts the
+queries it executed and the rows it scanned and selected, which the
+scalability experiment (Figure 12) reports.
 
 Batched execution is organised around *sufficient statistics*: a Q1 answer
 needs ``(count, sum)`` of the selected outputs and a Q2 answer needs the
 selected Gram moments (``sum x``, ``sum y``, ``sum y^2``, ``sum x y``,
 ``sum x x^T``), from which the OLS plane is recovered by the blocked solve
 in :func:`solve_q2_sufficient_statistics`.  Moments computed over disjoint
-row partitions merge by plain addition, which is what makes the sharded
-engine (:mod:`repro.dbms.sharding`) exactly equivalent to the single-shot
-paths.
+row partitions merge by plain addition, which is what makes every shard
+layout of the engine exactly equivalent to a single shard.
+
+Shards
+------
+The engine splits its rows into ``num_shards`` contiguous row shards (one
+by default), answers a batch shard by shard and merges the per-shard
+statistics.  Each shard owns two interchangeable kernels producing
+identical statistics:
+
+* an **indexed** segmented pipeline over the shard's own cell-clustered
+  fine grid (:class:`SegmentedBatchPipeline`, its grid built on the shard's
+  first indexed batch): candidate ranges from one vectorised grid pass,
+  materialized per-cell aggregates for cells certified inside the ball,
+  row-level exact tests only on boundary cells, and
+* a chunked full **scan** of the shard's rows
+  (:func:`q1_sufficient_statistics_scan` /
+  :func:`q2_sufficient_statistics_scan`).
+
+Rank-deficient or ill-conditioned subspaces fall back to the dense
+per-query OLS over the query's selected rows, keeping the exact
+minimum-norm semantics.
+
+Routing
+-------
+``route="indexed"`` (default) and ``route="scan"`` force one kernel on
+every shard.  ``route="auto"`` picks the kernel per shard and the execution
+mode per batch from a selectivity estimate
+(:func:`~repro.dbms.spatial_index.estimate_boundary_fraction`: query radii
+against the shard's extent and batch-grid cell volume).  Batches whose
+estimated *boundary* fraction — the rows in cells straddling the ball
+surface, the only rows the pipeline tests individually — stays below
+``_INDEXED_ROUTE_MAX_BOUNDARY`` go to the indexed pipeline; batches whose
+boundary shell approaches the shard size keep the cache-blocked scan,
+whose sequential row traffic beats gather-heavy candidate tests at that
+point.  Small batches (estimated touched elements below
+``_SERIAL_BATCH_ELEMENTS``) run the shards inline even on a pool backend —
+pool dispatch latency dominates sub-millisecond kernels.  Forced routes
+always use the configured backend, which is what
+``benchmarks/bench_shard_scaling.py`` uses to measure the crossover.
+
+Backends
+--------
+``"serial"`` (default) runs the shards inline.  ``"threads"`` runs them on
+a thread pool: the NumPy distance/mask/GEMM kernels release the GIL, so
+shards execute in parallel on multi-core hosts, and the shard slices (and
+their lazily-built indexes) are shared with the pool for free.
+``"processes"`` runs them on a process pool (shard arrays are shipped once
+per worker at pool start-up, and each worker builds the shard grids it
+needs on first indexed use); it sidesteps the GIL entirely but pays
+serialisation of the per-batch query arrays and of the returned
+statistics.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import time
+import os
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -41,6 +91,7 @@ from ..queries.query import Query, QueryAnswer
 from .spatial_index import (
     GridIndex,
     batch_grid_cells_per_dimension,
+    estimate_boundary_fraction,
     expand_ranges,
 )
 from .storage import SQLiteDataStore
@@ -48,24 +99,24 @@ from .storage import SQLiteDataStore
 __all__ = [
     "ExactQueryEngine",
     "ExecutionStatistics",
-    "SingleQueryMixin",
     "Q2BatchSolution",
     "SegmentedBatchPipeline",
     "moment_column_count",
     "moment_products",
     "q1_sufficient_statistics_scan",
     "q2_sufficient_statistics_scan",
+    "shard_bounds",
     "solve_q2_sufficient_statistics",
 ]
 
 #: Cap on the number of float64 elements of one ``(chunk, n)`` distance
 #: matrix in the scan kernels (:func:`q1_sufficient_statistics_scan`,
-#: :func:`q2_sufficient_statistics_scan`), which the sharded engine runs on
-#: every shard its router sends to the scan.  This is a cache-blocking
-#: parameter as much as a memory cap: 256k elements keeps the per-chunk
-#: distance matrix at ~2 MiB (and the broadcasted difference tensor behind
-#: it at a few MiB), which measures ~2x faster on large scans than the
-#: previous 64 MiB working sets that streamed through DRAM.
+#: :func:`q2_sufficient_statistics_scan`), which the engine runs on every
+#: shard routed to the scan.  This is a cache-blocking parameter as much as
+#: a memory cap: 256k elements keeps the per-chunk distance matrix at
+#: ~2 MiB (and the broadcasted difference tensor behind it at a few MiB),
+#: which measures ~2x faster on large scans than the previous 64 MiB
+#: working sets that streamed through DRAM.
 _BATCH_SCAN_ELEMENTS = 262_144
 
 #: Floor of a query's centred Gram spectrum, relative to the uncentred
@@ -85,105 +136,63 @@ _BATCH_SCAN_ELEMENTS = 262_144
 #: inputs, or inputs on a lower-dimensional manifold), where every
 #: eigenvalue is cancellation noise of order ``eps * scale``.  Such queries
 #: are answered by the dense SVD least-squares solver of
-#: :func:`q2_answer_from_rows`; ball-shaped dNN selections sit far below
-#: the cap, so the fallback is rare in practice.  Both failure modes were
-#: found by the randomized differential harness
+#: :class:`~repro.baselines.ols.OLSRegressor`; ball-shaped dNN selections
+#: sit far below the cap, so the fallback is rare in practice.  Both
+#: failure modes were found by the randomized differential harness
 #: (``tests/test_engine_differential.py``: the degenerate and
 #: near-collinear layouts).
 _GRAM_CONDITION_RTOL = 1e-3
 
+#: Shards per worker used when a pool backend is given no ``num_shards``.
+#: More shards than workers keeps the pool busy when shard runtimes are
+#: uneven and shrinks each shard's working set (cache blocking).
+_SHARDS_PER_WORKER = 4
+
+#: Mean estimated boundary fraction at or below which ``route="auto"``
+#: sends a shard's batch through the indexed segmented pipeline instead of
+#: the scan kernel.  The indexed path's per-row cost tracks only the
+#: *boundary shell* of each ball — cells certified fully inside contribute
+#: O(1) precomputed aggregates however many rows they hold — so on a fine
+#: grid it beats the scan even for wide balls (BENCH_shard.json measures
+#: 4-5x at radius 0.4 on d=2, N=200k, where ~90% of rows are candidates
+#: but only ~5% sit in boundary cells).  The scan only wins once the
+#: boundary work approaches the shard size times the ~3x throughput edge
+#: sequential row traffic holds over gather-heavy candidate tests — i.e.
+#: coarse grids relative to the radius (high dimensions, small shards).
+_INDEXED_ROUTE_MAX_BOUNDARY = 0.3
+
+#: Estimated touched elements (selected-candidate rows for indexed routes,
+#: ``m x shard rows`` for scans) below which ``route="auto"`` runs the
+#: shard kernels inline instead of dispatching to the pool: pool dispatch
+#: and result marshalling cost ~100 us per shard, which dominates kernels
+#: that touch fewer than ~a million elements.
+_SERIAL_BATCH_ELEMENTS = 1_000_000
+
+_ROUTES = ("indexed", "scan", "auto")
+_BACKENDS = ("serial", "threads", "processes")
+
 
 @dataclass
 class ExecutionStatistics:
-    """Cumulative execution statistics of an exact engine.
+    """Cumulative counters of an exact engine.
 
-    Only O(1) running aggregates are kept (count, sums, min/max of the
-    per-query latency); recording a query stream of any length costs
-    constant memory.
+    Three running totals — queries executed, rows scanned, rows selected —
+    so recording a query stream of any length costs constant memory.
     """
 
     queries_executed: int = 0
     rows_scanned: int = 0
     rows_selected: int = 0
-    total_seconds: float = 0.0
-    min_query_seconds: float = math.inf
-    max_query_seconds: float = 0.0
 
-    def record_batch(
-        self, count: int, scanned: int, selected: int, seconds: float
-    ) -> None:
-        """Add one batched execution's counters.
-
-        The per-query latency of a batch is the amortised share of the batch
-        wall-clock time, so :attr:`mean_seconds` stays comparable across
-        batch sizes (a single-query call records a batch of one).
-        """
-        if count <= 0:
-            return
-        amortised = seconds / count
+    def record_batch(self, count: int, scanned: int, selected: int) -> None:
+        """Add one batch's counters (a single-query call is a batch of one)."""
         self.queries_executed += count
         self.rows_scanned += scanned
         self.rows_selected += selected
-        self.total_seconds += seconds
-        self.min_query_seconds = min(self.min_query_seconds, amortised)
-        self.max_query_seconds = max(self.max_query_seconds, amortised)
-
-    @property
-    def mean_seconds(self) -> float:
-        """Average per-query execution time in seconds (0 when unused)."""
-        if self.queries_executed == 0:
-            return 0.0
-        return self.total_seconds / self.queries_executed
-
-    @property
-    def min_seconds(self) -> float:
-        """Smallest (amortised) per-query latency seen (0 when unused)."""
-        if self.queries_executed == 0:
-            return 0.0
-        return self.min_query_seconds
-
-    @property
-    def max_seconds(self) -> float:
-        """Largest (amortised) per-query latency seen (0 when unused)."""
-        return self.max_query_seconds
-
-    def merge(self, other: "ExecutionStatistics") -> None:
-        """Fold another statistics object into this one.
-
-        Counters add, latency extrema combine — the aggregation a serving
-        layer uses to mirror per-table engine statistics into one
-        service-wide view without touching the engines' own records.
-        """
-        self.queries_executed += other.queries_executed
-        self.rows_scanned += other.rows_scanned
-        self.rows_selected += other.rows_selected
-        self.total_seconds += other.total_seconds
-        self.min_query_seconds = min(self.min_query_seconds, other.min_query_seconds)
-        self.max_query_seconds = max(self.max_query_seconds, other.max_query_seconds)
-
-    def snapshot(self) -> "ExecutionStatistics":
-        """Return an independent copy of the current counters."""
-        return ExecutionStatistics(
-            queries_executed=self.queries_executed,
-            rows_scanned=self.rows_scanned,
-            rows_selected=self.rows_selected,
-            total_seconds=self.total_seconds,
-            min_query_seconds=self.min_query_seconds,
-            max_query_seconds=self.max_query_seconds,
-        )
-
-    def reset(self) -> None:
-        """Clear all counters."""
-        self.queries_executed = 0
-        self.rows_scanned = 0
-        self.rows_selected = 0
-        self.total_seconds = 0.0
-        self.min_query_seconds = math.inf
-        self.max_query_seconds = 0.0
 
 
 # --------------------------------------------------------------------------- #
-# sufficient-statistics kernels (shared with the sharded engine)
+# sufficient-statistics kernels
 # --------------------------------------------------------------------------- #
 def moment_column_count(dimension: int) -> int:
     """Number of Q2 moment columns for ``d`` input attributes.
@@ -462,104 +471,6 @@ def _group_by_norm_order(queries: Sequence[Query]) -> list[tuple[float, np.ndarr
     array = np.array(orders, dtype=float)
     return [(order, np.flatnonzero(array == order)) for order in distinct]
 
-
-def _validate_batch_queries(
-    queries: Sequence[Query], on_empty: str, dimension: int
-) -> list[Query]:
-    """Shared batch validation of the exact engines (single and sharded)."""
-    if on_empty not in ("raise", "null"):
-        raise ConfigurationError(
-            f"on_empty must be 'raise' or 'null', got {on_empty!r}"
-        )
-    batch = list(queries)
-    for query in batch:
-        if query.dimension != dimension:
-            raise StorageError(
-                f"query has dimension {query.dimension} but the dataset has "
-                f"{dimension}"
-            )
-    return batch
-
-
-def _raise_on_empty_answers(
-    batch: list[Query],
-    answers: list[QueryAnswer | None],
-    on_empty: str,
-    label: str,
-) -> None:
-    """Shared ``on_empty="raise"`` contract of the exact engines."""
-    if on_empty != "raise":
-        return
-    for position, answer in enumerate(answers):
-        if answer is None:
-            raise EmptySubspaceError(
-                f"query {batch[position]!r} selected no rows; its {label} "
-                "answer is undefined"
-            )
-
-
-def q2_answer_from_rows(inputs: np.ndarray, outputs: np.ndarray) -> QueryAnswer:
-    """Exact Q2 answer over materialised rows (the dense SVD path).
-
-    This is the per-query solver every batched path falls back to for
-    rank-deficient or ill-conditioned subspaces, shared so the single and
-    sharded engines cannot drift apart in fallback semantics.
-    """
-    regressor = OLSRegressor().fit(inputs, outputs)
-    return QueryAnswer(
-        mean=float(np.mean(outputs)),
-        cardinality=int(outputs.size),
-        coefficients=regressor.coefficients,
-        r_squared=regressor.r_squared(inputs, outputs),
-    )
-
-
-def _fill_q1_answers(
-    answers: list[QueryAnswer | None],
-    group: np.ndarray,
-    counts: np.ndarray,
-    sums: np.ndarray,
-) -> None:
-    """Turn merged Q1 statistics of one norm group into ``QueryAnswer``s.
-
-    Shared by the single and sharded engines so the empty-query skip and
-    the mean/cardinality construction cannot drift apart.
-    """
-    for local, position in enumerate(group):
-        if counts[local]:
-            answers[int(position)] = QueryAnswer(
-                mean=float(sums[local] / counts[local]),
-                cardinality=int(counts[local]),
-            )
-
-
-def _fill_q2_answers(
-    answers: list[QueryAnswer | None],
-    group: np.ndarray,
-    counts: np.ndarray,
-    solution: "Q2BatchSolution",
-    fallback_positions: list[int],
-) -> None:
-    """Turn one norm group's blocked-OLS solution into ``QueryAnswer``s.
-
-    Empty queries stay ``None``; flagged queries are collected into
-    ``fallback_positions`` for the caller's dense re-solve.  Shared by the
-    single and sharded engines.
-    """
-    for local, position in enumerate(group):
-        if counts[local] == 0:
-            continue
-        if solution.needs_fallback[local]:
-            fallback_positions.append(int(position))
-            continue
-        answers[int(position)] = QueryAnswer(
-            mean=float(solution.means[local]),
-            cardinality=int(counts[local]),
-            coefficients=solution.coefficients[local],
-            r_squared=float(solution.r_squared[local]),
-        )
-
-
 def _lp_rows(diff: np.ndarray, p: float) -> np.ndarray:
     """Row-wise Lp norms with the same elementwise formulation as
     :func:`~repro.queries.geometry.pairwise_lp_distance` (bit-identical
@@ -583,10 +494,9 @@ class SegmentedBatchPipeline:
     for Q2), and only boundary cells pay row-level exact Lp tests.  This
     class owns everything that pipeline needs about one contiguous row set —
     the fine batch grid, the cell-clustered row copies, and the per-cell
-    aggregate tables — so the same machinery serves both the single engine
-    (over the whole table) and every shard of the sharded engine (over the
-    shard's row range).  Statistics of disjoint row sets merge by plain
-    addition, exactly like the scan kernels'.
+    aggregate tables — one pipeline per shard of :class:`ExactQueryEngine`
+    (the whole table when there is one shard).  Statistics of disjoint row
+    sets merge by plain addition, exactly like the scan kernels'.
 
     The grid, the clustered rows and each aggregate table are built once,
     on first use, under one build lock; queries read them without locking.
@@ -604,6 +514,11 @@ class SegmentedBatchPipeline:
         self._grid: GridIndex | None = None
         self._clustered: tuple[np.ndarray, np.ndarray] | None = None
         self._cell_aggregate_cache: dict[str, np.ndarray] = {}
+
+    @property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(inputs, outputs)`` of the row set."""
+        return self._inputs, self._outputs
 
     @property
     def size(self) -> int:
@@ -789,62 +704,153 @@ class SegmentedBatchPipeline:
         return counts, sums, scanned
 
 
-class SingleQueryMixin:
-    """Single-query conveniences of the exact engines: batches of one.
 
-    The engine class supplies ``execute_q1_batch`` / ``execute_q2_batch``.
-    Each call here runs through them, so it returns bit for bit the batch
-    answer, raises :class:`~repro.exceptions.EmptySubspaceError` on an
-    empty subspace, and is counted in the engine statistics as a batch of
-    one.
+# --------------------------------------------------------------------------- #
+# shards
+# --------------------------------------------------------------------------- #
+def shard_bounds(row_count: int, num_shards: int) -> np.ndarray:
+    """Row boundaries of ``num_shards`` near-equal contiguous shards.
+
+    Returns ``num_shards + 1`` monotonically increasing offsets starting at
+    0 and ending at ``row_count``.
     """
-
-    def execute_q1(self, query: Query) -> QueryAnswer:
-        """Execute an exact mean-value query (Definition 4)."""
-        return _only_answer(self.execute_q1_batch([query]))
-
-    def execute_q2(self, query: Query) -> QueryAnswer:
-        """Execute an exact regression query: OLS over the selected subspace."""
-        return _only_answer(self.execute_q2_batch([query]))
-
-    def mean_value(self, query: Query) -> float:
-        """Convenience oracle used by training streams: the Q1 scalar answer."""
-        return self.execute_q1(query).mean
+    if num_shards < 1:
+        raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
+    return np.linspace(0, row_count, num_shards + 1).astype(np.int64)
 
 
-def _only_answer(answers: list[QueryAnswer | None]) -> QueryAnswer:
-    """The answer of a batch of one run with ``on_empty="raise"``."""
-    if len(answers) != 1 or answers[0] is None:
-        raise InternalInvariantError("a batch of one returned no single answer")
-    return answers[0]
+def _shard_pipelines(
+    inputs: np.ndarray, outputs: np.ndarray, bounds: np.ndarray
+) -> list[SegmentedBatchPipeline]:
+    """One pipeline per shard; constructing one only stores its rows."""
+    return [
+        SegmentedBatchPipeline(inputs[start:stop], outputs[start:stop])
+        for start, stop in zip(bounds[:-1], bounds[1:])
+    ]
 
 
-class ExactQueryEngine(SingleQueryMixin):
+def _shard_statistics(
+    pipeline: SegmentedBatchPipeline,
+    route: str,
+    kind: str,
+    centers: np.ndarray,
+    radii: np.ndarray,
+    p: float,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """One shard's ``(counts, sums, rows scanned)`` by its route's kernel.
+
+    ``sums`` is the ``(m,)`` output sums (``kind="q1"``) or the
+    ``(m, width)`` :func:`moment_products` column sums (``kind="q2"``);
+    both kernels produce the same statistics, which merge across shards by
+    addition.
+    """
+    if route == "indexed":
+        counts, sums, scanned = pipeline.segment_statistics(
+            centers, radii, p, kind=kind
+        )
+        return counts, sums[:, 0] if kind == "q1" else sums, scanned
+    inputs, outputs = pipeline.rows
+    kernel = (
+        q1_sufficient_statistics_scan if kind == "q1" else q2_sufficient_statistics_scan
+    )
+    counts, sums = kernel(inputs, outputs, centers, radii, p=p)
+    return counts, sums, centers.shape[0] * inputs.shape[0]
+
+
+#: The shard pipelines of a process-pool worker, installed once at pool
+#: start-up; each builds its grid on the worker's first indexed batch.
+_WORKER_PIPELINES: list[SegmentedBatchPipeline] = []
+
+
+def _process_worker_init(
+    inputs: np.ndarray, outputs: np.ndarray, bounds: np.ndarray
+) -> None:
+    _WORKER_PIPELINES[:] = _shard_pipelines(inputs, outputs, bounds)
+
+
+def _process_worker_statistics(args: tuple) -> tuple[np.ndarray, np.ndarray, int]:
+    index, *task = args
+    return _shard_statistics(_WORKER_PIPELINES[index], *task)
+
+
+class ExactQueryEngine:
     """Execute exact Q1 and Q2 queries against a dataset.
 
-    The engine answers every query through its batch entry points, over the
-    segmented pipeline of a fine grid index.  A whole-table scan of the
-    same batches is ``ShardedQueryEngine(dataset, num_shards=1,
-    backend="serial", route="scan")``.
+    Parameters
+    ----------
+    dataset:
+        The dataset to query.
+    num_shards:
+        Number of contiguous row shards, capped at the row count so that no
+        shard is empty.  Defaults to one shard on the serial backend and to
+        ``4 * max_workers`` on a pool backend (shard working sets stay
+        cache-friendly and the pool stays saturated).
+    backend:
+        ``"serial"`` (default), ``"threads"`` or ``"processes"``.
+    max_workers:
+        Pool width; defaults to the machine's CPU count.
+    route:
+        ``"indexed"`` (default), ``"scan"`` or ``"auto"``.  Every route
+        returns identical answers.
 
-    :meth:`from_store` builds the engine over a table of a
-    :class:`~repro.dbms.storage.SQLiteDataStore`.
+    The module docstring describes shards, routes and backends.  Every
+    configuration answers through the batch entry points
+    (:meth:`execute_q1_batch` / :meth:`execute_q2_batch`); the single-query
+    calls are batches of one.  :meth:`from_store` builds the engine over a
+    table of a :class:`~repro.dbms.storage.SQLiteDataStore`.  A pool
+    backend starts its pool on the first batch it dispatches; :meth:`close`
+    (or leaving a ``with`` block) shuts it down.
     """
 
-    def __init__(self, dataset: SyntheticDataset) -> None:
+    def __init__(
+        self,
+        dataset: SyntheticDataset,
+        *,
+        num_shards: int | None = None,
+        backend: str = "serial",
+        max_workers: int | None = None,
+        route: str = "indexed",
+    ) -> None:
+        if backend not in _BACKENDS:
+            raise ConfigurationError(
+                f"backend must be one of {_BACKENDS}, got {backend!r}"
+            )
+        if route not in _ROUTES:
+            raise ConfigurationError(f"route must be one of {_ROUTES}, got {route!r}")
+        workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
+        self._max_workers = max(int(workers), 1)
+        if num_shards is None:
+            num_shards = (
+                1 if backend == "serial" else self._max_workers * _SHARDS_PER_WORKER
+            )
         self._dataset = dataset
         self._inputs = dataset.inputs
         self._outputs = dataset.outputs
-        self._pipeline = SegmentedBatchPipeline(self._inputs, self._outputs)
+        self._backend = backend
+        self._route = route
+        # A dataset holds at least one row, so capping the shard count at
+        # the row count leaves no shard empty.
+        self._bounds = shard_bounds(dataset.size, min(int(num_shards), dataset.size))
+        self._pipelines = _shard_pipelines(self._inputs, self._outputs, self._bounds)
+        # The auto planner's per-shard (extents, grid resolutions), computed
+        # on its first batch.
+        self._selectivity: tuple[np.ndarray, list[int]] | None = None
+        # The pool is built on the first pooled batch; the lock makes that
+        # build, and close(), happen once however many threads race them.
+        self._pool_lock = make_lock("executor.pool")
+        self._pool: Executor | None = None
+        self._closed = False
         self.statistics = ExecutionStatistics()
 
-    # ------------------------------------------------------------------ #
-    # constructors
-    # ------------------------------------------------------------------ #
     @classmethod
-    def from_store(cls, store: SQLiteDataStore, table_name: str) -> "ExactQueryEngine":
-        """Build an engine over a table stored in a SQLite data store."""
-        return cls(store.load_as_dataset(table_name))
+    def from_store(
+        cls, store: SQLiteDataStore, table_name: str, **options: Any
+    ) -> "ExactQueryEngine":
+        """Build an engine over a stored table, its rows in rowid order.
+
+        ``options`` are the constructor's keyword arguments.
+        """
+        return cls(store.load_as_dataset(table_name), **options)
 
     @property
     def dataset(self) -> SyntheticDataset:
@@ -858,13 +864,66 @@ class ExactQueryEngine(SingleQueryMixin):
     def size(self) -> int:
         return self._dataset.size
 
-    # ------------------------------------------------------------------ #
-    # selection
-    # ------------------------------------------------------------------ #
-    def _select(self, query: Query) -> tuple[np.ndarray, int]:
-        """``(ascending selected row ids, rows scanned)`` of one query."""
-        return self._pipeline.select_rows(query.center, query.radius, query.norm_order)
+    @property
+    def num_shards(self) -> int:
+        return len(self._pipelines)
 
+    @property
+    def backend(self) -> str:
+        return self._backend
+
+    @property
+    def max_workers(self) -> int:
+        return self._max_workers
+
+    @property
+    def route(self) -> str:
+        """The routing policy: ``"indexed"``, ``"scan"`` or ``"auto"``."""
+        return self._route
+
+    # ------------------------------------------------------------------ #
+    # lifecycle
+    # ------------------------------------------------------------------ #
+    def close(self) -> None:
+        """Shut the worker pool down; further queries will fail."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+            self._closed = True
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    def __enter__(self) -> "ExactQueryEngine":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _require_open(self) -> None:
+        if self._closed:
+            raise StorageError("the exact engine has been closed")
+
+    def _ensure_pool(self) -> Executor:
+        """The worker pool of a pooled backend, built on first use."""
+        with self._pool_lock:
+            # Re-checked under the lock: a batch racing close() must not
+            # build a pool on a closed engine.
+            self._require_open()
+            pool = self._pool
+            if pool is None:
+                if self._backend == "threads":
+                    pool = ThreadPoolExecutor(max_workers=self._max_workers)
+                else:
+                    pool = ProcessPoolExecutor(
+                        max_workers=self._max_workers,
+                        initializer=_process_worker_init,
+                        initargs=(self._inputs, self._outputs, self._bounds),
+                    )
+                self._pool = pool
+            return pool
+
+    # ------------------------------------------------------------------ #
+    # single queries: batches of one
+    # ------------------------------------------------------------------ #
     def select_subspace(self, query: Query) -> tuple[np.ndarray, np.ndarray]:
         """Return the ``(inputs, outputs)`` of the rows inside ``D(x, theta)``.
 
@@ -872,10 +931,8 @@ class ExactQueryEngine(SingleQueryMixin):
         arrays.
         """
         self._validate_batch([query], "raise")
-        start = time.perf_counter()
         rows, scanned = self._select(query)
-        elapsed = time.perf_counter() - start
-        self.statistics.record_batch(1, scanned, int(rows.size), elapsed)
+        self.statistics.record_batch(1, scanned, int(rows.size))
         return self._inputs[rows], self._outputs[rows]
 
     def cardinality(self, query: Query) -> int:
@@ -883,24 +940,32 @@ class ExactQueryEngine(SingleQueryMixin):
         answer = self.execute_q1_batch([query], on_empty="null")[0]
         return 0 if answer is None else answer.cardinality
 
+    def execute_q1(self, query: Query) -> QueryAnswer:
+        """Execute an exact mean-value query (Definition 4)."""
+        return self._only_answer(self.execute_q1_batch([query]))
+
+    def execute_q2(self, query: Query) -> QueryAnswer:
+        """Execute an exact regression query: OLS over the selected subspace."""
+        return self._only_answer(self.execute_q2_batch([query]))
+
+    def mean_value(self, query: Query) -> float:
+        """Convenience oracle used by training streams: the Q1 scalar answer."""
+        return self.execute_q1(query).mean
+
     # ------------------------------------------------------------------ #
     # batched execution
     # ------------------------------------------------------------------ #
-    def _validate_batch(
-        self, queries: Sequence[Query], on_empty: str
-    ) -> list[Query]:
-        return _validate_batch_queries(queries, on_empty, self.dimension)
-
     def execute_q1_batch(
         self, queries: Sequence[Query], *, on_empty: str = "raise"
     ) -> list[QueryAnswer | None]:
         """Execute many exact Q1 queries in one pass, amortising overheads.
 
-        The whole batch is answered by the segmented candidate pipeline:
-        one vectorised candidate-range generation, one exact Lp membership
-        test over all candidates, and per-query segment sums.  There is no
-        per-query Python loop, and a query's answer does not depend on the
-        rest of its batch.
+        Each shard reduces the whole batch to per-query ``(count, sum)``
+        with its route's kernel — on an indexed shard one vectorised
+        candidate-range generation, one exact Lp membership test over all
+        candidates and per-query segment sums — and the shards' statistics
+        add up.  There is no per-query Python loop, and a query's answer
+        does not depend on the rest of its batch.
 
         Parameters
         ----------
@@ -915,21 +980,24 @@ class ExactQueryEngine(SingleQueryMixin):
         batch = self._validate_batch(queries, on_empty)
         if not batch:
             return []
-        start = time.perf_counter()
         answers: list[QueryAnswer | None] = [None] * len(batch)
         centers = np.array([query.center for query in batch])
         radii = np.array([query.radius for query in batch])
         scanned = 0
         selected = 0
         for order, group in _group_by_norm_order(batch):
-            counts, sums, scanned_group = self._pipeline.segment_statistics(
-                centers[group], radii[group], order, kind="q1"
+            counts, sums, scanned_group = self._statistics(
+                centers[group], radii[group], order, "q1"
             )
             scanned += scanned_group
             selected += int(counts.sum())
-            _fill_q1_answers(answers, group, counts, sums[:, 0])
-        elapsed = time.perf_counter() - start
-        self.statistics.record_batch(len(batch), scanned, selected, elapsed)
+            for local, position in enumerate(group):
+                if counts[local]:
+                    answers[int(position)] = QueryAnswer(
+                        mean=float(sums[local] / counts[local]),
+                        cardinality=int(counts[local]),
+                    )
+        self.statistics.record_batch(len(batch), scanned, selected)
         self._raise_on_empty(batch, answers, on_empty, "Q1")
         return answers
 
@@ -938,20 +1006,19 @@ class ExactQueryEngine(SingleQueryMixin):
     ) -> list[QueryAnswer | None]:
         """Execute many exact Q2 (regression) queries in one pass.
 
-        The batch is reduced to per-query Q2 sufficient statistics by the
-        segmented index pipeline, and every well-conditioned query is solved
-        by the blocked OLS of :func:`solve_q2_sufficient_statistics` (one batched ``(d, d)``
-        solve for the whole batch).  Queries with rank-deficient or
-        near-singular subspaces fall back to the dense per-query least-squares
-        solver over the query's selected rows, keeping its minimum-norm
-        semantics.
+        The batch is reduced to per-query Q2 sufficient statistics, merged
+        across shards, and every well-conditioned query is solved by the
+        blocked OLS of :func:`solve_q2_sufficient_statistics` (one batched
+        ``(d, d)`` solve for the whole batch).  Queries with rank-deficient
+        or near-singular subspaces fall back to the dense per-query
+        least-squares solver of :class:`~repro.baselines.ols.OLSRegressor`
+        over the query's selected rows, keeping its minimum-norm semantics.
 
         ``on_empty`` behaves exactly as in :meth:`execute_q1_batch`.
         """
         batch = self._validate_batch(queries, on_empty)
         if not batch:
             return []
-        start = time.perf_counter()
         answers: list[QueryAnswer | None] = [None] * len(batch)
         centers = np.array([query.center for query in batch])
         radii = np.array([query.radius for query in batch])
@@ -960,25 +1027,169 @@ class ExactQueryEngine(SingleQueryMixin):
         fallback_positions: list[int] = []
         for order, group in _group_by_norm_order(batch):
             group_centers = centers[group]
-            counts, moments, scanned_group = self._pipeline.segment_statistics(
-                group_centers, radii[group], order, kind="q2"
+            counts, moments, scanned_group = self._statistics(
+                group_centers, radii[group], order, "q2"
             )
             scanned += scanned_group
             selected += int(counts.sum())
             solution = solve_q2_sufficient_statistics(counts, moments, group_centers)
-            _fill_q2_answers(answers, group, counts, solution, fallback_positions)
+            for local, position in enumerate(group):
+                if counts[local] == 0:
+                    continue
+                if solution.needs_fallback[local]:
+                    fallback_positions.append(int(position))
+                    continue
+                answers[int(position)] = QueryAnswer(
+                    mean=float(solution.means[local]),
+                    cardinality=int(counts[local]),
+                    coefficients=solution.coefficients[local],
+                    r_squared=float(solution.r_squared[local]),
+                )
         for position in fallback_positions:
-            answer, fallback_scanned = self._execute_q2_dense(batch[position])
-            answers[position] = answer
+            rows, fallback_scanned = self._select(batch[position])
             scanned += fallback_scanned
-        elapsed = time.perf_counter() - start
-        self.statistics.record_batch(len(batch), scanned, selected, elapsed)
+            inputs, outputs = self._inputs[rows], self._outputs[rows]
+            regressor = OLSRegressor().fit(inputs, outputs)
+            answers[position] = QueryAnswer(
+                mean=float(np.mean(outputs)),
+                cardinality=int(outputs.size),
+                coefficients=regressor.coefficients,
+                r_squared=regressor.r_squared(inputs, outputs),
+            )
+        self.statistics.record_batch(len(batch), scanned, selected)
         self._raise_on_empty(batch, answers, on_empty, "Q2")
         return answers
 
-    def _execute_q2_dense(self, query: Query) -> tuple[QueryAnswer, int]:
-        """Per-query Q2 fallback; returns ``(answer, rows scanned)``."""
-        rows, scanned = self._select(query)
-        return q2_answer_from_rows(self._inputs[rows], self._outputs[rows]), scanned
+    # ------------------------------------------------------------------ #
+    # internals
+    # ------------------------------------------------------------------ #
+    def _validate_batch(self, queries: Sequence[Query], on_empty: str) -> list[Query]:
+        self._require_open()
+        if on_empty not in ("raise", "null"):
+            raise ConfigurationError(
+                f"on_empty must be 'raise' or 'null', got {on_empty!r}"
+            )
+        batch = list(queries)
+        for query in batch:
+            if query.dimension != self.dimension:
+                raise StorageError(
+                    f"query has dimension {query.dimension} but the dataset has "
+                    f"{self.dimension}"
+                )
+        return batch
 
-    _raise_on_empty = staticmethod(_raise_on_empty_answers)
+    @staticmethod
+    def _raise_on_empty(
+        batch: list[Query],
+        answers: list[QueryAnswer | None],
+        on_empty: str,
+        label: str,
+    ) -> None:
+        if on_empty != "raise":
+            return
+        for position, answer in enumerate(answers):
+            if answer is None:
+                raise EmptySubspaceError(
+                    f"query {batch[position]!r} selected no rows; its {label} "
+                    "answer is undefined"
+                )
+
+    @staticmethod
+    def _only_answer(answers: list[QueryAnswer | None]) -> QueryAnswer:
+        """The answer of a batch of one run with ``on_empty="raise"``."""
+        if len(answers) != 1 or answers[0] is None:
+            raise InternalInvariantError("a batch of one returned no single answer")
+        return answers[0]
+
+    def _plan_batch(self, radii: np.ndarray) -> tuple[list[str], bool]:
+        """Pick each shard's kernel and whether to dispatch to the pool.
+
+        Returns ``(routes, pooled)`` where ``routes[i]`` is ``"scan"`` or
+        ``"indexed"`` for shard ``i``.  Forced routes always use the
+        configured backend so forced measurements isolate the kernel
+        choice; the adaptive route additionally drops to inline execution
+        when the estimated touched work is too small to amortise pool
+        dispatch.
+        """
+        pooled = self._backend != "serial"
+        if self._route != "auto":
+            return [self._route] * len(self._pipelines), pooled
+        if self._selectivity is None:
+            # One O(N) min/max pass plus the closed-form fine-grid cell
+            # counts each shard's pipeline would use; no grid is built.
+            self._selectivity = (
+                np.array([np.ptp(shard.rows[0], axis=0) for shard in self._pipelines]),
+                [
+                    batch_grid_cells_per_dimension(pipeline.size, self.dimension)
+                    for pipeline in self._pipelines
+                ],
+            )
+        extents, grid_cells = self._selectivity
+        m = int(radii.shape[0])
+        routes = []
+        estimated_elements = 0.0
+        for pipeline, extent, cells in zip(self._pipelines, extents, grid_cells):
+            fraction = float(np.mean(estimate_boundary_fraction(extent, radii, cells)))
+            if fraction <= _INDEXED_ROUTE_MAX_BOUNDARY:
+                routes.append("indexed")
+                estimated_elements += m * pipeline.size * fraction
+            else:
+                routes.append("scan")
+                estimated_elements += m * pipeline.size
+        return routes, pooled and estimated_elements >= _SERIAL_BATCH_ELEMENTS
+
+    def _statistics(
+        self, centers: np.ndarray, radii: np.ndarray, p: float, kind: str
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Run one (single-norm) batch on every shard and merge exactly.
+
+        Returns ``(counts, sums, scanned)`` as :func:`_shard_statistics`
+        does, summed over the shards.
+        """
+        routes, pooled = self._plan_batch(radii)
+        if not pooled:
+            parts = [
+                _shard_statistics(pipeline, route, kind, centers, radii, p)
+                for pipeline, route in zip(self._pipelines, routes)
+            ]
+        elif self._backend == "processes":
+            tasks = [
+                (index, route, kind, centers, radii, p)
+                for index, route in enumerate(routes)
+            ]
+            parts = list(self._ensure_pool().map(_process_worker_statistics, tasks))
+        else:
+            task = functools.partial(
+                _shard_statistics, kind=kind, centers=centers, radii=radii, p=p
+            )
+            parts = list(self._ensure_pool().map(task, self._pipelines, routes))
+        counts, sums, scanned = parts[0]
+        for shard_counts, shard_sums, shard_scanned in parts[1:]:
+            counts = counts + shard_counts
+            sums = sums + shard_sums
+            scanned += shard_scanned
+        return counts, sums, scanned
+
+    def _select(self, query: Query) -> tuple[np.ndarray, int]:
+        """``(ascending selected row ids, rows scanned)`` of one query.
+
+        Each shard selects through its route's kernel: the grid's candidate
+        ranges and exact Lp test on an indexed shard, the Lp test over all
+        its rows on a scan shard.  Both compute the distances with the same
+        elementwise formulation, so the selection does not depend on the
+        route.
+        """
+        center, radius, p = query.center, query.radius, query.norm_order
+        routes, _ = self._plan_batch(np.array([radius]))
+        selections = []
+        scanned = 0
+        for start, pipeline, route in zip(self._bounds, self._pipelines, routes):
+            if route == "indexed":
+                rows, touched = pipeline.select_rows(center, radius, p)
+            else:
+                inputs = pipeline.rows[0]
+                rows = np.flatnonzero(_lp_rows(inputs - center, p) <= radius)
+                touched = inputs.shape[0]
+            selections.append(rows + start)
+            scanned += touched
+        return np.concatenate(selections), scanned

@@ -6,9 +6,9 @@ analytics queries are answered *from the model* without touching the data.
 registry of exact engines and trained models, parses multi-statement
 scripts, groups statements by table and kind, and routes every group
 through the batched fast paths built in earlier PRs —
-``execute_q1_batch`` / ``execute_q2_batch`` on the exact side (single or
-sharded engines) and ``predict_mean_batch`` /
-``predict_q2_batch`` on the model side.
+``execute_q1_batch`` / ``execute_q2_batch`` on the exact side (one shard
+or many) and ``predict_mean_batch`` / ``predict_q2_batch`` on the model
+side.
 
 Three execution modes are offered:
 
@@ -690,9 +690,9 @@ class AnalyticsService:
     ----------
     engines:
         Optional initial mapping of table name to exact engine
-        (:class:`~repro.dbms.executor.ExactQueryEngine` or
-        :class:`~repro.dbms.sharding.ShardedQueryEngine` — anything with
-        the ``execute_q1_batch`` / ``execute_q2_batch`` contract).
+        (:class:`~repro.dbms.executor.ExactQueryEngine` in any shard
+        configuration — anything with the ``execute_q1_batch`` /
+        ``execute_q2_batch`` contract).
     models:
         Optional initial mapping of table name to trained model
         (:class:`~repro.core.model.LLMModel` interface).

@@ -43,9 +43,9 @@ def batch_grid_cells_per_dimension(
     The segmented batch pipeline pays no per-cell Python cost, so it targets
     a few rows per cell (``count / rows_per_cell`` cells in total) — much
     finer than :class:`GridIndex`'s default — trimming the candidate
-    superset towards the exact selection.  Shared by the single-engine
-    batch grid and the per-shard grids of the sharded engine so both layers
-    size their cells identically for the same row count.
+    superset towards the exact selection.  Every shard pipeline of the
+    exact engine and its ``route="auto"`` planner size cells with it, so
+    both agree for the same row count.
     """
     if dimension < 1:
         raise ConfigurationError(f"dimension must be >= 1, got {dimension}")

@@ -2,16 +2,15 @@
 
 :class:`SQLiteDataStore` is the persistent tier of the substrate: it creates
 one table per dataset (schema ``x1..xd, u``), keeps a catalog of registered
-datasets, and serves both full scans and range-restricted scans to the exact
-query executor.  An in-memory store (``path=":memory:"``) is used throughout
-the tests and benchmarks; on-disk stores behave identically.
+datasets, and scans a table back in rowid order, from which the exact query
+executor is built.  An in-memory store (``path=":memory:"``) is used
+throughout the tests and benchmarks; on-disk stores behave identically.
 """
 
 from __future__ import annotations
 
 import sqlite3
 from pathlib import Path
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -156,51 +155,12 @@ class SQLiteDataStore:
         return int(cursor.fetchone()[0])
 
     def scan(self, table_name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Return the full content of a table as ``(inputs, outputs)`` arrays."""
+        """Return a table's rows as ``(inputs, outputs)`` arrays, in rowid order."""
         self._require_open()
         info = self._catalog.get(table_name)
-        schema = info.schema
-        cursor = self._connection.execute(schema.select_all_sql())
-        rows = cursor.fetchall()
-        if not rows:
-            return (
-                np.empty((0, info.dimension), dtype=float),
-                np.empty((0,), dtype=float),
-            )
-        table = np.asarray(rows, dtype=float)
-        return table[:, :-1], table[:, -1]
-
-    def scan_bounding_box(
-        self,
-        table_name: str,
-        lower: Sequence[float],
-        upper: Sequence[float],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Scan the rows whose inputs fall inside an axis-aligned bounding box.
-
-        This is the pushdown used by the exact executor: a dNN ball query is
-        first reduced to its bounding box, which SQLite evaluates with simple
-        per-column comparisons (the analogue of the B-tree range scan in the
-        paper's setup), and the exact Lp ball test is applied afterwards in
-        the executor.
-        """
-        self._require_open()
-        info = self._catalog.get(table_name)
-        schema = info.schema
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        if lower.shape[0] != info.dimension or upper.shape[0] != info.dimension:
-            raise StorageError(
-                "bounding box must have one (lower, upper) pair per input dimension"
-            )
-        predicates = " AND ".join(
-            f"{name} BETWEEN ? AND ?" for name in schema.input_column_names
+        cursor = self._connection.execute(
+            f"{info.schema.select_all_sql()} ORDER BY rowid"
         )
-        params: list[float] = []
-        for low, high in zip(lower, upper):
-            params.extend([float(low), float(high)])
-        sql = f"{schema.select_all_sql()} WHERE {predicates}"
-        cursor = self._connection.execute(sql, params)
         rows = cursor.fetchall()
         if not rows:
             return (
@@ -209,66 +169,6 @@ class SQLiteDataStore:
             )
         table = np.asarray(rows, dtype=float)
         return table[:, :-1], table[:, -1]
-
-    def scan_row_range(
-        self, table_name: str, start: int, stop: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Scan rows ``[start, stop)`` of a table in storage (rowid) order.
-
-        This is the shard loader of the sharded execution engine: shard
-        boundaries expressed as row offsets map to deterministic
-        ``ORDER BY rowid`` windows, so every shard sees a disjoint,
-        exhaustive slice of the table regardless of insertion batching.
-        """
-        self._require_open()
-        if start < 0 or stop < start:
-            raise StorageError(
-                f"invalid row range [{start}, {stop}): bounds must satisfy "
-                "0 <= start <= stop"
-            )
-        info = self._catalog.get(table_name)
-        schema = info.schema
-        sql = (
-            f"{schema.select_all_sql()} ORDER BY rowid LIMIT ? OFFSET ?"
-        )
-        cursor = self._connection.execute(sql, (stop - start, start))
-        rows = cursor.fetchall()
-        if not rows:
-            return (
-                np.empty((0, info.dimension), dtype=float),
-                np.empty((0,), dtype=float),
-            )
-        table = np.asarray(rows, dtype=float)
-        return table[:, :-1], table[:, -1]
-
-    def iter_batches(
-        self, table_name: str, batch_size: int = 50_000
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Iterate the table contents in batches of at most ``batch_size`` rows."""
-        self._require_open()
-        if batch_size < 1:
-            raise StorageError(f"batch_size must be >= 1, got {batch_size}")
-        info = self._catalog.get(table_name)
-        schema = info.schema
-        cursor = self._connection.execute(schema.select_all_sql())
-        while True:
-            rows = cursor.fetchmany(batch_size)
-            if not rows:
-                break
-            table = np.asarray(rows, dtype=float)
-            yield table[:, :-1], table[:, -1]
-
-    def create_value_index(self, table_name: str) -> None:
-        """Create per-column B-tree indexes on the input attributes."""
-        self._require_open()
-        info = self._catalog.get(table_name)
-        schema = info.schema
-        for name in schema.input_column_names:
-            self._connection.execute(
-                f"CREATE INDEX IF NOT EXISTS idx_{info.table_name}_{name} "
-                f"ON {info.table_name} ({name})"
-            )
-        self._connection.commit()
 
     def load_as_dataset(self, table_name: str) -> SyntheticDataset:
         """Materialise a stored table back into a :class:`SyntheticDataset`."""
@@ -279,35 +179,6 @@ class SQLiteDataStore:
             inputs=inputs,
             outputs=outputs,
             name=info.table_name,
-            domain=(float(domain[0]), float(domain[1])),
-            metadata=dict(info.metadata),
-        )
-
-    def load_row_range_as_dataset(
-        self, table_name: str, start: int, stop: int, *, name: str | None = None
-    ) -> SyntheticDataset:
-        """Materialise rows ``[start, stop)`` of a table as a dataset.
-
-        This is the range-restricted build used to construct per-shard or
-        per-window structures (datasets, grid indexes) directly from
-        storage: the window follows the deterministic rowid order of
-        :meth:`scan_row_range`, so disjoint windows partition the table
-        exactly.  ``name`` overrides the default window-suffixed dataset
-        name.  Raises :class:`~repro.exceptions.StorageError` when the
-        window selects no rows (a dataset must hold at least one).
-        """
-        info = self._catalog.get(table_name)
-        inputs, outputs = self.scan_row_range(table_name, start, stop)
-        if inputs.shape[0] == 0:
-            raise StorageError(
-                f"row range [{start}, {stop}) of table {table_name!r} selects "
-                "no rows; cannot build a dataset over an empty window"
-            )
-        domain = tuple(info.metadata.get("domain", (0.0, 1.0)))
-        return SyntheticDataset(
-            inputs=inputs,
-            outputs=outputs,
-            name=name or f"{info.table_name}[{start}:{stop}]",
             domain=(float(domain[0]), float(domain[1])),
             metadata=dict(info.metadata),
         )

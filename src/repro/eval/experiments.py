@@ -189,7 +189,7 @@ class ExperimentContext:
         """Build an :class:`~repro.dbms.serving.AnalyticsService` over this context.
 
         The context's exact engine (or an explicit ``engine``, e.g. a
-        sharded one over the same dataset) is registered under ``table``
+        pooled one over the same dataset) is registered under ``table``
         (defaulting to the dataset name), together with an optional trained
         model — the standard setup of the serving benchmark and the hybrid
         serving experiments.
@@ -664,9 +664,9 @@ def run_scalability_experiment(
     Figure 12.  Batched engines are measured alongside the per-query loops:
     ``llm_batch`` / ``llm_q2_batch`` / ``llm_value_batch`` for the model
     side and ``exact_batch`` (Q1 and Q2) for the segmented exact executor.
-    The ``sharded`` axis sweeps :class:`~repro.dbms.sharding
-    .ShardedQueryEngine` worker counts (``worker_counts``), reporting the
-    amortised per-query latency of the scan-based sharded batch path per
+    The ``sharded`` axis sweeps the worker counts (``worker_counts``) of a
+    pooled, adaptively routed :class:`~repro.dbms.executor.ExactQueryEngine`,
+    reporting the amortised per-query latency of its sharded batch path per
     core budget — the "cores" dimension of the scalability story.
 
     The model at each dataset size is trained through the *pipelined*
@@ -676,8 +676,6 @@ def run_scalability_experiment(
     the full engine-plus-update loop) and the fraction of training time
     spent executing queries — the paper's ~99.6% observation.
     """
-    from ..dbms.sharding import ShardedQueryEngine
-
     training_qps: list[float] = []
     training_engine_share: list[float] = []
     llm_q1: list[float] = []
@@ -757,10 +755,11 @@ def run_scalability_experiment(
         )
 
         for count in worker_counts:
-            with ShardedQueryEngine(
+            with ExactQueryEngine(
                 context.dataset,
                 backend=shard_backend,
                 max_workers=count,
+                route="auto",
             ) as sharded:
                 sharded_q1[count].append(
                     measure_amortized_latency(

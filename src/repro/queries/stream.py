@@ -207,8 +207,9 @@ class LabelledWorkload:
     def from_engine(cls, queries: Sequence[Query], engine) -> "LabelledWorkload":
         """Label queries with exact Q1 answers in one engine batch.
 
-        ``engine`` is anything with ``execute_q1_batch`` (the single or the
-        sharded exact engine); queries that select no rows are dropped.
+        ``engine`` is anything with ``execute_q1_batch`` (the exact engine
+        in any shard configuration); queries that select no rows are
+        dropped.
         """
         batch = list(queries)
         answers = engine.execute_q1_batch(batch, on_empty="null")

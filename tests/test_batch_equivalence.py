@@ -403,9 +403,9 @@ class TestBatchPruningEquivalence:
 
 def _whole_table_scan(dataset):
     """One serial shard over the whole table: the chunked full-scan kernel."""
-    from repro.dbms.sharding import ShardedQueryEngine
+    from repro.dbms.executor import ExactQueryEngine
 
-    return ShardedQueryEngine(dataset, num_shards=1, backend="serial", route="scan")
+    return ExactQueryEngine(dataset, route="scan")
 
 
 class TestExecutorQ2BatchEquivalence:

@@ -11,7 +11,6 @@ from repro.core.persistence import load_model, model_from_dict, model_to_dict, s
 from repro.core.training import StreamingTrainer
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine
-from repro.dbms.sharding import ShardedQueryEngine
 from repro.exceptions import NotFittedError, ReproError
 from repro.queries.query import Query
 from repro.queries.workload import QueryWorkloadGenerator, RadiusDistribution, WorkloadSpec
@@ -57,9 +56,7 @@ class TestStreamingTrainer:
         dataset = SyntheticDataset(
             inputs=inputs, outputs=outputs, name="wave_large", domain=(0.0, 1.0)
         )
-        scan_engine = ShardedQueryEngine(
-            dataset, num_shards=1, backend="serial", route="scan"
-        )
+        scan_engine = ExactQueryEngine(dataset, route="scan")
         model = LLMModel(dimension=2, config=ModelConfig(quantization_coefficient=0.1))
         breakdown = StreamingTrainer(model, scan_engine).train(workload_queries[:150])
         assert breakdown.query_execution_seconds > breakdown.model_update_seconds

@@ -7,7 +7,6 @@ import pytest
 
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine, ExecutionStatistics
-from repro.dbms.sharding import ShardedQueryEngine
 from repro.dbms.storage import SQLiteDataStore
 from repro.exceptions import EmptySubspaceError, StorageError
 from repro.queries.geometry import pairwise_lp_distance
@@ -38,9 +37,7 @@ class TestSelection:
 
     def test_indexed_and_unindexed_agree(self, linear_dataset):
         indexed = ExactQueryEngine(linear_dataset)
-        scan = ShardedQueryEngine(
-            linear_dataset, num_shards=1, backend="serial", route="scan"
-        )
+        scan = ExactQueryEngine(linear_dataset, route="scan")
         query = Query(center=np.array([0.5, 0.5]), radius=0.15)
         a = indexed.execute_q1(query)
         b = scan.execute_q1(query)
@@ -128,21 +125,6 @@ class TestQ1Batch:
         with pytest.raises(StorageError):
             engine.execute_q1_batch([Query(center=np.array([0.5]), radius=0.1)])
 
-    def test_batch_statistics_are_amortised(self, linear_dataset):
-        engine = ExactQueryEngine(linear_dataset)
-        queries = [
-            Query(center=np.array([0.5, 0.5]), radius=0.2),
-            Query(center=np.array([0.4, 0.4]), radius=0.2),
-            Query(center=np.array([0.6, 0.6]), radius=0.2),
-        ]
-        engine.execute_q1_batch(queries)
-        stats = engine.statistics
-        assert stats.queries_executed == 3
-        assert stats.mean_seconds > 0.0
-        assert stats.total_seconds == pytest.approx(stats.mean_seconds * 3)
-        # Batched recording amortises one wall-clock over the whole batch.
-        assert stats.min_seconds == pytest.approx(stats.max_seconds)
-
 
 class TestStatistics:
     def test_statistics_accumulate(self, linear_dataset):
@@ -153,69 +135,33 @@ class TestStatistics:
         stats = engine.statistics
         assert stats.queries_executed == 2
         assert stats.rows_selected > 0
-        assert stats.total_seconds > 0.0
-        assert stats.mean_seconds > 0.0
-        assert 0.0 < stats.min_seconds <= stats.max_seconds
+        assert stats.rows_scanned >= stats.rows_selected
 
     def test_running_aggregates_are_constant_memory(self):
         stats = ExecutionStatistics()
         for index in range(9_999):
-            stats.record_batch(1, 10, 5, 0.001 * (1 + index % 3))
+            stats.record_batch(1, 10 + index % 3, 5)
         assert stats.queries_executed == 9_999
-        assert stats.min_seconds == pytest.approx(0.001)
-        assert stats.max_seconds == pytest.approx(0.003)
-        assert stats.mean_seconds == pytest.approx(0.002)
+        assert stats.rows_scanned == 9_999 * 11
+        assert stats.rows_selected == 9_999 * 5
         # No per-query containers anywhere in the instance state.
         assert not any(
             isinstance(value, (list, dict, np.ndarray))
             for value in vars(stats).values()
         )
 
-    def test_merge_and_snapshot(self):
-        first = ExecutionStatistics()
-        first.record_batch(1, 100, 10, 0.01)
-        second = ExecutionStatistics()
-        second.record_batch(1, 200, 20, 0.03)
-        frozen = first.snapshot()
-        first.merge(second)
-        assert first.queries_executed == 2
-        assert first.rows_scanned == 300
-        assert first.rows_selected == 30
-        assert first.total_seconds == pytest.approx(0.04)
-        assert first.min_seconds == pytest.approx(0.01)
-        assert first.max_seconds == pytest.approx(0.03)
-        # The snapshot is independent of later mutation.
-        assert frozen.queries_executed == 1
-        assert frozen.total_seconds == pytest.approx(0.01)
-
-    def test_merge_with_unused_statistics_keeps_extrema(self):
-        used = ExecutionStatistics()
-        used.record_batch(1, 10, 5, 0.02)
-        used.merge(ExecutionStatistics())
-        assert used.queries_executed == 1
-        assert used.min_seconds == pytest.approx(0.02)
-        assert used.max_seconds == pytest.approx(0.02)
-
     def test_per_query_seconds_removed(self):
         # The deprecated raw-latency accessor (warning shipped two releases
         # ago) is gone for good; the O(1) aggregates are the only surface.
         stats = ExecutionStatistics()
-        stats.record_batch(1, 10, 5, 0.01)
+        stats.record_batch(1, 10, 5)
         assert not hasattr(stats, "per_query_seconds")
 
     def test_empty_statistics_read_as_zero(self):
         stats = ExecutionStatistics()
-        assert stats.mean_seconds == 0.0
-        assert stats.min_seconds == 0.0
-        assert stats.max_seconds == 0.0
-
-    def test_reset(self):
-        stats = ExecutionStatistics()
-        stats.record_batch(1, 10, 5, 0.01)
-        stats.reset()
         assert stats.queries_executed == 0
-        assert stats.mean_seconds == 0.0
-        assert stats.min_seconds == 0.0
+        assert stats.rows_scanned == 0
+        assert stats.rows_selected == 0
 
 
 class TestFromStore:

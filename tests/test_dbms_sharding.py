@@ -1,9 +1,9 @@
-"""Tests for the sharded parallel execution engine.
+"""Tests for the shard configurations of the exact engine.
 
 The load-bearing property is *exact mergeability*: per-shard sufficient
 statistics summed across shards must answer Q1/Q2 identically (to summation
-rounding) to the single-engine paths, across dimensions, norm orders,
-backends, empty subspaces, and rank-deficient selections.
+rounding) to one shard, across dimensions, norm orders, backends, routes,
+empty subspaces, rank-deficient selections, and more shards than rows.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from repro.dbms.executor import (
     ExactQueryEngine,
     q1_sufficient_statistics_scan,
     q2_sufficient_statistics_scan,
+    shard_bounds,
     solve_q2_sufficient_statistics,
 )
-from repro.dbms.sharding import ShardedQueryEngine, shard_bounds
 from repro.dbms.storage import SQLiteDataStore
 from repro.exceptions import ConfigurationError, EmptySubspaceError, StorageError
 from repro.queries.query import Query
@@ -135,7 +135,9 @@ class TestShardedEquivalence:
     def test_q2_matches_per_query_engine(self, dimension):
         dataset = _dataset(dimension)
         queries = _mixed_queries(dataset)
-        with ShardedQueryEngine(dataset, num_shards=3, backend="serial") as engine:
+        with ExactQueryEngine(
+            dataset, num_shards=3, backend="serial", route="auto"
+        ) as engine:
             answers = engine.execute_q2_batch(queries, on_empty="null")
         _assert_q2_matches_oracle(answers, queries, dataset)
 
@@ -143,7 +145,9 @@ class TestShardedEquivalence:
         dataset = _dataset(dimension)
         oracle = ExactOracle(dataset.inputs, dataset.outputs)
         queries = _mixed_queries(dataset)
-        with ShardedQueryEngine(dataset, num_shards=3, backend="serial") as engine:
+        with ExactQueryEngine(
+            dataset, num_shards=3, backend="serial", route="auto"
+        ) as engine:
             answers = engine.execute_q1_batch(queries, on_empty="null")
         for query, answer in zip(queries, answers):
             expected = oracle.mean(query)
@@ -161,7 +165,9 @@ class TestShardedEquivalence:
         batch_engine = ExactQueryEngine(dataset)
         queries = _mixed_queries(dataset)
         unsharded = batch_engine.execute_q2_batch(queries, on_empty="null")
-        with ShardedQueryEngine(dataset, num_shards=4, backend="threads") as engine:
+        with ExactQueryEngine(
+            dataset, num_shards=4, backend="threads", route="auto"
+        ) as engine:
             sharded = engine.execute_q2_batch(queries, on_empty="null")
         _assert_answers_match(sharded, unsharded)
 
@@ -170,8 +176,8 @@ class TestShardedEquivalence:
         queries = _mixed_queries(dataset, count=12, seed=5)
         results = []
         for shards in (1, 2, 5):
-            with ShardedQueryEngine(
-                dataset, num_shards=shards, backend="serial"
+            with ExactQueryEngine(
+                dataset, num_shards=shards, backend="serial", route="auto"
             ) as engine:
                 results.append(engine.execute_q2_batch(queries, on_empty="null"))
         _assert_answers_match(results[1], results[0])
@@ -248,7 +254,9 @@ class TestShardMergeStatistics:
             inputs=inputs, outputs=outputs, name="tiny", domain=(0.0, 1.0)
         )
         query = Query(center=np.array([0.5, 0.5]), radius=0.4)
-        with ShardedQueryEngine(dataset, num_shards=5, backend="serial") as engine:
+        with ExactQueryEngine(
+            dataset, num_shards=5, backend="serial", route="auto"
+        ) as engine:
             answer = engine.execute_q2(query)
         assert answer.cardinality == 9
         _assert_q2_matches_oracle([answer], [query], dataset)
@@ -258,24 +266,28 @@ class TestBackends:
     def test_threads_and_serial_agree(self):
         dataset = _dataset(2)
         queries = _mixed_queries(dataset, count=15)
-        with ShardedQueryEngine(dataset, num_shards=3, backend="serial") as serial:
+        with ExactQueryEngine(
+            dataset, num_shards=3, backend="serial", route="auto"
+        ) as serial:
             expected = serial.execute_q2_batch(queries, on_empty="null")
-        with ShardedQueryEngine(dataset, num_shards=3, backend="threads") as threaded:
+        with ExactQueryEngine(
+            dataset, num_shards=3, backend="threads", route="auto"
+        ) as threaded:
             actual = threaded.execute_q2_batch(queries, on_empty="null")
         _assert_answers_match(actual, expected)
 
     def test_process_backend_smoke(self):
         dataset = _dataset(2, size=800)
         query = Query(center=np.array([0.5, 0.5]), radius=0.25)
-        with ShardedQueryEngine(
-            dataset, num_shards=2, backend="processes", max_workers=2
+        with ExactQueryEngine(
+            dataset, num_shards=2, backend="processes", max_workers=2, route="auto"
         ) as engine:
             answer = engine.execute_q2(query)
         _assert_q2_matches_oracle([answer], [query], dataset)
 
     def test_invalid_backend(self):
         with pytest.raises(ConfigurationError):
-            ShardedQueryEngine(_dataset(1, size=50), backend="fibers")
+            ExactQueryEngine(_dataset(1, size=50), backend="fibers")
 
 
 class TestIndexedRouting:
@@ -284,7 +296,7 @@ class TestIndexedRouting:
     def test_invalid_route_rejected(self):
         dataset = _dataset(1, size=50)
         with pytest.raises(ConfigurationError):
-            ShardedQueryEngine(dataset, backend="serial", route="btree")
+            ExactQueryEngine(dataset, backend="serial", route="btree")
 
     @pytest.mark.parametrize("dimension", DIMENSIONS)
     def test_indexed_route_matches_scan_route(self, dimension):
@@ -292,7 +304,7 @@ class TestIndexedRouting:
         queries = _mixed_queries(dataset)
         results = {}
         for route in ("scan", "indexed", "auto"):
-            with ShardedQueryEngine(
+            with ExactQueryEngine(
                 dataset, num_shards=3, backend="serial", route=route
             ) as engine:
                 results[route] = engine.execute_q2_batch(queries, on_empty="null")
@@ -306,12 +318,12 @@ class TestIndexedRouting:
             Query(center=rng.uniform(0.2, 0.8, size=2), radius=0.03)
             for _ in range(10)
         ]
-        with ShardedQueryEngine(
+        with ExactQueryEngine(
             dataset, num_shards=3, backend="serial", route="scan"
         ) as engine:
             scan_answers = engine.execute_q1_batch(queries, on_empty="null")
             scan_rows = engine.statistics.rows_scanned
-        with ShardedQueryEngine(
+        with ExactQueryEngine(
             dataset, num_shards=3, backend="serial", route="indexed"
         ) as engine:
             indexed_answers = engine.execute_q1_batch(queries, on_empty="null")
@@ -324,26 +336,25 @@ class TestIndexedRouting:
         dataset = _dataset(2, size=4_000)
         selective = [Query(center=np.array([0.5, 0.5]), radius=0.02)]
         unselective = [Query(center=np.array([0.5, 0.5]), radius=0.45)]
-        with ShardedQueryEngine(
+        with ExactQueryEngine(
             dataset, num_shards=2, backend="serial", route="auto"
         ) as engine:
             engine.execute_q1_batch(selective, on_empty="null")
             selective_rows = engine.statistics.rows_scanned
-            engine.statistics.reset()
             engine.execute_q1_batch(unselective, on_empty="null")
-            unselective_rows = engine.statistics.rows_scanned
+            unselective_rows = engine.statistics.rows_scanned - selective_rows
         assert selective_rows < dataset.size / 5
         assert unselective_rows == dataset.size
 
     def test_pipelines_built_lazily_and_only_for_indexed_routes(self):
         dataset = _dataset(2, size=1_000)
         queries = _mixed_queries(dataset, count=6, seed=3)
-        with ShardedQueryEngine(
+        with ExactQueryEngine(
             dataset, num_shards=3, backend="serial", route="scan"
         ) as engine:
             engine.execute_q1_batch(queries, on_empty="null")
             assert all(pipeline._grid is None for pipeline in engine._pipelines)
-        with ShardedQueryEngine(
+        with ExactQueryEngine(
             dataset, num_shards=3, backend="serial", route="indexed"
         ) as engine:
             assert all(pipeline._grid is None for pipeline in engine._pipelines)
@@ -353,12 +364,12 @@ class TestIndexedRouting:
     def test_indexed_route_thread_and_process_backends(self):
         dataset = _dataset(2, size=900)
         queries = _mixed_queries(dataset, count=10, seed=13)
-        with ShardedQueryEngine(
+        with ExactQueryEngine(
             dataset, num_shards=3, backend="serial", route="indexed"
         ) as engine:
             expected = engine.execute_q2_batch(queries, on_empty="null")
         for backend in ("threads", "processes"):
-            with ShardedQueryEngine(
+            with ExactQueryEngine(
                 dataset,
                 num_shards=3,
                 backend=backend,
@@ -371,13 +382,13 @@ class TestIndexedRouting:
     def test_from_store_indexed_route_matches_memory(self):
         dataset = _dataset(2, size=700)
         queries = _mixed_queries(dataset, count=8, seed=29)
-        with ShardedQueryEngine(
+        with ExactQueryEngine(
             dataset, num_shards=3, backend="serial", route="indexed"
         ) as engine:
             expected = engine.execute_q2_batch(queries, on_empty="null")
         with SQLiteDataStore(":memory:") as store:
             store.load_dataset(dataset)
-            engine = ShardedQueryEngine.from_store(
+            engine = ExactQueryEngine.from_store(
                 store, dataset.name, num_shards=3, backend="serial", route="indexed"
             )
         with engine:
@@ -389,7 +400,9 @@ class TestIndexedRouting:
 class TestEngineContract:
     def test_on_empty_raise(self):
         dataset = _dataset(2, size=500)
-        with ShardedQueryEngine(dataset, num_shards=2, backend="serial") as engine:
+        with ExactQueryEngine(
+            dataset, num_shards=2, backend="serial", route="auto"
+        ) as engine:
             with pytest.raises(EmptySubspaceError):
                 engine.execute_q1_batch(
                     [Query(center=np.array([9.0, 9.0]), radius=0.01)]
@@ -406,32 +419,42 @@ class TestEngineContract:
             Query(center=np.array([9.0, 9.0]), radius=0.01),
             Query(center=np.array([0.4, 0.4]), radius=0.3),
         ]
-        with ShardedQueryEngine(dataset, num_shards=2, backend="serial") as engine:
+        with ExactQueryEngine(
+            dataset, num_shards=2, backend="serial", route="auto"
+        ) as engine:
             answers = engine.execute_q2_batch(queries, on_empty="null")
         assert answers[0] is not None and answers[2] is not None
         assert answers[1] is None
 
     def test_invalid_on_empty(self):
         dataset = _dataset(1, size=50)
-        with ShardedQueryEngine(dataset, num_shards=1, backend="serial") as engine:
+        with ExactQueryEngine(
+            dataset, num_shards=1, backend="serial", route="auto"
+        ) as engine:
             with pytest.raises(ConfigurationError):
                 engine.execute_q1_batch([], on_empty="skip")
 
     def test_dimension_mismatch(self):
         dataset = _dataset(2, size=100)
-        with ShardedQueryEngine(dataset, num_shards=2, backend="serial") as engine:
+        with ExactQueryEngine(
+            dataset, num_shards=2, backend="serial", route="auto"
+        ) as engine:
             with pytest.raises(StorageError):
                 engine.execute_q1_batch([Query(center=np.array([0.5]), radius=0.1)])
 
     def test_empty_batch(self):
         dataset = _dataset(1, size=50)
-        with ShardedQueryEngine(dataset, num_shards=1, backend="serial") as engine:
+        with ExactQueryEngine(
+            dataset, num_shards=1, backend="serial", route="auto"
+        ) as engine:
             assert engine.execute_q1_batch([]) == []
             assert engine.execute_q2_batch([]) == []
 
     def test_statistics_accumulate(self):
         dataset = _dataset(2, size=400)
-        with ShardedQueryEngine(dataset, num_shards=2, backend="serial") as engine:
+        with ExactQueryEngine(
+            dataset, num_shards=2, backend="serial", route="auto"
+        ) as engine:
             engine.execute_q1_batch(
                 [Query(center=np.array([0.5, 0.5]), radius=0.3)]
             )
@@ -439,11 +462,10 @@ class TestEngineContract:
             assert stats.queries_executed == 1
             assert stats.rows_scanned == dataset.size
             assert stats.rows_selected > 0
-            assert stats.mean_seconds > 0.0
 
     def test_closed_engine_rejects_work(self):
         dataset = _dataset(1, size=50)
-        engine = ShardedQueryEngine(dataset, num_shards=1, backend="serial")
+        engine = ExactQueryEngine(dataset, num_shards=1, backend="serial", route="auto")
         engine.close()
         with pytest.raises(StorageError):
             engine.execute_q1(Query(center=np.array([0.5]), radius=0.3))
@@ -452,7 +474,9 @@ class TestEngineContract:
         dataset = _dataset(2, size=400)
         query = Query(center=np.array([0.5, 0.5]), radius=0.3)
         expected = ExactOracle(dataset.inputs, dataset.outputs).mean(query)
-        with ShardedQueryEngine(dataset, num_shards=2, backend="serial") as engine:
+        with ExactQueryEngine(
+            dataset, num_shards=2, backend="serial", route="auto"
+        ) as engine:
             assert engine.mean_value(query) == pytest.approx(expected, abs=TOLERANCE)
 
 
@@ -462,29 +486,77 @@ class TestFromStore:
         queries = _mixed_queries(dataset, count=8, seed=21)
         with SQLiteDataStore(":memory:") as store:
             store.load_dataset(dataset)
-            engine = ShardedQueryEngine.from_store(
-                store, dataset.name, num_shards=3, backend="serial"
+            engine = ExactQueryEngine.from_store(
+                store, dataset.name, num_shards=3, backend="serial", route="auto"
             )
         with engine:
             answers = engine.execute_q2_batch(queries, on_empty="null")
         _assert_q2_matches_oracle(answers, queries, dataset)
 
-    def test_scan_row_range_partitions(self):
+    def test_from_store_rows_follow_rowid_order(self):
+        # Appended rows come after the loaded ones, and the shards are
+        # contiguous slices of that order.
         dataset = _dataset(2, size=250)
+        extra = _dataset(2, size=30, seed=8)
         with SQLiteDataStore(":memory:") as store:
             store.load_dataset(dataset)
-            first_inputs, first_outputs = store.scan_row_range(dataset.name, 0, 100)
-            rest_inputs, rest_outputs = store.scan_row_range(dataset.name, 100, 250)
-            assert first_inputs.shape == (100, 2)
-            assert rest_inputs.shape == (150, 2)
-            np.testing.assert_allclose(
-                np.vstack([first_inputs, rest_inputs]), dataset.inputs
+            store.append_rows(dataset.name, extra.inputs, extra.outputs)
+            loaded = store.load_as_dataset(dataset.name)
+            engine = ExactQueryEngine.from_store(
+                store, dataset.name, num_shards=3, backend="serial"
             )
-            np.testing.assert_allclose(
-                np.concatenate([first_outputs, rest_outputs]), dataset.outputs
+        inputs = np.vstack([dataset.inputs, extra.inputs])
+        outputs = np.concatenate([dataset.outputs, extra.outputs])
+        with engine:
+            np.testing.assert_array_equal(engine.dataset.inputs, loaded.inputs)
+            np.testing.assert_array_equal(engine.dataset.outputs, loaded.outputs)
+            np.testing.assert_array_equal(engine.dataset.inputs, inputs)
+            np.testing.assert_array_equal(engine.dataset.outputs, outputs)
+            np.testing.assert_array_equal(
+                np.vstack([pipeline.rows[0] for pipeline in engine._pipelines]),
+                inputs,
             )
-            with pytest.raises(StorageError):
-                store.scan_row_range(dataset.name, 5, 2)
+
+
+class TestMoreShardsThanRows:
+    """More shards than rows caps the shard count, so no shard is empty.
+
+    An empty shard used to crash the indexed route (a grid index over zero
+    points) on every backend.
+    """
+
+    @pytest.mark.parametrize("route", ("indexed", "scan", "auto"))
+    @pytest.mark.parametrize("backend", ("serial", "threads", "processes"))
+    def test_answers_match_oracle(self, backend, route):
+        dataset = _dataset(2, size=5, seed=19)
+        oracle = ExactOracle(dataset.inputs, dataset.outputs)
+        queries = [
+            Query(center=np.array([0.5, 0.5]), radius=2.0),
+            Query(center=dataset.inputs[2], radius=1e-9),
+            Query(center=np.array([6.0, 6.0]), radius=0.1),
+            Query(center=dataset.inputs[0], radius=0.6, norm_order=1.0),
+            Query(center=dataset.inputs[4], radius=0.4, norm_order=np.inf),
+        ]
+        with ExactQueryEngine(
+            dataset, num_shards=8, backend=backend, max_workers=2, route=route
+        ) as engine:
+            assert engine.num_shards == dataset.size
+            q1 = engine.execute_q1_batch(queries, on_empty="null")
+            q2 = engine.execute_q2_batch(queries, on_empty="null")
+            for query, answer in zip(queries, q1):
+                rows = oracle.select(query)
+                inputs, outputs = engine.select_subspace(query)
+                np.testing.assert_array_equal(inputs, dataset.inputs[rows])
+                np.testing.assert_array_equal(outputs, dataset.outputs[rows])
+                assert engine.cardinality(query) == rows.size
+                if not rows.size:
+                    assert answer is None
+                    continue
+                assert answer.cardinality == rows.size
+                np.testing.assert_allclose(
+                    answer.mean, oracle.mean(query), rtol=TOLERANCE, atol=TOLERANCE
+                )
+        _assert_q2_matches_oracle(q2, queries, dataset)
 
 
 class TestStreamingTrainerIntegration:
@@ -495,7 +567,9 @@ class TestStreamingTrainerIntegration:
         dataset = _dataset(2, size=600)
         queries = _mixed_queries(dataset, count=25, seed=41)
         model = LLMModel(dimension=2)
-        with ShardedQueryEngine(dataset, num_shards=2, backend="serial") as engine:
+        with ExactQueryEngine(
+            dataset, num_shards=2, backend="serial", route="auto"
+        ) as engine:
             trainer = StreamingTrainer(model, engine)
             breakdown = trainer.train(queries)
         assert breakdown.pairs_processed > 0

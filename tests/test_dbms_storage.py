@@ -50,74 +50,22 @@ class TestLoadAndScan:
         store.load_dataset(dataset, table_name="renamed")
         assert store.catalog.exists("renamed")
 
+    def test_scan_follows_rowid_order(self, store, dataset):
+        store.load_dataset(dataset)
+        extra = np.random.default_rng(2).uniform(0, 1, size=(7, 3))
+        store.append_rows("demo", extra, extra.sum(axis=1))
+        inputs, outputs = store.scan("demo")
+        np.testing.assert_array_equal(inputs, np.vstack([dataset.inputs, extra]))
+        np.testing.assert_array_equal(
+            outputs, np.concatenate([dataset.outputs, extra.sum(axis=1)])
+        )
+
     def test_load_as_dataset_round_trip(self, store, dataset):
         store.load_dataset(dataset)
         rebuilt = store.load_as_dataset("demo")
         assert rebuilt.size == dataset.size
         assert np.allclose(rebuilt.inputs, dataset.inputs)
         assert rebuilt.domain == dataset.domain
-
-
-class TestScanRowRange:
-    """Boundary cases of the shard loader used by ``ShardedQueryEngine``."""
-
-    def test_empty_range_returns_typed_empty_arrays(self, store, dataset):
-        store.load_dataset(dataset)
-        inputs, outputs = store.scan_row_range("demo", 120, 120)
-        assert inputs.shape == (0, dataset.dimension)
-        assert outputs.shape == (0,)
-
-    def test_range_past_end_is_clipped(self, store, dataset):
-        store.load_dataset(dataset)
-        inputs, outputs = store.scan_row_range("demo", 490, 10_000)
-        assert inputs.shape == (10, dataset.dimension)
-        np.testing.assert_allclose(inputs, dataset.inputs[490:])
-        np.testing.assert_allclose(outputs, dataset.outputs[490:])
-
-    def test_range_entirely_past_end_is_empty(self, store, dataset):
-        store.load_dataset(dataset)
-        inputs, outputs = store.scan_row_range("demo", 500, 600)
-        assert inputs.shape == (0, dataset.dimension)
-        assert outputs.shape == (0,)
-
-    def test_full_table_range_round_trips(self, store, dataset):
-        store.load_dataset(dataset)
-        inputs, outputs = store.scan_row_range("demo", 0, dataset.size)
-        np.testing.assert_allclose(inputs, dataset.inputs)
-        np.testing.assert_allclose(outputs, dataset.outputs)
-
-    def test_invalid_bounds_raise(self, store, dataset):
-        store.load_dataset(dataset)
-        with pytest.raises(StorageError):
-            store.scan_row_range("demo", -1, 10)
-        with pytest.raises(StorageError):
-            store.scan_row_range("demo", 10, 5)
-
-    def test_disjoint_windows_partition_exactly(self, store, dataset):
-        store.load_dataset(dataset)
-        windows = [
-            store.scan_row_range("demo", start, start + 100)
-            for start in range(0, 500, 100)
-        ]
-        np.testing.assert_allclose(
-            np.vstack([inputs for inputs, _ in windows]), dataset.inputs
-        )
-        np.testing.assert_allclose(
-            np.concatenate([outputs for _, outputs in windows]), dataset.outputs
-        )
-
-    def test_load_row_range_as_dataset(self, store, dataset):
-        store.load_dataset(dataset)
-        window = store.load_row_range_as_dataset("demo", 50, 150)
-        assert window.size == 100
-        assert window.domain == dataset.domain
-        np.testing.assert_allclose(window.inputs, dataset.inputs[50:150])
-        np.testing.assert_allclose(window.outputs, dataset.outputs[50:150])
-
-    def test_load_row_range_as_dataset_rejects_empty_window(self, store, dataset):
-        store.load_dataset(dataset)
-        with pytest.raises(StorageError):
-            store.load_row_range_as_dataset("demo", 500, 600)
 
 
 class TestAppendAndDrop:
@@ -146,46 +94,6 @@ class TestAppendAndDrop:
     def test_drop_unknown_table(self, store):
         with pytest.raises(CatalogError):
             store.drop_table("missing")
-
-
-class TestBoundingBoxScan:
-    def test_selects_only_rows_in_box(self, store, dataset):
-        store.load_dataset(dataset)
-        lower = [0.0, 0.0, 0.0]
-        upper = [0.5, 0.5, 0.5]
-        inputs, outputs = store.scan_bounding_box("demo", lower, upper)
-        assert inputs.shape[0] == outputs.shape[0]
-        assert np.all(inputs >= 0.0) and np.all(inputs <= 0.5)
-        expected = np.sum(np.all(dataset.inputs <= 0.5, axis=1))
-        assert inputs.shape[0] == expected
-
-    def test_empty_box_returns_empty_arrays(self, store, dataset):
-        store.load_dataset(dataset)
-        inputs, outputs = store.scan_bounding_box("demo", [2.0] * 3, [3.0] * 3)
-        assert inputs.shape == (0, 3)
-        assert outputs.shape == (0,)
-
-    def test_wrong_bounds_dimension(self, store, dataset):
-        store.load_dataset(dataset)
-        with pytest.raises(StorageError):
-            store.scan_bounding_box("demo", [0.0], [1.0])
-
-
-class TestBatchesAndIndexes:
-    def test_iter_batches_covers_all_rows(self, store, dataset):
-        store.load_dataset(dataset)
-        total = sum(batch[1].shape[0] for batch in store.iter_batches("demo", batch_size=128))
-        assert total == 500
-
-    def test_iter_batches_bad_batch_size(self, store, dataset):
-        store.load_dataset(dataset)
-        with pytest.raises(StorageError):
-            list(store.iter_batches("demo", batch_size=0))
-
-    def test_create_value_index_is_idempotent(self, store, dataset):
-        store.load_dataset(dataset)
-        store.create_value_index("demo")
-        store.create_value_index("demo")
 
 
 class TestLifecycle:

@@ -36,7 +36,6 @@ import pytest
 
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import _GRAM_CONDITION_RTOL, ExactQueryEngine
-from repro.dbms.sharding import ShardedQueryEngine
 from repro.dbms.storage import SQLiteDataStore
 from repro.queries.query import Query
 from repro.testing.oracle import ExactOracle
@@ -279,14 +278,14 @@ def test_engine_paths_agree(dimension: int, layout: str, seed: int, kind: str):
     queries = _make_workload(dataset, seed)
 
     # Odd seeds round-trip through the SQLite store so the differential
-    # chain also covers rowid ordering and the range-restricted shard loads.
+    # chain also covers the rowid-ordered table load behind ``from_store``.
     through_store = seed % 2 == 1
     if through_store:
         with SQLiteDataStore(":memory:") as store:
             store.load_dataset(dataset)
             dataset = store.load_as_dataset(dataset.name)
             sharded_engines = {
-                route: ShardedQueryEngine.from_store(
+                route: ExactQueryEngine.from_store(
                     store,
                     dataset.name,
                     num_shards=3,
@@ -297,7 +296,7 @@ def test_engine_paths_agree(dimension: int, layout: str, seed: int, kind: str):
             }
     else:
         sharded_engines = {
-            route: ShardedQueryEngine(
+            route: ExactQueryEngine(
                 dataset, num_shards=3, backend="serial", route=route
             )
             for route in ("scan", "indexed", "auto")
@@ -310,9 +309,7 @@ def test_engine_paths_agree(dimension: int, layout: str, seed: int, kind: str):
     _assert_oracle_equal("batch-indexed", kind, batch_reference, queries, oracle)
 
     # The whole-table scan kernels: one serial shard over every row.
-    with ShardedQueryEngine(
-        dataset, num_shards=1, backend="serial", route="scan"
-    ) as scan_engine:
+    with ExactQueryEngine(dataset, route="scan") as scan_engine:
         scan_answers = _batch_answers(scan_engine, queries, kind)
     _assert_family_equal("whole-table-scan", scan_answers, batch_reference)
     _assert_oracle_equal("whole-table-scan", kind, scan_answers, queries, oracle)
@@ -436,7 +433,7 @@ def test_training_loop_paths_agree(dimension: int, layout: str, seed: int):
     ]
     assert seq_trace == chunk_trace
 
-    with ShardedQueryEngine(
+    with ExactQueryEngine(
         dataset, num_shards=3, backend="serial", route="auto"
     ) as sharded_engine:
         sharded, sharded_breakdown = _train_model(

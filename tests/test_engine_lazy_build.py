@@ -1,8 +1,8 @@
 """Concurrent first use of a fresh exact engine.
 
 An engine builds its fine grid, cell-clustered rows and cell aggregates on
-the first indexed query, and a pooled sharded engine builds its worker pool
-on the first pooled batch.  Threads that arrive while such a one-time build
+the first indexed query, and an engine with a pool backend builds its
+worker pool on the first pooled batch.  Threads that arrive while such a one-time build
 is running must wait for it and then get the same answers as a warm engine
 — never a half-published layout, and never a second pool.
 """
@@ -15,10 +15,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-import repro.dbms.sharding as sharding
+import repro.dbms.executor as executor
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine
-from repro.dbms.sharding import ShardedQueryEngine
 from repro.queries.query import Query
 
 TRIALS = 40
@@ -109,7 +108,7 @@ def test_fresh_engine_first_batches_from_many_threads():
 def test_fresh_sharded_engine_first_batches_from_many_threads():
     dataset = _dataset()
     failures, mismatches = _first_batches_race(
-        lambda: ShardedQueryEngine(
+        lambda: ExactQueryEngine(
             dataset, num_shards=2, backend="serial", route="indexed"
         )
     )
@@ -128,7 +127,7 @@ def test_fresh_pooled_engine_builds_one_pool(monkeypatch):
             super().__init__(*args, **kwargs)
             built.append(self)
 
-    monkeypatch.setattr(sharding, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(executor, "ThreadPoolExecutor", CountingPool)
     dataset = _dataset()
     queries = _queries()
     pools_per_engine = []
@@ -137,7 +136,7 @@ def test_fresh_pooled_engine_builds_one_pool(monkeypatch):
     try:
         for _ in range(TRIALS):
             before = len(built)
-            with ShardedQueryEngine(
+            with ExactQueryEngine(
                 dataset, backend="threads", max_workers=2, route="scan"
             ) as engine:
                 results = _one_trial(engine, queries)

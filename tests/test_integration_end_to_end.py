@@ -125,7 +125,7 @@ class TestEndToEnd:
     def test_prediction_is_much_faster_than_exact_execution(self, pipeline):
         import time
 
-        from repro import ShardedQueryEngine
+        from repro import ExactQueryEngine
 
         _, engine, model, _, testing_queries = pipeline
         queries = list(testing_queries[:30])
@@ -133,9 +133,7 @@ class TestEndToEnd:
         # (the paper's baseline scans/aggregates the selected data: one
         # whole-table shard on the scan kernel); warm up the model's
         # prediction cache first so only steady-state latency is measured.
-        scan_engine = ShardedQueryEngine(
-            engine.dataset, num_shards=1, backend="serial", route="scan"
-        )
+        scan_engine = ExactQueryEngine(engine.dataset, route="scan")
         model.predict_mean(queries[0])
 
         start = time.perf_counter()

@@ -112,7 +112,7 @@ class TestLabelledWorkload:
     @pytest.mark.parametrize("route", ("scan", "indexed", "auto"))
     def test_from_engine_on_a_sharded_engine(self, route):
         from repro.data.synthetic import SyntheticDataset
-        from repro.dbms.sharding import ShardedQueryEngine
+        from repro.dbms.executor import ExactQueryEngine
         from repro.testing.oracle import ExactOracle
 
         rng = np.random.default_rng(5)
@@ -125,7 +125,7 @@ class TestLabelledWorkload:
         )
         far = Query(center=np.array([9.0, 9.0]), radius=0.01)
         queries = _queries(8)[:4] + [far] + _queries(8)[4:]
-        with ShardedQueryEngine(
+        with ExactQueryEngine(
             dataset, num_shards=3, backend="serial", route=route
         ) as engine:
             workload = LabelledWorkload.from_engine(queries, engine)

@@ -2,8 +2,8 @@
 
 Every single-query method of the model (``predict_mean``,
 ``predict_mean_with_diagnostics``, ``regression_models``, ``predict_value``)
-and of the exact engines (``execute_q1``, ``execute_q2``, ``mean_value``,
-``cardinality``, ``select_subspace``) must
+and of the exact engine in every shard configuration (``execute_q1``,
+``execute_q2``, ``mean_value``, ``cardinality``, ``select_subspace``) must
 
 * equal its batch-of-one call bit for bit, and
 * match the brute-force oracle of :mod:`repro.testing.oracle` within
@@ -28,7 +28,6 @@ from repro.core.persistence import model_from_dict
 from repro.core.prototypes import LocalLinearMap
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine
-from repro.dbms.sharding import ShardedQueryEngine
 from repro.exceptions import EmptySubspaceError
 from repro.queries.query import Query
 from repro.testing.oracle import ExactOracle, ModelOracle
@@ -208,16 +207,14 @@ def _assert_same_answer(answer, batch_answer) -> None:
 
 def _assert_exact_contract(engine, dataset, queries: list[Query]) -> None:
     oracle = ExactOracle(dataset.inputs, dataset.outputs)
-    single_table = isinstance(engine, ExactQueryEngine)
     for query in queries:
         rows = oracle.select(query)
-        if single_table:
-            before = engine.statistics.queries_executed
-            inputs, outputs = engine.select_subspace(query)
-            np.testing.assert_array_equal(inputs, dataset.inputs[rows])
-            np.testing.assert_array_equal(outputs, dataset.outputs[rows])
-            assert engine.cardinality(query) == rows.size
-            assert engine.statistics.queries_executed == before + 2
+        before = engine.statistics.queries_executed
+        inputs, outputs = engine.select_subspace(query)
+        np.testing.assert_array_equal(inputs, dataset.inputs[rows])
+        np.testing.assert_array_equal(outputs, dataset.outputs[rows])
+        assert engine.cardinality(query) == rows.size
+        assert engine.statistics.queries_executed == before + 2
         if not rows.size:
             for execute in (engine.execute_q1, engine.execute_q2, engine.mean_value):
                 with pytest.raises(EmptySubspaceError):
@@ -256,7 +253,37 @@ def test_exact_single_queries_are_batches_of_one(dimension, norm_order, layout):
     queries = _exact_queries(dataset, norm_order)
     for engine in (
         ExactQueryEngine(dataset),
-        ShardedQueryEngine(dataset, num_shards=1, backend="serial", route="scan"),
-        ShardedQueryEngine(dataset, num_shards=3, backend="serial"),
+        ExactQueryEngine(dataset, route="scan"),
+        ExactQueryEngine(dataset, num_shards=3, route="indexed"),
+        ExactQueryEngine(dataset, num_shards=3, route="auto"),
     ):
         _assert_exact_contract(engine, dataset, queries)
+
+
+@pytest.mark.parametrize("norm_order", NORMS)
+def test_default_engine_is_one_inline_indexed_shard(norm_order):
+    dataset = _dataset(2, "uniform")
+    queries = _exact_queries(dataset, norm_order)
+    default = ExactQueryEngine(dataset)
+    explicit = ExactQueryEngine(
+        dataset, num_shards=1, backend="serial", route="indexed"
+    )
+    assert (default.num_shards, default.backend, default.route) == (
+        1,
+        "serial",
+        "indexed",
+    )
+    for query in queries:
+        for got, want in zip(
+            default.select_subspace(query), explicit.select_subspace(query)
+        ):
+            np.testing.assert_array_equal(got, want)
+        assert default.cardinality(query) == explicit.cardinality(query)
+    for execute in ("execute_q1_batch", "execute_q2_batch"):
+        answers = getattr(default, execute)(queries, on_empty="null")
+        expected = getattr(explicit, execute)(queries, on_empty="null")
+        for answer, reference in zip(answers, expected):
+            assert (answer is None) == (reference is None)
+            if reference is not None:
+                _assert_same_answer(answer, reference)
+    assert vars(default.statistics) == vars(explicit.statistics)

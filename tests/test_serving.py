@@ -10,7 +10,6 @@ from repro.core.model import LLMModel
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine
 from repro.dbms.serving import AnalyticsService, ServingStatistics, StatementResult
-from repro.dbms.sharding import ShardedQueryEngine
 from repro.dbms.sqlfront import AnalyticsSession, parse_statement
 from repro.dbms.storage import SQLiteDataStore
 from repro.exceptions import (
@@ -404,7 +403,7 @@ class TestHybridMode:
 
 class TestShardedServing:
     def test_sharded_engine_with_auto_route_matches_single(self, engine, half_model):
-        with ShardedQueryEngine(
+        with ExactQueryEngine(
             engine.dataset, num_shards=4, backend="serial", route="auto"
         ) as sharded:
             service = AnalyticsService(

@@ -22,7 +22,6 @@ from repro.core.sgd import FusedTrainingKernel
 from repro.core.training import StreamingTrainer
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine
-from repro.dbms.sharding import ShardedQueryEngine
 from repro.queries.query import Query
 from repro.queries.workload import (
     QueryWorkloadGenerator,
@@ -189,7 +188,7 @@ class TestEngineSelectors:
         reference_model = _fresh_model()
         StreamingTrainer(reference_model, single).train(queries, batch_size=40)
 
-        with ShardedQueryEngine(
+        with ExactQueryEngine(
             dataset, num_shards=3, backend="serial", route="auto"
         ) as sharded:
             model = _fresh_model()
