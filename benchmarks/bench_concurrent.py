@@ -287,7 +287,6 @@ def run_concurrent_benchmark(
         differential = _differential(differential_front, sequential, pools)
     finally:
         differential_front.close()
-        sequential.close()
 
     single = by_sessions[session_counts[0]]
     gate_sessions = 4 if 4 in session_counts else session_counts[-1]

@@ -99,7 +99,7 @@ def _statement(query) -> str:
 
 
 def _train_model(engine, queries) -> LLMModel:
-    workload = LabelledWorkload.from_queries(queries, engine.mean_value)
+    workload = LabelledWorkload.from_engine(queries, engine)
     model = LLMModel(
         dimension=2,
         config=ModelConfig(quantization_coefficient=0.05),

@@ -92,7 +92,6 @@ from .exceptions import (
     CatalogError,
     CircuitOpenError,
     ConfigurationError,
-    ConvergenceError,
     DimensionalityMismatchError,
     EmptySubspaceError,
     InjectedFaultError,
@@ -102,7 +101,6 @@ from .exceptions import (
     NotFittedError,
     ReproError,
     ServiceOverloadedError,
-    ServingTimeoutError,
     SQLSyntaxError,
     StorageError,
     TransientEngineError,
@@ -112,14 +110,11 @@ from .queries import (
     LabelledWorkload,
     Query,
     QueryAnswer,
-    QueryAnswerStream,
     QueryLog,
     QueryResultPair,
     QueryWorkloadGenerator,
     RadiusDistribution,
-    TrainTestSplit,
     WorkloadSpec,
-    split_workload,
 )
 from .data import (
     DriftingFunction,
@@ -127,7 +122,6 @@ from .data import (
     SyntheticDataset,
     generate_gas_sensor_dataset,
     get_data_function,
-    list_data_functions,
     make_function_dataset,
     make_rosenbrock_dataset,
 )
@@ -149,7 +143,6 @@ from .dbms import (
     ModelVersionStore,
     ObserverHub,
     PrototypeIndex,
-    RecordingObserver,
     ScriptFuture,
     ServingStatistics,
     SQLiteDataStore,
@@ -167,13 +160,7 @@ from .core import (
     load_model,
     save_model,
 )
-from .baselines import (
-    MARSRegressor,
-    OLSRegressor,
-    SamplingRegressor,
-    fit_plr_over_subspace,
-    fit_reg_over_subspace,
-)
+from .baselines import MARSRegressor, OLSRegressor
 from .bench import (
     BenchmarkRunner,
     BenchmarkSpec,
@@ -203,11 +190,9 @@ __all__ = [
     "CatalogError",
     "SQLSyntaxError",
     "ConfigurationError",
-    "ConvergenceError",
     "WorkloadError",
     "ModelPersistenceError",
     "TransientEngineError",
-    "ServingTimeoutError",
     "ServiceOverloadedError",
     "CircuitOpenError",
     "LifecycleError",
@@ -219,9 +204,6 @@ __all__ = [
     "QueryWorkloadGenerator",
     "RadiusDistribution",
     "WorkloadSpec",
-    "TrainTestSplit",
-    "split_workload",
-    "QueryAnswerStream",
     "LabelledWorkload",
     "QueryLog",
     # data
@@ -231,7 +213,6 @@ __all__ = [
     "make_function_dataset",
     "generate_gas_sensor_dataset",
     "get_data_function",
-    "list_data_functions",
     "MinMaxScaler",
     # dbms
     "SQLiteDataStore",
@@ -250,7 +231,6 @@ __all__ = [
     "ScriptFuture",
     "ObserverHub",
     "LifecycleEvent",
-    "RecordingObserver",
     "ModelManager",
     "DriftPolicy",
     "ModelVersionStore",
@@ -270,9 +250,6 @@ __all__ = [
     # baselines
     "OLSRegressor",
     "MARSRegressor",
-    "SamplingRegressor",
-    "fit_reg_over_subspace",
-    "fit_plr_over_subspace",
     # bench
     "ExperimentConfig",
     "RunRecord",

@@ -6,19 +6,13 @@
 * ``PLR`` — piecewise linear regression via a MARS-style forward/backward
   procedure with a generalised cross-validation penalty (the role played by
   the ARESLab toolbox in the paper).
-* sampling variants of both, which trade accuracy for speed by fitting on a
-  random sample of the subspace (discussed in Section VI-C).
 """
 
-from .ols import OLSRegressor, fit_reg_over_subspace
-from .plr import MARSRegressor, BasisFunction, fit_plr_over_subspace
-from .sampling import SamplingRegressor
+from .ols import OLSRegressor
+from .plr import MARSRegressor, BasisFunction
 
 __all__ = [
     "OLSRegressor",
-    "fit_reg_over_subspace",
     "MARSRegressor",
     "BasisFunction",
-    "fit_plr_over_subspace",
-    "SamplingRegressor",
 ]

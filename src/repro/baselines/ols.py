@@ -13,7 +13,7 @@ import numpy as np
 
 from ..exceptions import DimensionalityMismatchError, EmptySubspaceError, NotFittedError
 
-__all__ = ["OLSRegressor", "fit_reg_over_subspace"]
+__all__ = ["OLSRegressor"]
 
 
 class OLSRegressor:
@@ -162,15 +162,3 @@ class OLSRegressor:
         sigma_squared = self.sum_of_squared_residuals(x, u) / dof
         covariance = sigma_squared * np.linalg.pinv(design.T @ design)
         return np.sqrt(np.clip(np.diag(covariance), 0.0, None))
-
-
-def fit_reg_over_subspace(
-    inputs: np.ndarray, outputs: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Fit REG over a subspace and return ``(intercept, slope)``.
-
-    This is the exact operation the paper's Q2 baseline performs once the
-    dNN selection has materialised the subspace.
-    """
-    model = OLSRegressor().fit(inputs, outputs)
-    return model.intercept, model.slope

@@ -31,7 +31,7 @@ from ..exceptions import (
     NotFittedError,
 )
 
-__all__ = ["BasisFunction", "MARSRegressor", "fit_plr_over_subspace"]
+__all__ = ["BasisFunction", "MARSRegressor"]
 
 
 @dataclass(frozen=True)
@@ -324,17 +324,3 @@ class MARSRegressor:
             intercept = float(self.predict(midpoint)[0] - slope * midpoint[0, 0])
             segments.append((low, high, intercept, slope))
         return segments
-
-
-def fit_plr_over_subspace(
-    inputs: np.ndarray,
-    outputs: np.ndarray,
-    *,
-    max_basis_functions: int = 20,
-    gcv_penalty: float = 3.0,
-) -> MARSRegressor:
-    """Fit PLR over a subspace (the operation the paper's Q2 PLR baseline runs)."""
-    model = MARSRegressor(
-        max_basis_functions=max_basis_functions, gcv_penalty=gcv_penalty
-    )
-    return model.fit(inputs, outputs)

@@ -17,7 +17,6 @@ from .functions import (
     Rosenbrock,
     SineRidge,
     get_data_function,
-    list_data_functions,
 )
 from .synthetic import SyntheticDataset, make_function_dataset, make_rosenbrock_dataset
 from .gas_sensor import generate_gas_sensor_dataset
@@ -31,7 +30,6 @@ __all__ = [
     "PiecewiseNonLinear1D",
     "DriftingFunction",
     "get_data_function",
-    "list_data_functions",
     "SyntheticDataset",
     "make_function_dataset",
     "make_rosenbrock_dataset",

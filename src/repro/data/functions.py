@@ -31,7 +31,6 @@ __all__ = [
     "PiecewiseNonLinear1D",
     "DriftingFunction",
     "get_data_function",
-    "list_data_functions",
 ]
 
 
@@ -246,18 +245,14 @@ _REGISTRY: Mapping[str, type[DataFunction]] = {
 }
 
 
-def list_data_functions() -> list[str]:
-    """Return the names of all registered data functions."""
-    return sorted(_REGISTRY)
-
-
 def get_data_function(name: str, dimension: int | None = None) -> DataFunction:
     """Instantiate a registered data function by name.
 
     Parameters
     ----------
     name:
-        One of :func:`list_data_functions`.
+        One of the registered names: ``rosenbrock``, ``product_saddle``,
+        ``sine_ridge`` or ``piecewise_1d``.
     dimension:
         Input dimensionality.  Ignored for the intrinsically one-dimensional
         ``piecewise_1d`` function; required (or defaulted to 2) otherwise.
@@ -266,7 +261,7 @@ def get_data_function(name: str, dimension: int | None = None) -> DataFunction:
         cls = _REGISTRY[name]
     except KeyError as exc:
         raise ConfigurationError(
-            f"unknown data function {name!r}; known functions: {list_data_functions()}"
+            f"unknown data function {name!r}; known functions: {sorted(_REGISTRY)}"
         ) from exc
     if cls is PiecewiseNonLinear1D:
         return cls()

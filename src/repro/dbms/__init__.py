@@ -25,9 +25,15 @@ during the training phase.  This subpackage provides that substrate:
   serving layer behind the sessions: per-table engine/model registry,
   batched multi-statement execution through the engines' and models' batch
   paths, and a hybrid mode answering from the trained model with a
-  transparent exact fallback on empty ``W(q)`` (fallback rate reported via
-  :class:`~repro.dbms.serving.ServingStatistics`), guarded by per-tier
+  transparent exact fallback on empty ``W(q)``, guarded by per-tier
   circuit breakers, bounded retries and per-statement error answers,
+* :mod:`~repro.dbms.stats` — the serving statistics both serving layers
+  keep per table (:class:`~repro.dbms.stats.ServingStatistics`: answers by
+  source, including the hybrid fallback rate, and a mergeable
+  :class:`~repro.dbms.stats.LatencyHistogram`),
+* :mod:`~repro.dbms.resilience` — the guarded path's retry policy
+  (:class:`~repro.dbms.resilience.DegradationPolicy`) and per-tier
+  :class:`~repro.dbms.resilience.CircuitBreaker`,
 * :class:`~repro.dbms.concurrent.ConcurrentAnalyticsService` — the
   concurrent serving front over the service: thread-pool fan-out with
   bounded admission, a micro-batching coalescer merging concurrent
@@ -66,27 +72,16 @@ from .executor import (
     shard_bounds,
 )
 from .sqlfront import AnalyticsSession, ParsedStatement, parse_script, parse_statement
-from .serving import (
-    AnalyticsService,
-    CircuitBreaker,
-    DegradationPolicy,
-    LatencyHistogram,
-    ServingStatistics,
-    StatementResult,
-)
+from .stats import LatencyHistogram, ServingStatistics
+from .resilience import CircuitBreaker, DegradationPolicy
+from .serving import AnalyticsService, StatementResult
 from .concurrent import (
     AnswerCache,
     ConcurrencyPolicy,
     ConcurrentAnalyticsService,
     ScriptFuture,
 )
-from .observer import (
-    LifecycleEvent,
-    LifecycleObserver,
-    LoggingObserver,
-    ObserverHub,
-    RecordingObserver,
-)
+from .observer import LifecycleEvent, LifecycleObserver, ObserverHub
 from .lifecycle import (
     DriftPolicy,
     LifecycleScheduler,
@@ -129,9 +124,7 @@ __all__ = [
     "ScriptFuture",
     "LifecycleEvent",
     "LifecycleObserver",
-    "LoggingObserver",
     "ObserverHub",
-    "RecordingObserver",
     "DriftPolicy",
     "ModelManager",
     "ModelVersionStore",

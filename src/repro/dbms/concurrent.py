@@ -45,7 +45,7 @@ answers are cached (no errors, nothing degraded), and a flush that raced a
 swap (epoch moved while it executed) skips cache population entirely.
 
 Statistics: the front keeps its own per-table
-:class:`~repro.dbms.serving.ServingStatistics` — end-to-end
+:class:`~repro.dbms.stats.ServingStatistics` — end-to-end
 (enqueue-to-answer) latency percentiles via the fixed-bucket histogram,
 cache hits and coalesce widths — while the inner service's statistics keep
 measuring pure execution, which is what the lifecycle manager's drift
@@ -61,25 +61,22 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..analysis.instrument import make_lock, note_access
 from ..exceptions import (
     ConfigurationError,
-    EmptySubspaceError,
     ServiceClosedError,
     ServiceOverloadedError,
-    SQLSyntaxError,
 )
 from .serving import (
-    _CALLER_ERRORS,
-    _MODES,
-    _ON_ERROR,
+    CALLER_ERRORS,
     AnalyticsService,
-    ServingStatistics,
     StatementResult,
+    prepare_script,
 )
 from .sqlfront import ParsedStatement
+from .stats import PerTableStatistics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..testing.faults import FaultInjector
@@ -117,11 +114,6 @@ class ConcurrencyPolicy:
     cache_capacity:
         Answer-cache entries retained (LRU eviction); ``0`` disables the
         cache entirely.
-    cache_ttl_seconds:
-        Optional time-to-live per cache entry; ``None`` keeps entries
-        until evicted or invalidated.  Versioned keys already handle
-        model staleness — the TTL is for deployments whose *data* changes
-        underneath a fixed registry (appends without re-registration).
     """
 
     max_workers: int = 4
@@ -129,7 +121,6 @@ class ConcurrencyPolicy:
     coalesce_window_seconds: float = 0.002
     max_batch_statements: int = 1024
     cache_capacity: int = 4096
-    cache_ttl_seconds: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:
@@ -155,37 +146,25 @@ class ConcurrencyPolicy:
             raise ConfigurationError(
                 f"cache_capacity must be >= 0, got {self.cache_capacity}"
             )
-        if self.cache_ttl_seconds is not None and self.cache_ttl_seconds <= 0.0:
-            raise ConfigurationError(
-                f"cache_ttl_seconds must be positive or None, got "
-                f"{self.cache_ttl_seconds}"
-            )
 
 
 class AnswerCache:
-    """A thread-safe LRU answer cache with optional TTL expiry.
+    """A thread-safe LRU answer cache.
 
     Keys are opaque hashable tuples whose first component is the table
     name (so :meth:`invalidate` can drop one table's entries); values are
     the :class:`~repro.dbms.serving.StatementResult` of a clean execution.
-    Capacity is enforced by least-recently-*used* eviction; a TTL, when
-    configured, expires entries lazily at lookup.
+    Capacity is enforced by least-recently-*used* eviction.  Entries need
+    no expiry: an engine answers from the rows it loaded, and every
+    registration that could change an answer bumps the registry epoch in
+    the key.
     """
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        ttl_seconds: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self._capacity = int(capacity)
-        self._ttl = ttl_seconds
-        self._clock = clock
-        self._entries: OrderedDict[tuple, tuple[float, StatementResult]] = (
-            OrderedDict()
-        )
+        self._entries: OrderedDict[tuple, StatementResult] = OrderedDict()
         self._lock = make_lock("concurrent.AnswerCache")
         self.hits = 0
         self.misses = 0
@@ -196,21 +175,12 @@ class AnswerCache:
         with self._lock:
             return len(self._entries)
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
     def get(self, key: tuple) -> StatementResult | None:
-        """The cached result under ``key``, or ``None`` (miss / expired)."""
+        """The cached result under ``key``, or ``None`` on a miss."""
         with self._lock:
             note_access(self, "entries")
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            expires, result = entry
-            if self._ttl is not None and self._clock() >= expires:
-                del self._entries[key]
+            result = self._entries.get(key)
+            if result is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
@@ -219,14 +189,11 @@ class AnswerCache:
 
     def put(self, key: tuple, result: StatementResult) -> None:
         """Insert (or refresh) an entry, evicting the LRU tail at capacity."""
-        expires = (
-            self._clock() + self._ttl if self._ttl is not None else float("inf")
-        )
         with self._lock:
             note_access(self, "entries")
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = (expires, result)
+            self._entries[key] = result
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
@@ -320,7 +287,7 @@ class _PendingGroup:
         self.flush_scheduled = False
 
 
-class ConcurrentAnalyticsService:
+class ConcurrentAnalyticsService(PerTableStatistics):
     """Concurrent, coalescing, caching front over an :class:`AnalyticsService`.
 
     Parameters
@@ -339,8 +306,8 @@ class ConcurrentAnalyticsService:
         each batch executes — the fault-matrix surface proving a mid-batch
         failure stays contained to its group.
     clock:
-        Monotonic clock used for cache TTLs and latency accounting
-        (injectable for deterministic tests).
+        Monotonic clock used for latency accounting and script-result
+        deadlines (injectable for deterministic tests).
 
     The front is itself a valid session backend: it exposes the same
     ``execute`` / ``execute_script`` / registry surface as the inner
@@ -371,26 +338,20 @@ class ConcurrentAnalyticsService:
         self._groups_lock = make_lock(
             "concurrent.ConcurrentAnalyticsService.groups"
         )
-        self._pending = 0
-        self._pending_cond = threading.Condition()
+        # Admitted statements whose future has not resolved yet: the one
+        # pending count (admission bound, drain wait, ``pending_statements``).
         self._outstanding: set[Future] = set()
-        self._outstanding_lock = make_lock(
-            "concurrent.ConcurrentAnalyticsService.outstanding"
+        self._outstanding_cond = threading.Condition(
+            make_lock("concurrent.ConcurrentAnalyticsService.outstanding")
         )
         self._origins = itertools.count()
         self._closed = False
-        self._statistics: dict[str, ServingStatistics] = {}
-        self._stats_lock = make_lock(
-            "concurrent.ConcurrentAnalyticsService.stats"
-        )
+        self._closing = threading.Event()  # wakes window sleepers on close
+        self._init_statistics("concurrent.ConcurrentAnalyticsService.stats")
         self._cache: AnswerCache | None = None
         self._swap_observer = None
         if self._policy.cache_capacity > 0:
-            self._cache = AnswerCache(
-                self._policy.cache_capacity,
-                self._policy.cache_ttl_seconds,
-                clock,
-            )
+            self._cache = AnswerCache(self._policy.cache_capacity)
             # Eager invalidation on hot-swap: the epoch in the key already
             # guarantees correctness, this just reclaims dead entries.
             cache = self._cache
@@ -412,11 +373,6 @@ class ConcurrentAnalyticsService:
         return self._service
 
     @property
-    def policy(self) -> ConcurrencyPolicy:
-        """The concurrency policy in force."""
-        return self._policy
-
-    @property
     def cache(self) -> AnswerCache | None:
         """The answer cache (``None`` when disabled)."""
         return self._cache
@@ -434,8 +390,8 @@ class ConcurrentAnalyticsService:
     @property
     def pending_statements(self) -> int:
         """Statements admitted but not yet answered."""
-        with self._pending_cond:
-            return self._pending
+        with self._outstanding_cond:
+            return len(self._outstanding)
 
     @property
     def closed(self) -> bool:
@@ -456,9 +412,7 @@ class ConcurrentAnalyticsService:
         """Atomically swap a table's model (delegates to the inner service)."""
         return self._service.swap_model(table, model, version=version)
 
-    def close(
-        self, *, wait: bool = True, drain_seconds: float | None = None
-    ) -> None:
+    def close(self, *, drain_seconds: float | None = None) -> None:
         """Stop accepting work, drain admitted statements, shut the pool down.
 
         New submissions fail synchronously with
@@ -466,15 +420,15 @@ class ConcurrentAnalyticsService:
         is called.  Statements already admitted are *drained*: every
         coalescer group still buffering flushes immediately (its window no
         longer matters — nothing new can join), and the close blocks until
-        they answer, bounded by ``drain_seconds`` when given (``wait=True``
-        with no bound waits them out; ``wait=False`` skips waiting
-        entirely).  Any future still unresolved when the drain window ends
-        gets :class:`~repro.exceptions.ServiceClosedError` attached — a
-        :class:`ScriptFuture` therefore always resolves across a shutdown,
-        never hangs.  Idempotent.
+        they answer, bounded by ``drain_seconds`` when given (no bound
+        waits them out).  Any future still unresolved when the drain
+        window ends gets :class:`~repro.exceptions.ServiceClosedError`
+        attached — a :class:`ScriptFuture` therefore always resolves
+        across a shutdown, never hangs.  Idempotent.
         """
         first_close = not self._closed
         self._closed = True
+        self._closing.set()
         if first_close:
             # Flush whatever the coalescer is still buffering: no new
             # arrivals can top these groups up, so their windows are moot.
@@ -492,25 +446,24 @@ class ConcurrentAnalyticsService:
                     self._pool.submit(self._run_flush, key, batch)
                 except RuntimeError:  # pool already gone: answer inline
                     self._run_flush(key, batch)
-        if wait:
-            deadline = (
-                None if drain_seconds is None else self._clock() + drain_seconds
-            )
-            with self._pending_cond:
-                while self._pending > 0:
-                    if deadline is None:
-                        self._pending_cond.wait(0.05)
-                        continue
-                    remaining = deadline - self._clock()
-                    if remaining <= 0.0:
-                        break
-                    self._pending_cond.wait(min(remaining, 0.05))
-        # Whatever did not finish inside the drain window resolves with a
-        # typed error instead of hanging its caller forever.
-        with self._outstanding_lock:
-            note_access(self, "outstanding")
-            stragglers = [f for f in self._outstanding if not f.done()]
-            self._outstanding.clear()
+        deadline = None if drain_seconds is None else self._clock() + drain_seconds
+        with self._outstanding_cond:
+            while self._outstanding:
+                if deadline is None:
+                    self._outstanding_cond.wait(0.05)
+                    continue
+                remaining = deadline - self._clock()
+                if remaining <= 0.0:
+                    break
+                self._outstanding_cond.wait(min(remaining, 0.05))
+        # No queued flush runs after this.  Whatever is still pending —
+        # a flush outliving the drain window, a cancelled queued flush —
+        # resolves with a typed error instead of hanging its caller
+        # forever; resolving a future is what stops it counting as pending.
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        with self._outstanding_cond:
+            note_access(self, "outstanding", write=False)
+            stragglers = list(self._outstanding)
         if stragglers:
             exc = ServiceClosedError(
                 f"{len(stragglers)} statements were still pending when the "
@@ -521,7 +474,8 @@ class ConcurrentAnalyticsService:
                     future.set_exception(exc)
                 except InvalidStateError:  # lost a benign race to a flush
                     pass
-        self._pool.shutdown(wait=wait and not stragglers, cancel_futures=True)
+        else:
+            self._pool.shutdown(wait=True)  # join the idle workers
         if self._swap_observer is not None:
             self._service.observers.unsubscribe(self._swap_observer)
             self._swap_observer = None
@@ -531,41 +485,6 @@ class ConcurrentAnalyticsService:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    # ------------------------------------------------------------------ #
-    # statistics (front level: end-to-end latency, cache, coalescing)
-    # ------------------------------------------------------------------ #
-    def statistics_for(self, table: str) -> ServingStatistics:
-        """Front-level per-table statistics (created on first access).
-
-        These measure what the front adds — enqueue-to-answer latency
-        percentiles, cache hits, coalesce widths.  The inner service's own
-        statistics (``service.statistics_for``) keep measuring executed
-        batches only, which is what drift detection must see.
-        """
-        with self._stats_lock:
-            if table not in self._statistics:
-                self._statistics[table] = ServingStatistics()
-            return self._statistics[table]
-
-    @property
-    def per_table_statistics(self) -> Mapping[str, ServingStatistics]:
-        """Read-only view of the front-level per-table statistics."""
-        with self._stats_lock:
-            return dict(self._statistics)
-
-    @property
-    def statistics(self) -> ServingStatistics:
-        """Front-wide aggregate (exact merge, including the histograms)."""
-        total = ServingStatistics()
-        for stats in self.per_table_statistics.values():
-            total.merge(stats)
-        return total
-
-    def reset_statistics(self) -> None:
-        """Clear the front-level statistics of every table."""
-        with self._stats_lock:
-            self._statistics.clear()
 
     # ------------------------------------------------------------------ #
     # submission
@@ -597,15 +516,7 @@ class ConcurrentAnalyticsService:
             raise ServiceClosedError(
                 "the concurrent serving front has been closed"
             )
-        if mode not in _MODES:
-            raise SQLSyntaxError(
-                f"unknown execution mode {mode!r} (expected one of {_MODES})"
-            )
-        if on_error not in _ON_ERROR:
-            raise ConfigurationError(
-                f"on_error must be one of {_ON_ERROR}, got {on_error!r}"
-            )
-        statements = AnalyticsService._parse_input(script)
+        statements = prepare_script(script, mode=mode, on_error=on_error)
         futures: list[Future[StatementResult]] = [
             Future() for _ in statements
         ]
@@ -629,28 +540,23 @@ class ConcurrentAnalyticsService:
         # Admission control happens before anything is resolved or
         # enqueued, so a rejected script is rejected whole.
         if misses:
-            self._admit(len(misses))
+            self._admit([futures[position] for position, _, _ in misses])
         if hits:
             elapsed = self._clock() - lookup_start
             by_table: dict[str, list[StatementResult]] = {}
             for _, result in hits:
                 by_table.setdefault(result.table, []).append(result)
             for table, results in by_table.items():
-                stats = self.statistics_for(table)
-                with self._stats_lock:
-                    stats.record_batch(
-                        len(results),
-                        cache_hits=len(results),
-                        empties=sum(r.empty for r in results),
-                        seconds=elapsed * len(results) / len(hits),
-                    )
+                self.statistics_for(table).record_batch(
+                    len(results),
+                    cache_hits=len(results),
+                    empties=sum(r.empty for r in results),
+                    seconds=elapsed * len(results) / len(hits),
+                )
             for position, result in hits:
                 futures[position].set_result(result)
         if misses:
             now = self._clock()
-            with self._outstanding_lock:
-                note_access(self, "outstanding")
-                self._outstanding.update(futures[p] for p, _, _ in misses)
             for position, statement, key in misses:
                 entry = _PendingEntry(
                     statement, key, futures[position], origin, now
@@ -680,43 +586,47 @@ class ConcurrentAnalyticsService:
     ):
         """Serve one statement, returning its bare value (service contract).
 
-        Mirrors :meth:`AnalyticsService.execute`: attached errors re-raise
-        and an empty exact Q1/Q2 subspace raises
-        :class:`~repro.exceptions.EmptySubspaceError`.
+        Mirrors :meth:`AnalyticsService.execute`
+        (:meth:`~repro.dbms.serving.StatementResult.value_or_raise`).
         """
         result = self.execute_script([sql], mode=mode, timeout=timeout)[0]
-        if result.error is not None:
-            raise result.error
-        if result.empty and result.kind != "count":
-            raise EmptySubspaceError(
-                f"statement over table {result.table!r} selected no rows; its "
-                f"exact {result.kind.upper()} answer is undefined"
-            )
-        return result.value
+        return result.value_or_raise()
 
     # ------------------------------------------------------------------ #
     # admission / cache keys
     # ------------------------------------------------------------------ #
-    def _admit(self, count: int) -> None:
-        with self._pending_cond:
-            if self._pending + count > self._policy.max_pending_statements:
+    def _admit(self, futures: "list[Future[StatementResult]]") -> None:
+        """Count a script's uncached statements as pending, or reject them all.
+
+        Each statement stops counting exactly once: when its future
+        resolves, whichever path (flush, close, enqueue failure) resolves
+        it.
+        """
+        limit = self._policy.max_pending_statements
+        with self._outstanding_cond:
+            note_access(self, "outstanding")
+            pending = len(self._outstanding)
+            if pending + len(futures) > limit:
                 raise ServiceOverloadedError(
-                    f"admitting {count} statements would exceed the pending "
-                    f"bound ({self._pending} in flight, limit "
-                    f"{self._policy.max_pending_statements}); retry later",
-                    pending=self._pending,
-                    limit=self._policy.max_pending_statements,
+                    f"admitting {len(futures)} statements would exceed the "
+                    f"pending bound ({pending} in flight, limit {limit}); "
+                    f"retry later",
+                    pending=pending,
+                    limit=limit,
                 )
-            self._pending += count
+            self._outstanding.update(futures)
+        for future in futures:
+            future.add_done_callback(self._forget)
 
-    def _release(self, count: int) -> None:
-        with self._pending_cond:
-            self._pending -= count
-            if self._pending <= 0:
-                self._pending_cond.notify_all()
+    def _forget(self, future: "Future[StatementResult]") -> None:
+        with self._outstanding_cond:
+            note_access(self, "outstanding")
+            self._outstanding.discard(future)
+            if not self._outstanding:
+                self._outstanding_cond.notify_all()
 
+    @staticmethod
     def _resolve(
-        self,
         future: "Future[StatementResult]",
         result: StatementResult | None = None,
         exc: BaseException | None = None,
@@ -729,9 +639,6 @@ class ConcurrentAnalyticsService:
         resolved (failed) future, and re-resolution would raise
         :class:`concurrent.futures.InvalidStateError`.
         """
-        with self._outstanding_lock:
-            note_access(self, "outstanding")
-            self._outstanding.discard(future)
         try:
             if exc is not None:
                 future.set_exception(exc)
@@ -809,12 +716,11 @@ class ConcurrentAnalyticsService:
             )
             for pending in stranded:
                 self._resolve(pending.future, exc=exc)
-            self._release(len(stranded))
 
     def _window_flush(self, group_key: tuple[str, str, str]) -> None:
         window = self._policy.coalesce_window_seconds
         if window > 0.0:
-            time.sleep(window)
+            self._closing.wait(window)
         with self._groups_lock:
             note_access(self, "groups")
             group = self._groups.get(group_key)
@@ -855,12 +761,11 @@ class ConcurrentAnalyticsService:
                 self._cache is not None
                 and self._service.registry_epoch_for(table) == epoch_before
             )
-        except _CALLER_ERRORS as exc:
+        except CALLER_ERRORS as exc:
             # Caller bugs (unknown table, bad configuration) propagate to
             # every waiting caller of this group — and only this group.
             for entry in entries:
                 self._resolve(entry.future, exc=exc)
-            self._release(len(entries))
             return
         except Exception as exc:
             # Containment of last resort (e.g. an injected flush fault):
@@ -884,22 +789,12 @@ class ConcurrentAnalyticsService:
             ]
             cacheable = False
         now = self._clock()
-        width = len({entry.origin for entry in entries})
-        latencies = [now - entry.enqueued_at for entry in entries]
-        stats = self.statistics_for(table)
-        with self._stats_lock:
-            stats.record_batch(
-                len(results),
-                model_answered=sum(r.source == "model" for r in results),
-                exact_answered=sum(r.source == "exact" for r in results),
-                fallbacks=sum(r.source == "fallback" for r in results),
-                empties=sum(r.empty for r in results),
-                errors=sum(r.source == "error" for r in results),
-                degraded=sum(r.degraded for r in results),
-                coalesce_width=width,
-                seconds=now - start,
-                latency_seconds=latencies,
-            )
+        self.statistics_for(table).record_results(
+            results,
+            coalesce_width=len({entry.origin for entry in entries}),
+            seconds=now - start,
+            latency_seconds=[now - entry.enqueued_at for entry in entries],
+        )
         for entry, result in zip(entries, results):
             if (
                 cacheable
@@ -909,4 +804,3 @@ class ConcurrentAnalyticsService:
             ):
                 self._cache.put(entry.key, result)  # type: ignore[union-attr]
             self._resolve(entry.future, result)
-        self._release(len(entries))

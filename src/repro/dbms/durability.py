@@ -18,7 +18,7 @@ never half-applied.  The manifest records, per table: the serving model's
 version marker and the file it can be reloaded from, the registry epoch,
 the engine's store provenance (``(store_path, store_table)``), the
 serialized :class:`~repro.queries.stream.QueryLog` ring buffer, the
-merged :class:`~repro.dbms.serving.ServingStatistics`, and the
+merged :class:`~repro.dbms.stats.ServingStatistics`, and the
 :class:`~repro.dbms.lifecycle.ModelManager` drift-window/cooldown state.
 Models whose version marker does not resolve to a
 :class:`~repro.dbms.lifecycle.ModelVersionStore` file (unversioned or
@@ -75,7 +75,8 @@ from ..exceptions import (
     SQLSyntaxError,
 )
 from ..queries.stream import QueryLog
-from .serving import AnalyticsService, ServingStatistics
+from .serving import AnalyticsService
+from .stats import ServingStatistics
 from .storage import SQLiteDataStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -563,8 +564,8 @@ class ServiceCheckpointer:
         concurrent front (pending statements complete or get the typed
         :class:`~repro.exceptions.ServiceClosedError` —
         ``front.close(drain_seconds=...)``), stop periodic checkpointing,
-        take the final checkpoint (now guaranteed quiescent), then release
-        the inner service's pools.  Returns the final checkpoint path.
+        and take the final checkpoint (now guaranteed quiescent).  Returns
+        the final checkpoint path.
         """
         if self.scheduler is not None:
             self.scheduler.stop()
@@ -574,7 +575,6 @@ class ServiceCheckpointer:
         path = self.checkpoint()
         self.service.observers.unsubscribe(self._observer)
         self._journal = None
-        self.service.close(drain_seconds=drain_seconds)
         return path
 
     def __enter__(self) -> "ServiceCheckpointer":

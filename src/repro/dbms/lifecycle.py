@@ -11,7 +11,7 @@ erasing the model's cost advantage.
 :class:`ModelManager` closes that loop without restarting anything:
 
 1. **Watch** — each :meth:`ModelManager.tick` diffs the table's
-   cumulative :class:`~repro.dbms.serving.ServingStatistics` against the
+   cumulative :class:`~repro.dbms.stats.ServingStatistics` against the
    last snapshot and pushes the delta into a bounded sliding window, so
    drift is judged on *recent* traffic, not on the lifetime average.
 2. **Retrain** — when the window fallback rate crosses
@@ -493,11 +493,12 @@ class ModelManager:
         return statuses
 
     def _tick_table(self, table: str, state: _ManagedTable, now: float) -> str:
-        stats = self.service.statistics_for(table)
-        previous = state.snapshot
-        delta_statements = stats.statements_executed - previous.statements_executed
-        delta_fallbacks = stats.fallback_count - previous.fallback_count
-        state.snapshot = stats.snapshot()
+        # Diff one whole snapshot: a group recorded while the tick runs
+        # lands in exactly one window bucket, this one or the next.
+        current = self.service.statistics_for(table).snapshot()
+        previous, state.snapshot = state.snapshot, current
+        delta_statements = current.statements_executed - previous.statements_executed
+        delta_fallbacks = current.fallback_count - previous.fallback_count
         if delta_statements > 0:
             state.window.append((delta_statements, delta_fallbacks))
         window_statements = sum(s for s, _ in state.window)

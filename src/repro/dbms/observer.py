@@ -17,8 +17,6 @@ counts) exceptions raised by subscribers.
 from __future__ import annotations
 
 import itertools
-import logging
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Protocol, runtime_checkable
@@ -29,8 +27,6 @@ __all__ = [
     "LifecycleEvent",
     "LifecycleObserver",
     "ObserverHub",
-    "LoggingObserver",
-    "RecordingObserver",
 ]
 
 
@@ -134,59 +130,3 @@ class ObserverHub:
                 # An observer must never take the serving path down.
                 self.dropped_notifications += 1
         return event
-
-
-class LoggingObserver:
-    """Forward lifecycle events to a :mod:`logging` logger."""
-
-    def __init__(
-        self, logger: logging.Logger | None = None, level: int = logging.INFO
-    ) -> None:
-        self._logger = logger or logging.getLogger("repro.lifecycle")
-        self._level = level
-
-    def notify(self, event: LifecycleEvent) -> None:
-        self._logger.log(
-            self._level,
-            "%s table=%s %s",
-            event.kind,
-            event.table or "-",
-            dict(event.payload),
-        )
-
-
-class RecordingObserver:
-    """Keep every received event in memory (metrics sink / test assertions)."""
-
-    def __init__(self) -> None:
-        self.events: list[LifecycleEvent] = []
-        self._lock = make_lock("observer.RecordingObserver")
-
-    def notify(self, event: LifecycleEvent) -> None:
-        with self._lock:
-            self.events.append(event)
-
-    def of_kind(self, kind: str) -> list[LifecycleEvent]:
-        """Events whose kind matches exactly, in publication order."""
-        with self._lock:
-            return [event for event in self.events if event.kind == kind]
-
-    def kinds(self) -> list[str]:
-        """The kind of every received event, in publication order."""
-        with self._lock:
-            return [event.kind for event in self.events]
-
-    def clear(self) -> None:
-        with self._lock:
-            self.events.clear()
-
-
-# Callable-style adapters compose too: wrap a plain function.
-def observer_from_callable(fn: Callable[[LifecycleEvent], None]) -> LifecycleObserver:
-    """Adapt a bare callable into a :class:`LifecycleObserver`."""
-
-    class _CallableObserver:
-        def notify(self, event: LifecycleEvent) -> None:
-            fn(event)
-
-    return _CallableObserver()

@@ -56,16 +56,11 @@ class ModelPersistenceError(ReproError):
 class TransientEngineError(ReproError):
     """A retryable, transient failure of an execution tier.
 
-    The serving layer's bounded-retry machinery treats this class (and its
-    subclasses, e.g. :class:`ServingTimeoutError`) as "try again": the
-    failure is expected to clear on its own — a contended resource, a
-    timed-out batch, an injected test fault — unlike a deterministic bug,
-    which retrying cannot fix.
+    The serving layer's bounded-retry machinery treats this class as "try
+    again": the failure is expected to clear on its own — a contended
+    resource, an injected test fault — unlike a deterministic bug, which
+    retrying cannot fix.
     """
-
-
-class ServingTimeoutError(TransientEngineError):
-    """A served statement group exceeded its per-group execution timeout."""
 
 
 class ServiceOverloadedError(ReproError):
@@ -163,10 +158,6 @@ class InternalInvariantError(ReproError):
     check into undefined behaviour, while this error survives optimisation
     and still narrows ``Optional`` types for static checkers.
     """
-
-
-class ConvergenceError(ReproError):
-    """Training failed to converge within the allowed number of steps."""
 
 
 class WorkloadError(ReproError):

@@ -18,14 +18,8 @@ from .geometry import (
     points_within_ball,
 )
 from .query import Query, QueryAnswer, QueryResultPair, query_distance
-from .workload import (
-    QueryWorkloadGenerator,
-    RadiusDistribution,
-    TrainTestSplit,
-    WorkloadSpec,
-    split_workload,
-)
-from .stream import QueryAnswerStream, LabelledWorkload, QueryLog
+from .workload import QueryWorkloadGenerator, RadiusDistribution, WorkloadSpec
+from .stream import LabelledWorkload, QueryLog
 
 __all__ = [
     "lp_distance",
@@ -43,10 +37,7 @@ __all__ = [
     "query_distance",
     "QueryWorkloadGenerator",
     "RadiusDistribution",
-    "TrainTestSplit",
     "WorkloadSpec",
-    "split_workload",
-    "QueryAnswerStream",
     "LabelledWorkload",
     "QueryLog",
 ]

@@ -3,9 +3,9 @@
 Training in the paper is *streaming*: the model observes a continuous
 sequence of ``(query, answer)`` pairs produced by the interaction between
 analysts and the DBMS (Figure 2) and updates its parameters one pair at a
-time.  :class:`QueryAnswerStream` materialises that abstraction on top of an
-exact query engine, while :class:`LabelledWorkload` is a pre-computed,
-replayable set of pairs used by the experiments.
+time.  :class:`LabelledWorkload` is a pre-computed, replayable set of such
+pairs, labelled by the exact engine in one batch; :class:`QueryLog` keeps
+the recent queries a serving tier answered, the stream a retrain replays.
 """
 
 from __future__ import annotations
@@ -13,57 +13,14 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..exceptions import WorkloadError
 from .query import Query, QueryResultPair
 
-__all__ = ["QueryAnswerStream", "LabelledWorkload", "QueryLog"]
-
-#: Signature of an answering oracle: maps a query to its exact Q1 answer.
-AnswerOracle = Callable[[Query], float]
-
-
-class QueryAnswerStream:
-    """Lazily pair queries with answers from an oracle (the exact engine).
-
-    Parameters
-    ----------
-    queries:
-        An iterable of queries (e.g. a workload generator's output).
-    oracle:
-        A callable returning the exact Q1 answer of a query.  Queries whose
-        subspace is empty may be skipped by passing ``skip_errors=True``.
-    skip_errors:
-        When ``True``, exceptions raised by the oracle (for example
-        :class:`~repro.exceptions.EmptySubspaceError`) cause the offending
-        query to be silently dropped from the stream instead of propagating.
-    """
-
-    def __init__(
-        self,
-        queries: Iterable[Query],
-        oracle: AnswerOracle,
-        *,
-        skip_errors: bool = False,
-    ) -> None:
-        self._queries = queries
-        self._oracle = oracle
-        self._skip_errors = skip_errors
-        self.skipped = 0
-
-    def __iter__(self) -> Iterator[QueryResultPair]:
-        for query in self._queries:
-            try:
-                answer = float(self._oracle(query))
-            except Exception:
-                if self._skip_errors:
-                    self.skipped += 1
-                    continue
-                raise
-            yield QueryResultPair(query=query, answer=answer)
+__all__ = ["LabelledWorkload", "QueryLog"]
 
 
 class QueryLog:
@@ -184,24 +141,6 @@ class LabelledWorkload:
     def answers(self) -> np.ndarray:
         """The answers of every pair as a float array, in stream order."""
         return np.array([pair.answer for pair in self.pairs], dtype=float)
-
-    @classmethod
-    def from_queries(
-        cls,
-        queries: Sequence[Query],
-        oracle: AnswerOracle,
-        *,
-        skip_errors: bool = True,
-    ) -> "LabelledWorkload":
-        """Materialise a labelled workload by running every query on an oracle."""
-        stream = QueryAnswerStream(queries, oracle, skip_errors=skip_errors)
-        pairs = tuple(stream)
-        if not pairs:
-            raise WorkloadError(
-                "no query produced a valid answer; the workload radii may be "
-                "too small for the dataset"
-            )
-        return cls(pairs=pairs)
 
     @classmethod
     def from_engine(cls, queries: Sequence[Query], engine) -> "LabelledWorkload":

@@ -3,9 +3,10 @@
 The evaluation of the paper (Section VI-A) drives both training and testing
 with randomly generated dNN queries: centers drawn uniformly from the data
 domain and radii drawn from a Gaussian ``N(mu_theta, sigma_theta^2)``
-truncated to positive values.  This module provides the generators, a
-declarative workload specification and train/test splitting helpers used by
-the experiments and benchmarks.
+truncated to positive values.  This module provides the generators and a
+declarative workload specification used by the experiments and benchmarks
+(:meth:`~repro.queries.stream.LabelledWorkload.split` splits a labelled
+workload into training and test pairs).
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ __all__ = [
     "RadiusDistribution",
     "WorkloadSpec",
     "QueryWorkloadGenerator",
-    "TrainTestSplit",
-    "split_workload",
 ]
 
 
@@ -154,57 +153,3 @@ class QueryWorkloadGenerator:
             batch = min(batch_size, remaining)
             yield from self.generate(batch)
             remaining -= batch
-
-
-@dataclass(frozen=True)
-class TrainTestSplit:
-    """A workload partitioned into training queries ``T`` and test queries ``V``."""
-
-    training: tuple[Query, ...]
-    testing: tuple[Query, ...]
-
-    @property
-    def training_size(self) -> int:
-        return len(self.training)
-
-    @property
-    def testing_size(self) -> int:
-        return len(self.testing)
-
-
-def split_workload(
-    queries: Sequence[Query],
-    training_fraction: float = 0.5,
-    *,
-    shuffle: bool = True,
-    seed: int | None = None,
-) -> TrainTestSplit:
-    """Split a list of queries into training and test sets.
-
-    Parameters
-    ----------
-    queries:
-        The full workload ``Q``.
-    training_fraction:
-        Fraction of queries assigned to the training set ``T``; the rest
-        become the unseen set ``V`` used for prediction experiments.
-    shuffle:
-        Whether to shuffle before splitting (the stream order is otherwise
-        preserved, matching the "first m queries" description of Figure 2).
-    seed:
-        Seed of the shuffling RNG.
-    """
-    if not 0.0 < training_fraction < 1.0:
-        raise WorkloadError(
-            f"training_fraction must be in (0, 1), got {training_fraction}"
-        )
-    items = list(queries)
-    if len(items) < 2:
-        raise WorkloadError("need at least two queries to split into train/test")
-    if shuffle:
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(items))
-        items = [items[i] for i in order]
-    cut = int(round(len(items) * training_fraction))
-    cut = min(max(cut, 1), len(items) - 1)
-    return TrainTestSplit(training=tuple(items[:cut]), testing=tuple(items[cut:]))

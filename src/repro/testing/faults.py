@@ -7,7 +7,7 @@ reproduced on demand:
   raises armed errors (transient or persistent) from its batch entry
   points;
 * **slow batches** — the same wrapper sleeps an armed delay before
-  executing, driving the per-group timeout path;
+  executing, driving admission control and the shutdown drain;
 * **truncated / corrupt model files** — :func:`corrupt_model_file`
   damages a persisted model in four distinct ways;
 * **mid-swap crashes** — the lifecycle manager fires named

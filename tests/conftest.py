@@ -119,3 +119,41 @@ def trained_model(sensor_workload):
 @pytest.fixture()
 def unit_query() -> Query:
     return Query(center=np.array([0.5, 0.5]), radius=0.15)
+
+
+@pytest.fixture()
+def statistics_partition(monkeypatch):
+    """After the test, every service's counters partition its statements.
+
+    Tracks each serving layer built during the test (the inner service and
+    the concurrent front keep their statistics through the same code) and
+    checks, per table, that model + exact + fallback + error + cache-hit
+    statements add up to the statements recorded: the one recording path
+    drops no answer source.  The inner service never answers from a cache.
+    """
+    from repro.dbms.serving import AnalyticsService
+    from repro.dbms.stats import PerTableStatistics
+
+    services: list = []
+    init_statistics = PerTableStatistics._init_statistics
+
+    def tracking(self, lock_name: str) -> None:
+        init_statistics(self, lock_name)
+        services.append(self)
+
+    monkeypatch.setattr(PerTableStatistics, "_init_statistics", tracking)
+    yield
+    for service in services:
+        for table, live in service.per_table_statistics.items():
+            stats = live.snapshot()
+            sources = (
+                stats.model_answered
+                + stats.exact_answered
+                + stats.fallback_count
+                + stats.error_count
+                + stats.cache_hits
+            )
+            where = f"{type(service).__name__}[{table!r}]"
+            assert sources == stats.statements_executed, where
+            if isinstance(service, AnalyticsService):
+                assert stats.cache_hits == 0, where

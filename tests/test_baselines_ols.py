@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.ols import OLSRegressor, fit_reg_over_subspace
+from repro.baselines.ols import OLSRegressor
 from repro.exceptions import (
     DimensionalityMismatchError,
     EmptySubspaceError,
@@ -116,12 +116,3 @@ class TestDiagnostics:
         small = errors(50)
         large = errors(5_000)
         assert np.all(large < small)
-
-
-class TestConvenienceWrapper:
-    def test_fit_reg_over_subspace(self):
-        x = np.arange(20.0).reshape(-1, 1)
-        u = 5.0 - 0.5 * x.ravel()
-        intercept, slope = fit_reg_over_subspace(x, u)
-        assert intercept == pytest.approx(5.0)
-        assert slope[0] == pytest.approx(-0.5)

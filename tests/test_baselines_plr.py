@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.plr import BasisFunction, MARSRegressor, fit_plr_over_subspace
+from repro.baselines.plr import BasisFunction, MARSRegressor
 from repro.exceptions import (
     ConfigurationError,
     DimensionalityMismatchError,
@@ -138,12 +138,3 @@ class TestLinearSegments:
         model = MARSRegressor(max_basis_functions=2).fit(np.ones((10, 2)), np.ones(10))
         with pytest.raises(ConfigurationError):
             model.linear_segments_1d(np.linspace(0, 1, 10))
-
-
-class TestConvenienceWrapper:
-    def test_fit_plr_over_subspace(self):
-        x = np.linspace(0, 1, 200).reshape(-1, 1)
-        u = np.abs(x.ravel() - 0.25)
-        model = fit_plr_over_subspace(x, u, max_basis_functions=6)
-        assert isinstance(model, MARSRegressor)
-        assert model.r_squared(x, u) > 0.99

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +27,10 @@ from repro.exceptions import (
     SQLSyntaxError,
 )
 from repro.testing.faults import FaultInjector
+
+# Every scenario ends with each service's statistics partitioning its
+# statements by answer source (the fixture lives in conftest.py).
+pytestmark = pytest.mark.usefixtures("statistics_partition")
 
 TABLE = "sensors"
 OTHER = "turbines"
@@ -107,8 +112,6 @@ class TestConcurrencyPolicy:
             {"coalesce_window_seconds": -0.001},
             {"max_batch_statements": 0},
             {"cache_capacity": -1},
-            {"cache_ttl_seconds": 0.0},
-            {"cache_ttl_seconds": -5.0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -127,17 +130,6 @@ class TestAnswerCache:
         assert cache.get(("t", 1)) == "a"
         assert cache.get(("t", 3)) == "c"
         assert cache.evictions == 1
-
-    def test_ttl_expiry_with_injected_clock(self):
-        now = [0.0]
-        cache = AnswerCache(capacity=8, ttl_seconds=1.0, clock=lambda: now[0])
-        cache.put(("t", 1), "a")
-        assert cache.get(("t", 1)) == "a"
-        now[0] = 0.999
-        assert cache.get(("t", 1)) == "a"
-        now[0] = 1.0
-        assert cache.get(("t", 1)) is None  # expired exactly at the TTL
-        assert len(cache) == 0
 
     def test_invalidate_single_table_and_all(self):
         cache = AnswerCache(capacity=8)
@@ -180,7 +172,6 @@ class TestEquivalence:
                 assert got.empty == want.empty
         finally:
             front.close()
-            sequential.close()
 
     def test_concurrent_submissions_coalesce_and_stay_correct(
         self, engine, model
@@ -216,7 +207,6 @@ class TestEquivalence:
             assert stats.p99_seconds > 0.0
         finally:
             front.close()
-            sequential.close()
 
     def test_single_statement_execute_contract(self, engine, model):
         with ConcurrentAnalyticsService(_inner(engine, model)) as front:
@@ -553,6 +543,38 @@ class TestShutdownDrain:
         front.close(drain_seconds=0.05)
         with pytest.raises(ServiceClosedError):
             future.result(timeout=2.0)
+
+    def test_close_releases_cancelled_flushes_and_closes_again(
+        self, engine, model
+    ):
+        from repro.exceptions import ServiceClosedError
+
+        injector = FaultInjector()
+        front = ConcurrentAnalyticsService(
+            _inner(engine, model),
+            policy=ConcurrencyPolicy(max_workers=1, coalesce_window_seconds=0.0),
+            injector=injector,
+        )
+        injector.arm("concurrent.flush", error=None, delay_seconds=0.2, times=None)
+        first = front.submit_script(_script(1)[:1])
+        deadline = time.monotonic() + 5.0
+        while injector.fired_count("concurrent.flush") == 0:
+            assert time.monotonic() < deadline, "the first flush never started"
+            time.sleep(0.001)
+        # The only worker is busy with the slow first flush, so the second
+        # script's flush is still queued when the drain window ends and
+        # close() cancels it.
+        second = front.submit_script(_script(2)[1:2])
+        front.close(drain_seconds=0.05)
+        for future in (first, second):
+            with pytest.raises(ServiceClosedError):
+                future.result(timeout=2.0)
+        time.sleep(0.4)  # the running flush ends; the cancelled one never runs
+        assert front.pending_statements == 0
+        again = threading.Thread(target=front.close, daemon=True)
+        again.start()
+        again.join(timeout=5.0)
+        assert not again.is_alive(), "a second close() hung"
 
     def test_close_is_idempotent_and_concurrent_safe(self, engine, model):
         front = ConcurrentAnalyticsService(_inner(engine, model))

@@ -11,7 +11,6 @@ from repro.data.functions import (
     Rosenbrock,
     SineRidge,
     get_data_function,
-    list_data_functions,
 )
 from repro.exceptions import ConfigurationError, DimensionalityMismatchError
 
@@ -106,8 +105,11 @@ class TestPiecewise1D:
 
 class TestRegistry:
     def test_lists_all_functions(self):
-        names = list_data_functions()
-        assert {"rosenbrock", "product_saddle", "sine_ridge", "piecewise_1d"} <= set(names)
+        # An unknown name's error lists every registered function.
+        with pytest.raises(ConfigurationError) as excinfo:
+            get_data_function("not_a_function")
+        for name in ("rosenbrock", "product_saddle", "sine_ridge", "piecewise_1d"):
+            assert repr(name) in str(excinfo.value)
 
     def test_get_by_name(self):
         function = get_data_function("rosenbrock", dimension=3)

@@ -21,12 +21,7 @@ from repro.core.model import LLMModel
 from repro.data.functions import DriftingFunction, SineRidge
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.lifecycle import DriftPolicy, ModelManager, ModelVersionStore
-from repro.dbms.observer import (
-    LifecycleEvent,
-    ObserverHub,
-    RecordingObserver,
-    observer_from_callable,
-)
+from repro.dbms.observer import LifecycleEvent, ObserverHub
 from repro.dbms.serving import AnalyticsService
 from repro.exceptions import (
     ConfigurationError,
@@ -41,6 +36,7 @@ from repro.queries.workload import (
     RadiusDistribution,
     WorkloadSpec,
 )
+from repro.testing import RecordingObserver
 
 TABLE = "sensors"
 
@@ -158,11 +154,12 @@ class TestObserverHub:
     def test_broken_observer_is_swallowed_and_counted(self):
         hub = ObserverHub()
 
-        def boom(event):
-            raise RuntimeError("sink died")
+        class Broken:
+            def notify(self, event):
+                raise RuntimeError("sink died")
 
         recorder = RecordingObserver()
-        hub.subscribe(observer_from_callable(boom))
+        hub.subscribe(Broken())
         hub.subscribe(recorder)
         hub.publish("x", "t")
         assert hub.dropped_notifications == 1
@@ -368,6 +365,32 @@ class TestDriftStateMachine:
         assert rolled and rolled[0].payload["new_fallback_estimate"] > 0.5
         assert manager.status_for(TABLE)["rollback_count"] == 1
         assert manager.status_for(TABLE)["consecutive_failures"] == 1
+
+    def test_group_recorded_during_a_tick_lands_in_exactly_one_bucket(self):
+        service = AnalyticsService()
+        manager = ModelManager(
+            service,
+            policy=DriftPolicy(min_window_statements=1_000, window_buckets=4),
+            clock=ManualClock(),
+        )
+        manager.manage(TABLE)
+        stats = service.statistics_for(TABLE)
+        stats.record_batch(10, exact_answered=10)
+        snapshot = stats.snapshot
+        landed = []
+
+        def snapshot_racing_a_flush():
+            # A flush worker records a group while the tick is reading.
+            if not landed:
+                landed.append(True)
+                stats.record_batch(5, fallbacks=5)
+            return snapshot()
+
+        stats.snapshot = snapshot_racing_a_flush
+        manager.tick()
+        manager.tick()
+        assert landed
+        assert manager.window_statements(TABLE) == stats.statements_executed == 15
 
     def test_retrain_requires_enough_recent_queries(self, tmp_path):
         service, manager, clock, _ = self._make(tmp_path)

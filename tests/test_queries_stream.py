@@ -5,45 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import EmptySubspaceError, WorkloadError
+from repro.exceptions import WorkloadError
 from repro.queries.query import Query, QueryResultPair
-from repro.queries.stream import LabelledWorkload, QueryAnswerStream
+from repro.queries.stream import LabelledWorkload
 from repro.queries.workload import QueryWorkloadGenerator, WorkloadSpec
 
 
 def _queries(count: int) -> list[Query]:
     return QueryWorkloadGenerator(WorkloadSpec(dimension=2), seed=2).generate(count)
-
-
-class TestQueryAnswerStream:
-    def test_pairs_queries_with_oracle(self):
-        queries = _queries(5)
-        stream = QueryAnswerStream(queries, oracle=lambda q: float(q.radius))
-        pairs = list(stream)
-        assert len(pairs) == 5
-        assert all(pair.answer == pytest.approx(pair.query.radius) for pair in pairs)
-
-    def test_skip_errors_drops_failing_queries(self):
-        queries = _queries(6)
-
-        def flaky(query: Query) -> float:
-            if query.center[0] > 0.5:
-                raise EmptySubspaceError("empty")
-            return 1.0
-
-        stream = QueryAnswerStream(queries, oracle=flaky, skip_errors=True)
-        pairs = list(stream)
-        assert len(pairs) + stream.skipped == 6
-        assert stream.skipped >= 1
-
-    def test_errors_propagate_by_default(self):
-        queries = _queries(3)
-
-        def failing(query: Query) -> float:
-            raise EmptySubspaceError("empty")
-
-        with pytest.raises(EmptySubspaceError):
-            list(QueryAnswerStream(queries, oracle=failing))
 
 
 class TestLabelledWorkload:
@@ -67,21 +36,6 @@ class TestLabelledWorkload:
     def test_rejects_empty(self):
         with pytest.raises(WorkloadError):
             LabelledWorkload(pairs=())
-
-    def test_from_queries_uses_oracle(self):
-        queries = _queries(8)
-        workload = LabelledWorkload.from_queries(queries, oracle=lambda q: 2.0)
-        assert len(workload) == 8
-        assert np.allclose(workload.answers, 2.0)
-
-    def test_from_queries_raises_when_everything_skipped(self):
-        queries = _queries(4)
-
-        def failing(query: Query) -> float:
-            raise EmptySubspaceError("empty")
-
-        with pytest.raises(WorkloadError):
-            LabelledWorkload.from_queries(queries, oracle=failing, skip_errors=True)
 
     def test_from_engine_labels_one_batch_and_drops_empty(self):
         from repro.data.synthetic import SyntheticDataset
@@ -150,3 +104,7 @@ class TestLabelledWorkload:
     def test_split_rejects_bad_fraction(self):
         with pytest.raises(WorkloadError):
             self._workload(10).split(0.0)
+
+    def test_split_rejects_tiny_workload(self):
+        with pytest.raises(WorkloadError):
+            self._workload(1).split(0.5)

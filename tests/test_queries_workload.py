@@ -1,4 +1,4 @@
-"""Tests for workload specification, generation and splitting."""
+"""Tests for workload specification and generation."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.queries.workload import (
     QueryWorkloadGenerator,
     RadiusDistribution,
     WorkloadSpec,
-    split_workload,
 )
 
 
@@ -111,33 +110,3 @@ class TestQueryWorkloadGenerator:
         spec = WorkloadSpec(dimension=2)
         with pytest.raises(WorkloadError):
             QueryWorkloadGenerator(spec, seed=1).generate(-1)
-
-
-class TestSplitWorkload:
-    def _queries(self, count: int) -> list[Query]:
-        spec = WorkloadSpec(dimension=2)
-        return QueryWorkloadGenerator(spec, seed=5).generate(count)
-
-    def test_split_sizes(self):
-        split = split_workload(self._queries(100), training_fraction=0.7, seed=0)
-        assert split.training_size == 70
-        assert split.testing_size == 30
-
-    def test_split_partitions_the_workload(self):
-        queries = self._queries(50)
-        split = split_workload(queries, training_fraction=0.5, seed=0)
-        assert split.training_size + split.testing_size == len(queries)
-
-    def test_no_shuffle_preserves_order(self):
-        queries = self._queries(10)
-        split = split_workload(queries, training_fraction=0.5, shuffle=False)
-        assert list(split.training) == queries[:5]
-        assert list(split.testing) == queries[5:]
-
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(WorkloadError):
-            split_workload(self._queries(10), training_fraction=1.0)
-
-    def test_rejects_tiny_workload(self):
-        with pytest.raises(WorkloadError):
-            split_workload(self._queries(1), training_fraction=0.5)

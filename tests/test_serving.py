@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,9 @@ from repro.config import ModelConfig, TrainingConfig
 from repro.core.model import LLMModel
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine
-from repro.dbms.serving import AnalyticsService, ServingStatistics, StatementResult
+from repro.dbms.serving import AnalyticsService, StatementResult
 from repro.dbms.sqlfront import AnalyticsSession, parse_statement
+from repro.dbms.stats import LatencyHistogram, ServingStatistics
 from repro.dbms.storage import SQLiteDataStore
 from repro.exceptions import (
     ConfigurationError,
@@ -27,6 +31,7 @@ from repro.queries.workload import (
 from repro.testing.oracle import ExactOracle, ModelOracle
 
 TABLE = "sensors"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _dataset(size: int = 4_000, seed: int = 0) -> SyntheticDataset:
@@ -123,31 +128,62 @@ class TestServingStatistics:
         assert stats.statements_executed == 10
         assert stats.batches_executed == 1
         assert stats.fallback_rate == pytest.approx(0.2)
-        assert stats.mean_seconds == pytest.approx(0.05)
-        assert stats.min_seconds == pytest.approx(0.05)
-        assert stats.max_seconds == pytest.approx(0.05)
+        # Without per-statement latencies the amortised share is recorded.
+        assert stats.latency.total_count == 10
+        assert stats.p50_seconds == pytest.approx(0.05, rel=0.35)
 
     def test_zero_count_batch_ignored(self):
         stats = ServingStatistics()
         stats.record_batch(0, seconds=1.0)
         assert stats.statements_executed == 0
         assert stats.fallback_rate == 0.0
-        assert stats.mean_seconds == 0.0
-        assert stats.min_seconds == 0.0
+        assert stats.latency.total_count == 0
 
-    def test_merge_and_reset(self):
+    def test_merge_adds_counters_and_histograms(self):
         first = ServingStatistics()
         first.record_batch(4, model_answered=4, seconds=0.4)
         second = ServingStatistics()
         second.record_batch(6, fallbacks=6, seconds=0.06)
         first.merge(second)
         assert first.statements_executed == 10
+        assert first.batches_executed == 2
         assert first.fallback_count == 6
-        assert first.min_seconds == pytest.approx(0.01)
-        assert first.max_seconds == pytest.approx(0.1)
-        first.reset()
-        assert first.statements_executed == 0
-        assert first.total_seconds == 0.0
+        assert first.latency.total_count == 10
+        assert second.statements_executed == 6  # the donor is untouched
+
+    def test_record_results_partitions_by_source(self):
+        statement = parse_statement(
+            f"SELECT AVG(u) FROM {TABLE} WITHIN 0.1 OF (0.5, 0.5)"
+        )
+        results = [
+            StatementResult(statement, 1.0, "model"),
+            StatementResult(statement, 1.0, "model"),
+            StatementResult(statement, None, "exact", empty=True),
+            StatementResult(statement, 1.0, "fallback", degraded=True),
+            StatementResult(statement, None, "error", error=RuntimeError("x")),
+        ]
+        stats = ServingStatistics()
+        stats.record_results(results, retries=2, seconds=0.5)
+        assert (
+            stats.model_answered,
+            stats.exact_answered,
+            stats.fallback_count,
+            stats.error_count,
+        ) == (2, 1, 1, 1)
+        assert stats.statements_executed == 5
+        assert (stats.empty_count, stats.degraded_count) == (1, 1)
+        assert stats.retry_count == 2
+
+    def test_from_dict_loads_a_payload_with_wall_clock_keys(self):
+        # Written by a version that also kept wall-clock totals and extrema.
+        path = FIXTURES / "serving_statistics_with_wallclock_keys.json"
+        payload = json.loads(path.read_text())
+        restored = ServingStatistics.from_dict(payload)
+        kept = restored.to_dict()
+        assert kept == {key: payload[key] for key in kept}
+        assert restored.statements_executed == 10
+        assert restored.cache_hits == 4
+        assert restored.latency.total_count == 10
 
 
 class TestRegistry:
@@ -159,12 +195,15 @@ class TestRegistry:
         with pytest.raises(SQLSyntaxError):
             service.model_for("a")
 
-    def test_register_model_from_file(self, tmp_path, engine, half_model, half_oracle):
-        from repro.core.persistence import save_model
+    def test_registers_a_model_loaded_from_file(
+        self, tmp_path, engine, half_model, half_oracle
+    ):
+        from repro.core.persistence import load_model, save_model
 
         path = save_model(half_model, tmp_path / "model.json")
         service = AnalyticsService(engines={TABLE: engine})
-        loaded = service.register_model_from_file(TABLE, path)
+        loaded = load_model(path)
+        service.register_model(TABLE, loaded)
         query = Query(center=np.array([0.2, 0.3]), radius=0.1)
         assert loaded.predict_mean(query) == half_model.predict_mean(query)
         value = service.execute(
@@ -442,7 +481,7 @@ class TestStatisticsViews:
         assert set(per_table) == {TABLE, "other"}
         aggregate = service.statistics
         assert aggregate.statements_executed == 2
-        assert aggregate.total_seconds > 0.0
+        assert aggregate.latency.total_count == 2
         service.reset_statistics()
         assert service.statistics.statements_executed == 0
 
@@ -525,16 +564,12 @@ class TestExperimentContextHelper:
 # --------------------------------------------------------------------- #
 class TestLatencyHistogram:
     def test_empty_percentile_is_zero(self):
-        from repro.dbms.serving import LatencyHistogram
-
         hist = LatencyHistogram()
         assert hist.total_count == 0
         assert hist.percentile(50) == 0.0
         assert hist.percentile(99) == 0.0
 
     def test_percentile_bounds_validated(self):
-        from repro.dbms.serving import LatencyHistogram
-
         hist = LatencyHistogram()
         with pytest.raises(ConfigurationError):
             hist.percentile(-1)
@@ -542,8 +577,6 @@ class TestLatencyHistogram:
             hist.percentile(100.5)
 
     def test_percentile_within_bucket_resolution(self):
-        from repro.dbms.serving import LatencyHistogram
-
         hist = LatencyHistogram()
         for _ in range(99):
             hist.record(1e-4)
@@ -555,8 +588,6 @@ class TestLatencyHistogram:
         assert hist.percentile(99) <= hist.percentile(100)
 
     def test_merge_is_exact(self):
-        from repro.dbms.serving import LatencyHistogram
-
         left, right, together = (
             LatencyHistogram(),
             LatencyHistogram(),
@@ -573,18 +604,15 @@ class TestLatencyHistogram:
             assert left.percentile(q) == together.percentile(q)
 
     def test_under_and_overflow_buckets(self):
-        from repro.dbms.serving import LatencyHistogram, _LATENCY_EDGES
+        from repro.dbms.stats import _LATENCY_EDGES
 
-        hist = LatencyHistogram()
-        hist.record(1e-9)  # below the first edge
-        assert hist.percentile(50) == _LATENCY_EDGES[0]
-        hist.reset()
-        hist.record(1e5)  # above the last edge
-        assert hist.percentile(50) == _LATENCY_EDGES[-1]
+        below, above = LatencyHistogram(), LatencyHistogram()
+        below.record(1e-9)  # below the first edge
+        assert below.percentile(50) == _LATENCY_EDGES[0]
+        above.record(1e5)  # above the last edge
+        assert above.percentile(50) == _LATENCY_EDGES[-1]
 
     def test_copy_is_independent(self):
-        from repro.dbms.serving import LatencyHistogram
-
         hist = LatencyHistogram()
         hist.record(0.01)
         frozen = hist.copy()
@@ -629,9 +657,6 @@ class TestConcurrencyCounters:
         # The earlier snapshot is fully independent (histogram included).
         assert frozen.cache_hits == 1
         assert frozen.latency.total_count == 4
-        first.reset()
-        assert first.latency.total_count == 0
-        assert first.max_coalesce_width == 0
 
     def test_merge_arithmetic_on_concurrency_counters(self):
         # Sums for the additive counters, max for the width watermark —
@@ -701,3 +726,38 @@ class TestConcurrencyCounters:
         for snap, count_at_capture in frozen:
             assert snap.latency.total_count == count_at_capture
         assert shared.latency.total_count > frozen[0][1]
+
+    def test_concurrent_recording_and_copies_share_one_lock(self):
+        import sys
+        import threading
+
+        from repro.analysis.instrument import use_registry
+        from repro.analysis.races import RaceRegistry
+
+        registry = RaceRegistry(capture_stacks=False)
+        writers, batches = 4, 200
+
+        def work() -> None:
+            # A flush worker's write racing a drift tick's and a
+            # checkpoint's whole-record copies.
+            for _ in range(batches):
+                shared.record_batch(3, model_answered=1, exact_answered=1, fallbacks=1)
+                shared.snapshot()
+                shared.to_dict()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with use_registry(registry):
+                shared = ServingStatistics()
+                threads = [threading.Thread(target=work) for _ in range(writers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert registry.race_findings() == []
+        assert shared.statements_executed == 3 * writers * batches
+        assert shared.model_answered == writers * batches
