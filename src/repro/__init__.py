@@ -28,10 +28,10 @@ Quickstart
 
 Performance architecture
 ------------------------
-The query-processing engine is built around five fast paths so latency
-stays at "trained-model speed" — independent of the data size and, for
-localised traffic, sublinear in the number of prototypes ``K``.  Every
-query runs through them: the single-query methods (``predict_mean``,
+The query-processing engine is built around four fast paths so latency
+stays at "trained-model speed": independent of the data size, and linear in
+the number of prototypes ``K`` as in the paper.  Every query runs through
+them: the single-query methods (``predict_mean``,
 ``regression_models``, ``predict_value``, ``execute_q1``, ``execute_q2``,
 ``select_subspace``, ...) are batches of one.
 
@@ -45,14 +45,6 @@ query runs through them: the single-query methods (``predict_mean``,
   batch size 1,000 this is an order of magnitude (10x+) faster than the
   per-query loop (see ``benchmarks/bench_batch_throughput.py``, which
   records the measured speedup in ``BENCH_batch.json``).
-* **Prototype pruning** — at large ``K`` a
-  :class:`~repro.dbms.spatial_index.PrototypeIndex`, a uniform grid over the
-  radius-augmented prototype space, yields the candidate *union* of a whole
-  batch in one vectorised pass: a query can only overlap prototypes within
-  ``theta + max_k theta_k`` of its center.  When the union covers a small
-  fraction of ``K`` (localised traffic), the degree/evaluation matrices
-  shrink to ``(m, |U|)`` block-sparse form — 20x+ at ``K ~ 8k`` — falling
-  back to the dense path automatically for scattered batches.
 * **Batched exact execution on sufficient statistics** — the exact
   executor answers whole batches from mergeable per-query sufficient
   statistics (count/sum for Q1; center-referenced Gram moments for Q2,
@@ -142,7 +134,6 @@ from .dbms import (
     ModelManager,
     ModelVersionStore,
     ObserverHub,
-    PrototypeIndex,
     ScriptFuture,
     ServingStatistics,
     SQLiteDataStore,
@@ -217,7 +208,6 @@ __all__ = [
     # dbms
     "SQLiteDataStore",
     "GridIndex",
-    "PrototypeIndex",
     "ExactQueryEngine",
     "AnalyticsSession",
     "AnalyticsService",

@@ -16,8 +16,7 @@ place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping
+from dataclasses import dataclass, replace
 
 from .exceptions import ConfigurationError
 
@@ -140,7 +139,6 @@ class TrainingConfig:
     learning_rate_schedule: str = "hyperbolic"
     learning_rate_scale: float = 1.0
     record_history: bool = True
-    extra: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.convergence_threshold <= 0:

@@ -104,19 +104,12 @@ class LLMModel:
         dimension: int,
         config: ModelConfig | None = None,
         training: TrainingConfig | None = None,
-        *,
-        use_pruning_index: bool | None = None,
     ) -> None:
         if dimension < 1:
             raise DimensionalityMismatchError(f"dimension must be >= 1, got {dimension}")
         self.dimension = int(dimension)
         self.config = config or ModelConfig()
         self.training = training or TrainingConfig()
-        #: Pruning-index policy forwarded to the predictor: ``None`` lets the
-        #: predictor auto-enable it at the measured prototype-count
-        #: crossover; ``True``/``False`` force the block-sparse batch mode
-        #: on or off.
-        self.use_pruning_index = use_pruning_index
         self._vigilance = self.config.vigilance(self.dimension)
         self._quantizer = GrowingQuantizer(vigilance=self._vigilance)
         self._schedule: LearningRateSchedule = get_schedule(
@@ -182,9 +175,7 @@ class LLMModel:
         # Rebuilding the dense parameter snapshot is O(dK); caching it keeps
         # repeated predictions at the vectorised O(dK) arithmetic cost only.
         if self._cached_predictor is None or self._cached_predictor_steps != self._steps:
-            self._cached_predictor = NeighborhoodPredictor(
-                self._quantizer.maps, use_pruning_index=self.use_pruning_index
-            )
+            self._cached_predictor = NeighborhoodPredictor(self._quantizer.maps)
             self._cached_predictor_steps = self._steps
         return self._cached_predictor
 
@@ -541,7 +532,4 @@ class LLMModel:
             "steps": self.steps,
             "frozen": self.is_frozen,
             "memory_floats": self.memory_footprint(),
-            "uses_pruning_index": (
-                self._predictor().uses_pruning_index if self._fitted else False
-            ),
         }

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from ..config import ModelConfig, TrainingConfig
@@ -31,9 +32,12 @@ __all__ = [
 #:
 #: * **1** — configuration, training settings, state and the LLM parameter
 #:   list.
-#: * **2** — adds ``use_pruning_index`` so a saved model keeps its
-#:   pruning-index policy across a save/load round trip (v1 payloads stay
-#:   readable and default the policy to ``None``, i.e. auto).
+#: * **2** — adds ``use_pruning_index``, the policy of a prototype-pruning
+#:   predictor that has since been deleted.  Writers no longer emit the key
+#:   and readers ignore it, so a v2 file may or may not carry it.  Writers
+#:   now emit every ``ModelConfig`` and ``TrainingConfig`` field; readers
+#:   take a missing field's dataclass default, and older readers pick the
+#:   keys they know.
 FORMAT_VERSION = 2
 
 #: Format versions :func:`model_from_dict` can read.
@@ -47,18 +51,8 @@ def model_to_dict(model: LLMModel) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "dimension": model.dimension,
-        "use_pruning_index": model.use_pruning_index,
-        "config": {
-            "quantization_coefficient": model.config.quantization_coefficient,
-            "norm_order": model.config.norm_order,
-            "vigilance_override": model.config.vigilance_override,
-        },
-        "training": {
-            "convergence_threshold": model.training.convergence_threshold,
-            "min_steps": model.training.min_steps,
-            "learning_rate_schedule": model.training.learning_rate_schedule,
-            "learning_rate_scale": model.training.learning_rate_scale,
-        },
+        "config": asdict(model.config),
+        "training": asdict(model.training),
         "state": {
             "steps": model.steps,
             "frozen": model.is_frozen,
@@ -76,27 +70,10 @@ def model_from_dict(payload: dict) -> LLMModel:
             f"(readable: {sorted(READABLE_VERSIONS)})",
             format_version=version,
         )
-    config_payload = payload.get("config", {})
-    training_payload = payload.get("training", {})
-    config = ModelConfig(
-        quantization_coefficient=config_payload.get("quantization_coefficient", 0.25),
-        norm_order=config_payload.get("norm_order", 2.0),
-        vigilance_override=config_payload.get("vigilance_override"),
-    )
-    training = TrainingConfig(
-        convergence_threshold=training_payload.get("convergence_threshold", 0.01),
-        min_steps=training_payload.get("min_steps", 10),
-        learning_rate_schedule=training_payload.get("learning_rate_schedule", "hyperbolic"),
-        learning_rate_scale=training_payload.get("learning_rate_scale", 1.0),
-    )
-    # v1 payloads predate the pruning-index policy; ``None`` keeps the
-    # predictor's auto-enable behaviour for them.
-    pruning = payload.get("use_pruning_index")
     model = LLMModel(
         dimension=int(payload["dimension"]),
-        config=config,
-        training=training,
-        use_pruning_index=None if pruning is None else bool(pruning),
+        config=_config_from(ModelConfig, payload.get("config", {})),
+        training=_config_from(TrainingConfig, payload.get("training", {})),
     )
     for map_payload in payload.get("maps", []):
         llm = LocalLinearMap.from_dict(map_payload)
@@ -106,6 +83,17 @@ def model_from_dict(payload: dict) -> LLMModel:
     model._frozen = bool(state.get("frozen", False))  # noqa: SLF001
     model._fitted = bool(payload.get("maps"))  # noqa: SLF001
     return model
+
+
+def _config_from(cls, values: dict):
+    """Build a config dataclass from the known keys of ``values``.
+
+    A missing field takes the dataclass default and an unknown key is
+    ignored, so files written before a field existed (or after one was
+    removed) still load.
+    """
+    known = {item.name for item in fields(cls)}
+    return cls(**{name: value for name, value in values.items() if name in known})
 
 
 def write_json_atomic(

@@ -20,17 +20,15 @@ matrix and the weighted LLM evaluations as matrix operations, with no
 per-query Python loop (:meth:`NeighborhoodPredictor.predict_mean_batch`,
 :meth:`NeighborhoodPredictor.predict_q2_batch`,
 :meth:`NeighborhoodPredictor.predict_value_batch`).  The single-query
-methods are batches of one over the same kernel.  When ``K`` is large, a
-:class:`~repro.dbms.spatial_index.PrototypeIndex` over the radius-augmented
-prototype space restricts the batch to the candidate union of its queries
-(block-sparse ``(m, |U|)`` matrices), which keeps latency sublinear in ``K``
-for localised workloads.
+methods are batches of one over the same kernel.  As in the paper, finding
+``W(q)`` is a scan of the ``K`` prototypes at ``O(dK)`` cost per query; there
+is no prototype index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,38 +37,11 @@ from ..queries.geometry import overlap_degree_matrix
 from ..queries.query import Query
 from .prototypes import LocalLinearMap, RegressionPlane
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..dbms.spatial_index import PrototypeIndex
-
 __all__ = [
     "normalized_weight_rows",
     "NeighborhoodPredictor",
     "PredictionDiagnostics",
 ]
-
-#: Prototype count at which the predictor builds a pruning index by default.
-#: Every query reaches the index through a batch's candidate union
-#: (switching per batch on :data:`DEFAULT_BATCH_PRUNING_FRACTION`); the
-#: trade-off depends on the batch size and the radii.  Measured on a 2-vCPU
-#: container (d = 2, uniform prototypes): with prototype and query radii of
-#: 0.005–0.02 the pruned path costs 1.6x the dense one for a batch of one at
-#: K = 2048, breaks even near K ≈ 3k and is 0.55x at K = 8192, while
-#: 16-query batches run 0.2–0.6x from K = 1024 up; with radii of 0.04–0.11
-#: (the query radii of the default workloads) a batch of one breaks even
-#: only near K ≈ 8k, and batches of 16 or more get unions too wide to prune
-#: (1.0–1.3x, the union pass wasted).  2048 favours small batches of
-#: localised queries over single wide ones.
-DEFAULT_PRUNING_THRESHOLD = 2048
-
-#: Candidate-union fraction below which batched prediction switches from the
-#: dense ``(m, K)`` degree matrix to the block-sparse ``(m, |U|)`` one over
-#: the indexed candidate union.  The sparse path pays one vectorised
-#: candidate pass plus a column gather, so it only wins once it skips a
-#: sizeable share of the columns; measured on the reference container
-#: (K = 8192, d = 2, batch 512) the crossover sits near |U| / K ≈ 0.6, and
-#: 0.5 keeps a safety margin for wider prototype layouts.
-DEFAULT_BATCH_PRUNING_FRACTION = 0.5
-
 
 def normalized_weight_rows(
     degree_matrix: np.ndarray, overlap_mask: np.ndarray | None = None
@@ -141,34 +112,10 @@ class NeighborhoodPredictor:
     ----------
     maps:
         The trained local linear maps.
-    use_pruning_index:
-        Whether batched prediction may prune the prototype scan through a
-        :class:`~repro.dbms.spatial_index.PrototypeIndex`.
-        ``None`` (the default) enables pruning automatically once the
-        prototype count reaches :data:`DEFAULT_PRUNING_THRESHOLD`.
-    batch_pruning_fraction:
-        With a pruning index, batched predictions compute the candidate
-        union ``U`` of the whole batch and switch to block-sparse
-        ``(m, |U|)`` degree/evaluation matrices whenever
-        ``|U| < fraction * K`` (answers are unchanged — ``U`` provably
-        contains every overlapping prototype).  Defaults to
-        :data:`DEFAULT_BATCH_PRUNING_FRACTION`; batches whose union covers
-        most prototypes keep the dense ``(m, K)`` path.
     """
 
-    def __init__(
-        self,
-        maps: Sequence[LocalLinearMap],
-        *,
-        use_pruning_index: bool | None = None,
-        batch_pruning_fraction: float | None = None,
-    ) -> None:
+    def __init__(self, maps: Sequence[LocalLinearMap]) -> None:
         self._maps = maps
-        self._batch_pruning_fraction = (
-            DEFAULT_BATCH_PRUNING_FRACTION
-            if batch_pruning_fraction is None
-            else float(batch_pruning_fraction)
-        )
         if maps:
             prototypes = np.vstack([llm.prototype for llm in maps])
             self._centers = prototypes[:, :-1]
@@ -190,16 +137,6 @@ class NeighborhoodPredictor:
         self._own_radius_offsets = self._means - np.sum(
             self._center_slopes * self._centers, axis=1
         )
-        if use_pruning_index is None:
-            use_pruning_index = len(maps) >= DEFAULT_PRUNING_THRESHOLD
-        self._pruning_index: "PrototypeIndex | None" = None
-        if use_pruning_index and len(self._maps) > 0:
-            # Imported lazily so the core layer does not depend on the DBMS
-            # package at import time (the index is pure prototype geometry
-            # that happens to share the executor's grid implementation).
-            from ..dbms.spatial_index import PrototypeIndex
-
-            self._pruning_index = PrototypeIndex(self._prototypes)
 
     # ------------------------------------------------------------------ #
     # internals
@@ -208,11 +145,6 @@ class NeighborhoodPredictor:
     def prototype_count(self) -> int:
         """Number of LLMs the predictor snapshots."""
         return len(self._maps)
-
-    @property
-    def uses_pruning_index(self) -> bool:
-        """Whether batched prediction prunes through a prototype index."""
-        return self._pruning_index is not None
 
     def _require_maps(self) -> None:
         if not self._maps:
@@ -262,95 +194,22 @@ class NeighborhoodPredictor:
         )
         return np.argmin(distances, axis=1)
 
-    def _batch_weight_matrix(
-        self, matrix: np.ndarray, norm_order: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Batch weights, extrapolation mask and (optionally) sparse columns.
+    def _evaluate_all_maps(self, matrix: np.ndarray) -> np.ndarray:
+        """``(m, K)`` matrix of ``f_k(q_i)``."""
+        return self._offsets + matrix @ self._slopes.T
 
-        With a pruning index, the candidate union ``U`` of the whole batch
-        is computed in one vectorised pass
-        (:meth:`~repro.dbms.spatial_index.PrototypeIndex.candidates_union`);
-        when it is small relative to ``K`` the returned weight matrix is
-        block-sparse — shape ``(m, |U|)`` with ``columns`` mapping its
-        columns to prototype indices — and all downstream evaluations
-        restrict themselves to those columns.  ``columns`` is ``None`` on
-        the dense path.
-        """
-        if self._pruning_index is not None and self.prototype_count > 0:
-            columns = self._pruning_index.candidates_union(
-                matrix[:, :-1], matrix[:, -1], p=norm_order
-            )
-            if columns.size < self._batch_pruning_fraction * self.prototype_count:
-                return self._batch_neighborhood_pruned(matrix, norm_order, columns)
-        weights, extrapolated = self._batch_neighborhood(matrix, norm_order)
-        return weights, extrapolated, None
-
-    def _batch_neighborhood_pruned(
-        self, matrix: np.ndarray, norm_order: float, columns: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Block-sparse batch weights over the candidate-union columns.
-
-        ``columns`` provably contains every prototype overlapping any query
-        of the batch, so the ``(m, |U|)`` degree matrix carries exactly the
-        nonzero entries of the dense one and the normalised weights match
-        entry for entry.  Extrapolated rows pick the closest prototype over
-        the *full* prototype set (the extrapolation rule ignores the
-        overlap geometry), appending its column when it is not in ``U``.
-        """
-        count = matrix.shape[0]
-        degrees = overlap_degree_matrix(
-            matrix[:, :-1],
-            matrix[:, -1],
-            self._centers[columns],
-            self._radii[columns],
-            p=norm_order,
-        )
-        weights, extrapolated = normalized_weight_rows(degrees)
-        if extrapolated.any():
-            rows = np.nonzero(extrapolated)[0]
-            closest = self._closest_prototypes(matrix[rows])
-            missing = np.setdiff1d(closest, columns)
-            if missing.size:
-                columns = np.concatenate([columns, missing])
-                weights = np.hstack(
-                    [weights, np.zeros((count, missing.size), dtype=float)]
-                )
-                # Keep columns sorted so plane lists come out in the same
-                # prototype order as the dense path.
-                order = np.argsort(columns)
-                columns = columns[order]
-                weights = weights[:, order]
-            positions = np.searchsorted(columns, closest)
-            weights[rows, positions] = 1.0
-        return weights, extrapolated, columns
-
-    def _evaluate_all_maps(
-        self, matrix: np.ndarray, columns: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``(m, K)`` (or ``(m, |columns|)``) matrix of ``f_k(q_i)``."""
-        if columns is None:
-            return self._offsets + matrix @ self._slopes.T
-        return self._offsets[columns] + matrix @ self._slopes[columns].T
-
-    def _evaluate_all_maps_at_own_radius(
-        self, points: np.ndarray, columns: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``(m, K)`` (or sparse) matrix of ``f_k(x_i, theta_k)`` (Eq. 14)."""
-        if columns is None:
-            return self._own_radius_offsets + points @ self._center_slopes.T
-        return (
-            self._own_radius_offsets[columns]
-            + points @ self._center_slopes[columns].T
-        )
+    def _evaluate_all_maps_at_own_radius(self, points: np.ndarray) -> np.ndarray:
+        """``(m, K)`` matrix of ``f_k(x_i, theta_k)`` (Equation 14)."""
+        return self._own_radius_offsets + points @ self._center_slopes.T
 
     def _weighted_means(
         self, query_matrix: np.ndarray, norm_order: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-        """Q1 values plus the batch weights, extrapolation mask and columns."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Q1 values plus the batch weights and extrapolation mask."""
         matrix = self._as_query_matrix(query_matrix)
-        weights, extrapolated, columns = self._batch_weight_matrix(matrix, norm_order)
-        values = (weights * self._evaluate_all_maps(matrix, columns)).sum(axis=1)
-        return values, weights, extrapolated, columns
+        weights, extrapolated = self._batch_neighborhood(matrix, norm_order)
+        values = (weights * self._evaluate_all_maps(matrix)).sum(axis=1)
+        return values, weights, extrapolated
 
     # ------------------------------------------------------------------ #
     # Q1: average-value prediction (Algorithm 2)
@@ -363,13 +222,12 @@ class NeighborhoodPredictor:
         self, query: Query
     ) -> tuple[float, PredictionDiagnostics]:
         """Predict the Q1 answer and report which LLMs contributed."""
-        values, weights, extrapolated, columns = self._weighted_means(
+        values, weights, extrapolated = self._weighted_means(
             _query_row(query), query.norm_order
         )
         local = np.nonzero(weights[0])[0]
-        used = local if columns is None else columns[local]
         diagnostics = PredictionDiagnostics(
-            used_indices=tuple(int(index) for index in used),
+            used_indices=tuple(int(index) for index in local),
             weights=tuple(float(weight) for weight in weights[0, local]),
             extrapolated=bool(extrapolated[0]),
         )
@@ -398,7 +256,7 @@ class NeighborhoodPredictor:
         closest prototype alone), which is the confidence signal a hybrid
         serving layer uses to fall back to exact execution.
         """
-        values, _, extrapolated, _ = self._weighted_means(query_matrix, norm_order)
+        values, _, extrapolated = self._weighted_means(query_matrix, norm_order)
         return values, ~extrapolated
 
     def batch_coverage(
@@ -406,7 +264,7 @@ class NeighborhoodPredictor:
     ) -> np.ndarray:
         """Return the ``(m,)`` boolean mask of queries with non-empty ``W(q)``."""
         matrix = self._as_query_matrix(query_matrix)
-        _, extrapolated, _ = self._batch_weight_matrix(matrix, norm_order)
+        _, extrapolated = self._batch_neighborhood(matrix, norm_order)
         return ~extrapolated
 
     # ------------------------------------------------------------------ #
@@ -436,15 +294,14 @@ class NeighborhoodPredictor:
         holds the single extrapolated closest-prototype plane.
         """
         matrix = self._as_query_matrix(query_matrix)
-        weights, extrapolated, columns = self._batch_weight_matrix(matrix, norm_order)
+        weights, extrapolated = self._batch_neighborhood(matrix, norm_order)
         results: list[list[RegressionPlane]] = []
         for row in weights:
             local = np.flatnonzero(row)
-            mapped = local if columns is None else columns[local]
             results.append(
                 [
                     self._maps[index].regression_plane(weight=weight)
-                    for index, weight in zip(mapped.tolist(), row[local].tolist())
+                    for index, weight in zip(local.tolist(), row[local].tolist())
                 ]
             )
         return results, ~extrapolated
@@ -479,8 +336,8 @@ class NeighborhoodPredictor:
             )
         radii = np.full((pts.shape[0], 1), float(radius))
         matrix = self._as_query_matrix(np.hstack([pts, radii]))
-        weights, _, columns = self._batch_weight_matrix(matrix, norm_order)
-        values = self._evaluate_all_maps_at_own_radius(pts, columns)
+        weights, _ = self._batch_neighborhood(matrix, norm_order)
+        values = self._evaluate_all_maps_at_own_radius(pts)
         return (weights * values).sum(axis=1)
 
 

@@ -34,7 +34,9 @@ order: :func:`apply_winner_update` updates one
 reference), and :class:`FusedTrainingKernel` writes the same update through
 the dense parameter stores.  Every training path runs the fused kernel, one
 pair at a time in stream order, so a chunk of pairs trains exactly the model
-the sequential Algorithm-1 loop would.
+the sequential Algorithm-1 loop would.  The winner search is one dense scan
+of the ``K`` prototypes per pair, as in the paper; there is no prototype
+index.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from ..exceptions import ConfigurationError
 from .prototypes import LocalLinearMap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..dbms.spatial_index import PrototypeIndex
     from .avq import GrowingQuantizer
     from .convergence import ConvergenceRecord, ConvergenceTracker
     from .learning_rates import LearningRateSchedule
@@ -134,24 +135,6 @@ def apply_winner_update(
     )
 
 
-#: Prototype count at which the fused kernel starts pruning the winner scan
-#: through a :class:`~repro.dbms.spatial_index.PrototypeIndex`.  The dense
-#: (K, d + 1) scan is a handful of vectorised operations, so the grid lookup
-#: only amortises its per-step Python overhead once K reaches the low
-#: thousands — the same crossover the prediction paths measured.
-DEFAULT_WINNER_PRUNING_THRESHOLD = 2048
-
-#: Fraction of the vigilance radius the prototypes may accumulate as total
-#: movement before the winner-pruning index is rebuilt.  Until then the
-#: index is probed with the movement bound added to the reach, which keeps
-#: the candidate set an exact superset of every prototype within vigilance.
-_INDEX_SLACK_FRACTION = 0.25
-
-#: Number of prototypes grown after an index build before the index is
-#: rebuilt (fresh prototypes are scanned densely until then).
-_INDEX_FRESH_LIMIT = 64
-
-
 class FusedTrainingKernel:
     """Chunk-oriented training updates fused over the dense parameter stores.
 
@@ -171,18 +154,6 @@ class FusedTrainingKernel:
     :meth:`process_chunk` processes its pairs one at a time in stream order,
     selecting every winner against the *current* prototype matrix, so a
     chunk is bitwise-identical to calling :meth:`process_pair` per pair.
-
-    When ``K`` reaches ``prune_threshold`` the kernel additionally prunes
-    the winner scan through a
-    :class:`~repro.dbms.spatial_index.PrototypeIndex` over a snapshot of
-    the prototype matrix: the index is probed with the vigilance radius
-    plus the total prototype movement accumulated since the snapshot (an
-    upper bound on any single prototype's displacement), so the candidate
-    set provably contains every prototype within vigilance of the query and
-    the selected winner — including tie-breaking towards the lowest index —
-    is identical to the dense scan's.  Prototypes grown since the snapshot
-    are scanned densely; the index is rebuilt once the movement bound or the
-    fresh-prototype count exceeds its budget.
     """
 
     def __init__(
@@ -190,18 +161,12 @@ class FusedTrainingKernel:
         quantizer: "GrowingQuantizer",
         schedule: "LearningRateSchedule",
         tracker: "ConvergenceTracker",
-        *,
-        prune_threshold: int | None = DEFAULT_WINNER_PRUNING_THRESHOLD,
     ) -> None:
         self._quantizer = quantizer
         self._schedule = schedule
         self._tracker = tracker
         self._vigilance = float(quantizer.vigilance)
         self._rates: list[float] = []
-        self._prune_threshold = prune_threshold
-        self._index: "PrototypeIndex | None" = None
-        self._index_size = 0
-        self._index_slack = 0.0
 
     # ------------------------------------------------------------------ #
     # public API
@@ -213,24 +178,14 @@ class FusedTrainingKernel:
         ``grew`` fields identify the changed LLM.
         """
         parameters = self._quantizer.parameters
-        count = len(parameters.maps)
-        if count == 0:
+        if len(parameters.maps) == 0:
             return self._grow(parameters, vector, answer)
         prototypes, slopes, scalars = parameters.training_views()
-        if (
-            self._prune_threshold is not None
-            and count >= self._prune_threshold
-        ):
-            winner, within = self._pruned_winner(prototypes, vector)
-        else:
-            # Same operations as GrowingQuantizer.find_winner on the dense
-            # store: one broadcast subtraction, one row-norm, one argmin.
-            distances = np.linalg.norm(
-                prototypes - vector[np.newaxis, :], axis=1
-            )
-            winner = int(np.argmin(distances))
-            within = bool(distances[winner] <= self._vigilance)
-        if not within:
+        # Same operations as GrowingQuantizer.find_winner on the dense
+        # store: one broadcast subtraction, one row-norm, one argmin.
+        distances = np.linalg.norm(prototypes - vector[np.newaxis, :], axis=1)
+        winner = int(np.argmin(distances))
+        if not distances[winner] <= self._vigilance:
             return self._grow(parameters, vector, answer)
         self._apply_update(prototypes, slopes, scalars, winner, vector, answer)
         return self._tracker.observe_step(parameters, winner)
@@ -311,55 +266,3 @@ class FusedTrainingKernel:
         scalars[winner, LocalLinearMap.SCALAR_MEAN] = mean_output + intercept_delta
         scalars[winner, LocalLinearMap.SCALAR_SECOND_MOMENT] = second_moment
         scalars[winner, LocalLinearMap.SCALAR_UPDATES] = float(count)
-        if self._index is not None:
-            # Upper-bound on any prototype's displacement since the index
-            # snapshot; added to the probe reach until the next rebuild.
-            self._index_slack += float(np.linalg.norm(prototype_delta))
-
-    def _pruned_winner(
-        self, prototypes: np.ndarray, vector: np.ndarray
-    ) -> tuple[int, bool]:
-        """Winner search through the pruning index (large-K fast path).
-
-        Returns ``(winner, within_vigilance)``; the winner is only
-        meaningful when ``within_vigilance`` is true — and is then provably
-        identical to the dense scan's argmin (every prototype within
-        vigilance is a candidate, and candidate order is ascending, so ties
-        resolve to the same index).
-        """
-        count = prototypes.shape[0]
-        if (
-            self._index is None
-            or self._index_slack > _INDEX_SLACK_FRACTION * self._vigilance
-            or count - self._index_size > _INDEX_FRESH_LIMIT
-        ):
-            from ..dbms.spatial_index import PrototypeIndex
-
-            self._index = PrototypeIndex(prototypes.copy())
-            self._index_size = count
-            self._index_slack = 0.0
-        # candidates() inflates its probe by the build-time max prototype
-        # radius (an overlap-query bound); the winner search only needs the
-        # center-space ball of vigilance + slack, so the inflation is
-        # subtracted out here (clamped at 0, where the effective reach
-        # max_radius still covers vigilance + slack).
-        candidates = self._index.candidates(
-            vector[:-1],
-            max(
-                self._vigilance + self._index_slack - self._index.max_radius,
-                0.0,
-            ),
-        )
-        if self._index_size < count:
-            candidates = np.concatenate(
-                [candidates, np.arange(self._index_size, count, dtype=np.int64)]
-            )
-        if candidates.size == 0:
-            return -1, False
-        distances = np.linalg.norm(
-            prototypes[candidates] - vector[np.newaxis, :], axis=1
-        )
-        best = int(np.argmin(distances))
-        if distances[best] <= self._vigilance:
-            return int(candidates[best]), True
-        return -1, False

@@ -133,13 +133,16 @@ class StreamingTrainer:
     ) -> TrainingCostBreakdown:
         """Consume queries until the model converges or the stream ends.
 
-        The stream is pulled in chunks of ``batch_size`` and labelled
-        through the engine's ``execute_q1_batch``; the model absorbs each
-        chunk through :meth:`~repro.core.model.LLMModel.partial_fit_batch`.
-        The trained model is bit-for-bit identical to the sequential
-        per-query loop (one ``execute_q1_batch([q])`` call per query
-        followed by ``partial_fit``) over the same stream — chunking changes
-        only the cost profile, never the result.  Queries that select no
+        Training also stops once the model has taken
+        ``model.training.max_steps`` steps, as
+        :meth:`~repro.core.model.LLMModel.fit` does.  The stream is pulled
+        in chunks of ``batch_size`` and labelled through the engine's
+        ``execute_q1_batch``; the model absorbs each chunk through
+        :meth:`~repro.core.model.LLMModel.partial_fit_batch`.  The trained
+        model is bit-for-bit identical to the sequential per-query loop (one
+        ``execute_q1_batch([q])`` call per query followed by
+        ``partial_fit``) over the same stream — chunking changes only the
+        cost profile, never the result.  Queries that select no
         rows have no defined answer and are skipped.
 
         Parameters
@@ -164,7 +167,7 @@ class StreamingTrainer:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         breakdown = TrainingCostBreakdown()
         iterator = iter(queries)
-        while not self.model.is_frozen:
+        while not self.model.is_frozen and self._remaining_steps() != 0:
             chunk = list(itertools.islice(iterator, batch_size))
             if not chunk:
                 break
@@ -175,6 +178,11 @@ class StreamingTrainer:
         breakdown.converged = self.model.is_frozen
         breakdown.final_prototype_count = self.model.prototype_count
         return breakdown
+
+    def _remaining_steps(self) -> int | None:
+        """Steps left under ``TrainingConfig.max_steps`` (``None``: no cap)."""
+        cap = self.model.training.max_steps
+        return None if cap is None else max(cap - self.model.steps, 0)
 
     def _execute_chunk(
         self, chunk: list[Query]
@@ -211,11 +219,13 @@ class StreamingTrainer:
     ) -> None:
         """Feed one labelled chunk to the model, in stream order.
 
-        The non-empty pairs go through
+        The non-empty pairs, at most the remaining ``max_steps`` budget of
+        them, go through
         :meth:`~repro.core.model.LLMModel.partial_fit_batch`, which stops
         at the pair that converges the model.  An empty slot counts as
         skipped only if the sequential loop would have reached it, i.e. if
-        it precedes that converging pair.
+        it precedes the pair that converged the model or used up the
+        budget.
         """
         started = time.perf_counter()
         live = [
@@ -223,11 +233,14 @@ class StreamingTrainer:
             for position, answer in enumerate(answers)
             if answer is not None
         ]
+        budget = self._remaining_steps()
+        if budget is not None:
+            del live[budget:]
         records = self.model.partial_fit_batch(
             [chunk[position] for position, _ in live], [mean for _, mean in live]
         )
         reached = len(chunk)
-        if self.model.is_frozen and records:
+        if records and (self.model.is_frozen or self._remaining_steps() == 0):
             reached = live[len(records) - 1][0] + 1
         breakdown.pairs_processed += len(records)
         breakdown.pairs_skipped += sum(answer is None for answer in answers[:reached])

@@ -9,9 +9,6 @@ during the training phase.  This subpackage provides that substrate:
 * :class:`~repro.dbms.spatial_index.GridIndex` — a uniform-grid spatial
   index used by the exact executor to prune the dNN selection (the role
   played by the B-tree index in the paper's PostgreSQL setup),
-* :class:`~repro.dbms.spatial_index.PrototypeIndex` — the same grid idiom
-  generalised to the radius-augmented prototype space, used by the trained
-  model's predictor to prune the overlap-set computation,
 * :class:`~repro.dbms.executor.ExactQueryEngine` — the exact executor of
   Q1 (mean value) and Q2 (in-subspace OLS regression), with batched paths
   built on mergeable sufficient statistics over contiguous row shards (one
@@ -60,7 +57,6 @@ from .catalog import Catalog, TableInfo
 from .storage import SQLiteDataStore
 from .spatial_index import (
     GridIndex,
-    PrototypeIndex,
     batch_grid_cells_per_dimension,
     estimate_boundary_fraction,
     estimate_candidate_fraction,
@@ -103,7 +99,6 @@ __all__ = [
     "TableInfo",
     "SQLiteDataStore",
     "GridIndex",
-    "PrototypeIndex",
     "batch_grid_cells_per_dimension",
     "estimate_boundary_fraction",
     "estimate_candidate_fraction",

@@ -635,7 +635,6 @@ class ModelManager:
             dimension=old_model.dimension,
             config=old_model.config,
             training=old_model.training,
-            use_pruning_index=old_model.use_pruning_index,
         )
         trainer = StreamingTrainer(
             new_model, engine, max_engine_retries=2, retry_backoff_seconds=0.02

@@ -12,9 +12,7 @@ intersect each ball.  For the moderate dimensionalities used by the paper
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -27,7 +25,6 @@ from ..exceptions import (
 
 __all__ = [
     "GridIndex",
-    "PrototypeIndex",
     "batch_grid_cells_per_dimension",
     "estimate_boundary_fraction",
     "estimate_candidate_fraction",
@@ -41,9 +38,8 @@ def batch_grid_cells_per_dimension(
     """Fine batch-grid resolution for a clustered row set of ``count`` rows.
 
     The segmented batch pipeline pays no per-cell Python cost, so it targets
-    a few rows per cell (``count / rows_per_cell`` cells in total) — much
-    finer than :class:`GridIndex`'s default — trimming the candidate
-    superset towards the exact selection.  Every shard pipeline of the
+    a few rows per cell (``count / rows_per_cell`` cells in total),
+    trimming the candidate superset towards the exact selection.  Every shard pipeline of the
     exact engine and its ``route="auto"`` planner size cells with it, so
     both agree for the same row count.
     """
@@ -122,8 +118,7 @@ def expand_ranges(
 
     The vectorised inverse of range compression: every run contributes its
     positions in order, tagged with the run's query id.  Used by the
-    executor's segmented batch pipeline and by
-    :meth:`PrototypeIndex.candidates_union`.
+    executor's segmented batch pipeline.
     """
     lengths = ends - starts
     offsets = lengths.cumsum() - lengths
@@ -146,39 +141,25 @@ class GridIndex:
     """Uniform grid over the input space mapping cells to row indices.
 
     The cell-clustered layout behind the batch candidate ranges is built
-    once, on first use, under a lock; :meth:`candidate_rows` walks a lazily
-    built per-cell dictionary instead (the prototype index's one-query
-    probe, see :meth:`PrototypeIndex.candidates`).
+    once, on first use, under a lock.
 
     Parameters
     ----------
     points:
-        The ``(n, d)`` array of input vectors to index.
+        The ``(n, d)`` array of input vectors to index.  The grid spans
+        their bounding box.
     cells_per_dimension:
-        Number of grid cells per dimension.  ``None`` chooses a value aimed
-        at a few hundred points per cell on average.
-    bounds:
-        Optional ``(low, high)`` arrays describing the domain.  Defaults to
-        the min/max of the indexed points.
+        Number of grid cells per dimension (the executor sizes it with
+        :func:`batch_grid_cells_per_dimension`).
     """
 
-    def __init__(
-        self,
-        points: np.ndarray,
-        cells_per_dimension: int | None = None,
-        bounds: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> None:
+    def __init__(self, points: np.ndarray, cells_per_dimension: int) -> None:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] == 0:
             raise ConfigurationError("cannot build a grid index over zero points")
         self._points = pts
         self._count, self._dimension = pts.shape
 
-        if cells_per_dimension is None:
-            # Target roughly 256 points per cell: cells^d ≈ n / 256.
-            target_cells = max(self._count / 256.0, 1.0)
-            cells_per_dimension = max(int(round(target_cells ** (1.0 / self._dimension))), 1)
-            cells_per_dimension = min(cells_per_dimension, 64)
         if cells_per_dimension < 1:
             raise ConfigurationError(
                 f"cells_per_dimension must be >= 1, got {cells_per_dimension}"
@@ -189,24 +170,11 @@ class GridIndex:
             self._dimension - 1, -1, -1, dtype=np.int64
         )
 
-        if bounds is None:
-            low = pts.min(axis=0)
-            high = pts.max(axis=0)
-        else:
-            low = np.asarray(bounds[0], dtype=float)
-            high = np.asarray(bounds[1], dtype=float)
-            if low.shape[0] != self._dimension or high.shape[0] != self._dimension:
-                raise DimensionalityMismatchError(
-                    "bounds must have one (low, high) pair per dimension"
-                )
+        low = pts.min(axis=0)
+        high = pts.max(axis=0)
         span = np.where(high > low, high - low, 1.0)
         self._low = low
         self._cell_width = span / self._cells_per_dimension
-
-        # Per-cell row-id dictionary for candidate_rows; built lazily since
-        # the batched candidate path never reads it (it costs an O(n)
-        # interpreted loop).
-        self._cells: dict[tuple[int, ...], list[int]] | None = None
 
         # Clustered (cell-sorted) layout for the batched candidate path;
         # built lazily on first use under _layout_lock.  _clustered_order is
@@ -240,15 +208,6 @@ class GridIndex:
         self._ensure_clustered()
         return self._cell_flats.size
 
-    def _ensure_cells(self) -> dict[tuple[int, ...], list[int]]:
-        if self._cells is None:
-            cells: dict[tuple[int, ...], list[int]] = {}
-            cell_ids = self._cell_coordinates(self._points)
-            for row, key in enumerate(map(tuple, cell_ids)):
-                cells.setdefault(key, []).append(row)
-            self._cells = cells
-        return self._cells
-
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
@@ -258,15 +217,6 @@ class GridIndex:
         # minimum/maximum rather than np.clip: same result, a fraction of
         # the per-call cost on the small arrays of one query.
         return np.minimum(np.maximum(raw, 0), self._cells_per_dimension - 1)
-
-    def _candidate_cells(
-        self, center: np.ndarray, radius: float
-    ) -> Iterable[tuple[int, ...]]:
-        """Yield the cell keys intersecting the bounding box of the ball."""
-        lower = self._cell_coordinates((center - radius).reshape(1, -1))[0]
-        upper = self._cell_coordinates((center + radius).reshape(1, -1))[0]
-        ranges = [range(int(lo), int(hi) + 1) for lo, hi in zip(lower, upper)]
-        return itertools.product(*ranges)
 
     # ------------------------------------------------------------------ #
     # clustered layout (batched candidate generation)
@@ -544,126 +494,3 @@ class GridIndex:
             cell_starts[cell_keep],
             cell_ends[cell_keep],
         )
-
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
-    def candidate_rows(self, center: np.ndarray, radius: float) -> np.ndarray:
-        """Return the row indices in cells overlapping the ball's bounding box."""
-        center = np.asarray(center, dtype=float).ravel()
-        if center.shape[0] != self._dimension:
-            raise DimensionalityMismatchError(
-                f"query center has dimension {center.shape[0]}, index has "
-                f"{self._dimension}"
-            )
-        if radius < 0 or not math.isfinite(radius):
-            raise ConfigurationError(f"radius must be finite and >= 0, got {radius}")
-        cells = self._ensure_cells()
-        rows: list[int] = []
-        for key in self._candidate_cells(center, radius):
-            bucket = cells.get(key)
-            if bucket:
-                rows.extend(bucket)
-        return np.asarray(rows, dtype=int)
-
-
-class PrototypeIndex:
-    """Pruning index over the radius-augmented prototype space.
-
-    The query-processing algorithms need the overlap set
-    ``W(q) = { w_k : delta(q, w_k) > 0 }``, and a prototype ``w_k = [x_k,
-    theta_k]`` can only overlap a query ``q = [x, theta]`` when
-    ``||x - x_k||_p <= theta + theta_k``.  Every member of ``W(q)`` therefore
-    lies within ``theta + max_k theta_k`` of the query center, so a
-    :class:`GridIndex` over the prototype *centers*, probed with that
-    inflated radius, yields a small candidate superset of ``W(q)`` — the
-    exact degree test then runs over candidates only, making neighbourhood
-    construction sublinear in ``K`` for localised workloads (batched
-    prediction through :meth:`candidates_union`, the trainer's winner
-    pruning through :meth:`candidates`).
-
-    The bounding box used by the grid contains the Lp ball for every
-    ``p >= 1`` (the L-infinity box is the largest), so the candidate set is a
-    superset of the overlap set under any norm order.
-
-    Parameters
-    ----------
-    prototypes:
-        The ``(K, d + 1)`` matrix of prototype vectors ``[x_k, theta_k]``.
-    cells_per_dimension:
-        Grid resolution; defaults to a few prototypes per cell (prototype
-        sets are much smaller than datasets, so the grid is denser than the
-        executor's default).
-    """
-
-    def __init__(
-        self,
-        prototypes: np.ndarray,
-        cells_per_dimension: int | None = None,
-    ) -> None:
-        protos = np.atleast_2d(np.asarray(prototypes, dtype=float))
-        if protos.shape[0] == 0:
-            raise ConfigurationError("cannot index zero prototypes")
-        if protos.shape[1] < 2:
-            raise ConfigurationError(
-                "prototypes need at least a center component and a radius, "
-                f"got width {protos.shape[1]}"
-            )
-        centers = protos[:, :-1]
-        radii = protos[:, -1]
-        self._max_radius = float(max(radii.max(), 0.0))
-        if cells_per_dimension is None:
-            # Target ~4 prototypes per cell: cells^d ≈ K / 4.
-            dimension = centers.shape[1]
-            target_cells = max(protos.shape[0] / 4.0, 1.0)
-            cells_per_dimension = max(
-                int(round(target_cells ** (1.0 / dimension))), 1
-            )
-            cells_per_dimension = min(cells_per_dimension, 64)
-        self._grid = GridIndex(centers, cells_per_dimension=cells_per_dimension)
-
-    @property
-    def size(self) -> int:
-        """Number of indexed prototypes ``K``."""
-        return self._grid.size
-
-    @property
-    def dimension(self) -> int:
-        """Dimensionality ``d`` of the data (center) space."""
-        return self._grid.dimension
-
-    @property
-    def max_radius(self) -> float:
-        """The largest prototype radius (the pruning-bound inflation)."""
-        return self._max_radius
-
-    def candidates(self, center: np.ndarray, radius: float) -> np.ndarray:
-        """Return a sorted candidate superset of the overlap set ``W(q)``."""
-        if radius < 0 or not math.isfinite(radius):
-            raise ConfigurationError(f"radius must be finite and >= 0, got {radius}")
-        reach = float(radius) + self._max_radius
-        return np.sort(self._grid.candidate_rows(center, reach))
-
-    def candidates_union(
-        self, centers: np.ndarray, radii: np.ndarray, p: float = 2.0
-    ) -> np.ndarray:
-        """Sorted union of candidate supersets for a whole query batch.
-
-        Every prototype overlapping *any* query of the batch is contained in
-        the result, so batched prediction can restrict its ``(m, K)`` degree
-        computation to these columns (block-sparse mode) without changing a
-        single answer.  The per-query reach is ``theta_i + max_k theta_k``,
-        exactly as in :meth:`candidates`.
-        """
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        radii = np.asarray(radii, dtype=float).ravel()
-        if radii.size and (np.min(radii) < 0 or not np.all(np.isfinite(radii))):
-            raise ConfigurationError("radii must all be finite and >= 0")
-        reach = radii + self._max_radius
-        query_ids, starts, ends = self._grid.candidate_ranges_batch(
-            centers, reach, p=p
-        )
-        if starts.size == 0:
-            return np.empty(0, dtype=np.int64)
-        positions, _ = expand_ranges(query_ids, starts, ends)
-        return np.unique(self._grid.clustered_order[positions])

@@ -7,8 +7,7 @@ that the batched answers agree with :mod:`repro.testing.oracle` (map-by-map
 Algorithms 2 and 3 and Equation 14; a full Lp scan plus ``lstsq`` on the
 exact side) to within 1e-12 across dimensions d in {1, 2, 6}, including the
 zero-overlap extrapolation branch and the (defensive) all-degrees-zero
-uniform-weight branch, and that the prototype-pruning index never changes
-an answer.
+uniform-weight branch.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ def _mixed_queries(dimension: int, count: int = 60, seed: int = 11) -> list[Quer
 def setup(request):
     dimension = request.param
     maps = _synthetic_maps(dimension)
-    predictor = NeighborhoodPredictor(maps, use_pruning_index=False)
+    predictor = NeighborhoodPredictor(maps)
     queries = _mixed_queries(dimension)
     matrix = np.vstack([query.to_vector() for query in queries])
     return dimension, maps, predictor, queries, matrix
@@ -162,32 +161,6 @@ class TestValuePredictionEquivalence:
         oracle = ModelOracle(maps)
         single = np.array([oracle.predict_value(point, radius) for point in points])
         np.testing.assert_allclose(batch, single, rtol=0.0, atol=TOLERANCE)
-
-
-class TestPruningIndexEquivalence:
-    def test_pruned_single_query_matches_full_scan(self, setup):
-        _, maps, _, queries, _ = setup
-        pruned = NeighborhoodPredictor(maps, use_pruning_index=True)
-        assert pruned.uses_pruning_index
-        oracle = ModelOracle(maps)
-        for query in queries:
-            value, diagnostics = pruned.predict_mean_with_diagnostics(query)
-            assert value == pytest.approx(oracle.predict_mean(query), abs=TOLERANCE)
-            indices, _, extrapolated = oracle.neighborhood(query)
-            assert diagnostics.used_indices == tuple(indices)
-            assert diagnostics.extrapolated == extrapolated
-
-    def test_auto_threshold(self):
-        from repro.core.prediction import DEFAULT_PRUNING_THRESHOLD
-
-        maps = _synthetic_maps(2, count=100)
-        # Below the crossover the dense scan wins; pruning must be off by
-        # default but available on request.
-        assert DEFAULT_PRUNING_THRESHOLD > 100
-        assert not NeighborhoodPredictor(maps).uses_pruning_index
-        assert NeighborhoodPredictor(
-            maps, use_pruning_index=True
-        ).uses_pruning_index
 
 
 class TestWeightNormalisation:
@@ -298,107 +271,6 @@ class TestModelBatchAPI:
             trained.predict_mean_batch(np.array([[0.5, 0.5, -0.1]]))
         with pytest.raises(DimensionalityMismatchError):
             trained.predict_mean_batch(np.array([[0.5, 0.5]]))
-
-
-class TestBatchPruningEquivalence:
-    """Block-sparse candidate-union batch mode vs the dense batch path."""
-
-    K = 600
-
-    @pytest.fixture(scope="class")
-    def predictors(self):
-        # Tight prototype radii keep the pruning reach local, as in a
-        # converged large-K quantization (vigilance shrinks with K).
-        rng = np.random.default_rng(17)
-        maps = []
-        for _ in range(self.K):
-            center = rng.uniform(0.0, 1.0, size=2)
-            radius = rng.uniform(0.01, 0.05)
-            maps.append(
-                LocalLinearMap(
-                    prototype=np.concatenate([center, [radius]]),
-                    mean_output=float(rng.normal(0.0, 2.0)),
-                    slope=rng.normal(0.0, 1.0, size=3),
-                )
-            )
-        dense = NeighborhoodPredictor(maps, use_pruning_index=False)
-        sparse = NeighborhoodPredictor(maps, use_pruning_index=True)
-        return dense, sparse
-
-    def _localized_matrix(self, count: int = 40, seed: int = 71) -> np.ndarray:
-        """A localized batch (small union) with extrapolation probes mixed in."""
-        rng = np.random.default_rng(seed)
-        centers = np.array([0.3, 0.7]) + rng.uniform(-0.05, 0.05, size=(count, 2))
-        radii = rng.uniform(0.01, 0.05, size=(count, 1))
-        matrix = np.hstack([centers, radii])
-        matrix[::9, :2] += 7.0  # far away: empty overlap set
-        return matrix
-
-    def test_sparse_mode_engages_on_localized_batches(self, predictors):
-        _, sparse = predictors
-        matrix = self._localized_matrix()
-        weights, _, columns = sparse._batch_weight_matrix(matrix, 2.0)
-        assert columns is not None
-        assert 0 < columns.size < self.K
-        assert weights.shape == (matrix.shape[0], columns.size)
-
-    def test_union_contains_every_overlapping_prototype(self, predictors):
-        dense, sparse = predictors
-        matrix = self._localized_matrix()
-        assert sparse._pruning_index is not None
-        union = sparse._pruning_index.candidates_union(
-            matrix[:, :-1], matrix[:, -1]
-        )
-        degrees = overlap_degree_matrix(
-            matrix[:, :-1], matrix[:, -1], dense._centers, dense._radii
-        )
-        needed = np.nonzero(degrees.max(axis=0) > 0.0)[0]
-        assert np.isin(needed, union).all()
-
-    def test_mean_batch_matches_dense(self, predictors):
-        dense, sparse = predictors
-        matrix = self._localized_matrix()
-        np.testing.assert_allclose(
-            sparse.predict_mean_batch(matrix),
-            dense.predict_mean_batch(matrix),
-            rtol=0.0,
-            atol=TOLERANCE,
-        )
-
-    def test_q2_batch_matches_dense(self, predictors):
-        dense, sparse = predictors
-        matrix = self._localized_matrix(count=20)
-        for sparse_planes, dense_planes in zip(
-            sparse.predict_q2_batch(matrix), dense.predict_q2_batch(matrix)
-        ):
-            assert len(sparse_planes) == len(dense_planes)
-            for left, right in zip(sparse_planes, dense_planes):
-                assert left.weight == pytest.approx(right.weight, abs=TOLERANCE)
-                assert left.intercept == pytest.approx(
-                    right.intercept, abs=TOLERANCE
-                )
-                np.testing.assert_allclose(
-                    left.prototype_center, right.prototype_center, atol=0.0
-                )
-
-    def test_value_batch_matches_dense(self, predictors):
-        dense, sparse = predictors
-        matrix = self._localized_matrix()
-        np.testing.assert_allclose(
-            sparse.predict_value_batch(matrix[:, :2], 0.03),
-            dense.predict_value_batch(matrix[:, :2], 0.03),
-            rtol=0.0,
-            atol=TOLERANCE,
-        )
-
-    def test_scattered_batch_falls_back_to_dense(self, predictors):
-        _, sparse = predictors
-        rng = np.random.default_rng(73)
-        matrix = np.hstack(
-            [rng.uniform(0, 1, size=(60, 2)), rng.uniform(0.2, 0.4, size=(60, 1))]
-        )
-        _, _, columns = sparse._batch_weight_matrix(matrix, 2.0)
-        assert columns is None  # union covers most prototypes -> dense path
 
 
 def _whole_table_scan(dataset):

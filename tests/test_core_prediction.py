@@ -185,7 +185,6 @@ class TestCoverageSignal:
                 "learning_rate_scale": 1.0,
             },
             "state": {"steps": 3, "frozen": True},
-            "use_pruning_index": None,
             "maps": [llm.to_dict() for llm in [
                 _llm([0.2, 0.2], 0.1, mean=0.2),
                 _llm([0.8, 0.8], 0.1, mean=0.8),

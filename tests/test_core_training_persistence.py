@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,11 @@ from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine
 from repro.exceptions import NotFittedError, ReproError
 from repro.queries.query import Query
+from repro.queries.stream import LabelledWorkload
 from repro.queries.workload import QueryWorkloadGenerator, RadiusDistribution, WorkloadSpec
+from repro.testing.oracle import ModelOracle
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +87,32 @@ class TestStreamingTrainer:
         assert breakdown.pairs_skipped == 1
         assert breakdown.pairs_processed == 0
 
+    @pytest.mark.parametrize("max_steps", [1, 100])
+    def test_max_steps_caps_training_like_fit(self, engine, workload_queries, max_steps):
+        # Outside queries select no rows: skipped, and counted only before the cut.
+        outside = Query(center=np.array([5.0, 5.0]), radius=0.01)
+        queries = [outside, *workload_queries[:50], outside, *workload_queries[50:]]
+        training = TrainingConfig(convergence_threshold=1e-12, max_steps=max_steps)
+
+        def fresh() -> LLMModel:
+            return LLMModel(
+                dimension=2,
+                config=ModelConfig(quantization_coefficient=0.1),
+                training=training,
+            )
+
+        trained = fresh()
+        breakdown = StreamingTrainer(trained, engine).train(queries, batch_size=64)
+        reference = fresh()
+        reference.fit(LabelledWorkload.from_engine(queries, engine))
+
+        assert trained.steps == reference.steps == max_steps
+        assert breakdown.pairs_processed == max_steps
+        assert breakdown.pairs_skipped == (1 if max_steps == 1 else 2)
+        assert [llm.to_dict() for llm in trained.local_maps] == [
+            llm.to_dict() for llm in reference.local_maps
+        ]
+
 
 class TestPersistence:
     def _trained_model(self) -> LLMModel:
@@ -115,6 +148,34 @@ class TestPersistence:
         assert restored.steps == model.steps
         assert restored.is_frozen == model.is_frozen
 
+    def test_round_trip_keeps_every_training_field(self, tmp_path):
+        # No field at its default: a field the file forgets comes back
+        # changed, and a retrain from the loaded model trains differently.
+        training = TrainingConfig(
+            convergence_threshold=0.02,
+            max_steps=500,
+            min_steps=7,
+            convergence_window=8,
+            learning_rate_schedule="power",
+            learning_rate_scale=0.5,
+            record_history=False,
+        )
+        config = ModelConfig(
+            quantization_coefficient=0.1, norm_order=1.0, vigilance_override=0.3
+        )
+        model = LLMModel(dimension=2, config=config, training=training)
+        model.partial_fit(Query(center=np.array([0.4, 0.6]), radius=0.1), 1.0)
+        restored = load_model(save_model(model, tmp_path / "model.json"))
+        assert restored.training == training
+        assert restored.config == config
+
+    def test_missing_training_fields_take_the_defaults(self):
+        payload = model_to_dict(self._trained_model())
+        payload["training"] = {"convergence_threshold": 0.05}
+        assert model_from_dict(payload).training == TrainingConfig(
+            convergence_threshold=0.05
+        )
+
     def test_cannot_persist_unfitted_model(self, tmp_path):
         with pytest.raises(NotFittedError):
             save_model(LLMModel(dimension=2), tmp_path / "model.json")
@@ -134,14 +195,9 @@ def _synthetic_model_payload(
     prototype_count: int,
     *,
     format_version: int = 2,
-    use_pruning_index: bool | None = None,
     seed: int = 9,
 ) -> dict:
-    """A valid persisted-model payload with an arbitrary prototype count.
-
-    Building large models through the payload keeps the K >= 2048
-    pruning-index round-trip test fast (no training loop needed).
-    """
+    """A valid persisted-model payload with an arbitrary prototype count."""
     rng = np.random.default_rng(seed)
     maps = []
     for _ in range(prototype_count):
@@ -172,8 +228,6 @@ def _synthetic_model_payload(
         "state": {"steps": prototype_count, "frozen": True},
         "maps": maps,
     }
-    if format_version >= 2:
-        payload["use_pruning_index"] = use_pruning_index
     return payload
 
 
@@ -219,38 +273,52 @@ class TestPersistenceBatchPaths:
         restored = load_model(save_model(model, tmp_path / "model.json"))
         self._assert_batch_equivalence(model, restored)
 
-    def test_large_pruning_index_model_round_trip(self, tmp_path):
-        # K >= 2048 auto-enables the pruning index; the persisted policy
-        # must survive the round trip and the pruned batch paths must stay
-        # bit-equal to the original model's.
-        model = model_from_dict(
-            _synthetic_model_payload(2_100, use_pruning_index=True)
-        )
-        assert model.use_pruning_index is True
-        assert model.describe()["uses_pruning_index"]
-        restored = load_model(save_model(model, tmp_path / "model.json"))
-        assert restored.use_pruning_index is True
-        assert restored.prototype_count == 2_100
-        self._assert_batch_equivalence(model, restored)
-
-    def test_use_pruning_index_round_trips_all_values(self):
-        for policy in (None, True, False):
-            model = model_from_dict(
-                _synthetic_model_payload(16, use_pruning_index=policy)
-            )
-            payload = model_to_dict(model)
-            assert payload["format_version"] == 2
-            assert payload["use_pruning_index"] is policy
-            assert model_from_dict(payload).use_pruning_index is policy
-
     def test_v1_payload_still_readable(self):
-        # Seed-era files carry format_version 1 and no pruning policy; they
-        # must load with the policy defaulting to None (predictor auto).
+        # Seed-era files carry format_version 1.
         payload = _synthetic_model_payload(32, format_version=1)
-        assert "use_pruning_index" not in payload
         model = model_from_dict(payload)
-        assert model.use_pruning_index is None
         assert model.prototype_count == 32
         reserialized = model_to_dict(model)
         assert reserialized["format_version"] == 2
         self._assert_batch_equivalence(model, model_from_dict(reserialized))
+
+    def test_v2_file_with_a_pruning_policy_loads(self, tmp_path):
+        # Written by a version whose predictor had a prototype-pruning
+        # option: a trained K = 64 model saved with use_pruning_index=true.
+        path = FIXTURES / "model_v2_with_pruning_policy.json"
+        payload = json.loads(path.read_text())
+        assert payload["format_version"] == 2
+        assert payload["use_pruning_index"] is True
+        model = load_model(path)
+        assert model.prototype_count == 64
+        # The file predates persisting max_steps, convergence_window and
+        # record_history, so they load as the dataclass defaults.
+        assert model.training == TrainingConfig(
+            convergence_threshold=payload["training"]["convergence_threshold"]
+        )
+        oracle = ModelOracle(model.local_maps)
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            query = Query(
+                center=rng.uniform(-0.1, 1.1, size=2),
+                radius=float(rng.uniform(0.02, 0.3)),
+            )
+            assert model.predict_mean(query) == pytest.approx(
+                oracle.predict_mean(query), rel=0.0, abs=1e-12
+            )
+            for plane, expected in zip(
+                model.regression_models(query), oracle.regression_models(query),
+                strict=True,
+            ):
+                assert plane.weight == pytest.approx(expected.weight, rel=0.0, abs=1e-12)
+                assert plane.intercept == pytest.approx(
+                    expected.intercept, rel=0.0, abs=1e-12
+                )
+            assert model.predict_value(query.center, query.radius) == pytest.approx(
+                oracle.predict_value(query.center, query.radius, 2.0),
+                rel=0.0,
+                abs=1e-12,
+            )
+        resaved = json.loads(save_model(model, tmp_path / "model.json").read_text())
+        assert "use_pruning_index" not in resaved
+        assert resaved["maps"] == payload["maps"]

@@ -7,13 +7,13 @@ import pytest
 
 from repro.dbms.spatial_index import (
     GridIndex,
-    PrototypeIndex,
     batch_grid_cells_per_dimension,
     estimate_boundary_fraction,
     estimate_candidate_fraction,
+    expand_ranges,
 )
 from repro.exceptions import ConfigurationError, DimensionalityMismatchError
-from repro.queries.geometry import overlap_degree, pairwise_lp_distance
+from repro.queries.geometry import pairwise_lp_distance
 
 
 @pytest.fixture(scope="module")
@@ -29,21 +29,13 @@ class TestConstruction:
         assert index.cells_per_dimension == 8
         assert 0 < index.occupied_cell_count <= 64
 
-    def test_automatic_cell_count(self, points):
-        index = GridIndex(points)
-        assert index.cells_per_dimension >= 1
-
     def test_rejects_empty_points(self):
         with pytest.raises(ConfigurationError):
-            GridIndex(np.empty((0, 2)))
+            GridIndex(np.empty((0, 2)), cells_per_dimension=4)
 
     def test_rejects_bad_cell_count(self, points):
         with pytest.raises(ConfigurationError):
             GridIndex(points, cells_per_dimension=0)
-
-    def test_explicit_bounds_dimension_mismatch(self, points):
-        with pytest.raises(DimensionalityMismatchError):
-            GridIndex(points, bounds=(np.zeros(3), np.ones(3)))
 
 
 class TestSelectivityEstimators:
@@ -96,9 +88,18 @@ class TestSelectivityEstimators:
         np.testing.assert_allclose(boundary, candidate)
 
 
+def _candidates(index: GridIndex, center, radius, p=2.0) -> np.ndarray:
+    """Row ids of one query's candidate ranges, probed as a batch of one."""
+    query_ids, starts, ends = index.candidate_ranges_batch(
+        np.asarray(center, dtype=float)[np.newaxis, :], np.array([radius]), p=p
+    )
+    positions, _ = expand_ranges(query_ids, starts, ends)
+    return index.clustered_order[positions]
+
+
 def _ball(index: GridIndex, points, center, radius, p=2.0) -> np.ndarray:
     """Grid candidates filtered by the exact Lp test."""
-    candidates = index.candidate_rows(center, radius)
+    candidates = _candidates(index, center, radius, p)
     if candidates.size == 0:
         return candidates
     distances = pairwise_lp_distance(points[candidates], center, p=p)
@@ -106,6 +107,8 @@ def _ball(index: GridIndex, points, center, radius, p=2.0) -> np.ndarray:
 
 
 class TestBallQueries:
+    """One ball query through the batch probe the executor uses."""
+
     def test_matches_brute_force(self, points):
         index = GridIndex(points, cells_per_dimension=10)
         rng = np.random.default_rng(1)
@@ -132,7 +135,7 @@ class TestBallQueries:
     def test_candidate_rows_superset_of_matches(self, points):
         index = GridIndex(points, cells_per_dimension=10)
         center = np.array([0.3, 0.7])
-        candidates = set(index.candidate_rows(center, 0.2).tolist())
+        candidates = set(_candidates(index, center, 0.2).tolist())
         matches = set(
             np.nonzero(pairwise_lp_distance(points, center) <= 0.2)[0].tolist()
         )
@@ -152,75 +155,23 @@ class TestBallQueries:
     def test_rejects_bad_radius(self, points):
         index = GridIndex(points, cells_per_dimension=10)
         with pytest.raises(ConfigurationError):
-            index.candidate_rows(np.array([0.5, 0.5]), -0.1)
+            _candidates(index, np.array([0.5, 0.5]), -0.1)
 
     def test_rejects_wrong_dimension(self, points):
         index = GridIndex(points, cells_per_dimension=10)
         with pytest.raises(DimensionalityMismatchError):
-            index.candidate_rows(np.array([0.5, 0.5, 0.5]), 0.1)
+            _candidates(index, np.array([0.5, 0.5, 0.5]), 0.1)
 
 
 class TestHigherDimensions:
     def test_five_dimensional_index(self):
         pts = np.random.default_rng(2).uniform(0, 1, size=(3_000, 5))
-        index = GridIndex(pts)
+        index = GridIndex(pts, cells_per_dimension=2)
         center = np.full(5, 0.5)
         radius = 0.4
         expected = np.nonzero(pairwise_lp_distance(pts, center) <= radius)[0]
         actual = _ball(index, pts, center, radius)
         assert set(actual.tolist()) == set(expected.tolist())
-
-
-class TestPrototypeIndex:
-    @pytest.fixture(scope="class")
-    def prototypes(self) -> np.ndarray:
-        rng = np.random.default_rng(9)
-        centers = rng.uniform(0, 1, size=(300, 2))
-        radii = rng.uniform(0.02, 0.25, size=(300, 1))
-        return np.hstack([centers, radii])
-
-    def test_properties(self, prototypes):
-        index = PrototypeIndex(prototypes)
-        assert index.size == 300
-        assert index.dimension == 2
-        assert index.max_radius == pytest.approx(prototypes[:, -1].max())
-
-    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
-    def test_candidates_are_a_superset_of_the_overlap_set(self, prototypes, p):
-        index = PrototypeIndex(prototypes)
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            center = rng.uniform(-0.2, 1.2, size=2)
-            radius = float(rng.uniform(0.01, 0.3))
-            candidates = set(index.candidates(center, radius).tolist())
-            overlap_set = {
-                k
-                for k in range(prototypes.shape[0])
-                if overlap_degree(
-                    center, radius, prototypes[k, :-1], prototypes[k, -1], p=p
-                )
-                > 0.0
-            }
-            assert overlap_set <= candidates
-
-    def test_candidates_prune_most_prototypes(self, prototypes):
-        index = PrototypeIndex(prototypes)
-        candidates = index.candidates(np.array([0.5, 0.5]), 0.05)
-        assert 0 < candidates.size < prototypes.shape[0]
-
-    def test_candidates_are_sorted(self, prototypes):
-        index = PrototypeIndex(prototypes)
-        candidates = index.candidates(np.array([0.3, 0.7]), 0.1)
-        assert np.all(np.diff(candidates) > 0)
-
-    def test_rejects_empty_and_degenerate(self):
-        with pytest.raises(ConfigurationError):
-            PrototypeIndex(np.empty((0, 3)))
-        with pytest.raises(ConfigurationError):
-            PrototypeIndex(np.ones((4, 1)))
-        index = PrototypeIndex(np.array([[0.5, 0.5, 0.1]]))
-        with pytest.raises(ConfigurationError):
-            index.candidates(np.array([0.5, 0.5]), -1.0)
 
 
 class TestBatchCandidateRanges:
@@ -231,7 +182,9 @@ class TestBatchCandidateRanges:
     def test_ranges_cover_every_selected_row(self, dimension, p):
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 1, size=(1_500, dimension))
-        index = GridIndex(pts)
+        index = GridIndex(
+            pts, cells_per_dimension=batch_grid_cells_per_dimension(1_500, dimension)
+        )
         centers = np.vstack(
             [
                 rng.uniform(0, 1, size=(25, dimension)),
@@ -310,7 +263,7 @@ class TestBatchCandidateRanges:
             assert split == plain
 
     def test_validation(self, points):
-        index = GridIndex(points)
+        index = GridIndex(points, cells_per_dimension=3)
         with pytest.raises(DimensionalityMismatchError):
             index.candidate_ranges_batch(np.zeros((2, 3)), np.array([0.1, 0.1]))
         with pytest.raises(ConfigurationError):
@@ -319,36 +272,3 @@ class TestBatchCandidateRanges:
             index.candidate_ranges_batch(np.zeros((1, 2)), np.array([-0.5]))
         empty = index.candidate_ranges_batch(np.empty((0, 2)), np.empty(0))
         assert all(part.size == 0 for part in empty)
-
-
-class TestPrototypeCandidateUnion:
-    def test_union_is_superset_across_norms(self):
-        rng = np.random.default_rng(19)
-        prototypes = np.hstack(
-            [rng.uniform(0, 1, size=(400, 2)), rng.uniform(0.01, 0.2, size=(400, 1))]
-        )
-        index = PrototypeIndex(prototypes)
-        centers = rng.uniform(0, 1, size=(25, 2))
-        radii = rng.uniform(0.02, 0.3, size=25)
-        for p in (1.0, 2.0, np.inf):
-            union = set(index.candidates_union(centers, radii, p=p).tolist())
-            for i in range(25):
-                for k in range(prototypes.shape[0]):
-                    degree = overlap_degree(
-                        centers[i],
-                        radii[i],
-                        prototypes[k, :-1],
-                        prototypes[k, -1],
-                        p=p,
-                    )
-                    if degree > 0.0:
-                        assert k in union
-
-    def test_union_of_empty_batch(self):
-        rng = np.random.default_rng(23)
-        prototypes = np.hstack(
-            [rng.uniform(0, 1, size=(50, 2)), rng.uniform(0.01, 0.1, size=(50, 1))]
-        )
-        index = PrototypeIndex(prototypes)
-        union = index.candidates_union(np.empty((0, 2)), np.empty(0))
-        assert union.size == 0

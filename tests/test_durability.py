@@ -398,6 +398,64 @@ class TestRecovery:
         for opened in recovered.stores.values():
             opened.close()
 
+    def test_recovered_model_retrains_under_its_original_settings(self, tmp_path):
+        # Every field away from its default: the retrain clones the serving
+        # model's settings, so a field the model file forgot would change
+        # how the first retrain after a restart trains.
+        training = TrainingConfig(
+            convergence_threshold=1e-4,
+            max_steps=60,
+            min_steps=20,
+            convergence_window=8,
+            learning_rate_scale=0.5,
+            record_history=False,
+        )
+        store = SQLiteDataStore(tmp_path / "data.db")
+        store.load_dataset(_dataset(), TABLE)
+        service = AnalyticsService()
+        service.register_table_from_store(store, TABLE)
+        model = LLMModel(
+            dimension=2,
+            config=ModelConfig(quantization_coefficient=0.1),
+            training=training,
+        )
+        model.fit(
+            LabelledWorkload.from_engine(
+                _workload(0.0, 1.0, 80, seed=1), service.engine_for(TABLE)
+            )
+        )
+        version_store = ModelVersionStore(tmp_path / "versions")
+        service.swap_model(TABLE, model, version=version_store.save(TABLE, model))
+        policy = DriftPolicy(min_retrain_queries=8, cooldown_seconds=0.0)
+        manager = ModelManager(service, policy=policy, version_store=version_store)
+        manager.manage(TABLE, store=store, store_table=TABLE)
+        _serve(service, _workload(0.0, 1.0, 80, seed=2), 80)
+        ServiceCheckpointer(
+            service, tmp_path / "ckpt", manager=manager, version_store=version_store
+        ).checkpoint()
+        # ---- crash; new process ----
+        recovered = RecoveryManager(tmp_path / "ckpt").recover()
+        assert recovered.service.model_for(TABLE).training == training
+        retrained: list[LLMModel] = []
+
+        def train_fn(*args) -> LLMModel:
+            retrained.append(ModelManager._default_train(*args))
+            return retrained[-1]
+
+        new_manager = ModelManager(
+            recovered.service,
+            policy=policy,
+            version_store=version_store,
+            train_fn=train_fn,
+        )
+        recovered.attach_manager(new_manager)
+        assert new_manager.retrain(TABLE) in ("retrained", "rolled_back")
+        assert retrained[0].training == training
+        assert retrained[0].steps <= training.max_steps
+        store.close()
+        for opened in recovered.stores.values():
+            opened.close()
+
     def test_journal_replay_restores_post_checkpoint_swap(self, stack):
         self._checkpoint(stack)
         v2 = stack["version_store"].save(TABLE, stack["model"])

@@ -12,7 +12,7 @@ and of the exact engine in every shard configuration (``execute_q1``,
 
 Cases cover d in {1, 2, 6} and p in {1, 2, 3, inf}, empty overlap sets
 (extrapolation), empty subspaces, duplicate rows, a collinear subspace and
-a pruned model with K >= 2048.  ``REPRO_DIFFERENTIAL_SOAK=<n>`` appends
+a model with K = 2,100 prototypes.  ``REPRO_DIFFERENTIAL_SOAK=<n>`` appends
 ``n`` randomly drawn model configurations to the model-side oracle test.
 """
 
@@ -76,7 +76,6 @@ def _model(maps: list[LocalLinearMap], norm_order: float) -> LLMModel:
             "learning_rate_scale": 1.0,
         },
         "state": {"steps": len(maps), "frozen": True},
-        "use_pruning_index": None,
         "maps": [llm.to_dict() for llm in maps],
     }
     return model_from_dict(payload)
@@ -145,15 +144,11 @@ def test_model_single_queries_are_batches_of_one(dimension, norm_order, seed):
 
 
 @pytest.mark.parametrize("norm_order", (2.0, np.inf))
-def test_pruned_model_single_queries_are_batches_of_one(norm_order):
-    # Tight radii keep each query's candidate union small, so the
-    # block-sparse pruned path answers.
+def test_large_model_single_queries_are_batches_of_one(norm_order):
+    # More prototypes than any served model grows, with tight radii so most
+    # queries overlap only a few of them.
     model = _model(_maps(2, 2_100, 3, radii=(0.005, 0.02)), norm_order)
-    assert model.describe()["uses_pruning_index"]
     queries = _model_queries(2, norm_order, 5, count=7)
-    row = queries[1].to_vector()[np.newaxis, :]
-    _, _, columns = model._predictor()._batch_weight_matrix(row, norm_order)
-    assert columns is not None and columns.size < model.prototype_count
     _assert_model_contract(model, queries)
 
 

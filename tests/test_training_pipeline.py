@@ -18,7 +18,6 @@ import pytest
 
 from repro.config import ModelConfig, TrainingConfig
 from repro.core.model import LLMModel
-from repro.core.sgd import FusedTrainingKernel
 from repro.core.training import StreamingTrainer
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine
@@ -258,35 +257,3 @@ class TestPartialFitBatch:
         model._frozen = True
         queries = _make_queries(2, count=4)
         assert model.partial_fit_batch(queries, [0.0] * 4) == []
-
-
-class TestWinnerPruningIndex:
-    def test_pruned_winner_search_is_bitwise_identical(self):
-        # Force the pruning index on from the first prototype: the pruned
-        # kernel must replicate the dense scan exactly, across growth,
-        # prototype motion (index slack) and rebuilds.
-        rng = np.random.default_rng(5)
-        pairs = []
-        for _ in range(400):
-            center = rng.uniform(0, 1, size=2)
-            pairs.append(
-                (
-                    Query(center=center, radius=float(rng.uniform(0.05, 0.2))),
-                    float(np.sin(center[0]) + center[1]),
-                )
-            )
-        dense = _fresh_model(coefficient=0.05)
-        for query, answer in pairs:
-            dense.partial_fit(query, answer)
-
-        pruned = _fresh_model(coefficient=0.05)
-        pruned._kernel = FusedTrainingKernel(
-            pruned._quantizer,
-            pruned._schedule,
-            pruned._tracker,
-            prune_threshold=1,
-        )
-        for query, answer in pairs:
-            pruned.partial_fit(query, answer)
-        assert pruned._kernel._index is not None  # the index really ran
-        _assert_same_state(_state(pruned), _state(dense), "pruned winner search")
