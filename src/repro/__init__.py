@@ -53,11 +53,12 @@ them: the single-query methods (``predict_mean``,
   index, candidates come as contiguous runs of a cell-clustered row layout
   (one vectorised :meth:`~repro.dbms.spatial_index.GridIndex
   .candidate_ranges_batch` pass over a fine batch grid); cells certifiably
-  *inside* the query ball contribute precomputed per-cell aggregates with
-  zero row-level work, so batch cost scales with the selection boundary
-  rather than its volume.  Rank-deficient or near-singular subspaces fall
-  back per query to the dense SVD least-squares solver, so answers keep
-  its minimum-norm semantics.
+  *inside* the query ball come as runs of consecutive cells, each summed
+  from two rows of a compensated prefix table with zero row-level work,
+  so batch cost scales with the selection boundary rather than its
+  volume.  Rank-deficient or near-singular subspaces fall back per query
+  to the dense SVD least-squares solver, so answers keep its minimum-norm
+  semantics.
 * **Sharded parallel execution** — an
   :class:`~repro.dbms.executor.ExactQueryEngine` built with
   ``num_shards``/``backend`` partitions the rows into contiguous shards

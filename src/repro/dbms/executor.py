@@ -25,8 +25,9 @@ identical statistics:
 * an **indexed** segmented pipeline over the shard's own cell-clustered
   fine grid (:class:`SegmentedBatchPipeline`, its grid built on the shard's
   first indexed batch): candidate ranges from one vectorised grid pass,
-  materialized per-cell aggregates for cells certified inside the ball,
-  row-level exact tests only on boundary cells, and
+  cells certified inside the ball summed run by run from two rows of a
+  compensated prefix table (translated to the query center once per run
+  for Q2), row-level exact tests only on boundary cells, and
 * a chunked full **scan** of the shard's rows
   (:func:`q1_sufficient_statistics_scan` /
   :func:`q2_sufficient_statistics_scan`).
@@ -151,8 +152,8 @@ _SHARDS_PER_WORKER = 4
 #: Mean estimated boundary fraction at or below which ``route="auto"``
 #: sends a shard's batch through the indexed segmented pipeline instead of
 #: the scan kernel.  The indexed path's per-row cost tracks only the
-#: *boundary shell* of each ball — cells certified fully inside contribute
-#: O(1) precomputed aggregates however many rows they hold — so on a fine
+#: *boundary shell* of each ball — each run of cells certified fully inside
+#: costs two prefix-table rows however many rows it holds — so on a fine
 #: grid it beats the scan even for wide balls (BENCH_shard.json measures
 #: 4-5x at radius 0.4 on d=2, N=200k, where ~90% of rows are candidates
 #: but only ~5% sit in boundary cells).  The scan only wins once the
@@ -309,45 +310,173 @@ def q2_sufficient_statistics_scan(
     return counts, moments
 
 
-def translate_cell_moments(
-    aggregates: np.ndarray, shifts: np.ndarray
-) -> np.ndarray:
-    """Re-reference per-cell moment aggregates to per-query centers.
+def _compensated_prefix_table(values: np.ndarray) -> np.ndarray:
+    """Running sums of the rows of ``values``, with their rounding errors.
 
-    ``aggregates`` rows are ``[count, <moment_products columns>]`` taken
-    about each cell's own center ``t``; ``shifts`` holds ``s = t - c`` for
-    the owning query.  The translation identities
+    Row ``i`` of the ``(n + 1, 2 k)`` result is ``[P_i, E_i]``: ``P_i`` is
+    the sequential floating-point sum of the first ``i`` rows and ``E_i``
+    the running sum of each step's exact rounding error (TwoSum: with
+    ``s = a + b`` and ``bb = s - a``, the error is
+    ``(a - (s - bb)) + (b - bb)``).  Rows ``[a, b)`` then sum to
+    ``(P_b - P_a) + (E_b - E_a)``.  Without ``E`` that difference would
+    carry the rounding error of the whole prefix, losing digits in
+    proportion to the prefix over the run; with it a run's sum is as
+    accurate as summing its rows directly (the range-sum-as-difference
+    idea of Ho et al., "Range Queries in OLAP Data Cubes", SIGMOD 1997).
+    """
+    count, width = values.shape
+    table = np.zeros((count + 1, 2 * width), dtype=float)
+    running, errors = table[:, :width], table[1:, width:]
+    np.cumsum(values, axis=0, out=running[1:])
+    before, after = running[:-1], running[1:]
+    # Each step's TwoSum error, built in place in the E columns.
+    np.subtract(after, before, out=errors)
+    partial = after - errors
+    np.subtract(before, partial, out=partial)
+    np.subtract(values, errors, out=errors)
+    errors += partial
+    np.cumsum(errors, axis=0, out=errors)
+    return table
+
+
+def _range_sums(table: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Sums of the value rows ``[start, end)`` from a compensated prefix table."""
+    difference = table.take(ends, axis=0) - table.take(starts, axis=0)
+    width = table.shape[1] // 2
+    return difference[:, :width] + difference[:, width:]
+
+
+def _cell_references(
+    grid: GridIndex, cells: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Q2 reference points of occupied cells, their ``j``, and the ``j`` step.
+
+    A cell's Q2 moments are taken about its grid center along the leading
+    dimensions and about ``base + j step`` along the last, where ``j`` is
+    its last-dimension grid index.  ``base`` and ``step`` are that
+    dimension's first cell center and cell width rounded to a common
+    power-of-two quantum fine enough that every ``base + j step`` is exact
+    in float64.  So the references of one grid line differ by exactly
+    ``(j - j0) step``, which :func:`_translate_runs` relies on; the grid's
+    own rounded centers would put up to an ulp of the coordinates on every
+    cell's shift (1e-13 for inputs near 1000, against radius-scale
+    moments).
+    """
+    cells_per_dimension = grid.cells_per_dimension
+    width = float(grid.cell_width[-1])
+    origin = float(grid.cell_centers[0, -1]) - width * float(
+        grid.cell_flats[0] % cells_per_dimension
+    )
+    quantum = math.ulp(2.0 * (abs(origin) + cells_per_dimension * width))
+    base = round(origin / quantum) * quantum
+    step = round(width / quantum) * quantum
+    index = (grid.cell_flats.take(cells) % cells_per_dimension).astype(float)
+    references = grid.cell_centers.take(cells, axis=0)
+    references[:, -1] = base + index * step
+    return references, index, step
+
+
+def _cell_values(
+    kind: str, grid: GridIndex, inputs: np.ndarray, outputs: np.ndarray
+) -> np.ndarray:
+    """One row of prefix-table values per occupied cell, in directory order.
+
+    ``inputs`` and ``outputs`` are the grid's cell-clustered rows.  Rows are
+    ``[count, sum_y]`` for ``kind="q1"``; for ``kind="q2"`` the cell's
+    ``[count, <moment_products about its reference>]`` (see
+    :func:`_cell_references`) followed by the ``j``-weighted columns
+    ``j count``, ``j sum_y``, ``j m1`` and ``j^2 count`` that
+    :func:`_translate_runs` needs (``m1`` the first moments).
+    """
+    offsets = grid.cell_row_offsets
+    cell_counts = np.diff(offsets)
+    if kind == "q1":
+        values = np.empty((cell_counts.size, 2), dtype=float)
+        values[:, 0] = cell_counts
+        values[:, 1] = np.add.reduceat(outputs, offsets[:-1])
+        return values
+    d = inputs.shape[1]
+    width = moment_column_count(d)
+    references, index, _ = _cell_references(grid, np.arange(cell_counts.size))
+    products = moment_products(
+        inputs - np.repeat(references, cell_counts, axis=0), outputs
+    )
+    values = np.empty((cell_counts.size, 4 + width + d), dtype=float)
+    values[:, 0] = cell_counts
+    values[:, 1 : 1 + width] = np.add.reduceat(products, offsets[:-1], axis=0)
+    values[:, 1 + width : 3 + width + d] = (
+        index[:, np.newaxis] * values[:, _j_weighted_columns(d)]
+    )
+    values[:, 3 + width + d] = index * values[:, 1 + width]
+    return values
+
+
+def _translate_runs(
+    sums: np.ndarray,
+    first_index: np.ndarray,
+    shifts: np.ndarray,
+    step: float,
+) -> np.ndarray:
+    """Re-reference the Q2 moments of inner-cell runs to their query centers.
+
+    ``sums`` rows are one run's sums of the Q2 cell values (see
+    :func:`_cell_values`): ``[n, m1, sum_y, sum_y^2, m_zy, M2]`` taken
+    about each cell's reference ``t``, then ``j n``, ``j sum_y``, ``j m1``
+    and ``j^2 n`` with ``j`` the cell's last-dimension grid index.
+    ``first_index`` holds ``j0``, the run's first ``j``; ``shifts`` holds
+    ``s0 = t0 - c``, its first cell's reference minus the query center.  A
+    run lies in one grid line, so cell ``j`` of it sits at
+    ``s = s0 + k step e_d`` with ``k = j - j0`` (see
+    :func:`_cell_references`).  Summing the per-cell translation identities
 
     * ``sum (x - c) = m1 + n s``
     * ``sum (x - c) y = m_zy + s sum_y``
     * ``sum (x - c)(x - c)^T = M2 + s m1^T + m1 s^T + n s s^T``
 
-    only combine radius-scale quantities, so cell-level aggregation loses
-    none of the numerical headroom of the center-referenced row moments.
+    over the run therefore needs only the run's sums of ``n``, ``m1``,
+    ``sum_y`` and of ``k n``, ``k sum_y``, ``k m1`` and ``k^2 n`` (each
+    ``sum k f = sum j f - j0 sum f``): one translation per run, not per
+    cell, and every term stays at the scale of the query radius.  Returns
+    ``[n, <moment_products columns>]`` rows about the query centers.
     """
-    count = aggregates[:, 0]
-    d = shifts.shape[1]
-    out = np.empty_like(aggregates)
-    out[:, 0] = count
-    m1 = aggregates[:, 1 : 1 + d]
-    sum_y = aggregates[:, 1 + d]
-    out[:, 1 : 1 + d] = m1 + count[:, np.newaxis] * shifts
-    out[:, 1 + d] = sum_y
-    out[:, 2 + d] = aggregates[:, 2 + d]
-    out[:, 3 + d : 3 + 2 * d] = (
-        aggregates[:, 3 + d : 3 + 2 * d] + shifts * sum_y[:, np.newaxis]
+    runs, d = shifts.shape
+    width = moment_column_count(d)
+    last = d - 1
+    m1 = sums[:, 1 : 1 + d]
+    # [sum k n, sum k sum_y, sum k m1]; the count column is an exact
+    # integer, the others carry one rounding each.
+    k_sums = sums[:, 1 + width : 3 + width + d] - first_index[
+        :, np.newaxis
+    ] * sums.take(_j_weighted_columns(d), axis=1)
+    k_n = k_sums[:, 0]
+    # sum k^2 n = sum j^2 n - j0 (sum j n + sum k n), in exact integers.
+    k2_n = sums[:, 3 + width + d] - first_index * (sums[:, 1 + width] + k_n)
+    # sum n s and sum s sum_y.
+    weighted = sums[:, [0, 1 + d], np.newaxis] * shifts[:, np.newaxis, :]
+    weighted[:, :, last] += step * k_sums[:, :2]
+    out = np.empty((runs, 1 + width), dtype=float)
+    out[:, : 3 + d] = sums[:, : 3 + d]
+    out[:, 1 : 1 + d] += weighted[:, 0]
+    out[:, 3 + d : 3 + 2 * d] = sums[:, 3 + d : 3 + 2 * d] + weighted[:, 1]
+    # sum s m1^T + m1 s^T + n s s^T = s0 m1^T + (sum z) s0^T plus the step
+    # terms along e_d, where sum z = m1 + sum n s is the translated m1.
+    outer = (
+        shifts[:, :, np.newaxis] * m1[:, np.newaxis, :]
+        + out[:, 1 : 1 + d, np.newaxis] * shifts[:, np.newaxis, :]
     )
-    column = 3 + 2 * d
-    for a in range(d):
-        for b in range(a, d):
-            out[:, column] = (
-                aggregates[:, column]
-                + shifts[:, a] * m1[:, b]
-                + shifts[:, b] * m1[:, a]
-                + count * shifts[:, a] * shifts[:, b]
-            )
-            column += 1
+    step_m1 = step * k_sums[:, 2:]
+    outer[:, last, :] += step_m1
+    outer[:, :, last] += step_m1 + (step * k_n)[:, np.newaxis] * shifts
+    outer[:, last, last] += (step * step) * k2_n
+    first, second = _gram_pairs(d)
+    out[:, 3 + 2 * d :] = sums[:, 3 + 2 * d : 1 + width] + outer[:, first, second]
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _j_weighted_columns(dimension: int) -> np.ndarray:
+    """Q2 cell-value columns ``n``, ``sum_y``, ``m1`` weighted by ``j``, in order."""
+    return np.array([0, 1 + dimension, *range(1, 1 + dimension)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -437,11 +566,14 @@ def solve_q2_sufficient_statistics(
         - np.einsum("ij,ij->i", slope, z_bar)
         - np.einsum("ij,ij->i", slope, centers)
     )
-    residual = (
-        tss
-        - 2.0 * np.einsum("ij,ij->i", slope, cross_c)
-        + np.einsum("ij,ijk,ik->i", slope, gram_c, slope)
-    )
+    # slope^T gram_c slope as a fixed-order sum per row: the three-operand
+    # einsum rounds differently with the batch size, so a query's R^2
+    # would depend on the rest of its batch.
+    quadratic = np.zeros(m, dtype=float)
+    for a in range(d):
+        for b in range(d):
+            quadratic += slope[:, a] * gram_c[:, a, b] * slope[:, b]
+    residual = tss - 2.0 * np.einsum("ij,ij->i", slope, cross_c) + quadratic
     # Constant outputs (TSS 0) score 1.0 when the residual is
     # ``np.isclose(residual, 0.0)`` (default atol 1e-8), else 0.0.
     positive = tss > 0.0
@@ -471,6 +603,7 @@ def _group_by_norm_order(queries: Sequence[Query]) -> list[tuple[float, np.ndarr
     array = np.array(orders, dtype=float)
     return [(order, np.flatnonzero(array == order)) for order in distinct]
 
+
 def _lp_rows(diff: np.ndarray, p: float) -> np.ndarray:
     """Row-wise Lp norms with the same elementwise formulation as
     :func:`~repro.queries.geometry.pairwise_lp_distance` (bit-identical
@@ -485,21 +618,24 @@ def _lp_rows(diff: np.ndarray, p: float) -> np.ndarray:
 
 
 class SegmentedBatchPipeline:
-    """Segmented candidate-range + cell-aggregate batch pipeline of one row set.
+    """Segmented candidate-range + inner-run batch pipeline of one row set.
 
     The indexed batch paths reduce a query batch to per-query sufficient
     statistics with one vectorised candidate-range pass over a fine,
-    cell-clustered grid: cells certified fully inside a ball contribute
-    precomputed *materialized aggregates* (translated to the query center
-    for Q2), and only boundary cells pay row-level exact Lp tests.  This
-    class owns everything that pipeline needs about one contiguous row set —
-    the fine batch grid, the cell-clustered row copies, and the per-cell
-    aggregate tables — one pipeline per shard of :class:`ExactQueryEngine`
-    (the whole table when there is one shard).  Statistics of disjoint row
-    sets merge by plain addition, exactly like the scan kernels'.
+    cell-clustered grid.  Cells certified fully inside a ball arrive as
+    *runs* of consecutive occupied cells of one grid line; each run sums
+    from two rows of a compensated prefix table over the occupied cells,
+    so its cost does not grow with its cells, and for Q2 it is translated
+    to the query center once.  Only boundary cells pay row-level exact Lp
+    tests.  This class owns everything that pipeline needs about one
+    contiguous row set — the fine batch grid, the cell-clustered row
+    copies, and the Q1 and Q2 prefix tables — one pipeline per shard of
+    :class:`ExactQueryEngine` (the whole table when there is one shard).
+    Statistics of disjoint row sets merge by plain addition, exactly like
+    the scan kernels'.
 
-    The grid, the clustered rows and each aggregate table are built once,
-    on first use, under one build lock; queries read them without locking.
+    The grid, the clustered rows and each prefix table are built once, on
+    first use, under one build lock; queries read them without locking.
 
     Parameters
     ----------
@@ -513,7 +649,7 @@ class SegmentedBatchPipeline:
         self._build_lock = make_lock("pipeline.build")
         self._grid: GridIndex | None = None
         self._clustered: tuple[np.ndarray, np.ndarray] | None = None
-        self._cell_aggregate_cache: dict[str, np.ndarray] = {}
+        self._prefix_tables: dict[str, np.ndarray] = {}
 
     @property
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -576,42 +712,26 @@ class SegmentedBatchPipeline:
         rows = np.sort(grid.clustered_order[positions[inside]])
         return rows, int(positions.size)
 
-    def _cell_aggregates(self, kind: str) -> np.ndarray:
-        """Per-occupied-cell sufficient statistics (lazy, one-time build).
+    def _prefix_table(self, kind: str) -> np.ndarray:
+        """The kind's compensated prefix table (lazy, one-time build).
 
-        ``kind="q1"`` rows are ``[count, sum_y]``; ``kind="q2"`` rows are
-        ``[count, <moment_products about the cell's own center>]``.  Cells
-        certified fully inside a query ball contribute these aggregates
-        directly — no per-row work — which is what makes batch latency
-        scale with the selection *boundary* rather than its volume.
+        :func:`_compensated_prefix_table` over the :func:`_cell_values` of
+        the occupied cells: a run of inner cells then sums from two table
+        rows, whatever its length.
         """
-        cached = self._cell_aggregate_cache.get(kind)
-        if cached is not None:
-            return cached
+        table = self._prefix_tables.get(kind)
+        if table is not None:
+            return table
         grid = self.grid
         clustered_inputs, clustered_outputs = self._clustered_arrays()
         with self._build_lock:
-            cached = self._cell_aggregate_cache.get(kind)
-            if cached is not None:
-                return cached
-            offsets = grid.cell_row_offsets
-            cell_counts = np.diff(offsets)
-            if kind == "q1":
-                aggregates = np.empty((cell_counts.size, 2), dtype=float)
-                aggregates[:, 0] = cell_counts
-                aggregates[:, 1] = np.add.reduceat(clustered_outputs, offsets[:-1])
-            else:
-                references = np.repeat(grid.cell_centers, cell_counts, axis=0)
-                products = moment_products(
-                    clustered_inputs - references, clustered_outputs
+            table = self._prefix_tables.get(kind)
+            if table is None:
+                table = _compensated_prefix_table(
+                    _cell_values(kind, grid, clustered_inputs, clustered_outputs)
                 )
-                aggregates = np.empty(
-                    (cell_counts.size, 1 + products.shape[1]), dtype=float
-                )
-                aggregates[:, 0] = cell_counts
-                aggregates[:, 1:] = np.add.reduceat(products, offsets[:-1], axis=0)
-            self._cell_aggregate_cache[kind] = aggregates
-        return aggregates
+                self._prefix_tables[kind] = table
+        return table
 
     @staticmethod
     def _segment_sums(
@@ -636,10 +756,13 @@ class SegmentedBatchPipeline:
 
         Candidate cells come from one vectorised pass over the batch grid
         (:meth:`GridIndex.classified_ranges_batch`).  Cells certified fully
-        inside the ball contribute their precomputed aggregates (translated
-        to the query center for Q2); only the boundary cells' rows get the
-        exact Lp membership test, and all per-query sums are segment
-        reductions — no per-query Python loop anywhere.
+        inside the ball come as runs over the occupied-cell directory; each
+        run's sums are the difference of two rows of the kind's prefix
+        table (:meth:`_prefix_table`), translated to the query center once
+        per run for Q2 (:func:`_translate_runs`).  Only the boundary cells'
+        rows get the exact Lp membership test.  A query's totals are segment
+        reductions over its own runs and rows, so they do not depend on the
+        rest of its batch, and there is no per-query Python loop anywhere.
 
         Returns ``(counts, sums, scanned)`` where ``sums`` is ``(m, 1)``
         output sums (``kind="q1"``) or the ``(m, width)``
@@ -685,18 +808,22 @@ class SegmentedBatchPipeline:
                     )
                 self._segment_sums(values, boundary_counts, sums)
 
-        # Fully-inside cells: precomputed aggregates, zero row-level work.
+        # Fully-inside cells: each run sums from two prefix-table rows, with
+        # zero row-level work.
         if inner_cell_starts.size:
-            cell_positions, instance_qid = expand_ranges(
-                inner_qid, inner_cell_starts, inner_cell_ends
+            run_sums = _range_sums(
+                self._prefix_table(kind), inner_cell_starts, inner_cell_ends
             )
-            aggregates = self._cell_aggregates(kind)[cell_positions]
             if kind == "q2":
-                shifts = grid.cell_centers[cell_positions] - centers[instance_qid]
-                aggregates = translate_cell_moments(aggregates, shifts)
-            instance_counts = np.bincount(instance_qid, minlength=m)
-            inner_totals = np.zeros((m, aggregates.shape[1]), dtype=float)
-            self._segment_sums(aggregates, instance_counts, inner_totals)
+                references, first_index, step = _cell_references(
+                    grid, inner_cell_starts
+                )
+                run_sums = _translate_runs(
+                    run_sums, first_index, references - centers[inner_qid], step
+                )
+            run_counts = np.bincount(inner_qid, minlength=m)
+            inner_totals = np.zeros((m, run_sums.shape[1]), dtype=float)
+            self._segment_sums(run_sums, run_counts, inner_totals)
             inner_rows = inner_totals[:, 0]
             scanned += int(inner_rows.sum())
             counts += np.rint(inner_rows).astype(np.int64)

@@ -175,6 +175,7 @@ class GridIndex:
         span = np.where(high > low, high - low, 1.0)
         self._low = low
         self._cell_width = span / self._cells_per_dimension
+        self._cell_width.flags.writeable = False
 
         # Clustered (cell-sorted) layout for the batched candidate path;
         # built lazily on first use under _layout_lock.  _clustered_order is
@@ -201,6 +202,11 @@ class GridIndex:
     @property
     def cells_per_dimension(self) -> int:
         return self._cells_per_dimension
+
+    @property
+    def cell_width(self) -> np.ndarray:
+        """Per-dimension cell widths, ``(d,)`` (read-only)."""
+        return self._cell_width
 
     @property
     def occupied_cell_count(self) -> int:

@@ -28,6 +28,10 @@ class TestConstruction:
         assert index.dimension == 2
         assert index.cells_per_dimension == 8
         assert 0 < index.occupied_cell_count <= 64
+        span = points.max(axis=0) - points.min(axis=0)
+        np.testing.assert_array_equal(index.cell_width, span / 8)
+        with pytest.raises(ValueError):
+            index.cell_width[0] = 1.0
 
     def test_rejects_empty_points(self):
         with pytest.raises(ConfigurationError):

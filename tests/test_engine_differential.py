@@ -17,9 +17,14 @@ rank-deficient subspaces, and asserts the full equality chain case by case
 drift creeps in, and this is the tripwire.  The near-collinear slabs put
 the centred Gram condition numbers of their selections on both sides of
 1e3 (``1 / _GRAM_CONDITION_RTOL``) and send selections down both sides of
-the blocked solve's fallback test, so both are held to the oracle.
+the blocked solve's fallback test, so both are held to the oracle.  The
+long-line layout puts inner-cell runs behind long prefixes of the
+pipeline's run tables.  On the far-origin layout the oracle's ``lstsq``
+fit is itself off (its design ``[1, x]`` is ill-conditioned at
+``|x| ~ 1000``), so Q2 is held there to brute-force sums of the
+center-referenced moments instead.
 
-Case matrix: 4 dimensions x 6 layouts x 5 seeds x {q1, q2} = 240 seeded
+Case matrix: 4 dimensions x 8 layouts x 5 seeds x {q1, q2} = 320 seeded
 cases in CI.  Set ``REPRO_DIFFERENTIAL_SOAK=<n>`` to append ``n`` extra
 randomly drawn configurations (soak mode)::
 
@@ -35,13 +40,28 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import SyntheticDataset
-from repro.dbms.executor import _GRAM_CONDITION_RTOL, ExactQueryEngine
+from repro.dbms.executor import (
+    _GRAM_CONDITION_RTOL,
+    ExactQueryEngine,
+    SegmentedBatchPipeline,
+    moment_products,
+    q2_sufficient_statistics_scan,
+)
 from repro.dbms.storage import SQLiteDataStore
 from repro.queries.query import Query
 from repro.testing.oracle import ExactOracle
 
 DIMENSIONS = (1, 2, 3, 6)
-LAYOUTS = ("uniform", "clustered", "duplicate", "degenerate", "tiny", "near_collinear")
+LAYOUTS = (
+    "uniform",
+    "clustered",
+    "duplicate",
+    "degenerate",
+    "tiny",
+    "near_collinear",
+    "long_line",
+    "far_origin",
+)
 SEEDS = (0, 1, 2, 3, 4)
 
 #: Batched engines all reduce to the same merged sufficient statistics, so
@@ -82,6 +102,9 @@ def _configurations() -> list[tuple[int, str, int]]:
 
 
 CONFIGURATIONS = _configurations()
+
+#: Lower corner of the ``far_origin`` layout's domain.
+FAR_ORIGIN = 1000.0
 
 
 def near_collinear_ratio(seed: int) -> float:
@@ -128,15 +151,26 @@ def _make_dataset(dimension: int, layout: str, seed: int) -> SyntheticDataset:
         offsets = rng.uniform(-0.5, 0.5, size=(base_size, dimension))
         offsets[:, -1] *= near_collinear_ratio(seed)
         inputs = 0.5 + offsets @ basis.T
+    elif layout == "long_line":
+        # Five times the rows: at d = 1 one grid line of 250 cells, at
+        # d >= 2 a longer occupied-cell directory, so inner-cell runs sit
+        # behind long prefixes of the run tables.
+        inputs = rng.uniform(0.0, 1.0, size=(5 * base_size, dimension))
+    elif layout == "far_origin":
+        # Uniform rows in [1000, 1001]^d: far from the origin against
+        # their spread, so an ulp of a coordinate is ~1e-13.
+        inputs = FAR_ORIGIN + rng.uniform(0.0, 1.0, size=(base_size, dimension))
     else:  # pragma: no cover - guarded by the parametrisation
         raise AssertionError(layout)
+    low = FAR_ORIGIN if layout == "far_origin" else 0.0
     slope = rng.normal(0.0, 1.0, size=dimension)
-    outputs = 1.0 + inputs @ slope + 0.05 * rng.normal(size=inputs.shape[0])
+    noise = 0.05 * rng.normal(size=inputs.shape[0])
+    outputs = 1.0 + (inputs - low) @ slope + noise
     return SyntheticDataset(
         inputs=inputs,
         outputs=outputs,
         name=f"diff_{dimension}_{layout}_{seed}",
-        domain=(0.0, 1.0),
+        domain=(low, low + 1.0),
     )
 
 
@@ -145,6 +179,7 @@ def _make_workload(
 ) -> list[Query]:
     rng = np.random.default_rng((seed * 104729 + dataset.dimension) % (2**32))
     dimension = dataset.dimension
+    low = dataset.domain[0]
     orders = (1.0, 2.0, 3.0, np.inf)
     queries: list[Query] = []
     for index in range(count):
@@ -153,7 +188,7 @@ def _make_workload(
             # Certifiably empty: far outside the data domain.
             queries.append(
                 Query(
-                    center=rng.uniform(40.0, 50.0, size=dimension),
+                    center=low + rng.uniform(40.0, 50.0, size=dimension),
                     radius=0.05,
                     norm_order=order,
                 )
@@ -166,10 +201,10 @@ def _make_workload(
                 Query(center=anchor.copy(), radius=1e-9, norm_order=order)
             )
         elif index % 6 == 2:
-            # Covers every row: the fully-inside cell aggregates dominate.
+            # Covers every row: the inner-cell runs dominate.
             queries.append(
                 Query(
-                    center=np.full(dimension, 0.5),
+                    center=np.full(dimension, low + 0.5),
                     radius=4.0,
                     norm_order=order,
                 )
@@ -177,12 +212,44 @@ def _make_workload(
         else:
             queries.append(
                 Query(
-                    center=rng.uniform(0.0, 1.0, size=dimension),
+                    center=low + rng.uniform(0.0, 1.0, size=dimension),
                     radius=float(rng.uniform(0.02, 0.45)),
                     norm_order=order,
                 )
             )
     return queries
+
+
+def _assert_moments_match_brute_force(
+    dataset: SyntheticDataset, queries, *, rtol: float
+) -> None:
+    """Both kernels' Q2 moment sums vs brute-force ``moment_products`` sums.
+
+    Counts must be equal; each moment column within ``rtol`` of the sum of
+    its brute-force products' magnitudes.
+    """
+    inputs, outputs = dataset.inputs, dataset.outputs
+    oracle = ExactOracle(inputs, outputs)
+    pipeline = SegmentedBatchPipeline(inputs, outputs)
+    for position, query in enumerate(queries):
+        context = f"moments[{position}]"
+        rows = oracle.select(query)
+        products = moment_products(inputs[rows] - query.center, outputs[rows])
+        expected = products.sum(axis=0)
+        bound = rtol * np.abs(products).sum(axis=0)
+        center, radius = query.center[np.newaxis, :], np.array([query.radius])
+        counts, sums, _ = pipeline.segment_statistics(
+            center, radius, query.norm_order, kind="q2"
+        )
+        scan_counts, scan_sums = q2_sufficient_statistics_scan(
+            inputs, outputs, center, radius, p=query.norm_order
+        )
+        for label, count, got in (
+            ("indexed", counts[0], sums[0]),
+            ("scan", scan_counts[0], scan_sums[0]),
+        ):
+            assert count == rows.size, (context, label)
+            assert (np.abs(got - expected) <= bound).all(), (context, label)
 
 
 def _batch_answers(engine, queries, kind: str):
@@ -304,20 +371,31 @@ def test_engine_paths_agree(dimension: int, layout: str, seed: int, kind: str):
 
     indexed_engine = ExactQueryEngine(dataset)
     oracle = ExactOracle(dataset.inputs, dataset.outputs)
+    # Far from the origin the oracle's own Q2 fit is off, so its counts and
+    # means are checked, and the Q2 moments against brute-force sums.
+    oracle_kind = "q1" if layout == "far_origin" else kind
+    if layout == "far_origin" and kind == "q2":
+        _assert_moments_match_brute_force(dataset, queries, rtol=FAMILY_RTOL)
 
     batch_reference = _batch_answers(indexed_engine, queries, kind)
-    _assert_oracle_equal("batch-indexed", kind, batch_reference, queries, oracle)
+    _assert_oracle_equal(
+        "batch-indexed", oracle_kind, batch_reference, queries, oracle
+    )
 
     # The whole-table scan kernels: one serial shard over every row.
     with ExactQueryEngine(dataset, route="scan") as scan_engine:
         scan_answers = _batch_answers(scan_engine, queries, kind)
     _assert_family_equal("whole-table-scan", scan_answers, batch_reference)
-    _assert_oracle_equal("whole-table-scan", kind, scan_answers, queries, oracle)
+    _assert_oracle_equal(
+        "whole-table-scan", oracle_kind, scan_answers, queries, oracle
+    )
     for route, engine in sharded_engines.items():
         with engine:
             answers = _batch_answers(engine, queries, kind)
         _assert_family_equal(f"sharded-{route}", answers, batch_reference)
-        _assert_oracle_equal(f"sharded-{route}", kind, answers, queries, oracle)
+        _assert_oracle_equal(
+            f"sharded-{route}", oracle_kind, answers, queries, oracle
+        )
 
 
 def _gram_spectra(dataset: SyntheticDataset, queries) -> list[tuple[float, float]]:
@@ -365,6 +443,152 @@ def test_near_collinear_selections_straddle_the_condition_cap(dimension: int):
     conditions, ratios = zip(*spectra)
     assert min(conditions) < cap < max(conditions)
     assert min(ratios) < cap < max(ratios)
+
+
+# --------------------------------------------------------------------------- #
+# inner-cell run sums at their worst case
+# --------------------------------------------------------------------------- #
+#: An inner-cell run sums as the difference of two rows of a compensated
+#: prefix table over the occupied cells; a long prefix in front of a short
+#: run is its worst case.  Dropping the tables' rounding-error columns puts
+#: Q2 fitted values ~1e-11 from the oracle on the long-prefix layout below;
+#: with them every case here stays within ~1e-14.
+RUN_SUM_TOLERANCE = 1e-13
+
+
+def _uniform_table(
+    dimension: int, rows: int, seed: int, low: float = 0.0
+) -> SyntheticDataset:
+    rng = np.random.default_rng(seed)
+    inputs = low + rng.uniform(0.0, 1.0, size=(rows, dimension))
+    noise = 0.05 * rng.normal(size=rows)
+    outputs = 1.0 + (inputs - low) @ rng.normal(size=dimension) + noise
+    return SyntheticDataset(
+        inputs=inputs, outputs=outputs, name="runs", domain=(low, low + 1.0)
+    )
+
+
+def _ball_queries(
+    dataset: SyntheticDataset, norm_order: float, radii, count: int = 40
+) -> list[Query]:
+    rng = np.random.default_rng(dataset.dimension * 7 + int(min(norm_order, 9)))
+    low = dataset.domain[0]
+    return [
+        Query(
+            center=low + rng.uniform(0.0, 1.0, dataset.dimension),
+            radius=float(rng.uniform(*radii)),
+            norm_order=norm_order,
+        )
+        for _ in range(count)
+    ]
+
+
+def _assert_inner_runs(dataset: SyntheticDataset, queries) -> None:
+    """The workload reaches the inner-cell path: some ball holds whole cells."""
+    grid = SegmentedBatchPipeline(dataset.inputs, dataset.outputs).grid
+    for norm_order in {query.norm_order for query in queries}:
+        batch = [query for query in queries if query.norm_order == norm_order]
+        ranges = grid.classified_ranges_batch(
+            np.array([query.center for query in batch]),
+            np.array([query.radius for query in batch]),
+            p=norm_order,
+        )
+        assert ranges[4].size > 0
+
+
+def _assert_run_sums_match_oracle(engine, dataset, queries, *, q2: bool = True):
+    oracle = ExactOracle(dataset.inputs, dataset.outputs)
+    means = engine.execute_q1_batch(queries, on_empty="null")
+    planes = engine.execute_q2_batch(queries, on_empty="null")
+    for position, (query, mean, plane) in enumerate(zip(queries, means, planes)):
+        context = f"query[{position}]"
+        rows = oracle.select(query)
+        if not rows.size:
+            assert mean is None and plane is None, context
+            continue
+        assert mean.cardinality == plane.cardinality == rows.size, context
+        np.testing.assert_allclose(
+            mean.mean,
+            oracle.mean(query),
+            rtol=RUN_SUM_TOLERANCE,
+            atol=RUN_SUM_TOLERANCE,
+            err_msg=context,
+        )
+        if q2:
+            np.testing.assert_allclose(
+                oracle.fitted(query, plane.coefficients),
+                oracle.fitted(query, oracle.q2(query)),
+                rtol=RUN_SUM_TOLERANCE,
+                atol=RUN_SUM_TOLERANCE,
+                err_msg=context,
+            )
+
+
+@pytest.mark.parametrize(
+    "dimension,rows,norm_order,radii",
+    [(1, 50_000, 2.0, (0.05, 0.3)), (2, 200_000, 1.0, (0.02, 0.05))],
+    ids=["one_line", "long_prefix"],
+)
+def test_inner_run_sums_at_their_worst_case(dimension, rows, norm_order, radii):
+    """One grid line of 256 cells at d = 1; ~25k cells before short runs at d = 2."""
+    dataset = _uniform_table(dimension, rows, seed=rows + dimension)
+    queries = _ball_queries(dataset, norm_order, radii)
+    _assert_inner_runs(dataset, queries)
+    engine = ExactQueryEngine(dataset)
+    _assert_run_sums_match_oracle(engine, dataset, queries)
+    if dimension == 1:
+        assert engine._pipelines[0].grid.occupied_cell_count == 256
+
+
+def _run_sum_radii(dimension: int, norm_order: float) -> tuple[float, float]:
+    # Wide enough that some ball holds whole cells of the coarse d = 6 grid
+    # (a quarter of the domain wide), which an L1 ball needs most.
+    if dimension <= 3:
+        return (0.05, 0.4)
+    return (0.8, 1.2) if norm_order == 1.0 else (0.3, 0.6)
+
+
+@pytest.mark.parametrize("norm_order", (1.0, 2.0, np.inf))
+@pytest.mark.parametrize("dimension", DIMENSIONS)
+def test_inner_run_sums_on_every_norm_and_dimension(dimension, norm_order):
+    dataset = _uniform_table(dimension, 20_000, seed=dimension)
+    radii = _run_sum_radii(dimension, norm_order)
+    queries = _ball_queries(dataset, norm_order, radii)
+    _assert_inner_runs(dataset, queries)
+    _assert_run_sums_match_oracle(ExactQueryEngine(dataset), dataset, queries)
+
+
+@pytest.mark.parametrize("backend", ("threads", "processes"))
+def test_inner_run_sums_on_pooled_shards(backend):
+    dataset = _uniform_table(2, 60_000, seed=3)
+    queries = [
+        query
+        for norm_order in (1.0, 2.0, np.inf)
+        for query in _ball_queries(dataset, norm_order, (0.02, 0.3), count=16)
+    ]
+    _assert_inner_runs(dataset, queries)
+    with ExactQueryEngine(
+        dataset, num_shards=3, backend=backend, max_workers=2, route="indexed"
+    ) as engine:
+        _assert_run_sums_match_oracle(engine, dataset, queries)
+
+
+@pytest.mark.parametrize("norm_order", (1.0, 2.0, np.inf))
+@pytest.mark.parametrize("dimension", DIMENSIONS)
+def test_inner_run_sums_far_from_the_origin(dimension, norm_order):
+    """Inputs in [1000, 1001]^d: counts, means and Q2 moment sums.
+
+    The oracle's ``lstsq`` fit is itself off here, so Q2 is checked
+    through the center-referenced moment sums of both kernels.
+    """
+    dataset = _uniform_table(dimension, 20_000, seed=dimension, low=FAR_ORIGIN)
+    radii = _run_sum_radii(dimension, norm_order)
+    queries = _ball_queries(dataset, norm_order, radii)
+    _assert_inner_runs(dataset, queries)
+    _assert_run_sums_match_oracle(
+        ExactQueryEngine(dataset), dataset, queries, q2=False
+    )
+    _assert_moments_match_brute_force(dataset, queries, rtol=RUN_SUM_TOLERANCE)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,10 +1,12 @@
 """Concurrent first use of a fresh exact engine.
 
-An engine builds its fine grid, cell-clustered rows and cell aggregates on
-the first indexed query, and an engine with a pool backend builds its
-worker pool on the first pooled batch.  Threads that arrive while such a one-time build
-is running must wait for it and then get the same answers as a warm engine
-— never a half-published layout, and never a second pool.
+An engine builds its fine grid, cell-clustered rows and the Q1 and Q2
+prefix tables of its inner-cell runs on the first indexed query of each
+kind, and an engine with a pool backend builds its worker pool on the
+first pooled batch.  Threads that arrive while such a one-time build is
+running must wait for it and then get the same answers as a warm engine
+— never a half-published layout, never a table built twice, and never a
+second pool.
 """
 
 from __future__ import annotations
@@ -41,8 +43,20 @@ def _queries(count: int = 32) -> list[Query]:
     ]
 
 
-def _first_batches_race(make_engine) -> tuple[int, list]:
-    """Run one first batch per thread on a fresh engine; return failures."""
+def _first_batches_race(make_engine, monkeypatch) -> tuple[int, list, list[int]]:
+    """Run one first batch per thread on fresh engines.
+
+    Returns the failures, the answers that differ from a serially warmed
+    engine's, and the number of prefix tables each fresh engine built.
+    """
+    builds: list[int] = []
+    build_table = executor._compensated_prefix_table
+
+    def counting_build(values):
+        builds.append(1)
+        return build_table(values)
+
+    monkeypatch.setattr(executor, "_compensated_prefix_table", counting_build)
     queries = _queries()
     failures = 0
     mismatches = []
@@ -51,10 +65,15 @@ def _first_batches_race(make_engine) -> tuple[int, list]:
         "q1": warm.execute_q1_batch(queries, on_empty="null"),
         "q2": warm.execute_q2_batch(queries, on_empty="null"),
     }
+    trials = []
+    builds_per_engine = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        trials = [_one_trial(make_engine(), queries) for _ in range(TRIALS)]
+        for _ in range(TRIALS):
+            before = len(builds)
+            trials.append(_one_trial(make_engine(), queries))
+            builds_per_engine.append(len(builds) - before)
     finally:
         sys.setswitchinterval(interval)
     for results in trials:
@@ -67,12 +86,12 @@ def _first_batches_race(make_engine) -> tuple[int, list]:
             for got, want in zip(answers, expected[kind]):
                 if _key(got) != _key(want):
                     mismatches.append((kind, got, want))
-    return failures, mismatches
+    return failures, mismatches, builds_per_engine
 
 
 def _key(answer) -> tuple:
     coefficients = () if answer.coefficients is None else tuple(answer.coefficients)
-    return answer.mean, answer.cardinality, coefficients
+    return answer.mean, answer.cardinality, coefficients, answer.r_squared
 
 
 def _one_trial(engine, queries: list[Query]) -> dict[int, object]:
@@ -98,22 +117,28 @@ def _one_trial(engine, queries: list[Query]) -> dict[int, object]:
     return results
 
 
-def test_fresh_engine_first_batches_from_many_threads():
+def test_fresh_engine_first_batches_from_many_threads(monkeypatch):
     dataset = _dataset()
-    failures, mismatches = _first_batches_race(lambda: ExactQueryEngine(dataset))
-    assert failures == 0
-    assert mismatches == []
-
-
-def test_fresh_sharded_engine_first_batches_from_many_threads():
-    dataset = _dataset()
-    failures, mismatches = _first_batches_race(
-        lambda: ExactQueryEngine(
-            dataset, num_shards=2, backend="serial", route="indexed"
-        )
+    failures, mismatches, builds = _first_batches_race(
+        lambda: ExactQueryEngine(dataset), monkeypatch
     )
     assert failures == 0
     assert mismatches == []
+    # One Q1 and one Q2 table per engine, however many threads raced them.
+    assert builds == [2] * TRIALS
+
+
+def test_fresh_sharded_engine_first_batches_from_many_threads(monkeypatch):
+    dataset = _dataset()
+    failures, mismatches, builds = _first_batches_race(
+        lambda: ExactQueryEngine(
+            dataset, num_shards=3, backend="serial", route="indexed"
+        ),
+        monkeypatch,
+    )
+    assert failures == 0
+    assert mismatches == []
+    assert builds == [2 * 3] * TRIALS
 
 
 def test_fresh_pooled_engine_builds_one_pool(monkeypatch):

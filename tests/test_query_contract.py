@@ -14,6 +14,12 @@ Cases cover d in {1, 2, 6} and p in {1, 2, 3, inf}, empty overlap sets
 (extrapolation), empty subspaces, duplicate rows, a collinear subspace and
 a model with K = 2,100 prototypes.  ``REPRO_DIFFERENTIAL_SOAK=<n>`` appends
 ``n`` randomly drawn model configurations to the model-side oracle test.
+
+An exact answer also depends on its query alone, not on its batch: seeded
+Q1 and Q2 workloads split into random batch partitions must give
+bit-identical answers (d in {1, 2, 3, 6}, p in {1, 2, inf}, the default
+engine and a 3-shard one).  ``REPRO_DIFFERENTIAL_SOAK=<n>`` draws ``n // 10``
+more partitions per case.
 """
 
 from __future__ import annotations
@@ -282,3 +288,64 @@ def test_default_engine_is_one_inline_indexed_shard(norm_order):
             if reference is not None:
                 _assert_same_answer(answer, reference)
     assert vars(default.statistics) == vars(explicit.statistics)
+
+
+# --------------------------------------------------------------------------- #
+# exact answers do not depend on their batch
+# --------------------------------------------------------------------------- #
+PARTITION_DIMENSIONS = (1, 2, 3, 6)
+PARTITION_NORMS = (1.0, 2.0, np.inf)
+
+
+def _random_partitions(count: int, seed: int) -> list[list[np.ndarray]]:
+    """Batches of one, then random splits of a shuffled ``range(count)``."""
+    rng = np.random.default_rng(seed)
+    soak = int(os.environ.get("REPRO_DIFFERENTIAL_SOAK", "0"))
+    partitions = [[np.array([position]) for position in range(count)]]
+    for _ in range(2 + max(soak, 0) // 10):
+        order = rng.permutation(count)
+        cuts = rng.choice(np.arange(1, count), size=rng.integers(1, 12), replace=False)
+        partitions.append(np.split(order, np.sort(cuts)))
+    return partitions
+
+
+def _answer_key(answer) -> tuple:
+    if answer is None:
+        return (None,)
+    coefficients = () if answer.coefficients is None else tuple(answer.coefficients)
+    return answer.cardinality, answer.mean, coefficients, answer.r_squared
+
+
+@pytest.mark.parametrize("norm_order", PARTITION_NORMS)
+@pytest.mark.parametrize("dimension", PARTITION_DIMENSIONS)
+def test_exact_answers_do_not_depend_on_the_batch(dimension, norm_order):
+    rng = np.random.default_rng(dimension * 101 + int(min(norm_order, 9)))
+    inputs = rng.uniform(0.0, 1.0, (5_000, dimension))
+    noise = 0.05 * rng.normal(size=5_000)
+    outputs = 1.0 + inputs @ rng.normal(size=dimension) + noise
+    dataset = SyntheticDataset(
+        inputs=inputs, outputs=outputs, name="partitions", domain=(0.0, 1.0)
+    )
+    queries = [
+        Query(
+            center=rng.uniform(0.0, 1.0, dimension),
+            radius=float(rng.uniform(0.05, 0.4)),
+            norm_order=norm_order,
+        )
+        for _ in range(120)
+    ]
+    partitions = _random_partitions(len(queries), seed=dimension)
+    for engine in (
+        ExactQueryEngine(dataset),
+        ExactQueryEngine(dataset, num_shards=3, route="indexed"),
+    ):
+        for execute in (engine.execute_q1_batch, engine.execute_q2_batch):
+            expected = [_answer_key(a) for a in execute(queries, on_empty="null")]
+            for partition in partitions:
+                got: list = [None] * len(queries)
+                for batch in partition:
+                    answers = execute([queries[i] for i in batch], on_empty="null")
+                    for position, answer in zip(batch, answers):
+                        got[position] = _answer_key(answer)
+                differing = [i for i, key in enumerate(got) if key != expected[i]]
+                assert differing == [], (execute.__name__, len(partition), differing)
