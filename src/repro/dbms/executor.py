@@ -24,10 +24,12 @@ identical statistics:
 
 * an **indexed** segmented pipeline over the shard's own cell-clustered
   fine grid (:class:`SegmentedBatchPipeline`, its grid built on the shard's
-  first indexed batch): candidate ranges from one vectorised grid pass,
-  cells certified inside the ball summed run by run from two rows of a
-  compensated prefix table (translated to the query center once per run
-  for Q2), row-level exact tests only on boundary cells, and
+  first indexed batch): candidate ranges from one vectorised grid pass
+  whose range ends are reads of a dense directory over the grid's cell
+  ids, cells certified inside the ball summed run by run from two rows of
+  a compensated prefix table (translated to the query center once per run
+  for Q2), and exact row tests only on boundary cells, one input column at
+  a time over a ``(d, n)`` column copy of the clustered inputs, and
 * a chunked full **scan** of the shard's rows
   (:func:`q1_sufficient_statistics_scan` /
   :func:`q2_sufficient_statistics_scan`).
@@ -95,7 +97,7 @@ from .spatial_index import (
     estimate_boundary_fraction,
     expand_ranges,
 )
-from .storage import SQLiteDataStore
+from .storage import SQLiteDataStore, require_finite_rows
 
 __all__ = [
     "ExactQueryEngine",
@@ -196,11 +198,11 @@ class ExecutionStatistics:
 # sufficient-statistics kernels
 # --------------------------------------------------------------------------- #
 def moment_column_count(dimension: int) -> int:
-    """Number of Q2 moment columns for ``d`` input attributes.
+    """Number of Q2 moments for ``d`` input attributes.
 
-    Layout (in column order): ``z_1..z_d``, ``y``, ``y^2``,
-    ``z_1 y..z_d y``, then the upper triangle of ``z z^T`` row-major —
-    where ``z = x - c`` is the input *relative to the query center*.
+    Layout (in order): ``z_1..z_d``, ``y``, ``y^2``, ``z_1 y..z_d y``, then
+    the upper triangle of ``z z^T`` row-major — where ``z = x - c`` is the
+    input *relative to the query center*.
     Referencing every moment to the query's own center keeps the
     accumulated sums at the scale of the subspace radius, so recovering the
     centred Gram system never subtracts two large near-equal numbers (the
@@ -212,28 +214,26 @@ def moment_column_count(dimension: int) -> int:
 
 
 def moment_products(deltas: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-    """Per-row Q2 moment columns (see layout above).
+    """Q2 moments of each selected row, column-major (layout above).
 
-    ``deltas`` holds the selected inputs minus the owning query's center,
-    one row per selected (query, row) pair.
+    ``deltas`` is ``(d, N)``: column ``i`` holds the inputs of the ``i``-th
+    selected (query, row) pair minus that query's center; ``outputs`` holds
+    the ``N`` rows' outputs.  Returns the ``(width, N)`` moments, one
+    column per pair, so that per-query sums reduce along the last axis.
     """
-    deltas = np.atleast_2d(np.asarray(deltas, dtype=float))
-    outputs = np.asarray(outputs, dtype=float).ravel()
-    rows, dimension = deltas.shape
-    # One transposed copy makes every per-dimension factor contiguous, which
-    # roughly halves the wall-clock of the column products below.
-    transposed = np.ascontiguousarray(deltas.T)
-    products = np.empty((rows, moment_column_count(dimension)), dtype=float)
-    products[:, :dimension] = deltas
-    products[:, dimension] = outputs
-    np.multiply(outputs, outputs, out=products[:, dimension + 1])
-    for j in range(dimension):
-        np.multiply(transposed[j], outputs, out=products[:, dimension + 2 + j])
-    column = 2 * dimension + 2
+    # Contiguous rows keep every per-dimension factor a unit-stride vector
+    # (a no-op for the pipeline's own deltas).
+    deltas = np.ascontiguousarray(deltas, dtype=float)
+    dimension, rows = deltas.shape
+    products = np.empty((moment_column_count(dimension), rows), dtype=float)
+    products[:dimension] = deltas
+    products[dimension] = outputs
+    np.multiply(outputs, outputs, out=products[dimension + 1])
+    np.multiply(deltas, outputs, out=products[dimension + 2 : 2 * dimension + 2])
+    row = 2 * dimension + 2
     for a in range(dimension):
-        for b in range(a, dimension):
-            np.multiply(transposed[a], transposed[b], out=products[:, column])
-            column += 1
+        np.multiply(deltas[a], deltas[a:], out=products[row : row + dimension - a])
+        row += dimension - a
     return products
 
 
@@ -263,7 +263,10 @@ def q1_sufficient_statistics_scan(
         distances = lp_distance_matrix(centers[start:stop], inputs, p=p)
         masks = distances <= radii[start:stop, np.newaxis]
         counts[start:stop] = masks.sum(axis=1)
-        sums[start:stop] = masks.astype(float) @ outputs
+        # A fixed-order sum per query row: a matrix product would round
+        # differently with the chunk's size, so an answer would depend on
+        # the rest of its batch.
+        sums[start:stop] = np.where(masks, outputs, 0.0).sum(axis=1)
     return counts, sums
 
 
@@ -301,12 +304,12 @@ def q2_sufficient_statistics_scan(
         query_rel, row_rel = np.nonzero(masks)
         if query_rel.size:
             deltas = inputs[row_rel] - centers[start:stop][query_rel]
-            products = moment_products(deltas, outputs[row_rel])
+            products = moment_products(deltas.T, outputs[row_rel])
             nonempty = chunk_counts > 0
             offsets = (np.cumsum(chunk_counts) - chunk_counts)[nonempty]
             moments[start:stop][nonempty] = np.add.reduceat(
-                products, offsets, axis=0
-            )
+                products, offsets, axis=1
+            ).T
     return counts, moments
 
 
@@ -377,11 +380,12 @@ def _cell_references(
 
 
 def _cell_values(
-    kind: str, grid: GridIndex, inputs: np.ndarray, outputs: np.ndarray
+    kind: str, grid: GridIndex, columns: np.ndarray, outputs: np.ndarray
 ) -> np.ndarray:
     """One row of prefix-table values per occupied cell, in directory order.
 
-    ``inputs`` and ``outputs`` are the grid's cell-clustered rows.  Rows are
+    ``columns`` (``(d, n)``) and ``outputs`` are the grid's cell-clustered
+    rows.  Rows are
     ``[count, sum_y]`` for ``kind="q1"``; for ``kind="q2"`` the cell's
     ``[count, <moment_products about its reference>]`` (see
     :func:`_cell_references`) followed by the ``j``-weighted columns
@@ -395,15 +399,15 @@ def _cell_values(
         values[:, 0] = cell_counts
         values[:, 1] = np.add.reduceat(outputs, offsets[:-1])
         return values
-    d = inputs.shape[1]
+    d = columns.shape[0]
     width = moment_column_count(d)
     references, index, _ = _cell_references(grid, np.arange(cell_counts.size))
     products = moment_products(
-        inputs - np.repeat(references, cell_counts, axis=0), outputs
+        columns - np.repeat(references.T, cell_counts, axis=1), outputs
     )
     values = np.empty((cell_counts.size, 4 + width + d), dtype=float)
     values[:, 0] = cell_counts
-    values[:, 1 : 1 + width] = np.add.reduceat(products, offsets[:-1], axis=0)
+    values[:, 1 : 1 + width] = np.add.reduceat(products, offsets[:-1], axis=1).T
     values[:, 1 + width : 3 + width + d] = (
         index[:, np.newaxis] * values[:, _j_weighted_columns(d)]
     )
@@ -604,17 +608,48 @@ def _group_by_norm_order(queries: Sequence[Query]) -> list[tuple[float, np.ndarr
     return [(order, np.flatnonzero(array == order)) for order in distinct]
 
 
-def _lp_rows(diff: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise Lp norms with the same elementwise formulation as
-    :func:`~repro.queries.geometry.pairwise_lp_distance` (bit-identical
-    selections between the segmented pipeline and the full scans)."""
+#: NumPy adds a row of fewer than this many terms left to right and a
+#: longer one pairwise (``.sum(axis=1)``, as in
+#: :func:`~repro.queries.geometry.lp_distance_matrix`).
+_PAIRWISE_SUM_TERMS = 8
+
+
+def _lp_norms(deltas: np.ndarray, p: float) -> np.ndarray:
+    """Lp norms of the columns of the ``(d, N)`` differences ``deltas``.
+
+    The same elementwise formulation, and the same summation order, as the
+    row sums of :func:`~repro.queries.geometry.lp_distance_matrix` behind
+    the scan kernels, so every route selects bit-identical rows.  Below
+    ``_PAIRWISE_SUM_TERMS`` dimensions the ``d`` rows of terms are added
+    left to right, as NumPy adds a short row; wider terms are summed by
+    that same ``.sum(axis=1)`` over a row-major copy, since NumPy sums
+    longer rows pairwise.
+    """
+    deltas = np.ascontiguousarray(deltas, dtype=float)
     if math.isinf(p):
-        return np.abs(diff).max(axis=1)
+        return np.abs(deltas).max(axis=0)
+    terms = deltas * deltas if p == 2.0 else np.abs(deltas)
+    if p not in (1.0, 2.0):
+        np.power(terms, p, out=terms)
+    if deltas.shape[0] >= _PAIRWISE_SUM_TERMS:
+        total = np.ascontiguousarray(terms.T).sum(axis=1)
+    else:
+        total = terms[0]
+        for row in terms[1:]:
+            total += row
     if p == 2.0:
-        return np.sqrt((diff * diff).sum(axis=1))
+        return np.sqrt(total, out=total)
     if p == 1.0:
-        return np.abs(diff).sum(axis=1)
-    return np.power(np.power(np.abs(diff), p).sum(axis=1), 1.0 / p)
+        return total
+    return np.power(total, 1.0 / p, out=total)
+
+
+def _clustered_columns(inputs: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The ``(d, n)`` C-contiguous column copy of ``inputs[order]``."""
+    columns = np.empty(inputs.shape[::-1], dtype=float)
+    for k, column in enumerate(columns):
+        inputs[:, k].take(order, out=column)
+    return columns
 
 
 class SegmentedBatchPipeline:
@@ -633,6 +668,13 @@ class SegmentedBatchPipeline:
     :class:`ExactQueryEngine` (the whole table when there is one shard).
     Statistics of disjoint row sets merge by plain addition, exactly like
     the scan kernels'.
+
+    The cell-clustered inputs are kept column-wise, as one C-contiguous
+    ``(d, n)`` copy (the decomposition storage model of Copeland &
+    Khoshafian, SIGMOD 1985): a boundary row test gathers and subtracts one
+    input column at a time, adds the ``d`` columns of Lp terms (see
+    :func:`_lp_norms`), and builds the Q2 moments column-major, with no
+    narrow ``(N, d)`` array and no per-row reduction.
 
     The grid, the clustered rows and each prefix table are built once, on
     first use, under one build lock; queries read them without locking.
@@ -684,13 +726,16 @@ class SegmentedBatchPipeline:
         return grid
 
     def _clustered_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cell-clustered copies of ``(inputs, outputs)`` (lazy)."""
+        """Cell-clustered ``(d, n)`` input columns and ``(n,)`` outputs (lazy)."""
         clustered = self._clustered
         if clustered is None:
             order = self.grid.clustered_order
             with self._build_lock:
                 if self._clustered is None:
-                    self._clustered = (self._inputs[order], self._outputs[order])
+                    self._clustered = (
+                        _clustered_columns(self._inputs, order),
+                        self._outputs[order],
+                    )
                 clustered = self._clustered
         return clustered
 
@@ -707,9 +752,10 @@ class SegmentedBatchPipeline:
             center[np.newaxis, :], np.array([radius]), p=p
         )
         positions, _ = expand_ranges(qid, starts, ends)
-        clustered_inputs, _ = self._clustered_arrays()
-        inside = _lp_rows(clustered_inputs[positions] - center, p) <= radius
-        rows = np.sort(grid.clustered_order[positions[inside]])
+        columns, _ = self._clustered_arrays()
+        deltas = columns.take(positions, axis=1) - center[:, np.newaxis]
+        inside = _lp_norms(deltas, p) <= radius
+        rows = np.sort(grid.clustered_order.take(positions.compress(inside)))
         return rows, int(positions.size)
 
     def _prefix_table(self, kind: str) -> np.ndarray:
@@ -723,12 +769,12 @@ class SegmentedBatchPipeline:
         if table is not None:
             return table
         grid = self.grid
-        clustered_inputs, clustered_outputs = self._clustered_arrays()
+        columns, clustered_outputs = self._clustered_arrays()
         with self._build_lock:
             table = self._prefix_tables.get(kind)
             if table is None:
                 table = _compensated_prefix_table(
-                    _cell_values(kind, grid, clustered_inputs, clustered_outputs)
+                    _cell_values(kind, grid, columns, clustered_outputs)
                 )
                 self._prefix_tables[kind] = table
         return table
@@ -737,12 +783,16 @@ class SegmentedBatchPipeline:
     def _segment_sums(
         values: np.ndarray, counts: np.ndarray, out: np.ndarray
     ) -> None:
-        """Accumulate contiguous per-query segments of ``values`` into ``out``."""
+        """Add per-query segment sums of ``values``' columns into ``out``'s rows.
+
+        ``values`` is ``(width, N)``, its columns grouped by query in
+        ascending query order, ``counts[q]`` of them for query ``q``.
+        """
         nonempty = counts > 0
         if not nonempty.any():
             return
         segment_offsets = (counts.cumsum() - counts)[nonempty]
-        out[nonempty] += np.add.reduceat(values, segment_offsets, axis=0)
+        out[nonempty] += np.add.reduceat(values, segment_offsets, axis=1).T
 
     def segment_statistics(
         self,
@@ -755,14 +805,21 @@ class SegmentedBatchPipeline:
         """Sufficient statistics of a (single-norm) batch via the fine grid.
 
         Candidate cells come from one vectorised pass over the batch grid
-        (:meth:`GridIndex.classified_ranges_batch`).  Cells certified fully
-        inside the ball come as runs over the occupied-cell directory; each
-        run's sums are the difference of two rows of the kind's prefix
-        table (:meth:`_prefix_table`), translated to the query center once
-        per run for Q2 (:func:`_translate_runs`).  Only the boundary cells'
-        rows get the exact Lp membership test.  A query's totals are segment
-        reductions over its own runs and rows, so they do not depend on the
-        rest of its batch, and there is no per-query Python loop anywhere.
+        (:meth:`GridIndex.classified_ranges_batch`, whose range ends are
+        reads of the grid's cell directory).  Cells certified fully inside
+        the ball come as runs over the occupied-cell directory; each run's
+        sums are the difference of two rows of the kind's prefix table
+        (:meth:`_prefix_table`), translated to the query center once per
+        run for Q2 (:func:`_translate_runs`).  Only the boundary cells' rows
+        get the exact Lp membership test, one input column at a time: each
+        column is gathered at the candidate rows and the candidates' query
+        centers subtracted, giving ``(d, N)`` deltas whose Lp norms
+        (:func:`_lp_norms`) are compared with the radii, and the selected
+        columns are compressed once.  Q1 then reduces the selected outputs
+        and Q2 the ``(width, N)`` :func:`moment_products` of the selected
+        deltas.  A query's totals are segment reductions over its own runs
+        and rows, so they do not depend on the rest of its batch, and there
+        is no per-query Python loop anywhere.
 
         Returns ``(counts, sums, scanned)`` where ``sums`` is ``(m, 1)``
         output sums (``kind="q1"``) or the ``(m, width)``
@@ -783,28 +840,44 @@ class SegmentedBatchPipeline:
         ) = grid.classified_ranges_batch(centers, radii, p=p)
         scanned = 0
 
-        # Boundary cells: exact membership test row by row.
+        # Boundary cells: the exact membership test, one column at a time.
         if boundary_starts.size:
             positions, candidate_qid = expand_ranges(
                 boundary_qid, boundary_starts, boundary_ends
             )
             scanned += positions.size
-            clustered_inputs, clustered_outputs = self._clustered_arrays()
-            difference = clustered_inputs[positions] - centers[candidate_qid]
-            distances = _lp_rows(difference, p)
-            inside = distances <= radii[candidate_qid]
-            selected_positions = positions[inside]
-            selected_qid = candidate_qid[inside]
-            boundary_counts = np.bincount(selected_qid, minlength=m)
+            columns, clustered_outputs = self._clustered_arrays()
+            deltas = np.empty((self.dimension, positions.size), dtype=float)
+            for k, delta in enumerate(deltas):
+                np.subtract(
+                    columns[k].take(positions),
+                    centers[:, k].take(candidate_qid),
+                    out=delta,
+                )
+            inside = _lp_norms(deltas, p) <= radii.take(candidate_qid)
+            # Candidates come grouped by query, so each query's selected
+            # count is a segment sum of ``inside``.
+            candidate_counts = np.bincount(
+                boundary_qid, weights=boundary_ends - boundary_starts, minlength=m
+            ).astype(np.int64)
+            boundary_counts = np.zeros(m, dtype=np.int64)
+            has_candidates = candidate_counts > 0
+            boundary_counts[has_candidates] = np.add.reduceat(
+                inside,
+                (candidate_counts.cumsum() - candidate_counts)[has_candidates],
+                dtype=np.int64,
+            )
             counts += boundary_counts
+            selected_positions = positions.compress(inside)
             if selected_positions.size:
+                selected_outputs = clustered_outputs.take(selected_positions)
                 if kind == "q1":
-                    values = clustered_outputs[selected_positions][:, np.newaxis]
+                    values = selected_outputs[np.newaxis, :]
                 else:
-                    # The candidate differences ARE the center-referenced
-                    # deltas; compressing them avoids a second gather.
+                    # The candidate deltas ARE the center-referenced ones;
+                    # compressing them avoids a second gather.
                     values = moment_products(
-                        difference[inside], clustered_outputs[selected_positions]
+                        deltas.compress(inside, axis=1), selected_outputs
                     )
                 self._segment_sums(values, boundary_counts, sums)
 
@@ -823,7 +896,7 @@ class SegmentedBatchPipeline:
                 )
             run_counts = np.bincount(inner_qid, minlength=m)
             inner_totals = np.zeros((m, run_sums.shape[1]), dtype=float)
-            self._segment_sums(run_sums, run_counts, inner_totals)
+            self._segment_sums(run_sums.T, run_counts, inner_totals)
             inner_rows = inner_totals[:, 0]
             scanned += int(inner_rows.sum())
             counts += np.rint(inner_rows).astype(np.int64)
@@ -920,6 +993,10 @@ class ExactQueryEngine:
         ``"indexed"`` (default), ``"scan"`` or ``"auto"``.  Every route
         returns identical answers.
 
+    A dataset with a non-finite input or output is refused with
+    :class:`~repro.exceptions.StorageError` naming its first such row: exact
+    answers over NaN or infinite values are undefined.
+
     The module docstring describes shards, routes and backends.  Every
     configuration answers through the batch entry points
     (:meth:`execute_q1_batch` / :meth:`execute_q2_batch`); the single-query
@@ -944,6 +1021,9 @@ class ExactQueryEngine:
             )
         if route not in _ROUTES:
             raise ConfigurationError(f"route must be one of {_ROUTES}, got {route!r}")
+        require_finite_rows(
+            dataset.inputs, dataset.outputs, f"dataset {dataset.name!r}"
+        )
         workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
         self._max_workers = max(int(workers), 1)
         if num_shards is None:
@@ -1315,7 +1395,8 @@ class ExactQueryEngine:
                 rows, touched = pipeline.select_rows(center, radius, p)
             else:
                 inputs = pipeline.rows[0]
-                rows = np.flatnonzero(_lp_rows(inputs - center, p) <= radius)
+                deltas = inputs.T - center[:, np.newaxis]
+                rows = np.flatnonzero(_lp_norms(deltas, p) <= radius)
                 touched = inputs.shape[0]
             selections.append(rows + start)
             scanned += touched

@@ -127,6 +127,26 @@ def expand_ranges(
     positions += (starts - offsets).repeat(lengths)
     return positions, query_ids.repeat(lengths)
 
+
+def _cell_directories(
+    flat: np.ndarray, cell_count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row and cell directories of a grid over every flat id ``f <= cell_count``.
+
+    ``flat`` holds each row's flat cell id.  Once the rows are sorted by it,
+    ``rows[f]`` is the first row of a cell with id ``>= f`` and ``cells[f]``
+    the first occupied cell with id ``>= f``, for ``f`` in
+    ``[0, cell_count]``: ``searchsorted(f, "left")`` over the sorted row
+    ids and over the occupied cell ids, respectively.
+    """
+    rows_per_cell = np.bincount(flat, minlength=cell_count)
+    rows = np.zeros(cell_count + 1, dtype=np.int64)
+    np.cumsum(rows_per_cell, out=rows[1:])
+    cells = np.zeros(cell_count + 1, dtype=np.int64)
+    np.cumsum(rows_per_cell > 0, out=cells[1:])
+    return rows, cells
+
+
 #: Relative inflation applied to the query radius when computing candidate
 #: cell bounds.  The cell-pruning tests below compare floating-point
 #: round-offs of the same quantities computed along different routes; the
@@ -141,7 +161,16 @@ class GridIndex:
     """Uniform grid over the input space mapping cells to row indices.
 
     The cell-clustered layout behind the batch candidate ranges is built
-    once, on first use, under a lock.
+    once, on first use, under a lock.  With it comes a dense *directory*
+    over every flat cell id ``f`` of the grid, occupied or not: the first
+    clustered row, and the first occupied cell, whose id is at least ``f``.
+    A candidate range's ends are then two directory reads, not two binary
+    searches over the clustered rows.  The directory holds
+    ``2 (cells_per_dimension**d + 1)`` int64 entries, 16 bytes per grid
+    cell, so it is sized by the grid, not by the rows: at the executor's
+    resolution (:func:`batch_grid_cells_per_dimension`, about one cell per
+    8 rows) it takes about 2 bytes per row, 390 KiB for 200k rows at
+    ``d = 2``.  A grid much finer than its rows pays for every empty cell.
 
     Parameters
     ----------
@@ -182,7 +211,8 @@ class GridIndex:
         # published last, so a reader that sees it sees the whole layout.
         self._layout_lock = make_lock("grid.layout")
         self._clustered_order: np.ndarray | None = None
-        self._clustered_flat: np.ndarray | None = None
+        self._row_directory: np.ndarray = np.empty(0, dtype=np.int64)
+        self._cell_directory: np.ndarray = np.empty(0, dtype=np.int64)
         self._cell_flats: np.ndarray = np.empty(0, dtype=np.int64)
         self._cell_row_offsets: np.ndarray = np.empty(0, dtype=np.int64)
         self._cell_centers_array: np.ndarray = np.empty((0, self._dimension))
@@ -235,11 +265,15 @@ class GridIndex:
                 return
             flat = self._cell_coordinates(self._points) @ self._strides
             order = np.argsort(flat, kind="stable")
-            self._clustered_flat = flat[order]
-            # Occupied-cell directory: flat ids, row segment per cell, centers.
-            flats, first = np.unique(self._clustered_flat, return_index=True)
+            self._row_directory, self._cell_directory = _cell_directories(
+                flat, self._cells_per_dimension**self._dimension
+            )
+            # Occupied cells: flat ids, row segment per cell, centers.
+            flats = np.flatnonzero(np.diff(self._cell_directory))
             self._cell_flats = flats
-            self._cell_row_offsets = np.append(first, self._count).astype(np.int64)
+            self._cell_row_offsets = np.append(
+                self._row_directory.take(flats), self._count
+            )
             cell_coords = (flats[:, np.newaxis] // self._strides[np.newaxis, :]) % (
                 self._cells_per_dimension
             )
@@ -280,6 +314,23 @@ class GridIndex:
                 "clustered order missing after _ensure_clustered"
             )
         return self._clustered_order
+
+    def _row_ranges(
+        self, first: np.ndarray, last: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Clustered row ranges ``[start, end)`` of the cells ``first..last``.
+
+        Two directory reads: ``searchsorted(first, "left")`` over the
+        clustered rows' sorted cell ids is ``directory[first]``, and
+        ``searchsorted(last, "right")`` is ``directory[last + 1]``.
+        """
+        return self._row_directory.take(first), self._row_directory.take(last + 1)
+
+    def _cell_ranges(
+        self, first: np.ndarray, last: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Ranges ``[start, end)`` of :attr:`cell_flats` over cells ``first..last``."""
+        return self._cell_directory.take(first), self._cell_directory.take(last + 1)
 
     def candidate_ranges_batch(
         self, centers: np.ndarray, radii: np.ndarray, p: float = 2.0
@@ -362,11 +413,6 @@ class GridIndex:
         if not ((radii >= 0.0) & (radii < math.inf)).all():
             raise ConfigurationError("radii must all be finite and >= 0")
         self._ensure_clustered()
-        clustered_flat = self._clustered_flat
-        if clustered_flat is None:
-            raise InternalInvariantError(
-                "clustered cell ids missing after _ensure_clustered"
-            )
         empty = np.empty(0, dtype=np.int64)
         m, d = centers.shape
         if m == 0:
@@ -389,8 +435,8 @@ class GridIndex:
         rank = np.arange(qid.size, dtype=np.int64)
         rank -= (blocks_per_query.cumsum() - blocks_per_query)[qid]
         lead_coords = np.empty((qid.size, d - 1), dtype=np.int64)
-        block_lo = lo[qid]
-        block_counts = lead_counts[qid]
+        block_lo = lo.take(qid, axis=0)
+        block_counts = lead_counts.take(qid, axis=0)
         for k in range(d - 2, -1, -1):
             lead_coords[:, k] = block_lo[:, k] + rank % block_counts[:, k]
             rank //= block_counts[:, k]
@@ -400,12 +446,12 @@ class GridIndex:
         # (edge cells extend to infinity, matching coordinate clipping) and
         # the *farthest* corner bounds the fully-inside test.  ``half`` and
         # ``half_inner`` are the chords those leave along the last dimension.
-        block_reach = reach[qid]
-        block_shrunk = radii[qid] * (1.0 - _CANDIDATE_MARGIN)
+        block_reach = reach.take(qid)
+        block_shrunk = radii.take(qid) * (1.0 - _CANDIDATE_MARGIN)
         if d > 1:
             low_edges = self._low[: d - 1] + lead_coords * self._cell_width[: d - 1]
             high_edges = low_edges + self._cell_width[: d - 1]
-            block_centers = centers[qid, : d - 1]
+            block_centers = centers[:, : d - 1].take(qid, axis=0)
             far = np.maximum(block_centers - low_edges, high_edges - block_centers)
             low_edges[lead_coords == 0] = -np.inf
             high_edges[lead_coords == self._cells_per_dimension - 1] = np.inf
@@ -431,10 +477,10 @@ class GridIndex:
                         np.power(np.maximum(rp_in - gp_far, 0.0), 1.0 / p),
                         -1.0,
                     )
-            qid = qid[keep]
-            half = half[keep]
-            half_inner = half_inner[keep]
-            lead_coords = lead_coords[keep]
+            qid = qid.compress(keep)
+            half = half.compress(keep)
+            half_inner = half_inner.compress(keep)
+            lead_coords = lead_coords.compress(keep, axis=0)
         else:
             half = block_reach
             half_inner = block_shrunk
@@ -442,20 +488,19 @@ class GridIndex:
         # Last-dimension chord ends in one coordinate pass, narrowed to the
         # bounding box (the chord can only narrow it, never widen it).
         blocks = qid.size
-        last_center = centers[qid, d - 1]
+        last_center = centers[:, d - 1].take(qid)
         width = self._cell_width[d - 1]
         low = self._low[d - 1]
         top = self._cells_per_dimension - 1
         chord = np.floor(
             (np.concatenate([last_center - half, last_center + half]) - low) / width
         ).astype(np.int64)
-        last_lo = np.minimum(np.maximum(chord[:blocks], lo[qid, d - 1]), top)
-        last_hi = np.maximum(np.minimum(chord[blocks:], hi[qid, d - 1]), 0)
+        last_lo = np.minimum(np.maximum(chord[:blocks], lo[:, d - 1].take(qid)), top)
+        last_hi = np.maximum(np.minimum(chord[blocks:], hi[:, d - 1].take(qid)), 0)
         base = lead_coords @ self._strides[: d - 1]
 
         if not classify:
-            starts = clustered_flat.searchsorted(base + last_lo, side="left")
-            ends = clustered_flat.searchsorted(base + last_hi, side="right")
+            starts, ends = self._row_ranges(base + last_lo, base + last_hi)
             nonempty = ends > starts
             return qid[nonempty], starts[nonempty], ends[nonempty], empty, empty, empty
 
@@ -482,14 +527,11 @@ class GridIndex:
         ok = bnd_last[order] >= bnd_first[order]
         order = order[ok]
         bnd_qid = bnd_qid[order]
-        bnd_starts = clustered_flat.searchsorted(bnd_first[order], side="left")
-        bnd_ends = clustered_flat.searchsorted(bnd_last[order], side="right")
+        bnd_starts, bnd_ends = self._row_ranges(bnd_first[order], bnd_last[order])
         bnd_keep = bnd_ends > bnd_starts
 
-        inner_base = (base + inner_lo)[has_inner]
-        cell_starts = self._cell_flats.searchsorted(inner_base, side="left")
-        cell_ends = self._cell_flats.searchsorted(
-            (base + inner_hi)[has_inner], side="right"
+        cell_starts, cell_ends = self._cell_ranges(
+            (base + inner_lo)[has_inner], (base + inner_hi)[has_inner]
         )
         cell_keep = cell_ends > cell_starts
         return (

@@ -9,8 +9,10 @@ throughout the tests and benchmarks; on-disk stores behave identically.
 
 from __future__ import annotations
 
+import contextlib
 import sqlite3
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -19,7 +21,24 @@ from ..exceptions import StorageError
 from .catalog import Catalog, TableInfo
 from .schema import TableSchema, schema_for_dataset
 
-__all__ = ["SQLiteDataStore"]
+__all__ = ["SQLiteDataStore", "require_finite_rows"]
+
+
+def require_finite_rows(inputs: np.ndarray, outputs: np.ndarray, source: str) -> None:
+    """Raise :class:`StorageError` naming the first row with a non-finite value.
+
+    NaN and infinite inputs or outputs have no defined exact answer (they
+    would poison grid bounds and running sums), so every store write and
+    every exact engine refuses them.  ``source`` names the rows' owner in
+    the message.
+    """
+    finite = np.isfinite(inputs).all(axis=1) & np.isfinite(outputs)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise StorageError(
+            f"{source}: row {row} is not finite (inputs "
+            f"{np.asarray(inputs[row]).tolist()}, output {float(outputs[row])})"
+        )
 
 
 class SQLiteDataStore:
@@ -73,6 +92,31 @@ class SQLiteDataStore:
         if self._closed:
             raise StorageError("the data store has been closed")
 
+    @contextlib.contextmanager
+    def _transaction(self, action: str) -> Iterator[sqlite3.Connection]:
+        """Run a block's statements as one transaction: all or none persist.
+
+        Work a caller left pending on the connection is committed first, as
+        every store write always has.  A block may end with a catalog write,
+        whose own commit then ends the transaction.  A failing statement
+        rolls every earlier one of the block back and surfaces as
+        :class:`StorageError`.
+        """
+        connection = self._connection
+        connection.commit()
+        connection.execute("BEGIN")
+        try:
+            yield connection
+            connection.commit()
+        except sqlite3.Error as error:
+            connection.rollback()
+            raise StorageError(
+                f"{action} failed and was rolled back: {error}"
+            ) from error
+        except BaseException:
+            connection.rollback()
+            raise
+
     # ------------------------------------------------------------------ #
     # loading
     # ------------------------------------------------------------------ #
@@ -85,6 +129,11 @@ class SQLiteDataStore:
     ) -> TableInfo:
         """Create a table for a dataset and bulk-insert its rows.
 
+        The table, its rows and its catalog entry are written in one
+        transaction: a failed load leaves none of them.  Rows with a
+        non-finite input or output are refused with :class:`StorageError`
+        before any SQL runs.
+
         Parameters
         ----------
         dataset:
@@ -96,44 +145,49 @@ class SQLiteDataStore:
         """
         self._require_open()
         name = table_name or dataset.name
+        require_finite_rows(dataset.inputs, dataset.outputs, f"dataset {name!r}")
         schema = schema_for_dataset(name, dataset.dimension)
         if self._catalog.exists(name):
             raise StorageError(f"table {name!r} already exists in the store")
-        self._connection.execute(schema.create_table_sql())
         insert_sql = schema.insert_sql()
         table = dataset.as_table()
-        for start in range(0, table.shape[0], max(batch_size, 1)):
-            chunk = table[start : start + batch_size]
-            self._connection.executemany(insert_sql, chunk.tolist())
-        self._connection.commit()
-        return self._catalog.register(
-            table_name=name,
-            dimension=dataset.dimension,
-            row_count=dataset.size,
-            metadata={"domain": list(dataset.domain), **dict(dataset.metadata)},
-        )
+        with self._transaction(f"loading table {name!r}") as connection:
+            connection.execute(schema.create_table_sql())
+            for start in range(0, table.shape[0], max(batch_size, 1)):
+                chunk = table[start : start + batch_size]
+                connection.executemany(insert_sql, chunk.tolist())
+            return self._catalog.register(
+                table_name=name,
+                dimension=dataset.dimension,
+                row_count=dataset.size,
+                metadata={"domain": list(dataset.domain), **dict(dataset.metadata)},
+            )
 
     def append_rows(
         self, table_name: str, inputs: np.ndarray, outputs: np.ndarray
     ) -> TableInfo:
-        """Append rows to an existing table and update the catalog row count."""
+        """Append rows to an existing table and update the catalog row count.
+
+        The rows and the new count are written in one transaction.  Rows
+        with a non-finite input or output are refused with
+        :class:`StorageError` before any SQL runs.
+        """
         self._require_open()
-        info = self._catalog.get(table_name)
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
         outputs = np.asarray(outputs, dtype=float).ravel()
+        if inputs.shape[0] != outputs.shape[0]:
+            raise StorageError("inputs and outputs must have the same number of rows")
+        require_finite_rows(inputs, outputs, f"rows appended to {table_name!r}")
+        info = self._catalog.get(table_name)
         if inputs.shape[1] != info.dimension:
             raise StorageError(
                 f"table {table_name!r} has dimension {info.dimension} but rows "
                 f"have dimension {inputs.shape[1]}"
             )
-        if inputs.shape[0] != outputs.shape[0]:
-            raise StorageError("inputs and outputs must have the same number of rows")
-        schema = info.schema
         rows = np.column_stack([inputs, outputs]).tolist()
-        self._connection.executemany(schema.insert_sql(), rows)
-        self._connection.commit()
-        new_count = info.row_count + len(rows)
-        self._catalog.update_row_count(table_name, new_count)
+        with self._transaction(f"appending to table {table_name!r}") as connection:
+            connection.executemany(info.schema.insert_sql(), rows)
+            self._catalog.update_row_count(table_name, info.row_count + len(rows))
         return self._catalog.get(table_name)
 
     def drop_table(self, table_name: str) -> None:

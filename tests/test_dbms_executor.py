@@ -174,3 +174,46 @@ class TestFromStore:
         via_store = engine.execute_q1(query)
         assert via_store.mean == pytest.approx(direct.mean)
         assert via_store.cardinality == direct.cardinality
+
+
+class TestNonFiniteRows:
+    """An exact answer over NaN or infinite rows is undefined: the engine
+    refuses such a dataset, naming its first non-finite row."""
+
+    ROW = 7
+
+    @staticmethod
+    def _table(value: float, column: str) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(3)
+        inputs = rng.uniform(0, 1, size=(200, 2))
+        outputs = inputs.sum(axis=1)
+        if column == "input":
+            inputs[TestNonFiniteRows.ROW, 1] = value
+        else:
+            outputs[TestNonFiniteRows.ROW] = value
+        return inputs, outputs
+
+    @pytest.mark.parametrize("column", ("input", "output"))
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    def test_refused_when_built_directly(self, value, column):
+        inputs, outputs = self._table(value, column)
+        dataset = SyntheticDataset(inputs=inputs, outputs=outputs, name="bad")
+        with pytest.raises(StorageError, match=f"row {self.ROW} "):
+            ExactQueryEngine(dataset)
+
+    @pytest.mark.parametrize("column", ("input", "output"))
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    def test_refused_through_from_store(self, value, column):
+        # The store refuses such rows itself, so they arrive as another
+        # program would leave them: a table without NOT NULL columns
+        # (SQLite stores NaN as NULL, which reads back as NaN).
+        inputs, outputs = self._table(value, column)
+        with SQLiteDataStore(":memory:") as store:
+            store.connection.execute("CREATE TABLE bad (x1 REAL, x2 REAL, u REAL)")
+            store.connection.executemany(
+                "INSERT INTO bad (x1, x2, u) VALUES (?, ?, ?)",
+                np.column_stack([inputs, outputs]).tolist(),
+            )
+            store.catalog.register("bad", dimension=2, row_count=200)
+            with pytest.raises(StorageError, match=f"row {self.ROW} "):
+                ExactQueryEngine.from_store(store, "bad")

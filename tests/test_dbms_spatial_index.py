@@ -276,3 +276,86 @@ class TestBatchCandidateRanges:
             index.candidate_ranges_batch(np.zeros((1, 2)), np.array([-0.5]))
         empty = index.candidate_ranges_batch(np.empty((0, 2)), np.empty(0))
         assert all(part.size == 0 for part in empty)
+
+
+class _SearchsortedGrid(GridIndex):
+    """The grid with every range end found by binary search, not the directory.
+
+    The searches run over the rows' sorted cell ids, recomputed from the
+    points, so nothing here reads the directory.
+    """
+
+    def _sorted_ids(self) -> np.ndarray:
+        return np.sort(self._cell_coordinates(self._points) @ self._strides)
+
+    def _row_ranges(self, first, last):
+        return self._search(self._sorted_ids(), first, last)
+
+    def _cell_ranges(self, first, last):
+        return self._search(np.unique(self._sorted_ids()), first, last)
+
+    @staticmethod
+    def _search(ids, first, last):
+        starts = ids.searchsorted(first, side="left")
+        return starts, ids.searchsorted(last, side="right")
+
+
+def _directory_layout(layout: str, dimension: int, rng) -> np.ndarray:
+    if layout == "uniform":
+        return rng.uniform(0, 1, size=(1_500, dimension))
+    if layout == "corner":
+        # Packed into the corner of low x1 and high other coordinates, with
+        # one row at the opposite corner to span the grid: the lowest and
+        # the highest cell ids are empty.
+        points = rng.uniform(0, 0.1, size=(1_500, dimension))
+        points[:, 1:] += 0.9
+        points[0] = 0.0
+        points[0, 0] = 1.0
+        return points
+    if layout == "single_cell":
+        return np.full((300, dimension), 0.37)
+    if layout == "duplicate":
+        return np.repeat(rng.uniform(0, 1, size=(200, dimension)), 6, axis=0)
+    raise AssertionError(layout)
+
+
+class TestCellDirectory:
+    """The directory reads equal the binary searches they replace."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    @pytest.mark.parametrize(
+        "layout,dimension",
+        [
+            *(("uniform", d) for d in (1, 2, 3, 6)),
+            ("corner", 2),
+            ("corner", 3),
+            ("single_cell", 1),
+            ("single_cell", 2),
+            ("duplicate", 1),
+            ("duplicate", 3),
+        ],
+    )
+    def test_ranges_match_the_searchsorted_reference(self, layout, dimension, p):
+        rng = np.random.default_rng(dimension * 13 + len(layout))
+        points = _directory_layout(layout, dimension, rng)
+        cells = batch_grid_cells_per_dimension(points.shape[0], dimension)
+        index = GridIndex(points, cells_per_dimension=cells)
+        reference = _SearchsortedGrid(points, cells_per_dimension=cells)
+        if layout == "corner":
+            flats = index.cell_flats
+            assert flats[0] > 0 and flats[-1] < cells**dimension - 1
+        low, high = points.min(axis=0) - 0.2, points.max(axis=0) + 0.2
+        centers = np.vstack(
+            [
+                rng.uniform(low, high, size=(40, dimension)),
+                points[rng.integers(0, points.shape[0], size=8)],
+            ]
+        )
+        radii = rng.uniform(0.0, 0.5, size=centers.shape[0])
+        radii[::6] = 0.0
+        for method in ("candidate_ranges_batch", "classified_ranges_batch"):
+            got = getattr(index, method)(centers, radii, p=p)
+            want = getattr(reference, method)(centers, radii, p=p)
+            assert len(got) == len(want)
+            for part, (a, b) in enumerate(zip(got, want)):
+                np.testing.assert_array_equal(a, b, err_msg=f"{method}[{part}]")

@@ -22,11 +22,13 @@ long-line layout puts inner-cell runs behind long prefixes of the
 pipeline's run tables.  On the far-origin layout the oracle's ``lstsq``
 fit is itself off (its design ``[1, x]`` is ill-conditioned at
 ``|x| ~ 1000``), so Q2 is held there to brute-force sums of the
-center-referenced moments instead.
+center-referenced moments instead.  Balls whose radius is one row's Lp
+distance, rounded the other way by the other summation order, hold every
+route to the same selection at d = 6, 8 and 9 (the ulp-tie cases).
 
 Case matrix: 4 dimensions x 8 layouts x 5 seeds x {q1, q2} = 320 seeded
 cases in CI.  Set ``REPRO_DIFFERENTIAL_SOAK=<n>`` to append ``n`` extra
-randomly drawn configurations (soak mode)::
+randomly drawn configurations, and ``n`` extra tie centers (soak mode)::
 
     REPRO_DIFFERENTIAL_SOAK=500 PYTHONPATH=src python -m pytest -q \
         tests/test_engine_differential.py
@@ -234,9 +236,9 @@ def _assert_moments_match_brute_force(
     for position, query in enumerate(queries):
         context = f"moments[{position}]"
         rows = oracle.select(query)
-        products = moment_products(inputs[rows] - query.center, outputs[rows])
-        expected = products.sum(axis=0)
-        bound = rtol * np.abs(products).sum(axis=0)
+        products = moment_products((inputs[rows] - query.center).T, outputs[rows])
+        expected = products.sum(axis=1)
+        bound = rtol * np.abs(products).sum(axis=1)
         center, radius = query.center[np.newaxis, :], np.array([query.radius])
         counts, sums, _ = pipeline.segment_statistics(
             center, radius, query.norm_order, kind="q2"
@@ -589,6 +591,92 @@ def test_inner_run_sums_far_from_the_origin(dimension, norm_order):
         ExactQueryEngine(dataset), dataset, queries, q2=False
     )
     _assert_moments_match_brute_force(dataset, queries, rtol=RUN_SUM_TOLERANCE)
+
+
+# --------------------------------------------------------------------------- #
+# ulp ties: a row exactly on the sphere is in or out on every route alike
+# --------------------------------------------------------------------------- #
+#: NumPy adds a row of fewer than 8 terms left to right and a longer one
+#: pairwise, so from d = 8 on the two orders round some rows' Lp sums
+#: differently.  At d = 6 they never do: that dimension is the control.
+TIE_DIMENSIONS = (6, 8, 9)
+TIE_CENTERS = 40 + int(os.environ.get("REPRO_DIFFERENTIAL_SOAK", "0"))
+
+
+def _lp_terms(deltas: np.ndarray, norm_order: float) -> np.ndarray:
+    if norm_order == 2.0:
+        return deltas * deltas
+    return np.power(np.abs(deltas), norm_order)
+
+
+def _lp_root(total: np.ndarray, norm_order: float) -> np.ndarray:
+    if norm_order == 2.0:
+        return np.sqrt(total)
+    return np.power(total, 1.0 / norm_order)
+
+
+def _tie_queries(
+    inputs: np.ndarray, norm_order: float, count: int, seed: int
+) -> tuple[list[Query], int]:
+    """Balls whose radius is one row's Lp distance, rounded the lower way.
+
+    For each center the row is one whose sum of terms rounds differently
+    when added left to right than by NumPy's row sum (when any row does),
+    and the radius is the smaller of the two rooted sums.  A route that
+    sums in the other order than the scan then decides that row the other
+    way.  Returns the queries and how many of them hold such a row.
+    """
+    rng = np.random.default_rng(seed)
+    queries, ties = [], 0
+    for _ in range(count):
+        center = rng.uniform(0.0, 1.0, inputs.shape[1])
+        terms = _lp_terms(inputs - center, norm_order)
+        left_to_right = terms[:, 0].copy()
+        for column in terms.T[1:]:
+            left_to_right += column
+        by_rows = _lp_root(terms.sum(axis=1), norm_order)
+        left_to_right = _lp_root(left_to_right, norm_order)
+        differ = np.flatnonzero(by_rows != left_to_right)
+        ties += bool(differ.size)
+        row = differ[0] if differ.size else int(rng.integers(inputs.shape[0]))
+        radius = min(by_rows[row], left_to_right[row])
+        queries.append(
+            Query(center=center, radius=float(radius), norm_order=norm_order)
+        )
+    return queries, ties
+
+
+@pytest.mark.parametrize("norm_order", (1.0, 2.0, 3.0))
+@pytest.mark.parametrize("dimension", TIE_DIMENSIONS)
+def test_ulp_ties_select_alike_on_every_route(dimension, norm_order):
+    """Counts on the 1- and 3-shard indexed engines equal the scan route's.
+
+    Means are held to the family tolerance: the routes add the same
+    selected outputs in different orders.
+    """
+    dataset = _uniform_table(dimension, 2_000, seed=dimension)
+    queries, ties = _tie_queries(
+        dataset.inputs, norm_order, TIE_CENTERS, seed=dimension * 10 + int(norm_order)
+    )
+    if dimension >= 8:
+        assert ties == len(queries)
+    with ExactQueryEngine(dataset, route="scan") as scan:
+        expected = scan.execute_q1_batch(queries, on_empty="null")
+    for engine in (
+        ExactQueryEngine(dataset),
+        ExactQueryEngine(dataset, num_shards=3, route="indexed"),
+    ):
+        answers = engine.execute_q1_batch(queries, on_empty="null")
+        for position, (answer, want) in enumerate(zip(answers, expected)):
+            context = f"tie[{position}]"
+            assert answer.cardinality == want.cardinality, context
+            np.testing.assert_allclose(
+                answer.mean,
+                want.mean,
+                rtol=FAMILY_RTOL,
+                atol=FAMILY_ATOL,
+                err_msg=context,
+            )
 
 
 # --------------------------------------------------------------------------- #

@@ -1,12 +1,13 @@
 """Concurrent first use of a fresh exact engine.
 
-An engine builds its fine grid, cell-clustered rows and the Q1 and Q2
-prefix tables of its inner-cell runs on the first indexed query of each
-kind, and an engine with a pool backend builds its worker pool on the
-first pooled batch.  Threads that arrive while such a one-time build is
-running must wait for it and then get the same answers as a warm engine
-— never a half-published layout, never a table built twice, and never a
-second pool.
+An engine builds its fine grid with the grid's cell directory, the
+cell-clustered column copy of its inputs and the Q1 and Q2 prefix tables
+of its inner-cell runs on the first indexed query of each kind, and an
+engine with a pool backend builds its worker pool on the first pooled
+batch.  Threads that arrive while such a one-time build is running must
+wait for it and then get the same answers as a warm engine — never a
+half-published layout, never a directory, column copy or table built
+twice, and never a second pool.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 import repro.dbms.executor as executor
+import repro.dbms.spatial_index as spatial_index
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine
 from repro.queries.query import Query
@@ -43,20 +45,34 @@ def _queries(count: int = 32) -> list[Query]:
     ]
 
 
-def _first_batches_race(make_engine, monkeypatch) -> tuple[int, list, list[int]]:
+#: The one-time build functions of a shard, and the module defining each.
+ONE_TIME_BUILDS = {
+    "_cell_directories": spatial_index,
+    "_clustered_columns": executor,
+    "_compensated_prefix_table": executor,
+}
+
+
+def _first_batches_race(
+    make_engine, monkeypatch
+) -> tuple[int, list, list[dict[str, int]]]:
     """Run one first batch per thread on fresh engines.
 
     Returns the failures, the answers that differ from a serially warmed
-    engine's, and the number of prefix tables each fresh engine built.
+    engine's, and per fresh engine how many times each of ``ONE_TIME_BUILDS``
+    ran.
     """
-    builds: list[int] = []
-    build_table = executor._compensated_prefix_table
+    builds: list[str] = []
 
-    def counting_build(values):
-        builds.append(1)
-        return build_table(values)
+    def counting(name, build):
+        def counted(*args):
+            builds.append(name)
+            return build(*args)
 
-    monkeypatch.setattr(executor, "_compensated_prefix_table", counting_build)
+        return counted
+
+    for name, module in ONE_TIME_BUILDS.items():
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     queries = _queries()
     failures = 0
     mismatches = []
@@ -73,7 +89,9 @@ def _first_batches_race(make_engine, monkeypatch) -> tuple[int, list, list[int]]
         for _ in range(TRIALS):
             before = len(builds)
             trials.append(_one_trial(make_engine(), queries))
-            builds_per_engine.append(len(builds) - before)
+            builds_per_engine.append(
+                {name: builds[before:].count(name) for name in ONE_TIME_BUILDS}
+            )
     finally:
         sys.setswitchinterval(interval)
     for results in trials:
@@ -124,8 +142,14 @@ def test_fresh_engine_first_batches_from_many_threads(monkeypatch):
     )
     assert failures == 0
     assert mismatches == []
-    # One Q1 and one Q2 table per engine, however many threads raced them.
-    assert builds == [2] * TRIALS
+    # One directory, one column copy, and one Q1 and one Q2 table per
+    # engine, however many threads raced them.
+    expected = {
+        "_cell_directories": 1,
+        "_clustered_columns": 1,
+        "_compensated_prefix_table": 2,
+    }
+    assert builds == [expected] * TRIALS
 
 
 def test_fresh_sharded_engine_first_batches_from_many_threads(monkeypatch):
@@ -138,7 +162,12 @@ def test_fresh_sharded_engine_first_batches_from_many_threads(monkeypatch):
     )
     assert failures == 0
     assert mismatches == []
-    assert builds == [2 * 3] * TRIALS
+    expected = {
+        "_cell_directories": 3,
+        "_clustered_columns": 3,
+        "_compensated_prefix_table": 2 * 3,
+    }
+    assert builds == [expected] * TRIALS
 
 
 def test_fresh_pooled_engine_builds_one_pool(monkeypatch):

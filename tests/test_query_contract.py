@@ -18,8 +18,8 @@ a model with K = 2,100 prototypes.  ``REPRO_DIFFERENTIAL_SOAK=<n>`` appends
 An exact answer also depends on its query alone, not on its batch: seeded
 Q1 and Q2 workloads split into random batch partitions must give
 bit-identical answers (d in {1, 2, 3, 6}, p in {1, 2, inf}, the default
-engine and a 3-shard one).  ``REPRO_DIFFERENTIAL_SOAK=<n>`` draws ``n // 10``
-more partitions per case.
+engine, a 3-shard indexed one, and the 1- and 3-shard scan routes).
+``REPRO_DIFFERENTIAL_SOAK=<n>`` draws ``n // 10`` more partitions per case.
 """
 
 from __future__ import annotations
@@ -338,6 +338,8 @@ def test_exact_answers_do_not_depend_on_the_batch(dimension, norm_order):
     for engine in (
         ExactQueryEngine(dataset),
         ExactQueryEngine(dataset, num_shards=3, route="indexed"),
+        ExactQueryEngine(dataset, route="scan"),
+        ExactQueryEngine(dataset, num_shards=3, route="scan"),
     ):
         for execute in (engine.execute_q1_batch, engine.execute_q2_batch):
             expected = [_answer_key(a) for a in execute(queries, on_empty="null")]
