@@ -4,30 +4,28 @@ An :class:`~repro.dbms.executor.ExactQueryEngine` with a pool backend
 answers exact Q1/Q2 batches by fanning per-shard sufficient-statistics
 kernels out over a worker pool and merging exactly (blocked OLS for Q2).
 Each shard owns two kernels — the cache-blocked full scan and a per-shard
-grid-indexed segmented pipeline — and an adaptive router
-(``route="auto"``) can choose between them from a selectivity estimate.
-This benchmark measures, on an N >= 200k workload:
+grid-indexed segmented pipeline — and an engine runs the one its
+``route`` names.  This benchmark measures, on an N >= 200k workload:
 
 * the classic backend/worker axis (thread and process pools, 1 and 2+
   workers) on the unselective scan-regime workload of the Figure-12
   scalability story, against the single-engine full-scan batch path (one
   serial shard over the whole table running the same scan kernel);
-* a **selectivity axis**: the same engine at forced ``route="scan"``,
-  forced ``route="indexed"`` and adaptive ``route="auto"`` across radius
-  regimes from highly selective (radius much smaller than the data extent)
-  to scan-bound, against both single-engine batch paths (indexed and
-  scan) — recording where the per-shard indexed pipeline crosses over the
-  shard scan and whether the router lands on the winning side.
+* a **selectivity axis**: the same engine at ``route="scan"`` and
+  ``route="indexed"`` across radius regimes from highly selective (radius
+  much smaller than the data extent) to wide (most rows candidates),
+  against both single-engine batch paths (indexed and scan) — recording
+  the indexed pipeline's speedup over the shard scan in each regime.
 
 Every configuration is verified against the single-engine answers to 1e-9
 and everything is emitted through the ``repro.bench`` harness (JSONL
 results store + one ``BENCH_shard.json`` artifact), so the default backend
-and the router's thresholds stay empirical facts.  The backend axis is
+and the default route stay empirical facts.  The backend axis is
 host-dependent: on a 1-CPU container the thread pool won, while on a
 2-vCPU host (2 workers, 8 shards, 400-query batches over 200k rows) the
-process pool beat it by 4-20% on scan-routed batches and on wide or
-moderate auto-routed ones, and tied on selective or 16-query batches.  The
-gated ``best_sharded_q*_qps`` metrics take the best of both.
+process pool beat it by 4-20% on scan batches and on wide or moderate
+indexed ones, and tied on selective or 16-query batches.  The gated
+``best_sharded_q*_qps`` metrics take the best of both.
 
 Run standalone with::
 
@@ -58,8 +56,10 @@ MAX_DEVIATION = 1e-9
 
 #: Radius regimes of the selectivity axis (mean, std of the query radius on
 #: the normalised [0, 1] domain).  "selective" touches a few cells per
-#: query; "moderate" sits near the router's crossover; "scan" makes most
-#: rows candidates, where the sequential scan kernel wins.
+#: query; "moderate" a few percent of the rows; "scan" makes most rows
+#: candidates, the classic axis's scan workload.  The indexed kernel wins
+#: all three at d = 2: inside a wide ball the grid certifies whole runs of
+#: cells, so only a thin shell of boundary rows is tested.
 SELECTIVITY_REGIMES: dict[str, tuple[float, float]] = {
     "selective": (0.02, 0.002),
     "moderate": (0.10, 0.01),
@@ -172,7 +172,7 @@ def run_shard_scaling(
                 )
 
     # ------------------------------------------------------------------ #
-    # selectivity axis: forced scan / forced indexed / routed per regime
+    # selectivity axis: scan vs indexed route per regime
     # ------------------------------------------------------------------ #
     single_indexed = ExactQueryEngine(dataset)
     selectivity_axis: list[dict] = []
@@ -198,7 +198,7 @@ def run_shard_scaling(
             ),
             "routes": {},
         }
-        for route in ("scan", "indexed", "auto"):
+        for route in ("scan", "indexed"):
             with ExactQueryEngine(
                 dataset, backend="threads", route=route
             ) as engine:
@@ -222,15 +222,10 @@ def run_shard_scaling(
                 }
         scan_stats = entry["routes"]["scan"]
         indexed_stats = entry["routes"]["indexed"]
-        auto_stats = entry["routes"]["auto"]
         entry["indexed_speedup_vs_scan"] = {
             "q1": indexed_stats["q1_qps"] / scan_stats["q1_qps"],
             "q2": indexed_stats["q2_qps"] / scan_stats["q2_qps"],
         }
-        best_forced = max(
-            scan_stats["q2_qps"], indexed_stats["q2_qps"]
-        )
-        entry["routed_efficiency_q2"] = auto_stats["q2_qps"] / best_forced
         selectivity_axis.append(entry)
 
     best = max(runs, key=lambda run: run["q1_qps"] + run["q2_qps"])
@@ -275,8 +270,7 @@ def _format(result: dict) -> str:
         lines.append(
             f"    {entry['regime']:9s} (radius ~{entry['radius_mean']:.2f}): "
             f"indexed/scan Q1 {entry['indexed_speedup_vs_scan']['q1']:.2f}x "
-            f"Q2 {entry['indexed_speedup_vs_scan']['q2']:.2f}x | "
-            f"routed Q2 at {entry['routed_efficiency_q2']:.2f} of best forced"
+            f"Q2 {entry['indexed_speedup_vs_scan']['q2']:.2f}x"
         )
         for route, stats in entry["routes"].items():
             lines.append(
@@ -289,7 +283,7 @@ def _format(result: dict) -> str:
 
 
 def _check(result: dict, *, require_speedup: bool) -> list[str]:
-    """NaN / deviation / crossover gates (CI), plus the >= 2-worker win."""
+    """NaN / deviation / indexed-beats-scan gates (CI), plus the 2-worker win."""
     failures: list[str] = []
 
     def walk(node, path=""):
@@ -379,9 +373,6 @@ def _extract(result: dict) -> dict:
             metrics["selective_indexed_q2_speedup"] = entry[
                 "indexed_speedup_vs_scan"
             ]["q2"]
-        metrics[f"routed_efficiency_q2_{entry['regime']}"] = entry[
-            "routed_efficiency_q2"
-        ]
     return metrics
 
 
@@ -399,9 +390,6 @@ SPEC = BenchmarkSpec(
         "best_q2_speedup": "info",
         "selective_indexed_q1_speedup": "higher",
         "selective_indexed_q2_speedup": "higher",
-        "routed_efficiency_q2_selective": "info",
-        "routed_efficiency_q2_moderate": "info",
-        "routed_efficiency_q2_scan": "info",
         "max_deviation": "info",
     },
     extract=_extract,

@@ -13,7 +13,8 @@ scalability setup (R2, d = 2, N = 40,000):
   :class:`~repro.core.sgd.FusedTrainingKernel` (incremental ``Gamma``);
 * the **pipelined trainer** — ``StreamingTrainer.train`` pulling chunks
   through ``execute_q1_batch``, on the default one-shard engine and on
-  thread-pooled engines at 1 and 2 workers (``route="auto"``).
+  thread-pooled indexed engines at 1 and 2 workers (4 shards per worker;
+  every chunk fans out over the pool).
 
 The headline requirement asserted here: the bitwise-equivalent pipelined
 trainer reaches **>= 5x** the seed per-query loop's training
@@ -229,11 +230,11 @@ def run_training_throughput(
         _fresh_model(dimension), engine, queries, batch_size=batch_size
     )
 
-    # --- sharded engines (1 vs multi-core), adaptive routing ------------ #
+    # --- sharded engines (1 vs multi-core) ------------------------------ #
     sharded_stats: dict[str, dict] = {}
     for workers in worker_counts:
         with ExactQueryEngine(
-            dataset, backend="threads", max_workers=workers, route="auto"
+            dataset, backend="threads", max_workers=workers, route="indexed"
         ) as sharded:
             sharded_stats[f"workers={workers}"] = _pipelined(
                 _fresh_model(dimension), sharded, queries, batch_size=batch_size
@@ -295,7 +296,7 @@ def _format(result: dict) -> str:
     ]
     for label, stats in result["sharded"].items():
         lines.append(
-            f"  sharded auto {label}:  {stats['queries_per_second']:,.0f} q/s"
+            f"  sharded {label}:       {stats['queries_per_second']:,.0f} q/s"
         )
     lines += [
         f"  speedup vs seed loop:   {result['speedup_vs_seed_loop']:.1f}x"

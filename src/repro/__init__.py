@@ -70,9 +70,9 @@ them: the single-query methods (``predict_mean``,
   depends on the host.  On a 1-CPU container threads won: a process pool
   ships queries and statistics across process boundaries with no second
   core to repay it.  On a 2-vCPU host (2 workers, 8 shards, 400-query
-  batches over 200k rows) processes beat threads by 4-20% on scan-routed
-  batches and on wide or moderate auto-routed ones, and tie on selective
-  or 16-query batches.
+  batches over 200k rows) processes beat threads by 4-20% on scan
+  batches and on wide or moderate indexed ones, and tie on selective or
+  16-query batches.
 * **Incremental training state** — the prototypes live in one
   capacity-doubling dense ``(K, d + 1)`` matrix
   (:class:`~repro.core.prototypes.LocalModelParameters`) that SGD updates

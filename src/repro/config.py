@@ -79,11 +79,11 @@ class ModelConfig:
                 "quantization_coefficient must be in (0, 1], got "
                 f"{self.quantization_coefficient!r}"
             )
-        if self.norm_order < 1.0:
+        if not self.norm_order >= 1.0:
             raise ConfigurationError(
                 f"norm_order must be >= 1, got {self.norm_order!r}"
             )
-        if self.vigilance_override is not None and self.vigilance_override <= 0:
+        if self.vigilance_override is not None and not self.vigilance_override > 0:
             raise ConfigurationError(
                 "vigilance_override must be positive when provided, got "
                 f"{self.vigilance_override!r}"
@@ -141,7 +141,7 @@ class TrainingConfig:
     record_history: bool = True
 
     def __post_init__(self) -> None:
-        if self.convergence_threshold <= 0:
+        if not self.convergence_threshold > 0:
             raise ConfigurationError(
                 "convergence_threshold must be positive, got "
                 f"{self.convergence_threshold!r}"
@@ -159,7 +159,7 @@ class TrainingConfig:
                 "convergence_window must be >= 1, got "
                 f"{self.convergence_window!r}"
             )
-        if self.learning_rate_scale <= 0:
+        if not self.learning_rate_scale > 0:
             raise ConfigurationError(
                 "learning_rate_scale must be positive, got "
                 f"{self.learning_rate_scale!r}"

@@ -14,7 +14,8 @@ during the training phase.  This subpackage provides that substrate:
   built on mergeable sufficient statistics over contiguous row shards (one
   by default, run inline, or several on a thread or process pool); each
   shard owns a lazily-built grid-indexed segmented pipeline next to its
-  scan kernel, forced per engine or picked per shard by an adaptive router,
+  scan kernel, and an engine runs the one its ``route`` names on every
+  shard and batch,
 * :class:`~repro.dbms.sqlfront.AnalyticsSession` — a small declarative SQL
   front end implementing the Q1/Q2 syntax sketched in the paper's appendix
   (with ``NORM p`` geometry clauses and multi-statement scripts),
@@ -58,8 +59,6 @@ from .storage import SQLiteDataStore
 from .spatial_index import (
     GridIndex,
     batch_grid_cells_per_dimension,
-    estimate_boundary_fraction,
-    estimate_candidate_fraction,
 )
 from .executor import (
     ExactQueryEngine,
@@ -100,8 +99,6 @@ __all__ = [
     "SQLiteDataStore",
     "GridIndex",
     "batch_grid_cells_per_dimension",
-    "estimate_boundary_fraction",
-    "estimate_candidate_fraction",
     "ExactQueryEngine",
     "ExecutionStatistics",
     "SegmentedBatchPipeline",

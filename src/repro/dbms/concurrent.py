@@ -132,7 +132,7 @@ class ConcurrencyPolicy:
                 f"max_pending_statements must be >= 1, got "
                 f"{self.max_pending_statements}"
             )
-        if self.coalesce_window_seconds < 0.0:
+        if not self.coalesce_window_seconds >= 0.0:
             raise ConfigurationError(
                 f"coalesce_window_seconds must be >= 0, got "
                 f"{self.coalesce_window_seconds}"

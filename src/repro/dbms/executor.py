@@ -40,21 +40,14 @@ minimum-norm semantics.
 
 Routing
 -------
-``route="indexed"`` (default) and ``route="scan"`` force one kernel on
-every shard.  ``route="auto"`` picks the kernel per shard and the execution
-mode per batch from a selectivity estimate
-(:func:`~repro.dbms.spatial_index.estimate_boundary_fraction`: query radii
-against the shard's extent and batch-grid cell volume).  Batches whose
-estimated *boundary* fraction — the rows in cells straddling the ball
-surface, the only rows the pipeline tests individually — stays below
-``_INDEXED_ROUTE_MAX_BOUNDARY`` go to the indexed pipeline; batches whose
-boundary shell approaches the shard size keep the cache-blocked scan,
-whose sequential row traffic beats gather-heavy candidate tests at that
-point.  Small batches (estimated touched elements below
-``_SERIAL_BATCH_ELEMENTS``) run the shards inline even on a pool backend —
-pool dispatch latency dominates sub-millisecond kernels.  Forced routes
-always use the configured backend, which is what
-``benchmarks/bench_shard_scaling.py`` uses to measure the crossover.
+An engine runs the kernel it was built with on every shard and every
+batch: ``route="indexed"`` (default) or ``route="scan"``.  The indexed
+pipeline is the faster kernel on every workload served; the scan is the
+reference and baseline the tests and benchmarks measure it against, and
+wins only when the balls cover the data's domain at d >= 6, where its
+sequential row traffic beats the pipeline's gathers.  Both kernels select
+the same rows, and a query's answer does not depend on the rest of its
+batch.
 
 Backends
 --------
@@ -66,7 +59,8 @@ their lazily-built indexes) are shared with the pool for free.
 per worker at pool start-up, and each worker builds the shard grids it
 needs on first indexed use); it sidesteps the GIL entirely but pays
 serialisation of the per-batch query arrays and of the returned
-statistics.
+statistics.  A pool backend dispatches every batch, so a single query pays
+the pool round trip: single queries belong on the default serial engine.
 """
 
 from __future__ import annotations
@@ -94,7 +88,6 @@ from ..queries.query import Query, QueryAnswer
 from .spatial_index import (
     GridIndex,
     batch_grid_cells_per_dimension,
-    estimate_boundary_fraction,
     expand_ranges,
 )
 from .storage import SQLiteDataStore, require_finite_rows
@@ -151,27 +144,7 @@ _GRAM_CONDITION_RTOL = 1e-3
 #: uneven and shrinks each shard's working set (cache blocking).
 _SHARDS_PER_WORKER = 4
 
-#: Mean estimated boundary fraction at or below which ``route="auto"``
-#: sends a shard's batch through the indexed segmented pipeline instead of
-#: the scan kernel.  The indexed path's per-row cost tracks only the
-#: *boundary shell* of each ball — each run of cells certified fully inside
-#: costs two prefix-table rows however many rows it holds — so on a fine
-#: grid it beats the scan even for wide balls (BENCH_shard.json measures
-#: 4-5x at radius 0.4 on d=2, N=200k, where ~90% of rows are candidates
-#: but only ~5% sit in boundary cells).  The scan only wins once the
-#: boundary work approaches the shard size times the ~3x throughput edge
-#: sequential row traffic holds over gather-heavy candidate tests — i.e.
-#: coarse grids relative to the radius (high dimensions, small shards).
-_INDEXED_ROUTE_MAX_BOUNDARY = 0.3
-
-#: Estimated touched elements (selected-candidate rows for indexed routes,
-#: ``m x shard rows`` for scans) below which ``route="auto"`` runs the
-#: shard kernels inline instead of dispatching to the pool: pool dispatch
-#: and result marshalling cost ~100 us per shard, which dominates kernels
-#: that touch fewer than ~a million elements.
-_SERIAL_BATCH_ELEMENTS = 1_000_000
-
-_ROUTES = ("indexed", "scan", "auto")
+_ROUTES = ("indexed", "scan")
 _BACKENDS = ("serial", "threads", "processes")
 
 
@@ -990,8 +963,8 @@ class ExactQueryEngine:
     max_workers:
         Pool width; defaults to the machine's CPU count.
     route:
-        ``"indexed"`` (default), ``"scan"`` or ``"auto"``.  Every route
-        returns identical answers.
+        ``"indexed"`` (default) or ``"scan"``: the kernel every shard runs
+        on every batch.  Both routes return identical answers.
 
     A dataset with a non-finite input or output is refused with
     :class:`~repro.exceptions.StorageError` naming its first such row: exact
@@ -1039,9 +1012,6 @@ class ExactQueryEngine:
         # the row count leaves no shard empty.
         self._bounds = shard_bounds(dataset.size, min(int(num_shards), dataset.size))
         self._pipelines = _shard_pipelines(self._inputs, self._outputs, self._bounds)
-        # The auto planner's per-shard (extents, grid resolutions), computed
-        # on its first batch.
-        self._selectivity: tuple[np.ndarray, list[int]] | None = None
         # The pool is built on the first pooled batch; the lock makes that
         # build, and close(), happen once however many threads race them.
         self._pool_lock = make_lock("executor.pool")
@@ -1085,7 +1055,7 @@ class ExactQueryEngine:
 
     @property
     def route(self) -> str:
-        """The routing policy: ``"indexed"``, ``"scan"`` or ``"auto"``."""
+        """The kernel every shard runs: ``"indexed"`` or ``"scan"``."""
         return self._route
 
     # ------------------------------------------------------------------ #
@@ -1154,10 +1124,6 @@ class ExactQueryEngine:
     def execute_q2(self, query: Query) -> QueryAnswer:
         """Execute an exact regression query: OLS over the selected subspace."""
         return self._only_answer(self.execute_q2_batch([query]))
-
-    def mean_value(self, query: Query) -> float:
-        """Convenience oracle used by training streams: the Q1 scalar answer."""
-        return self.execute_q1(query).mean
 
     # ------------------------------------------------------------------ #
     # batched execution
@@ -1308,43 +1274,6 @@ class ExactQueryEngine:
             raise InternalInvariantError("a batch of one returned no single answer")
         return answers[0]
 
-    def _plan_batch(self, radii: np.ndarray) -> tuple[list[str], bool]:
-        """Pick each shard's kernel and whether to dispatch to the pool.
-
-        Returns ``(routes, pooled)`` where ``routes[i]`` is ``"scan"`` or
-        ``"indexed"`` for shard ``i``.  Forced routes always use the
-        configured backend so forced measurements isolate the kernel
-        choice; the adaptive route additionally drops to inline execution
-        when the estimated touched work is too small to amortise pool
-        dispatch.
-        """
-        pooled = self._backend != "serial"
-        if self._route != "auto":
-            return [self._route] * len(self._pipelines), pooled
-        if self._selectivity is None:
-            # One O(N) min/max pass plus the closed-form fine-grid cell
-            # counts each shard's pipeline would use; no grid is built.
-            self._selectivity = (
-                np.array([np.ptp(shard.rows[0], axis=0) for shard in self._pipelines]),
-                [
-                    batch_grid_cells_per_dimension(pipeline.size, self.dimension)
-                    for pipeline in self._pipelines
-                ],
-            )
-        extents, grid_cells = self._selectivity
-        m = int(radii.shape[0])
-        routes = []
-        estimated_elements = 0.0
-        for pipeline, extent, cells in zip(self._pipelines, extents, grid_cells):
-            fraction = float(np.mean(estimate_boundary_fraction(extent, radii, cells)))
-            if fraction <= _INDEXED_ROUTE_MAX_BOUNDARY:
-                routes.append("indexed")
-                estimated_elements += m * pipeline.size * fraction
-            else:
-                routes.append("scan")
-                estimated_elements += m * pipeline.size
-        return routes, pooled and estimated_elements >= _SERIAL_BATCH_ELEMENTS
-
     def _statistics(
         self, centers: np.ndarray, radii: np.ndarray, p: float, kind: str
     ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -1353,23 +1282,20 @@ class ExactQueryEngine:
         Returns ``(counts, sums, scanned)`` as :func:`_shard_statistics`
         does, summed over the shards.
         """
-        routes, pooled = self._plan_batch(radii)
-        if not pooled:
-            parts = [
-                _shard_statistics(pipeline, route, kind, centers, radii, p)
-                for pipeline, route in zip(self._pipelines, routes)
-            ]
-        elif self._backend == "processes":
+        route = self._route
+        if self._backend == "processes":
             tasks = [
                 (index, route, kind, centers, radii, p)
-                for index, route in enumerate(routes)
+                for index in range(len(self._pipelines))
             ]
             parts = list(self._ensure_pool().map(_process_worker_statistics, tasks))
         else:
-            task = functools.partial(
-                _shard_statistics, kind=kind, centers=centers, radii=radii, p=p
-            )
-            parts = list(self._ensure_pool().map(task, self._pipelines, routes))
+
+            def shard(pipeline: SegmentedBatchPipeline) -> tuple:
+                return _shard_statistics(pipeline, route, kind, centers, radii, p)
+
+            run = map if self._backend == "serial" else self._ensure_pool().map
+            parts = list(run(shard, self._pipelines))
         counts, sums, scanned = parts[0]
         for shard_counts, shard_sums, shard_scanned in parts[1:]:
             counts = counts + shard_counts
@@ -1380,18 +1306,17 @@ class ExactQueryEngine:
     def _select(self, query: Query) -> tuple[np.ndarray, int]:
         """``(ascending selected row ids, rows scanned)`` of one query.
 
-        Each shard selects through its route's kernel: the grid's candidate
-        ranges and exact Lp test on an indexed shard, the Lp test over all
-        its rows on a scan shard.  Both compute the distances with the same
-        elementwise formulation, so the selection does not depend on the
-        route.
+        Each shard selects through the engine's kernel: the grid's candidate
+        ranges and exact Lp test on the indexed route, the Lp test over all
+        the shard's rows on the scan.  Both compute the distances with the
+        same elementwise formulation, so the selection does not depend on
+        the route.
         """
         center, radius, p = query.center, query.radius, query.norm_order
-        routes, _ = self._plan_batch(np.array([radius]))
         selections = []
         scanned = 0
-        for start, pipeline, route in zip(self._bounds, self._pipelines, routes):
-            if route == "indexed":
+        for start, pipeline in zip(self._bounds, self._pipelines):
+            if self._route == "indexed":
                 rows, touched = pipeline.select_rows(center, radius, p)
             else:
                 inputs = pipeline.rows[0]

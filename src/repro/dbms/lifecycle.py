@@ -137,11 +137,11 @@ class DriftPolicy:
             raise ConfigurationError(
                 "min_window_statements and window_buckets must be >= 1"
             )
-        if self.cooldown_seconds < 0.0 or self.max_backoff_seconds < 0.0:
+        if not (self.cooldown_seconds >= 0.0 and self.max_backoff_seconds >= 0.0):
             raise ConfigurationError(
                 "cooldown_seconds and max_backoff_seconds must be >= 0"
             )
-        if self.backoff_multiplier < 1.0:
+        if not self.backoff_multiplier >= 1.0:
             raise ConfigurationError(
                 f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}"
             )
@@ -149,7 +149,9 @@ class DriftPolicy:
             raise ConfigurationError(
                 "min_retrain_queries and probe_size must be >= 1"
             )
-        if self.rollback_fallback_factor < 1.0 or self.rollback_rmse_factor < 1.0:
+        if not (
+            self.rollback_fallback_factor >= 1.0 and self.rollback_rmse_factor >= 1.0
+        ):
             raise ConfigurationError("rollback factors must be >= 1")
         if self.keep_versions < 1:
             raise ConfigurationError(

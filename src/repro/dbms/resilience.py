@@ -52,11 +52,11 @@ class DegradationPolicy:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_seconds < 0.0 or self.backoff_multiplier < 1.0:
+        if not (self.backoff_seconds >= 0.0 and self.backoff_multiplier >= 1.0):
             raise ConfigurationError(
                 "backoff_seconds must be >= 0 and backoff_multiplier >= 1"
             )
-        if self.breaker_failure_threshold < 1 or self.breaker_reset_seconds < 0.0:
+        if self.breaker_failure_threshold < 1 or not self.breaker_reset_seconds >= 0.0:
             raise ConfigurationError(
                 "breaker_failure_threshold must be >= 1 and "
                 "breaker_reset_seconds >= 0"

@@ -26,89 +26,30 @@ from ..exceptions import (
 __all__ = [
     "GridIndex",
     "batch_grid_cells_per_dimension",
-    "estimate_boundary_fraction",
-    "estimate_candidate_fraction",
     "expand_ranges",
 ]
 
 
-def batch_grid_cells_per_dimension(
-    count: int, dimension: int, *, rows_per_cell: float = 8.0, max_cells: int = 256
-) -> int:
+#: Rows per cell the fine batch grid aims for, and its cap on cells per
+#: dimension.
+_BATCH_GRID_ROWS_PER_CELL = 8.0
+_BATCH_GRID_MAX_CELLS = 256
+
+
+def batch_grid_cells_per_dimension(count: int, dimension: int) -> int:
     """Fine batch-grid resolution for a clustered row set of ``count`` rows.
 
     The segmented batch pipeline pays no per-cell Python cost, so it targets
-    a few rows per cell (``count / rows_per_cell`` cells in total),
-    trimming the candidate superset towards the exact selection.  Every shard pipeline of the
-    exact engine and its ``route="auto"`` planner size cells with it, so
-    both agree for the same row count.
+    a few rows per cell (``count / _BATCH_GRID_ROWS_PER_CELL`` cells in
+    total, at most ``_BATCH_GRID_MAX_CELLS`` per dimension), trimming the
+    candidate superset towards the exact selection.  Every shard pipeline
+    of the exact engine sizes its grid with it.
     """
     if dimension < 1:
         raise ConfigurationError(f"dimension must be >= 1, got {dimension}")
-    target_cells = max(count / rows_per_cell, 1.0)
+    target_cells = max(count / _BATCH_GRID_ROWS_PER_CELL, 1.0)
     cells = max(int(round(target_cells ** (1.0 / dimension))), 1)
-    return min(cells, max_cells)
-
-
-def estimate_candidate_fraction(
-    extent: np.ndarray, radii: np.ndarray, cells_per_dimension: int
-) -> np.ndarray:
-    """Estimated fraction of a row set a grid probe must touch, per query.
-
-    The candidate set of a ball query is the cells intersecting its bounding
-    box, so along each dimension a query of radius ``r`` touches an expected
-    width of ``2 r`` plus one cell width of quantisation, clipped to the
-    data extent.  Multiplying the per-dimension fractions assumes the rows
-    are roughly uniform over their bounding box — good enough to route
-    between a full scan (fraction near 1) and the indexed segmented
-    pipeline (fraction near 0); the routed answers are exact either way.
-
-    Returns the ``(m,)`` per-query fractions in ``(0, 1]``.
-    """
-    extent = np.asarray(extent, dtype=float).ravel()
-    radii = np.asarray(radii, dtype=float).ravel()
-    safe = np.where(extent > 0.0, extent, 1.0)
-    width = safe / max(int(cells_per_dimension), 1)
-    per_dimension = np.minimum(
-        (2.0 * radii[:, np.newaxis] + width[np.newaxis, :]) / safe[np.newaxis, :],
-        1.0,
-    )
-    return np.prod(per_dimension, axis=1)
-
-
-def estimate_boundary_fraction(
-    extent: np.ndarray, radii: np.ndarray, cells_per_dimension: int
-) -> np.ndarray:
-    """Estimated fraction of rows needing *row-level* tests, per query.
-
-    The segmented batch pipeline only pays per-row work for cells straddling
-    the ball surface: cells certified fully inside contribute O(1)
-    precomputed aggregates regardless of how many rows they hold.  Its cost
-    therefore tracks the candidate volume *minus* the certified-inner
-    volume — the shell of boundary cells.  The inner volume shrinks the
-    ball's extent by roughly one cell diagonal per side (the certification
-    tests the cell's farthest corner), modelled here as ``(1 + sqrt(d))``
-    cell widths; as with :func:`estimate_candidate_fraction` the rows are
-    assumed roughly uniform over their bounding box.  This is the quantity
-    the adaptive router compares against a full scan: for a wide ball over
-    a fine grid the shell is thin and the pipeline beats the scan even
-    though nearly every row is a *candidate*.
-
-    Returns the ``(m,)`` per-query fractions in ``[0, 1]``.
-    """
-    extent = np.asarray(extent, dtype=float).ravel()
-    radii = np.asarray(radii, dtype=float).ravel()
-    safe = np.where(extent > 0.0, extent, 1.0)
-    width = safe / max(int(cells_per_dimension), 1)
-    candidate = estimate_candidate_fraction(extent, radii, cells_per_dimension)
-    shrink = (1.0 + math.sqrt(extent.size)) * width
-    inner = np.clip(
-        (2.0 * radii[:, np.newaxis] - shrink[np.newaxis, :])
-        / safe[np.newaxis, :],
-        0.0,
-        1.0,
-    )
-    return candidate - np.prod(inner, axis=1)
+    return min(cells, _BATCH_GRID_MAX_CELLS)
 
 
 def expand_ranges(

@@ -652,8 +652,6 @@ def run_scalability_experiment(
     measured_queries: int = 30,
     coefficient: float = DEFAULT_COEFFICIENT,
     plr_max_basis_functions: int = 10,
-    worker_counts: tuple[int, ...] = (1, 2),
-    shard_backend: str = "threads",
     training_batch_size: int = 256,
     seed: int = 7,
 ) -> dict:
@@ -664,10 +662,6 @@ def run_scalability_experiment(
     Figure 12.  Batched engines are measured alongside the per-query loops:
     ``llm_batch`` / ``llm_q2_batch`` / ``llm_value_batch`` for the model
     side and ``exact_batch`` (Q1 and Q2) for the segmented exact executor.
-    The ``sharded`` axis sweeps the worker counts (``worker_counts``) of a
-    pooled, adaptively routed :class:`~repro.dbms.executor.ExactQueryEngine`,
-    reporting the amortised per-query latency of its sharded batch path per
-    core budget — the "cores" dimension of the scalability story.
 
     The model at each dataset size is trained through the *pipelined*
     streaming trainer (chunked batched exact labelling plus the fused
@@ -688,8 +682,6 @@ def run_scalability_experiment(
     exact_q2: list[float] = []
     exact_q2_batch: list[float] = []
     plr_q2: list[float] = []
-    sharded_q1: dict[int, list[float]] = {count: [] for count in worker_counts}
-    sharded_q2: dict[int, list[float]] = {count: [] for count in worker_counts}
 
     for size in dataset_sizes:
         context = build_context(
@@ -754,26 +746,6 @@ def run_scalability_experiment(
             )["mean_ms"]
         )
 
-        for count in worker_counts:
-            with ExactQueryEngine(
-                context.dataset,
-                backend=shard_backend,
-                max_workers=count,
-                route="auto",
-            ) as sharded:
-                sharded_q1[count].append(
-                    measure_amortized_latency(
-                        lambda: sharded.execute_q1_batch(queries, on_empty="null"),
-                        len(queries),
-                    )["mean_ms"]
-                )
-                sharded_q2[count].append(
-                    measure_amortized_latency(
-                        lambda: sharded.execute_q2_batch(queries, on_empty="null"),
-                        len(queries),
-                    )["mean_ms"]
-                )
-
         def _plr_over_subspace(query: Query, _engine=context.engine) -> None:
             inputs, outputs = _engine.select_subspace(query)
             if outputs.size >= 8:
@@ -788,8 +760,6 @@ def run_scalability_experiment(
     return {
         "dataset_sizes": list(dataset_sizes),
         "dimension": dimension,
-        "worker_counts": list(worker_counts),
-        "shard_backend": shard_backend,
         "training": {
             "batch_size": training_batch_size,
             "pipelined_qps": training_qps,
@@ -800,9 +770,6 @@ def run_scalability_experiment(
             "llm_batch": llm_q1_batch,
             "exact_reg": exact_q1,
             "exact_batch": exact_q1_batch,
-            "sharded": {
-                f"workers={count}": series for count, series in sharded_q1.items()
-            },
         },
         "q2_latency_ms": {
             "llm": llm_q2,
@@ -811,9 +778,6 @@ def run_scalability_experiment(
             "exact_reg": exact_q2,
             "exact_batch": exact_q2_batch,
             "plr": plr_q2,
-            "sharded": {
-                f"workers={count}": series for count, series in sharded_q2.items()
-            },
         },
     }
 

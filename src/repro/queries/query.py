@@ -52,7 +52,7 @@ class Query:
             raise InvalidQueryError("query center must contain only finite values")
         if not np.isfinite(self.radius) or self.radius <= 0:
             raise InvalidQueryError(f"query radius must be positive, got {self.radius}")
-        if self.norm_order < 1.0:
+        if not self.norm_order >= 1.0:
             raise InvalidQueryError(
                 f"norm order must be >= 1, got {self.norm_order}"
             )

@@ -41,11 +41,11 @@ class RadiusDistribution:
     minimum: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.mean <= 0:
+        if not self.mean > 0:
             raise WorkloadError(f"radius mean must be positive, got {self.mean}")
-        if self.std < 0:
+        if not self.std >= 0:
             raise WorkloadError(f"radius std must be non-negative, got {self.std}")
-        if self.minimum <= 0:
+        if not self.minimum > 0:
             raise WorkloadError(f"radius minimum must be positive, got {self.minimum}")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -88,10 +88,12 @@ class WorkloadSpec:
             raise WorkloadError(f"dimension must be >= 1, got {self.dimension}")
         low = np.broadcast_to(np.asarray(self.center_low, dtype=float), (self.dimension,))
         high = np.broadcast_to(np.asarray(self.center_high, dtype=float), (self.dimension,))
-        if np.any(low >= high):
+        if not np.all(low < high):
             raise WorkloadError(
                 "center_low must be strictly less than center_high in every dimension"
             )
+        if not self.norm_order >= 1.0:
+            raise WorkloadError(f"norm order must be >= 1, got {self.norm_order}")
 
     @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:

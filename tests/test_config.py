@@ -13,7 +13,12 @@ from repro.config import (
     TrainingConfig,
     vigilance_radius,
 )
-from repro.exceptions import ConfigurationError
+from repro.dbms.concurrent import ConcurrencyPolicy
+from repro.dbms.lifecycle import DriftPolicy
+from repro.dbms.resilience import DegradationPolicy
+from repro.exceptions import ConfigurationError, InvalidQueryError, WorkloadError
+from repro.queries.query import Query
+from repro.queries.workload import RadiusDistribution, WorkloadSpec
 
 
 class TestVigilanceRadius:
@@ -107,3 +112,41 @@ class TestTrainingConfig:
     def test_rejects_bad_learning_rate_scale(self):
         with pytest.raises(ConfigurationError):
             TrainingConfig(learning_rate_scale=0.0)
+
+
+#: ``(constructor, field, other arguments, typed error)`` of every
+#: range-checked float field of the query and config constructors.
+RANGE_CHECKED_FIELDS = [
+    (Query, "norm_order", {"center": (0.5, 0.5), "radius": 0.1}, InvalidQueryError),
+    (ModelConfig, "norm_order", {}, ConfigurationError),
+    (ModelConfig, "vigilance_override", {}, ConfigurationError),
+    (TrainingConfig, "convergence_threshold", {}, ConfigurationError),
+    (TrainingConfig, "learning_rate_scale", {}, ConfigurationError),
+    (RadiusDistribution, "mean", {"std": 0.01}, WorkloadError),
+    (RadiusDistribution, "std", {"mean": 0.1}, WorkloadError),
+    (RadiusDistribution, "minimum", {"mean": 0.1, "std": 0.01}, WorkloadError),
+    (WorkloadSpec, "norm_order", {"dimension": 2}, WorkloadError),
+    (WorkloadSpec, "center_low", {"dimension": 2}, WorkloadError),
+    (WorkloadSpec, "center_high", {"dimension": 2}, WorkloadError),
+    (ConcurrencyPolicy, "coalesce_window_seconds", {}, ConfigurationError),
+    (DriftPolicy, "cooldown_seconds", {}, ConfigurationError),
+    (DriftPolicy, "max_backoff_seconds", {}, ConfigurationError),
+    (DriftPolicy, "backoff_multiplier", {}, ConfigurationError),
+    (DriftPolicy, "rollback_fallback_factor", {}, ConfigurationError),
+    (DriftPolicy, "rollback_rmse_factor", {}, ConfigurationError),
+    (DegradationPolicy, "backoff_seconds", {}, ConfigurationError),
+    (DegradationPolicy, "backoff_multiplier", {}, ConfigurationError),
+    (DegradationPolicy, "breaker_reset_seconds", {}, ConfigurationError),
+]
+
+
+@pytest.mark.parametrize(
+    "constructor, field, arguments, error",
+    RANGE_CHECKED_FIELDS,
+    ids=[f"{case[0].__name__}.{case[1]}" for case in RANGE_CHECKED_FIELDS],
+)
+def test_nan_fails_every_range_check(constructor, field, arguments, error):
+    # ``x < bound`` is False for NaN, so each check must be written to fail
+    # on it.
+    with pytest.raises(error):
+        constructor(**arguments, **{field: math.nan})

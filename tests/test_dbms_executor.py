@@ -66,10 +66,6 @@ class TestQ1:
         with pytest.raises(EmptySubspaceError):
             engine.execute_q1(query)
 
-    def test_mean_value_oracle(self, engine):
-        query = Query(center=np.array([0.5, 0.5]), radius=0.2)
-        assert engine.mean_value(query) == pytest.approx(engine.execute_q1(query).mean)
-
 
 class TestQ2:
     def test_recovers_linear_coefficients(self, engine):

@@ -136,7 +136,7 @@ class TestShardedEquivalence:
         dataset = _dataset(dimension)
         queries = _mixed_queries(dataset)
         with ExactQueryEngine(
-            dataset, num_shards=3, backend="serial", route="auto"
+            dataset, num_shards=3, backend="serial", route="indexed"
         ) as engine:
             answers = engine.execute_q2_batch(queries, on_empty="null")
         _assert_q2_matches_oracle(answers, queries, dataset)
@@ -146,7 +146,7 @@ class TestShardedEquivalence:
         oracle = ExactOracle(dataset.inputs, dataset.outputs)
         queries = _mixed_queries(dataset)
         with ExactQueryEngine(
-            dataset, num_shards=3, backend="serial", route="auto"
+            dataset, num_shards=3, backend="serial", route="indexed"
         ) as engine:
             answers = engine.execute_q1_batch(queries, on_empty="null")
         for query, answer in zip(queries, answers):
@@ -166,7 +166,7 @@ class TestShardedEquivalence:
         queries = _mixed_queries(dataset)
         unsharded = batch_engine.execute_q2_batch(queries, on_empty="null")
         with ExactQueryEngine(
-            dataset, num_shards=4, backend="threads", route="auto"
+            dataset, num_shards=4, backend="threads", route="indexed"
         ) as engine:
             sharded = engine.execute_q2_batch(queries, on_empty="null")
         _assert_answers_match(sharded, unsharded)
@@ -177,7 +177,7 @@ class TestShardedEquivalence:
         results = []
         for shards in (1, 2, 5):
             with ExactQueryEngine(
-                dataset, num_shards=shards, backend="serial", route="auto"
+                dataset, num_shards=shards, backend="serial", route="indexed"
             ) as engine:
                 results.append(engine.execute_q2_batch(queries, on_empty="null"))
         _assert_answers_match(results[1], results[0])
@@ -255,7 +255,7 @@ class TestShardMergeStatistics:
         )
         query = Query(center=np.array([0.5, 0.5]), radius=0.4)
         with ExactQueryEngine(
-            dataset, num_shards=5, backend="serial", route="auto"
+            dataset, num_shards=5, backend="serial", route="indexed"
         ) as engine:
             answer = engine.execute_q2(query)
         assert answer.cardinality == 9
@@ -267,11 +267,11 @@ class TestBackends:
         dataset = _dataset(2)
         queries = _mixed_queries(dataset, count=15)
         with ExactQueryEngine(
-            dataset, num_shards=3, backend="serial", route="auto"
+            dataset, num_shards=3, backend="serial", route="indexed"
         ) as serial:
             expected = serial.execute_q2_batch(queries, on_empty="null")
         with ExactQueryEngine(
-            dataset, num_shards=3, backend="threads", route="auto"
+            dataset, num_shards=3, backend="threads", route="indexed"
         ) as threaded:
             actual = threaded.execute_q2_batch(queries, on_empty="null")
         _assert_answers_match(actual, expected)
@@ -280,7 +280,7 @@ class TestBackends:
         dataset = _dataset(2, size=800)
         query = Query(center=np.array([0.5, 0.5]), radius=0.25)
         with ExactQueryEngine(
-            dataset, num_shards=2, backend="processes", max_workers=2, route="auto"
+            dataset, num_shards=2, backend="processes", max_workers=2, route="indexed"
         ) as engine:
             answer = engine.execute_q2(query)
         _assert_q2_matches_oracle([answer], [query], dataset)
@@ -291,25 +291,25 @@ class TestBackends:
 
 
 class TestIndexedRouting:
-    """Per-shard grid-indexed execution and the adaptive route planner."""
+    """Per-shard grid-indexed execution against the scan route."""
 
-    def test_invalid_route_rejected(self):
+    @pytest.mark.parametrize("route", ("btree", "auto"))
+    def test_invalid_route_rejected(self, route):
         dataset = _dataset(1, size=50)
         with pytest.raises(ConfigurationError):
-            ExactQueryEngine(dataset, backend="serial", route="btree")
+            ExactQueryEngine(dataset, backend="serial", route=route)
 
     @pytest.mark.parametrize("dimension", DIMENSIONS)
     def test_indexed_route_matches_scan_route(self, dimension):
         dataset = _dataset(dimension)
         queries = _mixed_queries(dataset)
         results = {}
-        for route in ("scan", "indexed", "auto"):
+        for route in ("scan", "indexed"):
             with ExactQueryEngine(
                 dataset, num_shards=3, backend="serial", route=route
             ) as engine:
                 results[route] = engine.execute_q2_batch(queries, on_empty="null")
         _assert_answers_match(results["indexed"], results["scan"])
-        _assert_answers_match(results["auto"], results["scan"])
 
     def test_indexed_route_scans_fewer_rows_on_selective_batch(self):
         dataset = _dataset(2, size=4_000)
@@ -331,20 +331,6 @@ class TestIndexedRouting:
         assert scan_rows == len(queries) * dataset.size
         assert indexed_rows < scan_rows / 5
         _assert_answers_match(indexed_answers, scan_answers)
-
-    def test_auto_routes_by_selectivity(self):
-        dataset = _dataset(2, size=4_000)
-        selective = [Query(center=np.array([0.5, 0.5]), radius=0.02)]
-        unselective = [Query(center=np.array([0.5, 0.5]), radius=0.45)]
-        with ExactQueryEngine(
-            dataset, num_shards=2, backend="serial", route="auto"
-        ) as engine:
-            engine.execute_q1_batch(selective, on_empty="null")
-            selective_rows = engine.statistics.rows_scanned
-            engine.execute_q1_batch(unselective, on_empty="null")
-            unselective_rows = engine.statistics.rows_scanned - selective_rows
-        assert selective_rows < dataset.size / 5
-        assert unselective_rows == dataset.size
 
     def test_pipelines_built_lazily_and_only_for_indexed_routes(self):
         dataset = _dataset(2, size=1_000)
@@ -401,7 +387,7 @@ class TestEngineContract:
     def test_on_empty_raise(self):
         dataset = _dataset(2, size=500)
         with ExactQueryEngine(
-            dataset, num_shards=2, backend="serial", route="auto"
+            dataset, num_shards=2, backend="serial", route="indexed"
         ) as engine:
             with pytest.raises(EmptySubspaceError):
                 engine.execute_q1_batch(
@@ -420,7 +406,7 @@ class TestEngineContract:
             Query(center=np.array([0.4, 0.4]), radius=0.3),
         ]
         with ExactQueryEngine(
-            dataset, num_shards=2, backend="serial", route="auto"
+            dataset, num_shards=2, backend="serial", route="indexed"
         ) as engine:
             answers = engine.execute_q2_batch(queries, on_empty="null")
         assert answers[0] is not None and answers[2] is not None
@@ -429,7 +415,7 @@ class TestEngineContract:
     def test_invalid_on_empty(self):
         dataset = _dataset(1, size=50)
         with ExactQueryEngine(
-            dataset, num_shards=1, backend="serial", route="auto"
+            dataset, num_shards=1, backend="serial", route="indexed"
         ) as engine:
             with pytest.raises(ConfigurationError):
                 engine.execute_q1_batch([], on_empty="skip")
@@ -437,7 +423,7 @@ class TestEngineContract:
     def test_dimension_mismatch(self):
         dataset = _dataset(2, size=100)
         with ExactQueryEngine(
-            dataset, num_shards=2, backend="serial", route="auto"
+            dataset, num_shards=2, backend="serial", route="indexed"
         ) as engine:
             with pytest.raises(StorageError):
                 engine.execute_q1_batch([Query(center=np.array([0.5]), radius=0.1)])
@@ -445,7 +431,7 @@ class TestEngineContract:
     def test_empty_batch(self):
         dataset = _dataset(1, size=50)
         with ExactQueryEngine(
-            dataset, num_shards=1, backend="serial", route="auto"
+            dataset, num_shards=1, backend="serial", route="indexed"
         ) as engine:
             assert engine.execute_q1_batch([]) == []
             assert engine.execute_q2_batch([]) == []
@@ -453,7 +439,7 @@ class TestEngineContract:
     def test_statistics_accumulate(self):
         dataset = _dataset(2, size=400)
         with ExactQueryEngine(
-            dataset, num_shards=2, backend="serial", route="auto"
+            dataset, num_shards=2, backend="serial", route="scan"
         ) as engine:
             engine.execute_q1_batch(
                 [Query(center=np.array([0.5, 0.5]), radius=0.3)]
@@ -465,19 +451,12 @@ class TestEngineContract:
 
     def test_closed_engine_rejects_work(self):
         dataset = _dataset(1, size=50)
-        engine = ExactQueryEngine(dataset, num_shards=1, backend="serial", route="auto")
+        engine = ExactQueryEngine(
+            dataset, num_shards=1, backend="serial", route="indexed"
+        )
         engine.close()
         with pytest.raises(StorageError):
             engine.execute_q1(Query(center=np.array([0.5]), radius=0.3))
-
-    def test_mean_value_oracle(self):
-        dataset = _dataset(2, size=400)
-        query = Query(center=np.array([0.5, 0.5]), radius=0.3)
-        expected = ExactOracle(dataset.inputs, dataset.outputs).mean(query)
-        with ExactQueryEngine(
-            dataset, num_shards=2, backend="serial", route="auto"
-        ) as engine:
-            assert engine.mean_value(query) == pytest.approx(expected, abs=TOLERANCE)
 
 
 class TestFromStore:
@@ -487,7 +466,7 @@ class TestFromStore:
         with SQLiteDataStore(":memory:") as store:
             store.load_dataset(dataset)
             engine = ExactQueryEngine.from_store(
-                store, dataset.name, num_shards=3, backend="serial", route="auto"
+                store, dataset.name, num_shards=3, backend="serial", route="indexed"
             )
         with engine:
             answers = engine.execute_q2_batch(queries, on_empty="null")
@@ -525,7 +504,7 @@ class TestMoreShardsThanRows:
     points) on every backend.
     """
 
-    @pytest.mark.parametrize("route", ("indexed", "scan", "auto"))
+    @pytest.mark.parametrize("route", ("indexed", "scan"))
     @pytest.mark.parametrize("backend", ("serial", "threads", "processes"))
     def test_answers_match_oracle(self, backend, route):
         dataset = _dataset(2, size=5, seed=19)
@@ -568,7 +547,7 @@ class TestStreamingTrainerIntegration:
         queries = _mixed_queries(dataset, count=25, seed=41)
         model = LLMModel(dimension=2)
         with ExactQueryEngine(
-            dataset, num_shards=2, backend="serial", route="auto"
+            dataset, num_shards=2, backend="serial", route="indexed"
         ) as engine:
             trainer = StreamingTrainer(model, engine)
             breakdown = trainer.train(queries)

@@ -8,8 +8,6 @@ import pytest
 from repro.dbms.spatial_index import (
     GridIndex,
     batch_grid_cells_per_dimension,
-    estimate_boundary_fraction,
-    estimate_candidate_fraction,
     expand_ranges,
 )
 from repro.exceptions import ConfigurationError, DimensionalityMismatchError
@@ -42,8 +40,8 @@ class TestConstruction:
             GridIndex(points, cells_per_dimension=0)
 
 
-class TestSelectivityEstimators:
-    """The routing helpers shared by the engines and the sharded router."""
+class TestBatchGridSizing:
+    """The fine-grid resolution every shard pipeline of the engine uses."""
 
     def test_batch_grid_sizing(self):
         # ~8 rows per cell, capped at 256 cells per dimension, floor of 1.
@@ -52,44 +50,6 @@ class TestSelectivityEstimators:
         assert batch_grid_cells_per_dimension(10**9, 1) == 256
         with pytest.raises(ConfigurationError):
             batch_grid_cells_per_dimension(100, 0)
-
-    def test_candidate_fraction_monotone_in_radius(self):
-        extent = np.array([1.0, 1.0])
-        radii = np.array([0.01, 0.1, 0.5])
-        fractions = estimate_candidate_fraction(extent, radii, 50)
-        assert np.all(np.diff(fractions) > 0)
-        assert fractions[-1] == 1.0  # radius covers the whole extent
-        assert 0.0 < fractions[0] < 0.01
-
-    def test_candidate_fraction_zero_extent_dimension(self):
-        # A constant coordinate (zero extent) must not divide by zero and
-        # must not prune: the whole degenerate axis is one cell.
-        fractions = estimate_candidate_fraction(
-            np.array([1.0, 0.0]), np.array([0.05]), 20
-        )
-        assert np.isfinite(fractions[0]) and 0.0 < fractions[0] <= 1.0
-
-    def test_boundary_fraction_is_a_shell(self):
-        extent = np.array([1.0, 1.0])
-        radii = np.array([0.02, 0.40])
-        candidate = estimate_candidate_fraction(extent, radii, 100)
-        boundary = estimate_boundary_fraction(extent, radii, 100)
-        # The boundary shell is contained in the candidate volume, and for
-        # a wide ball over a fine grid it is much thinner than it: the
-        # property that routes wide-radius batches to the indexed pipeline.
-        assert np.all(boundary <= candidate + 1e-12)
-        assert np.all(boundary >= 0.0)
-        assert candidate[1] > 0.6
-        assert boundary[1] < 0.2
-
-    def test_boundary_fraction_coarse_grid_approaches_candidate(self):
-        # With huge cells nothing is certifiably inside, so the boundary
-        # estimate degenerates to the candidate estimate (scan regime).
-        extent = np.ones(6)
-        radii = np.array([0.3])
-        candidate = estimate_candidate_fraction(extent, radii, 3)
-        boundary = estimate_boundary_fraction(extent, radii, 3)
-        np.testing.assert_allclose(boundary, candidate)
 
 
 def _candidates(index: GridIndex, center, radius, p=2.0) -> np.ndarray:

@@ -1,8 +1,7 @@
 """Randomized differential harness pinning every execution path together.
 
 The engine matrix (single-engine indexed batch, one-shard whole-table scan,
-sharded-scan, sharded-indexed, adaptively routed) must compute identical
-Q1/Q2 answers:
+sharded-scan, sharded-indexed) must compute identical Q1/Q2 answers:
 same selected counts, means equal to 1e-12, coefficients of the batched
 family equal to 1e-12.  Every path is also checked against the brute-force
 oracle of :mod:`repro.testing.oracle` (full Lp scan, ``lstsq`` on
@@ -361,14 +360,14 @@ def test_engine_paths_agree(dimension: int, layout: str, seed: int, kind: str):
                     backend="serial",
                     route=route,
                 )
-                for route in ("scan", "indexed", "auto")
+                for route in ("scan", "indexed")
             }
     else:
         sharded_engines = {
             route: ExactQueryEngine(
                 dataset, num_shards=3, backend="serial", route=route
             )
-            for route in ("scan", "indexed", "auto")
+            for route in ("scan", "indexed")
         }
 
     indexed_engine = ExactQueryEngine(dataset)
@@ -746,7 +745,7 @@ def test_training_loop_paths_agree(dimension: int, layout: str, seed: int):
     assert seq_trace == chunk_trace
 
     with ExactQueryEngine(
-        dataset, num_shards=3, backend="serial", route="auto"
+        dataset, num_shards=3, backend="serial", route="indexed"
     ) as sharded_engine:
         sharded, sharded_breakdown = _train_model(
             sharded_engine, queries, batch_size=8

@@ -63,7 +63,7 @@ class TestLabelledWorkload:
         with pytest.raises(WorkloadError):
             LabelledWorkload.from_engine([far], engine)
 
-    @pytest.mark.parametrize("route", ("scan", "indexed", "auto"))
+    @pytest.mark.parametrize("route", ("scan", "indexed"))
     def test_from_engine_on_a_sharded_engine(self, route):
         from repro.data.synthetic import SyntheticDataset
         from repro.dbms.executor import ExactQueryEngine

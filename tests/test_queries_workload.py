@@ -65,6 +65,11 @@ class TestWorkloadSpec:
         with pytest.raises(WorkloadError):
             WorkloadSpec(dimension=0)
 
+    def test_rejects_norm_order_below_one(self):
+        # Refused at construction, as Query refuses it, not at generation.
+        with pytest.raises(WorkloadError):
+            WorkloadSpec(dimension=2, norm_order=0.5)
+
 
 class TestQueryWorkloadGenerator:
     def test_generates_requested_count(self):

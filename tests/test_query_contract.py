@@ -3,7 +3,7 @@
 Every single-query method of the model (``predict_mean``,
 ``predict_mean_with_diagnostics``, ``regression_models``, ``predict_value``)
 and of the exact engine in every shard configuration (``execute_q1``,
-``execute_q2``, ``mean_value``, ``cardinality``, ``select_subspace``) must
+``execute_q2``, ``cardinality``, ``select_subspace``) must
 
 * equal its batch-of-one call bit for bit, and
 * match the brute-force oracle of :mod:`repro.testing.oracle` within
@@ -18,12 +18,16 @@ a model with K = 2,100 prototypes.  ``REPRO_DIFFERENTIAL_SOAK=<n>`` appends
 An exact answer also depends on its query alone, not on its batch: seeded
 Q1 and Q2 workloads split into random batch partitions must give
 bit-identical answers (d in {1, 2, 3, 6}, p in {1, 2, inf}, the default
-engine, a 3-shard indexed one, and the 1- and 3-shard scan routes).
+engine, a 3-shard indexed one, the 1- and 3-shard scan routes, 3-shard
+thread-pooled engines on both routes and, at d = 2, a 3-shard process-pooled
+indexed one).  A pooled engine's answers also equal, bit for bit, those of
+the serial engine with the same shards and route.
 ``REPRO_DIFFERENTIAL_SOAK=<n>`` draws ``n // 10`` more partitions per case.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -217,7 +221,7 @@ def _assert_exact_contract(engine, dataset, queries: list[Query]) -> None:
         assert engine.cardinality(query) == rows.size
         assert engine.statistics.queries_executed == before + 2
         if not rows.size:
-            for execute in (engine.execute_q1, engine.execute_q2, engine.mean_value):
+            for execute in (engine.execute_q1, engine.execute_q2):
                 with pytest.raises(EmptySubspaceError):
                     execute(query)
             continue
@@ -227,7 +231,6 @@ def _assert_exact_contract(engine, dataset, queries: list[Query]) -> None:
         assert engine.statistics.queries_executed == before + 2
         _assert_same_answer(q1, engine.execute_q1_batch([query])[0])
         _assert_same_answer(q2, engine.execute_q2_batch([query])[0])
-        assert engine.mean_value(query) == q1.mean
 
         assert q1.cardinality == q2.cardinality == rows.size
         np.testing.assert_allclose(
@@ -256,7 +259,7 @@ def test_exact_single_queries_are_batches_of_one(dimension, norm_order, layout):
         ExactQueryEngine(dataset),
         ExactQueryEngine(dataset, route="scan"),
         ExactQueryEngine(dataset, num_shards=3, route="indexed"),
-        ExactQueryEngine(dataset, num_shards=3, route="auto"),
+        ExactQueryEngine(dataset, num_shards=3, route="scan"),
     ):
         _assert_exact_contract(engine, dataset, queries)
 
@@ -316,6 +319,29 @@ def _answer_key(answer) -> tuple:
     return answer.cardinality, answer.mean, coefficients, answer.r_squared
 
 
+def _assert_partitions_agree(engine, serial, queries, partitions) -> None:
+    """``engine`` answers every batch partition as it answers the whole batch.
+
+    A pooled engine's whole-batch answers must also equal ``serial``'s (the
+    serial engine with the same shards and route) bit for bit.
+    """
+    label = (engine.backend, engine.route, engine.num_shards)
+    for kind in ("execute_q1_batch", "execute_q2_batch"):
+        execute = getattr(engine, kind)
+        expected = [_answer_key(a) for a in execute(queries, on_empty="null")]
+        if engine.backend != "serial":
+            reference = getattr(serial, kind)(queries, on_empty="null")
+            assert expected == [_answer_key(a) for a in reference], (label, kind)
+        for partition in partitions:
+            got: list = [None] * len(queries)
+            for batch in partition:
+                answers = execute([queries[i] for i in batch], on_empty="null")
+                for position, answer in zip(batch, answers):
+                    got[position] = _answer_key(answer)
+            differing = [i for i, key in enumerate(got) if key != expected[i]]
+            assert differing == [], (label, kind, len(partition), differing)
+
+
 @pytest.mark.parametrize("norm_order", PARTITION_NORMS)
 @pytest.mark.parametrize("dimension", PARTITION_DIMENSIONS)
 def test_exact_answers_do_not_depend_on_the_batch(dimension, norm_order):
@@ -335,19 +361,29 @@ def test_exact_answers_do_not_depend_on_the_batch(dimension, norm_order):
         for _ in range(120)
     ]
     partitions = _random_partitions(len(queries), seed=dimension)
-    for engine in (
-        ExactQueryEngine(dataset),
-        ExactQueryEngine(dataset, num_shards=3, route="indexed"),
-        ExactQueryEngine(dataset, route="scan"),
-        ExactQueryEngine(dataset, num_shards=3, route="scan"),
-    ):
-        for execute in (engine.execute_q1_batch, engine.execute_q2_batch):
-            expected = [_answer_key(a) for a in execute(queries, on_empty="null")]
-            for partition in partitions:
-                got: list = [None] * len(queries)
-                for batch in partition:
-                    answers = execute([queries[i] for i in batch], on_empty="null")
-                    for position, answer in zip(batch, answers):
-                        got[position] = _answer_key(answer)
-                differing = [i for i, key in enumerate(got) if key != expected[i]]
-                assert differing == [], (execute.__name__, len(partition), differing)
+    serial = {
+        route: ExactQueryEngine(dataset, num_shards=3, route=route)
+        for route in ("indexed", "scan")
+    }
+    pools = [("threads", "indexed"), ("threads", "scan")]
+    if dimension == 2:
+        pools.append(("processes", "indexed"))
+    with contextlib.ExitStack() as stack:
+        pooled = [
+            stack.enter_context(
+                ExactQueryEngine(
+                    dataset, num_shards=3, backend=backend, max_workers=2, route=route
+                )
+            )
+            for backend, route in pools
+        ]
+        engines = [
+            ExactQueryEngine(dataset),
+            serial["indexed"],
+            ExactQueryEngine(dataset, route="scan"),
+            serial["scan"],
+            *pooled,
+        ]
+        for engine in engines:
+            _assert_partitions_agree(engine, serial[engine.route], queries, partitions)
+

@@ -441,9 +441,9 @@ class TestHybridMode:
 
 
 class TestShardedServing:
-    def test_sharded_engine_with_auto_route_matches_single(self, engine, half_model):
+    def test_sharded_engine_matches_single(self, engine, half_model):
         with ExactQueryEngine(
-            engine.dataset, num_shards=4, backend="serial", route="auto"
+            engine.dataset, num_shards=4, backend="serial", route="indexed"
         ) as sharded:
             service = AnalyticsService(
                 engines={TABLE: sharded}, models={TABLE: half_model}

@@ -180,7 +180,7 @@ class TestChunkedEquivalence:
 
 
 class TestEngineSelectors:
-    def test_sharded_and_auto_routing_produce_identical_models(self):
+    def test_sharded_engine_produces_identical_models(self):
         dataset = _make_dataset("uniform", 2)
         queries = _make_queries(5)
         single = ExactQueryEngine(dataset)
@@ -188,7 +188,7 @@ class TestEngineSelectors:
         StreamingTrainer(reference_model, single).train(queries, batch_size=40)
 
         with ExactQueryEngine(
-            dataset, num_shards=3, backend="serial", route="auto"
+            dataset, num_shards=3, backend="serial", route="indexed"
         ) as sharded:
             model = _fresh_model()
             StreamingTrainer(model, sharded).train(queries, batch_size=40)
