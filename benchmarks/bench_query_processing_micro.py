@@ -6,7 +6,7 @@ efficiency claims rest on:
 * Q1 prediction from the trained model (Algorithm 2),
 * Q2 local-model retrieval from the trained model (Algorithm 3),
 * data-value prediction (Equation 14),
-* exact Q1 execution over the engine (indexed and full-scan),
+* exact Q1 execution over the engine,
 * exact Q2 execution (selection + OLS) over the engine.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dbms.executor import ExactQueryEngine
 from repro.eval.experiments import build_context
 
 
@@ -56,13 +55,6 @@ def test_model_value_prediction_latency(setup, benchmark):
 def test_exact_q1_latency_indexed(setup, benchmark):
     context, _, query = setup
     answer = benchmark(context.engine.execute_q1, query)
-    assert answer.cardinality > 0
-
-
-def test_exact_q1_latency_full_scan(setup, benchmark):
-    context, _, query = setup
-    scan_engine = ExactQueryEngine(context.dataset, route="scan")
-    answer = benchmark(scan_engine.execute_q1, query)
     assert answer.cardinality > 0
 
 

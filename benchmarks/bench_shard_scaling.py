@@ -1,31 +1,29 @@
 """Sharded vs one-shard batch execution of the exact engine.
 
 An :class:`~repro.dbms.executor.ExactQueryEngine` with a pool backend
-answers exact Q1/Q2 batches by fanning per-shard sufficient-statistics
-kernels out over a worker pool and merging exactly (blocked OLS for Q2).
-Each shard owns two kernels — the cache-blocked full scan and a per-shard
-grid-indexed segmented pipeline — and an engine runs the one its
-``route`` names.  This benchmark measures, on an N >= 200k workload:
+answers exact Q1/Q2 batches by fanning the per-shard sufficient-statistics
+kernel (each shard's grid-indexed segmented pipeline) out over a worker
+pool and merging exactly (blocked OLS for Q2).  A pool gets one row shard
+per worker.  This benchmark measures, on an N >= 200k workload:
 
 * the classic backend/worker axis (thread and process pools, 1 and 2+
-  workers) on the unselective scan-regime workload of the Figure-12
-  scalability story, against the single-engine full-scan batch path (one
-  serial shard over the whole table running the same scan kernel);
-* a **selectivity axis**: the same engine at ``route="scan"`` and
-  ``route="indexed"`` across radius regimes from highly selective (radius
-  much smaller than the data extent) to wide (most rows candidates),
-  against both single-engine batch paths (indexed and scan) — recording
-  the indexed pipeline's speedup over the shard scan in each regime.
+  workers) on the wide-radius workload of the Figure-12 scalability
+  story, against the single default engine (one serial shard over the
+  whole table);
+* a **selectivity axis**: a thread-pooled engine against the single
+  engine across radius regimes from highly selective (radius much smaller
+  than the data extent) to wide (most rows candidates), recording rows
+  touched per query in each regime.
 
 Every configuration is verified against the single-engine answers to 1e-9
 and everything is emitted through the ``repro.bench`` harness (JSONL
 results store + one ``BENCH_shard.json`` artifact), so the default backend
-and the default route stay empirical facts.  The backend axis is
-host-dependent: on a 1-CPU container the thread pool won, while on a
-2-vCPU host (2 workers, 8 shards, 400-query batches over 200k rows) the
-process pool beat it by 4-20% on scan batches and on wide or moderate
-indexed ones, and tied on selective or 16-query batches.  The gated
-``best_sharded_q*_qps`` metrics take the best of both.
+stays an empirical fact.  The backend axis is host-dependent: on a 1-CPU
+container the thread pool won, while on a 2-vCPU host (2 workers, 8
+shards, 400-query batches over 200k rows) the process pool beat it by
+4-20% on batches of the since-deleted full-scan kernel and on wide or
+moderate indexed ones, and tied on selective or 16-query batches.  The
+gated ``best_sharded_q*_qps`` metrics take the best of both.
 
 Run standalone with::
 
@@ -57,9 +55,10 @@ MAX_DEVIATION = 1e-9
 #: Radius regimes of the selectivity axis (mean, std of the query radius on
 #: the normalised [0, 1] domain).  "selective" touches a few cells per
 #: query; "moderate" a few percent of the rows; "scan" makes most rows
-#: candidates, the classic axis's scan workload.  The indexed kernel wins
-#: all three at d = 2: inside a wide ball the grid certifies whole runs of
-#: cells, so only a thin shell of boundary rows is tested.
+#: candidates, and is the classic axis's workload.  Its name is kept from
+#: the full-scan kernel it once timed, so configuration ids stay stable;
+#: inside such a wide ball the grid certifies whole runs of cells, so only
+#: a thin shell of boundary rows is tested.
 SELECTIVITY_REGIMES: dict[str, tuple[float, float]] = {
     "selective": (0.02, 0.002),
     "moderate": (0.10, 0.01),
@@ -128,33 +127,31 @@ def run_shard_scaling(
     )
 
     # ------------------------------------------------------------------ #
-    # classic axis: backends x workers on the scan-regime workload
+    # classic axis: backends x workers on the wide-radius workload
     # ------------------------------------------------------------------ #
-    scan_radius = RadiusDistribution(*SELECTIVITY_REGIMES["scan"])
-    scan_queries = _workload(dimension, scan_radius, batch_size, seed)
-    single_scan = ExactQueryEngine(dataset, route="scan")
-    single_scan_stats = _measure_engine(
-        single_scan, scan_queries, batch_size, repetitions
-    )
-    reference_q1 = single_scan.execute_q1_batch(scan_queries, on_empty="null")
-    reference_q2 = single_scan.execute_q2_batch(scan_queries, on_empty="null")
+    wide_radius = RadiusDistribution(*SELECTIVITY_REGIMES["scan"])
+    wide_queries = _workload(dimension, wide_radius, batch_size, seed)
+    single = ExactQueryEngine(dataset)
+    single_stats = _measure_engine(single, wide_queries, batch_size, repetitions)
+    reference_q1 = single.execute_q1_batch(wide_queries, on_empty="null")
+    reference_q2 = single.execute_q2_batch(wide_queries, on_empty="null")
 
     runs: list[dict] = []
     for backend in backends:
         for workers in worker_counts:
             with ExactQueryEngine(
-                dataset, backend=backend, max_workers=workers, route="scan"
+                dataset, backend=backend, max_workers=workers
             ) as engine:
                 stats = _measure_engine(
-                    engine, scan_queries, batch_size, repetitions
+                    engine, wide_queries, batch_size, repetitions
                 )
                 q1_dev = _deviation(
                     reference_q1,
-                    engine.execute_q1_batch(scan_queries, on_empty="null"),
+                    engine.execute_q1_batch(wide_queries, on_empty="null"),
                 )
                 q2_dev = _deviation(
                     reference_q2,
-                    engine.execute_q2_batch(scan_queries, on_empty="null"),
+                    engine.execute_q2_batch(wide_queries, on_empty="null"),
                 )
                 runs.append(
                     {
@@ -165,67 +162,48 @@ def run_shard_scaling(
                         "q1_max_abs_deviation": q1_dev,
                         "q2_max_abs_deviation": q2_dev,
                         "q1_speedup_vs_single": stats["q1_qps"]
-                        / single_scan_stats["q1_qps"],
+                        / single_stats["q1_qps"],
                         "q2_speedup_vs_single": stats["q2_qps"]
-                        / single_scan_stats["q2_qps"],
+                        / single_stats["q2_qps"],
                     }
                 )
 
     # ------------------------------------------------------------------ #
-    # selectivity axis: scan vs indexed route per regime
+    # selectivity axis: a thread pool vs the single engine per regime
     # ------------------------------------------------------------------ #
-    single_indexed = ExactQueryEngine(dataset)
     selectivity_axis: list[dict] = []
     for regime in regimes:
         mean, std = SELECTIVITY_REGIMES[regime]
         queries = _workload(
             dimension, RadiusDistribution(mean, std), batch_size, seed + 1
         )
-        regime_reference_q1 = single_indexed.execute_q1_batch(
-            queries, on_empty="null"
-        )
-        regime_reference_q2 = single_indexed.execute_q2_batch(
-            queries, on_empty="null"
-        )
+        regime_reference_q1 = single.execute_q1_batch(queries, on_empty="null")
+        regime_reference_q2 = single.execute_q2_batch(queries, on_empty="null")
         entry: dict = {
             "regime": regime,
             "radius_mean": mean,
-            "single_indexed": _measure_engine(
-                single_indexed, queries, batch_size, repetitions
-            ),
-            "single_scan": _measure_engine(
-                single_scan, queries, batch_size, repetitions
-            ),
-            "routes": {},
+            "single": _measure_engine(single, queries, batch_size, repetitions),
         }
-        for route in ("scan", "indexed"):
-            with ExactQueryEngine(
-                dataset, backend="threads", route=route
-            ) as engine:
-                stats = _measure_engine(engine, queries, batch_size, repetitions)
-                q1_dev = _deviation(
-                    regime_reference_q1,
-                    engine.execute_q1_batch(queries, on_empty="null"),
-                )
-                q2_dev = _deviation(
-                    regime_reference_q2,
-                    engine.execute_q2_batch(queries, on_empty="null"),
-                )
-                rows_per_query = engine.statistics.rows_scanned / max(
-                    engine.statistics.queries_executed, 1
-                )
-                entry["routes"][route] = {
-                    **stats,
-                    "q1_max_abs_deviation": q1_dev,
-                    "q2_max_abs_deviation": q2_dev,
-                    "rows_touched_per_query": rows_per_query,
-                }
-        scan_stats = entry["routes"]["scan"]
-        indexed_stats = entry["routes"]["indexed"]
-        entry["indexed_speedup_vs_scan"] = {
-            "q1": indexed_stats["q1_qps"] / scan_stats["q1_qps"],
-            "q2": indexed_stats["q2_qps"] / scan_stats["q2_qps"],
-        }
+        with ExactQueryEngine(dataset, backend="threads") as engine:
+            stats = _measure_engine(engine, queries, batch_size, repetitions)
+            q1_dev = _deviation(
+                regime_reference_q1,
+                engine.execute_q1_batch(queries, on_empty="null"),
+            )
+            q2_dev = _deviation(
+                regime_reference_q2,
+                engine.execute_q2_batch(queries, on_empty="null"),
+            )
+            rows_per_query = engine.statistics.rows_scanned / max(
+                engine.statistics.queries_executed, 1
+            )
+            entry["threads"] = {
+                **stats,
+                "num_shards": engine.num_shards,
+                "q1_max_abs_deviation": q1_dev,
+                "q2_max_abs_deviation": q2_dev,
+                "rows_touched_per_query": rows_per_query,
+            }
         selectivity_axis.append(entry)
 
     best = max(runs, key=lambda run: run["q1_qps"] + run["q2_qps"])
@@ -239,7 +217,7 @@ def run_shard_scaling(
             "regimes": {name: SELECTIVITY_REGIMES[name] for name in regimes},
             "cpu_count": os.cpu_count() or 1,
         },
-        "single_engine": single_scan_stats,
+        "single_engine": single_stats,
         "sharded": runs,
         "selectivity_axis": selectivity_axis,
         "winner": {"backend": best["backend"], "workers": best["workers"]},
@@ -252,7 +230,7 @@ def _format(result: dict) -> str:
         "Sharded batch execution (N = "
         f"{result['setup']['dataset_size']:,}, batch "
         f"{result['setup']['batch_size']})",
-        f"  single scan:   Q1 {single['q1_qps']:,.0f} q/s | "
+        f"  single engine: Q1 {single['q1_qps']:,.0f} q/s | "
         f"Q2 {single['q2_qps']:,.0f} q/s",
     ]
     for run in result["sharded"]:
@@ -265,25 +243,27 @@ def _format(result: dict) -> str:
         )
     winner = result["winner"]
     lines.append(f"  winner: {winner['backend']} @ {winner['workers']} workers")
-    lines.append("  selectivity axis (threads backend):")
+    lines.append("  selectivity axis (single engine vs threads backend):")
     for entry in result["selectivity_axis"]:
         lines.append(
-            f"    {entry['regime']:9s} (radius ~{entry['radius_mean']:.2f}): "
-            f"indexed/scan Q1 {entry['indexed_speedup_vs_scan']['q1']:.2f}x "
-            f"Q2 {entry['indexed_speedup_vs_scan']['q2']:.2f}x"
+            f"    {entry['regime']:9s} (radius ~{entry['radius_mean']:.2f}):"
         )
-        for route, stats in entry["routes"].items():
-            lines.append(
-                f"      {route:7s}: Q1 {stats['q1_qps']:,.0f} q/s | "
-                f"Q2 {stats['q2_qps']:,.0f} q/s | "
-                f"{stats['rows_touched_per_query']:,.0f} rows/q | "
-                f"dev {max(stats['q1_max_abs_deviation'], stats['q2_max_abs_deviation']):.1e}"
+        for label, stats in (("single", entry["single"]), ("threads", entry["threads"])):
+            line = (
+                f"      {label:7s}: Q1 {stats['q1_qps']:,.0f} q/s | "
+                f"Q2 {stats['q2_qps']:,.0f} q/s"
             )
+            if label == "threads":
+                line += (
+                    f" | {stats['rows_touched_per_query']:,.0f} rows/q | dev "
+                    f"{max(stats['q1_max_abs_deviation'], stats['q2_max_abs_deviation']):.1e}"
+                )
+            lines.append(line)
     return "\n".join(lines)
 
 
 def _check(result: dict, *, require_speedup: bool) -> list[str]:
-    """NaN / deviation / indexed-beats-scan gates (CI), plus the 2-worker win."""
+    """NaN / deviation gates (CI), plus the 2-worker win."""
     failures: list[str] = []
 
     def walk(node, path=""):
@@ -305,23 +285,13 @@ def _check(result: dict, *, require_speedup: bool) -> list[str]:
                 f"single-engine batch by {worst:.2e} (> {MAX_DEVIATION:.0e})"
             )
     for entry in result["selectivity_axis"]:
-        for route, stats in entry["routes"].items():
-            worst = max(
-                stats["q1_max_abs_deviation"], stats["q2_max_abs_deviation"]
+        stats = entry["threads"]
+        worst = max(stats["q1_max_abs_deviation"], stats["q2_max_abs_deviation"])
+        if worst > MAX_DEVIATION:
+            failures.append(
+                f"{entry['regime']}/threads deviates from the single-engine "
+                f"batch by {worst:.2e} (> {MAX_DEVIATION:.0e})"
             )
-            if worst > MAX_DEVIATION:
-                failures.append(
-                    f"{entry['regime']}/{route} deviates from the single-"
-                    f"engine batch by {worst:.2e} (> {MAX_DEVIATION:.0e})"
-                )
-        if entry["regime"] == "selective":
-            speedup = entry["indexed_speedup_vs_scan"]
-            if min(speedup["q1"], speedup["q2"]) <= 1.0:
-                failures.append(
-                    "the indexed sharded route did not beat the sharded scan "
-                    f"on the selective regime (Q1 {speedup['q1']:.2f}x, "
-                    f"Q2 {speedup['q2']:.2f}x)"
-                )
     if require_speedup:
         multi = [run for run in result["sharded"] if run["workers"] >= 2]
         best = max(
@@ -332,8 +302,8 @@ def _check(result: dict, *, require_speedup: bool) -> list[str]:
             default=0.0,
         )
         if result["setup"].get("cpu_count", 1) < 2:
-            # A worker pool cannot outrun an equally-blocked single-core
-            # kernel without a second core; record the numbers, skip the gate.
+            # A worker pool cannot outrun the single-shard kernel without a
+            # second core; record the numbers, skip the gate.
             print(
                 "NOTE: single-CPU host - parallel-speedup gate skipped "
                 f"(best 2+-worker speedup observed: {best:.2f}x)"
@@ -353,7 +323,7 @@ def _run_harness(require_speedup: bool = True, **params) -> dict:
 
 def _extract(result: dict) -> dict:
     runs = result["sharded"]
-    metrics = {
+    return {
         "single_q1_qps": result["single_engine"]["q1_qps"],
         "single_q2_qps": result["single_engine"]["q2_qps"],
         "best_sharded_q1_qps": max(run["q1_qps"] for run in runs),
@@ -365,15 +335,6 @@ def _extract(result: dict) -> dict:
             for run in runs
         ),
     }
-    for entry in result["selectivity_axis"]:
-        if entry["regime"] == "selective":
-            metrics["selective_indexed_q1_speedup"] = entry[
-                "indexed_speedup_vs_scan"
-            ]["q1"]
-            metrics["selective_indexed_q2_speedup"] = entry[
-                "indexed_speedup_vs_scan"
-            ]["q2"]
-    return metrics
 
 
 SPEC = BenchmarkSpec(
@@ -388,8 +349,6 @@ SPEC = BenchmarkSpec(
         "best_sharded_q2_qps": "higher",
         "best_q1_speedup": "info",
         "best_q2_speedup": "info",
-        "selective_indexed_q1_speedup": "higher",
-        "selective_indexed_q2_speedup": "higher",
         "max_deviation": "info",
     },
     extract=_extract,

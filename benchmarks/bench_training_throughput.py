@@ -13,8 +13,8 @@ scalability setup (R2, d = 2, N = 40,000):
   :class:`~repro.core.sgd.FusedTrainingKernel` (incremental ``Gamma``);
 * the **pipelined trainer** — ``StreamingTrainer.train`` pulling chunks
   through ``execute_q1_batch``, on the default one-shard engine and on
-  thread-pooled indexed engines at 1 and 2 workers (4 shards per worker;
-  every chunk fans out over the pool).
+  thread-pooled engines at 1 and 2 workers (one shard per worker; every
+  chunk fans out over the pool).
 
 The headline requirement asserted here: the bitwise-equivalent pipelined
 trainer reaches **>= 5x** the seed per-query loop's training
@@ -234,7 +234,7 @@ def run_training_throughput(
     sharded_stats: dict[str, dict] = {}
     for workers in worker_counts:
         with ExactQueryEngine(
-            dataset, backend="threads", max_workers=workers, route="indexed"
+            dataset, backend="threads", max_workers=workers
         ) as sharded:
             sharded_stats[f"workers={workers}"] = _pipelined(
                 _fresh_model(dimension), sharded, queries, batch_size=batch_size

@@ -49,30 +49,32 @@ them: the single-query methods (``predict_mean``,
   executor answers whole batches from mergeable per-query sufficient
   statistics (count/sum for Q1; center-referenced Gram moments for Q2,
   solved by blocked OLS in
-  :func:`~repro.dbms.executor.solve_q2_sufficient_statistics`).  With an
-  index, candidates come as contiguous runs of a cell-clustered row layout
-  (one vectorised :meth:`~repro.dbms.spatial_index.GridIndex
+  :func:`~repro.dbms.executor.solve_q2_sufficient_statistics`).  There is
+  one kernel: candidates come as contiguous runs of a cell-clustered row
+  layout (one vectorised :meth:`~repro.dbms.spatial_index.GridIndex
   .candidate_ranges_batch` pass over a fine batch grid); cells certifiably
   *inside* the query ball come as runs of consecutive cells, each summed
   from two rows of a compensated prefix table with zero row-level work,
   so batch cost scales with the selection boundary rather than its
-  volume.  Rank-deficient or near-singular subspaces fall back per query
-  to the dense SVD least-squares solver, so answers keep its minimum-norm
+  volume.  A wide batch runs in query chunks of bounded estimated
+  boundary rows, so its memory does not grow with the batch.
+  Rank-deficient or near-singular subspaces fall back per query to the
+  dense SVD least-squares solver, so answers keep its minimum-norm
   semantics.
 * **Sharded parallel execution** — an
   :class:`~repro.dbms.executor.ExactQueryEngine` built with
   ``num_shards``/``backend`` partitions the rows into contiguous shards
-  and fans the per-shard kernels out over a thread pool (GIL-releasing
-  NumPy kernels) or a process pool before merging the per-shard
-  statistics exactly.  Per-shard moments add, so blocked OLS
+  (one per worker on a pool, by default) and fans the per-shard kernel
+  out over a thread pool (GIL-releasing NumPy kernels) or a process pool
+  before merging the per-shard statistics exactly.  Per-shard moments add, so blocked OLS
   over shards equals single-shot OLS; ``benchmarks/bench_shard_scaling.py``
   records the scaling trajectory in ``BENCH_shard.json``.  Which pool wins
   depends on the host.  On a 1-CPU container threads won: a process pool
   ships queries and statistics across process boundaries with no second
   core to repay it.  On a 2-vCPU host (2 workers, 8 shards, 400-query
-  batches over 200k rows) processes beat threads by 4-20% on scan
-  batches and on wide or moderate indexed ones, and tie on selective or
-  16-query batches.
+  batches over 200k rows) processes beat threads by 4-20% on batches of
+  the since-deleted full-scan kernel and on wide or moderate indexed
+  ones, and tie on selective or 16-query batches.
 * **Incremental training state** — the prototypes live in one
   capacity-doubling dense ``(K, d + 1)`` matrix
   (:class:`~repro.core.prototypes.LocalModelParameters`) that SGD updates

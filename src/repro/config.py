@@ -16,6 +16,7 @@ place.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 from .exceptions import ConfigurationError
@@ -28,6 +29,23 @@ DEFAULT_CONVERGENCE_THRESHOLD = 0.01
 
 #: Default norm used for the dNN selection operator (Euclidean).
 DEFAULT_NORM_ORDER = 2.0
+
+
+def require_integer(
+    name: str,
+    value: object,
+    minimum: int,
+    error: type[Exception] = ConfigurationError,
+) -> None:
+    """Raise ``error`` unless ``value`` is an integer of at least ``minimum``.
+
+    Any :class:`numbers.Integral` passes, NumPy integers included; NaN,
+    fractions and integral floats such as ``2.0`` do not.  A plain
+    ``value < minimum`` check would let NaN through, since every comparison
+    with NaN is False.
+    """
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def vigilance_radius(coefficient: float, dimension: int) -> float:
@@ -146,19 +164,10 @@ class TrainingConfig:
                 "convergence_threshold must be positive, got "
                 f"{self.convergence_threshold!r}"
             )
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ConfigurationError(
-                f"max_steps must be >= 1 when provided, got {self.max_steps!r}"
-            )
-        if self.min_steps < 0:
-            raise ConfigurationError(
-                f"min_steps must be >= 0, got {self.min_steps!r}"
-            )
-        if self.convergence_window < 1:
-            raise ConfigurationError(
-                "convergence_window must be >= 1, got "
-                f"{self.convergence_window!r}"
-            )
+        if self.max_steps is not None:
+            require_integer("max_steps", self.max_steps, 1)
+        require_integer("min_steps", self.min_steps, 0)
+        require_integer("convergence_window", self.convergence_window, 1)
         if not self.learning_rate_scale > 0:
             raise ConfigurationError(
                 "learning_rate_scale must be positive, got "

@@ -12,10 +12,9 @@ during the training phase.  This subpackage provides that substrate:
 * :class:`~repro.dbms.executor.ExactQueryEngine` — the exact executor of
   Q1 (mean value) and Q2 (in-subspace OLS regression), with batched paths
   built on mergeable sufficient statistics over contiguous row shards (one
-  by default, run inline, or several on a thread or process pool); each
-  shard owns a lazily-built grid-indexed segmented pipeline next to its
-  scan kernel, and an engine runs the one its ``route`` names on every
-  shard and batch,
+  by default, run inline, or one per worker on a thread or process pool);
+  every shard runs one kernel, a lazily-built grid-indexed segmented
+  pipeline, over query chunks of bounded working set,
 * :class:`~repro.dbms.sqlfront.AnalyticsSession` — a small declarative SQL
   front end implementing the Q1/Q2 syntax sketched in the paper's appendix
   (with ``NORM p`` geometry clauses and multi-statement scripts),

@@ -64,6 +64,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..analysis.instrument import make_lock, note_access
+from ..config import require_integer
 from ..exceptions import (
     ConfigurationError,
     ServiceClosedError,
@@ -123,29 +124,15 @@ class ConcurrencyPolicy:
     cache_capacity: int = 4096
 
     def __post_init__(self) -> None:
-        if self.max_workers < 1:
-            raise ConfigurationError(
-                f"max_workers must be >= 1, got {self.max_workers}"
-            )
-        if self.max_pending_statements < 1:
-            raise ConfigurationError(
-                f"max_pending_statements must be >= 1, got "
-                f"{self.max_pending_statements}"
-            )
+        require_integer("max_workers", self.max_workers, 1)
+        require_integer("max_pending_statements", self.max_pending_statements, 1)
         if not self.coalesce_window_seconds >= 0.0:
             raise ConfigurationError(
                 f"coalesce_window_seconds must be >= 0, got "
                 f"{self.coalesce_window_seconds}"
             )
-        if self.max_batch_statements < 1:
-            raise ConfigurationError(
-                f"max_batch_statements must be >= 1, got "
-                f"{self.max_batch_statements}"
-            )
-        if self.cache_capacity < 0:
-            raise ConfigurationError(
-                f"cache_capacity must be >= 0, got {self.cache_capacity}"
-            )
+        require_integer("max_batch_statements", self.max_batch_statements, 1)
+        require_integer("cache_capacity", self.cache_capacity, 0)
 
 
 class AnswerCache:

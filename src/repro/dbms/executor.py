@@ -19,35 +19,30 @@ Shards
 ------
 The engine splits its rows into ``num_shards`` contiguous row shards (one
 by default), answers a batch shard by shard and merges the per-shard
-statistics.  Each shard owns two interchangeable kernels producing
-identical statistics:
-
-* an **indexed** segmented pipeline over the shard's own cell-clustered
-  fine grid (:class:`SegmentedBatchPipeline`, its grid built on the shard's
-  first indexed batch): candidate ranges from one vectorised grid pass
-  whose range ends are reads of a dense directory over the grid's cell
-  ids, cells certified inside the ball summed run by run from two rows of
-  a compensated prefix table (translated to the query center once per run
-  for Q2), and exact row tests only on boundary cells, one input column at
-  a time over a ``(d, n)`` column copy of the clustered inputs, and
-* a chunked full **scan** of the shard's rows
-  (:func:`q1_sufficient_statistics_scan` /
-  :func:`q2_sufficient_statistics_scan`).
+statistics.  Every shard runs one kernel, a segmented pipeline over the
+shard's own cell-clustered fine grid (:class:`SegmentedBatchPipeline`, its
+grid built on the shard's first batch): candidate ranges from one
+vectorised grid pass whose range ends are reads of a dense directory over
+the grid's cell ids, cells certified inside the ball summed run by run
+from two rows of a compensated prefix table (translated to the query
+center once per run for Q2), and exact row tests only on boundary cells,
+one input column at a time over a ``(d, n)`` column copy of the clustered
+inputs.
 
 Rank-deficient or ill-conditioned subspaces fall back to the dense
 per-query OLS over the query's selected rows, keeping the exact
 minimum-norm semantics.
 
-Routing
--------
-An engine runs the kernel it was built with on every shard and every
-batch: ``route="indexed"`` (default) or ``route="scan"``.  The indexed
-pipeline is the faster kernel on every workload served; the scan is the
-reference and baseline the tests and benchmarks measure it against, and
-wins only when the balls cover the data's domain at d >= 6, where its
-sequential row traffic beats the pipeline's gathers.  Both kernels select
-the same rows, and a query's answer does not depend on the rest of its
-batch.
+Chunks
+------
+A batch's working set grows with its boundary rows, nearly every row of
+the shard for balls that cover the domain at high ``d``.  So each shard
+splits its batch, before the range pass, into query chunks of about
+``_CHUNK_BOUNDARY_ROWS`` estimated boundary rows and runs them in turn:
+peak memory follows the chunk, not the batch, as in vectorised engines
+(Boncz et al., "MonetDB/X100", CIDR 2005).  A query's totals are segment
+sums over its own runs and rows, so the split changes no answer and no
+counter, and a query's answer does not depend on the rest of its batch.
 
 Backends
 --------
@@ -57,10 +52,13 @@ shards execute in parallel on multi-core hosts, and the shard slices (and
 their lazily-built indexes) are shared with the pool for free.
 ``"processes"`` runs them on a process pool (shard arrays are shipped once
 per worker at pool start-up, and each worker builds the shard grids it
-needs on first indexed use); it sidesteps the GIL entirely but pays
+needs on first use); it sidesteps the GIL entirely but pays
 serialisation of the per-batch query arrays and of the returned
-statistics.  A pool backend dispatches every batch, so a single query pays
-the pool round trip: single queries belong on the default serial engine.
+statistics.  A pool gets one shard per worker unless told otherwise: each
+row shard spans the whole domain and repeats the grid pass over it, so
+more shards than workers only add work.  A pool backend dispatches every
+batch, so a single query pays the pool round trip: single queries belong
+on the default serial engine.
 """
 
 from __future__ import annotations
@@ -76,6 +74,7 @@ import numpy as np
 
 from ..analysis.instrument import make_lock
 from ..baselines.ols import OLSRegressor
+from ..config import require_integer
 from ..data.synthetic import SyntheticDataset
 from ..exceptions import (
     ConfigurationError,
@@ -83,7 +82,6 @@ from ..exceptions import (
     InternalInvariantError,
     StorageError,
 )
-from ..queries.geometry import lp_distance_matrix
 from ..queries.query import Query, QueryAnswer
 from .spatial_index import (
     GridIndex,
@@ -99,21 +97,16 @@ __all__ = [
     "SegmentedBatchPipeline",
     "moment_column_count",
     "moment_products",
-    "q1_sufficient_statistics_scan",
-    "q2_sufficient_statistics_scan",
     "shard_bounds",
     "solve_q2_sufficient_statistics",
 ]
 
-#: Cap on the number of float64 elements of one ``(chunk, n)`` distance
-#: matrix in the scan kernels (:func:`q1_sufficient_statistics_scan`,
-#: :func:`q2_sufficient_statistics_scan`), which the engine runs on every
-#: shard routed to the scan.  This is a cache-blocking parameter as much as
-#: a memory cap: 256k elements keeps the per-chunk distance matrix at
-#: ~2 MiB (and the broadcasted difference tensor behind it at a few MiB),
-#: which measures ~2x faster on large scans than the previous 64 MiB
-#: working sets that streamed through DRAM.
-_BATCH_SCAN_ELEMENTS = 262_144
+#: Estimated boundary rows of one query chunk of a shard's batch (see
+#: :meth:`SegmentedBatchPipeline.segment_statistics`).  A boundary row costs
+#: its ``d`` deltas and, for Q2, its moment products, so at ``d = 8`` a
+#: chunk's working set stays near 100 MiB however wide its balls are;
+#: chunks below this size buy no memory and pay per-chunk NumPy calls.
+_CHUNK_BOUNDARY_ROWS = 1 << 18
 
 #: Floor of a query's centred Gram spectrum, relative to the uncentred
 #: second-moment scale ``trace sum z z^T`` (``z = x - c``: the inputs about
@@ -139,12 +132,6 @@ _BATCH_SCAN_ELEMENTS = 262_144
 #: near-collinear layouts).
 _GRAM_CONDITION_RTOL = 1e-3
 
-#: Shards per worker used when a pool backend is given no ``num_shards``.
-#: More shards than workers keeps the pool busy when shard runtimes are
-#: uneven and shrinks each shard's working set (cache blocking).
-_SHARDS_PER_WORKER = 4
-
-_ROUTES = ("indexed", "scan")
 _BACKENDS = ("serial", "threads", "processes")
 
 
@@ -194,9 +181,6 @@ def moment_products(deltas: np.ndarray, outputs: np.ndarray) -> np.ndarray:
     the ``N`` rows' outputs.  Returns the ``(width, N)`` moments, one
     column per pair, so that per-query sums reduce along the last axis.
     """
-    # Contiguous rows keep every per-dimension factor a unit-stride vector
-    # (a no-op for the pipeline's own deltas).
-    deltas = np.ascontiguousarray(deltas, dtype=float)
     dimension, rows = deltas.shape
     products = np.empty((moment_column_count(dimension), rows), dtype=float)
     products[:dimension] = deltas
@@ -208,82 +192,6 @@ def moment_products(deltas: np.ndarray, outputs: np.ndarray) -> np.ndarray:
         np.multiply(deltas[a], deltas[a:], out=products[row : row + dimension - a])
         row += dimension - a
     return products
-
-
-def q1_sufficient_statistics_scan(
-    inputs: np.ndarray,
-    outputs: np.ndarray,
-    centers: np.ndarray,
-    radii: np.ndarray,
-    p: float = 2.0,
-    *,
-    element_budget: int = _BATCH_SCAN_ELEMENTS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Q1 sufficient statistics ``(counts, sums)`` of a query batch by scan.
-
-    The whole batch is answered with chunked ``(chunk, n)`` distance-matrix
-    arithmetic; chunks bound peak memory to ``O(element_budget)`` floats.
-    Statistics over disjoint row partitions add up exactly, so shards can
-    call this on their slice and merge.
-    """
-    rows = inputs.shape[0]
-    count = centers.shape[0]
-    counts = np.zeros(count, dtype=np.int64)
-    sums = np.zeros(count, dtype=float)
-    chunk = max(element_budget // max(rows, 1), 1)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        distances = lp_distance_matrix(centers[start:stop], inputs, p=p)
-        masks = distances <= radii[start:stop, np.newaxis]
-        counts[start:stop] = masks.sum(axis=1)
-        # A fixed-order sum per query row: a matrix product would round
-        # differently with the chunk's size, so an answer would depend on
-        # the rest of its batch.
-        sums[start:stop] = np.where(masks, outputs, 0.0).sum(axis=1)
-    return counts, sums
-
-
-def q2_sufficient_statistics_scan(
-    inputs: np.ndarray,
-    outputs: np.ndarray,
-    centers: np.ndarray,
-    radii: np.ndarray,
-    p: float = 2.0,
-    *,
-    element_budget: int = _BATCH_SCAN_ELEMENTS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Q2 sufficient statistics ``(counts, moments)`` of a batch by scan.
-
-    ``moments`` has one :func:`moment_products` column-sum row per query
-    (center-referenced, see there); like the Q1 variant it merges across
-    disjoint row partitions by plain addition (the "blocked OLS"
-    decomposition).  The chunk size is divided by the moment width so the
-    selected-pair products stay within the element budget even for fully
-    unselective batches.
-    """
-    rows = inputs.shape[0]
-    count = centers.shape[0]
-    dimension = inputs.shape[1] if inputs.ndim == 2 else 1
-    width = moment_column_count(dimension)
-    counts = np.zeros(count, dtype=np.int64)
-    moments = np.zeros((count, width), dtype=float)
-    chunk = max(element_budget // max(rows * width, 1), 1)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        distances = lp_distance_matrix(centers[start:stop], inputs, p=p)
-        masks = distances <= radii[start:stop, np.newaxis]
-        chunk_counts = masks.sum(axis=1)
-        counts[start:stop] = chunk_counts
-        query_rel, row_rel = np.nonzero(masks)
-        if query_rel.size:
-            deltas = inputs[row_rel] - centers[start:stop][query_rel]
-            products = moment_products(deltas.T, outputs[row_rel])
-            nonempty = chunk_counts > 0
-            offsets = (np.cumsum(chunk_counts) - chunk_counts)[nonempty]
-            moments[start:stop][nonempty] = np.add.reduceat(
-                products, offsets, axis=1
-            ).T
-    return counts, moments
 
 
 def _compensated_prefix_table(values: np.ndarray) -> np.ndarray:
@@ -583,7 +491,7 @@ def _group_by_norm_order(queries: Sequence[Query]) -> list[tuple[float, np.ndarr
 
 #: NumPy adds a row of fewer than this many terms left to right and a
 #: longer one pairwise (``.sum(axis=1)``, as in
-#: :func:`~repro.queries.geometry.lp_distance_matrix`).
+#: :func:`~repro.queries.geometry.pairwise_lp_distance`).
 _PAIRWISE_SUM_TERMS = 8
 
 
@@ -591,14 +499,14 @@ def _lp_norms(deltas: np.ndarray, p: float) -> np.ndarray:
     """Lp norms of the columns of the ``(d, N)`` differences ``deltas``.
 
     The same elementwise formulation, and the same summation order, as the
-    row sums of :func:`~repro.queries.geometry.lp_distance_matrix` behind
-    the scan kernels, so every route selects bit-identical rows.  Below
+    row sums of :func:`~repro.queries.geometry.pairwise_lp_distance` behind
+    the brute-force oracle (:class:`~repro.testing.oracle.ExactOracle`), so
+    the engine selects the oracle's rows bit for bit, ulp ties included.  Below
     ``_PAIRWISE_SUM_TERMS`` dimensions the ``d`` rows of terms are added
     left to right, as NumPy adds a short row; wider terms are summed by
     that same ``.sum(axis=1)`` over a row-major copy, since NumPy sums
     longer rows pairwise.
     """
-    deltas = np.ascontiguousarray(deltas, dtype=float)
     if math.isinf(p):
         return np.abs(deltas).max(axis=0)
     terms = deltas * deltas if p == 2.0 else np.abs(deltas)
@@ -628,7 +536,7 @@ def _clustered_columns(inputs: np.ndarray, order: np.ndarray) -> np.ndarray:
 class SegmentedBatchPipeline:
     """Segmented candidate-range + inner-run batch pipeline of one row set.
 
-    The indexed batch paths reduce a query batch to per-query sufficient
+    The engine's one kernel reduces a query batch to per-query sufficient
     statistics with one vectorised candidate-range pass over a fine,
     cell-clustered grid.  Cells certified fully inside a ball arrive as
     *runs* of consecutive occupied cells of one grid line; each run sums
@@ -639,8 +547,7 @@ class SegmentedBatchPipeline:
     contiguous row set — the fine batch grid, the cell-clustered row
     copies, and the Q1 and Q2 prefix tables — one pipeline per shard of
     :class:`ExactQueryEngine` (the whole table when there is one shard).
-    Statistics of disjoint row sets merge by plain addition, exactly like
-    the scan kernels'.
+    Statistics of disjoint row sets merge by plain addition.
 
     The cell-clustered inputs are kept column-wise, as one C-contiguous
     ``(d, n)`` copy (the decomposition storage model of Copeland &
@@ -667,11 +574,6 @@ class SegmentedBatchPipeline:
         self._prefix_tables: dict[str, np.ndarray] = {}
 
     @property
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(inputs, outputs)`` of the row set."""
-        return self._inputs, self._outputs
-
-    @property
     def size(self) -> int:
         return int(self._inputs.shape[0])
 
@@ -681,7 +583,7 @@ class SegmentedBatchPipeline:
 
     @property
     def grid(self) -> GridIndex:
-        """The fine batch grid (lazy: built on the first indexed query).
+        """The fine batch grid (lazy: built on the first query).
 
         The pipeline pays no per-cell Python cost, so it uses a fine grid (a
         few rows per cell, see
@@ -790,14 +692,60 @@ class SegmentedBatchPipeline:
         (:func:`_lp_norms`) are compared with the radii, and the selected
         columns are compressed once.  Q1 then reduces the selected outputs
         and Q2 the ``(width, N)`` :func:`moment_products` of the selected
-        deltas.  A query's totals are segment reductions over its own runs
-        and rows, so they do not depend on the rest of its batch, and there
-        is no per-query Python loop anywhere.
+        deltas.  There is no per-query Python loop anywhere.
+
+        The batch runs in query chunks of bounded estimated work (see
+        :meth:`_chunk_bounds`), one range pass each.  A query's totals are
+        segment reductions over its own runs and rows, so neither the
+        chunks nor the rest of its batch change them.
 
         Returns ``(counts, sums, scanned)`` where ``sums`` is ``(m, 1)``
         output sums (``kind="q1"``) or the ``(m, width)``
         :func:`moment_products` column sums (``kind="q2"``).
         """
+        bounds = self._chunk_bounds(centers, radii)
+        parts = [
+            self._chunk_statistics(centers[start:stop], radii[start:stop], p, kind)
+            for start, stop in zip(bounds[:-1], bounds[1:])
+        ]
+        if len(parts) == 1:
+            return parts[0]
+        counts, sums, scanned = zip(*parts)
+        return np.concatenate(counts), np.concatenate(sums), sum(scanned)
+
+    def _chunk_bounds(self, centers: np.ndarray, radii: np.ndarray) -> list[int]:
+        """Query offsets ``[0, ..., m]`` cutting a batch into bounded chunks.
+
+        A query's boundary rows are estimated, before any range is built,
+        as its :meth:`GridIndex.blocks_per_query` times two boundary cells
+        per block times the grid's mean rows per cell.  A new chunk starts
+        where the running sum of the estimates crosses a multiple of
+        ``_CHUNK_BOUNDARY_ROWS``.  The per-query estimate is skipped when a
+        bound over the widest ball fits the whole batch, as it does for the
+        small batches that serving coalesces.
+        """
+        m = centers.shape[0]
+        if m <= 1:
+            return [0, m]
+        grid = self.grid
+        cells = grid.cells_per_dimension
+        block_rows = 2.0 * grid.size / cells**grid.dimension
+        # The widest ball's box has at most this many blocks; Python floats
+        # keep the check to a few microseconds.
+        span = 2.0 * float(radii.max())
+        bound = m * block_rows
+        for width in grid.cell_width[:-1].tolist():
+            bound *= min(cells, span // width + 2.0)
+        if bound <= _CHUNK_BOUNDARY_ROWS:
+            return [0, m]
+        estimates = grid.blocks_per_query(centers, radii) * block_rows
+        chunks = (estimates.cumsum() - estimates) // _CHUNK_BOUNDARY_ROWS
+        return [0, *(np.flatnonzero(np.diff(chunks)) + 1).tolist(), m]
+
+    def _chunk_statistics(
+        self, centers: np.ndarray, radii: np.ndarray, p: float, kind: str
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """:meth:`segment_statistics` of one chunk, in one range pass."""
         m = centers.shape[0]
         width = 1 if kind == "q1" else moment_column_count(self.dimension)
         counts = np.zeros(m, dtype=np.int64)
@@ -877,7 +825,6 @@ class SegmentedBatchPipeline:
         return counts, sums, scanned
 
 
-
 # --------------------------------------------------------------------------- #
 # shards
 # --------------------------------------------------------------------------- #
@@ -902,36 +849,8 @@ def _shard_pipelines(
     ]
 
 
-def _shard_statistics(
-    pipeline: SegmentedBatchPipeline,
-    route: str,
-    kind: str,
-    centers: np.ndarray,
-    radii: np.ndarray,
-    p: float,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """One shard's ``(counts, sums, rows scanned)`` by its route's kernel.
-
-    ``sums`` is the ``(m,)`` output sums (``kind="q1"``) or the
-    ``(m, width)`` :func:`moment_products` column sums (``kind="q2"``);
-    both kernels produce the same statistics, which merge across shards by
-    addition.
-    """
-    if route == "indexed":
-        counts, sums, scanned = pipeline.segment_statistics(
-            centers, radii, p, kind=kind
-        )
-        return counts, sums[:, 0] if kind == "q1" else sums, scanned
-    inputs, outputs = pipeline.rows
-    kernel = (
-        q1_sufficient_statistics_scan if kind == "q1" else q2_sufficient_statistics_scan
-    )
-    counts, sums = kernel(inputs, outputs, centers, radii, p=p)
-    return counts, sums, centers.shape[0] * inputs.shape[0]
-
-
 #: The shard pipelines of a process-pool worker, installed once at pool
-#: start-up; each builds its grid on the worker's first indexed batch.
+#: start-up; each builds its grid on the worker's first batch.
 _WORKER_PIPELINES: list[SegmentedBatchPipeline] = []
 
 
@@ -942,8 +861,8 @@ def _process_worker_init(
 
 
 def _process_worker_statistics(args: tuple) -> tuple[np.ndarray, np.ndarray, int]:
-    index, *task = args
-    return _shard_statistics(_WORKER_PIPELINES[index], *task)
+    index, centers, radii, p, kind = args
+    return _WORKER_PIPELINES[index].segment_statistics(centers, radii, p, kind=kind)
 
 
 class ExactQueryEngine:
@@ -954,23 +873,21 @@ class ExactQueryEngine:
     dataset:
         The dataset to query.
     num_shards:
-        Number of contiguous row shards, capped at the row count so that no
-        shard is empty.  Defaults to one shard on the serial backend and to
-        ``4 * max_workers`` on a pool backend (shard working sets stay
-        cache-friendly and the pool stays saturated).
+        Number of contiguous row shards, an integer >= 1, capped at the row
+        count so that no shard is empty.  Defaults to one shard on the
+        serial backend and to ``max_workers`` on a pool backend: each shard
+        repeats the grid pass over the whole domain, so more shards than
+        workers only add work.
     backend:
         ``"serial"`` (default), ``"threads"`` or ``"processes"``.
     max_workers:
-        Pool width; defaults to the machine's CPU count.
-    route:
-        ``"indexed"`` (default) or ``"scan"``: the kernel every shard runs
-        on every batch.  Both routes return identical answers.
+        Pool width, an integer >= 1; defaults to the machine's CPU count.
 
     A dataset with a non-finite input or output is refused with
     :class:`~repro.exceptions.StorageError` naming its first such row: exact
     answers over NaN or infinite values are undefined.
 
-    The module docstring describes shards, routes and backends.  Every
+    The module docstring describes shards, chunks and backends.  Every
     configuration answers through the batch entry points
     (:meth:`execute_q1_batch` / :meth:`execute_q2_batch`); the single-query
     calls are batches of one.  :meth:`from_store` builds the engine over a
@@ -986,28 +903,25 @@ class ExactQueryEngine:
         num_shards: int | None = None,
         backend: str = "serial",
         max_workers: int | None = None,
-        route: str = "indexed",
     ) -> None:
         if backend not in _BACKENDS:
             raise ConfigurationError(
                 f"backend must be one of {_BACKENDS}, got {backend!r}"
             )
-        if route not in _ROUTES:
-            raise ConfigurationError(f"route must be one of {_ROUTES}, got {route!r}")
+        if num_shards is not None:
+            require_integer("num_shards", num_shards, 1)
+        if max_workers is not None:
+            require_integer("max_workers", max_workers, 1)
         require_finite_rows(
             dataset.inputs, dataset.outputs, f"dataset {dataset.name!r}"
         )
-        workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
-        self._max_workers = max(int(workers), 1)
+        self._max_workers = int(max_workers or os.cpu_count() or 1)
         if num_shards is None:
-            num_shards = (
-                1 if backend == "serial" else self._max_workers * _SHARDS_PER_WORKER
-            )
+            num_shards = 1 if backend == "serial" else self._max_workers
         self._dataset = dataset
         self._inputs = dataset.inputs
         self._outputs = dataset.outputs
         self._backend = backend
-        self._route = route
         # A dataset holds at least one row, so capping the shard count at
         # the row count leaves no shard empty.
         self._bounds = shard_bounds(dataset.size, min(int(num_shards), dataset.size))
@@ -1052,11 +966,6 @@ class ExactQueryEngine:
     @property
     def max_workers(self) -> int:
         return self._max_workers
-
-    @property
-    def route(self) -> str:
-        """The kernel every shard runs: ``"indexed"`` or ``"scan"``."""
-        return self._route
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -1133,12 +1042,12 @@ class ExactQueryEngine:
     ) -> list[QueryAnswer | None]:
         """Execute many exact Q1 queries in one pass, amortising overheads.
 
-        Each shard reduces the whole batch to per-query ``(count, sum)``
-        with its route's kernel — on an indexed shard one vectorised
-        candidate-range generation, one exact Lp membership test over all
-        candidates and per-query segment sums — and the shards' statistics
-        add up.  There is no per-query Python loop, and a query's answer
-        does not depend on the rest of its batch.
+        Each shard reduces the batch to per-query ``(count, sum)``, chunk
+        by chunk: one vectorised candidate-range generation, one exact Lp
+        membership test over the chunk's boundary candidates and per-query
+        segment sums — and the shards' statistics add up.  There is no
+        per-query Python loop, and a query's answer does not depend on the
+        rest of its batch.
 
         Parameters
         ----------
@@ -1279,20 +1188,20 @@ class ExactQueryEngine:
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """Run one (single-norm) batch on every shard and merge exactly.
 
-        Returns ``(counts, sums, scanned)`` as :func:`_shard_statistics`
-        does, summed over the shards.
+        Returns ``(counts, sums, scanned)`` as
+        :meth:`SegmentedBatchPipeline.segment_statistics` does, summed over
+        the shards, with Q1's ``sums`` flattened to ``(m,)``.
         """
-        route = self._route
         if self._backend == "processes":
             tasks = [
-                (index, route, kind, centers, radii, p)
+                (index, centers, radii, p, kind)
                 for index in range(len(self._pipelines))
             ]
             parts = list(self._ensure_pool().map(_process_worker_statistics, tasks))
         else:
 
             def shard(pipeline: SegmentedBatchPipeline) -> tuple:
-                return _shard_statistics(pipeline, route, kind, centers, radii, p)
+                return pipeline.segment_statistics(centers, radii, p, kind=kind)
 
             run = map if self._backend == "serial" else self._ensure_pool().map
             parts = list(run(shard, self._pipelines))
@@ -1301,28 +1210,19 @@ class ExactQueryEngine:
             counts = counts + shard_counts
             sums = sums + shard_sums
             scanned += shard_scanned
-        return counts, sums, scanned
+        return counts, sums[:, 0] if kind == "q1" else sums, scanned
 
     def _select(self, query: Query) -> tuple[np.ndarray, int]:
         """``(ascending selected row ids, rows scanned)`` of one query.
 
-        Each shard selects through the engine's kernel: the grid's candidate
-        ranges and exact Lp test on the indexed route, the Lp test over all
-        the shard's rows on the scan.  Both compute the distances with the
-        same elementwise formulation, so the selection does not depend on
-        the route.
+        Each shard selects through its grid's candidate ranges and the
+        exact Lp test, the same test the batch kernel runs.
         """
         center, radius, p = query.center, query.radius, query.norm_order
         selections = []
         scanned = 0
         for start, pipeline in zip(self._bounds, self._pipelines):
-            if self._route == "indexed":
-                rows, touched = pipeline.select_rows(center, radius, p)
-            else:
-                inputs = pipeline.rows[0]
-                deltas = inputs.T - center[:, np.newaxis]
-                rows = np.flatnonzero(_lp_norms(deltas, p) <= radius)
-                touched = inputs.shape[0]
+            rows, touched = pipeline.select_rows(center, radius, p)
             selections.append(rows + start)
             scanned += touched
         return np.concatenate(selections), scanned

@@ -57,6 +57,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 import numpy as np
 
 from ..analysis.instrument import make_lock, make_rlock, note_access
+from ..config import require_integer
 from ..core.model import LLMModel
 from ..core.persistence import load_model, save_model
 from ..core.training import StreamingTrainer
@@ -133,10 +134,8 @@ class DriftPolicy:
                 f"fallback_rate_threshold must be in (0, 1], got "
                 f"{self.fallback_rate_threshold}"
             )
-        if self.min_window_statements < 1 or self.window_buckets < 1:
-            raise ConfigurationError(
-                "min_window_statements and window_buckets must be >= 1"
-            )
+        require_integer("min_window_statements", self.min_window_statements, 1)
+        require_integer("window_buckets", self.window_buckets, 1)
         if not (self.cooldown_seconds >= 0.0 and self.max_backoff_seconds >= 0.0):
             raise ConfigurationError(
                 "cooldown_seconds and max_backoff_seconds must be >= 0"
@@ -145,18 +144,13 @@ class DriftPolicy:
             raise ConfigurationError(
                 f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}"
             )
-        if self.min_retrain_queries < 1 or self.probe_size < 1:
-            raise ConfigurationError(
-                "min_retrain_queries and probe_size must be >= 1"
-            )
+        require_integer("min_retrain_queries", self.min_retrain_queries, 1)
+        require_integer("probe_size", self.probe_size, 1)
         if not (
             self.rollback_fallback_factor >= 1.0 and self.rollback_rmse_factor >= 1.0
         ):
             raise ConfigurationError("rollback factors must be >= 1")
-        if self.keep_versions < 1:
-            raise ConfigurationError(
-                f"keep_versions must be >= 1, got {self.keep_versions}"
-            )
+        require_integer("keep_versions", self.keep_versions, 1)
 
 
 class ModelVersionStore:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..analysis.instrument import make_lock
+from ..config import require_integer
 from ..exceptions import ConfigurationError
 
 __all__ = ["DegradationPolicy", "CircuitBreaker"]
@@ -48,18 +49,18 @@ class DegradationPolicy:
     breaker_reset_seconds: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
+        require_integer("max_attempts", self.max_attempts, 1)
         if not (self.backoff_seconds >= 0.0 and self.backoff_multiplier >= 1.0):
             raise ConfigurationError(
                 "backoff_seconds must be >= 0 and backoff_multiplier >= 1"
             )
-        if self.breaker_failure_threshold < 1 or not self.breaker_reset_seconds >= 0.0:
+        require_integer(
+            "breaker_failure_threshold", self.breaker_failure_threshold, 1
+        )
+        if not self.breaker_reset_seconds >= 0.0:
             raise ConfigurationError(
-                "breaker_failure_threshold must be >= 1 and "
-                "breaker_reset_seconds >= 0"
+                "breaker_reset_seconds must be >= 0, got "
+                f"{self.breaker_reset_seconds}"
             )
 
 

@@ -273,6 +273,27 @@ class GridIndex:
         """Ranges ``[start, end)`` of :attr:`cell_flats` over cells ``first..last``."""
         return self._cell_directory.take(first), self._cell_directory.take(last + 1)
 
+    def _box_cells(
+        self, centers: np.ndarray, radii: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each ball's bounding-box corner cells and its inflated radius."""
+        reach = radii * (1.0 + _CANDIDATE_MARGIN)
+        column = reach[:, np.newaxis]
+        corners = self._cell_coordinates(
+            np.concatenate([centers - column, centers + column])
+        )
+        m = centers.shape[0]
+        return corners[:m], corners[m:], reach
+
+    def blocks_per_query(self, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        """Blocks of each ball's bounding box, before any pruning.
+
+        A block is one combination of leading-dimension cells: one
+        candidate run along the last dimension.
+        """
+        low, high, _ = self._box_cells(centers, radii)
+        return (high[:, :-1] - low[:, :-1] + 1).prod(axis=1)
+
     def candidate_ranges_batch(
         self, centers: np.ndarray, radii: np.ndarray, p: float = 2.0
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -359,14 +380,7 @@ class GridIndex:
         if m == 0:
             return empty, empty, empty, empty, empty, empty
 
-        # Bounding-box cells of every ball: low corners in rows [0, m), high
-        # corners in rows [m, 2m) of one coordinate pass.
-        reach = radii * (1.0 + _CANDIDATE_MARGIN)
-        column = reach[:, np.newaxis]
-        corners = self._cell_coordinates(
-            np.concatenate([centers - column, centers + column])
-        )
-        lo, hi = corners[:m], corners[m:]
+        lo, hi, reach = self._box_cells(centers, radii)
 
         # Enumerate every combination of leading-dimension cells (ragged
         # cross product across queries) with the repeat/mixed-radix idiom.

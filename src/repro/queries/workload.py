@@ -16,6 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ..config import require_integer
 from ..exceptions import WorkloadError
 from .query import Query
 
@@ -84,8 +85,7 @@ class WorkloadSpec:
     norm_order: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise WorkloadError(f"dimension must be >= 1, got {self.dimension}")
+        require_integer("dimension", self.dimension, 1, WorkloadError)
         low = np.broadcast_to(np.asarray(self.center_low, dtype=float), (self.dimension,))
         high = np.broadcast_to(np.asarray(self.center_high, dtype=float), (self.dimension,))
         if not np.all(low < high):

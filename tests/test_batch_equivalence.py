@@ -273,13 +273,6 @@ class TestModelBatchAPI:
             trained.predict_mean_batch(np.array([[0.5, 0.5]]))
 
 
-def _whole_table_scan(dataset):
-    """One serial shard over the whole table: the chunked full-scan kernel."""
-    from repro.dbms.executor import ExactQueryEngine
-
-    return ExactQueryEngine(dataset, route="scan")
-
-
 class TestExecutorQ2BatchEquivalence:
     """``execute_q2_batch`` vs the full-scan ``lstsq`` oracle."""
 
@@ -319,12 +312,11 @@ class TestExecutorQ2BatchEquivalence:
                 )
         return dataset, queries
 
-    @pytest.mark.parametrize("indexed", [True, False])
-    def test_batch_matches_per_query(self, setup, indexed):
+    def test_batch_matches_per_query(self, setup):
         from repro.dbms.executor import ExactQueryEngine
 
         dataset, queries = setup
-        engine = ExactQueryEngine(dataset) if indexed else _whole_table_scan(dataset)
+        engine = ExactQueryEngine(dataset)
         answers = engine.execute_q2_batch(queries, on_empty="null")
         oracle = ExactOracle(dataset.inputs, dataset.outputs)
         for query, answer in zip(queries, answers):
@@ -348,23 +340,6 @@ class TestExecutorQ2BatchEquivalence:
             )
             np.testing.assert_allclose(
                 answer.r_squared, oracle.r_squared(query), rtol=1e-9, atol=1e-9
-            )
-
-    def test_indexed_and_scan_batches_agree(self, setup):
-        from repro.dbms.executor import ExactQueryEngine
-
-        dataset, queries = setup
-        indexed = ExactQueryEngine(dataset)
-        scan = _whole_table_scan(dataset)
-        left = indexed.execute_q2_batch(queries, on_empty="null")
-        right = scan.execute_q2_batch(queries, on_empty="null")
-        for a, b in zip(left, right):
-            if a is None:
-                assert b is None
-                continue
-            assert a.cardinality == b.cardinality
-            np.testing.assert_allclose(
-                a.coefficients, b.coefficients, rtol=1e-9, atol=TOLERANCE
             )
 
     def test_on_empty_raise(self, setup):
@@ -414,36 +389,15 @@ class TestExecutorBatchEquivalence:
             assert answer.mean == pytest.approx(expected, abs=1e-12)
             assert answer.cardinality == oracle.count(query)
 
-    def test_batch_matches_single_full_scan(self, engine):
-        dataset, _ = engine
-        scan = _whole_table_scan(dataset)
+    def test_batch_matches_single_across_norms(self, engine):
+        dataset, indexed = engine
         queries = [
             Query(center=np.array([0.5, 0.5]), radius=0.2),
             Query(center=np.array([0.2, 0.8]), radius=0.3, norm_order=1.0),
             Query(center=np.array([0.7, 0.3]), radius=0.25, norm_order=np.inf),
         ]
-        answers = scan.execute_q1_batch(queries)
+        answers = indexed.execute_q1_batch(queries)
         oracle = ExactOracle(dataset.inputs, dataset.outputs)
         for query, answer in zip(queries, answers):
             assert answer.mean == pytest.approx(oracle.mean(query), rel=1e-12)
             assert answer.cardinality == oracle.count(query)
-
-    def test_full_scan_sub_chunking(self, engine):
-        # A tiny element budget processes the batch in several (chunk, n)
-        # slices of the scan kernels; the statistics must be unchanged.
-        from repro.dbms.executor import (
-            q1_sufficient_statistics_scan,
-            q2_sufficient_statistics_scan,
-        )
-
-        dataset, _ = engine
-        queries = _mixed_queries(2, count=12, seed=67)
-        centers = np.array([query.center for query in queries])
-        radii = np.array([query.radius for query in queries])
-        for kernel in (q1_sufficient_statistics_scan, q2_sufficient_statistics_scan):
-            counts, sums = kernel(dataset.inputs, dataset.outputs, centers, radii)
-            chunked_counts, chunked_sums = kernel(
-                dataset.inputs, dataset.outputs, centers, radii, element_budget=1
-            )
-            np.testing.assert_array_equal(chunked_counts, counts)
-            np.testing.assert_allclose(chunked_sums, sums, rtol=1e-12, atol=1e-12)

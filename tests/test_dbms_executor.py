@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,13 +38,13 @@ class TestSelection:
         assert inputs.shape[0] == expected == outputs.shape[0]
 
     def test_indexed_and_unindexed_agree(self, linear_dataset):
+        # The unindexed reference is the brute-force oracle's full scan.
         indexed = ExactQueryEngine(linear_dataset)
-        scan = ExactQueryEngine(linear_dataset, route="scan")
+        oracle = ExactOracle(linear_dataset.inputs, linear_dataset.outputs)
         query = Query(center=np.array([0.5, 0.5]), radius=0.15)
         a = indexed.execute_q1(query)
-        b = scan.execute_q1(query)
-        assert a.mean == pytest.approx(b.mean)
-        assert a.cardinality == b.cardinality
+        assert a.mean == pytest.approx(oracle.mean(query))
+        assert a.cardinality == oracle.count(query)
 
     def test_cardinality(self, engine):
         query = Query(center=np.array([0.5, 0.5]), radius=0.1)
@@ -213,3 +215,43 @@ class TestNonFiniteRows:
             store.catalog.register("bad", dimension=2, row_count=200)
             with pytest.raises(StorageError, match=f"row {self.ROW} "):
                 ExactQueryEngine.from_store(store, "bad")
+
+
+class TestBoundedWorkingSet:
+    def test_peak_memory_does_not_grow_with_the_batch(self):
+        """Doubling a batch of wide balls leaves its peak memory in place.
+
+        At d = 8 a ball of radius ~0.8 makes nearly every row a boundary
+        row.  Run as one piece, a batch of 120 such queries peaks at about
+        twice a batch of 60 (311 vs 149 MiB); in query chunks of bounded
+        estimated boundary rows both peak near 55 MiB.
+        """
+        rng = np.random.default_rng(8)
+        inputs = rng.uniform(0.0, 1.0, size=(20_000, 8))
+        dataset = SyntheticDataset(
+            inputs=inputs,
+            outputs=inputs @ rng.normal(size=8),
+            name="wide8",
+            domain=(0.0, 1.0),
+        )
+        queries = [
+            Query(
+                center=rng.uniform(0.0, 1.0, 8),
+                radius=float(max(rng.normal(0.8, 0.08), 0.0)),
+            )
+            for _ in range(120)
+        ]
+        engine = ExactQueryEngine(dataset)
+        for kind in ("execute_q1_batch", "execute_q2_batch"):
+            execute = getattr(engine, kind)
+            # Warm up: the grid, the clustered rows and the prefix table.
+            execute(queries[:4])
+            peaks = []
+            for count in (60, 120):
+                tracemalloc.start()
+                try:
+                    execute(queries[:count])
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] <= 1.25 * peaks[0], (kind, peaks)

@@ -2,7 +2,7 @@
 
 The load-bearing property is *exact mergeability*: per-shard sufficient
 statistics summed across shards must answer Q1/Q2 identically (to summation
-rounding) to one shard, across dimensions, norm orders, backends, routes,
+rounding) to one shard, across dimensions, norm orders, backends,
 empty subspaces, rank-deficient selections, and more shards than rows.
 """
 
@@ -15,8 +15,7 @@ from repro.baselines.ols import OLSRegressor
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import (
     ExactQueryEngine,
-    q1_sufficient_statistics_scan,
-    q2_sufficient_statistics_scan,
+    SegmentedBatchPipeline,
     shard_bounds,
     solve_q2_sufficient_statistics,
 )
@@ -135,9 +134,7 @@ class TestShardedEquivalence:
     def test_q2_matches_per_query_engine(self, dimension):
         dataset = _dataset(dimension)
         queries = _mixed_queries(dataset)
-        with ExactQueryEngine(
-            dataset, num_shards=3, backend="serial", route="indexed"
-        ) as engine:
+        with ExactQueryEngine(dataset, num_shards=3, backend="serial") as engine:
             answers = engine.execute_q2_batch(queries, on_empty="null")
         _assert_q2_matches_oracle(answers, queries, dataset)
 
@@ -145,9 +142,7 @@ class TestShardedEquivalence:
         dataset = _dataset(dimension)
         oracle = ExactOracle(dataset.inputs, dataset.outputs)
         queries = _mixed_queries(dataset)
-        with ExactQueryEngine(
-            dataset, num_shards=3, backend="serial", route="indexed"
-        ) as engine:
+        with ExactQueryEngine(dataset, num_shards=3, backend="serial") as engine:
             answers = engine.execute_q1_batch(queries, on_empty="null")
         for query, answer in zip(queries, answers):
             expected = oracle.mean(query)
@@ -165,9 +160,7 @@ class TestShardedEquivalence:
         batch_engine = ExactQueryEngine(dataset)
         queries = _mixed_queries(dataset)
         unsharded = batch_engine.execute_q2_batch(queries, on_empty="null")
-        with ExactQueryEngine(
-            dataset, num_shards=4, backend="threads", route="indexed"
-        ) as engine:
+        with ExactQueryEngine(dataset, num_shards=4, backend="threads") as engine:
             sharded = engine.execute_q2_batch(queries, on_empty="null")
         _assert_answers_match(sharded, unsharded)
 
@@ -177,32 +170,41 @@ class TestShardedEquivalence:
         results = []
         for shards in (1, 2, 5):
             with ExactQueryEngine(
-                dataset, num_shards=shards, backend="serial", route="indexed"
+                dataset, num_shards=shards, backend="serial"
             ) as engine:
                 results.append(engine.execute_q2_batch(queries, on_empty="null"))
         _assert_answers_match(results[1], results[0])
         _assert_answers_match(results[2], results[0])
 
 
+def _pipeline_statistics(inputs, outputs, centers, radii, kind):
+    """``(counts, sums)`` of one row set's segmented pipeline (L2 balls)."""
+    counts, sums, _ = SegmentedBatchPipeline(inputs, outputs).segment_statistics(
+        centers, radii, 2.0, kind=kind
+    )
+    return counts, sums
+
+
 class TestShardMergeStatistics:
-    """Blocked statistics of row partitions must merge to the full-scan ones."""
+    """Blocked statistics of row partitions must merge to the whole table's."""
 
     def test_q2_moments_merge_exactly(self):
         dataset = _dataset(2, size=900)
         centers = np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])
         radii = np.array([0.25, 0.15, 0.3])
-        full_counts, full_moments = q2_sufficient_statistics_scan(
-            dataset.inputs, dataset.outputs, centers, radii
+        full_counts, full_moments = _pipeline_statistics(
+            dataset.inputs, dataset.outputs, centers, radii, "q2"
         )
         bounds = shard_bounds(dataset.size, 3)
         counts = np.zeros_like(full_counts)
         moments = np.zeros_like(full_moments)
         for start, stop in zip(bounds[:-1], bounds[1:]):
-            shard_counts, shard_moments = q2_sufficient_statistics_scan(
+            shard_counts, shard_moments = _pipeline_statistics(
                 dataset.inputs[start:stop],
                 dataset.outputs[start:stop],
                 centers,
                 radii,
+                "q2",
             )
             counts += shard_counts
             moments += shard_moments
@@ -226,18 +228,19 @@ class TestShardMergeStatistics:
         dataset = _dataset(2, size=700)
         centers = np.array([[0.4, 0.6], [0.8, 0.2]])
         radii = np.array([0.2, 0.25])
-        full_counts, full_sums = q1_sufficient_statistics_scan(
-            dataset.inputs, dataset.outputs, centers, radii
+        full_counts, full_sums = _pipeline_statistics(
+            dataset.inputs, dataset.outputs, centers, radii, "q1"
         )
         bounds = shard_bounds(dataset.size, 4)
         counts = np.zeros_like(full_counts)
         sums = np.zeros_like(full_sums)
         for start, stop in zip(bounds[:-1], bounds[1:]):
-            shard_counts, shard_sums = q1_sufficient_statistics_scan(
+            shard_counts, shard_sums = _pipeline_statistics(
                 dataset.inputs[start:stop],
                 dataset.outputs[start:stop],
                 centers,
                 radii,
+                "q1",
             )
             counts += shard_counts
             sums += shard_sums
@@ -254,9 +257,7 @@ class TestShardMergeStatistics:
             inputs=inputs, outputs=outputs, name="tiny", domain=(0.0, 1.0)
         )
         query = Query(center=np.array([0.5, 0.5]), radius=0.4)
-        with ExactQueryEngine(
-            dataset, num_shards=5, backend="serial", route="indexed"
-        ) as engine:
+        with ExactQueryEngine(dataset, num_shards=5, backend="serial") as engine:
             answer = engine.execute_q2(query)
         assert answer.cardinality == 9
         _assert_q2_matches_oracle([answer], [query], dataset)
@@ -266,13 +267,9 @@ class TestBackends:
     def test_threads_and_serial_agree(self):
         dataset = _dataset(2)
         queries = _mixed_queries(dataset, count=15)
-        with ExactQueryEngine(
-            dataset, num_shards=3, backend="serial", route="indexed"
-        ) as serial:
+        with ExactQueryEngine(dataset, num_shards=3, backend="serial") as serial:
             expected = serial.execute_q2_batch(queries, on_empty="null")
-        with ExactQueryEngine(
-            dataset, num_shards=3, backend="threads", route="indexed"
-        ) as threaded:
+        with ExactQueryEngine(dataset, num_shards=3, backend="threads") as threaded:
             actual = threaded.execute_q2_batch(queries, on_empty="null")
         _assert_answers_match(actual, expected)
 
@@ -280,79 +277,57 @@ class TestBackends:
         dataset = _dataset(2, size=800)
         query = Query(center=np.array([0.5, 0.5]), radius=0.25)
         with ExactQueryEngine(
-            dataset, num_shards=2, backend="processes", max_workers=2, route="indexed"
+            dataset, num_shards=2, backend="processes", max_workers=2
         ) as engine:
             answer = engine.execute_q2(query)
         _assert_q2_matches_oracle([answer], [query], dataset)
+
+    @pytest.mark.parametrize("backend", ("threads", "processes"))
+    def test_pool_defaults_to_one_shard_per_worker(self, backend):
+        # Every row shard repeats the grid pass over the whole domain.
+        with ExactQueryEngine(
+            _dataset(2, size=100), backend=backend, max_workers=2
+        ) as engine:
+            assert engine.num_shards == 2
 
     def test_invalid_backend(self):
         with pytest.raises(ConfigurationError):
             ExactQueryEngine(_dataset(1, size=50), backend="fibers")
 
 
-class TestIndexedRouting:
-    """Per-shard grid-indexed execution against the scan route."""
+class TestShardPipelines:
+    """Per-shard grid-indexed execution."""
 
-    @pytest.mark.parametrize("route", ("btree", "auto"))
-    def test_invalid_route_rejected(self, route):
-        dataset = _dataset(1, size=50)
-        with pytest.raises(ConfigurationError):
-            ExactQueryEngine(dataset, backend="serial", route=route)
-
-    @pytest.mark.parametrize("dimension", DIMENSIONS)
-    def test_indexed_route_matches_scan_route(self, dimension):
-        dataset = _dataset(dimension)
-        queries = _mixed_queries(dataset)
-        results = {}
-        for route in ("scan", "indexed"):
-            with ExactQueryEngine(
-                dataset, num_shards=3, backend="serial", route=route
-            ) as engine:
-                results[route] = engine.execute_q2_batch(queries, on_empty="null")
-        _assert_answers_match(results["indexed"], results["scan"])
-
-    def test_indexed_route_scans_fewer_rows_on_selective_batch(self):
+    def test_selective_batch_scans_a_fraction_of_the_rows(self):
         dataset = _dataset(2, size=4_000)
+        oracle = ExactOracle(dataset.inputs, dataset.outputs)
         rng = np.random.default_rng(17)
         queries = [
             Query(center=rng.uniform(0.2, 0.8, size=2), radius=0.03)
             for _ in range(10)
         ]
-        with ExactQueryEngine(
-            dataset, num_shards=3, backend="serial", route="scan"
-        ) as engine:
-            scan_answers = engine.execute_q1_batch(queries, on_empty="null")
-            scan_rows = engine.statistics.rows_scanned
-        with ExactQueryEngine(
-            dataset, num_shards=3, backend="serial", route="indexed"
-        ) as engine:
-            indexed_answers = engine.execute_q1_batch(queries, on_empty="null")
+        with ExactQueryEngine(dataset, num_shards=3, backend="serial") as engine:
+            answers = engine.execute_q1_batch(queries, on_empty="null")
             indexed_rows = engine.statistics.rows_scanned
-        assert scan_rows == len(queries) * dataset.size
-        assert indexed_rows < scan_rows / 5
-        _assert_answers_match(indexed_answers, scan_answers)
+        assert indexed_rows < len(queries) * dataset.size / 5
+        for query, answer in zip(queries, answers):
+            assert answer.cardinality == oracle.count(query)
+            np.testing.assert_allclose(
+                answer.mean, oracle.mean(query), rtol=TOLERANCE, atol=TOLERANCE
+            )
 
-    def test_pipelines_built_lazily_and_only_for_indexed_routes(self):
+    def test_pipelines_built_lazily(self):
         dataset = _dataset(2, size=1_000)
         queries = _mixed_queries(dataset, count=6, seed=3)
-        with ExactQueryEngine(
-            dataset, num_shards=3, backend="serial", route="scan"
-        ) as engine:
-            engine.execute_q1_batch(queries, on_empty="null")
-            assert all(pipeline._grid is None for pipeline in engine._pipelines)
-        with ExactQueryEngine(
-            dataset, num_shards=3, backend="serial", route="indexed"
-        ) as engine:
+        with ExactQueryEngine(dataset, num_shards=3, backend="serial") as engine:
             assert all(pipeline._grid is None for pipeline in engine._pipelines)
             engine.execute_q1_batch(queries, on_empty="null")
             assert all(pipeline._grid is not None for pipeline in engine._pipelines)
 
-    def test_indexed_route_thread_and_process_backends(self):
+    def test_thread_and_process_backends_match_serial(self):
         dataset = _dataset(2, size=900)
         queries = _mixed_queries(dataset, count=10, seed=13)
-        with ExactQueryEngine(
-            dataset, num_shards=3, backend="serial", route="indexed"
-        ) as engine:
+        with ExactQueryEngine(dataset, num_shards=3, backend="serial") as engine:
             expected = engine.execute_q2_batch(queries, on_empty="null")
         for backend in ("threads", "processes"):
             with ExactQueryEngine(
@@ -360,22 +335,19 @@ class TestIndexedRouting:
                 num_shards=3,
                 backend=backend,
                 max_workers=2,
-                route="indexed",
             ) as engine:
                 actual = engine.execute_q2_batch(queries, on_empty="null")
             _assert_answers_match(actual, expected)
 
-    def test_from_store_indexed_route_matches_memory(self):
+    def test_from_store_matches_memory(self):
         dataset = _dataset(2, size=700)
         queries = _mixed_queries(dataset, count=8, seed=29)
-        with ExactQueryEngine(
-            dataset, num_shards=3, backend="serial", route="indexed"
-        ) as engine:
+        with ExactQueryEngine(dataset, num_shards=3, backend="serial") as engine:
             expected = engine.execute_q2_batch(queries, on_empty="null")
         with SQLiteDataStore(":memory:") as store:
             store.load_dataset(dataset)
             engine = ExactQueryEngine.from_store(
-                store, dataset.name, num_shards=3, backend="serial", route="indexed"
+                store, dataset.name, num_shards=3, backend="serial"
             )
         with engine:
             np.testing.assert_allclose(engine.dataset.inputs, dataset.inputs)
@@ -386,9 +358,7 @@ class TestIndexedRouting:
 class TestEngineContract:
     def test_on_empty_raise(self):
         dataset = _dataset(2, size=500)
-        with ExactQueryEngine(
-            dataset, num_shards=2, backend="serial", route="indexed"
-        ) as engine:
+        with ExactQueryEngine(dataset, num_shards=2, backend="serial") as engine:
             with pytest.raises(EmptySubspaceError):
                 engine.execute_q1_batch(
                     [Query(center=np.array([9.0, 9.0]), radius=0.01)]
@@ -405,55 +375,43 @@ class TestEngineContract:
             Query(center=np.array([9.0, 9.0]), radius=0.01),
             Query(center=np.array([0.4, 0.4]), radius=0.3),
         ]
-        with ExactQueryEngine(
-            dataset, num_shards=2, backend="serial", route="indexed"
-        ) as engine:
+        with ExactQueryEngine(dataset, num_shards=2, backend="serial") as engine:
             answers = engine.execute_q2_batch(queries, on_empty="null")
         assert answers[0] is not None and answers[2] is not None
         assert answers[1] is None
 
     def test_invalid_on_empty(self):
         dataset = _dataset(1, size=50)
-        with ExactQueryEngine(
-            dataset, num_shards=1, backend="serial", route="indexed"
-        ) as engine:
+        with ExactQueryEngine(dataset, num_shards=1, backend="serial") as engine:
             with pytest.raises(ConfigurationError):
                 engine.execute_q1_batch([], on_empty="skip")
 
     def test_dimension_mismatch(self):
         dataset = _dataset(2, size=100)
-        with ExactQueryEngine(
-            dataset, num_shards=2, backend="serial", route="indexed"
-        ) as engine:
+        with ExactQueryEngine(dataset, num_shards=2, backend="serial") as engine:
             with pytest.raises(StorageError):
                 engine.execute_q1_batch([Query(center=np.array([0.5]), radius=0.1)])
 
     def test_empty_batch(self):
         dataset = _dataset(1, size=50)
-        with ExactQueryEngine(
-            dataset, num_shards=1, backend="serial", route="indexed"
-        ) as engine:
+        with ExactQueryEngine(dataset, num_shards=1, backend="serial") as engine:
             assert engine.execute_q1_batch([]) == []
             assert engine.execute_q2_batch([]) == []
 
     def test_statistics_accumulate(self):
         dataset = _dataset(2, size=400)
-        with ExactQueryEngine(
-            dataset, num_shards=2, backend="serial", route="scan"
-        ) as engine:
-            engine.execute_q1_batch(
-                [Query(center=np.array([0.5, 0.5]), radius=0.3)]
-            )
+        query = Query(center=np.array([0.5, 0.5]), radius=0.3)
+        selected = ExactOracle(dataset.inputs, dataset.outputs).count(query)
+        with ExactQueryEngine(dataset, num_shards=2, backend="serial") as engine:
+            engine.execute_q1_batch([query])
             stats = engine.statistics
             assert stats.queries_executed == 1
-            assert stats.rows_scanned == dataset.size
-            assert stats.rows_selected > 0
+            assert 0 < selected == stats.rows_selected
+            assert selected <= stats.rows_scanned <= dataset.size
 
     def test_closed_engine_rejects_work(self):
         dataset = _dataset(1, size=50)
-        engine = ExactQueryEngine(
-            dataset, num_shards=1, backend="serial", route="indexed"
-        )
+        engine = ExactQueryEngine(dataset, num_shards=1, backend="serial")
         engine.close()
         with pytest.raises(StorageError):
             engine.execute_q1(Query(center=np.array([0.5]), radius=0.3))
@@ -466,7 +424,7 @@ class TestFromStore:
         with SQLiteDataStore(":memory:") as store:
             store.load_dataset(dataset)
             engine = ExactQueryEngine.from_store(
-                store, dataset.name, num_shards=3, backend="serial", route="indexed"
+                store, dataset.name, num_shards=3, backend="serial"
             )
         with engine:
             answers = engine.execute_q2_batch(queries, on_empty="null")
@@ -492,7 +450,7 @@ class TestFromStore:
             np.testing.assert_array_equal(engine.dataset.inputs, inputs)
             np.testing.assert_array_equal(engine.dataset.outputs, outputs)
             np.testing.assert_array_equal(
-                np.vstack([pipeline.rows[0] for pipeline in engine._pipelines]),
+                np.vstack([pipeline._inputs for pipeline in engine._pipelines]),
                 inputs,
             )
 
@@ -500,13 +458,12 @@ class TestFromStore:
 class TestMoreShardsThanRows:
     """More shards than rows caps the shard count, so no shard is empty.
 
-    An empty shard used to crash the indexed route (a grid index over zero
-    points) on every backend.
+    An empty shard used to crash the engine (a grid index over zero points)
+    on every backend.
     """
 
-    @pytest.mark.parametrize("route", ("indexed", "scan"))
     @pytest.mark.parametrize("backend", ("serial", "threads", "processes"))
-    def test_answers_match_oracle(self, backend, route):
+    def test_answers_match_oracle(self, backend):
         dataset = _dataset(2, size=5, seed=19)
         oracle = ExactOracle(dataset.inputs, dataset.outputs)
         queries = [
@@ -517,7 +474,7 @@ class TestMoreShardsThanRows:
             Query(center=dataset.inputs[4], radius=0.4, norm_order=np.inf),
         ]
         with ExactQueryEngine(
-            dataset, num_shards=8, backend=backend, max_workers=2, route=route
+            dataset, num_shards=8, backend=backend, max_workers=2
         ) as engine:
             assert engine.num_shards == dataset.size
             q1 = engine.execute_q1_batch(queries, on_empty="null")
@@ -546,9 +503,7 @@ class TestStreamingTrainerIntegration:
         dataset = _dataset(2, size=600)
         queries = _mixed_queries(dataset, count=25, seed=41)
         model = LLMModel(dimension=2)
-        with ExactQueryEngine(
-            dataset, num_shards=2, backend="serial", route="indexed"
-        ) as engine:
+        with ExactQueryEngine(dataset, num_shards=2, backend="serial") as engine:
             trainer = StreamingTrainer(model, engine)
             breakdown = trainer.train(queries)
         assert breakdown.pairs_processed > 0

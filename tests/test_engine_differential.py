@@ -1,9 +1,9 @@
 """Randomized differential harness pinning every execution path together.
 
-The engine matrix (single-engine indexed batch, one-shard whole-table scan,
-sharded-scan, sharded-indexed) must compute identical Q1/Q2 answers:
-same selected counts, means equal to 1e-12, coefficients of the batched
-family equal to 1e-12.  Every path is also checked against the brute-force
+The engine matrix (the default one-shard engine, a 3-shard serial one,
+pooled ones) must compute identical Q1/Q2 answers: same selected counts,
+means equal to 1e-12, coefficients of the batched family equal to 1e-12.
+Every path is also checked against the brute-force
 oracle of :mod:`repro.testing.oracle` (full Lp scan, ``lstsq`` on
 ``[1, x]``): counts equal, means and Q2 fitted values on the selected rows
 to 1e-12, coefficients to the documented 1e-9 relative contract (the
@@ -23,7 +23,7 @@ fit is itself off (its design ``[1, x]`` is ill-conditioned at
 ``|x| ~ 1000``), so Q2 is held there to brute-force sums of the
 center-referenced moments instead.  Balls whose radius is one row's Lp
 distance, rounded the other way by the other summation order, hold every
-route to the same selection at d = 6, 8 and 9 (the ulp-tie cases).
+engine to the oracle's selection at d = 6, 8 and 9 (the ulp-tie cases).
 
 Case matrix: 4 dimensions x 8 layouts x 5 seeds x {q1, q2} = 320 seeded
 cases in CI.  Set ``REPRO_DIFFERENTIAL_SOAK=<n>`` to append ``n`` extra
@@ -46,7 +46,6 @@ from repro.dbms.executor import (
     ExactQueryEngine,
     SegmentedBatchPipeline,
     moment_products,
-    q2_sufficient_statistics_scan,
 )
 from repro.dbms.storage import SQLiteDataStore
 from repro.queries.query import Query
@@ -224,7 +223,7 @@ def _make_workload(
 def _assert_moments_match_brute_force(
     dataset: SyntheticDataset, queries, *, rtol: float
 ) -> None:
-    """Both kernels' Q2 moment sums vs brute-force ``moment_products`` sums.
+    """The pipeline's Q2 moment sums vs brute-force ``moment_products`` sums.
 
     Counts must be equal; each moment column within ``rtol`` of the sum of
     its brute-force products' magnitudes.
@@ -242,15 +241,8 @@ def _assert_moments_match_brute_force(
         counts, sums, _ = pipeline.segment_statistics(
             center, radius, query.norm_order, kind="q2"
         )
-        scan_counts, scan_sums = q2_sufficient_statistics_scan(
-            inputs, outputs, center, radius, p=query.norm_order
-        )
-        for label, count, got in (
-            ("indexed", counts[0], sums[0]),
-            ("scan", scan_counts[0], scan_sums[0]),
-        ):
-            assert count == rows.size, (context, label)
-            assert (np.abs(got - expected) <= bound).all(), (context, label)
+        assert counts[0] == rows.size, context
+        assert (np.abs(sums[0] - expected) <= bound).all(), context
 
 
 def _batch_answers(engine, queries, kind: str):
@@ -352,23 +344,11 @@ def test_engine_paths_agree(dimension: int, layout: str, seed: int, kind: str):
         with SQLiteDataStore(":memory:") as store:
             store.load_dataset(dataset)
             dataset = store.load_as_dataset(dataset.name)
-            sharded_engines = {
-                route: ExactQueryEngine.from_store(
-                    store,
-                    dataset.name,
-                    num_shards=3,
-                    backend="serial",
-                    route=route,
-                )
-                for route in ("scan", "indexed")
-            }
-    else:
-        sharded_engines = {
-            route: ExactQueryEngine(
-                dataset, num_shards=3, backend="serial", route=route
+            sharded_engine = ExactQueryEngine.from_store(
+                store, dataset.name, num_shards=3, backend="serial"
             )
-            for route in ("scan", "indexed")
-        }
+    else:
+        sharded_engine = ExactQueryEngine(dataset, num_shards=3, backend="serial")
 
     indexed_engine = ExactQueryEngine(dataset)
     oracle = ExactOracle(dataset.inputs, dataset.outputs)
@@ -383,20 +363,10 @@ def test_engine_paths_agree(dimension: int, layout: str, seed: int, kind: str):
         "batch-indexed", oracle_kind, batch_reference, queries, oracle
     )
 
-    # The whole-table scan kernels: one serial shard over every row.
-    with ExactQueryEngine(dataset, route="scan") as scan_engine:
-        scan_answers = _batch_answers(scan_engine, queries, kind)
-    _assert_family_equal("whole-table-scan", scan_answers, batch_reference)
-    _assert_oracle_equal(
-        "whole-table-scan", oracle_kind, scan_answers, queries, oracle
-    )
-    for route, engine in sharded_engines.items():
-        with engine:
-            answers = _batch_answers(engine, queries, kind)
-        _assert_family_equal(f"sharded-{route}", answers, batch_reference)
-        _assert_oracle_equal(
-            f"sharded-{route}", oracle_kind, answers, queries, oracle
-        )
+    with sharded_engine:
+        answers = _batch_answers(sharded_engine, queries, kind)
+    _assert_family_equal("sharded", answers, batch_reference)
+    _assert_oracle_equal("sharded", oracle_kind, answers, queries, oracle)
 
 
 def _gram_spectra(dataset: SyntheticDataset, queries) -> list[tuple[float, float]]:
@@ -569,7 +539,7 @@ def test_inner_run_sums_on_pooled_shards(backend):
     ]
     _assert_inner_runs(dataset, queries)
     with ExactQueryEngine(
-        dataset, num_shards=3, backend=backend, max_workers=2, route="indexed"
+        dataset, num_shards=3, backend=backend, max_workers=2
     ) as engine:
         _assert_run_sums_match_oracle(engine, dataset, queries)
 
@@ -580,7 +550,7 @@ def test_inner_run_sums_far_from_the_origin(dimension, norm_order):
     """Inputs in [1000, 1001]^d: counts, means and Q2 moment sums.
 
     The oracle's ``lstsq`` fit is itself off here, so Q2 is checked
-    through the center-referenced moment sums of both kernels.
+    through the pipeline's center-referenced moment sums.
     """
     dataset = _uniform_table(dimension, 20_000, seed=dimension, low=FAR_ORIGIN)
     radii = _run_sum_radii(dimension, norm_order)
@@ -593,7 +563,7 @@ def test_inner_run_sums_far_from_the_origin(dimension, norm_order):
 
 
 # --------------------------------------------------------------------------- #
-# ulp ties: a row exactly on the sphere is in or out on every route alike
+# ulp ties: a row exactly on the sphere is in or out as the oracle decides
 # --------------------------------------------------------------------------- #
 #: NumPy adds a row of fewer than 8 terms left to right and a longer one
 #: pairwise, so from d = 8 on the two orders round some rows' Lp sums
@@ -621,8 +591,8 @@ def _tie_queries(
 
     For each center the row is one whose sum of terms rounds differently
     when added left to right than by NumPy's row sum (when any row does),
-    and the radius is the smaller of the two rooted sums.  A route that
-    sums in the other order than the scan then decides that row the other
+    and the radius is the smaller of the two rooted sums.  An engine that
+    sums in the other order than the oracle then decides that row the other
     way.  Returns the queries and how many of them hold such a row.
     """
     rng = np.random.default_rng(seed)
@@ -647,10 +617,12 @@ def _tie_queries(
 
 @pytest.mark.parametrize("norm_order", (1.0, 2.0, 3.0))
 @pytest.mark.parametrize("dimension", TIE_DIMENSIONS)
-def test_ulp_ties_select_alike_on_every_route(dimension, norm_order):
-    """Counts on the 1- and 3-shard indexed engines equal the scan route's.
+def test_ulp_ties_select_alike_on_every_engine(dimension, norm_order):
+    """Counts on the 1- and 3-shard engines equal the oracle's exactly.
 
-    Means are held to the family tolerance: the routes add the same
+    The engine's Lp norms add their terms in the order of the oracle's
+    :func:`~repro.queries.geometry.pairwise_lp_distance`.  Means are held
+    to the family tolerance: the engine and the oracle add the same
     selected outputs in different orders.
     """
     dataset = _uniform_table(dimension, 2_000, seed=dimension)
@@ -659,19 +631,18 @@ def test_ulp_ties_select_alike_on_every_route(dimension, norm_order):
     )
     if dimension >= 8:
         assert ties == len(queries)
-    with ExactQueryEngine(dataset, route="scan") as scan:
-        expected = scan.execute_q1_batch(queries, on_empty="null")
+    oracle = ExactOracle(dataset.inputs, dataset.outputs)
     for engine in (
         ExactQueryEngine(dataset),
-        ExactQueryEngine(dataset, num_shards=3, route="indexed"),
+        ExactQueryEngine(dataset, num_shards=3),
     ):
         answers = engine.execute_q1_batch(queries, on_empty="null")
-        for position, (answer, want) in enumerate(zip(answers, expected)):
+        for position, (answer, query) in enumerate(zip(answers, queries)):
             context = f"tie[{position}]"
-            assert answer.cardinality == want.cardinality, context
+            assert answer.cardinality == oracle.count(query), context
             np.testing.assert_allclose(
                 answer.mean,
-                want.mean,
+                oracle.mean(query),
                 rtol=FAMILY_RTOL,
                 atol=FAMILY_ATOL,
                 err_msg=context,
@@ -744,9 +715,7 @@ def test_training_loop_paths_agree(dimension: int, layout: str, seed: int):
     ]
     assert seq_trace == chunk_trace
 
-    with ExactQueryEngine(
-        dataset, num_shards=3, backend="serial", route="indexed"
-    ) as sharded_engine:
+    with ExactQueryEngine(dataset, num_shards=3, backend="serial") as sharded_engine:
         sharded, sharded_breakdown = _train_model(
             sharded_engine, queries, batch_size=8
         )

@@ -156,7 +156,7 @@ def test_fresh_sharded_engine_first_batches_from_many_threads(monkeypatch):
     dataset = _dataset()
     failures, mismatches, builds = _first_batches_race(
         lambda: ExactQueryEngine(
-            dataset, num_shards=3, backend="serial", route="indexed"
+            dataset, num_shards=3, backend="serial"
         ),
         monkeypatch,
     )
@@ -190,9 +190,7 @@ def test_fresh_pooled_engine_builds_one_pool(monkeypatch):
     try:
         for _ in range(TRIALS):
             before = len(built)
-            with ExactQueryEngine(
-                dataset, backend="threads", max_workers=2, route="scan"
-            ) as engine:
+            with ExactQueryEngine(dataset, backend="threads", max_workers=2) as engine:
                 results = _one_trial(engine, queries)
             pools_per_engine.append(len(built) - before)
             assert not any(isinstance(r, Exception) for r in results.values())

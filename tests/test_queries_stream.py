@@ -63,8 +63,7 @@ class TestLabelledWorkload:
         with pytest.raises(WorkloadError):
             LabelledWorkload.from_engine([far], engine)
 
-    @pytest.mark.parametrize("route", ("scan", "indexed"))
-    def test_from_engine_on_a_sharded_engine(self, route):
+    def test_from_engine_on_a_sharded_engine(self):
         from repro.data.synthetic import SyntheticDataset
         from repro.dbms.executor import ExactQueryEngine
         from repro.testing.oracle import ExactOracle
@@ -79,9 +78,7 @@ class TestLabelledWorkload:
         )
         far = Query(center=np.array([9.0, 9.0]), radius=0.01)
         queries = _queries(8)[:4] + [far] + _queries(8)[4:]
-        with ExactQueryEngine(
-            dataset, num_shards=3, backend="serial", route=route
-        ) as engine:
+        with ExactQueryEngine(dataset, num_shards=3, backend="serial") as engine:
             workload = LabelledWorkload.from_engine(queries, engine)
             assert engine.statistics.queries_executed == len(queries)
         oracle = ExactOracle(dataset.inputs, dataset.outputs)

@@ -18,10 +18,9 @@ a model with K = 2,100 prototypes.  ``REPRO_DIFFERENTIAL_SOAK=<n>`` appends
 An exact answer also depends on its query alone, not on its batch: seeded
 Q1 and Q2 workloads split into random batch partitions must give
 bit-identical answers (d in {1, 2, 3, 6}, p in {1, 2, inf}, the default
-engine, a 3-shard indexed one, the 1- and 3-shard scan routes, 3-shard
-thread-pooled engines on both routes and, at d = 2, a 3-shard process-pooled
-indexed one).  A pooled engine's answers also equal, bit for bit, those of
-the serial engine with the same shards and route.
+engine, a 3-shard serial one, a 3-shard thread-pooled one and, at d = 2, a
+3-shard process-pooled one).  A pooled engine's answers also equal, bit for
+bit, those of the serial engine with the same shards.
 ``REPRO_DIFFERENTIAL_SOAK=<n>`` draws ``n // 10`` more partitions per case.
 """
 
@@ -37,6 +36,7 @@ from repro.core.model import LLMModel
 from repro.core.persistence import model_from_dict
 from repro.core.prototypes import LocalLinearMap
 from repro.data.synthetic import SyntheticDataset
+from repro.dbms import executor
 from repro.dbms.executor import ExactQueryEngine
 from repro.exceptions import EmptySubspaceError
 from repro.queries.query import Query
@@ -257,9 +257,7 @@ def test_exact_single_queries_are_batches_of_one(dimension, norm_order, layout):
     queries = _exact_queries(dataset, norm_order)
     for engine in (
         ExactQueryEngine(dataset),
-        ExactQueryEngine(dataset, route="scan"),
-        ExactQueryEngine(dataset, num_shards=3, route="indexed"),
-        ExactQueryEngine(dataset, num_shards=3, route="scan"),
+        ExactQueryEngine(dataset, num_shards=3),
     ):
         _assert_exact_contract(engine, dataset, queries)
 
@@ -269,14 +267,8 @@ def test_default_engine_is_one_inline_indexed_shard(norm_order):
     dataset = _dataset(2, "uniform")
     queries = _exact_queries(dataset, norm_order)
     default = ExactQueryEngine(dataset)
-    explicit = ExactQueryEngine(
-        dataset, num_shards=1, backend="serial", route="indexed"
-    )
-    assert (default.num_shards, default.backend, default.route) == (
-        1,
-        "serial",
-        "indexed",
-    )
+    explicit = ExactQueryEngine(dataset, num_shards=1, backend="serial")
+    assert (default.num_shards, default.backend) == (1, "serial")
     for query in queries:
         for got, want in zip(
             default.select_subspace(query), explicit.select_subspace(query)
@@ -323,9 +315,9 @@ def _assert_partitions_agree(engine, serial, queries, partitions) -> None:
     """``engine`` answers every batch partition as it answers the whole batch.
 
     A pooled engine's whole-batch answers must also equal ``serial``'s (the
-    serial engine with the same shards and route) bit for bit.
+    serial engine with the same shards) bit for bit.
     """
-    label = (engine.backend, engine.route, engine.num_shards)
+    label = (engine.backend, engine.num_shards)
     for kind in ("execute_q1_batch", "execute_q2_batch"):
         execute = getattr(engine, kind)
         expected = [_answer_key(a) for a in execute(queries, on_empty="null")]
@@ -342,9 +334,8 @@ def _assert_partitions_agree(engine, serial, queries, partitions) -> None:
             assert differing == [], (label, kind, len(partition), differing)
 
 
-@pytest.mark.parametrize("norm_order", PARTITION_NORMS)
-@pytest.mark.parametrize("dimension", PARTITION_DIMENSIONS)
-def test_exact_answers_do_not_depend_on_the_batch(dimension, norm_order):
+def _partition_case(dimension: int, norm_order: float):
+    """A seeded 5,000-row table and 120 queries of radius 0.05-0.4."""
     rng = np.random.default_rng(dimension * 101 + int(min(norm_order, 9)))
     inputs = rng.uniform(0.0, 1.0, (5_000, dimension))
     noise = 0.05 * rng.normal(size=5_000)
@@ -360,30 +351,71 @@ def test_exact_answers_do_not_depend_on_the_batch(dimension, norm_order):
         )
         for _ in range(120)
     ]
+    return dataset, queries
+
+
+@pytest.mark.parametrize("norm_order", PARTITION_NORMS)
+@pytest.mark.parametrize("dimension", PARTITION_DIMENSIONS)
+def test_exact_answers_do_not_depend_on_the_batch(dimension, norm_order):
+    dataset, queries = _partition_case(dimension, norm_order)
     partitions = _random_partitions(len(queries), seed=dimension)
-    serial = {
-        route: ExactQueryEngine(dataset, num_shards=3, route=route)
-        for route in ("indexed", "scan")
-    }
-    pools = [("threads", "indexed"), ("threads", "scan")]
-    if dimension == 2:
-        pools.append(("processes", "indexed"))
+    serial = ExactQueryEngine(dataset, num_shards=3)
+    backends = ["threads", "processes"] if dimension == 2 else ["threads"]
     with contextlib.ExitStack() as stack:
         pooled = [
             stack.enter_context(
-                ExactQueryEngine(
-                    dataset, num_shards=3, backend=backend, max_workers=2, route=route
-                )
+                ExactQueryEngine(dataset, num_shards=3, backend=backend, max_workers=2)
             )
-            for backend, route in pools
+            for backend in backends
         ]
-        engines = [
-            ExactQueryEngine(dataset),
-            serial["indexed"],
-            ExactQueryEngine(dataset, route="scan"),
-            serial["scan"],
-            *pooled,
-        ]
-        for engine in engines:
-            _assert_partitions_agree(engine, serial[engine.route], queries, partitions)
+        for engine in (ExactQueryEngine(dataset), serial, *pooled):
+            _assert_partitions_agree(engine, serial, queries, partitions)
 
+
+
+@pytest.mark.parametrize("norm_order", PARTITION_NORMS)
+@pytest.mark.parametrize("dimension", PARTITION_DIMENSIONS)
+def test_chunked_batch_is_a_partition(dimension, norm_order, monkeypatch):
+    """A shard's query chunks change no answer and no counter.
+
+    With the chunk budget at one estimated row every query runs in its own
+    chunk (each estimate is at least two cells' mean rows); with an
+    unbounded one every batch runs whole.  Answers and
+    ``ExecutionStatistics`` must be bit-identical, on the default, 3-shard
+    serial and 2-worker thread-pooled engines.
+    """
+    dataset, queries = _partition_case(dimension, norm_order)
+    pipeline = executor.SegmentedBatchPipeline
+    chunk_bounds = pipeline._chunk_bounds
+    chunks: list[tuple[int, int]] = []
+
+    def recorded(self, centers, radii):
+        bounds = chunk_bounds(self, centers, radii)
+        chunks.append((centers.shape[0], len(bounds) - 1))
+        return bounds
+
+    monkeypatch.setattr(pipeline, "_chunk_bounds", recorded)
+    results = {}
+    for budget, whole in ((2**62, True), (1, False)):
+        monkeypatch.setattr(executor, "_CHUNK_BOUNDARY_ROWS", budget)
+        chunks.clear()
+        runs = []
+        with ExactQueryEngine(dataset, backend="threads", max_workers=2) as pooled:
+            for engine in (
+                ExactQueryEngine(dataset),
+                ExactQueryEngine(dataset, num_shards=3),
+                pooled,
+            ):
+                for kind in ("execute_q1_batch", "execute_q2_batch"):
+                    answers = getattr(engine, kind)(queries, on_empty="null")
+                    runs.append(
+                        (
+                            [_answer_key(answer) for answer in answers],
+                            vars(engine.statistics).copy(),
+                        )
+                    )
+        assert chunks and all(
+            count == (1 if whole else batch) for batch, count in chunks
+        ), (budget, chunks)
+        results[budget] = runs
+    assert results[1] == results[2**62]

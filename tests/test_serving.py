@@ -443,7 +443,7 @@ class TestHybridMode:
 class TestShardedServing:
     def test_sharded_engine_matches_single(self, engine, half_model):
         with ExactQueryEngine(
-            engine.dataset, num_shards=4, backend="serial", route="indexed"
+            engine.dataset, num_shards=4, backend="serial"
         ) as sharded:
             service = AnalyticsService(
                 engines={TABLE: sharded}, models={TABLE: half_model}

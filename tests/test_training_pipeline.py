@@ -187,9 +187,7 @@ class TestEngineSelectors:
         reference_model = _fresh_model()
         StreamingTrainer(reference_model, single).train(queries, batch_size=40)
 
-        with ExactQueryEngine(
-            dataset, num_shards=3, backend="serial", route="indexed"
-        ) as sharded:
+        with ExactQueryEngine(dataset, num_shards=3, backend="serial") as sharded:
             model = _fresh_model()
             StreamingTrainer(model, sharded).train(queries, batch_size=40)
         # Sharded merge order differs from the single engine's summation, so
