@@ -12,9 +12,7 @@ scalability setup (R2, d = 2, N = 40,000):
   engine traffic, but ``partial_fit`` running through
   :class:`~repro.core.sgd.FusedTrainingKernel` (incremental ``Gamma``);
 * the **pipelined trainer** — ``StreamingTrainer.train`` pulling chunks
-  through ``execute_q1_batch``, on the default one-shard engine and on
-  thread-pooled engines at 1 and 2 workers (one shard per worker; every
-  chunk fans out over the pool).
+  through ``execute_q1_batch``.
 
 The headline requirement asserted here: the bitwise-equivalent pipelined
 trainer reaches **>= 5x** the seed per-query loop's training
@@ -66,7 +64,8 @@ GAMMA = 1e-12
 
 
 def _make_setup(dataset_size: int, query_count: int, dimension: int, seed: int):
-    """Figure-12 setup: normalized Rosenbrock (R2) plus a training workload."""
+    """Figure-12 setup: an engine over normalized Rosenbrock (R2) and a
+    training workload."""
     dataset = normalize_dataset(
         make_rosenbrock_dataset(dataset_size, dimension=dimension, seed=seed)
     )
@@ -78,7 +77,7 @@ def _make_setup(dataset_size: int, query_count: int, dimension: int, seed: int):
         radius=RadiusDistribution(mean=0.1, std=0.025),
     )
     queries = QueryWorkloadGenerator(spec, seed=seed).generate(query_count)
-    return dataset, engine, queries
+    return engine, queries
 
 
 def _fresh_model(dimension: int) -> LLMModel:
@@ -168,13 +167,10 @@ def run_training_throughput(
     batch_size: int = 1_000,
     *,
     dimension: int = 2,
-    worker_counts: tuple[int, ...] = (1, 2),
     seed: int = 7,
 ) -> dict:
     """Measure seed-loop vs pipelined training throughput and equivalence."""
-    dataset, engine, queries = _make_setup(
-        dataset_size, query_count, dimension, seed
-    )
+    engine, queries = _make_setup(dataset_size, query_count, dimension, seed)
 
     # --- seed per-query loop (the baseline) ----------------------------- #
     seed_model = _fresh_model(dimension)
@@ -225,20 +221,10 @@ def run_training_throughput(
         else 0.0
     )
 
-    # --- pipelined trainer on the single engine ------------------------- #
+    # --- pipelined trainer --------------------------------------------- #
     pipelined_stats = _pipelined(
         _fresh_model(dimension), engine, queries, batch_size=batch_size
     )
-
-    # --- sharded engines (1 vs multi-core) ------------------------------ #
-    sharded_stats: dict[str, dict] = {}
-    for workers in worker_counts:
-        with ExactQueryEngine(
-            dataset, backend="threads", max_workers=workers
-        ) as sharded:
-            sharded_stats[f"workers={workers}"] = _pipelined(
-                _fresh_model(dimension), sharded, queries, batch_size=batch_size
-            )
 
     speedup = (
         pipelined_stats["queries_per_second"] / seed_stats["queries_per_second"]
@@ -259,7 +245,6 @@ def run_training_throughput(
         "seed_loop": seed_stats,
         "per_query_incremental": incremental_stats,
         "pipelined": pipelined_stats,
-        "sharded": sharded_stats,
         "equivalence": {
             "prototypes_bitwise_equal": prototypes_equal,
             "criterion_trajectory_equal": winners_equal,
@@ -291,14 +276,8 @@ def _format(result: dict) -> str:
         f" (engine share {seed_loop['query_execution_share']:.1%})",
         f"  per-query fused kernel: {incremental['queries_per_second']:,.0f} q/s"
         f" (engine share {incremental['query_execution_share']:.1%})",
-        f"  pipelined (default):    {pipelined['queries_per_second']:,.0f} q/s"
+        f"  pipelined:              {pipelined['queries_per_second']:,.0f} q/s"
         f" (engine share {pipelined['query_execution_share']:.1%})",
-    ]
-    for label, stats in result["sharded"].items():
-        lines.append(
-            f"  sharded {label}:       {stats['queries_per_second']:,.0f} q/s"
-        )
-    lines += [
         f"  speedup vs seed loop:   {result['speedup_vs_seed_loop']:.1f}x"
         f" (required >= {result['required_speedup']:.0f}x)",
         f"  speedup vs fused loop:  {result['speedup_incremental_loop']:.1f}x",
@@ -332,7 +311,7 @@ def _check(result: dict) -> list[str]:
 
 
 def _extract(result: dict) -> dict:
-    metrics = {
+    return {
         "seed_loop_qps": result["seed_loop"]["queries_per_second"],
         "incremental_qps": result["per_query_incremental"]["queries_per_second"],
         "pipelined_qps": result["pipelined"]["queries_per_second"],
@@ -342,10 +321,6 @@ def _extract(result: dict) -> dict:
             result["equivalence"]["prototypes_bitwise_equal"]
         ),
     }
-    for label, stats in result["sharded"].items():
-        key = label.replace("=", "_")
-        metrics[f"sharded_{key}_qps"] = stats["queries_per_second"]
-    return metrics
 
 
 SPEC = BenchmarkSpec(
@@ -360,8 +335,6 @@ SPEC = BenchmarkSpec(
         "speedup_vs_seed_loop": "higher",
         "speedup_incremental_loop": "info",
         "prototypes_bitwise_equal": "info",
-        "sharded_workers_1_qps": "info",
-        "sharded_workers_2_qps": "info",
     },
     extract=_extract,
     check=lambda result, params: _check(result),
@@ -372,7 +345,6 @@ SPEC = BenchmarkSpec(
         "seed_loop_queries": 600,
         "batch_size": 1_000,
         "dimension": 2,
-        "worker_counts": (1, 2),
         "seed": 7,
     },
     # The dataset stays at the Fig-12 N=40k (the per-query engine cost is

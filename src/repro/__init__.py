@@ -28,7 +28,7 @@ Quickstart
 
 Performance architecture
 ------------------------
-The query-processing engine is built around four fast paths so latency
+The query-processing engine is built around three fast paths so latency
 stays at "trained-model speed": independent of the data size, and linear in
 the number of prototypes ``K`` as in the paper.  Every query runs through
 them: the single-query methods (``predict_mean``,
@@ -60,21 +60,10 @@ them: the single-query methods (``predict_mean``,
   boundary rows, so its memory does not grow with the batch.
   Rank-deficient or near-singular subspaces fall back per query to the
   dense SVD least-squares solver, so answers keep its minimum-norm
-  semantics.
-* **Sharded parallel execution** — an
-  :class:`~repro.dbms.executor.ExactQueryEngine` built with
-  ``num_shards``/``backend`` partitions the rows into contiguous shards
-  (one per worker on a pool, by default) and fans the per-shard kernel
-  out over a thread pool (GIL-releasing NumPy kernels) or a process pool
-  before merging the per-shard statistics exactly.  Per-shard moments add, so blocked OLS
-  over shards equals single-shot OLS; ``benchmarks/bench_shard_scaling.py``
-  records the scaling trajectory in ``BENCH_shard.json``.  Which pool wins
-  depends on the host.  On a 1-CPU container threads won: a process pool
-  ships queries and statistics across process boundaries with no second
-  core to repay it.  On a 2-vCPU host (2 workers, 8 shards, 400-query
-  batches over 200k rows) processes beat threads by 4-20% on batches of
-  the since-deleted full-scan kernel and on wide or moderate indexed
-  ones, and tie on selective or 16-query batches.
+  semantics.  The engine runs each batch inline over the whole table;
+  served traffic gets its parallelism from the flush pool of the
+  concurrent front (:class:`~repro.dbms.concurrent.ConcurrentAnalyticsService`),
+  which runs independent batches at once.
 * **Incremental training state** — the prototypes live in one
   capacity-doubling dense ``(K, d + 1)`` matrix
   (:class:`~repro.core.prototypes.LocalModelParameters`) that SGD updates

@@ -12,9 +12,8 @@ The paper measures ~99.6% of training wall-clock going to executing the
 training queries against the DBMS, which makes the training loop the
 system's dominant cost.  :meth:`StreamingTrainer.train` therefore pulls the
 query stream in chunks and labels each chunk with one call to the engine's
-batched exact path (``execute_q1_batch``, fanned out over the engine's
-shards when it has several); the model then absorbs the chunk's pairs one
-at a time, in stream order, through the fused update kernel
+batched exact path (``execute_q1_batch``); the model then absorbs the
+chunk's pairs one at a time, in stream order, through the fused update kernel
 (:class:`~repro.core.sgd.FusedTrainingKernel`).  There is one loop and no
 mode: the produced model is *bit-for-bit* identical to the sequential
 per-query loop over the same labelled answers (same winner sequence,
@@ -29,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from ..config import require_integer
 from ..dbms.executor import ExactQueryEngine
 from ..exceptions import TransientEngineError
 from ..queries.query import Query, QueryAnswer
@@ -89,19 +89,18 @@ class StreamingTrainer:
         The model being trained.
     engine:
         The :class:`~repro.dbms.executor.ExactQueryEngine` answering the
-        training queries; :meth:`train` goes through its batched exact
-        path, so an engine with a pool backend fans every chunk out across
-        its shard workers.
+        training queries; :meth:`train` labels each chunk through its
+        batched exact path.
     max_engine_retries:
         Retries of a chunk whose engine call raised a
-        :class:`~repro.exceptions.TransientEngineError` (flaky storage, a
-        shard worker hiccup, an injected fault).  ``0`` (default)
+        :class:`~repro.exceptions.TransientEngineError` (flaky storage, an
+        injected fault), an integer >= 0.  ``0`` (default)
         preserves the fail-fast behaviour; the lifecycle manager trains
         with a small retry budget so a single transient blip does not
         abort a whole retraining run.  Deterministic errors never retry.
     retry_backoff_seconds:
         Sleep before retry ``k`` of a chunk is ``retry_backoff_seconds *
-        2**(k - 1)``.
+        2**(k - 1)``; at least 0 (NaN is refused).
     """
 
     def __init__(
@@ -112,11 +111,8 @@ class StreamingTrainer:
         max_engine_retries: int = 0,
         retry_backoff_seconds: float = 0.05,
     ) -> None:
-        if max_engine_retries < 0:
-            raise ValueError(
-                f"max_engine_retries must be >= 0, got {max_engine_retries}"
-            )
-        if retry_backoff_seconds < 0.0:
+        require_integer("max_engine_retries", max_engine_retries, 0, error=ValueError)
+        if not retry_backoff_seconds >= 0.0:
             raise ValueError(
                 f"retry_backoff_seconds must be >= 0, got {retry_backoff_seconds}"
             )
@@ -150,8 +146,8 @@ class StreamingTrainer:
         queries:
             The training query stream.
         batch_size:
-            Queries labelled per engine call.  ``1`` recovers the strictly
-            lazy per-query loop.
+            Queries labelled per engine call, an integer >= 1.  ``1``
+            recovers the strictly lazy per-query loop.
 
         Read-ahead
         ----------
@@ -163,8 +159,7 @@ class StreamingTrainer:
         chunks; pass ``batch_size=1`` to recover one-query-per-step
         consumption.
         """
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        require_integer("batch_size", batch_size, 1, error=ValueError)
         breakdown = TrainingCostBreakdown()
         iterator = iter(queries)
         while not self.model.is_frozen and self._remaining_steps() != 0:

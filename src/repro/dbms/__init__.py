@@ -11,10 +11,9 @@ during the training phase.  This subpackage provides that substrate:
   played by the B-tree index in the paper's PostgreSQL setup),
 * :class:`~repro.dbms.executor.ExactQueryEngine` — the exact executor of
   Q1 (mean value) and Q2 (in-subspace OLS regression), with batched paths
-  built on mergeable sufficient statistics over contiguous row shards (one
-  by default, run inline, or one per worker on a thread or process pool);
-  every shard runs one kernel, a lazily-built grid-indexed segmented
-  pipeline, over query chunks of bounded working set,
+  built on mergeable sufficient statistics: one kernel over the whole
+  table, a lazily-built grid-indexed segmented pipeline run inline over
+  query chunks of bounded working set,
 * :class:`~repro.dbms.sqlfront.AnalyticsSession` — a small declarative SQL
   front end implementing the Q1/Q2 syntax sketched in the paper's appendix
   (with ``NORM p`` geometry clauses and multi-statement scripts),
@@ -63,7 +62,6 @@ from .executor import (
     ExactQueryEngine,
     ExecutionStatistics,
     SegmentedBatchPipeline,
-    shard_bounds,
 )
 from .sqlfront import AnalyticsSession, ParsedStatement, parse_script, parse_statement
 from .stats import LatencyHistogram, ServingStatistics
@@ -101,7 +99,6 @@ __all__ = [
     "ExactQueryEngine",
     "ExecutionStatistics",
     "SegmentedBatchPipeline",
-    "shard_bounds",
     "AnalyticsSession",
     "AnalyticsService",
     "ServingStatistics",

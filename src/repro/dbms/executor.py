@@ -12,22 +12,23 @@ needs ``(count, sum)`` of the selected outputs and a Q2 answer needs the
 selected Gram moments (``sum x``, ``sum y``, ``sum y^2``, ``sum x y``,
 ``sum x x^T``), from which the OLS plane is recovered by the blocked solve
 in :func:`solve_q2_sufficient_statistics`.  Moments computed over disjoint
-row partitions merge by plain addition, which is what makes every shard
-layout of the engine exactly equivalent to a single shard.
+row sets merge by plain addition, which is how a query's boundary rows and
+its inner-cell runs combine.
 
-Shards
+Kernel
 ------
-The engine splits its rows into ``num_shards`` contiguous row shards (one
-by default), answers a batch shard by shard and merges the per-shard
-statistics.  Every shard runs one kernel, a segmented pipeline over the
-shard's own cell-clustered fine grid (:class:`SegmentedBatchPipeline`, its
-grid built on the shard's first batch): candidate ranges from one
-vectorised grid pass whose range ends are reads of a dense directory over
-the grid's cell ids, cells certified inside the ball summed run by run
-from two rows of a compensated prefix table (translated to the query
-center once per run for Q2), and exact row tests only on boundary cells,
-one input column at a time over a ``(d, n)`` column copy of the clustered
-inputs.
+The engine runs one kernel over the whole table, inline in the calling
+thread.  It is a segmented pipeline over a cell-clustered fine grid
+(:class:`SegmentedBatchPipeline`, its grid built on the first batch):
+candidate ranges from one vectorised grid pass whose range ends are reads
+of a dense directory over the grid's cell ids, cells certified inside the
+ball summed run by run from two rows of a compensated prefix table
+(translated to the query center once per run for Q2), and exact row tests
+only on boundary cells, one input column at a time over a ``(d, n)``
+column copy of the clustered inputs.  Served traffic gets its parallelism
+from the concurrent front's flush pool
+(:class:`~repro.dbms.concurrent.ConcurrencyPolicy` ``max_workers``), which
+runs independent batches at once.
 
 Rank-deficient or ill-conditioned subspaces fall back to the dense
 per-query OLS over the query's selected rows, keeping the exact
@@ -36,45 +37,26 @@ minimum-norm semantics.
 Chunks
 ------
 A batch's working set grows with its boundary rows, nearly every row of
-the shard for balls that cover the domain at high ``d``.  So each shard
-splits its batch, before the range pass, into query chunks of about
+the table for balls that cover the domain at high ``d``.  So the pipeline
+splits a batch, before the range pass, into query chunks of about
 ``_CHUNK_BOUNDARY_ROWS`` estimated boundary rows and runs them in turn:
 peak memory follows the chunk, not the batch, as in vectorised engines
 (Boncz et al., "MonetDB/X100", CIDR 2005).  A query's totals are segment
 sums over its own runs and rows, so the split changes no answer and no
 counter, and a query's answer does not depend on the rest of its batch.
-
-Backends
---------
-``"serial"`` (default) runs the shards inline.  ``"threads"`` runs them on
-a thread pool: the NumPy distance/mask/GEMM kernels release the GIL, so
-shards execute in parallel on multi-core hosts, and the shard slices (and
-their lazily-built indexes) are shared with the pool for free.
-``"processes"`` runs them on a process pool (shard arrays are shipped once
-per worker at pool start-up, and each worker builds the shard grids it
-needs on first use); it sidesteps the GIL entirely but pays
-serialisation of the per-batch query arrays and of the returned
-statistics.  A pool gets one shard per worker unless told otherwise: each
-row shard spans the whole domain and repeats the grid pass over it, so
-more shards than workers only add work.  A pool backend dispatches every
-batch, so a single query pays the pool round trip: single queries belong
-on the default serial engine.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..analysis.instrument import make_lock
 from ..baselines.ols import OLSRegressor
-from ..config import require_integer
 from ..data.synthetic import SyntheticDataset
 from ..exceptions import (
     ConfigurationError,
@@ -97,11 +79,10 @@ __all__ = [
     "SegmentedBatchPipeline",
     "moment_column_count",
     "moment_products",
-    "shard_bounds",
     "solve_q2_sufficient_statistics",
 ]
 
-#: Estimated boundary rows of one query chunk of a shard's batch (see
+#: Estimated boundary rows of one query chunk of a batch (see
 #: :meth:`SegmentedBatchPipeline.segment_statistics`).  A boundary row costs
 #: its ``d`` deltas and, for Q2, its moment products, so at ``d = 8`` a
 #: chunk's working set stays near 100 MiB however wide its balls are;
@@ -131,8 +112,6 @@ _CHUNK_BOUNDARY_ROWS = 1 << 18
 #: (``tests/test_engine_differential.py``: the degenerate and
 #: near-collinear layouts).
 _GRAM_CONDITION_RTOL = 1e-3
-
-_BACKENDS = ("serial", "threads", "processes")
 
 
 @dataclass
@@ -167,8 +146,9 @@ def moment_column_count(dimension: int) -> int:
     accumulated sums at the scale of the subspace radius, so recovering the
     centred Gram system never subtracts two large near-equal numbers (the
     cancellation that would otherwise cost ~``(|x| / theta)^2`` digits).
-    The reference is a property of the query, not of the row partition, so
-    per-shard moments still merge by plain addition.
+    The reference is a property of the query, not of the rows, so a query's
+    moments over disjoint row sets (its boundary rows and its inner-cell
+    runs) still merge by plain addition.
     """
     return 2 * dimension + 2 + dimension * (dimension + 1) // 2
 
@@ -534,7 +514,7 @@ def _clustered_columns(inputs: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 
 class SegmentedBatchPipeline:
-    """Segmented candidate-range + inner-run batch pipeline of one row set.
+    """Segmented candidate-range + inner-run batch pipeline of one table.
 
     The engine's one kernel reduces a query batch to per-query sufficient
     statistics with one vectorised candidate-range pass over a fine,
@@ -543,11 +523,10 @@ class SegmentedBatchPipeline:
     from two rows of a compensated prefix table over the occupied cells,
     so its cost does not grow with its cells, and for Q2 it is translated
     to the query center once.  Only boundary cells pay row-level exact Lp
-    tests.  This class owns everything that pipeline needs about one
-    contiguous row set — the fine batch grid, the cell-clustered row
-    copies, and the Q1 and Q2 prefix tables — one pipeline per shard of
-    :class:`ExactQueryEngine` (the whole table when there is one shard).
-    Statistics of disjoint row sets merge by plain addition.
+    tests.  This class owns everything that pipeline needs about the rows
+    it is given — the fine batch grid, the cell-clustered row copies, and
+    the Q1 and Q2 prefix tables; :class:`ExactQueryEngine` holds one over
+    its whole table.
 
     The cell-clustered inputs are kept column-wise, as one C-contiguous
     ``(d, n)`` copy (the decomposition storage model of Copeland &
@@ -825,46 +804,6 @@ class SegmentedBatchPipeline:
         return counts, sums, scanned
 
 
-# --------------------------------------------------------------------------- #
-# shards
-# --------------------------------------------------------------------------- #
-def shard_bounds(row_count: int, num_shards: int) -> np.ndarray:
-    """Row boundaries of ``num_shards`` near-equal contiguous shards.
-
-    Returns ``num_shards + 1`` monotonically increasing offsets starting at
-    0 and ending at ``row_count``.
-    """
-    if num_shards < 1:
-        raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-    return np.linspace(0, row_count, num_shards + 1).astype(np.int64)
-
-
-def _shard_pipelines(
-    inputs: np.ndarray, outputs: np.ndarray, bounds: np.ndarray
-) -> list[SegmentedBatchPipeline]:
-    """One pipeline per shard; constructing one only stores its rows."""
-    return [
-        SegmentedBatchPipeline(inputs[start:stop], outputs[start:stop])
-        for start, stop in zip(bounds[:-1], bounds[1:])
-    ]
-
-
-#: The shard pipelines of a process-pool worker, installed once at pool
-#: start-up; each builds its grid on the worker's first batch.
-_WORKER_PIPELINES: list[SegmentedBatchPipeline] = []
-
-
-def _process_worker_init(
-    inputs: np.ndarray, outputs: np.ndarray, bounds: np.ndarray
-) -> None:
-    _WORKER_PIPELINES[:] = _shard_pipelines(inputs, outputs, bounds)
-
-
-def _process_worker_statistics(args: tuple) -> tuple[np.ndarray, np.ndarray, int]:
-    index, centers, radii, p, kind = args
-    return _WORKER_PIPELINES[index].segment_statistics(centers, radii, p, kind=kind)
-
-
 class ExactQueryEngine:
     """Execute exact Q1 and Q2 queries against a dataset.
 
@@ -872,76 +811,35 @@ class ExactQueryEngine:
     ----------
     dataset:
         The dataset to query.
-    num_shards:
-        Number of contiguous row shards, an integer >= 1, capped at the row
-        count so that no shard is empty.  Defaults to one shard on the
-        serial backend and to ``max_workers`` on a pool backend: each shard
-        repeats the grid pass over the whole domain, so more shards than
-        workers only add work.
-    backend:
-        ``"serial"`` (default), ``"threads"`` or ``"processes"``.
-    max_workers:
-        Pool width, an integer >= 1; defaults to the machine's CPU count.
 
     A dataset with a non-finite input or output is refused with
     :class:`~repro.exceptions.StorageError` naming its first such row: exact
     answers over NaN or infinite values are undefined.
 
-    The module docstring describes shards, chunks and backends.  Every
-    configuration answers through the batch entry points
+    The engine holds one :class:`SegmentedBatchPipeline` over the whole
+    table and runs every batch through it (the module docstring describes
+    its kernel and chunks).  It answers through the batch entry points
     (:meth:`execute_q1_batch` / :meth:`execute_q2_batch`); the single-query
     calls are batches of one.  :meth:`from_store` builds the engine over a
-    table of a :class:`~repro.dbms.storage.SQLiteDataStore`.  A pool
-    backend starts its pool on the first batch it dispatches; :meth:`close`
-    (or leaving a ``with`` block) shuts it down.
+    table of a :class:`~repro.dbms.storage.SQLiteDataStore`.
     """
 
-    def __init__(
-        self,
-        dataset: SyntheticDataset,
-        *,
-        num_shards: int | None = None,
-        backend: str = "serial",
-        max_workers: int | None = None,
-    ) -> None:
-        if backend not in _BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
-        if num_shards is not None:
-            require_integer("num_shards", num_shards, 1)
-        if max_workers is not None:
-            require_integer("max_workers", max_workers, 1)
+    def __init__(self, dataset: SyntheticDataset) -> None:
         require_finite_rows(
             dataset.inputs, dataset.outputs, f"dataset {dataset.name!r}"
         )
-        self._max_workers = int(max_workers or os.cpu_count() or 1)
-        if num_shards is None:
-            num_shards = 1 if backend == "serial" else self._max_workers
         self._dataset = dataset
         self._inputs = dataset.inputs
         self._outputs = dataset.outputs
-        self._backend = backend
-        # A dataset holds at least one row, so capping the shard count at
-        # the row count leaves no shard empty.
-        self._bounds = shard_bounds(dataset.size, min(int(num_shards), dataset.size))
-        self._pipelines = _shard_pipelines(self._inputs, self._outputs, self._bounds)
-        # The pool is built on the first pooled batch; the lock makes that
-        # build, and close(), happen once however many threads race them.
-        self._pool_lock = make_lock("executor.pool")
-        self._pool: Executor | None = None
-        self._closed = False
+        self._pipeline = SegmentedBatchPipeline(self._inputs, self._outputs)
         self.statistics = ExecutionStatistics()
 
     @classmethod
     def from_store(
-        cls, store: SQLiteDataStore, table_name: str, **options: Any
+        cls, store: SQLiteDataStore, table_name: str
     ) -> "ExactQueryEngine":
-        """Build an engine over a stored table, its rows in rowid order.
-
-        ``options`` are the constructor's keyword arguments.
-        """
-        return cls(store.load_as_dataset(table_name), **options)
+        """Build an engine over a stored table, its rows in rowid order."""
+        return cls(store.load_as_dataset(table_name))
 
     @property
     def dataset(self) -> SyntheticDataset:
@@ -954,58 +852,6 @@ class ExactQueryEngine:
     @property
     def size(self) -> int:
         return self._dataset.size
-
-    @property
-    def num_shards(self) -> int:
-        return len(self._pipelines)
-
-    @property
-    def backend(self) -> str:
-        return self._backend
-
-    @property
-    def max_workers(self) -> int:
-        return self._max_workers
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Shut the worker pool down; further queries will fail."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-            self._closed = True
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ExactQueryEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise StorageError("the exact engine has been closed")
-
-    def _ensure_pool(self) -> Executor:
-        """The worker pool of a pooled backend, built on first use."""
-        with self._pool_lock:
-            # Re-checked under the lock: a batch racing close() must not
-            # build a pool on a closed engine.
-            self._require_open()
-            pool = self._pool
-            if pool is None:
-                if self._backend == "threads":
-                    pool = ThreadPoolExecutor(max_workers=self._max_workers)
-                else:
-                    pool = ProcessPoolExecutor(
-                        max_workers=self._max_workers,
-                        initializer=_process_worker_init,
-                        initargs=(self._inputs, self._outputs, self._bounds),
-                    )
-                self._pool = pool
-            return pool
 
     # ------------------------------------------------------------------ #
     # single queries: batches of one
@@ -1042,12 +888,11 @@ class ExactQueryEngine:
     ) -> list[QueryAnswer | None]:
         """Execute many exact Q1 queries in one pass, amortising overheads.
 
-        Each shard reduces the batch to per-query ``(count, sum)``, chunk
+        The pipeline reduces the batch to per-query ``(count, sum)``, chunk
         by chunk: one vectorised candidate-range generation, one exact Lp
         membership test over the chunk's boundary candidates and per-query
-        segment sums — and the shards' statistics add up.  There is no
-        per-query Python loop, and a query's answer does not depend on the
-        rest of its batch.
+        segment sums.  There is no per-query Python loop, and a query's
+        answer does not depend on the rest of its batch.
 
         Parameters
         ----------
@@ -1088,8 +933,8 @@ class ExactQueryEngine:
     ) -> list[QueryAnswer | None]:
         """Execute many exact Q2 (regression) queries in one pass.
 
-        The batch is reduced to per-query Q2 sufficient statistics, merged
-        across shards, and every well-conditioned query is solved by the
+        The batch is reduced to per-query Q2 sufficient statistics, and
+        every well-conditioned query is solved by the
         blocked OLS of :func:`solve_q2_sufficient_statistics` (one batched
         ``(d, d)`` solve for the whole batch).  Queries with rank-deficient
         or near-singular subspaces fall back to the dense per-query
@@ -1146,7 +991,6 @@ class ExactQueryEngine:
     # internals
     # ------------------------------------------------------------------ #
     def _validate_batch(self, queries: Sequence[Query], on_empty: str) -> list[Query]:
-        self._require_open()
         if on_empty not in ("raise", "null"):
             raise ConfigurationError(
                 f"on_empty must be 'raise' or 'null', got {on_empty!r}"
@@ -1186,43 +1030,22 @@ class ExactQueryEngine:
     def _statistics(
         self, centers: np.ndarray, radii: np.ndarray, p: float, kind: str
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Run one (single-norm) batch on every shard and merge exactly.
+        """``(counts, sums, scanned)`` of one (single-norm) batch.
 
-        Returns ``(counts, sums, scanned)`` as
-        :meth:`SegmentedBatchPipeline.segment_statistics` does, summed over
-        the shards, with Q1's ``sums`` flattened to ``(m,)``.
+        As :meth:`SegmentedBatchPipeline.segment_statistics` returns them,
+        with Q1's ``sums`` flattened to ``(m,)``.
         """
-        if self._backend == "processes":
-            tasks = [
-                (index, centers, radii, p, kind)
-                for index in range(len(self._pipelines))
-            ]
-            parts = list(self._ensure_pool().map(_process_worker_statistics, tasks))
-        else:
-
-            def shard(pipeline: SegmentedBatchPipeline) -> tuple:
-                return pipeline.segment_statistics(centers, radii, p, kind=kind)
-
-            run = map if self._backend == "serial" else self._ensure_pool().map
-            parts = list(run(shard, self._pipelines))
-        counts, sums, scanned = parts[0]
-        for shard_counts, shard_sums, shard_scanned in parts[1:]:
-            counts = counts + shard_counts
-            sums = sums + shard_sums
-            scanned += shard_scanned
+        counts, sums, scanned = self._pipeline.segment_statistics(
+            centers, radii, p, kind=kind
+        )
         return counts, sums[:, 0] if kind == "q1" else sums, scanned
 
     def _select(self, query: Query) -> tuple[np.ndarray, int]:
         """``(ascending selected row ids, rows scanned)`` of one query.
 
-        Each shard selects through its grid's candidate ranges and the
+        The pipeline selects through its grid's candidate ranges and the
         exact Lp test, the same test the batch kernel runs.
         """
-        center, radius, p = query.center, query.radius, query.norm_order
-        selections = []
-        scanned = 0
-        for start, pipeline in zip(self._bounds, self._pipelines):
-            rows, touched = pipeline.select_rows(center, radius, p)
-            selections.append(rows + start)
-            scanned += touched
-        return np.concatenate(selections), scanned
+        return self._pipeline.select_rows(
+            query.center, query.radius, query.norm_order
+        )

@@ -42,8 +42,8 @@ def batch_grid_cells_per_dimension(count: int, dimension: int) -> int:
     The segmented batch pipeline pays no per-cell Python cost, so it targets
     a few rows per cell (``count / _BATCH_GRID_ROWS_PER_CELL`` cells in
     total, at most ``_BATCH_GRID_MAX_CELLS`` per dimension), trimming the
-    candidate superset towards the exact selection.  Every shard pipeline
-    of the exact engine sizes its grid with it.
+    candidate superset towards the exact selection.  The exact engine's
+    pipeline sizes its grid with it.
     """
     if dimension < 1:
         raise ConfigurationError(f"dimension must be >= 1, got {dimension}")

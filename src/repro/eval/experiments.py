@@ -180,16 +180,11 @@ class ExperimentContext:
         return model, breakdown
 
     def serving_service(
-        self,
-        model: LLMModel | None = None,
-        *,
-        table: str | None = None,
-        engine: "object | None" = None,
+        self, model: LLMModel | None = None, *, table: str | None = None
     ) -> "AnalyticsService":
         """Build an :class:`~repro.dbms.serving.AnalyticsService` over this context.
 
-        The context's exact engine (or an explicit ``engine``, e.g. a
-        pooled one over the same dataset) is registered under ``table``
+        The context's exact engine is registered under ``table``
         (defaulting to the dataset name), together with an optional trained
         model — the standard setup of the serving benchmark and the hybrid
         serving experiments.
@@ -198,7 +193,7 @@ class ExperimentContext:
 
         name = table or self.dataset_name
         service = AnalyticsService()
-        service.register_engine(name, engine if engine is not None else self.engine)
+        service.register_engine(name, self.engine)
         if model is not None:
             service.register_model(name, model)
         return service

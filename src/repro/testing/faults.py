@@ -182,7 +182,7 @@ class FaultyEngine:
     Fires ``"{name}.q1_batch"`` / ``"{name}.q2_batch"`` before delegating
     (default ``name="engine"``).  Everything else (statistics, ...) is
     delegated untouched, so the wrapper drops into any place an engine is
-    accepted — the serving registry, a trainer, a sharded fan-out.
+    accepted — the serving registry or a trainer.
     """
 
     def __init__(

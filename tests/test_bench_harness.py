@@ -428,14 +428,13 @@ class TestReportCommand:
 class TestPortedBenchmarks:
     EXPECTED = {
         "batch_throughput",
-        "shard_scaling",
         "training_throughput",
         "serving",
         "lifecycle",
         "concurrent",
     }
 
-    def test_all_six_benchmarks_are_discovered(self):
+    def test_ported_benchmarks_are_discovered(self):
         specs = discover_specs()
         assert self.EXPECTED <= set(specs)
         for name in self.EXPECTED:

@@ -14,9 +14,7 @@ from repro.config import (
     TrainingConfig,
     vigilance_radius,
 )
-from repro.data.synthetic import SyntheticDataset
 from repro.dbms.concurrent import ConcurrencyPolicy
-from repro.dbms.executor import ExactQueryEngine
 from repro.dbms.lifecycle import DriftPolicy
 from repro.dbms.resilience import DegradationPolicy
 from repro.exceptions import ConfigurationError, InvalidQueryError, WorkloadError
@@ -155,15 +153,8 @@ def test_nan_fails_every_range_check(constructor, field, arguments, error):
         constructor(**arguments, **{field: math.nan})
 
 
-def _one_row_engine(**options):
-    dataset = SyntheticDataset(
-        inputs=np.zeros((1, 1)), outputs=np.zeros(1), name="one", domain=(0.0, 1.0)
-    )
-    return ExactQueryEngine(dataset, **options)
-
-
 #: ``(constructor, field, typed error)`` of every integer count field of the
-#: config, policy and engine constructors.
+#: config and policy constructors.
 INTEGER_FIELDS = [
     (TrainingConfig, "min_steps", ConfigurationError),
     (TrainingConfig, "convergence_window", ConfigurationError),
@@ -180,8 +171,6 @@ INTEGER_FIELDS = [
     (DegradationPolicy, "max_attempts", ConfigurationError),
     (DegradationPolicy, "breaker_failure_threshold", ConfigurationError),
     (WorkloadSpec, "dimension", WorkloadError),
-    (_one_row_engine, "num_shards", ConfigurationError),
-    (_one_row_engine, "max_workers", ConfigurationError),
 ]
 
 
@@ -189,20 +178,12 @@ INTEGER_FIELDS = [
 @pytest.mark.parametrize(
     "constructor, field, error",
     INTEGER_FIELDS,
-    ids=[f"{case[0].__name__.strip('_')}.{case[1]}" for case in INTEGER_FIELDS],
+    ids=[f"{case[0].__name__}.{case[1]}" for case in INTEGER_FIELDS],
 )
 def test_integer_fields_refuse_nan_and_fractions(constructor, field, error, value):
     with pytest.raises(error):
         constructor(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["num_shards", "max_workers"])
-@pytest.mark.parametrize("value", [0, -3])
-def test_engine_counts_below_one_are_refused(field, value):
-    with pytest.raises(ConfigurationError):
-        _one_row_engine(**{field: value})
-
-
 def test_integer_fields_accept_numpy_integers():
     assert TrainingConfig(min_steps=np.int64(3)).min_steps == 3
-    assert _one_row_engine(num_shards=np.int32(1)).num_shards == 1

@@ -10,7 +10,7 @@ import pytest
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine, ExecutionStatistics
 from repro.dbms.storage import SQLiteDataStore
-from repro.exceptions import EmptySubspaceError, StorageError
+from repro.exceptions import ConfigurationError, EmptySubspaceError, StorageError
 from repro.queries.geometry import pairwise_lp_distance
 from repro.queries.query import Query
 from repro.testing.oracle import ExactOracle
@@ -29,6 +29,9 @@ def engine(linear_dataset) -> ExactQueryEngine:
     return ExactQueryEngine(linear_dataset)
 
 
+TOLERANCE = 1e-12
+
+
 class TestSelection:
     def test_selection_matches_brute_force(self, engine, linear_dataset):
         query = Query(center=np.array([0.4, 0.6]), radius=0.2)
@@ -45,6 +48,14 @@ class TestSelection:
         a = indexed.execute_q1(query)
         assert a.mean == pytest.approx(oracle.mean(query))
         assert a.cardinality == oracle.count(query)
+
+    def test_pipeline_built_lazily(self, linear_dataset):
+        engine = ExactQueryEngine(linear_dataset)
+        assert engine._pipeline._grid is None
+        engine.execute_q1_batch(
+            [Query(center=np.array([0.5, 0.5]), radius=0.2)], on_empty="null"
+        )
+        assert engine._pipeline._grid is not None
 
     def test_cardinality(self, engine):
         query = Query(center=np.array([0.5, 0.5]), radius=0.1)
@@ -90,50 +101,74 @@ class TestQ2:
         assert np.allclose(answer.coefficients, oracle.q2(query))
 
 
-class TestQ1Batch:
-    def test_on_empty_raise(self, engine):
+BATCH_KINDS = ("execute_q1_batch", "execute_q2_batch")
+
+
+@pytest.mark.parametrize("kind", BATCH_KINDS)
+class TestBatchContract:
+    def test_on_empty_raise(self, engine, kind):
         queries = [
             Query(center=np.array([0.5, 0.5]), radius=0.2),
             Query(center=np.array([5.0, 5.0]), radius=0.01),
         ]
         with pytest.raises(EmptySubspaceError):
-            engine.execute_q1_batch(queries)
+            getattr(engine, kind)(queries)
 
-    def test_on_empty_null_keeps_alignment(self, engine):
+    def test_on_empty_null_keeps_alignment(self, engine, kind):
         queries = [
             Query(center=np.array([0.5, 0.5]), radius=0.2),
             Query(center=np.array([5.0, 5.0]), radius=0.01),
             Query(center=np.array([0.3, 0.3]), radius=0.2),
         ]
-        answers = engine.execute_q1_batch(queries, on_empty="null")
+        answers = getattr(engine, kind)(queries, on_empty="null")
         assert len(answers) == 3
         assert answers[0] is not None and answers[2] is not None
         assert answers[1] is None
 
-    def test_invalid_on_empty(self, engine):
-        from repro.exceptions import ConfigurationError
-
+    def test_invalid_on_empty(self, engine, kind):
         with pytest.raises(ConfigurationError):
-            engine.execute_q1_batch([], on_empty="skip")
+            getattr(engine, kind)([], on_empty="skip")
 
-    def test_empty_batch(self, engine):
-        assert engine.execute_q1_batch([]) == []
+    def test_empty_batch(self, engine, kind):
+        assert getattr(engine, kind)([]) == []
 
-    def test_dimension_mismatch(self, engine):
+    def test_dimension_mismatch(self, engine, kind):
         with pytest.raises(StorageError):
-            engine.execute_q1_batch([Query(center=np.array([0.5]), radius=0.1)])
+            getattr(engine, kind)([Query(center=np.array([0.5]), radius=0.1)])
 
 
 class TestStatistics:
     def test_statistics_accumulate(self, linear_dataset):
         engine = ExactQueryEngine(linear_dataset)
+        oracle = ExactOracle(linear_dataset.inputs, linear_dataset.outputs)
+        queries = [
+            Query(center=np.array([0.5, 0.5]), radius=0.2),
+            Query(center=np.array([0.4, 0.4]), radius=0.2),
+        ]
         assert engine.statistics.queries_executed == 0
-        engine.execute_q1(Query(center=np.array([0.5, 0.5]), radius=0.2))
-        engine.execute_q1(Query(center=np.array([0.4, 0.4]), radius=0.2))
+        for query in queries:
+            engine.execute_q1(query)
         stats = engine.statistics
+        selected = sum(oracle.count(query) for query in queries)
         assert stats.queries_executed == 2
-        assert stats.rows_selected > 0
-        assert stats.rows_scanned >= stats.rows_selected
+        assert 0 < selected == stats.rows_selected
+        assert selected <= stats.rows_scanned <= 2 * linear_dataset.size
+
+    def test_selective_batch_scans_a_fraction_of_the_rows(self, linear_dataset):
+        engine = ExactQueryEngine(linear_dataset)
+        oracle = ExactOracle(linear_dataset.inputs, linear_dataset.outputs)
+        rng = np.random.default_rng(17)
+        queries = [
+            Query(center=rng.uniform(0.2, 0.8, size=2), radius=0.03)
+            for _ in range(10)
+        ]
+        answers = engine.execute_q1_batch(queries, on_empty="null")
+        assert engine.statistics.rows_scanned < len(queries) * engine.size / 5
+        for query, answer in zip(queries, answers):
+            assert answer.cardinality == oracle.count(query)
+            np.testing.assert_allclose(
+                answer.mean, oracle.mean(query), rtol=TOLERANCE, atol=TOLERANCE
+            )
 
     def test_running_aggregates_are_constant_memory(self):
         stats = ExecutionStatistics()
@@ -172,6 +207,78 @@ class TestFromStore:
         via_store = engine.execute_q1(query)
         assert via_store.mean == pytest.approx(direct.mean)
         assert via_store.cardinality == direct.cardinality
+
+    def test_rows_follow_rowid_order(self):
+        # Appended rows come after the loaded ones, and the engine selects
+        # rows in that order.
+        rng = np.random.default_rng(3)
+        inputs = rng.uniform(0.0, 1.0, size=(280, 2))
+        outputs = 1.0 + inputs @ np.array([0.7, -1.3])
+        dataset = SyntheticDataset(
+            inputs=inputs[:250], outputs=outputs[:250], name="ordered"
+        )
+        with SQLiteDataStore(":memory:") as store:
+            store.load_dataset(dataset)
+            store.append_rows(dataset.name, inputs[250:], outputs[250:])
+            engine = ExactQueryEngine.from_store(store, dataset.name)
+        np.testing.assert_array_equal(engine.dataset.inputs, inputs)
+        np.testing.assert_array_equal(engine.dataset.outputs, outputs)
+        query = Query(center=np.array([0.5, 0.5]), radius=0.3)
+        rows = ExactOracle(inputs, outputs).select(query)
+        selected_inputs, selected_outputs = engine.select_subspace(query)
+        np.testing.assert_array_equal(selected_inputs, inputs[rows])
+        np.testing.assert_array_equal(selected_outputs, outputs[rows])
+
+
+class TestFiveRowTable:
+    def test_answers_match_oracle(self):
+        """Selections, counts and means to 1e-12; Q2 fitted values on the
+        selected rows to 1e-12, coefficients and R^2 to 1e-9 relative."""
+        rng = np.random.default_rng(19)
+        inputs = rng.uniform(0.0, 1.0, size=(5, 2))
+        slope = rng.normal(0.0, 1.0, size=2)
+        outputs = 1.0 + inputs @ slope + 0.05 * rng.normal(0.0, 1.0, size=5)
+        dataset = SyntheticDataset(
+            inputs=inputs, outputs=outputs, name="five", domain=(0.0, 1.0)
+        )
+        oracle = ExactOracle(dataset.inputs, dataset.outputs)
+        queries = [
+            Query(center=np.array([0.5, 0.5]), radius=2.0),
+            Query(center=dataset.inputs[2], radius=1e-9),
+            Query(center=np.array([6.0, 6.0]), radius=0.1),
+            Query(center=dataset.inputs[0], radius=0.6, norm_order=1.0),
+            Query(center=dataset.inputs[4], radius=0.4, norm_order=np.inf),
+        ]
+        engine = ExactQueryEngine(dataset)
+        q1 = engine.execute_q1_batch(queries, on_empty="null")
+        q2 = engine.execute_q2_batch(queries, on_empty="null")
+        for query, mean, plane in zip(queries, q1, q2):
+            rows = oracle.select(query)
+            inputs, outputs = engine.select_subspace(query)
+            np.testing.assert_array_equal(inputs, dataset.inputs[rows])
+            np.testing.assert_array_equal(outputs, dataset.outputs[rows])
+            assert engine.cardinality(query) == rows.size
+            if not rows.size:
+                assert mean is None and plane is None
+                continue
+            assert mean.cardinality == plane.cardinality == rows.size
+            for answer in (mean, plane):
+                np.testing.assert_allclose(
+                    answer.mean, oracle.mean(query), rtol=TOLERANCE, atol=TOLERANCE
+                )
+            expected = oracle.q2(query)
+            np.testing.assert_allclose(
+                oracle.fitted(query, plane.coefficients),
+                oracle.fitted(query, expected),
+                rtol=TOLERANCE,
+                atol=TOLERANCE,
+            )
+            np.testing.assert_allclose(
+                plane.coefficients, expected, rtol=1e-9, atol=TOLERANCE
+            )
+            np.testing.assert_allclose(
+                plane.r_squared, oracle.r_squared(query), rtol=1e-9, atol=1e-9
+            )
 
 
 class TestNonFiniteRows:

@@ -41,7 +41,7 @@ class TestConstruction:
 
 
 class TestBatchGridSizing:
-    """The fine-grid resolution every shard pipeline of the engine uses."""
+    """The fine-grid resolution the engine's pipeline uses."""
 
     def test_batch_grid_sizing(self):
         # ~8 rows per cell, capped at 256 cells per dimension, floor of 1.

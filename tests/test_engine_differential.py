@@ -1,19 +1,17 @@
-"""Randomized differential harness pinning every execution path together.
+"""Randomized differential harness pinning the exact engine to the oracle.
 
-The engine matrix (the default one-shard engine, a 3-shard serial one,
-pooled ones) must compute identical Q1/Q2 answers: same selected counts,
-means equal to 1e-12, coefficients of the batched family equal to 1e-12.
-Every path is also checked against the brute-force
-oracle of :mod:`repro.testing.oracle` (full Lp scan, ``lstsq`` on
-``[1, x]``): counts equal, means and Q2 fitted values on the selected rows
-to 1e-12, coefficients to the documented 1e-9 relative contract (the
-oracle solves by SVD rather than the blocked normal equations).  This
-harness generates seeded stores and workloads across dimensions, data
-layouts (uniform, clustered, duplicate rows, degenerate manifolds, tiny
-tables, near-collinear slabs), all norm-order families, empty and
-rank-deficient subspaces, and asserts the full equality chain case by case
-— the growing engines x backends x grids matrix is exactly where silent
-drift creeps in, and this is the tripwire.  The near-collinear slabs put
+The exact engine, built over a dataset or through a SQLite store's
+``from_store``, is checked against the brute-force oracle of
+:mod:`repro.testing.oracle` (full Lp scan, ``lstsq`` on ``[1, x]``):
+counts equal, means and Q2 fitted values on the selected rows to 1e-12,
+coefficients to the documented 1e-9 relative contract (the oracle solves
+by SVD rather than the blocked normal equations).  This harness generates
+seeded stores and workloads across dimensions, data layouts (uniform,
+clustered, duplicate rows, degenerate manifolds, tiny tables,
+near-collinear slabs), all norm-order families, empty and rank-deficient
+subspaces, and asserts the full equality chain case by case — the growing
+layouts x norms x grids matrix is exactly where silent drift creeps in,
+and this is the tripwire.  The near-collinear slabs put
 the centred Gram condition numbers of their selections on both sides of
 1e3 (``1 / _GRAM_CONDITION_RTOL``) and send selections down both sides of
 the blocked solve's fallback test, so both are held to the oracle.  The
@@ -22,7 +20,7 @@ pipeline's run tables.  On the far-origin layout the oracle's ``lstsq``
 fit is itself off (its design ``[1, x]`` is ill-conditioned at
 ``|x| ~ 1000``), so Q2 is held there to brute-force sums of the
 center-referenced moments instead.  Balls whose radius is one row's Lp
-distance, rounded the other way by the other summation order, hold every
+distance, rounded the other way by the other summation order, hold the
 engine to the oracle's selection at d = 6, 8 and 9 (the ulp-tie cases).
 
 Case matrix: 4 dimensions x 8 layouts x 5 seeds x {q1, q2} = 320 seeded
@@ -64,19 +62,13 @@ LAYOUTS = (
 )
 SEEDS = (0, 1, 2, 3, 4)
 
-#: Batched engines all reduce to the same merged sufficient statistics, so
-#: they must agree to summation-order rounding.
+#: The engine and the oracle add the same selected rows in different
+#: orders, so counts, means and fitted values agree to summation-order
+#: rounding.
 FAMILY_ATOL = 1e-12
 FAMILY_RTOL = 1e-12
-#: Coefficients additionally pass through the blocked Gram solve, which
-#: amplifies the summation-order noise of the moments by the ratio of the
-#: query-centred moment scale to the smallest centred eigenvalue (at least
-#: the condition number; capped at 1e3 by the solver's fallback test, so
-#: worst-case relative deviation is ~2e-11; the CI-tier seeded matrix in
-#: fact meets 1e-12, soak seeds occasionally exercise the cap).
-FAMILY_COEFF_RTOL = 1e-10
 #: The oracle solves by SVD instead of the blocked normal equations; the
-#: engines document 1e-12 absolute / 1e-9 relative there.
+#: engine documents 1e-12 absolute / 1e-9 relative there.
 REFERENCE_RTOL = 1e-9
 
 
@@ -251,41 +243,6 @@ def _batch_answers(engine, queries, kind: str):
     return engine.execute_q2_batch(queries, on_empty="null")
 
 
-def _assert_family_equal(label: str, answers, reference) -> None:
-    """Batched-engine answers must match the batch reference to 1e-12."""
-    assert len(answers) == len(reference)
-    for position, (answer, expected) in enumerate(zip(answers, reference)):
-        context = f"{label}[{position}]"
-        if expected is None:
-            assert answer is None, context
-            continue
-        assert answer is not None, context
-        assert answer.cardinality == expected.cardinality, context
-        np.testing.assert_allclose(
-            answer.mean,
-            expected.mean,
-            rtol=FAMILY_RTOL,
-            atol=FAMILY_ATOL,
-            err_msg=context,
-        )
-        if expected.coefficients is not None:
-            assert answer.coefficients is not None, context
-            np.testing.assert_allclose(
-                answer.coefficients,
-                expected.coefficients,
-                rtol=FAMILY_COEFF_RTOL,
-                atol=FAMILY_ATOL,
-                err_msg=context,
-            )
-            np.testing.assert_allclose(
-                answer.r_squared,
-                expected.r_squared,
-                rtol=1e-9,
-                atol=1e-9,
-                err_msg=context,
-            )
-
-
 def _assert_oracle_equal(
     label: str, kind: str, answers, queries, oracle: ExactOracle
 ) -> None:
@@ -337,20 +294,16 @@ def test_engine_paths_agree(dimension: int, layout: str, seed: int, kind: str):
     dataset = _make_dataset(dimension, layout, seed)
     queries = _make_workload(dataset, seed)
 
-    # Odd seeds round-trip through the SQLite store so the differential
-    # chain also covers the rowid-ordered table load behind ``from_store``.
-    through_store = seed % 2 == 1
-    if through_store:
+    # Odd seeds build the engine through the SQLite store, so the chain also
+    # covers the rowid-ordered table load behind ``from_store``.
+    if seed % 2 == 1:
         with SQLiteDataStore(":memory:") as store:
             store.load_dataset(dataset)
             dataset = store.load_as_dataset(dataset.name)
-            sharded_engine = ExactQueryEngine.from_store(
-                store, dataset.name, num_shards=3, backend="serial"
-            )
+            engine = ExactQueryEngine.from_store(store, dataset.name)
     else:
-        sharded_engine = ExactQueryEngine(dataset, num_shards=3, backend="serial")
+        engine = ExactQueryEngine(dataset)
 
-    indexed_engine = ExactQueryEngine(dataset)
     oracle = ExactOracle(dataset.inputs, dataset.outputs)
     # Far from the origin the oracle's own Q2 fit is off, so its counts and
     # means are checked, and the Q2 moments against brute-force sums.
@@ -358,15 +311,8 @@ def test_engine_paths_agree(dimension: int, layout: str, seed: int, kind: str):
     if layout == "far_origin" and kind == "q2":
         _assert_moments_match_brute_force(dataset, queries, rtol=FAMILY_RTOL)
 
-    batch_reference = _batch_answers(indexed_engine, queries, kind)
-    _assert_oracle_equal(
-        "batch-indexed", oracle_kind, batch_reference, queries, oracle
-    )
-
-    with sharded_engine:
-        answers = _batch_answers(sharded_engine, queries, kind)
-    _assert_family_equal("sharded", answers, batch_reference)
-    _assert_oracle_equal("sharded", oracle_kind, answers, queries, oracle)
+    answers = _batch_answers(engine, queries, kind)
+    _assert_oracle_equal("engine", oracle_kind, answers, queries, oracle)
 
 
 def _gram_spectra(dataset: SyntheticDataset, queries) -> list[tuple[float, float]]:
@@ -508,7 +454,7 @@ def test_inner_run_sums_at_their_worst_case(dimension, rows, norm_order, radii):
     engine = ExactQueryEngine(dataset)
     _assert_run_sums_match_oracle(engine, dataset, queries)
     if dimension == 1:
-        assert engine._pipelines[0].grid.occupied_cell_count == 256
+        assert engine._pipeline.grid.occupied_cell_count == 256
 
 
 def _run_sum_radii(dimension: int, norm_order: float) -> tuple[float, float]:
@@ -527,21 +473,6 @@ def test_inner_run_sums_on_every_norm_and_dimension(dimension, norm_order):
     queries = _ball_queries(dataset, norm_order, radii)
     _assert_inner_runs(dataset, queries)
     _assert_run_sums_match_oracle(ExactQueryEngine(dataset), dataset, queries)
-
-
-@pytest.mark.parametrize("backend", ("threads", "processes"))
-def test_inner_run_sums_on_pooled_shards(backend):
-    dataset = _uniform_table(2, 60_000, seed=3)
-    queries = [
-        query
-        for norm_order in (1.0, 2.0, np.inf)
-        for query in _ball_queries(dataset, norm_order, (0.02, 0.3), count=16)
-    ]
-    _assert_inner_runs(dataset, queries)
-    with ExactQueryEngine(
-        dataset, num_shards=3, backend=backend, max_workers=2
-    ) as engine:
-        _assert_run_sums_match_oracle(engine, dataset, queries)
 
 
 @pytest.mark.parametrize("norm_order", (1.0, 2.0, np.inf))
@@ -617,8 +548,8 @@ def _tie_queries(
 
 @pytest.mark.parametrize("norm_order", (1.0, 2.0, 3.0))
 @pytest.mark.parametrize("dimension", TIE_DIMENSIONS)
-def test_ulp_ties_select_alike_on_every_engine(dimension, norm_order):
-    """Counts on the 1- and 3-shard engines equal the oracle's exactly.
+def test_ulp_ties_select_as_the_oracle_does(dimension, norm_order):
+    """The engine's counts equal the oracle's exactly.
 
     The engine's Lp norms add their terms in the order of the oracle's
     :func:`~repro.queries.geometry.pairwise_lp_distance`.  Means are held
@@ -632,25 +563,21 @@ def test_ulp_ties_select_alike_on_every_engine(dimension, norm_order):
     if dimension >= 8:
         assert ties == len(queries)
     oracle = ExactOracle(dataset.inputs, dataset.outputs)
-    for engine in (
-        ExactQueryEngine(dataset),
-        ExactQueryEngine(dataset, num_shards=3),
-    ):
-        answers = engine.execute_q1_batch(queries, on_empty="null")
-        for position, (answer, query) in enumerate(zip(answers, queries)):
-            context = f"tie[{position}]"
-            assert answer.cardinality == oracle.count(query), context
-            np.testing.assert_allclose(
-                answer.mean,
-                oracle.mean(query),
-                rtol=FAMILY_RTOL,
-                atol=FAMILY_ATOL,
-                err_msg=context,
-            )
+    answers = ExactQueryEngine(dataset).execute_q1_batch(queries, on_empty="null")
+    for position, (answer, query) in enumerate(zip(answers, queries)):
+        context = f"tie[{position}]"
+        assert answer.cardinality == oracle.count(query), context
+        np.testing.assert_allclose(
+            answer.mean,
+            oracle.mean(query),
+            rtol=FAMILY_RTOL,
+            atol=FAMILY_ATOL,
+            err_msg=context,
+        )
 
 
 # --------------------------------------------------------------------------- #
-# training-loop case family: the pipelined trainer across the engine matrix
+# training-loop case family: the pipelined trainer across chunk sizes
 # --------------------------------------------------------------------------- #
 TRAINING_DIMENSIONS = (1, 2, 3)
 TRAINING_LAYOUTS = ("uniform", "clustered", "duplicate")
@@ -680,13 +607,10 @@ def _train_model(engine, queries, *, batch_size: int):
 
 @pytest.mark.parametrize("dimension,layout,seed", TRAINING_CONFIGURATIONS)
 def test_training_loop_paths_agree(dimension: int, layout: str, seed: int):
-    """Chunked training is bitwise-stable per engine and 1e-12 across engines.
+    """Chunked training equals the sequential loop bit for bit.
 
-    Per engine, the chunked loop must equal the sequential ``batch_size=1``
-    loop bit-for-bit (batched Q1 statistics are batch-composition
-    independent).  Across engines the labelled answers differ only by
-    summation order, so the trained models must agree within the
-    differential family envelope.
+    The chunked loop must equal the sequential ``batch_size=1`` loop
+    bit-for-bit (batched Q1 statistics are batch-composition independent).
     """
     dataset = _make_dataset(dimension, layout, seed)
     queries = _make_workload(dataset, seed, count=40)
@@ -714,16 +638,3 @@ def test_training_loop_paths_agree(dimension: int, layout: str, seed: int):
         for record in chunked.convergence_tracker.history
     ]
     assert seq_trace == chunk_trace
-
-    with ExactQueryEngine(dataset, num_shards=3, backend="serial") as sharded_engine:
-        sharded, sharded_breakdown = _train_model(
-            sharded_engine, queries, batch_size=8
-        )
-    assert sharded_breakdown.pairs_skipped == seq_breakdown.pairs_skipped
-    assert sharded.prototype_count == sequential.prototype_count
-    np.testing.assert_allclose(
-        sharded.prototype_matrix(),
-        sequential.prototype_matrix(),
-        rtol=1e-9,
-        atol=FAMILY_ATOL,
-    )

@@ -2,19 +2,16 @@
 
 An engine builds its fine grid with the grid's cell directory, the
 cell-clustered column copy of its inputs and the Q1 and Q2 prefix tables
-of its inner-cell runs on the first indexed query of each kind, and an
-engine with a pool backend builds its worker pool on the first pooled
-batch.  Threads that arrive while such a one-time build is running must
-wait for it and then get the same answers as a warm engine — never a
-half-published layout, never a directory, column copy or table built
-twice, and never a second pool.
+of its inner-cell runs on the first query of each kind.  Threads that
+arrive while such a one-time build is running must wait for it and then
+get the same answers as a warm engine — never a half-published layout, and
+never a directory, column copy or table built twice.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -45,7 +42,7 @@ def _queries(count: int = 32) -> list[Query]:
     ]
 
 
-#: The one-time build functions of a shard, and the module defining each.
+#: The one-time build functions of an engine, and the module defining each.
 ONE_TIME_BUILDS = {
     "_cell_directories": spatial_index,
     "_clustered_columns": executor,
@@ -54,7 +51,7 @@ ONE_TIME_BUILDS = {
 
 
 def _first_batches_race(
-    make_engine, monkeypatch
+    dataset: SyntheticDataset, monkeypatch
 ) -> tuple[int, list, list[dict[str, int]]]:
     """Run one first batch per thread on fresh engines.
 
@@ -76,7 +73,7 @@ def _first_batches_race(
     queries = _queries()
     failures = 0
     mismatches = []
-    warm = make_engine()
+    warm = ExactQueryEngine(dataset)
     expected = {
         "q1": warm.execute_q1_batch(queries, on_empty="null"),
         "q2": warm.execute_q2_batch(queries, on_empty="null"),
@@ -88,7 +85,7 @@ def _first_batches_race(
     try:
         for _ in range(TRIALS):
             before = len(builds)
-            trials.append(_one_trial(make_engine(), queries))
+            trials.append(_one_trial(ExactQueryEngine(dataset), queries))
             builds_per_engine.append(
                 {name: builds[before:].count(name) for name in ONE_TIME_BUILDS}
             )
@@ -137,9 +134,7 @@ def _one_trial(engine, queries: list[Query]) -> dict[int, object]:
 
 def test_fresh_engine_first_batches_from_many_threads(monkeypatch):
     dataset = _dataset()
-    failures, mismatches, builds = _first_batches_race(
-        lambda: ExactQueryEngine(dataset), monkeypatch
-    )
+    failures, mismatches, builds = _first_batches_race(dataset, monkeypatch)
     assert failures == 0
     assert mismatches == []
     # One directory, one column copy, and one Q1 and one Q2 table per
@@ -150,52 +145,3 @@ def test_fresh_engine_first_batches_from_many_threads(monkeypatch):
         "_compensated_prefix_table": 2,
     }
     assert builds == [expected] * TRIALS
-
-
-def test_fresh_sharded_engine_first_batches_from_many_threads(monkeypatch):
-    dataset = _dataset()
-    failures, mismatches, builds = _first_batches_race(
-        lambda: ExactQueryEngine(
-            dataset, num_shards=3, backend="serial"
-        ),
-        monkeypatch,
-    )
-    assert failures == 0
-    assert mismatches == []
-    expected = {
-        "_cell_directories": 3,
-        "_clustered_columns": 3,
-        "_compensated_prefix_table": 2 * 3,
-    }
-    assert builds == [expected] * TRIALS
-
-
-def test_fresh_pooled_engine_builds_one_pool(monkeypatch):
-    # Every thread's first batch needs the pool; the engine must build it
-    # once (close() shuts down only the pool it holds, so a second one
-    # would leak its workers).
-    built: list[ThreadPoolExecutor] = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs) -> None:
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    monkeypatch.setattr(executor, "ThreadPoolExecutor", CountingPool)
-    dataset = _dataset()
-    queries = _queries()
-    pools_per_engine = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(TRIALS):
-            before = len(built)
-            with ExactQueryEngine(dataset, backend="threads", max_workers=2) as engine:
-                results = _one_trial(engine, queries)
-            pools_per_engine.append(len(built) - before)
-            assert not any(isinstance(r, Exception) for r in results.values())
-    finally:
-        sys.setswitchinterval(interval)
-        for pool in built:
-            pool.shutdown(wait=True)
-    assert pools_per_engine == [1] * TRIALS

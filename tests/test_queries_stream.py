@@ -63,35 +63,6 @@ class TestLabelledWorkload:
         with pytest.raises(WorkloadError):
             LabelledWorkload.from_engine([far], engine)
 
-    def test_from_engine_on_a_sharded_engine(self):
-        from repro.data.synthetic import SyntheticDataset
-        from repro.dbms.executor import ExactQueryEngine
-        from repro.testing.oracle import ExactOracle
-
-        rng = np.random.default_rng(5)
-        inputs = rng.uniform(0, 1, size=(600, 2))
-        dataset = SyntheticDataset(
-            inputs=inputs,
-            outputs=np.sin(3.0 * inputs[:, 0]) + inputs[:, 1],
-            name="t",
-            domain=(0.0, 1.0),
-        )
-        far = Query(center=np.array([9.0, 9.0]), radius=0.01)
-        queries = _queries(8)[:4] + [far] + _queries(8)[4:]
-        with ExactQueryEngine(dataset, num_shards=3, backend="serial") as engine:
-            workload = LabelledWorkload.from_engine(queries, engine)
-            assert engine.statistics.queries_executed == len(queries)
-        oracle = ExactOracle(dataset.inputs, dataset.outputs)
-        labelled = [q for q in queries if oracle.mean(q) is not None]
-        assert len(labelled) < len(queries)  # ``far`` was dropped
-        assert [id(q) for q in workload.queries] == [id(q) for q in labelled]
-        np.testing.assert_allclose(
-            workload.answers,
-            [oracle.mean(q) for q in workload.queries],
-            rtol=0.0,
-            atol=1e-12,
-        )
-
     def test_split_partitions_pairs(self):
         workload = self._workload(30)
         train, test = workload.split(0.8, seed=0)

@@ -2,8 +2,8 @@
 
 Every single-query method of the model (``predict_mean``,
 ``predict_mean_with_diagnostics``, ``regression_models``, ``predict_value``)
-and of the exact engine in every shard configuration (``execute_q1``,
-``execute_q2``, ``cardinality``, ``select_subspace``) must
+and of the exact engine (``execute_q1``, ``execute_q2``, ``cardinality``,
+``select_subspace``) must
 
 * equal its batch-of-one call bit for bit, and
 * match the brute-force oracle of :mod:`repro.testing.oracle` within
@@ -17,16 +17,13 @@ a model with K = 2,100 prototypes.  ``REPRO_DIFFERENTIAL_SOAK=<n>`` appends
 
 An exact answer also depends on its query alone, not on its batch: seeded
 Q1 and Q2 workloads split into random batch partitions must give
-bit-identical answers (d in {1, 2, 3, 6}, p in {1, 2, inf}, the default
-engine, a 3-shard serial one, a 3-shard thread-pooled one and, at d = 2, a
-3-shard process-pooled one).  A pooled engine's answers also equal, bit for
-bit, those of the serial engine with the same shards.
-``REPRO_DIFFERENTIAL_SOAK=<n>`` draws ``n // 10`` more partitions per case.
+bit-identical answers (d in {1, 2, 3, 6}, p in {1, 2, inf}), and so must
+the engine's own query chunks.  ``REPRO_DIFFERENTIAL_SOAK=<n>`` draws
+``n // 10`` more partitions per case.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 
 import numpy as np
@@ -255,34 +252,7 @@ def _assert_exact_contract(engine, dataset, queries: list[Query]) -> None:
 def test_exact_single_queries_are_batches_of_one(dimension, norm_order, layout):
     dataset = _dataset(dimension, layout)
     queries = _exact_queries(dataset, norm_order)
-    for engine in (
-        ExactQueryEngine(dataset),
-        ExactQueryEngine(dataset, num_shards=3),
-    ):
-        _assert_exact_contract(engine, dataset, queries)
-
-
-@pytest.mark.parametrize("norm_order", NORMS)
-def test_default_engine_is_one_inline_indexed_shard(norm_order):
-    dataset = _dataset(2, "uniform")
-    queries = _exact_queries(dataset, norm_order)
-    default = ExactQueryEngine(dataset)
-    explicit = ExactQueryEngine(dataset, num_shards=1, backend="serial")
-    assert (default.num_shards, default.backend) == (1, "serial")
-    for query in queries:
-        for got, want in zip(
-            default.select_subspace(query), explicit.select_subspace(query)
-        ):
-            np.testing.assert_array_equal(got, want)
-        assert default.cardinality(query) == explicit.cardinality(query)
-    for execute in ("execute_q1_batch", "execute_q2_batch"):
-        answers = getattr(default, execute)(queries, on_empty="null")
-        expected = getattr(explicit, execute)(queries, on_empty="null")
-        for answer, reference in zip(answers, expected):
-            assert (answer is None) == (reference is None)
-            if reference is not None:
-                _assert_same_answer(answer, reference)
-    assert vars(default.statistics) == vars(explicit.statistics)
+    _assert_exact_contract(ExactQueryEngine(dataset), dataset, queries)
 
 
 # --------------------------------------------------------------------------- #
@@ -311,19 +281,11 @@ def _answer_key(answer) -> tuple:
     return answer.cardinality, answer.mean, coefficients, answer.r_squared
 
 
-def _assert_partitions_agree(engine, serial, queries, partitions) -> None:
-    """``engine`` answers every batch partition as it answers the whole batch.
-
-    A pooled engine's whole-batch answers must also equal ``serial``'s (the
-    serial engine with the same shards) bit for bit.
-    """
-    label = (engine.backend, engine.num_shards)
+def _assert_partitions_agree(engine, queries, partitions) -> None:
+    """``engine`` answers every batch partition as it answers the whole batch."""
     for kind in ("execute_q1_batch", "execute_q2_batch"):
         execute = getattr(engine, kind)
         expected = [_answer_key(a) for a in execute(queries, on_empty="null")]
-        if engine.backend != "serial":
-            reference = getattr(serial, kind)(queries, on_empty="null")
-            assert expected == [_answer_key(a) for a in reference], (label, kind)
         for partition in partitions:
             got: list = [None] * len(queries)
             for batch in partition:
@@ -331,7 +293,7 @@ def _assert_partitions_agree(engine, serial, queries, partitions) -> None:
                 for position, answer in zip(batch, answers):
                     got[position] = _answer_key(answer)
             differing = [i for i, key in enumerate(got) if key != expected[i]]
-            assert differing == [], (label, kind, len(partition), differing)
+            assert differing == [], (kind, len(partition), differing)
 
 
 def _partition_case(dimension: int, norm_order: float):
@@ -359,30 +321,18 @@ def _partition_case(dimension: int, norm_order: float):
 def test_exact_answers_do_not_depend_on_the_batch(dimension, norm_order):
     dataset, queries = _partition_case(dimension, norm_order)
     partitions = _random_partitions(len(queries), seed=dimension)
-    serial = ExactQueryEngine(dataset, num_shards=3)
-    backends = ["threads", "processes"] if dimension == 2 else ["threads"]
-    with contextlib.ExitStack() as stack:
-        pooled = [
-            stack.enter_context(
-                ExactQueryEngine(dataset, num_shards=3, backend=backend, max_workers=2)
-            )
-            for backend in backends
-        ]
-        for engine in (ExactQueryEngine(dataset), serial, *pooled):
-            _assert_partitions_agree(engine, serial, queries, partitions)
-
+    _assert_partitions_agree(ExactQueryEngine(dataset), queries, partitions)
 
 
 @pytest.mark.parametrize("norm_order", PARTITION_NORMS)
 @pytest.mark.parametrize("dimension", PARTITION_DIMENSIONS)
 def test_chunked_batch_is_a_partition(dimension, norm_order, monkeypatch):
-    """A shard's query chunks change no answer and no counter.
+    """The engine's query chunks change no answer and no counter.
 
     With the chunk budget at one estimated row every query runs in its own
     chunk (each estimate is at least two cells' mean rows); with an
     unbounded one every batch runs whole.  Answers and
-    ``ExecutionStatistics`` must be bit-identical, on the default, 3-shard
-    serial and 2-worker thread-pooled engines.
+    ``ExecutionStatistics`` must be bit-identical.
     """
     dataset, queries = _partition_case(dimension, norm_order)
     pipeline = executor.SegmentedBatchPipeline
@@ -400,20 +350,15 @@ def test_chunked_batch_is_a_partition(dimension, norm_order, monkeypatch):
         monkeypatch.setattr(executor, "_CHUNK_BOUNDARY_ROWS", budget)
         chunks.clear()
         runs = []
-        with ExactQueryEngine(dataset, backend="threads", max_workers=2) as pooled:
-            for engine in (
-                ExactQueryEngine(dataset),
-                ExactQueryEngine(dataset, num_shards=3),
-                pooled,
-            ):
-                for kind in ("execute_q1_batch", "execute_q2_batch"):
-                    answers = getattr(engine, kind)(queries, on_empty="null")
-                    runs.append(
-                        (
-                            [_answer_key(answer) for answer in answers],
-                            vars(engine.statistics).copy(),
-                        )
-                    )
+        engine = ExactQueryEngine(dataset)
+        for kind in ("execute_q1_batch", "execute_q2_batch"):
+            answers = getattr(engine, kind)(queries, on_empty="null")
+            runs.append(
+                (
+                    [_answer_key(answer) for answer in answers],
+                    vars(engine.statistics).copy(),
+                )
+            )
         assert chunks and all(
             count == (1 if whole else batch) for batch, count in chunks
         ), (budget, chunks)

@@ -440,29 +440,6 @@ class TestHybridMode:
         assert result.value is None and result.empty
 
 
-class TestShardedServing:
-    def test_sharded_engine_matches_single(self, engine, half_model):
-        with ExactQueryEngine(
-            engine.dataset, num_shards=4, backend="serial"
-        ) as sharded:
-            service = AnalyticsService(
-                engines={TABLE: sharded}, models={TABLE: half_model}
-            )
-            statements = _mixed_statements(24)
-            results = service.execute_script(statements, mode="hybrid")
-        reference = AnalyticsService(
-            engines={TABLE: engine}, models={TABLE: half_model}
-        ).execute_script(statements, mode="hybrid")
-        for sharded_result, single_result in zip(results, reference):
-            assert sharded_result.source == single_result.source
-            if sharded_result.kind == "q1" and sharded_result.value is not None:
-                assert sharded_result.value == pytest.approx(
-                    single_result.value, abs=1e-9
-                )
-            elif sharded_result.kind == "count":
-                assert sharded_result.value == single_result.value
-
-
 class TestStatisticsViews:
     def test_per_table_and_aggregate(self, engine, half_model):
         other_engine = ExactQueryEngine(_dataset(size=600, seed=5))

@@ -6,12 +6,14 @@ sequence, same prototype matrix, same criterion trajectory, same
 ``TrainingCostBreakdown.pairs_*`` counts.  The sequential reference labels
 through ``execute_q1_batch([q])`` per query (batched Q1 statistics are
 batch-composition independent, so this is the same numerics at every chunk
-size); the suite sweeps seeds x data layouts x chunk sizes, the sharded
-engine, convergence mid-chunk, and the skipped-query engine-time
-attribution bugfix.
+size); the suite sweeps seeds x data layouts x chunk sizes, convergence
+mid-chunk, the trainer's argument checks and the skipped-query
+engine-time attribution bugfix.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -179,27 +181,42 @@ class TestChunkedEquivalence:
             StreamingTrainer(model, engine).train(stream, batch_size=0)
 
 
-class TestEngineSelectors:
-    def test_sharded_engine_produces_identical_models(self):
-        dataset = _make_dataset("uniform", 2)
-        queries = _make_queries(5)
-        single = ExactQueryEngine(dataset)
-        reference_model = _fresh_model()
-        StreamingTrainer(reference_model, single).train(queries, batch_size=40)
+class TestTrainerArguments:
+    """The retry count and the chunk size are integers, the backoff a
+    number >= 0: anything else is refused when it is given, not mid-run."""
 
-        with ExactQueryEngine(dataset, num_shards=3, backend="serial") as sharded:
-            model = _fresh_model()
-            StreamingTrainer(model, sharded).train(queries, batch_size=40)
-        # Sharded merge order differs from the single engine's summation, so
-        # the equality is the differential harness's 1e-12 envelope, not
-        # bitwise.
-        assert model.prototype_count == reference_model.prototype_count
-        np.testing.assert_allclose(
-            model.prototype_matrix(),
-            reference_model.prototype_matrix(),
-            rtol=1e-9,
-            atol=1e-12,
+    @staticmethod
+    def _engine() -> ExactQueryEngine:
+        return ExactQueryEngine(_make_dataset("uniform", 0, size=200))
+
+    @pytest.mark.parametrize("value", [math.nan, 1.5, 2.0, -1])
+    def test_retry_count_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="max_engine_retries"):
+            StreamingTrainer(_fresh_model(), self._engine(), max_engine_retries=value)
+
+    @pytest.mark.parametrize("value", [math.nan, -0.01])
+    def test_backoff_must_be_at_least_zero(self, value):
+        with pytest.raises(ValueError, match="retry_backoff_seconds"):
+            StreamingTrainer(
+                _fresh_model(), self._engine(), retry_backoff_seconds=value
+            )
+
+    @pytest.mark.parametrize("value", [math.nan, 2.0, 0.5, 0])
+    def test_batch_size_must_be_an_integer(self, value):
+        queries = _make_queries(0, count=8)
+        stream = iter(queries)
+        trainer = StreamingTrainer(_fresh_model(), self._engine())
+        with pytest.raises(ValueError, match="batch_size"):
+            trainer.train(stream, batch_size=value)
+        assert next(stream) is queries[0]
+
+    def test_numpy_integers_pass(self):
+        trainer = StreamingTrainer(
+            _fresh_model(), self._engine(), max_engine_retries=np.int64(2)
         )
+        assert trainer.max_engine_retries == 2
+        breakdown = trainer.train(_make_queries(0, count=8), batch_size=np.int32(4))
+        assert breakdown.chunks_executed == 2
 
 
 class TestCostAccounting:
