@@ -24,6 +24,7 @@ this), whatever the chunk size.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -100,7 +101,8 @@ class StreamingTrainer:
         abort a whole retraining run.  Deterministic errors never retry.
     retry_backoff_seconds:
         Sleep before retry ``k`` of a chunk is ``retry_backoff_seconds *
-        2**(k - 1)``; at least 0 (NaN is refused).
+        2**(k - 1)``; finite and at least 0 (NaN and infinity are
+        refused).
     """
 
     def __init__(
@@ -112,9 +114,10 @@ class StreamingTrainer:
         retry_backoff_seconds: float = 0.05,
     ) -> None:
         require_integer("max_engine_retries", max_engine_retries, 0, error=ValueError)
-        if not retry_backoff_seconds >= 0.0:
+        if not 0.0 <= retry_backoff_seconds < math.inf:
             raise ValueError(
-                f"retry_backoff_seconds must be >= 0, got {retry_backoff_seconds}"
+                "retry_backoff_seconds must be finite and >= 0, got "
+                f"{retry_backoff_seconds}"
             )
         self.model = model
         self.engine = engine

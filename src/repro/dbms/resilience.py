@@ -9,6 +9,7 @@ can degrade to the surviving tier.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -32,7 +33,8 @@ class DegradationPolicy:
         exceptions never retry.
     backoff_seconds / backoff_multiplier:
         Sleep before retry ``k`` is ``backoff_seconds *
-        backoff_multiplier**(k - 1)``.
+        backoff_multiplier**(k - 1)``; both finite, the first at least 0
+        and the second at least 1.
     breaker_failure_threshold:
         Consecutive failures after which a ``(table, tier)`` breaker
         opens.
@@ -50,9 +52,13 @@ class DegradationPolicy:
 
     def __post_init__(self) -> None:
         require_integer("max_attempts", self.max_attempts, 1)
-        if not (self.backoff_seconds >= 0.0 and self.backoff_multiplier >= 1.0):
+        if not (
+            0.0 <= self.backoff_seconds < math.inf
+            and 1.0 <= self.backoff_multiplier < math.inf
+        ):
             raise ConfigurationError(
-                "backoff_seconds must be >= 0 and backoff_multiplier >= 1"
+                "backoff_seconds must be finite and >= 0 and "
+                "backoff_multiplier finite and >= 1"
             )
         require_integer(
             "breaker_failure_threshold", self.breaker_failure_threshold, 1

@@ -153,6 +153,14 @@ def test_nan_fails_every_range_check(constructor, field, arguments, error):
         constructor(**arguments, **{field: math.nan})
 
 
+@pytest.mark.parametrize("field", ["backoff_seconds", "backoff_multiplier"])
+def test_degradation_backoff_refuses_infinity(field):
+    # A retry would sleep ``inf`` (OverflowError) or ``0 * inf`` (NaN,
+    # ValueError) in the middle of a served call.
+    with pytest.raises(ConfigurationError):
+        DegradationPolicy(**{field: math.inf})
+
+
 #: ``(constructor, field, typed error)`` of every integer count field of the
 #: config and policy constructors.
 INTEGER_FIELDS = [

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import SyntheticDataset
-from repro.dbms.executor import ExactQueryEngine, ExecutionStatistics
+from repro.baselines.ols import OLSRegressor
+from repro.dbms.executor import (
+    ExactQueryEngine,
+    ExecutionStatistics,
+    SegmentedBatchPipeline,
+    solve_q2_sufficient_statistics,
+)
 from repro.dbms.storage import SQLiteDataStore
 from repro.exceptions import ConfigurationError, EmptySubspaceError, StorageError
 from repro.queries.geometry import pairwise_lp_distance
@@ -30,6 +36,55 @@ def engine(linear_dataset) -> ExactQueryEngine:
 
 
 TOLERANCE = 1e-12
+
+
+def _table(dimension: int, size: int, seed: int = 3) -> SyntheticDataset:
+    """A seeded uniform table whose output is a noisy plane."""
+    rng = np.random.default_rng(seed)
+    inputs = rng.uniform(0.0, 1.0, size=(size, dimension))
+    slope = rng.normal(0.0, 1.0, size=dimension)
+    outputs = 1.0 + inputs @ slope + 0.05 * rng.normal(0.0, 1.0, size=size)
+    return SyntheticDataset(
+        inputs=inputs, outputs=outputs, name=f"table{dimension}", domain=(0.0, 1.0)
+    )
+
+
+def _mixed_queries(
+    dataset: SyntheticDataset, count: int = 30, seed: int = 11
+) -> list[Query]:
+    """In-domain balls of every norm family, empty probes and tiny selections."""
+    rng = np.random.default_rng(seed)
+    dimension = dataset.dimension
+    queries: list[Query] = []
+    for index in range(count):
+        if index % 9 == 0:
+            queries.append(
+                Query(center=rng.uniform(6.0, 7.0, size=dimension), radius=0.01)
+            )
+        elif index % 7 == 0:
+            # A handful of rows at most: fewer than d + 1 sends the query
+            # down the dense minimum-norm fallback.
+            anchor = dataset.inputs[int(rng.integers(dataset.size))]
+            queries.append(Query(center=anchor + 1e-6, radius=2e-4))
+        else:
+            # Radii grow as d ** (1 / p), so balls cover alike at every d.
+            norm_order = (1.0, 2.0, 3.0, np.inf)[index % 4]
+            queries.append(
+                Query(
+                    center=rng.uniform(0.0, 1.0, size=dimension),
+                    radius=float(rng.uniform(0.05, 0.4))
+                    * dimension ** (1.0 / norm_order),
+                    norm_order=norm_order,
+                )
+            )
+    return queries
+
+
+def _answer_key(answer) -> tuple:
+    if answer is None:
+        return (None,)
+    coefficients = () if answer.coefficients is None else tuple(answer.coefficients)
+    return answer.cardinality, answer.mean, coefficients, answer.r_squared
 
 
 class TestSelection:
@@ -137,6 +192,154 @@ class TestBatchContract:
             getattr(engine, kind)([Query(center=np.array([0.5]), radius=0.1)])
 
 
+@pytest.mark.parametrize("dimension", (1, 2, 3, 6, 8))
+class TestMixedBatches:
+    """One batch mixing norm orders, empty probes and selections of a few
+    rows, against the oracle: counts equal, means and Q2 fitted values on
+    the selected rows to 1e-12, coefficients and R^2 to 1e-9 relative, and
+    the counters of the batch equal to the oracle's selections."""
+
+    def test_q1_matches_oracle(self, dimension):
+        dataset = _table(dimension, size=3_000)
+        oracle = ExactOracle(dataset.inputs, dataset.outputs)
+        queries = _mixed_queries(dataset)
+        engine = ExactQueryEngine(dataset)
+        answers = engine.execute_q1_batch(queries, on_empty="null")
+        for query, answer in zip(queries, answers):
+            expected = oracle.mean(query)
+            if expected is None:
+                assert answer is None
+                continue
+            assert answer.cardinality == oracle.count(query)
+            np.testing.assert_allclose(
+                answer.mean, expected, rtol=TOLERANCE, atol=TOLERANCE
+            )
+        # Single rows (the fallback) and hundreds of rows in one batch.
+        sizes = [answer.cardinality for answer in answers if answer is not None]
+        assert min(sizes) < dimension + 1 and max(sizes) > 100
+        assert engine.statistics.queries_executed == len(queries)
+        assert engine.statistics.rows_selected == sum(map(oracle.count, queries))
+
+    def test_q2_matches_oracle(self, dimension):
+        dataset = _table(dimension, size=3_000)
+        oracle = ExactOracle(dataset.inputs, dataset.outputs)
+        queries = _mixed_queries(dataset)
+        engine = ExactQueryEngine(dataset)
+        answers = engine.execute_q2_batch(queries, on_empty="null")
+        for query, answer in zip(queries, answers):
+            expected = oracle.q2(query)
+            if expected is None:
+                assert answer is None
+                continue
+            assert answer.cardinality == oracle.count(query)
+            np.testing.assert_allclose(
+                answer.mean, oracle.mean(query), rtol=TOLERANCE, atol=TOLERANCE
+            )
+            np.testing.assert_allclose(
+                oracle.fitted(query, answer.coefficients),
+                oracle.fitted(query, expected),
+                rtol=TOLERANCE,
+                atol=TOLERANCE,
+            )
+            np.testing.assert_allclose(
+                answer.coefficients, expected, rtol=1e-9, atol=TOLERANCE
+            )
+            np.testing.assert_allclose(
+                answer.r_squared, oracle.r_squared(query), rtol=1e-9, atol=1e-9
+            )
+        # Single rows (the fallback) and hundreds of rows in one batch.
+        sizes = [answer.cardinality for answer in answers if answer is not None]
+        assert min(sizes) < dimension + 1 and max(sizes) > 100
+        assert engine.statistics.queries_executed == len(queries)
+        assert engine.statistics.rows_selected == sum(map(oracle.count, queries))
+
+
+def _pipeline_statistics(inputs, outputs, centers, radii, kind):
+    """``(counts, sums)`` of one row set's pipeline (L2 balls)."""
+    counts, sums, _ = SegmentedBatchPipeline(inputs, outputs).segment_statistics(
+        centers, radii, 2.0, kind=kind
+    )
+    return counts, sums
+
+
+def _merged_statistics(inputs, outputs, centers, radii, kind, parts):
+    """Sums of the pipeline statistics of ``parts`` contiguous row blocks."""
+    blocks = [
+        _pipeline_statistics(inputs[rows], outputs[rows], centers, radii, kind)
+        for rows in np.array_split(np.arange(len(inputs)), parts)
+    ]
+    counts, sums = zip(*blocks)
+    return sum(counts), sum(sums), blocks
+
+
+class TestStatisticsMerge:
+    """Statistics of disjoint row sets merge by plain addition, which is how
+    a query's boundary rows and its inner-cell runs combine: the sums over
+    a partition of the rows equal the whole table's statistics."""
+
+    def test_q2_moments_merge_exactly(self):
+        dataset = _table(2, size=900)
+        centers = np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])
+        radii = np.array([0.25, 0.15, 0.3])
+        full_counts, full_moments = _pipeline_statistics(
+            dataset.inputs, dataset.outputs, centers, radii, "q2"
+        )
+        counts, moments, _ = _merged_statistics(
+            dataset.inputs, dataset.outputs, centers, radii, "q2", parts=3
+        )
+        np.testing.assert_array_equal(counts, full_counts)
+        np.testing.assert_allclose(moments, full_moments, rtol=1e-12, atol=1e-12)
+        solution = solve_q2_sufficient_statistics(counts, moments, centers)
+        for index in range(centers.shape[0]):
+            rows = np.nonzero(
+                np.linalg.norm(dataset.inputs - centers[index], axis=1)
+                <= radii[index]
+            )[0]
+            direct = OLSRegressor().fit(dataset.inputs[rows], dataset.outputs[rows])
+            np.testing.assert_allclose(
+                solution.coefficients[index],
+                direct.coefficients,
+                rtol=1e-9,
+                atol=TOLERANCE,
+            )
+
+    def test_q1_statistics_merge_exactly(self):
+        dataset = _table(2, size=700)
+        centers = np.array([[0.4, 0.6], [0.8, 0.2]])
+        radii = np.array([0.2, 0.25])
+        full_counts, full_sums = _pipeline_statistics(
+            dataset.inputs, dataset.outputs, centers, radii, "q1"
+        )
+        counts, sums, _ = _merged_statistics(
+            dataset.inputs, dataset.outputs, centers, radii, "q1", parts=4
+        )
+        np.testing.assert_array_equal(counts, full_counts)
+        np.testing.assert_allclose(sums, full_sums, rtol=1e-12, atol=1e-12)
+
+    def test_rank_deficient_parts_merge_to_full_rank_answer(self):
+        # Every block alone holds fewer than d + 1 selected rows, but the
+        # merged statistics recover the full-rank plane.
+        rng = np.random.default_rng(9)
+        inputs = rng.uniform(0.45, 0.55, size=(9, 2))
+        outputs = 2.0 + inputs @ np.array([1.5, -0.5])
+        centers = np.array([[0.5, 0.5]])
+        radii = np.array([0.4])
+        counts, moments, blocks = _merged_statistics(
+            inputs, outputs, centers, radii, "q2", parts=5
+        )
+        for block_counts, block_moments in blocks:
+            assert block_counts[0] < 3
+            solution = solve_q2_sufficient_statistics(
+                block_counts, block_moments, centers
+            )
+            assert solution.needs_fallback.all()
+        solution = solve_q2_sufficient_statistics(counts, moments, centers)
+        assert counts[0] == 9 and not solution.needs_fallback.any()
+        np.testing.assert_allclose(
+            solution.coefficients[0], [2.0, 1.5, -0.5], rtol=1e-9, atol=TOLERANCE
+        )
+
+
 class TestStatistics:
     def test_statistics_accumulate(self, linear_dataset):
         engine = ExactQueryEngine(linear_dataset)
@@ -207,6 +410,21 @@ class TestFromStore:
         via_store = engine.execute_q1(query)
         assert via_store.mean == pytest.approx(direct.mean)
         assert via_store.cardinality == direct.cardinality
+
+    def test_from_store_matches_in_memory(self):
+        # The store keeps rowid order and IEEE doubles, so the answers and
+        # the counters are those of the in-memory engine bit for bit.
+        dataset = _table(2, size=600)
+        queries = _mixed_queries(dataset, count=8, seed=21)
+        with SQLiteDataStore(":memory:") as store:
+            store.load_dataset(dataset)
+            engine = ExactQueryEngine.from_store(store, dataset.name)
+        memory = ExactQueryEngine(dataset)
+        for kind in BATCH_KINDS:
+            got = getattr(engine, kind)(queries, on_empty="null")
+            want = getattr(memory, kind)(queries, on_empty="null")
+            assert [_answer_key(a) for a in got] == [_answer_key(a) for a in want]
+        assert vars(engine.statistics) == vars(memory.statistics)
 
     def test_rows_follow_rowid_order(self):
         # Appended rows come after the loaded ones, and the engine selects

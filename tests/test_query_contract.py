@@ -10,14 +10,15 @@ and of the exact engine (``execute_q1``, ``execute_q2``, ``cardinality``,
   1e-12 (Q2 through fitted values on the selected rows, coefficients and
   R^2 to 1e-9 relative).
 
-Cases cover d in {1, 2, 6} and p in {1, 2, 3, inf}, empty overlap sets
-(extrapolation), empty subspaces, duplicate rows, a collinear subspace and
-a model with K = 2,100 prototypes.  ``REPRO_DIFFERENTIAL_SOAK=<n>`` appends
+Cases cover d in {1, 2, 6} and p in {1, 2, 3, inf}, d = 8 as well on the
+exact engine (from d = 8 its Lp norms sum their terms pairwise), empty
+overlap sets (extrapolation), empty subspaces, duplicate rows, a collinear
+subspace and a model with K = 2,100 prototypes.  ``REPRO_DIFFERENTIAL_SOAK=<n>`` appends
 ``n`` randomly drawn model configurations to the model-side oracle test.
 
 An exact answer also depends on its query alone, not on its batch: seeded
 Q1 and Q2 workloads split into random batch partitions must give
-bit-identical answers (d in {1, 2, 3, 6}, p in {1, 2, inf}), and so must
+bit-identical answers (d in {1, 2, 3, 6, 8}, p in {1, 2, 3, inf}), and so must
 the engine's own query chunks.  ``REPRO_DIFFERENTIAL_SOAK=<n>`` draws
 ``n // 10`` more partitions per case.
 """
@@ -40,6 +41,7 @@ from repro.queries.query import Query
 from repro.testing.oracle import ExactOracle, ModelOracle
 
 DIMENSIONS = (1, 2, 6)
+EXACT_DIMENSIONS = (*DIMENSIONS, 8)
 NORMS = (1.0, 2.0, 3.0, np.inf)
 TOLERANCE = 1e-12
 
@@ -188,11 +190,12 @@ def _exact_queries(dataset: SyntheticDataset, norm_order: float) -> list[Query]:
         Query(center=anchor.copy(), radius=1e-9, norm_order=norm_order),
         Query(center=np.full(d, 0.5), radius=4.0, norm_order=norm_order),
     ]
+    # Radii grow as d ** (1 / p), so the balls select rows at every d.
     for _ in range(5):
         queries.append(
             Query(
                 center=rng.uniform(0.0, 1.0, d),
-                radius=float(rng.uniform(0.05, 0.45)),
+                radius=float(rng.uniform(0.05, 0.45)) * d ** (1.0 / norm_order),
                 norm_order=norm_order,
             )
         )
@@ -248,7 +251,7 @@ def _assert_exact_contract(engine, dataset, queries: list[Query]) -> None:
 
 @pytest.mark.parametrize("layout", ("uniform", "duplicate", "collinear"))
 @pytest.mark.parametrize("norm_order", NORMS)
-@pytest.mark.parametrize("dimension", DIMENSIONS)
+@pytest.mark.parametrize("dimension", EXACT_DIMENSIONS)
 def test_exact_single_queries_are_batches_of_one(dimension, norm_order, layout):
     dataset = _dataset(dimension, layout)
     queries = _exact_queries(dataset, norm_order)
@@ -258,8 +261,8 @@ def test_exact_single_queries_are_batches_of_one(dimension, norm_order, layout):
 # --------------------------------------------------------------------------- #
 # exact answers do not depend on their batch
 # --------------------------------------------------------------------------- #
-PARTITION_DIMENSIONS = (1, 2, 3, 6)
-PARTITION_NORMS = (1.0, 2.0, np.inf)
+PARTITION_DIMENSIONS = (1, 2, 3, 6, 8)
+PARTITION_NORMS = NORMS
 
 
 def _random_partitions(count: int, seed: int) -> list[list[np.ndarray]]:
@@ -297,7 +300,8 @@ def _assert_partitions_agree(engine, queries, partitions) -> None:
 
 
 def _partition_case(dimension: int, norm_order: float):
-    """A seeded 5,000-row table and 120 queries of radius 0.05-0.4."""
+    """A seeded 5,000-row table and 120 queries of radius 0.05-0.4 times
+    ``d ** (1 / p)``, so the balls select rows at every d."""
     rng = np.random.default_rng(dimension * 101 + int(min(norm_order, 9)))
     inputs = rng.uniform(0.0, 1.0, (5_000, dimension))
     noise = 0.05 * rng.normal(size=5_000)
@@ -308,7 +312,7 @@ def _partition_case(dimension: int, norm_order: float):
     queries = [
         Query(
             center=rng.uniform(0.0, 1.0, dimension),
-            radius=float(rng.uniform(0.05, 0.4)),
+            radius=float(rng.uniform(0.05, 0.4)) * dimension ** (1.0 / norm_order),
             norm_order=norm_order,
         )
         for _ in range(120)

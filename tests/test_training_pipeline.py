@@ -183,7 +183,8 @@ class TestChunkedEquivalence:
 
 class TestTrainerArguments:
     """The retry count and the chunk size are integers, the backoff a
-    number >= 0: anything else is refused when it is given, not mid-run."""
+    finite number >= 0: anything else is refused when it is given, not
+    mid-run (``time.sleep`` raises on NaN and on infinity)."""
 
     @staticmethod
     def _engine() -> ExactQueryEngine:
@@ -194,8 +195,8 @@ class TestTrainerArguments:
         with pytest.raises(ValueError, match="max_engine_retries"):
             StreamingTrainer(_fresh_model(), self._engine(), max_engine_retries=value)
 
-    @pytest.mark.parametrize("value", [math.nan, -0.01])
-    def test_backoff_must_be_at_least_zero(self, value):
+    @pytest.mark.parametrize("value", [math.nan, -0.01, math.inf])
+    def test_backoff_must_be_finite_and_at_least_zero(self, value):
         with pytest.raises(ValueError, match="retry_backoff_seconds"):
             StreamingTrainer(
                 _fresh_model(), self._engine(), retry_backoff_seconds=value
