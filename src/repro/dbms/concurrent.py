@@ -33,7 +33,13 @@ immediately (the window is a latency bound, not a throughput one).
 **Version-keyed answer cache.**  Repeated dashboard traffic is
 short-circuited by an :class:`AnswerCache` keyed on the canonicalised
 query (vector + norm order), the statement kind, the execution mode and
-the table's ``(model_version, registry_epoch)`` pair.  The epoch
+the table's ``(model_version, registry_epoch)`` pair.  A script reads
+each table's registry once
+(:meth:`~repro.dbms.serving.AnalyticsService.registry_snapshots`) and packs
+every key from the statement's own floats, so a hit costs its parse and
+one dictionary lookup: it becomes a ready result in its
+:class:`ScriptFuture` slot, and only misses get a future and count as
+pending.  The epoch
 (:meth:`~repro.dbms.serving.AnalyticsService.registry_epoch_for`) advances
 on every model hot-swap and engine registration, so a swap — or a
 rollback restoring an older version marker — invalidates naturally: a key
@@ -56,11 +62,13 @@ statistics entirely, and a swap empties the cache).
 from __future__ import annotations
 
 import itertools
+import math
+import struct
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..analysis.instrument import make_lock, note_access
@@ -73,6 +81,7 @@ from ..exceptions import (
 from .serving import (
     CALLER_ERRORS,
     AnalyticsService,
+    RegistrySnapshot,
     StatementResult,
     prepare_script,
 )
@@ -109,6 +118,8 @@ class ConcurrencyPolicy:
         waits for co-batchable arrivals before flushing.  2–5 ms merges
         concurrent dashboard traffic without a visible latency cost;
         ``0`` disables coalescing (every submission flushes immediately).
+        It must be finite: an infinite window would hold a group until
+        :meth:`ConcurrentAnalyticsService.close`.
     max_batch_statements:
         A pending group reaching this size flushes without waiting for
         the window (bounds per-batch memory and worst-case latency).
@@ -126,9 +137,9 @@ class ConcurrencyPolicy:
     def __post_init__(self) -> None:
         require_integer("max_workers", self.max_workers, 1)
         require_integer("max_pending_statements", self.max_pending_statements, 1)
-        if not self.coalesce_window_seconds >= 0.0:
+        if not 0.0 <= self.coalesce_window_seconds < math.inf:
             raise ConfigurationError(
-                f"coalesce_window_seconds must be >= 0, got "
+                f"coalesce_window_seconds must be finite and >= 0, got "
                 f"{self.coalesce_window_seconds}"
             )
         require_integer("max_batch_statements", self.max_batch_statements, 1)
@@ -202,24 +213,30 @@ class AnswerCache:
 
 
 class ScriptFuture:
-    """The pending results of one submitted script (statement order kept)."""
+    """The results of one submitted script (statement order kept).
+
+    Each slot holds a ready :class:`~repro.dbms.serving.StatementResult`
+    (a cache hit) or the future of an admitted statement.
+    """
 
     def __init__(
         self,
-        futures: "list[Future[StatementResult]]",
+        slots: "list[StatementResult | Future[StatementResult]]",
         on_error: str,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self._futures = futures
+        self._slots = slots
         self._on_error = on_error
         self._clock = clock
 
     def __len__(self) -> int:
-        return len(self._futures)
+        return len(self._slots)
 
     def done(self) -> bool:
         """Whether every statement of the script has been answered."""
-        return all(future.done() for future in self._futures)
+        return all(
+            not isinstance(slot, Future) or slot.done() for slot in self._slots
+        )
 
     def result(self, timeout: float | None = None) -> list[StatementResult]:
         """Block until every statement is answered; results in order.
@@ -232,11 +249,13 @@ class ScriptFuture:
         """
         deadline = None if timeout is None else self._clock() + timeout
         results: list[StatementResult] = []
-        for future in self._futures:
-            remaining = (
-                None if deadline is None else max(0.0, deadline - self._clock())
-            )
-            results.append(future.result(remaining))
+        for slot in self._slots:
+            if isinstance(slot, Future):
+                remaining = (
+                    None if deadline is None else max(0.0, deadline - self._clock())
+                )
+                slot = slot.result(remaining)
+            results.append(slot)
         if self._on_error == "raise":
             for result in results:
                 if result.error is not None:
@@ -490,48 +509,57 @@ class ConcurrentAnalyticsService(PerTableStatistics):
         otherwise enqueued into the coalescer.  The returned future yields
         the same per-statement :class:`~repro.dbms.serving.StatementResult`
         list as the inner service's ``execute_script`` — cache hits carry
-        ``cached=True``.
+        the caller's statement and ``cached=True``.
 
         Raises
         ------
+        SQLSyntaxError
+            When a statement's dimension differs from its table's.
         ServiceOverloadedError
             When admitting the script's uncached statements would exceed
-            :attr:`ConcurrencyPolicy.max_pending_statements`.  Nothing of
-            the script is admitted in that case.
+            :attr:`ConcurrencyPolicy.max_pending_statements`.
+        Nothing of the script is admitted when either is raised.
         """
         if self._closed:
             raise ServiceClosedError(
                 "the concurrent serving front has been closed"
             )
         statements = prepare_script(script, mode=mode, on_error=on_error)
-        futures: list[Future[StatementResult]] = [
-            Future() for _ in statements
-        ]
-        origin = next(self._origins)
         lookup_start = self._clock()
-        hits: list[tuple[int, StatementResult]] = []
-        misses: list[tuple[int, ParsedStatement, tuple | None]] = []
-        for position, statement in enumerate(statements):
-            key = self._cache_key(statement, mode)
-            if key is not None:
-                cached = self._cache.get(key)  # type: ignore[union-attr]
-                if cached is not None:
-                    hits.append(
-                        (
-                            position,
-                            replace(cached, statement=statement, cached=True),
-                        )
-                    )
-                    continue
-            misses.append((position, statement, key))
-        # Admission control happens before anything is resolved or
+        snapshots = self._service.registry_snapshots(statements)
+        cache = self._cache
+        slots: list[StatementResult | Future[StatementResult]] = []
+        hits: list[StatementResult] = []
+        misses: list[tuple[ParsedStatement, tuple | None, Future]] = []
+        for statement in statements:
+            key = (
+                None
+                if cache is None
+                else self._cache_key(statement, mode, snapshots[statement.table])
+            )
+            cached = None if key is None else cache.get(key)  # type: ignore[union-attr]
+            if cached is not None:
+                hit = StatementResult(
+                    statement=statement,
+                    value=cached.value,
+                    source=cached.source,
+                    empty=cached.empty,
+                    cached=True,
+                )
+                slots.append(hit)
+                hits.append(hit)
+            else:
+                future: Future[StatementResult] = Future()
+                slots.append(future)
+                misses.append((statement, key, future))
+        # Admission control happens before anything is recorded or
         # enqueued, so a rejected script is rejected whole.
         if misses:
-            self._admit([futures[position] for position, _, _ in misses])
+            self._admit([future for _, _, future in misses])
         if hits:
             elapsed = self._clock() - lookup_start
             by_table: dict[str, list[StatementResult]] = {}
-            for _, result in hits:
+            for result in hits:
                 by_table.setdefault(result.table, []).append(result)
             for table, results in by_table.items():
                 self.statistics_for(table).record_batch(
@@ -540,16 +568,13 @@ class ConcurrentAnalyticsService(PerTableStatistics):
                     empties=sum(r.empty for r in results),
                     seconds=elapsed * len(results) / len(hits),
                 )
-            for position, result in hits:
-                futures[position].set_result(result)
         if misses:
+            origin = next(self._origins)
             now = self._clock()
-            for position, statement, key in misses:
-                entry = _PendingEntry(
-                    statement, key, futures[position], origin, now
-                )
+            for statement, key, future in misses:
+                entry = _PendingEntry(statement, key, future, origin, now)
                 self._enqueue((statement.table, statement.kind, mode), entry)
-        return ScriptFuture(futures, on_error, clock=self._clock)
+        return ScriptFuture(slots, on_error, clock=self._clock)
 
     def execute_script(
         self,
@@ -634,26 +659,32 @@ class ConcurrentAnalyticsService(PerTableStatistics):
         except InvalidStateError:
             pass
 
-    def _cache_key(self, statement: ParsedStatement, mode: str) -> tuple | None:
-        """The versioned cache key of a statement, ``None`` when uncacheable."""
-        if self._cache is None:
-            return None
-        table = statement.table
-        query = self._service.query_for(statement)
-        version = self._service.model_version_for(table)
-        epoch = self._service.registry_epoch_for(table)
+    @staticmethod
+    def _cache_key(
+        statement: ParsedStatement, mode: str, snapshot: RegistrySnapshot
+    ) -> tuple | None:
+        """The versioned cache key of a statement, ``None`` when uncacheable.
+
+        The query part is the statement's resolved norm order and the
+        native float64 bytes of ``[center, radius]``: the bytes of
+        ``service.query_for(statement).to_vector()``, packed without
+        building the query (a statement is already a valid one).
+        """
         try:
-            hash(version)
+            hash(snapshot.model_version)
         except TypeError:
             return None  # exotic unhashable version markers: skip caching
+        center = statement.center
         return (
-            table,
+            statement.table,
             statement.kind,
             mode,
-            version,
-            epoch,
-            query.norm_order,
-            query.to_vector().tobytes(),
+            snapshot.model_version,
+            snapshot.registry_epoch,
+            snapshot.norm_order
+            if statement.norm_order is None
+            else statement.norm_order,
+            struct.pack(f"{len(center) + 1}d", *center, statement.radius),
         )
 
     # ------------------------------------------------------------------ #

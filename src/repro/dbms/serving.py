@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Literal, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,6 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "AnalyticsService",
     "StatementResult",
+    "RegistrySnapshot",
     "CALLER_ERRORS",
     "DEFAULT_NORM_ORDER",
     "prepare_script",
@@ -118,6 +119,19 @@ def prepare_script(
         item if isinstance(item, ParsedStatement) else parse_statement(item)
         for item in script
     ]
+
+
+class RegistrySnapshot(NamedTuple):
+    """One table's registry state, read under one lock acquisition.
+
+    ``dimension`` is the registered engine's (else the model's) input
+    dimension, ``None`` when the table has neither.
+    """
+
+    model_version: object
+    registry_epoch: int
+    norm_order: float
+    dimension: int | None
 
 
 @dataclass(frozen=True)
@@ -331,6 +345,39 @@ class AnalyticsService(PerTableStatistics):
         with self._registry_lock:
             return self._registry_epochs.get(table, 0)
 
+    def registry_snapshots(
+        self, statements: Sequence[ParsedStatement]
+    ) -> dict[str, RegistrySnapshot]:
+        """The :class:`RegistrySnapshot` of every table the statements name.
+
+        Each table's registry is read once.  A statement whose center
+        dimension differs from its table's is a caller mistake: it raises
+        :class:`~repro.exceptions.SQLSyntaxError` here, before any
+        statement of the script executes, instead of failing inside a
+        batch and counting against the table's circuit breakers.
+        """
+        snapshots: dict[str, RegistrySnapshot] = {}
+        for statement in statements:
+            table = statement.table
+            snapshot = snapshots.get(table)
+            if snapshot is None:
+                with self._registry_lock:
+                    source = self._engines.get(table, self._models.get(table))
+                    snapshot = snapshots[table] = RegistrySnapshot(
+                        self._model_versions.get(table),
+                        self._registry_epochs.get(table, 0),
+                        self.resolve_norm_order(table),
+                        getattr(source, "dimension", None),
+                    )
+            if snapshot.dimension is not None and (
+                len(statement.center) != snapshot.dimension
+            ):
+                raise SQLSyntaxError(
+                    f"statement has a {len(statement.center)}-dimensional center "
+                    f"but table {table!r} is {snapshot.dimension}-dimensional"
+                )
+        return snapshots
+
     def register_table_from_store(
         self,
         store: "SQLiteDataStore",
@@ -529,9 +576,11 @@ class AnalyticsService(PerTableStatistics):
         and registry/configuration errors
         (:class:`~repro.exceptions.SQLSyntaxError`,
         :class:`~repro.exceptions.ConfigurationError`) always raise —
-        they are caller bugs, not runtime faults.
+        they are caller bugs, not runtime faults; so does a statement
+        whose dimension differs from its table's, before anything runs.
         """
         statements = prepare_script(script, mode=mode, on_error=on_error)
+        self.registry_snapshots(statements)
         results: list[StatementResult | None] = [None] * len(statements)
         groups: dict[tuple[str, str], list[int]] = {}
         for position, statement in enumerate(statements):

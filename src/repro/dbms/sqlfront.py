@@ -23,6 +23,12 @@ norm).  Without the clause, the norm is resolved *per table* at execution
 time from the registered model's configuration, so approximate answers are
 always produced under the geometry the model was trained with.
 
+A statement is validated once, when it is built: a
+:class:`ParsedStatement` refuses a non-finite or empty center, a radius
+that is not finite and positive, and a ``NORM`` order below 1, each with
+:class:`~repro.exceptions.SQLSyntaxError`.  So every parsed statement is a
+valid query, and the serving layers take its floats as they are.
+
 A session can run statements in *exact* mode (against the
 :class:`~repro.dbms.executor.ExactQueryEngine`), *model* mode (against a
 trained :class:`~repro.core.model.LLMModel`; ``"approximate"`` is accepted
@@ -36,6 +42,7 @@ heavy lifting lives in :class:`~repro.dbms.serving.AnalyticsService`;
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, Sequence
@@ -80,6 +87,12 @@ class ParsedStatement:
     ``norm_order`` is the Lp order of an explicit ``NORM p`` clause, or
     ``None`` when the statement leaves the geometry to be resolved by the
     session (from the table's registered model, defaulting to Euclidean).
+
+    Construction validates the statement as a query: the center must be
+    non-empty and finite, the radius finite and positive, and an explicit
+    norm order at least 1.  A violation raises
+    :class:`~repro.exceptions.SQLSyntaxError`, so a statement that exists
+    is one the serving layers can execute and cache without re-checking.
     """
 
     kind: Literal["q1", "q2", "count"]
@@ -87,6 +100,19 @@ class ParsedStatement:
     center: tuple[float, ...]
     radius: float
     norm_order: float | None = None
+
+    def __post_init__(self) -> None:
+        # NaN fails math.isfinite and every comparison: each check refuses it.
+        if len(self.center) == 0 or not all(map(math.isfinite, self.center)):
+            raise SQLSyntaxError(
+                f"the query center must be non-empty and finite, got {self.center}"
+            )
+        if not 0.0 < self.radius < math.inf:
+            raise SQLSyntaxError(
+                f"radius must be finite and positive, got {self.radius}"
+            )
+        if self.norm_order is not None and not self.norm_order >= 1.0:
+            raise SQLSyntaxError(f"NORM order must be >= 1, got {self.norm_order}")
 
     def to_query(self, norm_order: float | None = None) -> Query:
         """Build the library's query object from the parsed statement.
@@ -115,7 +141,7 @@ def parse_statement(sql: str) -> ParsedStatement:
     ------
     SQLSyntaxError
         If the statement does not match the dialect grammar or has an
-        invalid center/radius/norm.
+        invalid center/radius/norm (checked by :class:`ParsedStatement`).
     """
     match = _STATEMENT_RE.match(sql)
     if match is None:
@@ -131,28 +157,21 @@ def parse_statement(sql: str) -> ParsedStatement:
     else:
         kind = "count"
     center_text = match.group("center").strip()
-    if not center_text:
-        raise SQLSyntaxError("the query center cannot be empty")
     try:
-        center = tuple(float(part) for part in center_text.split(","))
+        center = tuple(map(float, center_text.split(",")))
     except ValueError as exc:
         raise SQLSyntaxError(f"invalid center coordinates: {center_text!r}") from exc
-    radius = float(match.group("radius"))
-    if radius <= 0:
-        raise SQLSyntaxError(f"radius must be positive, got {radius}")
     norm_text = match.group("norm")
     norm_order: float | None = None
     if norm_text is not None:
         norm_order = (
             float("inf") if norm_text.upper().startswith("INF") else float(norm_text)
         )
-        if norm_order < 1.0:
-            raise SQLSyntaxError(f"NORM order must be >= 1, got {norm_order}")
     return ParsedStatement(
         kind=kind,
         table=match.group("table"),
         center=center,
-        radius=radius,
+        radius=float(match.group("radius")),
         norm_order=norm_order,
     )
 

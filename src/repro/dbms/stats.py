@@ -16,6 +16,7 @@ whole record, never one half-updated by a concurrent flush.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -33,6 +34,8 @@ __all__ = ["LatencyHistogram", "ServingStatistics", "PerTableStatistics"]
 #: :meth:`LatencyHistogram.merge` is exact — merging two histograms gives
 #: byte-identical counts to recording both streams into one histogram.
 _LATENCY_EDGES = np.logspace(-7.0, 2.0, num=9 * 8 + 1)
+#: The same edges as Python floats, for bisecting one value without NumPy.
+_LATENCY_EDGE_LIST = _LATENCY_EDGES.tolist()
 
 
 class LatencyHistogram:
@@ -66,8 +69,8 @@ class LatencyHistogram:
         """Add ``count`` observations of one latency value."""
         if count <= 0:
             return
-        index = int(np.searchsorted(_LATENCY_EDGES, seconds, side="left"))
-        self.counts[index] += count
+        # bisect_left picks the bucket np.searchsorted(side="left") would.
+        self.counts[bisect.bisect_left(_LATENCY_EDGE_LIST, seconds)] += count
 
     def record_many(self, seconds: Sequence[float]) -> None:
         """Add one observation per entry of a latency sequence."""

@@ -18,7 +18,7 @@ from repro.dbms.concurrent import (
 )
 from repro.dbms.executor import ExactQueryEngine
 from repro.dbms.serving import AnalyticsService
-from repro.dbms.sqlfront import AnalyticsSession
+from repro.dbms.sqlfront import AnalyticsSession, parse_statement
 from repro.exceptions import (
     ConfigurationError,
     EmptySubspaceError,
@@ -27,6 +27,7 @@ from repro.exceptions import (
     SQLSyntaxError,
 )
 from repro.testing.faults import FaultInjector
+from repro.testing.oracle import ExactOracle
 
 # Every scenario ends with each service's statistics partitioning its
 # statements by answer source (the fixture lives in conftest.py).
@@ -110,6 +111,7 @@ class TestConcurrencyPolicy:
             {"max_workers": 0},
             {"max_pending_statements": 0},
             {"coalesce_window_seconds": -0.001},
+            {"coalesce_window_seconds": float("inf")},
             {"max_batch_statements": 0},
             {"cache_capacity": -1},
         ],
@@ -297,6 +299,184 @@ class TestAnswerCacheIntegration:
             served = front.execute_script(script, mode="model")
             # A model-mode lookup must not hit the exact-mode entry.
             assert not any(r.cached for r in served)
+
+
+def _engine(dimension: int, seed: int = 3) -> ExactQueryEngine:
+    rng = np.random.default_rng(seed)
+    inputs = rng.uniform(0, 1, size=(400, dimension))
+    return ExactQueryEngine(
+        SyntheticDataset(
+            inputs=inputs,
+            outputs=inputs.sum(axis=1),
+            name=f"d{dimension}",
+            domain=(0.0, 1.0),
+        )
+    )
+
+
+class TestCacheHitPath:
+    """A hit is answered from the statement's own floats and one lookup."""
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_keys_are_the_canonical_query_bytes(self, dimension):
+        inner = AnalyticsService({"plain": _engine(dimension)})
+        inner.register_engine("pinned", _engine(dimension))
+        # An untrained model still pins its table's default norm order.
+        inner.swap_model(
+            "pinned",
+            LLMModel(dimension=dimension, config=ModelConfig(norm_order=1.0)),
+            version="v1",
+        )
+        rest = ", 0.5" * (dimension - 1)
+        statements = [
+            parse_statement(
+                f"SELECT {kind} FROM {table} WITHIN 0.3 OF ({first}{rest}){clause}"
+            )
+            for table in ("plain", "pinned")
+            for kind in ("AVG(u)", "COUNT(*)")
+            for first in ("-0.0", "0.0", "0.25")
+            for clause in ("", " NORM 1", " NORM INF")
+        ]
+        with ConcurrentAnalyticsService(inner) as front:
+            front.execute_script(statements, mode="exact")
+            expected = set()
+            for statement in statements:
+                query = inner.query_for(statement)
+                expected.add(
+                    (
+                        statement.table,
+                        statement.kind,
+                        "exact",
+                        inner.model_version_for(statement.table),
+                        inner.registry_epoch_for(statement.table),
+                        query.norm_order,
+                        query.to_vector().tobytes(),
+                    )
+                )
+            # Each statement has its own key, -0.0 against 0.0 included,
+            # except that on "pinned" a bare statement resolves to the
+            # model's NORM 1 (2 kinds x 3 centers).
+            assert len(expected) == len(statements) - 6
+            assert set(front.cache._entries) == expected
+            served = front.execute_script(statements, mode="exact")
+            assert all(result.cached for result in served)
+
+    def test_hit_carries_the_callers_statement(self, engine, model):
+        with ConcurrentAnalyticsService(_inner(engine, model)) as front:
+            front.execute_script(_script())
+            statements = [parse_statement(sql) for sql in _script()]
+            served = front.execute_script(statements)
+            assert all(result.cached for result in served)
+            assert all(
+                result.statement is statement
+                for result, statement in zip(served, statements)
+            )
+
+    def test_hit_only_script_admits_nothing(self, engine, model):
+        with ConcurrentAnalyticsService(_inner(engine, model)) as front:
+            first = front.execute_script(_script())
+            future = front.submit_script(_script())
+            assert front.pending_statements == 0
+            assert future.done()
+            served = future.result(timeout=0.0)
+            assert [r.value for r in served] == [r.value for r in first]
+
+    def test_mixed_hits_and_misses_keep_statement_order(
+        self, engine, other_engine, model
+    ):
+        script = [
+            f"SELECT {kind} FROM {table} WITHIN 0.12 OF "
+            f"({0.2 + 0.1 * i:.2f}, {0.3 + 0.05 * i:.2f})"
+            for i in range(4)
+            for table in (TABLE, OTHER)
+            for kind in ("AVG(u)", "COUNT(*)")
+        ]
+        engines = {TABLE: engine, OTHER: other_engine}
+        reference = AnalyticsService(engines).execute_script(script, mode="exact")
+        with ConcurrentAnalyticsService(
+            AnalyticsService(engines, {TABLE: model})
+        ) as front:
+            front.execute_script(script[::3], mode="exact")
+            served = front.execute_script(script, mode="exact")
+        assert [r.cached for r in served] == [
+            i % 3 == 0 for i in range(len(script))
+        ]
+        for got, want in zip(served, reference):
+            assert got.statement == want.statement
+            assert (got.value, got.source, got.empty) == (
+                want.value,
+                want.source,
+                want.empty,
+            )
+
+    def test_registration_between_submissions_misses(self, engine, model):
+        # A swap also drops the table's entries eagerly
+        # (TestAnswerCacheIntegration); an engine registration does not,
+        # so only the epoch each submission reads can turn these into misses.
+        with ConcurrentAnalyticsService(_inner(engine, model)) as front:
+            script = _script()
+            front.execute_script(script)
+            assert all(r.cached for r in front.execute_script(script))
+            front.register_engine(TABLE, engine)
+            assert len(front.cache) == len(script)
+            assert not any(r.cached for r in front.execute_script(script))
+
+
+class TestRefusedAtAdmission:
+    """A caller's mistake is refused at submission and never reaches a batch,
+    so the statements coalesced with it are answered."""
+
+    @pytest.mark.parametrize(
+        ("bad", "message"),
+        [
+            (f"SELECT AVG(u) FROM {TABLE} WITHIN 0.15 OF (nan, 0.5)", "center"),
+            (f"SELECT AVG(u) FROM {TABLE} WITHIN 0.15 OF (inf, 0.5)", "center"),
+            (f"SELECT AVG(u) FROM {TABLE} WITHIN 1e999 OF (0.4, 0.4)", "radius"),
+            (
+                f"SELECT AVG(u) FROM {TABLE} WITHIN 0.15 OF (0.4, 0.4, 0.4)",
+                "3-dimensional.*2-dimensional",
+            ),
+        ],
+    )
+    def test_refused_statement_never_reaches_a_batch(
+        self, engine, model, bad, message
+    ):
+        events: list = []
+
+        class _Events:
+            def notify(self, event) -> None:
+                events.append(event.kind)
+
+        inner = _inner(engine, model)
+        inner.observers.subscribe(_Events())
+        # The window outlasts the test: the valid statement waits in its
+        # group until close() flushes it, so every statement admitted after
+        # it in the same mode would have shared its batch.
+        front = ConcurrentAnalyticsService(
+            inner,
+            policy=ConcurrencyPolicy(
+                coalesce_window_seconds=60.0, cache_capacity=0
+            ),
+        )
+        valid = f"SELECT AVG(u) FROM {TABLE} WITHIN 0.15 OF (0.4, 0.4)"
+        try:
+            future = front.submit_script([valid], mode="exact")
+            # Three failing batches would open the table's breakers.
+            for _ in range(3):
+                with pytest.raises(SQLSyntaxError, match=message):
+                    front.submit_script([valid, bad], mode="exact")
+            assert front.pending_statements == 1
+        finally:
+            front.close(drain_seconds=10.0)
+        [result] = future.result(timeout=1.0)
+        oracle = ExactOracle(engine.dataset.inputs, engine.dataset.outputs)
+        assert result.source == "exact"
+        assert result.value == pytest.approx(
+            oracle.mean(parse_statement(valid).to_query()), rel=1e-12
+        )
+        assert not [
+            kind for kind in events if kind.startswith(("breaker.", "group."))
+        ]
 
 
 class TestAdmissionControl:

@@ -9,7 +9,12 @@ from repro.config import ModelConfig, TrainingConfig
 from repro.core.model import LLMModel
 from repro.data.synthetic import SyntheticDataset
 from repro.dbms.executor import ExactQueryEngine
-from repro.dbms.sqlfront import AnalyticsSession, parse_script, parse_statement
+from repro.dbms.sqlfront import (
+    AnalyticsSession,
+    ParsedStatement,
+    parse_script,
+    parse_statement,
+)
 from repro.exceptions import EmptySubspaceError, SQLSyntaxError
 from repro.queries.query import Query
 from repro.queries.stream import LabelledWorkload
@@ -58,11 +63,36 @@ class TestParseStatement:
             "SELECT AVG(u) FROM t WITHIN 0.1 OF ()",
             "SELECT AVG(u) FROM t WITHIN 0.1 OF (0.1, oops)",
             "DROP TABLE t",
+            # Parsed as floats, but not a valid query: refused at parse.
+            "SELECT AVG(u) FROM t WITHIN 0.1 OF (nan, 0.5)",
+            "SELECT AVG(u) FROM t WITHIN 0.1 OF (inf, 0.5)",
+            "SELECT AVG(u) FROM t WITHIN 0.1 OF (0.5, -infinity)",
+            "SELECT AVG(u) FROM t WITHIN 1e999 OF (0.3, 0.5)",
         ],
     )
     def test_rejects_invalid_statements(self, sql):
         with pytest.raises(SQLSyntaxError):
             parse_statement(sql)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"center": ()},
+            {"center": (0.3, float("nan"))},
+            {"center": (float("-inf"),)},
+            {"radius": 0.0},
+            {"radius": -0.1},
+            {"radius": float("nan")},
+            {"radius": float("inf")},
+            {"norm_order": 0.5},
+            {"norm_order": float("nan")},
+        ],
+    )
+    def test_statement_validates_itself(self, fields):
+        valid = {"kind": "q1", "table": "t", "center": (0.3, 0.5), "radius": 0.1}
+        ParsedStatement(**valid, norm_order=float("inf"))
+        with pytest.raises(SQLSyntaxError):
+            ParsedStatement(**{**valid, **fields})
 
     def test_rejects_zero_radius(self):
         with pytest.raises(SQLSyntaxError):

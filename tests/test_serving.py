@@ -440,6 +440,30 @@ class TestHybridMode:
         assert result.value is None and result.empty
 
 
+class TestDimensionMismatch:
+    def test_refused_before_any_group_runs(self, service, exact):
+        events: list = []
+
+        class _Events:
+            def notify(self, event) -> None:
+                events.append(event.kind)
+
+        service.observers.subscribe(_Events())
+        valid = f"SELECT AVG(u) FROM {TABLE} WITHIN 0.15 OF (0.2, 0.2)"
+        wide = f"SELECT AVG(u) FROM {TABLE} WITHIN 0.15 OF (0.2, 0.2, 0.2)"
+        # Three refusals: as runtime failures they would have opened both
+        # of the table's breakers (threshold 3).
+        for _ in range(3):
+            with pytest.raises(SQLSyntaxError, match="3-dimensional.*2-dimensional"):
+                service.execute_script([valid, wide], mode="hybrid")
+        assert service.statistics_for(TABLE).statements_executed == 0
+        assert not [kind for kind in events if kind.startswith(("breaker.", "group."))]
+        [result] = service.execute_script([valid], mode="exact")
+        query = service.query_for(result.statement)
+        assert result.source == "exact"
+        assert result.value == pytest.approx(exact.mean(query), rel=1e-12)
+
+
 class TestStatisticsViews:
     def test_per_table_and_aggregate(self, engine, half_model):
         other_engine = ExactQueryEngine(_dataset(size=600, seed=5))
@@ -588,6 +612,18 @@ class TestLatencyHistogram:
         assert below.percentile(50) == _LATENCY_EDGES[0]
         above.record(1e5)  # above the last edge
         assert above.percentile(50) == _LATENCY_EDGES[-1]
+
+    def test_record_buckets_like_record_many(self):
+        from repro.dbms.stats import _LATENCY_EDGES
+
+        values = [0.0, -1.0, 1e-9, 1e5, float("inf")]
+        for edge in _LATENCY_EDGES:
+            values += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+        one_by_one, together = LatencyHistogram(), LatencyHistogram()
+        for value in values:
+            one_by_one.record(float(value))
+        together.record_many(values)
+        assert np.array_equal(one_by_one.counts, together.counts)
 
     def test_copy_is_independent(self):
         hist = LatencyHistogram()
