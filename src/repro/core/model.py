@@ -27,7 +27,7 @@ from ..exceptions import (
     InternalInvariantError,
     NotFittedError,
 )
-from ..queries.query import Query, QueryResultPair
+from ..queries.query import Query, QueryResultPair, group_by_norm_order
 from .avq import GrowingQuantizer
 from .convergence import ConvergenceRecord, ConvergenceTracker
 from .learning_rates import LearningRateSchedule, get_schedule
@@ -464,13 +464,13 @@ class LLMModel:
         """Group a query sequence into per-norm-order ``(m, d + 1)`` matrices."""
         if len(queries) == 0:
             return []
-        orders = np.array([query.norm_order for query in queries], dtype=float)
-        vectors = np.vstack([query.to_vector() for query in queries])
-        groups: list[tuple[float, np.ndarray, np.ndarray]] = []
-        for order in np.unique(orders):
-            indices = np.nonzero(orders == order)[0]
-            groups.append((float(order), indices, vectors[indices]))
-        return groups
+        vectors = np.empty((len(queries), queries[0].dimension + 1))
+        vectors[:, :-1] = [query.center for query in queries]
+        vectors[:, -1] = [query.radius for query in queries]
+        return [
+            (order, indices, matrix)
+            for order, indices, (matrix,) in group_by_norm_order(queries, vectors)
+        ]
 
     def predict_value(self, point: np.ndarray, radius: float | None = None) -> float:
         """Predict the data value ``u ≈ g(x)`` at a point (Equation 14).

@@ -35,9 +35,11 @@ short-circuited by an :class:`AnswerCache` keyed on the canonicalised
 query (vector + norm order), the statement kind, the execution mode and
 the table's ``(model_version, registry_epoch)`` pair.  A script reads
 each table's registry once
-(:meth:`~repro.dbms.serving.AnalyticsService.registry_snapshots`) and packs
-every key from the statement's own floats, so a hit costs its parse and
-one dictionary lookup: it becomes a ready result in its
+(:meth:`~repro.dbms.serving.AnalyticsService.registry_snapshots`), and a
+statement text seen before skips the parser
+(:func:`~repro.dbms.sqlfront.parse_statement` is memoized) and brings its
+key bytes packed once, so a repeated hit costs two dictionary lookups, the
+parse memo's and the cache's: it becomes a ready result in its
 :class:`ScriptFuture` slot, and only misses get a future and count as
 pending.  The epoch
 (:meth:`~repro.dbms.serving.AnalyticsService.registry_epoch_for`) advances
@@ -63,7 +65,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 import threading
 import time
 from collections import OrderedDict
@@ -504,17 +505,21 @@ class ConcurrentAnalyticsService(PerTableStatistics):
     ) -> ScriptFuture:
         """Admit a script and return a :class:`ScriptFuture` immediately.
 
-        Statements are parsed on the calling thread (parse errors raise
-        here, synchronously), answered from the cache where possible, and
-        otherwise enqueued into the coalescer.  The returned future yields
-        the same per-statement :class:`~repro.dbms.serving.StatementResult`
-        list as the inner service's ``execute_script`` — cache hits carry
-        the caller's statement and ``cached=True``.
+        Statements are parsed on the calling thread, a text seen before
+        from the parse memo (parse errors raise here, synchronously),
+        answered from the cache where possible, and otherwise enqueued into
+        the coalescer; a hit of a repeated text costs the memo's lookup and
+        the cache's.  The returned future yields the same per-statement
+        :class:`~repro.dbms.serving.StatementResult` list as the inner
+        service's ``execute_script`` — cache hits carry the caller's
+        statement and ``cached=True``.
 
         Raises
         ------
         SQLSyntaxError
-            When a statement's dimension differs from its table's.
+            When a statement's dimension differs from its table's, or a
+            statement without ``NORM`` has a ``radius ** p`` that is not a
+            normal positive float64 under its table's default order.
         ServiceOverloadedError
             When admitting the script's uncached statements would exceed
             :attr:`ConcurrencyPolicy.max_pending_statements`.
@@ -665,16 +670,15 @@ class ConcurrentAnalyticsService(PerTableStatistics):
     ) -> tuple | None:
         """The versioned cache key of a statement, ``None`` when uncacheable.
 
-        The query part is the statement's resolved norm order and the
-        native float64 bytes of ``[center, radius]``: the bytes of
-        ``service.query_for(statement).to_vector()``, packed without
-        building the query (a statement is already a valid one).
+        The query part is the statement's resolved norm order and its
+        :attr:`~repro.dbms.sqlfront.ParsedStatement.vector_bytes`, the
+        bytes of ``service.query_for(statement).to_vector()``, which a
+        memoized statement packs once for every lookup of its text.
         """
         try:
             hash(snapshot.model_version)
         except TypeError:
             return None  # exotic unhashable version markers: skip caching
-        center = statement.center
         return (
             statement.table,
             statement.kind,
@@ -684,7 +688,7 @@ class ConcurrentAnalyticsService(PerTableStatistics):
             snapshot.norm_order
             if statement.norm_order is None
             else statement.norm_order,
-            struct.pack(f"{len(center) + 1}d", *center, statement.radius),
+            statement.vector_bytes,
         )
 
     # ------------------------------------------------------------------ #

@@ -64,7 +64,7 @@ from ..exceptions import (
     InternalInvariantError,
     StorageError,
 )
-from ..queries.query import Query, QueryAnswer
+from ..queries.query import Query, QueryAnswer, group_by_norm_order
 from .spatial_index import (
     GridIndex,
     batch_grid_cells_per_dimension,
@@ -457,16 +457,6 @@ def solve_q2_sufficient_statistics(
         r_squared=r_squared,
         needs_fallback=needs_fallback,
     )
-
-
-def _group_by_norm_order(queries: Sequence[Query]) -> list[tuple[float, np.ndarray]]:
-    """Group batch positions by norm order (ascending order, positions kept)."""
-    orders = [query.norm_order for query in queries]
-    distinct = sorted(set(orders))
-    if len(distinct) == 1:
-        return [(distinct[0], np.arange(len(orders)))]
-    array = np.array(orders, dtype=float)
-    return [(order, np.flatnonzero(array == order)) for order in distinct]
 
 
 #: NumPy adds a row of fewer than this many terms left to right and a
@@ -912,9 +902,11 @@ class ExactQueryEngine:
         radii = np.array([query.radius for query in batch])
         scanned = 0
         selected = 0
-        for order, group in _group_by_norm_order(batch):
+        for order, group, (group_centers, group_radii) in group_by_norm_order(
+            batch, centers, radii
+        ):
             counts, sums, scanned_group = self._statistics(
-                centers[group], radii[group], order, "q1"
+                group_centers, group_radii, order, "q1"
             )
             scanned += scanned_group
             selected += int(counts.sum())
@@ -952,10 +944,11 @@ class ExactQueryEngine:
         scanned = 0
         selected = 0
         fallback_positions: list[int] = []
-        for order, group in _group_by_norm_order(batch):
-            group_centers = centers[group]
+        for order, group, (group_centers, group_radii) in group_by_norm_order(
+            batch, centers, radii
+        ):
             counts, moments, scanned_group = self._statistics(
-                group_centers, radii[group], order, "q2"
+                group_centers, group_radii, order, "q2"
             )
             scanned += scanned_group
             selected += int(counts.sum())

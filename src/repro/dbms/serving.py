@@ -63,7 +63,7 @@ from ..exceptions import (
     SQLSyntaxError,
     TransientEngineError,
 )
-from ..queries.query import Query
+from ..queries.query import Query, radius_power_is_normal
 from ..queries.stream import QueryLog
 from .executor import ExactQueryEngine
 from .observer import ObserverHub
@@ -351,7 +351,9 @@ class AnalyticsService(PerTableStatistics):
         """The :class:`RegistrySnapshot` of every table the statements name.
 
         Each table's registry is read once.  A statement whose center
-        dimension differs from its table's is a caller mistake: it raises
+        dimension differs from its table's, or whose ``radius ** p`` under
+        its table's default order (it has no ``NORM`` clause) is not a
+        normal positive float64, is a caller mistake: it raises
         :class:`~repro.exceptions.SQLSyntaxError` here, before any
         statement of the script executes, instead of failing inside a
         batch and counting against the table's circuit breakers.
@@ -375,6 +377,14 @@ class AnalyticsService(PerTableStatistics):
                 raise SQLSyntaxError(
                     f"statement has a {len(statement.center)}-dimensional center "
                     f"but table {table!r} is {snapshot.dimension}-dimensional"
+                )
+            if statement.norm_order is None and not radius_power_is_normal(
+                statement.radius, snapshot.norm_order
+            ):
+                raise SQLSyntaxError(
+                    f"radius ** p must be a normal positive float64, got WITHIN "
+                    f"{statement.radius} under table {table!r}'s default norm "
+                    f"order {snapshot.norm_order}"
                 )
         return snapshots
 

@@ -25,9 +25,20 @@ always produced under the geometry the model was trained with.
 
 A statement is validated once, when it is built: a
 :class:`ParsedStatement` refuses a non-finite or empty center, a radius
-that is not finite and positive, and a ``NORM`` order below 1, each with
+that is not finite and positive, a ``NORM`` order below 1, and a finite
+``NORM p`` whose ``radius ** p`` is not a normal positive float64 (the Lp
+terms lose the ball once that power underflows or overflows), each with
 :class:`~repro.exceptions.SQLSyntaxError`.  So every parsed statement is a
-valid query, and the serving layers take its floats as they are.
+valid query, and the serving layers take its floats as they are.  A
+statement without ``NORM`` meets the same bound under its table's default
+order when a service admits it.
+
+:func:`parse_statement` is memoized on the statement text (a bounded LRU
+of ``_PARSE_CACHE_SIZE`` texts, the answer cache's default capacity), as a
+DBMS reuses the parsed form of a statement text it has seen: a repeated
+dashboard statement skips the grammar, and every caller of one text shares
+one immutable :class:`ParsedStatement`, whose cache-key bytes are computed
+once.  A refused text is not cached; it raises on every call.
 
 A session can run statements in *exact* mode (against the
 :class:`~repro.dbms.executor.ExactQueryEngine`), *model* mode (against a
@@ -42,15 +53,17 @@ heavy lifting lives in :class:`~repro.dbms.serving.AnalyticsService`;
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal, Sequence
 
 import numpy as np
 
 from ..exceptions import ConfigurationError, SQLSyntaxError
-from ..queries.query import Query
+from ..queries.query import Query, radius_power_is_normal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dbms.executor import ExactQueryEngine
@@ -63,18 +76,26 @@ __all__ = [
     "AnalyticsSession",
 ]
 
+#: The dialect's unsigned numeric literal (ASCII digits only, no ``_``); a
+#: center coordinate may carry a sign.
+_NUMBER = r"[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?"
+
 _STATEMENT_RE = re.compile(
-    r"""
+    rf"""
     ^\s*SELECT\s+
     (?P<projection>AVG\(\s*u\s*\)|REGRESSION\(\s*u\s*\)|COUNT\(\s*\*\s*\))
     \s+FROM\s+(?P<table>[A-Za-z_][A-Za-z0-9_]*)
-    \s+WITHIN\s+(?P<radius>[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)
-    \s+OF\s*\(\s*(?P<center>[^)]*)\s*\)
-    (?:\s+NORM\s+(?P<norm>INF(?:INITY)?|[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?))?
+    \s+WITHIN\s+(?P<radius>{_NUMBER})
+    \s+OF\s*\(\s*(?P<center>[-+]?{_NUMBER}(?:\s*,\s*[-+]?{_NUMBER})*)\s*\)
+    (?:\s+NORM\s+(?P<norm>INF(?:INITY)?|{_NUMBER}))?
     \s*;?\s*$
     """,
     re.IGNORECASE | re.VERBOSE,
 )
+
+#: Distinct statement texts :func:`parse_statement` keeps parsed, the
+#: answer cache's default capacity (``ConcurrencyPolicy.cache_capacity``).
+_PARSE_CACHE_SIZE = 4096
 
 #: ``--``-to-end-of-line comments stripped from scripts before parsing.
 _COMMENT_RE = re.compile(r"--[^\n]*")
@@ -90,9 +111,12 @@ class ParsedStatement:
 
     Construction validates the statement as a query: the center must be
     non-empty and finite, the radius finite and positive, and an explicit
-    norm order at least 1.  A violation raises
+    norm order at least 1, with ``radius ** p`` a normal positive float64
+    when it is finite.  A violation raises
     :class:`~repro.exceptions.SQLSyntaxError`, so a statement that exists
     is one the serving layers can execute and cache without re-checking.
+    Statements are immutable, so one object can serve every caller of a
+    memoized text.
     """
 
     kind: Literal["q1", "q2", "count"]
@@ -100,6 +124,10 @@ class ParsedStatement:
     center: tuple[float, ...]
     radius: float
     norm_order: float | None = None
+    #: The native float64 bytes of ``[center, radius]``, packed once: those
+    #: of ``to_query().to_vector().tobytes()`` under any norm order, and the
+    #: query part of the concurrent front's cache key.
+    vector_bytes: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # NaN fails math.isfinite and every comparison: each check refuses it.
@@ -111,8 +139,19 @@ class ParsedStatement:
             raise SQLSyntaxError(
                 f"radius must be finite and positive, got {self.radius}"
             )
-        if self.norm_order is not None and not self.norm_order >= 1.0:
-            raise SQLSyntaxError(f"NORM order must be >= 1, got {self.norm_order}")
+        if self.norm_order is not None:
+            if not self.norm_order >= 1.0:
+                raise SQLSyntaxError(f"NORM order must be >= 1, got {self.norm_order}")
+            if not radius_power_is_normal(self.radius, self.norm_order):
+                raise SQLSyntaxError(
+                    f"radius ** NORM must be a normal positive float64, got "
+                    f"WITHIN {self.radius} NORM {self.norm_order}"
+                )
+        object.__setattr__(
+            self,
+            "vector_bytes",
+            struct.pack(f"{len(self.center) + 1}d", *self.center, self.radius),
+        )
 
     def to_query(self, norm_order: float | None = None) -> Query:
         """Build the library's query object from the parsed statement.
@@ -134,14 +173,21 @@ class ParsedStatement:
         )
 
 
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_statement(sql: str) -> ParsedStatement:
     """Parse one statement of the analytics dialect.
+
+    Memoized on the text: a repeated text returns the one
+    :class:`ParsedStatement` parsed first, so callers must not rely on
+    distinct identities.  ``parse_statement.cache_info()`` and
+    ``parse_statement.cache_clear()`` inspect and reset the memo.
 
     Raises
     ------
     SQLSyntaxError
         If the statement does not match the dialect grammar or has an
         invalid center/radius/norm (checked by :class:`ParsedStatement`).
+        A refused text is not memoized.
     """
     match = _STATEMENT_RE.match(sql)
     if match is None:
@@ -156,11 +202,7 @@ def parse_statement(sql: str) -> ParsedStatement:
         kind = "q2"
     else:
         kind = "count"
-    center_text = match.group("center").strip()
-    try:
-        center = tuple(map(float, center_text.split(",")))
-    except ValueError as exc:
-        raise SQLSyntaxError(f"invalid center coordinates: {center_text!r}") from exc
+    center = tuple(map(float, match.group("center").split(",")))
     norm_text = match.group("norm")
     norm_order: float | None = None
     if norm_text is not None:
@@ -180,10 +222,12 @@ def parse_script(sql: str) -> list[ParsedStatement]:
     """Parse a ``;``-separated multi-statement script.
 
     ``--`` comments run to the end of their line; empty statements (e.g.
-    produced by a trailing semicolon or blank lines) are skipped.
+    produced by a trailing semicolon or blank lines) are skipped.  Each
+    statement is parsed stripped of its surrounding whitespace, so one
+    statement text is memoized once wherever it sits in a script.
     """
-    text = _COMMENT_RE.sub("", sql)
-    return [parse_statement(chunk) for chunk in text.split(";") if chunk.strip()]
+    chunks = (chunk.strip() for chunk in _COMMENT_RE.sub("", sql).split(";"))
+    return [parse_statement(chunk) for chunk in chunks if chunk]
 
 
 class AnalyticsSession:

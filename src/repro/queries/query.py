@@ -10,14 +10,43 @@ that space (Definition 5).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import DimensionalityMismatchError, InvalidQueryError
 from .geometry import balls_overlap, lp_distance, overlap_degree
 
-__all__ = ["Query", "QueryAnswer", "QueryResultPair", "query_distance"]
+__all__ = [
+    "Query",
+    "QueryAnswer",
+    "QueryResultPair",
+    "query_distance",
+    "radius_power_is_normal",
+    "group_by_norm_order",
+]
+
+#: Natural logs of the smallest normal and the largest finite float64.
+_LOG_NORMAL_MIN = math.log(sys.float_info.min)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def radius_power_is_normal(radius: float, norm_order: float) -> bool:
+    """Whether ``radius ** norm_order`` is a normal positive float64.
+
+    A finite-order Lp selection compares sums of ``|x - c| ** p`` terms
+    with the ball's ``radius ** p`` scale; once that power underflows or
+    overflows, the terms no longer tell rows inside the ball from rows
+    outside it, and the engine and the oracle select different rows.  The
+    Chebyshev ball (an infinite order) takes no power.  The test compares
+    logarithms, since Python's ``**`` raises ``OverflowError``.
+    """
+    if math.isinf(norm_order):
+        return True
+    return _LOG_NORMAL_MIN <= norm_order * math.log(radius) <= _LOG_FLOAT_MAX
 
 
 @dataclass(frozen=True)
@@ -55,6 +84,11 @@ class Query:
         if not self.norm_order >= 1.0:
             raise InvalidQueryError(
                 f"norm order must be >= 1, got {self.norm_order}"
+            )
+        if not radius_power_is_normal(self.radius, self.norm_order):
+            raise InvalidQueryError(
+                f"radius ** norm order must be a normal positive float64, got "
+                f"radius {self.radius} with norm order {self.norm_order}"
             )
         center.setflags(write=False)
         object.__setattr__(self, "center", center)
@@ -127,6 +161,29 @@ class Query:
 def query_distance(first: Query, second: Query) -> float:
     """Module-level convenience wrapper around :meth:`Query.distance_to`."""
     return first.distance_to(second)
+
+
+def group_by_norm_order(
+    queries: Sequence[Query], *arrays: np.ndarray
+) -> list[tuple[float, np.ndarray, list[np.ndarray]]]:
+    """Split a batch by norm order: one ``(order, positions, rows)`` per order.
+
+    Orders ascend, and positions ascend within a group.  ``rows`` holds
+    each of the per-query ``arrays`` (first axis aligned with
+    ``queries``) at the group's positions.  A batch of one order, the
+    common case, is one group found without an array of orders, and its
+    rows are the arrays themselves rather than fancy-indexed copies.
+    """
+    orders = [query.norm_order for query in queries]
+    distinct = sorted(set(orders))
+    if len(distinct) == 1:
+        return [(distinct[0], np.arange(len(orders)), list(arrays))]
+    array = np.array(orders, dtype=float)
+    groups = []
+    for order in distinct:
+        positions = np.flatnonzero(array == order)
+        groups.append((order, positions, [rows[positions] for rows in arrays]))
+    return groups
 
 
 @dataclass(frozen=True)

@@ -360,6 +360,18 @@ class TestCacheHitPath:
             assert set(front.cache._entries) == expected
             served = front.execute_script(statements, mode="exact")
             assert all(result.cached for result in served)
+            # The same texts again: memoized statements, whose key bytes
+            # were packed once, find the same entries and add none.
+            texts = [
+                f"SELECT {kind} FROM {table} WITHIN 0.3 OF ({first}{rest}){clause}"
+                for table in ("plain", "pinned")
+                for kind in ("AVG(u)", "COUNT(*)")
+                for first in ("-0.0", "0.0", "0.25")
+                for clause in ("", " NORM 1", " NORM INF")
+            ]
+            served = front.execute_script(texts, mode="exact")
+            assert all(result.cached for result in served)
+            assert set(front.cache._entries) == expected
 
     def test_hit_carries_the_callers_statement(self, engine, model):
         with ConcurrentAnalyticsService(_inner(engine, model)) as front:
@@ -409,6 +421,17 @@ class TestCacheHitPath:
                 want.empty,
             )
 
+    def test_script_repeating_a_statement_answers_both(self, engine, model):
+        sql = f"SELECT AVG(u) FROM {TABLE} WITHIN 0.15 OF (0.4, 0.4)"
+        oracle = ExactOracle(engine.dataset.inputs, engine.dataset.outputs)
+        expected = oracle.mean(parse_statement(sql).to_query())
+        with ConcurrentAnalyticsService(_inner(engine, model)) as front:
+            for cached in (False, True):
+                served = front.execute_script(f"{sql}; {sql}", mode="exact")
+                assert [r.cached for r in served] == [cached, cached]
+                for result in served:
+                    assert result.value == pytest.approx(expected, rel=1e-12)
+
     def test_registration_between_submissions_misses(self, engine, model):
         # A swap also drops the table's entries eagerly
         # (TestAnswerCacheIntegration); an engine registration does not,
@@ -435,6 +458,16 @@ class TestRefusedAtAdmission:
             (
                 f"SELECT AVG(u) FROM {TABLE} WITHIN 0.15 OF (0.4, 0.4, 0.4)",
                 "3-dimensional.*2-dimensional",
+            ),
+            (
+                f"SELECT AVG(u) FROM {TABLE} WITHIN 0.1 OF (0.4, 0.4) NORM 1000",
+                "NORM",
+            ),
+            # No NORM clause: 1e-160 ** 2 under the model's Euclidean
+            # default underflows float64.
+            (
+                f"SELECT AVG(u) FROM {TABLE} WITHIN 1e-160 OF (0.4, 0.4)",
+                "default norm order 2.0",
             ),
         ],
     )

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,16 @@ class TestParseStatement:
             "SELECT AVG(u) FROM t WITHIN 0.1 OF (inf, 0.5)",
             "SELECT AVG(u) FROM t WITHIN 0.1 OF (0.5, -infinity)",
             "SELECT AVG(u) FROM t WITHIN 1e999 OF (0.3, 0.5)",
+            # Coordinates outside the dialect's numeric literals, which
+            # float() would read as 10.0 and 3.0.
+            "SELECT AVG(u) FROM t WITHIN 0.1 OF (1_0, 0.5)",
+            "SELECT AVG(u) FROM t WITHIN 0.1 OF (\u0663, 0.5)",
+            # radius ** NORM underflows or overflows float64.
+            "SELECT AVG(u) FROM t WITHIN 0.1 OF (0.5, 0.5) NORM 1000",
+            "SELECT AVG(u) FROM t WITHIN 0.3 OF (0.5, 0.5) NORM 640",
+            "SELECT AVG(u) FROM t WITHIN 0.05 OF (0.5, 0.5) NORM 260",
+            "SELECT AVG(u) FROM t WITHIN 2 OF (5, 5) NORM 1100",
+            "SELECT AVG(u) FROM t WITHIN 3 OF (5, 5) NORM 700",
         ],
     )
     def test_rejects_invalid_statements(self, sql):
@@ -86,6 +99,11 @@ class TestParseStatement:
             {"radius": float("inf")},
             {"norm_order": 0.5},
             {"norm_order": float("nan")},
+            {"radius": 0.1, "norm_order": 1000.0},
+            {"radius": 0.3, "norm_order": 640.0},
+            {"radius": 0.05, "norm_order": 260.0},
+            {"radius": 2.0, "norm_order": 1100.0},
+            {"radius": 3.0, "norm_order": 700.0},
         ],
     )
     def test_statement_validates_itself(self, fields):
@@ -93,6 +111,10 @@ class TestParseStatement:
         ParsedStatement(**valid, norm_order=float("inf"))
         with pytest.raises(SQLSyntaxError):
             ParsedStatement(**{**valid, **fields})
+
+    def test_signed_coordinates(self):
+        statement = parse_statement("SELECT AVG(u) FROM t WITHIN 0.1 OF (+0.5 , -.5e0)")
+        assert statement.center == (0.5, -0.5)
 
     def test_rejects_zero_radius(self):
         with pytest.raises(SQLSyntaxError):
@@ -110,6 +132,8 @@ class TestParseStatement:
             ("norm 2", 2.0),
             ("NORM INF", float("inf")),
             ("NORM infinity", float("inf")),
+            # 0.1 ** 300 is still a normal float64.
+            ("NORM 300", 300.0),
         ],
     )
     def test_norm_clause_parses(self, clause, expected):
@@ -131,6 +155,80 @@ class TestParseStatement:
         # Explicit clause: wins over any caller default.
         clause = parse_statement("SELECT AVG(u) FROM t WITHIN 0.1 OF (0.3, 0.5) NORM INF")
         assert clause.to_query(norm_order=1.0).norm_order == float("inf")
+
+
+class TestParseMemo:
+    """parse_statement parses each distinct text once (a bounded LRU)."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        parse_statement.cache_clear()
+        yield
+        parse_statement.cache_clear()
+
+    def test_repeated_text_returns_one_statement(self):
+        sql = "SELECT REGRESSION(u) FROM t WITHIN 0.2 OF (0.3, -0.5) NORM 1"
+        first = parse_statement(sql)
+        assert parse_statement(sql) is first
+        assert first == ParsedStatement(
+            kind="q2", table="t", center=(0.3, -0.5), radius=0.2, norm_order=1.0
+        )
+        assert parse_statement.cache_info().hits == 1
+
+    def test_refused_text_is_not_memoized(self):
+        parse_statement("SELECT AVG(u) FROM t WITHIN 0.1 OF (0.5, 0.5)")
+        size = parse_statement.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(SQLSyntaxError):
+                parse_statement("SELECT AVG(u) FROM t WITHIN 0.1 OF (nan, 0.5)")
+        assert parse_statement.cache_info().currsize == size
+
+    def test_memo_is_bounded(self):
+        bound = parse_statement.cache_info().maxsize
+        for i in range(bound + 10):
+            parse_statement(f"SELECT AVG(u) FROM t WITHIN 0.1 OF ({i}, 0.5)")
+        assert parse_statement.cache_info().currsize == bound
+
+    def test_threads_parsing_the_same_texts_agree(self):
+        texts = [
+            f"SELECT COUNT(*) FROM t WITHIN 0.{i % 9 + 1} OF ({i}.25, -{i}e-3)"
+            for i in range(200)
+        ]
+        expected = [
+            ParsedStatement(
+                kind="count",
+                table="t",
+                center=(float(f"{i}.25"), -float(f"{i}e-3")),
+                radius=float(f"0.{i % 9 + 1}"),
+            )
+            for i in range(200)
+        ]
+        barrier = threading.Barrier(4)
+        parsed: list[list[tuple[ParsedStatement, bytes]]] = [[] for _ in range(4)]
+
+        def worker(slot: int) -> None:
+            barrier.wait(timeout=10.0)
+            statements = [parse_statement(text) for text in texts]
+            parsed[slot] = [(s, s.vector_bytes) for s in statements]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        want = [(s, s.to_query().to_vector().tobytes()) for s in expected]
+        assert all(got == want for got in parsed)
+
+    def test_script_repeating_a_statement_keeps_both(self):
+        sql = "SELECT AVG(u) FROM t WITHIN 0.1 OF (0.5, 0.5)"
+        first, second = parse_script(f"{sql}; {sql}")
+        assert first is second
 
 
 class TestParseScript:
