@@ -28,20 +28,25 @@ back to each caller in submission order with per-statement ``degraded`` /
 mid-batch tier failure errors only the statements of the affected
 ``(table, kind)`` group, never co-batched statements of other groups.  A
 group hitting :attr:`~ConcurrencyPolicy.max_batch_statements` flushes
-immediately (the window is a latency bound, not a throughput one).
+immediately (the window is a latency bound, not a throughput one).  A
+script's statements of one group join it under one lock hold, so even with
+no window a flush takes all of them or none (short of the batch cap).
 
 **Version-keyed answer cache.**  Repeated dashboard traffic is
 short-circuited by an :class:`AnswerCache` keyed on the canonicalised
 query (vector + norm order), the statement kind, the execution mode and
-the table's ``(model_version, registry_epoch)`` pair.  A script reads
-each table's registry once
-(:meth:`~repro.dbms.serving.AnalyticsService.registry_snapshots`), and a
-statement text seen before skips the parser
-(:func:`~repro.dbms.sqlfront.parse_statement` is memoized) and brings its
-key bytes packed once, so a repeated hit costs two dictionary lookups, the
-parse memo's and the cache's: it becomes a ready result in its
-:class:`ScriptFuture` slot, and only misses get a future and count as
-pending.  The epoch
+the table's ``(model_version, registry_epoch)`` pair.  A repeated hit
+allocates no result and takes one cache lock per script: a statement text
+seen before skips the parser (:func:`~repro.dbms.sqlfront.parse_statement`
+is memoized) and brings its key bytes packed once, a script reads all its
+tables' registry snapshots under one registry lock
+(:meth:`~repro.dbms.serving.AnalyticsService.registry_snapshots`, which
+keeps a table's snapshot until its registry changes), and
+:meth:`AnswerCache.lookup` finds all of the script's keys under one lock.
+An entry holds the ``cached=True`` result of its answer, built once when
+the flush caches it, and a hit's :class:`ScriptFuture` slot holds that
+very object (a copy carrying the caller's statement when another text has
+the same key).  Only misses get a future and count as pending.  The epoch
 (:meth:`~repro.dbms.serving.AnalyticsService.registry_epoch_for`) advances
 on every model hot-swap and engine registration, so a swap — or a
 rollback restoring an older version marker — invalidates naturally: a key
@@ -69,7 +74,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..analysis.instrument import make_lock, note_access
@@ -152,16 +157,15 @@ class AnswerCache:
 
     Keys are opaque hashable tuples whose first component is the table
     name (so :meth:`invalidate` can drop one table's entries); values are
-    the :class:`~repro.dbms.serving.StatementResult` of a clean execution.
-    Capacity is enforced by least-recently-*used* eviction.  Entries need
-    no expiry: an engine answers from the rows it loaded, and every
-    registration that could change an answer bumps the registry epoch in
-    the key.
+    the ``cached=True`` :class:`~repro.dbms.serving.StatementResult` of a
+    clean execution, built once when the flush caches it.  Capacity is
+    enforced by least-recently-*used* eviction.  Entries need no expiry:
+    an engine answers from the rows it loaded, and every registration that
+    could change an answer bumps the registry epoch in the key.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
+        require_integer("capacity", capacity, 1)
         self._capacity = int(capacity)
         self._entries: OrderedDict[tuple, StatementResult] = OrderedDict()
         self._lock = make_lock("concurrent.AnswerCache")
@@ -174,17 +178,26 @@ class AnswerCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: tuple) -> StatementResult | None:
-        """The cached result under ``key``, or ``None`` on a miss."""
+    def lookup(self, keys: Sequence[tuple | None]) -> list[StatementResult | None]:
+        """The cached result under each key, ``None`` on a miss.
+
+        One lock acquisition serves a whole script.  A ``None`` key (an
+        uncacheable statement) is answered ``None`` and counts as neither
+        a hit nor a miss.
+        """
+        found: list[StatementResult | None] = []
         with self._lock:
             note_access(self, "entries")
-            result = self._entries.get(key)
-            if result is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return result
+            entries = self._entries
+            for key in keys:
+                result = None if key is None else entries.get(key)
+                if result is not None:
+                    entries.move_to_end(key)
+                    self.hits += 1
+                elif key is not None:
+                    self.misses += 1
+                found.append(result)
+        return found
 
     def put(self, key: tuple, result: StatementResult) -> None:
         """Insert (or refresh) an entry, evicting the LRU tail at capacity."""
@@ -508,11 +521,12 @@ class ConcurrentAnalyticsService(PerTableStatistics):
         Statements are parsed on the calling thread, a text seen before
         from the parse memo (parse errors raise here, synchronously),
         answered from the cache where possible, and otherwise enqueued into
-        the coalescer; a hit of a repeated text costs the memo's lookup and
-        the cache's.  The returned future yields the same per-statement
-        :class:`~repro.dbms.serving.StatementResult` list as the inner
-        service's ``execute_script`` — cache hits carry the caller's
-        statement and ``cached=True``.
+        the coalescer.  The whole script takes one registry lock and one
+        cache lock, and a hit of a repeated text allocates no result: it
+        is the entry's stored one.  The returned future yields the same
+        per-statement :class:`~repro.dbms.serving.StatementResult` list as
+        the inner service's ``execute_script`` — cache hits carry the
+        caller's statement and ``cached=True``.
 
         Raises
         ------
@@ -533,26 +547,27 @@ class ConcurrentAnalyticsService(PerTableStatistics):
         lookup_start = self._clock()
         snapshots = self._service.registry_snapshots(statements)
         cache = self._cache
+        keys: list[tuple | None]
+        found: list[StatementResult | None]
+        if cache is None:
+            keys = found = [None] * len(statements)
+        else:
+            keys = [
+                self._cache_key(statement, mode, snapshots[statement.table])
+                for statement in statements
+            ]
+            found = cache.lookup(keys)
         slots: list[StatementResult | Future[StatementResult]] = []
         hits: list[StatementResult] = []
         misses: list[tuple[ParsedStatement, tuple | None, Future]] = []
-        for statement in statements:
-            key = (
-                None
-                if cache is None
-                else self._cache_key(statement, mode, snapshots[statement.table])
-            )
-            cached = None if key is None else cache.get(key)  # type: ignore[union-attr]
+        for statement, key, cached in zip(statements, keys, found):
             if cached is not None:
-                hit = StatementResult(
-                    statement=statement,
-                    value=cached.value,
-                    source=cached.source,
-                    empty=cached.empty,
-                    cached=True,
-                )
-                slots.append(hit)
-                hits.append(hit)
+                # The entry carries the statement that first missed; the
+                # memo hands a repeated text that very object.
+                if cached.statement is not statement:
+                    cached = replace(cached, statement=statement)
+                slots.append(cached)
+                hits.append(cached)
             else:
                 future: Future[StatementResult] = Future()
                 slots.append(future)
@@ -576,9 +591,13 @@ class ConcurrentAnalyticsService(PerTableStatistics):
         if misses:
             origin = next(self._origins)
             now = self._clock()
+            groups: dict[tuple[str, str, str], list[_PendingEntry]] = {}
             for statement, key, future in misses:
-                entry = _PendingEntry(statement, key, future, origin, now)
-                self._enqueue((statement.table, statement.kind, mode), entry)
+                groups.setdefault((statement.table, statement.kind, mode), []).append(
+                    _PendingEntry(statement, key, future, origin, now)
+                )
+            for group_key, entries in groups.items():
+                self._enqueue(group_key, entries)
         return ScriptFuture(slots, on_error, clock=self._clock)
 
     def execute_script(
@@ -694,44 +713,51 @@ class ConcurrentAnalyticsService(PerTableStatistics):
     # ------------------------------------------------------------------ #
     # coalescer
     # ------------------------------------------------------------------ #
-    def _enqueue(self, group_key: tuple[str, str, str], entry: _PendingEntry) -> None:
-        batch: list[_PendingEntry] | None = None
+    def _enqueue(
+        self, group_key: tuple[str, str, str], entries: list[_PendingEntry]
+    ) -> None:
+        """Append one script's statements of a group under one lock hold.
+
+        A flush taking the group therefore sees all of them or none, even
+        with no window.  Every full ``max_batch_statements`` run flushes at
+        once; the rest waits for the group's window.
+        """
+        cap = self._policy.max_batch_statements
         schedule = False
         with self._groups_lock:
             note_access(self, "groups")
             group = self._groups.get(group_key)
             if group is None:
                 group = self._groups[group_key] = _PendingGroup()
-            group.entries.append(entry)
-            if self._closed or (
-                len(group.entries) >= self._policy.max_batch_statements
-            ):
-                # A close() racing this submission may already have drained
-                # the groups; flushing immediately keeps the entry from
-                # being stranded in a buffer nothing will ever flush.
-                batch = group.entries
-                group.entries = []
-            elif not group.flush_scheduled:
+            pending = group.entries
+            pending.extend(entries)
+            # A close() racing this submission may already have drained the
+            # groups; flushing everything keeps the entries from being
+            # stranded in a buffer nothing will ever flush.
+            stop = len(pending) if self._closed else len(pending) - len(pending) % cap
+            batches = [pending[start : start + cap] for start in range(0, stop, cap)]
+            if stop:
+                group.entries = pending[stop:]
+            if group.entries and not group.flush_scheduled:
                 group.flush_scheduled = True
                 schedule = True
+        submitted = 0
         try:
-            if batch is not None:
+            for batch in batches:
                 self._pool.submit(self._run_flush, group_key, batch)
+                submitted += 1
             if schedule:
                 self._pool.submit(self._window_flush, group_key)
         except RuntimeError:
             # The pool shut down underneath us: answer the affected
             # entries with the typed closed error instead of hanging them.
-            if batch is not None:
-                stranded = batch
-            else:
+            stranded = [entry for batch in batches[submitted:] for entry in batch]
+            if schedule:
                 with self._groups_lock:
                     note_access(self, "groups")
-                    group = self._groups.get(group_key)
-                    stranded = group.entries if group is not None else [entry]
-                    if group is not None:
-                        group.entries = []
-                        group.flush_scheduled = False
+                    stranded.extend(group.entries)
+                    group.entries = []
+                    group.flush_scheduled = False
             exc = ServiceClosedError(
                 "the concurrent serving front closed while the statement "
                 "was being enqueued"
@@ -824,5 +850,7 @@ class ConcurrentAnalyticsService(PerTableStatistics):
                 and result.error is None
                 and not result.degraded
             ):
-                self._cache.put(entry.key, result)  # type: ignore[union-attr]
+                self._cache.put(  # type: ignore[union-attr]
+                    entry.key, replace(result, cached=True)
+                )
             self._resolve(entry.future, result)

@@ -481,7 +481,9 @@ def _lp_norms(deltas: np.ndarray, p: float) -> np.ndarray:
         return np.abs(deltas).max(axis=0)
     terms = deltas * deltas if p == 2.0 else np.abs(deltas)
     if p not in (1.0, 2.0):
-        np.power(terms, p, out=terms)
+        # A term past float64's range is inf: that row is outside the ball.
+        with np.errstate(over="ignore"):
+            np.power(terms, p, out=terms)
     if deltas.shape[0] >= _PAIRWISE_SUM_TERMS:
         total = np.ascontiguousarray(terms.T).sum(axis=1)
     else:

@@ -122,7 +122,7 @@ def prepare_script(
 
 
 class RegistrySnapshot(NamedTuple):
-    """One table's registry state, read under one lock acquisition.
+    """One table's registry state, kept from one registry change to the next.
 
     ``dimension`` is the registered engine's (else the model's) input
     dimension, ``None`` when the table has neither.
@@ -268,6 +268,9 @@ class AnalyticsService(PerTableStatistics):
         self._model_versions: dict[str, object] = {}
         self._registry_epochs: dict[str, int] = {}
         self._engine_bindings: dict[str, tuple[str, str]] = {}
+        # Each table's RegistrySnapshot, built on first use and dropped by
+        # every registry change (all under the registry lock).
+        self._snapshots: dict[str, RegistrySnapshot] = {}
         self._policy = degradation or DegradationPolicy()
         self._hub = observers or ObserverHub()
         self._clock = clock
@@ -294,7 +297,7 @@ class AnalyticsService(PerTableStatistics):
         with self._registry_lock:
             self._engines[table] = engine
             self._engine_bindings.pop(table, None)
-            self._registry_epochs[table] = self._registry_epochs.get(table, 0) + 1
+            self._registry_changed(table)
         self._hub.publish("engine.registered", table, store_path=None, store_table=None)
 
     def register_model(self, table: str, model: object) -> None:
@@ -317,7 +320,7 @@ class AnalyticsService(PerTableStatistics):
             previous = self._models.get(table)
             self._models[table] = model
             self._model_versions[table] = version
-            self._registry_epochs[table] = self._registry_epochs.get(table, 0) + 1
+            self._registry_changed(table)
         self._hub.publish(
             "model.swapped",
             table,
@@ -325,6 +328,11 @@ class AnalyticsService(PerTableStatistics):
             had_previous=previous is not None,
         )
         return previous
+
+    def _registry_changed(self, table: str) -> None:
+        """Advance a table's epoch and drop its kept snapshot (lock held)."""
+        self._registry_epochs[table] = self._registry_epochs.get(table, 0) + 1
+        self._snapshots.pop(table, None)
 
     def model_version_for(self, table: str) -> object:
         """The version marker of the serving model (``None`` if unversioned)."""
@@ -350,27 +358,35 @@ class AnalyticsService(PerTableStatistics):
     ) -> dict[str, RegistrySnapshot]:
         """The :class:`RegistrySnapshot` of every table the statements name.
 
-        Each table's registry is read once.  A statement whose center
-        dimension differs from its table's, or whose ``radius ** p`` under
-        its table's default order (it has no ``NORM`` clause) is not a
-        normal positive float64, is a caller mistake: it raises
-        :class:`~repro.exceptions.SQLSyntaxError` here, before any
-        statement of the script executes, instead of failing inside a
-        batch and counting against the table's circuit breakers.
+        All of the script's tables are read under one registry-lock
+        acquisition, and a table's snapshot is kept until its registry next
+        changes.  A statement whose center dimension differs from its
+        table's, or whose ``radius ** p`` under its table's default order
+        (it has no ``NORM`` clause) is not a normal positive float64, is a
+        caller mistake: it raises :class:`~repro.exceptions.SQLSyntaxError`
+        here, before any statement of the script executes, instead of
+        failing inside a batch and counting against the table's circuit
+        breakers.
         """
         snapshots: dict[str, RegistrySnapshot] = {}
+        with self._registry_lock:
+            kept = self._snapshots
+            for statement in statements:
+                table = statement.table
+                if table not in snapshots:
+                    snapshot = kept.get(table)
+                    if snapshot is None:
+                        source = self._engines.get(table, self._models.get(table))
+                        snapshot = kept[table] = RegistrySnapshot(
+                            self._model_versions.get(table),
+                            self._registry_epochs.get(table, 0),
+                            self.resolve_norm_order(table),
+                            getattr(source, "dimension", None),
+                        )
+                    snapshots[table] = snapshot
         for statement in statements:
             table = statement.table
-            snapshot = snapshots.get(table)
-            if snapshot is None:
-                with self._registry_lock:
-                    source = self._engines.get(table, self._models.get(table))
-                    snapshot = snapshots[table] = RegistrySnapshot(
-                        self._model_versions.get(table),
-                        self._registry_epochs.get(table, 0),
-                        self.resolve_norm_order(table),
-                        getattr(source, "dimension", None),
-                    )
+            snapshot = snapshots[table]
             if snapshot.dimension is not None and (
                 len(statement.center) != snapshot.dimension
             ):
@@ -405,9 +421,7 @@ class AnalyticsService(PerTableStatistics):
         with self._registry_lock:
             self._engines[serving_name] = engine
             self._engine_bindings[serving_name] = (store.path, table_name)
-            self._registry_epochs[serving_name] = (
-                self._registry_epochs.get(serving_name, 0) + 1
-            )
+            self._registry_changed(serving_name)
         self._hub.publish(
             "engine.registered",
             serving_name,
@@ -438,6 +452,7 @@ class AnalyticsService(PerTableStatistics):
         with self._registry_lock:
             if epoch > self._registry_epochs.get(table, 0):
                 self._registry_epochs[table] = int(epoch)
+                self._snapshots.pop(table, None)
 
     @property
     def tables(self) -> list[str]:

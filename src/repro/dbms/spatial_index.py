@@ -425,7 +425,10 @@ class GridIndex:
                 keep = gp <= rp
                 with np.errstate(invalid="ignore"):
                     half = np.power(np.maximum(rp - gp, 0.0), 1.0 / p)
-                    gp_far = np.power(far, p).sum(axis=1)
+                    # A far-corner term past float64's range is inf: the
+                    # block is not inside the ball, which is the answer.
+                    with np.errstate(over="ignore"):
+                        gp_far = np.power(far, p).sum(axis=1)
                     rp_in = np.power(block_shrunk, p)
                     half_inner = np.where(
                         gp_far <= rp_in,

@@ -93,7 +93,10 @@ def pairwise_lp_distance(points: np.ndarray, center: np.ndarray, p: float = 2.0)
         return np.sqrt(np.sum(diff * diff, axis=1))
     if p == 1.0:
         return np.sum(np.abs(diff), axis=1)
-    return np.power(np.sum(np.power(np.abs(diff), p), axis=1), 1.0 / p)
+    # A term past float64's range is inf: that row is outside every ball.
+    with np.errstate(over="ignore"):
+        terms = np.power(np.abs(diff), p)
+    return np.power(np.sum(terms, axis=1), 1.0 / p)
 
 
 def lp_distance_matrix(

@@ -126,12 +126,22 @@ class TestAnswerCache:
         cache = AnswerCache(capacity=2)
         cache.put(("t", 1), "a")
         cache.put(("t", 2), "b")
-        assert cache.get(("t", 1)) == "a"  # touch: 1 becomes MRU
+        assert cache.lookup([("t", 1)]) == ["a"]  # touch: 1 becomes MRU
         cache.put(("t", 3), "c")  # evicts 2, the LRU
-        assert cache.get(("t", 2)) is None
-        assert cache.get(("t", 1)) == "a"
-        assert cache.get(("t", 3)) == "c"
+        assert cache.lookup([("t", 2)]) == [None]
+        assert cache.lookup([("t", 1)]) == ["a"]
+        assert cache.lookup([("t", 3)]) == ["c"]
         assert cache.evictions == 1
+
+    def test_one_lookup_touches_in_key_order(self):
+        cache = AnswerCache(capacity=2)
+        cache.put(("t", 1), "a")
+        cache.put(("t", 2), "b")
+        # Both hits move to the MRU end in the order asked: 2, then 1.
+        assert cache.lookup([("t", 2), ("t", 9), ("t", 1)]) == ["b", None, "a"]
+        cache.put(("t", 3), "c")  # evicts 2, now the LRU
+        assert cache.lookup([("t", 1), ("t", 2), ("t", 3)]) == ["a", None, "c"]
+        assert (cache.hits, cache.misses, cache.evictions) == (4, 2, 1)
 
     def test_invalidate_single_table_and_all(self):
         cache = AnswerCache(capacity=8)
@@ -139,21 +149,44 @@ class TestAnswerCache:
         cache.put(("a", 2), "y")
         cache.put(("b", 1), "z")
         assert cache.invalidate("a") == 2
-        assert cache.get(("b", 1)) == "z"
+        assert cache.lookup([("b", 1)]) == ["z"]
         assert cache.invalidate() == 1
         assert len(cache) == 0
         assert cache.invalidations == 3
 
     def test_hit_miss_counters(self):
         cache = AnswerCache(capacity=2)
-        assert cache.get(("t", 1)) is None
+        assert cache.lookup([("t", 1)]) == [None]
         cache.put(("t", 1), "a")
-        cache.get(("t", 1))
+        cache.lookup([("t", 1)])
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_uncacheable_key_is_neither_hit_nor_miss(self):
+        cache = AnswerCache(capacity=2)
+        cache.put(("t", 1), "a")
+        assert cache.lookup([None, ("t", 1), None, ("t", 2)]) == [
+            None,
+            "a",
+            None,
+            None,
+        ]
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
             AnswerCache(capacity=0)
+
+    @pytest.mark.parametrize("capacity", [2.5, 2.0, float("nan"), "4"])
+    def test_non_integer_capacity_rejected(self, capacity):
+        # 2.5 used to hold 2 entries, and NaN raised an untyped ValueError.
+        with pytest.raises(ConfigurationError, match="capacity"):
+            AnswerCache(capacity=capacity)
+
+    def test_numpy_integer_capacity_accepted(self):
+        cache = AnswerCache(capacity=np.int64(1))
+        cache.put(("t", 1), "a")
+        cache.put(("t", 2), "b")
+        assert (len(cache), cache.evictions) == (1, 1)
 
 
 class TestEquivalence:
@@ -443,6 +476,223 @@ class TestCacheHitPath:
             front.register_engine(TABLE, engine)
             assert len(front.cache) == len(script)
             assert not any(r.cached for r in front.execute_script(script))
+
+
+class TestReadyHits:
+    """A hit returns the result its entry stores, built once by the flush."""
+
+    def test_hit_of_the_cached_statement_is_the_stored_object(
+        self, engine, model
+    ):
+        script = _script()
+        with ConcurrentAnalyticsService(_inner(engine, model)) as front:
+            first = front.execute_script(script)
+            second = front.execute_script(script)
+            third = front.execute_script(script)
+            stored = {id(result) for result in front.cache._entries.values()}
+        assert all(result.cached for result in second)
+        assert all(a is b for a, b in zip(second, third))
+        assert all(id(result) in stored for result in second)
+        # The flush answered the miss with its own cached=False result.
+        assert not any(result.cached for result in first)
+        assert all(a is not b for a, b in zip(first, second))
+        for miss, hit, sql in zip(first, second, script):
+            assert hit.statement is miss.statement is parse_statement(sql)
+            assert (hit.value, hit.source, hit.empty) == (
+                miss.value,
+                miss.source,
+                miss.empty,
+            )
+            assert not hit.degraded and hit.error is None
+
+    @pytest.mark.parametrize(
+        ("cached_sql", "other_sql"),
+        [
+            (
+                f"SELECT AVG(u) FROM {TABLE} WITHIN 0.10 OF (0.4, 0.4)",
+                f"SELECT AVG(u) FROM {TABLE} WITHIN 0.1 OF (0.4, 0.4)",
+            ),
+            # The table's model is Euclidean, so an explicit NORM 2 names
+            # the same query as no NORM clause.
+            (
+                f"SELECT AVG(u) FROM {TABLE} WITHIN 0.1 OF (0.4, 0.4)",
+                f"SELECT AVG(u) FROM {TABLE} WITHIN 0.1 OF (0.4, 0.4) NORM 2",
+            ),
+        ],
+    )
+    def test_other_text_with_the_same_key_gets_its_own_statement(
+        self, engine, model, cached_sql, other_sql
+    ):
+        with ConcurrentAnalyticsService(_inner(engine, model)) as front:
+            [miss] = front.execute_script([cached_sql])
+            [other] = front.execute_script([other_sql])
+            [again] = front.execute_script([cached_sql])
+            assert len(front.cache) == 1  # one key for both texts
+            [stored] = front.cache._entries.values()
+        assert other.cached and other.statement is parse_statement(other_sql)
+        assert other.statement is not miss.statement
+        assert other is not stored
+        assert again is stored and again.statement is miss.statement
+        assert (other.value, other.source) == (miss.value, miss.source)
+
+
+def _store_registration(store, table: str):
+    def register(service: AnalyticsService) -> None:
+        service.register_table_from_store(store, "stored", table=table)
+
+    return register
+
+
+class TestRegistrySnapshots:
+    """A table's registry snapshot is kept until its registry changes."""
+
+    @pytest.mark.parametrize(
+        "change",
+        ["register_engine", "swap_model", "register_table_from_store",
+         "restore_registry_epoch"],
+    )
+    def test_each_registry_change_moves_the_next_key(
+        self, engine, model, change
+    ):
+        from repro.dbms.storage import SQLiteDataStore
+
+        script = _script()
+        with SQLiteDataStore() as store:
+            store.load_dataset(engine.dataset, "stored")
+            changes = {
+                "register_engine": lambda s: s.register_engine(TABLE, engine),
+                "swap_model": lambda s: s.swap_model(TABLE, model, version="v2"),
+                "register_table_from_store": _store_registration(store, TABLE),
+                "restore_registry_epoch": lambda s: s.restore_registry_epoch(
+                    TABLE, s.registry_epoch_for(TABLE) + 5
+                ),
+            }
+            with ConcurrentAnalyticsService(_inner(engine, model)) as front:
+                first = front.execute_script(script)
+                assert all(r.cached for r in front.execute_script(script))
+                epoch = front.service.registry_epoch_for(TABLE)
+                changes[change](front.service)
+                assert front.service.registry_epoch_for(TABLE) > epoch
+                misses = front.cache.misses
+                after = front.execute_script(script)
+                assert not any(r.cached for r in after)
+                assert front.cache.misses == misses + len(script)
+                # The new entries carry the moved epoch.
+                new_epoch = front.service.registry_epoch_for(TABLE)
+                assert {key[4] for key in front.cache._entries} >= {new_epoch}
+                assert all(r.cached for r in front.execute_script(script))
+        for got, want in zip(after, first):
+            assert got.value == want.value
+
+    def test_restoring_an_older_epoch_keeps_the_snapshot(self, engine, model):
+        with ConcurrentAnalyticsService(_inner(engine, model)) as front:
+            script = _script()
+            front.execute_script(script)
+            front.service.restore_registry_epoch(
+                TABLE, front.service.registry_epoch_for(TABLE)
+            )
+            assert all(r.cached for r in front.execute_script(script))
+
+    def test_reregistered_dimension_is_refused_at_admission(self):
+        flat = "SELECT AVG(u) FROM t WITHIN 0.3 OF (0.5, 0.5)"
+        deep = "SELECT AVG(u) FROM t WITHIN 0.3 OF (0.5, 0.5, 0.5)"
+        with ConcurrentAnalyticsService(AnalyticsService({"t": _engine(2)})) as front:
+            front.execute_script([flat], mode="exact")
+            assert front.execute_script([flat], mode="exact")[0].cached
+            front.register_engine("t", _engine(3))
+            with pytest.raises(SQLSyntaxError, match="2-dimensional.*3-dimensional"):
+                front.submit_script([flat], mode="exact")
+            [result] = front.execute_script([deep], mode="exact")
+            assert result.ok and not result.cached
+            assert front.pending_statements == 0
+
+    def test_counters_are_exact(self, engine, other_engine, model):
+        mine = _script(3)
+        theirs = [sql.replace(TABLE, OTHER) for sql in mine]
+        with ConcurrentAnalyticsService(
+            AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model})
+        ) as front:
+            cache = front.cache
+            front.execute_script(mine + theirs)
+            assert (cache.hits, cache.misses) == (0, 8)
+            front.execute_script(mine + theirs + mine[:1])
+            assert (cache.hits, cache.misses) == (9, 8)
+            # An unhashable version marker makes TABLE's statements
+            # uncacheable: they count as neither hits nor misses.
+            front.swap_model(TABLE, model, version=["v", 2])
+            for _ in range(2):
+                served = front.execute_script(mine + theirs)
+                assert [r.cached for r in served] == [False] * 4 + [True] * 4
+            assert (cache.hits, cache.misses) == (17, 8)
+            assert {key[0] for key in cache._entries} == {OTHER}
+            assert cache.evictions == 0
+
+
+class TestScriptGroups:
+    """A script's statements of one group are appended to it at once."""
+
+    def test_a_script_group_is_one_flush_without_window(self, engine, model):
+        import sys
+
+        script = [
+            f"SELECT AVG(u) FROM {TABLE} WITHIN 0.1 OF "
+            f"({0.05 + 0.055 * i:.3f}, 0.5)"
+            for i in range(16)
+        ]
+        inner = _inner(engine, model)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # let a flush thread cut in anywhere
+        try:
+            with ConcurrentAnalyticsService(
+                inner,
+                policy=ConcurrencyPolicy(
+                    coalesce_window_seconds=0.0, cache_capacity=0
+                ),
+            ) as front:
+                for _ in range(200):
+                    served = front.execute_script(script, mode="exact")
+                    assert all(result.ok for result in served)
+        finally:
+            sys.setswitchinterval(interval)
+        assert inner.statistics_for(TABLE).batches_executed == 200
+        assert front.statistics_for(TABLE).batches_executed == 200
+
+    def test_no_flush_exceeds_max_batch_statements(self, engine, model):
+        sizes: list[int] = []
+
+        class _Sizes(AnalyticsService):
+            def execute_script(self, script, **kwargs):
+                sizes.append(len(script))
+                return super().execute_script(script, **kwargs)
+
+        script = [
+            f"SELECT AVG(u) FROM {TABLE} WITHIN 0.1 OF "
+            f"({0.05 + 0.1 * i:.2f}, 0.5)"
+            for i in range(9)
+        ]
+        reference = _inner(engine, model).execute_script(script, mode="exact")
+        # The window outlasts the test: only a full batch or close() flushes.
+        front = ConcurrentAnalyticsService(
+            _Sizes({TABLE: engine}, {TABLE: model}),
+            policy=ConcurrencyPolicy(
+                coalesce_window_seconds=60.0,
+                max_batch_statements=4,
+                cache_capacity=0,
+            ),
+        )
+        try:
+            waiting = front.submit_script(script[:3], mode="exact")
+            joining = front.submit_script(script[3:], mode="exact")
+            # 3 + 6 pending: two full batches of 4 flush, 1 waits.
+            deadline = time.monotonic() + 10.0
+            while front.pending_statements > 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert front.pending_statements == 1
+        finally:
+            front.close(drain_seconds=10.0)
+        assert sorted(sizes) == [1, 4, 4]
+        served = waiting.result(timeout=1.0) + joining.result(timeout=1.0)
+        assert [r.value for r in served] == [r.value for r in reference]
 
 
 class TestRefusedAtAdmission:

@@ -580,3 +580,38 @@ class TestBoundedWorkingSet:
                 finally:
                     tracemalloc.stop()
             assert peaks[1] <= 1.25 * peaks[0], (kind, peaks)
+
+
+def test_large_order_ball_counts_without_overflow_warnings():
+    """A valid high-order ball whose far rows' terms pass float64's range.
+
+    ``2 ** 1000`` is a normal float64, so ``WITHIN 2 ... NORM 1000`` is a
+    valid statement, but a row 3 away in one coordinate has a term
+    ``3 ** 1000`` that overflows to inf: that row is outside the ball,
+    which is the answer, and no ``RuntimeWarning`` may reach the caller.
+    """
+    import warnings
+
+    from repro.dbms.sqlfront import parse_statement
+
+    rng = np.random.default_rng(0)
+    inputs = rng.uniform(0.0, 10.0, size=(20_000, 2))
+    outputs = inputs.sum(axis=1)
+    dataset = SyntheticDataset(
+        inputs=inputs, outputs=outputs, name="wide_ball", domain=(0.0, 10.0)
+    )
+    query = parse_statement(
+        "SELECT COUNT(*) FROM wide_ball WITHIN 2 OF (5, 5) NORM 1000"
+    ).to_query()
+    # The true count, scaled so no term overflows: |d|_p = m * |d / m|_p.
+    deltas = np.abs(inputs - query.center)
+    largest = deltas.max(axis=1)
+    scaled = ((deltas / largest[:, None]) ** 1000.0).sum(axis=1) ** 1e-3
+    true_count = int(np.count_nonzero(largest * scaled <= 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [answer] = ExactQueryEngine(dataset).execute_q1_batch([query])
+        oracle_count = ExactOracle(inputs, outputs).count(query)
+        distances = pairwise_lp_distance(inputs, query.center, p=1000.0)
+    assert answer.cardinality == oracle_count == true_count == 3_260
+    assert np.isinf(distances).any()  # the far rows overflowed, silently

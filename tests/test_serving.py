@@ -464,6 +464,31 @@ class TestDimensionMismatch:
         assert result.value == pytest.approx(exact.mean(query), rel=1e-12)
 
 
+    def test_reregistered_dimension_is_refused(self, engine, exact):
+        rng = np.random.default_rng(4)
+        deep_inputs = rng.uniform(0, 1, size=(500, 3))
+        deep = ExactQueryEngine(
+            SyntheticDataset(
+                inputs=deep_inputs,
+                outputs=deep_inputs.sum(axis=1),
+                name=TABLE,
+                domain=(0.0, 1.0),
+            )
+        )
+        flat = f"SELECT AVG(u) FROM {TABLE} WITHIN 0.15 OF (0.2, 0.2)"
+        service = AnalyticsService({TABLE: engine})
+        [result] = service.execute_script([flat], mode="exact")
+        assert result.value == pytest.approx(
+            exact.mean(service.query_for(result.statement)), rel=1e-12
+        )
+        # The kept snapshot says 2-D; the registration drops it.
+        service.register_engine(TABLE, deep)
+        with pytest.raises(SQLSyntaxError, match="2-dimensional.*3-dimensional"):
+            service.execute_script([flat], mode="exact")
+        service.register_engine(TABLE, engine)
+        assert service.execute_script([flat], mode="exact")[0].value == result.value
+
+
 class TestStatisticsViews:
     def test_per_table_and_aggregate(self, engine, half_model):
         other_engine = ExactQueryEngine(_dataset(size=600, seed=5))
@@ -716,12 +741,14 @@ class TestConcurrencyCounters:
         shared = ServingStatistics()
         shared.record_batch(1, seconds=0.001, coalesce_width=1)
         stop = threading.Event()
+        merged = threading.Event()
 
         def merger():
             while not stop.is_set():
                 delta = ServingStatistics()
                 delta.record_batch(3, seconds=0.003, coalesce_width=2)
                 shared.merge(delta)
+                merged.set()
 
         thread = threading.Thread(target=merger)
         thread.start()
@@ -732,6 +759,11 @@ class TestConcurrencyCounters:
             for _ in range(200):
                 snap = shared.snapshot()
                 frozen.append((snap, snap.latency.total_count))
+                if len(frozen) == 1:
+                    merged.clear()
+            # The 200 snapshots can finish before the merger first runs:
+            # wait for a merge that followed the first snapshot.
+            assert merged.wait(timeout=10.0)
         finally:
             stop.set()
             thread.join(timeout=10.0)
