@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.avq import FixedKQuantizer
-from repro.core.model import LLMModel
-from repro.core.sgd import apply_winner_update
 from repro.core.learning_rates import HyperbolicRate
-from repro.config import ModelConfig, TrainingConfig
+from repro.core.prediction import NeighborhoodPredictor
 from repro.eval.experiments import build_context
 from repro.eval.reporting import format_table
 from repro.metrics.evaluation import evaluate_q1_accuracy
 from repro.metrics.regression import rmse
+from repro.testing.reference_training import FixedKQuantizer, train_step
 
 
 class _FixedKModel:
@@ -31,18 +29,11 @@ class _FixedKModel:
 
     def fit(self, pairs) -> None:
         for pair in pairs:
-            query, answer = pair.query, pair.answer
-            vector = query.to_vector()
-            index, grew, _ = self._quantizer.observe(vector, answer=answer)
-            if not grew:
-                winner = self._quantizer.maps[index]
-                apply_winner_update(
-                    winner, vector, answer, self._schedule(winner.updates)
-                )
+            train_step(
+                self._quantizer, pair.query.to_vector(), pair.answer, self._schedule
+            )
 
     def predict_mean(self, query) -> float:
-        from repro.core.prediction import NeighborhoodPredictor
-
         return NeighborhoodPredictor(self._quantizer.maps).predict_mean(query)
 
 

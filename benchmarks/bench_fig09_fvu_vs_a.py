@@ -70,5 +70,5 @@ def test_fig09_fvu_vs_coefficient(dataset, benchmark, record_table):
             # the paper's headline ordering to appear: the LLM's piecewise
             # answer beats the single exact plane over the same subspaces.
             # (At d = 5 this needs the paper's much larger workload; see
-            # EXPERIMENTS.md.)
+            # docs/REPRODUCTION.md.)
             assert llm[0] < reg[0]

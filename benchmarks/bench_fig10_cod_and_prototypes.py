@@ -62,6 +62,6 @@ def test_fig10_cod_and_prototype_counts(benchmark, record_table):
         assert llm_cod[-1] > llm_cod[0]
         if dimension == "d=2":
             # The paper's ordering (LLM R² above REG's over the same
-            # subspaces) appears at d = 2 at laptop scale; see EXPERIMENTS.md
-            # for the d = 5 discussion.
+            # subspaces) appears at d = 2 at laptop scale; see
+            # docs/REPRODUCTION.md for the d = 5 discussion.
             assert llm_cod[-1] > reg_cod[-1]

@@ -79,4 +79,5 @@ def test_fig13_fig14_radius_tradeoff(benchmark, record_table):
         # Note: the paper also reports that large radii converge with fewer
         # training pairs.  With the windowed criterion and laptop-scale
         # workloads the |T|-to-convergence direction does not reproduce
-        # cleanly (see EXPERIMENTS.md), so it is reported but not asserted.
+        # cleanly (see docs/REPRODUCTION.md), so it is reported but not
+        # asserted.

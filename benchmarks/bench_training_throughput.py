@@ -6,8 +6,10 @@ dominant system cost.  This benchmark measures, on the Figure-12
 scalability setup (R2, d = 2, N = 40,000):
 
 * the **seed per-query loop** — one ``execute_q1`` per training query, a
-  per-pair object-path SGD update and a full O(K) convergence recompute
-  per step, faithfully replicating the seed ``StreamingTrainer.train``;
+  per-pair object-path SGD update (the training reference of
+  :mod:`repro.testing.reference_training`) and a full O(K) convergence
+  recompute per step, faithfully replicating the seed
+  ``StreamingTrainer.train``;
 * the **per-query loop on today's fused kernel** — same one-query-per-step
   engine traffic, but ``partial_fit`` running through
   :class:`~repro.core.sgd.FusedTrainingKernel` (incremental ``Gamma``);
@@ -17,7 +19,9 @@ scalability setup (R2, d = 2, N = 40,000):
 The headline requirement asserted here: the bitwise-equivalent pipelined
 trainer reaches **>= 5x** the seed per-query loop's training
 queries/s, and produces a model *identical* to the sequential loop over
-the same labelled stream (prototype matrix compared bit-for-bit).
+the same labelled stream (prototype matrix compared bit-for-bit).  The
+seed loop's model must be identical too: same prototype count, same
+prototype matrix bit for bit.
 
 Results are emitted through the ``repro.bench`` harness: a
 :class:`~repro.bench.RunRecord` appended to the JSONL results store plus
@@ -36,8 +40,9 @@ import numpy as np
 from repro.bench import BenchmarkSpec
 from repro.bench.cli import pytest_entry, script_main
 from repro.config import ModelConfig, TrainingConfig
+from repro.core.convergence import ConvergenceTracker
+from repro.core.learning_rates import HyperbolicRate
 from repro.core.model import LLMModel
-from repro.core.sgd import apply_winner_update
 from repro.core.training import StreamingTrainer
 from repro.data.synthetic import make_rosenbrock_dataset, normalize_dataset
 from repro.dbms.executor import ExactQueryEngine
@@ -47,6 +52,7 @@ from repro.queries.workload import (
     RadiusDistribution,
     WorkloadSpec,
 )
+from repro.testing.reference_training import GrowingQuantizer, train_step
 
 #: Required speedup of the default (bitwise-equivalent) pipelined trainer
 #: over the seed per-query training loop on the Figure-12 setup.  The
@@ -88,14 +94,24 @@ def _fresh_model(dimension: int) -> LLMModel:
     )
 
 
-def _seed_per_query_loop(model: LLMModel, engine, queries) -> dict:
+def _seed_per_query_loop(
+    dimension: int, engine, queries
+) -> tuple[dict, GrowingQuantizer]:
     """Faithful replica of the seed training loop (the benchmark baseline).
 
     One ``execute_q1`` per query, the object-path winner update
-    (``GrowingQuantizer.observe`` + :func:`apply_winner_update`) and a full
-    O(K) ``ConvergenceTracker.observe`` recompute per step — exactly the
-    work the seed ``StreamingTrainer.train`` performed per pair.
+    (:func:`~repro.testing.reference_training.train_step`: the reference
+    quantizer's winner search or growth, then the Theorem-4 update of the
+    winner) and a full O(K) ``ConvergenceTracker.observe`` recompute per
+    step — exactly the work the seed ``StreamingTrainer.train`` performed
+    per pair.  The vigilance and the learning-rate schedule are
+    :func:`_fresh_model`'s.  Returns the loop's statistics and its trained
+    quantizer.
     """
+    vigilance = ModelConfig(quantization_coefficient=COEFFICIENT).vigilance(dimension)
+    quantizer = GrowingQuantizer(vigilance=vigilance)
+    schedule = HyperbolicRate()
+    tracker = ConvergenceTracker(threshold=GAMMA)
     query_seconds = 0.0
     update_seconds = 0.0
     processed = 0
@@ -109,29 +125,23 @@ def _seed_per_query_loop(model: LLMModel, engine, queries) -> dict:
             skipped += 1
             continue
         executed = time.perf_counter()
-        vector = query.to_vector()
-        winner_index, grew, _ = model._quantizer.observe(vector, answer=answer)
-        if not grew:
-            winner = model._quantizer.parameters[winner_index]
-            learning_rate = model._schedule(winner.updates)
-            apply_winner_update(winner, vector, answer, learning_rate)
-        model._steps += 1
-        model._fitted = True
-        model._tracker.observe(model._quantizer.parameters)
+        train_step(quantizer, query.to_vector(), answer, schedule)
+        tracker.observe(quantizer.parameters)
         updated = time.perf_counter()
         query_seconds += executed - started
         update_seconds += updated - executed
         processed += 1
     total = query_seconds + update_seconds
-    return {
+    stats = {
         "pairs_processed": processed,
         "pairs_skipped": skipped,
         "query_execution_seconds": query_seconds,
         "model_update_seconds": update_seconds,
         "queries_per_second": (processed + skipped) / total if total else 0.0,
         "query_execution_share": query_seconds / total if total else 0.0,
-        "prototype_count": model.prototype_count,
+        "prototype_count": quantizer.prototype_count,
     }
+    return stats, quantizer
 
 
 def _per_query_incremental_loop(model: LLMModel, engine, queries) -> dict:
@@ -173,9 +183,8 @@ def run_training_throughput(
     engine, queries = _make_setup(dataset_size, query_count, dimension, seed)
 
     # --- seed per-query loop (the baseline) ----------------------------- #
-    seed_model = _fresh_model(dimension)
-    seed_stats = _seed_per_query_loop(
-        seed_model, engine, queries[:seed_loop_queries]
+    seed_stats, seed_quantizer = _seed_per_query_loop(
+        dimension, engine, queries[:seed_loop_queries]
     )
 
     # --- per-query loop through the fused kernel ------------------------ #
@@ -188,11 +197,9 @@ def run_training_throughput(
     # The sequential reference is the batch_size=1 loop (one
     # execute_q1_batch([q]) call per query): batched Q1 statistics are
     # batch-composition independent, so chunking must change *nothing*.
-    # The seed loop labels through the single-query path instead, whose
-    # summation order differs at the ulp level — that deviation is the
-    # engine-numerics envelope (pinned to 1e-12 by the differential
-    # harness), not a property of the training loop, and is reported
-    # separately.
+    # The seed loop's execute_q1 is the same batch of one, and its
+    # object-path step performs the fused kernel's operations in the same
+    # order, so its model must match bit for bit as well.
     chunked_model = _fresh_model(dimension)
     _pipelined(chunked_model, engine, queries[:seed_loop_queries], batch_size=batch_size)
     prototypes_equal = bool(
@@ -207,18 +214,23 @@ def run_training_throughput(
         (record.winner_index, record.grew, record.criterion)
         for record in chunked_model.convergence_tracker.history
     ]
-    seed_shared = min(seed_model.prototype_count, chunked_model.prototype_count)
+    seed_prototypes = seed_quantizer.prototype_matrix()
+    chunked_prototypes = chunked_model.prototype_matrix()
+    seed_shared = min(len(seed_prototypes), len(chunked_prototypes))
     seed_deviation = (
         float(
             np.max(
                 np.abs(
-                    seed_model.prototype_matrix()[:seed_shared]
-                    - chunked_model.prototype_matrix()[:seed_shared]
+                    seed_prototypes[:seed_shared] - chunked_prototypes[:seed_shared]
                 )
             )
         )
         if seed_shared
         else 0.0
+    )
+    seed_equal = bool(
+        seed_prototypes.shape == chunked_prototypes.shape
+        and np.array_equal(seed_prototypes, chunked_prototypes)
     )
 
     # --- pipelined trainer --------------------------------------------- #
@@ -248,7 +260,8 @@ def run_training_throughput(
         "equivalence": {
             "prototypes_bitwise_equal": prototypes_equal,
             "criterion_trajectory_equal": winners_equal,
-            "seed_loop_prototype_count": seed_model.prototype_count,
+            "seed_loop_prototypes_bitwise_equal": seed_equal,
+            "seed_loop_prototype_count": seed_quantizer.prototype_count,
             "chunked_prototype_count": chunked_model.prototype_count,
             "seed_loop_max_prototype_deviation": seed_deviation,
         },
@@ -284,9 +297,11 @@ def _format(result: dict) -> str:
         f"  bitwise equivalence:    prototypes="
         f"{result['equivalence']['prototypes_bitwise_equal']}, trajectory="
         f"{result['equivalence']['criterion_trajectory_equal']}",
-        f"  seed-loop numerics dev: "
+        f"  seed loop vs chunked:   K "
+        f"{result['equivalence']['seed_loop_prototype_count']} vs "
+        f"{result['equivalence']['chunked_prototype_count']}, max prototype dev "
         f"{result['equivalence']['seed_loop_max_prototype_deviation']:.2e}"
-        " (single-query vs batched engine path)",
+        " (object-path reference vs fused kernel; must be 0)",
     ]
     return "\n".join(lines)
 
@@ -306,6 +321,14 @@ def _check(result: dict) -> list[str]:
     if not result["equivalence"]["criterion_trajectory_equal"]:
         failures.append(
             "default-mode criterion trajectory deviates from the sequential loop"
+        )
+    if not result["equivalence"]["seed_loop_prototypes_bitwise_equal"]:
+        failures.append(
+            "the seed loop's model differs from the chunked model: K "
+            f"{result['equivalence']['seed_loop_prototype_count']} vs "
+            f"{result['equivalence']['chunked_prototype_count']}, max prototype "
+            "deviation "
+            f"{result['equivalence']['seed_loop_max_prototype_deviation']:.2e}"
         )
     return failures
 

@@ -2,7 +2,7 @@
 
 Every benchmark regenerates the series plotted by one figure of the paper
 and records it under ``benchmarks/results/`` so the numbers can be compared
-against the paper (see EXPERIMENTS.md).  The pytest-benchmark timings
+against the paper (``docs/REPRODUCTION.md`` records where they depart).  The pytest-benchmark timings
 measure either the experiment runtime (run exactly once via
 ``benchmark.pedantic``) or, for the query-processing benchmarks, the
 per-query latency itself.

@@ -133,8 +133,6 @@ from .dbms import (
     parse_statement,
 )
 from .core import (
-    FixedKQuantizer,
-    GrowingQuantizer,
     LLMModel,
     LocalLinearMap,
     RegressionPlane,
@@ -224,8 +222,6 @@ __all__ = [
     "TrainingReport",
     "LocalLinearMap",
     "RegressionPlane",
-    "GrowingQuantizer",
-    "FixedKQuantizer",
     "StreamingTrainer",
     "save_model",
     "load_model",

@@ -11,9 +11,11 @@
     and print each script's table.  Exits nonzero on headline-gate
     failures.
 ``report``
-    Render the cross-PR trajectory as markdown and exit nonzero when
-    any trajectory regressed beyond the threshold (or the latest run of
-    a trajectory failed its headline gates).
+    Render the cross-PR trajectory as markdown and exit nonzero when a
+    gated trajectory regressed beyond the threshold (or its latest run
+    failed its headline gates).  Gated are the trajectories whose latest
+    run is at the commit of the store's newest record; the others are
+    rendered as history.
 
 The module also provides :func:`script_main` and :func:`pytest_entry` —
 the two thin entry points the ported ``benchmarks/bench_*.py`` scripts
@@ -223,9 +225,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             records, verdicts, policy, skipped_lines=store.skipped_lines
         )
     )
-    regressed = any(v.regressions for v in verdicts)
-    gates_failed = any(v.latest.gate_failures for v in verdicts)
-    return 1 if (regressed or gates_failed) else 0
+    return 1 if any(v.gated and not v.ok for v in verdicts) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

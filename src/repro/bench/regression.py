@@ -9,6 +9,12 @@ reported but never gated.  Trajectories are keyed by environment
 fingerprint as well as config identity: a laptop baseline must not gate
 a CI runner (or vice versa) — a fresh environment simply starts a fresh
 baseline and its first runs pass as ``new``.
+
+Only the trajectories measured at the store's newest commit are gated:
+those whose latest run carries the ``git_sha`` of the store's last
+record, which is the commit the job that appended it just measured.
+Every other trajectory is history.  It is still judged and rendered, but
+a stale regression in a benchmark the job did not rerun cannot fail it.
 """
 
 from __future__ import annotations
@@ -71,7 +77,11 @@ class MetricVerdict:
 
 @dataclass(frozen=True)
 class ConfigVerdict:
-    """All metric verdicts of one ``(config, environment)`` trajectory."""
+    """All metric verdicts of one ``(config, environment)`` trajectory.
+
+    ``gated`` is true when the trajectory's latest run is at the store's
+    newest commit; only gated verdicts can fail a report.
+    """
 
     config_id: str
     benchmark: str
@@ -80,6 +90,7 @@ class ConfigVerdict:
     latest: RunRecord
     baseline_runs: int
     verdicts: tuple[MetricVerdict, ...] = field(default_factory=tuple)
+    gated: bool = True
 
     @property
     def regressions(self) -> tuple[MetricVerdict, ...]:
@@ -101,12 +112,15 @@ class RegressionDetector:
 
         Records must be in append (chronological) order, as the store
         loads them; the last record of each group is the run under test.
+        A group is gated when that run's ``git_sha`` is the last record's.
         """
         groups: dict[tuple[str, str], list[RunRecord]] = {}
+        newest_sha = None
         for record in records:
             groups.setdefault((record.config_id, record.environment_key), []).append(
                 record
             )
+            newest_sha = record.git_sha
         verdicts = []
         for (config_id, env_key), trajectory in groups.items():
             latest = trajectory[-1]
@@ -120,6 +134,7 @@ class RegressionDetector:
                     latest=latest,
                     baseline_runs=len(baseline),
                     verdicts=tuple(self._judge(latest, baseline)),
+                    gated=latest.git_sha == newest_sha,
                 )
             )
         return verdicts

@@ -4,7 +4,9 @@
 :class:`~repro.bench.regression.RegressionDetector`, and prints one
 markdown document: a verdict summary table (one row per config ×
 environment trajectory), per-trajectory run tables over the rolling
-window, and an explicit regression list.  The rendering is pure — it
+window, and an explicit regression list.  Trajectories that are not
+gated (their latest run predates the store's newest commit) show as
+``history`` and stay out of the verdict.  The rendering is pure — it
 takes records and verdicts, returns a string — so tests can assert on it
 without touching stdout or the filesystem.
 """
@@ -43,9 +45,10 @@ def _short_sha(sha: str) -> str:
 def _trajectory_section(
     verdict: ConfigVerdict, trajectory: Sequence[RunRecord], window: int
 ) -> list[str]:
+    scope = "" if verdict.gated else " — history, not gated"
     lines = [
         f"### `{verdict.benchmark}` [{verdict.label}] "
-        f"(config `{verdict.config_id}`, env `{verdict.environment_key}`)",
+        f"(config `{verdict.config_id}`, env `{verdict.environment_key}`){scope}",
         "",
     ]
     recent = list(trajectory[-(window + 1) :])
@@ -95,7 +98,9 @@ def render_report(
         f"{len(records)} run(s) across {len(verdicts)} trajectory(ies); "
         f"regression threshold {policy.threshold:.0%} vs a rolling baseline "
         f"of up to {policy.baseline_window} prior run(s) in the same "
-        f"environment."
+        f"environment.  Gated: the trajectories whose latest run is at "
+        f"commit {_short_sha(records[-1].git_sha)} (the newest record's); "
+        f"the others are history."
     )
     if skipped_lines:
         lines.append("")
@@ -120,6 +125,8 @@ def render_report(
             result = "new"
         else:
             result = "ok"
+        if not verdict.gated:
+            result = f"history ({result})"
         total = len(trajectories[(verdict.config_id, verdict.environment_key)])
         lines.append(
             f"| {verdict.benchmark} | {verdict.label} | `{verdict.config_id}` | "
@@ -132,14 +139,15 @@ def render_report(
         lines.extend(
             _trajectory_section(verdict, trajectory, policy.baseline_window)
         )
-    regressions = [
-        (verdict, mv) for verdict in ordered for mv in verdict.regressions
-    ]
-    gate_failures = [v for v in ordered if v.latest.gate_failures]
+    gated = [verdict for verdict in ordered if verdict.gated]
+    regressions = [(verdict, mv) for verdict in gated for mv in verdict.regressions]
+    gate_failures = [v for v in gated if v.latest.gate_failures]
     lines.append("## Verdict")
     lines.append("")
     if not regressions and not gate_failures:
-        lines.append("All trajectories within tolerance — no regressions detected.")
+        lines.append(
+            "All gated trajectories within tolerance — no regressions detected."
+        )
     else:
         for verdict, mv in regressions:
             lines.append(

@@ -3,10 +3,13 @@
 The core pipeline is:
 
 1. quantize the query space with a conditionally growing adaptive vector
-   quantizer (:mod:`repro.core.avq`),
+   quantizer,
 2. attach a local linear mapping (LLM) to every prototype and learn its
    coefficients jointly with the prototype positions by stochastic gradient
-   descent (:mod:`repro.core.sgd`, :mod:`repro.core.training`),
+   descent.  Steps 1 and 2 are one training step, the fused kernel of
+   :mod:`repro.core.sgd`, driven by :mod:`repro.core.training`; the tests
+   pin it to its readable object form,
+   :mod:`repro.testing.reference_training`,
 3. stop when the joint convergence criterion falls below ``gamma``
    (:mod:`repro.core.convergence`),
 4. answer unseen Q1/Q2 queries from the overlapping-prototype neighbourhood
@@ -23,8 +26,6 @@ from .learning_rates import (
     get_schedule,
 )
 from .convergence import ConvergenceTracker, ConvergenceRecord
-from .avq import GrowingQuantizer, FixedKQuantizer
-from .sgd import apply_winner_update
 from .prediction import NeighborhoodPredictor, normalized_weight_rows
 from .model import LLMModel, TrainingReport
 from .training import StreamingTrainer
@@ -41,9 +42,6 @@ __all__ = [
     "get_schedule",
     "ConvergenceTracker",
     "ConvergenceRecord",
-    "GrowingQuantizer",
-    "FixedKQuantizer",
-    "apply_winner_update",
     "NeighborhoodPredictor",
     "normalized_weight_rows",
     "LLMModel",

@@ -30,8 +30,9 @@ class ConvergenceRecord:
 
     ``winner_index`` and ``grew`` identify the LLM changed by the step when
     the record was produced by the incremental :meth:`ConvergenceTracker.
-    observe_step` path (the equivalence suites compare winner sequences
-    across training-loop implementations through them); full
+    observe_step` path (``tests/test_training_pipeline.py`` and
+    ``tests/test_reference_training.py::TestFusedKernelMatchesReference``
+    compare winner sequences across training paths through them); full
     :meth:`ConvergenceTracker.observe` recomputations leave them at their
     defaults.
     """

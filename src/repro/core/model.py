@@ -1,9 +1,9 @@
 """The public model: query-driven Local Linear Mapping regression.
 
-:class:`LLMModel` ties the pieces together: it owns a growing quantizer over
-the query space, learns the LLM coefficients by SGD from a stream of
-``(query, answer)`` pairs (Algorithm 1), tracks convergence, and after
-training answers
+:class:`LLMModel` ties the pieces together: it owns the prototypes of the
+query space and their LLM coefficients, grows and learns them by SGD from
+a stream of ``(query, answer)`` pairs (Algorithm 1), tracks convergence,
+and after training answers
 
 * Q1 mean-value queries (:meth:`LLMModel.predict_mean_batch`),
 * Q2 regression queries (:meth:`LLMModel.predict_q2_batch`), and
@@ -28,11 +28,10 @@ from ..exceptions import (
     NotFittedError,
 )
 from ..queries.query import Query, QueryResultPair, group_by_norm_order
-from .avq import GrowingQuantizer
 from .convergence import ConvergenceRecord, ConvergenceTracker
 from .learning_rates import LearningRateSchedule, get_schedule
 from .prediction import NeighborhoodPredictor, PredictionDiagnostics
-from .prototypes import LocalLinearMap, RegressionPlane
+from .prototypes import LocalLinearMap, LocalModelParameters, RegressionPlane
 from .sgd import FusedTrainingKernel
 
 __all__ = ["LLMModel", "TrainingReport"]
@@ -111,7 +110,7 @@ class LLMModel:
         self.config = config or ModelConfig()
         self.training = training or TrainingConfig()
         self._vigilance = self.config.vigilance(self.dimension)
-        self._quantizer = GrowingQuantizer(vigilance=self._vigilance)
+        self._parameters = LocalModelParameters()
         self._schedule: LearningRateSchedule = get_schedule(
             self.training.learning_rate_schedule, self.training.learning_rate_scale
         )
@@ -122,7 +121,7 @@ class LLMModel:
             window=self.training.convergence_window,
         )
         self._kernel = FusedTrainingKernel(
-            self._quantizer, self._schedule, self._tracker
+            self._parameters, self._vigilance, self._schedule, self._tracker
         )
         self._steps = 0
         self._frozen = False
@@ -142,12 +141,12 @@ class LLMModel:
     @property
     def prototype_count(self) -> int:
         """Current number of prototypes ``K``."""
-        return self._quantizer.prototype_count
+        return len(self._parameters)
 
     @property
     def local_maps(self) -> Sequence[LocalLinearMap]:
         """The trained local linear maps (cached read-only view)."""
-        return self._quantizer.maps
+        return self._parameters.maps_view
 
     @property
     def is_fitted(self) -> bool:
@@ -175,7 +174,7 @@ class LLMModel:
         # Rebuilding the dense parameter snapshot is O(dK); caching it keeps
         # repeated predictions at the vectorised O(dK) arithmetic cost only.
         if self._cached_predictor is None or self._cached_predictor_steps != self._steps:
-            self._cached_predictor = NeighborhoodPredictor(self._quantizer.maps)
+            self._cached_predictor = NeighborhoodPredictor(self._parameters.maps_view)
             self._cached_predictor_steps = self._steps
         return self._cached_predictor
 
@@ -311,10 +310,10 @@ class LLMModel:
 
     def reset(self) -> None:
         """Drop every prototype and restart the training state."""
-        self._quantizer = GrowingQuantizer(vigilance=self._vigilance)
+        self._parameters = LocalModelParameters()
         self._tracker.reset()
         self._kernel = FusedTrainingKernel(
-            self._quantizer, self._schedule, self._tracker
+            self._parameters, self._vigilance, self._schedule, self._tracker
         )
         self._steps = 0
         self._frozen = False
@@ -504,13 +503,13 @@ class LLMModel:
         """Mean radius component across the prototypes."""
         if not self._fitted:
             raise NotFittedError("the model must be fitted before inspection")
-        return float(np.mean(self._quantizer.parameters.prototype_view()[:, -1]))
+        return float(np.mean(self._parameters.prototype_view()[:, -1]))
 
     def prototype_matrix(self) -> np.ndarray:
         """The ``(K, d + 1)`` matrix of prototype vectors."""
         if not self._fitted:
             raise NotFittedError("the model must be fitted before inspection")
-        return self._quantizer.prototype_matrix()
+        return self._parameters.prototype_matrix()
 
     def memory_footprint(self) -> int:
         """Approximate number of floats stored by the model: ``K (2d + 3)``.

@@ -77,7 +77,7 @@ def model_from_dict(payload: dict) -> LLMModel:
     )
     for map_payload in payload.get("maps", []):
         llm = LocalLinearMap.from_dict(map_payload)
-        model._quantizer.parameters.add(llm)  # noqa: SLF001 - controlled rebuild
+        model._parameters.add(llm)  # noqa: SLF001 - controlled rebuild
     state = payload.get("state", {})
     model._steps = int(state.get("steps", 0))  # noqa: SLF001
     model._frozen = bool(state.get("frozen", False))  # noqa: SLF001

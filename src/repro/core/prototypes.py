@@ -24,7 +24,6 @@ from ..exceptions import (
     InvalidQueryError,
     NotFittedError,
 )
-from ..queries.query import Query
 
 __all__ = ["LocalLinearMap", "RegressionPlane", "LocalModelParameters"]
 
@@ -155,19 +154,6 @@ class LocalLinearMap:
         self._scalars = np.array([float(mean_output), 0.0, 0.0], dtype=float)
 
     # ------------------------------------------------------------------ #
-    # construction helpers
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_query(cls, query: Query, answer: float = 0.0) -> "LocalLinearMap":
-        """Initialise a new LLM at a query position.
-
-        The paper initialises new prototypes at the incoming query with zero
-        coefficients; seeding the local mean with the observed answer is a
-        strictly better starting point and is used by the growing quantizer.
-        """
-        return cls(prototype=query.to_vector(), mean_output=answer)
-
-    # ------------------------------------------------------------------ #
     # properties
     # ------------------------------------------------------------------ #
     @property
@@ -210,11 +196,6 @@ class LocalLinearMap:
         return self._slope[:-1].copy()
 
     @property
-    def radius_slope(self) -> float:
-        """The slope with respect to the radius, ``b_{Theta,k}``."""
-        return float(self._slope[-1])
-
-    @property
     def dimension(self) -> int:
         """Dimensionality ``d`` of the data space (prototype size minus one)."""
         return int(self._prototype.shape[0] - 1)
@@ -241,10 +222,6 @@ class LocalLinearMap:
                 f"{self._prototype.shape}"
             )
         return float(self._scalars[self.SCALAR_MEAN] + self._slope @ (vec - self._prototype))
-
-    def evaluate_query(self, query: Query) -> float:
-        """Evaluate the LLM on a :class:`~repro.queries.query.Query` object."""
-        return self.evaluate(query.to_vector())
 
     def evaluate_at_own_radius(self, point: np.ndarray) -> float:
         """Evaluate ``f_k(x, theta_k)`` — the Equation-14 form used for A2.
@@ -275,12 +252,9 @@ class LocalLinearMap:
             weight=weight,
         )
 
-    def as_query(self, norm_order: float = 2.0) -> Query:
-        """View the prototype as a query (used by the overlap computations)."""
-        return Query(center=self.center, radius=max(self.radius, 1e-12), norm_order=norm_order)
-
     # ------------------------------------------------------------------ #
-    # in-place parameter updates (used by the SGD rules)
+    # in-place parameter updates (the object-path SGD step of
+    # repro.testing.reference_training)
     # ------------------------------------------------------------------ #
     def _attach_storage(
         self,
@@ -463,7 +437,7 @@ class LocalModelParameters:
         )
 
     def add(self, llm: LocalLinearMap) -> None:
-        """Append a new LLM (used when the quantizer grows)."""
+        """Append a new LLM (a growth event of the quantizer)."""
         if self.maps and llm.dimension != self.maps[0].dimension:
             raise DimensionalityMismatchError(
                 "all LLMs in a parameter set must share the same dimensionality"

@@ -28,111 +28,32 @@ keeping the gradient direction of Theorem 4:
   estimate), which equalises the convergence rates of intercept and slope
   without the heavy-tailed steps of plain per-sample normalisation.
 
-The step exists twice, with the same floating-point operations in the same
-order: :func:`apply_winner_update` updates one
-:class:`~repro.core.prototypes.LocalLinearMap` object (the readable
-reference), and :class:`FusedTrainingKernel` writes the same update through
-the dense parameter stores.  Every training path runs the fused kernel, one
-pair at a time in stream order, so a chunk of pairs trains exactly the model
-the sequential Algorithm-1 loop would.  The winner search is one dense scan
-of the ``K`` prototypes per pair, as in the paper; there is no prototype
-index.
+There is one implementation of the step, :class:`FusedTrainingKernel`,
+which writes the update through the dense parameter stores.  Every
+training path runs it, one pair at a time in stream order, so a chunk of
+pairs trains exactly the model the sequential Algorithm-1 loop would.  The
+winner search is one dense scan of the ``K`` prototypes per pair, as in the
+paper; there is no prototype index.  The readable object form of the same
+step (winner search, growth and update over
+:class:`~repro.core.prototypes.LocalLinearMap` records, with the full
+``Gamma`` recompute) is :mod:`repro.testing.reference_training`;
+``tests/test_reference_training.py::TestFusedKernelMatchesReference`` pins
+the kernel to it bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..exceptions import ConfigurationError
-from .prototypes import LocalLinearMap
+from .prototypes import LocalLinearMap, LocalModelParameters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .avq import GrowingQuantizer
     from .convergence import ConvergenceRecord, ConvergenceTracker
     from .learning_rates import LearningRateSchedule
 
-__all__ = ["WinnerUpdate", "apply_winner_update", "FusedTrainingKernel"]
-
-
-@dataclass(frozen=True)
-class WinnerUpdate:
-    """The magnitudes of one winner update (returned for diagnostics/tests)."""
-
-    prototype_shift: float
-    slope_shift: float
-    intercept_shift: float
-    prediction_error: float
-
-
-def apply_winner_update(
-    winner: LocalLinearMap,
-    query_vector: np.ndarray,
-    answer: float,
-    learning_rate: float,
-) -> WinnerUpdate:
-    """Apply the Theorem-4 updates to the winning LLM in place.
-
-    Parameters
-    ----------
-    winner:
-        The winning LLM ``f_j`` (modified in place).
-    query_vector:
-        The ``(d + 1)``-dimensional query vector ``q = [x, theta]``.
-    answer:
-        The observed exact answer ``y`` of the query.
-    learning_rate:
-        The step size ``eta`` in ``(0, 1)``.
-
-    Returns
-    -------
-    WinnerUpdate
-        The magnitudes of the applied changes, used by convergence
-        diagnostics and unit tests.
-
-    Notes
-    -----
-    The order of operations matters: the prediction error and the gradient
-    direction ``(q - w_j)`` are computed against the *current* prototype,
-    and then all three parameters are shifted, matching the simultaneous
-    update of Theorem 4.
-    """
-    if not 0.0 < learning_rate <= 1.0:
-        raise ConfigurationError(
-            f"learning rate must be in (0, 1], got {learning_rate}"
-        )
-    q = np.asarray(query_vector, dtype=float).ravel()
-    difference = q - winner.prototype
-    prediction_error = float(answer - winner.mean_output - winner.slope @ difference)
-
-    prototype_delta = learning_rate * difference
-    intercept_delta = learning_rate * prediction_error
-
-    # Slope step (see the module docstring): residual error after the
-    # intercept correction, normalised by the running second moment of the
-    # query-prototype differences.
-    squared_norm = float(difference @ difference)
-    second_moment = winner.update_difference_second_moment(squared_norm)
-    residual_error = prediction_error - intercept_delta
-    denominator = second_moment + squared_norm
-    if denominator > 0.0:
-        slope_delta = learning_rate * residual_error * difference / denominator
-    else:
-        slope_delta = np.zeros_like(difference)
-
-    winner.shift_prototype(prototype_delta)
-    winner.shift_slope(slope_delta)
-    winner.shift_mean_output(intercept_delta)
-    winner.updates += 1
-
-    return WinnerUpdate(
-        prototype_shift=float(np.linalg.norm(prototype_delta)),
-        slope_shift=float(np.linalg.norm(slope_delta)),
-        intercept_shift=float(intercept_delta),
-        prediction_error=prediction_error,
-    )
+__all__ = ["FusedTrainingKernel"]
 
 
 class FusedTrainingKernel:
@@ -146,10 +67,11 @@ class FusedTrainingKernel:
     per-step parameter re-stacking, an O(1) incremental ``Gamma`` via
     :meth:`~repro.core.convergence.ConvergenceTracker.observe_step`, and a
     memoised learning-rate schedule — while performing *bit-for-bit* the
-    same floating-point operations as the sequential
-    ``GrowingQuantizer.observe`` + :func:`apply_winner_update` +
-    ``ConvergenceTracker.observe`` step (the training equivalence suite
-    pins this).
+    same floating-point operations as the readable object-path step of
+    :mod:`repro.testing.reference_training` followed by the full
+    ``ConvergenceTracker.observe`` recompute
+    (``tests/test_reference_training.py::TestFusedKernelMatchesReference``
+    pins this on every training path).
 
     :meth:`process_chunk` processes its pairs one at a time in stream order,
     selecting every winner against the *current* prototype matrix, so a
@@ -158,14 +80,15 @@ class FusedTrainingKernel:
 
     def __init__(
         self,
-        quantizer: "GrowingQuantizer",
+        parameters: LocalModelParameters,
+        vigilance: float,
         schedule: "LearningRateSchedule",
         tracker: "ConvergenceTracker",
     ) -> None:
-        self._quantizer = quantizer
+        self._parameters = parameters
+        self._vigilance = float(vigilance)
         self._schedule = schedule
         self._tracker = tracker
-        self._vigilance = float(quantizer.vigilance)
         self._rates: list[float] = []
 
     # ------------------------------------------------------------------ #
@@ -177,12 +100,12 @@ class FusedTrainingKernel:
         Returns the convergence record of the step; its ``winner_index`` /
         ``grew`` fields identify the changed LLM.
         """
-        parameters = self._quantizer.parameters
+        parameters = self._parameters
         if len(parameters.maps) == 0:
             return self._grow(parameters, vector, answer)
         prototypes, slopes, scalars = parameters.training_views()
-        # Same operations as GrowingQuantizer.find_winner on the dense
-        # store: one broadcast subtraction, one row-norm, one argmin.
+        # One broadcast subtraction, one row-norm, one argmin over the
+        # dense store, as the reference quantizer's winner search.
         distances = np.linalg.norm(prototypes - vector[np.newaxis, :], axis=1)
         winner = int(np.argmin(distances))
         if not distances[winner] <= self._vigilance:
@@ -220,9 +143,13 @@ class FusedTrainingKernel:
         return rates[step]
 
     def _grow(self, parameters, vector: np.ndarray, answer: float):
-        """Append a new prototype at the query position (growth event)."""
+        """Append a new prototype at the query position (growth event).
+
+        The paper starts a new LLM with zero coefficients.  Its slope does
+        start at zero here, but its intercept starts at the observed answer,
+        a strictly better first estimate of the local mean.
+        """
         parameters.add(LocalLinearMap(prototype=vector, mean_output=answer))
-        self._quantizer.growth_events += 1
         return self._tracker.observe_step(parameters, len(parameters) - 1)
 
     def _apply_update(
@@ -236,8 +163,9 @@ class FusedTrainingKernel:
     ) -> None:
         """The Theorem-4 winner update, written through the dense stores.
 
-        Bit-for-bit the operation sequence of :func:`apply_winner_update`
-        (same expressions, same order, same scalar round-trips), minus the
+        Bit-for-bit the operation sequence of the reference
+        :func:`~repro.testing.reference_training.apply_winner_update` (same
+        expressions, same order, same scalar round-trips), minus the
         per-step object and property traffic.
         """
         difference = vector - prototypes[winner]

@@ -17,8 +17,11 @@ chunk's pairs one at a time, in stream order, through the fused update kernel
 (:class:`~repro.core.sgd.FusedTrainingKernel`).  There is one loop and no
 mode: the produced model is *bit-for-bit* identical to the sequential
 per-query loop over the same labelled answers (same winner sequence,
-prototypes and criterion trajectory — the training equivalence suite pins
-this), whatever the chunk size.
+prototypes and criterion trajectory), whatever the chunk size.
+``tests/test_training_pipeline.py`` pins the trainer's chunks to that loop,
+and ``tests/test_reference_training.py::TestFusedKernelMatchesReference``
+pins the kernel to the object-path reference of
+:mod:`repro.testing.reference_training`.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ figure of the evaluation section and returns the plotted series as plain
 Python data structures.  :mod:`repro.eval.timing` provides the wall-clock
 measurement helpers used by the scalability experiment, and
 :mod:`repro.eval.reporting` turns the series into aligned text tables for
-benchmark output and ``EXPERIMENTS.md``.
+benchmark output; ``docs/REPRODUCTION.md`` quotes them next to the paper's
+claims.
 """
 
 from .timing import Stopwatch, measure_mean_latency

@@ -2,8 +2,9 @@
 
 Every runner is a plain function returning dictionaries of series (x values
 plus one list per plotted curve) so benchmarks, examples and tests can share
-them.  The runners default to laptop-scale dataset and workload sizes; the
-paper-scale parameters are recorded in DESIGN.md and EXPERIMENTS.md.
+them.  The runners default to laptop-scale dataset and workload sizes;
+``docs/REPRODUCTION.md`` records how they and the results depart from the
+paper's.
 
 A shared :class:`ExperimentContext` bundles the pieces every experiment
 needs: a dataset, an exact engine, a radius distribution, and labelled

@@ -2,7 +2,7 @@
 
 Benchmarks print the series that each paper figure plots; these helpers
 format them as aligned tables so the benchmark output is directly readable
-and can be pasted into ``EXPERIMENTS.md``.
+and can be quoted in ``docs/REPRODUCTION.md``.
 """
 
 from __future__ import annotations

@@ -6,8 +6,10 @@ benchmark use :mod:`.faults` to inject engine exceptions, slow batches,
 truncated or corrupt model files and mid-swap crashes, then assert that the
 stack degrades instead of dying.  :mod:`.oracle` recomputes exact and model
 answers query by query with no shared kernel code, the reference every
-batch path is tested against.  :mod:`.observers` records the lifecycle
-events a serving stack publishes, for assertions on them.
+batch path is tested against.  :mod:`.reference_training` is the readable
+object-path training step, the reference the fused training kernel is
+tested against.  :mod:`.observers` records the lifecycle events a serving
+stack publishes, for assertions on them.
 """
 
 from .faults import (

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.prototypes import LocalLinearMap, LocalModelParameters, RegressionPlane
 from repro.exceptions import DimensionalityMismatchError, InvalidQueryError
-from repro.queries.query import Query
 
 
 class TestRegressionPlane:
@@ -52,15 +51,6 @@ class TestRegressionPlane:
 
 
 class TestLocalLinearMap:
-    def test_construction_from_query(self):
-        query = Query(center=np.array([0.2, 0.8]), radius=0.1)
-        llm = LocalLinearMap.from_query(query, answer=0.7)
-        assert llm.dimension == 2
-        assert llm.mean_output == pytest.approx(0.7)
-        assert np.allclose(llm.center, [0.2, 0.8])
-        assert llm.radius == pytest.approx(0.1)
-        assert np.allclose(llm.slope, 0.0)
-
     def test_rejects_scalar_prototype(self):
         with pytest.raises(InvalidQueryError):
             LocalLinearMap(prototype=np.array([1.0]))
@@ -85,12 +75,6 @@ class TestLocalLinearMap:
         )
         assert llm.evaluate(np.array([0.5, 0.0, 0.1])) == pytest.approx(2.0)
         assert llm.evaluate(np.array([0.0, 0.0, 0.2])) == pytest.approx(1.3)
-
-    def test_evaluate_query_object(self):
-        llm = LocalLinearMap(prototype=np.array([0.0, 0.0, 0.1]), mean_output=0.5)
-        assert llm.evaluate_query(
-            Query(center=np.array([0.3, 0.3]), radius=0.1)
-        ) == pytest.approx(0.5)
 
     def test_evaluate_at_own_radius_ignores_radius_slope(self):
         llm = LocalLinearMap(
@@ -119,13 +103,19 @@ class TestLocalLinearMap:
         assert plane.predict(llm.center) == pytest.approx(llm.mean_output)
 
     def test_shift_operations(self):
-        llm = LocalLinearMap(prototype=np.array([0.0, 0.0, 0.1]))
+        llm = LocalLinearMap(prototype=np.array([0.2, 0.8, 0.1]), mean_output=0.7)
+        # The prototype splits into center and radius; the slope starts at 0.
+        assert llm.dimension == 2
+        assert np.allclose(llm.center, [0.2, 0.8])
+        assert llm.radius == pytest.approx(0.1)
+        assert llm.mean_output == pytest.approx(0.7)
+        assert np.allclose(llm.slope, 0.0)
         llm.shift_prototype(np.array([0.1, 0.0, 0.0]))
         llm.shift_slope(np.array([0.0, 0.5, 0.0]))
         llm.shift_mean_output(0.25)
-        assert np.allclose(llm.prototype, [0.1, 0.0, 0.1])
+        assert np.allclose(llm.prototype, [0.3, 0.8, 0.1])
         assert np.allclose(llm.slope, [0.0, 0.5, 0.0])
-        assert llm.mean_output == pytest.approx(0.25)
+        assert llm.mean_output == pytest.approx(0.95)
 
     def test_serialisation_round_trip(self):
         llm = LocalLinearMap(
@@ -139,12 +129,6 @@ class TestLocalLinearMap:
         assert np.allclose(rebuilt.slope, llm.slope)
         assert rebuilt.mean_output == pytest.approx(llm.mean_output)
         assert rebuilt.updates == 9
-
-    def test_as_query(self):
-        llm = LocalLinearMap(prototype=np.array([0.1, 0.2, 0.3]))
-        query = llm.as_query()
-        assert np.allclose(query.center, [0.1, 0.2])
-        assert query.radius == pytest.approx(0.3)
 
 
 class TestLocalModelParameters:

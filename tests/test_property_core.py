@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from repro.baselines.ols import OLSRegressor
 from repro.baselines.plr import MARSRegressor
 from repro.config import ModelConfig, TrainingConfig
-from repro.core.avq import GrowingQuantizer
 from repro.core.model import LLMModel
 from repro.core.prototypes import LocalLinearMap
-from repro.core.sgd import apply_winner_update
 from repro.queries.query import Query
+from repro.testing.reference_training import GrowingQuantizer, apply_winner_update
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 

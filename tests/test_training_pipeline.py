@@ -75,7 +75,7 @@ def _fresh_model(coefficient: float = 0.1, gamma: float = 1e-9) -> LLMModel:
 
 def _state(model: LLMModel) -> tuple:
     """Full trainable state: prototypes, slopes, scalars, winner trace."""
-    prototypes, slopes, scalars = model._quantizer.parameters.training_views()
+    prototypes, slopes, scalars = model._parameters.training_views()
     trace = [
         (record.winner_index, record.grew, record.criterion)
         for record in model.convergence_tracker.history
