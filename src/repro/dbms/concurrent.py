@@ -18,19 +18,27 @@ without bound — bounded queues trade a clean, retryable rejection for the
 unbounded latency collapse of an overloaded server.
 
 **Micro-batching coalescer.**  Admitted statements are grouped by
-``(table, kind, mode)``.  The first arrival of a group schedules a flush
-:attr:`~ConcurrencyPolicy.coalesce_window_seconds` later; statements from
-*other* sessions arriving within the window join the same pending group,
-and the flush executes them as **one** batch through the inner service's
-``execute_*_batch`` / ``predict_*_batch`` paths.  Results are demultiplexed
-back to each caller in submission order with per-statement ``degraded`` /
-``error`` flags preserved — fault containment stays per group, so a
-mid-batch tier failure errors only the statements of the affected
-``(table, kind)`` group, never co-batched statements of other groups.  A
-group hitting :attr:`~ConcurrencyPolicy.max_batch_statements` flushes
-immediately (the window is a latency bound, not a throughput one).  A
-script's statements of one group join it under one lock hold, so even with
-no window a flush takes all of them or none (short of the batch cap).
+``(table, kind, mode)``.  Each admitted script decides once whether the
+front is busy: whether any flush is scheduled, waiting out its window, or
+running.  A script admitted to an *idle* front flushes all of its groups
+at once, since no other session is active to join them (PostgreSQL's group
+commit likewise waits ``commit_delay`` only while ``commit_siblings``
+other transactions are active).  On a busy front the first arrival of a
+group schedules a flush :attr:`~ConcurrencyPolicy.coalesce_window_seconds`
+later; statements from *other* sessions arriving within the window join
+the same pending group, and the flush executes them as **one** batch
+through the inner service's ``execute_*_batch`` / ``predict_*_batch``
+paths.  A flush stops counting as busy before it answers its callers, so
+a lone client woken by its answer finds the front idle.  Results are
+demultiplexed back to each caller in submission order with per-statement
+``degraded`` / ``error`` flags preserved — fault containment stays per
+group, so a mid-batch tier failure errors only the statements of the
+affected ``(table, kind)`` group, never co-batched statements of other
+groups.  A group hitting :attr:`~ConcurrencyPolicy.max_batch_statements`
+flushes immediately (the window is a latency bound, not a throughput
+one).  A script's statements join their groups under one lock hold, so a
+flush takes all of a script's statements of its group or none (short of
+the batch cap).
 
 **Version-keyed answer cache.**  Repeated dashboard traffic is
 short-circuited by an :class:`AnswerCache` keyed on the canonicalised
@@ -121,9 +129,12 @@ class ConcurrencyPolicy:
         :class:`~repro.exceptions.ServiceOverloadedError`.
     coalesce_window_seconds:
         How long the first statement of a ``(table, kind, mode)`` group
-        waits for co-batchable arrivals before flushing.  2–5 ms merges
-        concurrent dashboard traffic without a visible latency cost;
-        ``0`` disables coalescing (every submission flushes immediately).
+        waits for co-batchable arrivals before flushing, when its script
+        is admitted to a busy front (some flush scheduled, waiting or
+        running).  A script admitted to an idle front flushes at once, so
+        a lone client never pays the window.  2–5 ms merges concurrent
+        dashboard traffic without a visible latency cost; ``0`` disables
+        coalescing (every submission flushes immediately).
         It must be finite: an infinite window would hold a group until
         :meth:`ConcurrentAnalyticsService.close`.
     max_batch_statements:
@@ -358,6 +369,9 @@ class ConcurrentAnalyticsService(PerTableStatistics):
         self._groups_lock = make_lock(
             "concurrent.ConcurrentAnalyticsService.groups"
         )
+        # Flushes scheduled, waiting out their window, or running (guarded
+        # by the groups lock): the front is busy while this is nonzero.
+        self._in_flight = 0
         # Admitted statements whose future has not resolved yet: the one
         # pending count (admission bound, drain wait, ``pending_statements``).
         self._outstanding: set[Future] = set()
@@ -461,9 +475,10 @@ class ConcurrentAnalyticsService(PerTableStatistics):
                 ]
                 for _, group in self._groups.items():
                     group.entries = []
+                self._in_flight += len(batches)
             for key, batch in batches:
                 try:
-                    self._pool.submit(self._run_flush, key, batch)
+                    self._submit_flush(self._run_flush, key, batch)
                 except RuntimeError:  # pool already gone: answer inline
                     self._run_flush(key, batch)
         deadline = None if drain_seconds is None else self._clock() + drain_seconds
@@ -596,8 +611,7 @@ class ConcurrentAnalyticsService(PerTableStatistics):
                 groups.setdefault((statement.table, statement.kind, mode), []).append(
                     _PendingEntry(statement, key, future, origin, now)
                 )
-            for group_key, entries in groups.items():
-                self._enqueue(group_key, entries)
+            self._enqueue(groups)
         return ScriptFuture(slots, on_error, clock=self._clock)
 
     def execute_script(
@@ -714,50 +728,72 @@ class ConcurrentAnalyticsService(PerTableStatistics):
     # coalescer
     # ------------------------------------------------------------------ #
     def _enqueue(
-        self, group_key: tuple[str, str, str], entries: list[_PendingEntry]
+        self, groups: dict[tuple[str, str, str], list[_PendingEntry]]
     ) -> None:
-        """Append one script's statements of a group under one lock hold.
+        """Append one script's statements to their groups under one lock hold.
 
-        A flush taking the group therefore sees all of them or none, even
-        with no window.  Every full ``max_batch_statements`` run flushes at
-        once; the rest waits for the group's window.
+        The script decides here, once, whether the front is busy.  On an
+        idle front all of its groups flush at once: no other session is
+        active to join them.  On a busy front every full
+        ``max_batch_statements`` run flushes at once and the rest waits for
+        its group's window.  Either way a flush taking a group sees all of
+        the script's statements of it or none.
         """
         cap = self._policy.max_batch_statements
-        schedule = False
+        # (group, batch) runs a batch now; (group, None) waits the window.
+        flushes: list[tuple[tuple[str, str, str], list[_PendingEntry] | None]] = []
         with self._groups_lock:
             note_access(self, "groups")
-            group = self._groups.get(group_key)
-            if group is None:
-                group = self._groups[group_key] = _PendingGroup()
-            pending = group.entries
-            pending.extend(entries)
-            # A close() racing this submission may already have drained the
-            # groups; flushing everything keeps the entries from being
-            # stranded in a buffer nothing will ever flush.
-            stop = len(pending) if self._closed else len(pending) - len(pending) % cap
-            batches = [pending[start : start + cap] for start in range(0, stop, cap)]
-            if stop:
-                group.entries = pending[stop:]
-            if group.entries and not group.flush_scheduled:
-                group.flush_scheduled = True
-                schedule = True
+            # Nothing in flight: no other session is active to join these
+            # groups, so waiting would only add latency.  And a close()
+            # racing this submission may already have drained the groups;
+            # flushing everything keeps the entries from being stranded in
+            # a buffer nothing will ever flush.
+            flush_all = self._closed or not self._in_flight
+            for group_key, entries in groups.items():
+                group = self._groups.get(group_key)
+                if group is None:
+                    group = self._groups[group_key] = _PendingGroup()
+                pending = group.entries
+                pending.extend(entries)
+                stop = len(pending) if flush_all else len(pending) - len(pending) % cap
+                flushes.extend(
+                    (group_key, pending[start : start + cap])
+                    for start in range(0, stop, cap)
+                )
+                if stop:
+                    group.entries = pending[stop:]
+                if group.entries and not group.flush_scheduled:
+                    group.flush_scheduled = True
+                    flushes.append((group_key, None))
+            self._in_flight += len(flushes)
         submitted = 0
         try:
-            for batch in batches:
-                self._pool.submit(self._run_flush, group_key, batch)
+            for group_key, batch in flushes:
+                if batch is None:
+                    self._submit_flush(self._window_flush, group_key)
+                else:
+                    self._submit_flush(self._run_flush, group_key, batch)
                 submitted += 1
-            if schedule:
-                self._pool.submit(self._window_flush, group_key)
         except RuntimeError:
             # The pool shut down underneath us: answer the affected
             # entries with the typed closed error instead of hanging them.
-            stranded = [entry for batch in batches[submitted:] for entry in batch]
-            if schedule:
-                with self._groups_lock:
-                    note_access(self, "groups")
-                    stranded.extend(group.entries)
-                    group.entries = []
-                    group.flush_scheduled = False
+            unsubmitted = flushes[submitted:]
+            stranded = [
+                entry
+                for _, batch in unsubmitted
+                if batch is not None
+                for entry in batch
+            ]
+            with self._groups_lock:
+                note_access(self, "groups")
+                self._in_flight -= len(unsubmitted)
+                for group_key, batch in unsubmitted:
+                    if batch is None:
+                        group = self._groups[group_key]
+                        stranded.extend(group.entries)
+                        group.entries = []
+                        group.flush_scheduled = False
             exc = ServiceClosedError(
                 "the concurrent serving front closed while the statement "
                 "was being enqueued"
@@ -765,24 +801,71 @@ class ConcurrentAnalyticsService(PerTableStatistics):
             for pending in stranded:
                 self._resolve(pending.future, exc=exc)
 
+    def _submit_flush(self, task: Callable[..., None], *args: object) -> None:
+        """Run a flush counted in ``_in_flight`` on the pool.
+
+        A task that :meth:`close` cancels before it starts never runs, so
+        its count drops when it is cancelled instead.
+        """
+        self._pool.submit(task, *args).add_done_callback(self._drop_if_cancelled)
+
+    def _drop_if_cancelled(self, task: Future) -> None:
+        if task.cancelled():
+            self._flush_finished()
+
+    def _flush_finished(self) -> None:
+        with self._groups_lock:
+            note_access(self, "groups")
+            self._in_flight -= 1
+
     def _window_flush(self, group_key: tuple[str, str, str]) -> None:
         window = self._policy.coalesce_window_seconds
         if window > 0.0:
             self._closing.wait(window)
         with self._groups_lock:
             note_access(self, "groups")
-            group = self._groups.get(group_key)
-            if group is None:
-                return
+            group = self._groups[group_key]
             batch = group.entries
             group.entries = []
             group.flush_scheduled = False
+            if not batch:  # close() already flushed them
+                self._in_flight -= 1
         if batch:
             self._run_flush(group_key, batch)
 
     def _run_flush(
         self, group_key: tuple[str, str, str], entries: list[_PendingEntry]
     ) -> None:
+        """Execute one batch, then answer its callers.
+
+        The flush stops counting as in flight before any caller wakes, so
+        a lone client woken by its answer finds the front idle.
+        """
+        error: BaseException | None = None
+        results: list[StatementResult] = []
+        try:
+            results = self._execute_flush(group_key, entries)
+        except CALLER_ERRORS as exc:
+            # Caller bugs (unknown table, bad configuration) propagate to
+            # every waiting caller of this group — and only this group.
+            error = exc
+        finally:
+            self._flush_finished()
+        if error is not None:
+            for entry in entries:
+                self._resolve(entry.future, exc=error)
+            return
+        for entry, result in zip(entries, results):
+            self._resolve(entry.future, result)
+
+    def _execute_flush(
+        self, group_key: tuple[str, str, str], entries: list[_PendingEntry]
+    ) -> list[StatementResult]:
+        """One batch's results, recorded and cached but not yet answered.
+
+        A caller error (:data:`~repro.dbms.serving.CALLER_ERRORS`) raises;
+        any other failure answers the batch with attached errors.
+        """
         table, kind, mode = group_key
         start = self._clock()
         try:
@@ -809,12 +892,8 @@ class ConcurrentAnalyticsService(PerTableStatistics):
                 self._cache is not None
                 and self._service.registry_epoch_for(table) == epoch_before
             )
-        except CALLER_ERRORS as exc:
-            # Caller bugs (unknown table, bad configuration) propagate to
-            # every waiting caller of this group — and only this group.
-            for entry in entries:
-                self._resolve(entry.future, exc=exc)
-            return
+        except CALLER_ERRORS:
+            raise  # every caller of the group gets it (``_run_flush``)
         except Exception as exc:
             # Containment of last resort (e.g. an injected flush fault):
             # the affected group answers with attached errors; co-batched
@@ -843,14 +922,14 @@ class ConcurrentAnalyticsService(PerTableStatistics):
             seconds=now - start,
             latency_seconds=[now - entry.enqueued_at for entry in entries],
         )
-        for entry, result in zip(entries, results):
-            if (
-                cacheable
-                and entry.key is not None
-                and result.error is None
-                and not result.degraded
-            ):
-                self._cache.put(  # type: ignore[union-attr]
-                    entry.key, replace(result, cached=True)
-                )
-            self._resolve(entry.future, result)
+        if cacheable:
+            for entry, result in zip(entries, results):
+                if (
+                    entry.key is not None
+                    and result.error is None
+                    and not result.degraded
+                ):
+                    self._cache.put(  # type: ignore[union-attr]
+                        entry.key, replace(result, cached=True)
+                    )
+        return results

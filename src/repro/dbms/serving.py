@@ -63,7 +63,7 @@ from ..exceptions import (
     SQLSyntaxError,
     TransientEngineError,
 )
-from ..queries.query import Query, radius_power_is_normal
+from ..queries.query import Query, log_radius_power_is_normal
 from ..queries.stream import QueryLog
 from .executor import ExactQueryEngine
 from .observer import ObserverHub
@@ -394,8 +394,8 @@ class AnalyticsService(PerTableStatistics):
                     f"statement has a {len(statement.center)}-dimensional center "
                     f"but table {table!r} is {snapshot.dimension}-dimensional"
                 )
-            if statement.norm_order is None and not radius_power_is_normal(
-                statement.radius, snapshot.norm_order
+            if statement.norm_order is None and not log_radius_power_is_normal(
+                statement.log_radius, snapshot.norm_order
             ):
                 raise SQLSyntaxError(
                     f"radius ** p must be a normal positive float64, got WITHIN "

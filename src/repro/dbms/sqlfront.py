@@ -128,6 +128,9 @@ class ParsedStatement:
     #: of ``to_query().to_vector().tobytes()`` under any norm order, and the
     #: query part of the concurrent front's cache key.
     vector_bytes: bytes = field(init=False, repr=False, compare=False)
+    #: ``math.log(radius)``, taken once: the serving layers check a
+    #: statement without ``NORM`` against its table's default order from it.
+    log_radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # NaN fails math.isfinite and every comparison: each check refuses it.
@@ -152,6 +155,7 @@ class ParsedStatement:
             "vector_bytes",
             struct.pack(f"{len(self.center) + 1}d", *self.center, self.radius),
         )
+        object.__setattr__(self, "log_radius", math.log(self.radius))
 
     def to_query(self, norm_order: float | None = None) -> Query:
         """Build the library's query object from the parsed statement.

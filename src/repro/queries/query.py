@@ -26,6 +26,7 @@ __all__ = [
     "QueryResultPair",
     "query_distance",
     "radius_power_is_normal",
+    "log_radius_power_is_normal",
     "group_by_norm_order",
 ]
 
@@ -44,9 +45,18 @@ def radius_power_is_normal(radius: float, norm_order: float) -> bool:
     Chebyshev ball (an infinite order) takes no power.  The test compares
     logarithms, since Python's ``**`` raises ``OverflowError``.
     """
-    if math.isinf(norm_order):
-        return True
-    return _LOG_NORMAL_MIN <= norm_order * math.log(radius) <= _LOG_FLOAT_MAX
+    return log_radius_power_is_normal(math.log(radius), norm_order)
+
+
+def log_radius_power_is_normal(log_radius: float, norm_order: float) -> bool:
+    """:func:`radius_power_is_normal` given ``math.log(radius)``.
+
+    A caller holding the logarithm (a parsed statement keeps its own) pays
+    a product and two comparisons.
+    """
+    return math.isinf(norm_order) or (
+        _LOG_NORMAL_MIN <= norm_order * log_radius <= _LOG_FLOAT_MAX
+    )
 
 
 @dataclass(frozen=True)

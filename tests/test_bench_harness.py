@@ -470,3 +470,31 @@ class TestPortedBenchmarks:
         # And the stored record reloads into the regression detector.
         verdicts = RegressionDetector().evaluate(store.load())
         assert verdicts[0].verdicts and verdicts[0].baseline_runs == 0
+
+    @staticmethod
+    def _concurrent_result(lone_vs_direct: float, concurrent_speedup: float) -> dict:
+        return {
+            "lone_vs_direct": lone_vs_direct,
+            "required_lone_vs_direct": 0.25,
+            "concurrent_speedup": concurrent_speedup,
+            "gate_sessions": 4,
+            "cache": {"speedup": 30.0},
+            "required_cache_speedup": 5.0,
+            "differential": {
+                "max_coalesced_deviation": 0.0,
+                "max_cached_deviation": 0.0,
+                "cached_answers": 64,
+            },
+        }
+
+    def test_concurrent_gates_a_lone_session_not_the_session_ratio(self):
+        spec = discover_specs()["concurrent"]
+        assert spec.metrics["lone_vs_direct"] == Direction.INFO
+        assert spec.metrics["concurrent_speedup"] == Direction.INFO
+        # A lone session that keeps up with the inner service passes, even
+        # though four sessions no longer beat it by 2x.
+        assert spec.check_result(self._concurrent_result(0.5, 0.6), {}) == []
+        # One that waits for co-batchable traffic fails, however well
+        # four sessions merge.
+        [failure] = spec.check_result(self._concurrent_result(0.1, 3.3), {})
+        assert "lone session" in failure and "0.10x" in failure

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import sys
 import threading
 import time
 
@@ -23,6 +25,7 @@ from repro.exceptions import (
     ConfigurationError,
     EmptySubspaceError,
     InjectedFaultError,
+    ServiceClosedError,
     ServiceOverloadedError,
     SQLSyntaxError,
 )
@@ -97,6 +100,40 @@ def _script(count: int = 6) -> list[str]:
         f"({0.1 + 0.07 * i:.3f}, {0.15 + 0.06 * i:.3f})"
         for i in range(count)
     ] + [f"SELECT COUNT(*) FROM {TABLE} WITHIN 0.2 OF (0.5, 0.5)"]
+
+
+class _FlushHold(FaultInjector):
+    """Holds every flush of ``OTHER`` at its fault point until released."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.entered = threading.Event()
+        self.released = threading.Event()
+
+    def fire(self, point: str, **context: object) -> None:
+        if point == f"concurrent.flush.{OTHER}":
+            self.entered.set()
+            self.released.wait(30.0)
+        super().fire(point, **context)
+
+
+@contextlib.contextmanager
+def _busy_front(front: ConcurrentAnalyticsService, hold: _FlushHold):
+    """Keep a flush of ``OTHER`` in flight, so the front is busy.
+
+    Scripts submitted inside wait out the coalesce window, as every
+    script does while another session's flush is in flight.  The held
+    statement's caller gives it up, so it does not count as pending.
+    """
+    held = front.submit_script(
+        [f"SELECT COUNT(*) FROM {OTHER} WITHIN 0.2 OF (0.5, 0.5)"], mode="exact"
+    )
+    try:
+        assert hold.entered.wait(10.0), "the held flush never started"
+        held._slots[0].cancel()
+        yield
+    finally:
+        hold.released.set()
 
 
 class TestConcurrencyPolicy:
@@ -209,12 +246,14 @@ class TestEquivalence:
             front.close()
 
     def test_concurrent_submissions_coalesce_and_stay_correct(
-        self, engine, model
+        self, engine, other_engine, model
     ):
         sequential = _inner(engine, model)
+        hold = _FlushHold()
         front = ConcurrentAnalyticsService(
-            _inner(engine, model),
+            AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
             policy=ConcurrencyPolicy(coalesce_window_seconds=0.005),
+            injector=hold,
         )
         try:
             script = _script()
@@ -229,10 +268,14 @@ class TestEquivalence:
             threads = [
                 threading.Thread(target=run, args=(i,)) for i in range(4)
             ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            # The sessions meet another session's flush in flight, so none
+            # of them finds the front idle and flushes alone.
+            with _busy_front(front, hold):
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30.0)
+                    assert not t.is_alive()
             for served in outputs:
                 for got, want in zip(served, reference):
                     assert got.value == want.value
@@ -657,12 +700,15 @@ class TestScriptGroups:
         assert inner.statistics_for(TABLE).batches_executed == 200
         assert front.statistics_for(TABLE).batches_executed == 200
 
-    def test_no_flush_exceeds_max_batch_statements(self, engine, model):
+    def test_no_flush_exceeds_max_batch_statements(
+        self, engine, other_engine, model
+    ):
         sizes: list[int] = []
 
         class _Sizes(AnalyticsService):
             def execute_script(self, script, **kwargs):
-                sizes.append(len(script))
+                if script[0].table == TABLE:
+                    sizes.append(len(script))
                 return super().execute_script(script, **kwargs)
 
         script = [
@@ -671,28 +717,218 @@ class TestScriptGroups:
             for i in range(9)
         ]
         reference = _inner(engine, model).execute_script(script, mode="exact")
-        # The window outlasts the test: only a full batch or close() flushes.
+        # On a busy front the window outlasts the test: only a full batch
+        # or close() flushes.
+        hold = _FlushHold()
         front = ConcurrentAnalyticsService(
-            _Sizes({TABLE: engine}, {TABLE: model}),
+            _Sizes({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
             policy=ConcurrencyPolicy(
                 coalesce_window_seconds=60.0,
                 max_batch_statements=4,
                 cache_capacity=0,
             ),
+            injector=hold,
         )
         try:
-            waiting = front.submit_script(script[:3], mode="exact")
-            joining = front.submit_script(script[3:], mode="exact")
-            # 3 + 6 pending: two full batches of 4 flush, 1 waits.
-            deadline = time.monotonic() + 10.0
-            while front.pending_statements > 1 and time.monotonic() < deadline:
-                time.sleep(0.001)
-            assert front.pending_statements == 1
+            with _busy_front(front, hold):
+                waiting = front.submit_script(script[:3], mode="exact")
+                joining = front.submit_script(script[3:], mode="exact")
+                # 3 + 6 pending: two full batches of 4 flush, 1 waits.
+                deadline = time.monotonic() + 10.0
+                while (
+                    front.pending_statements > 1 and time.monotonic() < deadline
+                ):
+                    time.sleep(0.001)
+                assert front.pending_statements == 1
         finally:
             front.close(drain_seconds=10.0)
         assert sorted(sizes) == [1, 4, 4]
         served = waiting.result(timeout=1.0) + joining.result(timeout=1.0)
         assert [r.value for r in served] == [r.value for r in reference]
+
+
+class TestIdleFront:
+    """A script waits the coalesce window only on a busy front: one with a
+    flush scheduled, waiting out its window, or running."""
+
+    @pytest.mark.parametrize("groups", [1, 2], ids=["one-group", "two-groups"])
+    def test_lone_script_does_not_wait_the_window(self, engine, model, groups):
+        script = _script(1)[:groups]  # an AVG, then a COUNT
+        with ConcurrentAnalyticsService(
+            _inner(engine, model),
+            policy=ConcurrencyPolicy(coalesce_window_seconds=60.0),
+        ) as front:
+            served = front.submit_script(script).result(timeout=5.0)
+            assert [r.ok for r in served] == [True] * groups
+            assert front.statistics_for(TABLE).batches_executed == groups
+
+    def test_back_to_back_scripts_find_the_front_idle(self, engine, model):
+        # A flush stops counting as busy before it answers, so the client
+        # it wakes never sees its own finished flush and waits the window.
+        script = _script(1)[:1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # let the woken client cut in anywhere
+        try:
+            with ConcurrentAnalyticsService(
+                _inner(engine, model),
+                policy=ConcurrencyPolicy(
+                    coalesce_window_seconds=60.0, cache_capacity=0
+                ),
+            ) as front:
+                for _ in range(200):
+                    [result] = front.submit_script(script, mode="exact").result(
+                        timeout=5.0
+                    )
+                    assert result.ok
+                    assert front._in_flight == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert front.statistics_for(TABLE).batches_executed == 200
+
+    def test_callers_wake_to_a_front_with_nothing_in_flight(
+        self, engine, other_engine, model
+    ):
+        hold = _FlushHold()
+        front = ConcurrentAnalyticsService(
+            AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
+            injector=hold,
+        )
+        try:
+            future = front.submit_script(
+                [f"SELECT COUNT(*) FROM {OTHER} WITHIN 0.2 OF (0.5, 0.5)"]
+            )
+            assert hold.entered.wait(10.0), "the flush never started"
+            # Done callbacks run on the flush's thread as it resolves the
+            # future, after waking the caller.
+            seen: list[int] = []
+            called = threading.Event()
+
+            def record(_) -> None:
+                seen.append(front._in_flight)
+                called.set()
+
+            future._slots[0].add_done_callback(record)
+            hold.released.set()
+            assert future.result(timeout=5.0)[0].ok
+            assert called.wait(5.0)
+            assert seen == [0]
+        finally:
+            hold.released.set()
+            front.close()
+
+    def test_busy_front_merges_scripts(self, engine, other_engine, model):
+        hold = _FlushHold()
+        front = ConcurrentAnalyticsService(
+            AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
+            policy=ConcurrencyPolicy(coalesce_window_seconds=0.5, cache_capacity=0),
+            injector=hold,
+        )
+        try:
+            with _busy_front(front, hold):
+                first = front.submit_script(_script(1)[:1], mode="exact")
+                second = front.submit_script(_script(2)[1:2], mode="exact")
+                served = first.result(timeout=10.0) + second.result(timeout=10.0)
+            assert all(r.ok for r in served)
+            stats = front.statistics_for(TABLE)
+            assert stats.batches_executed == 1
+            assert stats.max_coalesce_width == 2
+        finally:
+            front.close()
+
+    def test_count_is_exact_across_flush_faults_and_caller_errors(
+        self, engine, model
+    ):
+        injector = FaultInjector()
+        front = ConcurrentAnalyticsService(
+            _inner(engine, model),
+            policy=ConcurrencyPolicy(coalesce_window_seconds=60.0),
+            injector=injector,
+        )
+        script = _script(1)[:1]
+        try:
+            injector.arm("concurrent.flush", error=InjectedFaultError, times=1)
+            [failed] = front.execute_script(script, timeout=5.0)
+            assert isinstance(failed.error, InjectedFaultError)
+            assert front._in_flight == 0
+            injector.arm("concurrent.flush", error=ConfigurationError, times=1)
+            with pytest.raises(ConfigurationError):
+                front.execute_script(script, timeout=5.0)
+            assert front._in_flight == 0
+            # The front is idle again: the next script does not wait.
+            assert front.execute_script(script, timeout=5.0)[0].ok
+        finally:
+            front.close()
+
+    def test_count_is_exact_when_the_pool_is_gone(
+        self, engine, other_engine, model
+    ):
+        # close() shuts the pool down after marking the front closed; a
+        # submission racing it finds the pool gone, idle or busy.
+        hold = _FlushHold()
+        front = ConcurrentAnalyticsService(
+            AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
+            policy=ConcurrencyPolicy(coalesce_window_seconds=60.0),
+            injector=hold,
+        )
+        with _busy_front(front, hold):
+            front._pool.shutdown(wait=False)
+            busy = front.submit_script(_script(2))
+            with pytest.raises(ServiceClosedError):
+                busy.result(timeout=5.0)
+            assert front._in_flight == 1  # only the held flush
+        deadline = time.monotonic() + 10.0
+        while front._in_flight and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert front._in_flight == 0
+        idle = front.submit_script(_script(2))
+        with pytest.raises(ServiceClosedError):
+            idle.result(timeout=5.0)
+        assert front._in_flight == 0
+        front.close()
+
+    def test_count_returns_to_zero_after_close_with_stragglers(
+        self, engine, model
+    ):
+        injector = FaultInjector()
+        front = ConcurrentAnalyticsService(
+            _inner(engine, model),
+            policy=ConcurrencyPolicy(max_workers=1, coalesce_window_seconds=0.0),
+            injector=injector,
+        )
+        injector.arm("concurrent.flush", error=None, delay_seconds=0.2, times=None)
+        running = front.submit_script(_script(1)[:1])
+        deadline = time.monotonic() + 5.0
+        while injector.fired_count("concurrent.flush") == 0:
+            assert time.monotonic() < deadline, "the first flush never started"
+            time.sleep(0.001)
+        # Admitted to a busy front, this script's flush queues behind the
+        # running one until close() cancels it.
+        queued = front.submit_script(_script(2)[1:2])
+        front.close(drain_seconds=0.05)
+        for future in (running, queued):
+            with pytest.raises(ServiceClosedError):
+                future.result(timeout=2.0)
+        deadline = time.monotonic() + 5.0
+        while front._in_flight and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert front._in_flight == 0
+
+    def test_close_drains_a_waiting_group_and_the_count(
+        self, engine, other_engine, model
+    ):
+        hold = _FlushHold()
+        front = ConcurrentAnalyticsService(
+            AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
+            policy=ConcurrencyPolicy(coalesce_window_seconds=60.0),
+            injector=hold,
+        )
+        with _busy_front(front, hold):
+            future = front.submit_script(_script(2))
+        front.close(drain_seconds=10.0)
+        assert all(r.ok for r in future.result(timeout=1.0))
+        # The drained groups' window flushes woke to empty buffers, and
+        # close() joined them.
+        assert front._in_flight == 0
 
 
 class TestRefusedAtAdmission:
@@ -722,7 +958,7 @@ class TestRefusedAtAdmission:
         ],
     )
     def test_refused_statement_never_reaches_a_batch(
-        self, engine, model, bad, message
+        self, engine, other_engine, model, bad, message
     ):
         events: list = []
 
@@ -730,25 +966,30 @@ class TestRefusedAtAdmission:
             def notify(self, event) -> None:
                 events.append(event.kind)
 
-        inner = _inner(engine, model)
+        inner = AnalyticsService(
+            {TABLE: engine, OTHER: other_engine}, {TABLE: model}
+        )
         inner.observers.subscribe(_Events())
-        # The window outlasts the test: the valid statement waits in its
-        # group until close() flushes it, so every statement admitted after
-        # it in the same mode would have shared its batch.
+        # On a busy front the window outlasts the test: the valid statement
+        # waits in its group until close() flushes it, so every statement
+        # admitted after it in the same mode would have shared its batch.
+        hold = _FlushHold()
         front = ConcurrentAnalyticsService(
             inner,
             policy=ConcurrencyPolicy(
                 coalesce_window_seconds=60.0, cache_capacity=0
             ),
+            injector=hold,
         )
         valid = f"SELECT AVG(u) FROM {TABLE} WITHIN 0.15 OF (0.4, 0.4)"
         try:
-            future = front.submit_script([valid], mode="exact")
-            # Three failing batches would open the table's breakers.
-            for _ in range(3):
-                with pytest.raises(SQLSyntaxError, match=message):
-                    front.submit_script([valid, bad], mode="exact")
-            assert front.pending_statements == 1
+            with _busy_front(front, hold):
+                future = front.submit_script([valid], mode="exact")
+                # Three failing batches would open the table's breakers.
+                for _ in range(3):
+                    with pytest.raises(SQLSyntaxError, match=message):
+                        front.submit_script([valid, bad], mode="exact")
+                assert front.pending_statements == 1
         finally:
             front.close(drain_seconds=10.0)
         [result] = future.result(timeout=1.0)
@@ -961,17 +1202,21 @@ class TestShutdownDrain:
         # still catchable as the historical ConfigurationError
         assert issubclass(ServiceClosedError, ConfigurationError)
 
-    def test_close_flushes_buffered_groups(self, engine, model):
-        # a coalesce window far longer than the test: without the drain
-        # flush, these futures would only resolve at window expiry
+    def test_close_flushes_buffered_groups(self, engine, other_engine, model):
+        # on a busy front, a coalesce window far longer than the test:
+        # without the drain flush, these futures would only resolve at
+        # window expiry
+        hold = _FlushHold()
         front = ConcurrentAnalyticsService(
-            _inner(engine, model),
+            AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
             policy=ConcurrencyPolicy(
                 coalesce_window_seconds=60.0, max_batch_statements=64
             ),
+            injector=hold,
         )
-        future = front.submit_script(_script(4))
-        assert front.pending_statements > 0
+        with _busy_front(front, hold):
+            future = front.submit_script(_script(4))
+            assert front.pending_statements > 0
         front.close(drain_seconds=10.0)
         results = future.result(timeout=1.0)
         assert all(r.ok for r in results)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 
@@ -19,7 +20,11 @@ from repro.dbms.sqlfront import (
     parse_statement,
 )
 from repro.exceptions import EmptySubspaceError, SQLSyntaxError
-from repro.queries.query import Query
+from repro.queries.query import (
+    Query,
+    log_radius_power_is_normal,
+    radius_power_is_normal,
+)
 from repro.queries.stream import LabelledWorkload
 from repro.queries.workload import QueryWorkloadGenerator, RadiusDistribution, WorkloadSpec
 
@@ -111,6 +116,17 @@ class TestParseStatement:
         ParsedStatement(**valid, norm_order=float("inf"))
         with pytest.raises(SQLSyntaxError):
             ParsedStatement(**{**valid, **fields})
+
+    @pytest.mark.parametrize("radius", ["1e-160", "1e-154", "0.1", "2", "1e154"])
+    @pytest.mark.parametrize("order", [1.0, 2.0, 1000.0, float("inf")])
+    def test_kept_log_radius_decides_as_the_radius(self, radius, order):
+        statement = parse_statement(
+            f"SELECT AVG(u) FROM t WITHIN {radius} OF (0.5, 0.5)"
+        )
+        assert statement.log_radius == math.log(statement.radius)
+        assert log_radius_power_is_normal(
+            statement.log_radius, order
+        ) == radius_power_is_normal(statement.radius, order)
 
     def test_signed_coordinates(self):
         statement = parse_statement("SELECT AVG(u) FROM t WITHIN 0.1 OF (+0.5 , -.5e0)")
