@@ -12,11 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.learning_rates import HyperbolicRate
-from repro.core.prediction import NeighborhoodPredictor
 from repro.eval.experiments import build_context
 from repro.eval.reporting import format_table
 from repro.metrics.evaluation import evaluate_q1_accuracy
 from repro.metrics.regression import rmse
+from repro.testing.oracle import ModelOracle
 from repro.testing.reference_training import FixedKQuantizer, train_step
 
 
@@ -34,7 +34,8 @@ class _FixedKModel:
             )
 
     def predict_mean(self, query) -> float:
-        return NeighborhoodPredictor(self._quantizer.maps).predict_mean(query)
+        # Algorithm 2 map by map over the quantizer's own LLM objects.
+        return ModelOracle(self._quantizer.maps).predict_mean(query)
 
 
 def _run_ablation() -> dict:

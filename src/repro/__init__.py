@@ -37,14 +37,17 @@ them: the single-query methods (``predict_mean``,
 
 * **Batched prediction** — :meth:`LLMModel.predict_mean_batch`,
   :meth:`LLMModel.predict_q2_batch` and :meth:`LLMModel.predict_value_batch`
-  (and their :class:`~repro.core.prediction.NeighborhoodPredictor`
-  counterparts) take an ``(m, d + 1)`` query matrix and compute the full
-  ``(m, K)`` overlap-degree matrix
+  hand each ``(m, d + 1)`` query matrix of one norm order (a ``Query``
+  batch is grouped by its queries' orders) to one kernel of
+  :class:`~repro.core.prediction.NeighborhoodPredictor`, which computes the
+  full ``(m, K)`` overlap-degree matrix
   (:func:`~repro.queries.geometry.overlap_degree_matrix`) plus the weighted
-  LLM evaluations as matrix products, with no per-query Python loop.  At
-  batch size 1,000 this is an order of magnitude (10x+) faster than the
-  per-query loop (see ``benchmarks/bench_batch_throughput.py``, which
-  records the measured speedup in ``BENCH_batch.json``).
+  LLM evaluations as array arithmetic, with no per-query Python loop.  Each
+  LLM evaluation adds its ``d + 1`` terms in a fixed order, so an answer
+  does not depend on the batch it came in.  At batch size 1,000 this is an
+  order of magnitude (10x+) faster than the per-query loop (see
+  ``benchmarks/bench_batch_throughput.py``, which records the measured
+  speedup in ``BENCH_batch.json``).
 * **Batched exact execution on sufficient statistics** — the exact
   executor answers whole batches from mergeable per-query sufficient
   statistics (count/sum for Q1; center-referenced Gram moments for Q2,
@@ -52,12 +55,16 @@ them: the single-query methods (``predict_mean``,
   :func:`~repro.dbms.executor.solve_q2_sufficient_statistics`).  There is
   one kernel: candidates come as contiguous runs of a cell-clustered row
   layout (one vectorised :meth:`~repro.dbms.spatial_index.GridIndex
-  .candidate_ranges_batch` pass over a fine batch grid); cells certifiably
+  .classified_ranges_batch` pass over a fine batch grid); cells certifiably
   *inside* the query ball come as runs of consecutive cells, each summed
   from two rows of a compensated prefix table with zero row-level work,
   so batch cost scales with the selection boundary rather than its
-  volume.  A wide batch runs in query chunks of bounded estimated
-  boundary rows, so its memory does not grow with the batch.
+  volume.  (:meth:`~repro.dbms.spatial_index.GridIndex
+  .candidate_ranges_batch`, which leaves the inner cells in the row
+  ranges, serves only the row selection of ``select_subspace`` and of the
+  per-query least-squares fallback.)  A wide batch runs in query chunks
+  of bounded estimated boundary rows, so its memory does not grow with
+  the batch.
   Rank-deficient or near-singular subspaces fall back per query to the
   dense SVD least-squares solver, so answers keep its minimum-norm
   semantics.  The engine runs each batch inline over the whole table;

@@ -9,15 +9,21 @@ and after training answers
 * Q2 regression queries (:meth:`LLMModel.predict_q2_batch`), and
 * data-value predictions (:meth:`LLMModel.predict_value_batch`)
 
-without any access to the underlying data store.  The single-query forms
-(:meth:`LLMModel.predict_mean`, :meth:`LLMModel.regression_models`,
-:meth:`LLMModel.predict_value`) are batches of one.
+without any access to the underlying data store.  It is the only
+prediction surface: every batch method checks its input, groups a
+:class:`~repro.queries.query.Query` batch by norm order and runs each group
+through one kernel of :class:`~repro.core.prediction.NeighborhoodPredictor`,
+a snapshot of the dense parameter arrays taken once per training step.  The
+single-query forms (:meth:`LLMModel.predict_mean`,
+:meth:`LLMModel.predict_mean_with_diagnostics`,
+:meth:`LLMModel.regression_models`, :meth:`LLMModel.predict_value`) are
+batches of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -25,6 +31,7 @@ from ..config import ModelConfig, TrainingConfig
 from ..exceptions import (
     DimensionalityMismatchError,
     InternalInvariantError,
+    InvalidQueryError,
     NotFittedError,
 )
 from ..queries.query import Query, QueryResultPair, group_by_norm_order
@@ -90,10 +97,10 @@ class LLMModel:
     >>> pairs = []
     >>> for _ in range(300):
     ...     center = rng.uniform(0, 1, size=1)
-    ...     query = Query(center=center, radius=0.1)
+    ...     query = Query(center=center, radius=0.2)
     ...     pairs.append((query, float(center[0] * 2.0)))
     >>> report = model.fit(pairs)
-    >>> prediction = model.predict_mean(Query(center=np.array([0.5]), radius=0.1))
+    >>> prediction = model.predict_mean(Query(center=np.array([0.5]), radius=0.2))
     >>> abs(prediction - 1.0) < 0.25
     True
     """
@@ -171,10 +178,13 @@ class LLMModel:
     def _predictor(self) -> NeighborhoodPredictor:
         if not self._fitted:
             raise NotFittedError("the model must be fitted before prediction")
-        # Rebuilding the dense parameter snapshot is O(dK); caching it keeps
-        # repeated predictions at the vectorised O(dK) arithmetic cost only.
+        # The snapshot copies the dense parameter stores, O(dK); caching it
+        # per training step keeps repeated predictions at the kernels' cost.
         if self._cached_predictor is None or self._cached_predictor_steps != self._steps:
-            self._cached_predictor = NeighborhoodPredictor(self._parameters.maps_view)
+            prototypes, slopes, scalars = self._parameters.training_views()
+            self._cached_predictor = NeighborhoodPredictor(
+                prototypes, slopes, scalars[:, LocalLinearMap.SCALAR_MEAN]
+            )
             self._cached_predictor_steps = self._steps
         return self._cached_predictor
 
@@ -326,18 +336,21 @@ class LLMModel:
     # prediction (Section V)
     # ------------------------------------------------------------------ #
     def predict_mean(self, query: Query) -> float:
-        """Predict the Q1 answer of an unseen query (Algorithm 2).
-
-        A batch of one: the query's ``(1, d + 1)`` row and its own norm
-        order go straight to the batch kernel.
-        """
-        return self._predictor().predict_mean(query)
+        """Predict the Q1 answer of an unseen query (Algorithm 2), a batch of one."""
+        return float(self.predict_mean_batch([query])[0])
 
     def predict_mean_with_diagnostics(
         self, query: Query
     ) -> tuple[float, PredictionDiagnostics]:
         """Q1 prediction plus the neighbourhood used to produce it."""
-        return self._predictor().predict_mean_with_diagnostics(query)
+        values, weights, covered = self._dispatch([query], None, NeighborhoodPredictor.q1)
+        local = np.flatnonzero(weights[0])
+        diagnostics = PredictionDiagnostics(
+            used_indices=tuple(local.tolist()),
+            weights=tuple(weights[0, local].tolist()),
+            extrapolated=not covered[0],
+        )
+        return float(values[0]), diagnostics
 
     def predict_mean_batch(
         self,
@@ -356,14 +369,7 @@ class LLMModel:
             The Lp order used with a raw matrix; defaults to the model's
             configured norm.  Ignored for :class:`Query` sequences.
         """
-        predictor = self._predictor()
-        if isinstance(queries, np.ndarray):
-            order = norm_order if norm_order is not None else self.config.norm_order
-            return predictor.predict_mean_batch(queries, norm_order=order)
-        out = np.empty(len(queries), dtype=float)
-        for order, indices, matrix in self._query_matrix_groups(queries):
-            out[indices] = predictor.predict_mean_batch(matrix, norm_order=order)
-        return out
+        return self._dispatch(queries, norm_order, NeighborhoodPredictor.q1)[0]
 
     def predict_mean_batch_with_coverage(
         self,
@@ -379,18 +385,7 @@ class LLMModel:
         signal the hybrid serving layer uses to fall back to the exact
         engine.
         """
-        predictor = self._predictor()
-        if isinstance(queries, np.ndarray):
-            order = norm_order if norm_order is not None else self.config.norm_order
-            return predictor.predict_mean_batch_with_coverage(queries, norm_order=order)
-        values = np.empty(len(queries), dtype=float)
-        covered = np.empty(len(queries), dtype=bool)
-        for order, indices, matrix in self._query_matrix_groups(queries):
-            group_values, group_covered = predictor.predict_mean_batch_with_coverage(
-                matrix, norm_order=order
-            )
-            values[indices] = group_values
-            covered[indices] = group_covered
+        values, _, covered = self._dispatch(queries, norm_order, NeighborhoodPredictor.q1)
         return values, covered
 
     def coverage_batch(
@@ -399,18 +394,11 @@ class LLMModel:
         norm_order: float | None = None,
     ) -> np.ndarray:
         """Return the boolean coverage mask of a query batch (``W(q)`` non-empty)."""
-        predictor = self._predictor()
-        if isinstance(queries, np.ndarray):
-            order = norm_order if norm_order is not None else self.config.norm_order
-            return predictor.batch_coverage(queries, norm_order=order)
-        covered = np.empty(len(queries), dtype=bool)
-        for order, indices, matrix in self._query_matrix_groups(queries):
-            covered[indices] = predictor.batch_coverage(matrix, norm_order=order)
-        return covered
+        return self._dispatch(queries, norm_order, NeighborhoodPredictor.q1)[2]
 
     def regression_models(self, query: Query) -> list[RegressionPlane]:
-        """Return the list ``S`` of local regression planes (Algorithm 3)."""
-        return self._predictor().regression_models(query)
+        """Return the list ``S`` of local regression planes (Algorithm 3), a batch of one."""
+        return self.predict_q2_batch([query])[0]
 
     def predict_q2_batch(
         self,
@@ -418,17 +406,7 @@ class LLMModel:
         norm_order: float | None = None,
     ) -> list[list[RegressionPlane]]:
         """Batched Q2 prediction: the plane list of every query in one pass."""
-        predictor = self._predictor()
-        if isinstance(queries, np.ndarray):
-            order = norm_order if norm_order is not None else self.config.norm_order
-            return predictor.predict_q2_batch(queries, norm_order=order)
-        results: list[list[RegressionPlane] | None] = [None] * len(queries)
-        for order, indices, matrix in self._query_matrix_groups(queries):
-            for position, planes in zip(
-                indices, predictor.predict_q2_batch(matrix, norm_order=order)
-            ):
-                results[int(position)] = planes
-        return results  # type: ignore[return-value]
+        return self._dispatch(queries, norm_order, NeighborhoodPredictor.q2)[0]
 
     def predict_q2_batch_with_coverage(
         self,
@@ -441,60 +419,119 @@ class LLMModel:
         semantics; an uncovered query's plane list holds the single
         extrapolated closest-prototype plane.
         """
+        planes, covered = self._dispatch(queries, norm_order, NeighborhoodPredictor.q2)
+        return planes, covered
+
+    def _dispatch(
+        self,
+        queries: Sequence[Query] | np.ndarray,
+        norm_order: float | None,
+        kernel: Callable[[NeighborhoodPredictor, np.ndarray, float], tuple],
+    ) -> tuple:
+        """The one path from a query batch to a prediction kernel.
+
+        A raw ``(m, d + 1)`` matrix is checked and runs as one group at
+        ``norm_order`` (default: the configured norm).  A :class:`Query`
+        sequence is grouped by its queries' own norm orders; each group runs
+        ``kernel`` once, and every output of the kernel (an array or a list
+        with one entry per query) is scattered back to query order.
+        """
         predictor = self._predictor()
         if isinstance(queries, np.ndarray):
-            order = norm_order if norm_order is not None else self.config.norm_order
-            return predictor.predict_q2_batch_with_coverage(queries, norm_order=order)
-        results: list[list[RegressionPlane] | None] = [None] * len(queries)
-        covered = np.empty(len(queries), dtype=bool)
-        for order, indices, matrix in self._query_matrix_groups(queries):
-            group_planes, group_covered = predictor.predict_q2_batch_with_coverage(
-                matrix, norm_order=order
-            )
-            covered[indices] = group_covered
-            for position, planes in zip(indices, group_planes):
-                results[int(position)] = planes
-        return results, covered  # type: ignore[return-value]
+            order = self.config.norm_order if norm_order is None else norm_order
+            if not order >= 1.0:
+                raise InvalidQueryError(f"norm order must be >= 1, got {order}")
+            return kernel(predictor, self._checked_matrix(queries), order)
+        groups = self._query_groups(queries)
+        if len(groups) == 1:
+            ((order, _, matrix),) = groups
+            return kernel(predictor, matrix, order)
+        merged: list = []
+        for order, positions, matrix in groups:
+            outputs = kernel(predictor, matrix, order)
+            if not merged:
+                merged = [
+                    [None] * len(queries)
+                    if isinstance(output, list)
+                    else np.empty((len(queries), *output.shape[1:]), output.dtype)
+                    for output in outputs
+                ]
+            for target, output in zip(merged, outputs):
+                if isinstance(target, list):
+                    for position, item in zip(positions.tolist(), output):
+                        target[position] = item
+                else:
+                    target[positions] = output
+        return tuple(merged)
 
-    @staticmethod
-    def _query_matrix_groups(
-        queries: Sequence[Query],
+    def _query_groups(
+        self, queries: Sequence[Query]
     ) -> list[tuple[float, np.ndarray, np.ndarray]]:
-        """Group a query sequence into per-norm-order ``(m, d + 1)`` matrices."""
-        if len(queries) == 0:
-            return []
-        vectors = np.empty((len(queries), queries[0].dimension + 1))
-        vectors[:, :-1] = [query.center for query in queries]
+        """Per-norm-order ``(order, positions, (m, d + 1) matrix)`` groups."""
+        vectors = np.empty((len(queries), self.dimension + 1))
+        if not len(queries):
+            return [(self.config.norm_order, np.arange(0), vectors)]
+        if queries[0].dimension != self.dimension:
+            raise DimensionalityMismatchError(
+                f"query has dimension {queries[0].dimension}, model expects "
+                f"{self.dimension}"
+            )
+        try:
+            vectors[:, :-1] = [query.center for query in queries]
+        except ValueError:
+            raise DimensionalityMismatchError(
+                f"the queries of a batch must all have the model's dimension "
+                f"{self.dimension}"
+            ) from None
         vectors[:, -1] = [query.radius for query in queries]
         return [
-            (order, indices, matrix)
-            for order, indices, (matrix,) in group_by_norm_order(queries, vectors)
+            (order, positions, matrix)
+            for order, positions, (matrix,) in group_by_norm_order(queries, vectors)
         ]
+
+    def _checked_matrix(self, query_matrix: np.ndarray) -> np.ndarray:
+        """Validate a raw ``(m, d + 1)`` query matrix."""
+        matrix = np.atleast_2d(np.asarray(query_matrix, dtype=float))
+        if matrix.shape[1] != self.dimension + 1:
+            raise DimensionalityMismatchError(
+                f"query matrix has width {matrix.shape[1]}, model expects "
+                f"{self.dimension + 1} (center plus radius)"
+            )
+        if not np.isfinite(matrix).all():
+            raise InvalidQueryError("query matrix must contain only finite values")
+        if (matrix[:, -1] <= 0.0).any():
+            raise InvalidQueryError("query radii must all be positive")
+        return matrix
 
     def predict_value(self, point: np.ndarray, radius: float | None = None) -> float:
         """Predict the data value ``u ≈ g(x)`` at a point (Equation 14).
 
-        ``radius`` defaults to the average prototype radius, which mirrors
-        the evaluation's use of the workload's typical radius for data-value
-        probes.
+        A batch of one.  ``radius`` defaults to the average prototype
+        radius, which mirrors the evaluation's use of the workload's typical
+        radius for data-value probes.
         """
-        predictor = self._predictor()
-        probe_radius = radius if radius is not None else self.average_prototype_radius()
-        return predictor.predict_value(point, probe_radius, self.config.norm_order)
+        row = np.asarray(point, dtype=float).ravel()[np.newaxis, :]
+        return float(self.predict_value_batch(row, radius)[0])
 
     def predict_value_batch(
         self, points: np.ndarray, radius: float | None = None
     ) -> np.ndarray:
         """Batched data-value prediction (Equation 14 as matrix arithmetic).
 
-        ``radius`` defaults to the average prototype radius, matching
-        :meth:`predict_value`.
+        Every probe is a ball of the given radius around its point, under
+        the configured norm; ``radius`` defaults to the average prototype
+        radius, matching :meth:`predict_value`.
         """
         predictor = self._predictor()
         probe_radius = radius if radius is not None else self.average_prototype_radius()
-        return predictor.predict_value_batch(
-            points, probe_radius, self.config.norm_order
-        )
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != self.dimension:
+            raise DimensionalityMismatchError(
+                f"points have dimension {pts.shape[1]}, model expects {self.dimension}"
+            )
+        radii = np.full((pts.shape[0], 1), float(probe_radius))
+        matrix = self._checked_matrix(np.hstack([pts, radii]))
+        return predictor.data_values(matrix, self.config.norm_order)
 
     # ------------------------------------------------------------------ #
     # diagnostics

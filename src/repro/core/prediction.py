@@ -13,29 +13,25 @@ LLMs are evaluated at their own radii and combined with the same weights
 (Equation 14).  When no prototype overlaps the query, the single closest
 prototype is used (extrapolation).
 
-The predictor snapshots the LLM parameters into dense arrays at
-construction time, and every prediction runs through one batch kernel: an
-``(m, d + 1)`` query matrix is turned into the full ``(m, K)`` overlap-degree
-matrix and the weighted LLM evaluations as matrix operations, with no
-per-query Python loop (:meth:`NeighborhoodPredictor.predict_mean_batch`,
-:meth:`NeighborhoodPredictor.predict_q2_batch`,
-:meth:`NeighborhoodPredictor.predict_value_batch`).  The single-query
-methods are batches of one over the same kernel.  As in the paper, finding
-``W(q)`` is a scan of the ``K`` prototypes at ``O(dK)`` cost per query; there
-is no prototype index.
+:class:`NeighborhoodPredictor` holds the three computations as matrix
+kernels over one immutable snapshot of a model's dense parameter arrays.
+Each kernel turns an ``(m, d + 1)`` query matrix of one norm order into the
+full ``(m, K)`` overlap-degree matrix and the weighted LLM evaluations, with
+no per-query Python loop.  :class:`~repro.core.model.LLMModel` is the
+prediction surface: it checks a batch, groups it by norm order and calls
+one kernel per group.  As in the paper, finding ``W(q)`` is a scan of the
+``K`` prototypes at ``O(dK)`` cost per query; there is no prototype index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from ..exceptions import DimensionalityMismatchError, InvalidQueryError, NotFittedError
+from ..exceptions import DimensionalityMismatchError
 from ..queries.geometry import overlap_degree_matrix
-from ..queries.query import Query
-from .prototypes import LocalLinearMap, RegressionPlane
+from .prototypes import RegressionPlane
 
 __all__ = [
     "normalized_weight_rows",
@@ -105,32 +101,59 @@ class PredictionDiagnostics:
         return len(self.used_indices)
 
 
+def _frozen_copy(array: np.ndarray) -> np.ndarray:
+    copy = np.array(array, dtype=float, order="C")
+    copy.setflags(write=False)
+    return copy
+
+
+def _evaluate(
+    offsets: np.ndarray, points: np.ndarray, slope_columns: np.ndarray
+) -> np.ndarray:
+    """``(m, K)`` matrix of ``offsets + points @ slope_columns``, batch-invariant.
+
+    A BLAS product sums each entry's terms in an order that depends on the
+    batch (gemv for one row, gemm for more).  Adding the column products
+    one after another, in column order, makes every entry a function of
+    its own row alone.
+    """
+    values = points[:, :1] * slope_columns[0]
+    term = np.empty_like(values)
+    for column in range(1, slope_columns.shape[0]):
+        np.multiply(points[:, column : column + 1], slope_columns[column], out=term)
+        values += term
+    values += offsets
+    return values
+
+
 class NeighborhoodPredictor:
-    """Implements Algorithms 2 and 3 and Equation (14) over a set of LLMs.
+    """The kernels of Algorithms 2 and 3 and Equation (14) over one snapshot.
 
     Parameters
     ----------
-    maps:
-        The trained local linear maps.
+    prototypes, slopes:
+        The ``(K, d + 1)`` prototype and slope matrices, ``K >= 1``.
+    means:
+        The ``(K,)`` local intercepts ``y_k``.
+
+    The arrays are copied and made read-only, so later training steps never
+    reach the snapshot's answers.  Every kernel takes a checked ``(m, d + 1)``
+    matrix of ``[x, theta]`` rows (finite, positive radii, the snapshot's
+    width) and one norm order; :class:`~repro.core.model.LLMModel` does the
+    checking.
     """
 
-    def __init__(self, maps: Sequence[LocalLinearMap]) -> None:
-        self._maps = maps
-        if maps:
-            prototypes = np.vstack([llm.prototype for llm in maps])
-            self._centers = prototypes[:, :-1]
-            self._radii = prototypes[:, -1]
-            self._prototypes = prototypes
-            self._means = np.array([llm.mean_output for llm in maps])
-            self._slopes = np.vstack([llm.slope for llm in maps])
-            self._center_slopes = self._slopes[:, :-1]
-        else:
-            self._centers = np.empty((0, 0))
-            self._radii = np.empty(0)
-            self._prototypes = np.empty((0, 0))
-            self._means = np.empty(0)
-            self._slopes = np.empty((0, 0))
-            self._center_slopes = np.empty((0, 0))
+    def __init__(
+        self, prototypes: np.ndarray, slopes: np.ndarray, means: np.ndarray
+    ) -> None:
+        self._prototypes = _frozen_copy(prototypes)
+        self._slopes = _frozen_copy(slopes)
+        self._means = _frozen_copy(means)
+        self._centers = self._prototypes[:, :-1]
+        self._radii = self._prototypes[:, -1]
+        self._center_slopes = self._slopes[:, :-1]
+        # ``(d + 1, K)``: one contiguous row per query component.
+        self._slope_columns = _frozen_copy(self._slopes.T)
         # Intercepts of the LLMs written as ``offset + slope . q``: at the
         # query vector (Algorithm 2) and at the own radius (Equation 14).
         self._offsets = self._means - np.sum(self._slopes * self._prototypes, axis=1)
@@ -138,40 +161,67 @@ class NeighborhoodPredictor:
             self._center_slopes * self._centers, axis=1
         )
 
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    @property
-    def prototype_count(self) -> int:
-        """Number of LLMs the predictor snapshots."""
-        return len(self._maps)
+    def q1(
+        self, matrix: np.ndarray, norm_order: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Q1 answers (Algorithm 2): ``(values, weights, covered)``.
 
-    def _require_maps(self) -> None:
-        if not self._maps:
-            raise NotFittedError("the model holds no local linear maps yet")
+        ``weights`` is the ``(m, K)`` matrix of normalised overlap weights
+        and ``covered`` the ``(m,)`` mask of queries with a non-empty
+        ``W(q)``; an uncovered query is answered by the closest prototype
+        alone, the signal a hybrid serving layer falls back on.
+        """
+        weights, covered = self._neighborhood(matrix, norm_order)
+        values = _evaluate(self._offsets, matrix, self._slope_columns)
+        values *= weights
+        return values.sum(axis=1), weights, covered
 
-    # ------------------------------------------------------------------ #
-    # batch internals
-    # ------------------------------------------------------------------ #
-    def _as_query_matrix(self, query_matrix: np.ndarray) -> np.ndarray:
-        """Validate a raw ``(m, d + 1)`` query matrix."""
-        self._require_maps()
-        matrix = np.atleast_2d(np.asarray(query_matrix, dtype=float))
-        if matrix.shape[1] != self._prototypes.shape[1]:
-            raise DimensionalityMismatchError(
-                f"query matrix has width {matrix.shape[1]}, model expects "
-                f"{self._prototypes.shape[1]} (center plus radius)"
+    def q2(
+        self, matrix: np.ndarray, norm_order: float
+    ) -> tuple[list[list[RegressionPlane]], np.ndarray]:
+        """Q2 answers (Algorithm 3): ``(plane_lists, covered)``.
+
+        Each query's list holds the Theorem-3 plane of every prototype it
+        weighs, ``u = (y_k - b_{X,k} . x_k) + b_{X,k} . x``; an uncovered
+        query's list holds the closest prototype's plane alone.
+        """
+        weights, covered = self._neighborhood(matrix, norm_order)
+        means, centers, slopes = self._means, self._centers, self._center_slopes
+        plane_lists = []
+        for row in weights:
+            local = np.flatnonzero(row)
+            plane_lists.append(
+                [
+                    RegressionPlane(
+                        intercept=float(means[k]) - float(slopes[k] @ centers[k]),
+                        slope=slopes[k].copy(),
+                        prototype_center=centers[k].copy(),
+                        prototype_radius=float(self._radii[k]),
+                        weight=weight,
+                    )
+                    for k, weight in zip(local.tolist(), row[local].tolist())
+                ]
             )
-        if not np.isfinite(matrix).all():
-            raise InvalidQueryError("query matrix must contain only finite values")
-        if (matrix[:, -1] <= 0.0).any():
-            raise InvalidQueryError("query radii must all be positive")
-        return matrix
+        return plane_lists, covered
 
-    def _batch_neighborhood(
+    def data_values(self, matrix: np.ndarray, norm_order: float) -> np.ndarray:
+        """Data values ``u = g(x)`` at the probe centers (Equation 14).
+
+        Each row is a probe ball ``[x, theta]``: the LLMs it overlaps are
+        evaluated at ``x`` and at their *own* radius, and combined with the
+        probe's overlap weights.
+        """
+        weights, _ = self._neighborhood(matrix, norm_order)
+        values = _evaluate(
+            self._own_radius_offsets, matrix[:, :-1], self._slope_columns[:-1]
+        )
+        values *= weights
+        return values.sum(axis=1)
+
+    def _neighborhood(
         self, matrix: np.ndarray, norm_order: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Dense ``(m, K)`` weight matrix plus the extrapolated-row mask.
+        """Dense ``(m, K)`` weight matrix plus the covered-row mask.
 
         Each row holds the normalised overlap weights of one query; rows
         with an empty overlap set carry a single ``1`` at the closest
@@ -183,164 +233,9 @@ class NeighborhoodPredictor:
         weights, extrapolated = normalized_weight_rows(degrees)
         if extrapolated.any():
             rows = np.nonzero(extrapolated)[0]
-            weights[rows, self._closest_prototypes(matrix[rows])] = 1.0
-        return weights, extrapolated
-
-    def _closest_prototypes(self, query_vectors: np.ndarray) -> np.ndarray:
-        """Index of the closest prototype (query vectorial space) per row."""
-        distances = np.linalg.norm(
-            query_vectors[:, np.newaxis, :] - self._prototypes[np.newaxis, :, :],
-            axis=2,
-        )
-        return np.argmin(distances, axis=1)
-
-    def _evaluate_all_maps(self, matrix: np.ndarray) -> np.ndarray:
-        """``(m, K)`` matrix of ``f_k(q_i)``."""
-        return self._offsets + matrix @ self._slopes.T
-
-    def _evaluate_all_maps_at_own_radius(self, points: np.ndarray) -> np.ndarray:
-        """``(m, K)`` matrix of ``f_k(x_i, theta_k)`` (Equation 14)."""
-        return self._own_radius_offsets + points @ self._center_slopes.T
-
-    def _weighted_means(
-        self, query_matrix: np.ndarray, norm_order: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Q1 values plus the batch weights and extrapolation mask."""
-        matrix = self._as_query_matrix(query_matrix)
-        weights, extrapolated = self._batch_neighborhood(matrix, norm_order)
-        values = (weights * self._evaluate_all_maps(matrix)).sum(axis=1)
-        return values, weights, extrapolated
-
-    # ------------------------------------------------------------------ #
-    # Q1: average-value prediction (Algorithm 2)
-    # ------------------------------------------------------------------ #
-    def predict_mean(self, query: Query) -> float:
-        """Predict the Q1 answer of an unseen query (a batch of one)."""
-        return float(self.predict_mean_batch(_query_row(query), query.norm_order)[0])
-
-    def predict_mean_with_diagnostics(
-        self, query: Query
-    ) -> tuple[float, PredictionDiagnostics]:
-        """Predict the Q1 answer and report which LLMs contributed."""
-        values, weights, extrapolated = self._weighted_means(
-            _query_row(query), query.norm_order
-        )
-        local = np.nonzero(weights[0])[0]
-        diagnostics = PredictionDiagnostics(
-            used_indices=tuple(int(index) for index in local),
-            weights=tuple(float(weight) for weight in weights[0, local]),
-            extrapolated=bool(extrapolated[0]),
-        )
-        return float(values[0]), diagnostics
-
-    def predict_mean_batch(
-        self, query_matrix: np.ndarray, norm_order: float = 2.0
-    ) -> np.ndarray:
-        """Predict the Q1 answers of an ``(m, d + 1)`` query matrix at once.
-
-        The whole batch is processed as matrix arithmetic: one ``(m, K)``
-        overlap-degree computation, one ``(m, K)`` LLM evaluation via a
-        single matrix product, and a row-wise weighted sum — no per-query
-        Python loop.
-        """
-        return self.predict_mean_batch_with_coverage(query_matrix, norm_order)[0]
-
-    def predict_mean_batch_with_coverage(
-        self, query_matrix: np.ndarray, norm_order: float = 2.0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched Q1 prediction plus the per-query coverage mask.
-
-        Returns ``(values, covered)`` where ``covered`` is the ``(m,)``
-        boolean vector marking queries whose overlap set ``W(q)`` is
-        non-empty.  Uncovered queries are *extrapolated* (answered by the
-        closest prototype alone), which is the confidence signal a hybrid
-        serving layer uses to fall back to exact execution.
-        """
-        values, _, extrapolated = self._weighted_means(query_matrix, norm_order)
-        return values, ~extrapolated
-
-    def batch_coverage(
-        self, query_matrix: np.ndarray, norm_order: float = 2.0
-    ) -> np.ndarray:
-        """Return the ``(m,)`` boolean mask of queries with non-empty ``W(q)``."""
-        matrix = self._as_query_matrix(query_matrix)
-        _, extrapolated = self._batch_neighborhood(matrix, norm_order)
-        return ~extrapolated
-
-    # ------------------------------------------------------------------ #
-    # Q2: local regression planes (Algorithm 3)
-    # ------------------------------------------------------------------ #
-    def regression_models(self, query: Query) -> list[RegressionPlane]:
-        """Return the list ``S`` of local linear models explaining ``g`` over ``D(x, theta)``."""
-        return self.predict_q2_batch(_query_row(query), query.norm_order)[0]
-
-    def predict_q2_batch(
-        self, query_matrix: np.ndarray, norm_order: float = 2.0
-    ) -> list[list[RegressionPlane]]:
-        """Return the Q2 answer (list of regression planes) for each query.
-
-        The neighbourhood weights of the whole batch are computed with the
-        same dense matrix pass as :meth:`predict_mean_batch`; only the final
-        materialisation of the per-query plane lists walks Python objects.
-        """
-        return self.predict_q2_batch_with_coverage(query_matrix, norm_order)[0]
-
-    def predict_q2_batch_with_coverage(
-        self, query_matrix: np.ndarray, norm_order: float = 2.0
-    ) -> tuple[list[list[RegressionPlane]], np.ndarray]:
-        """Batched Q2 prediction plus the per-query coverage mask.
-
-        Returns ``(plane_lists, covered)``; an uncovered query's plane list
-        holds the single extrapolated closest-prototype plane.
-        """
-        matrix = self._as_query_matrix(query_matrix)
-        weights, extrapolated = self._batch_neighborhood(matrix, norm_order)
-        results: list[list[RegressionPlane]] = []
-        for row in weights:
-            local = np.flatnonzero(row)
-            results.append(
-                [
-                    self._maps[index].regression_plane(weight=weight)
-                    for index, weight in zip(local.tolist(), row[local].tolist())
-                ]
+            distances = np.linalg.norm(
+                matrix[rows, np.newaxis, :] - self._prototypes[np.newaxis, :, :],
+                axis=2,
             )
-        return results, ~extrapolated
-
-    # ------------------------------------------------------------------ #
-    # A2: data-value prediction (Equation 14)
-    # ------------------------------------------------------------------ #
-    def predict_value(self, point: np.ndarray, radius: float, norm_order: float = 2.0) -> float:
-        """Predict the data value ``u = g(x)`` at a point (a batch of one).
-
-        The point together with a radius forms a probe query; each
-        overlapping LLM is evaluated at its *own* radius (Equation 14) and
-        the evaluations are combined with the normalised overlap weights.
-        """
-        row = np.asarray(point, dtype=float).ravel()[np.newaxis, :]
-        return float(self.predict_value_batch(row, radius, norm_order)[0])
-
-    def predict_value_batch(
-        self, points: np.ndarray, radius: float, norm_order: float = 2.0
-    ) -> np.ndarray:
-        """Batched :meth:`predict_value` over the rows of ``points``.
-
-        Every probe shares the given radius; the overlap weights and the
-        own-radius LLM evaluations of the whole batch are matrix operations.
-        """
-        self._require_maps()
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self._centers.shape[1]:
-            raise DimensionalityMismatchError(
-                f"points have dimension {pts.shape[1]}, model expects "
-                f"{self._centers.shape[1]}"
-            )
-        radii = np.full((pts.shape[0], 1), float(radius))
-        matrix = self._as_query_matrix(np.hstack([pts, radii]))
-        weights, _ = self._batch_neighborhood(matrix, norm_order)
-        values = self._evaluate_all_maps_at_own_radius(pts)
-        return (weights * values).sum(axis=1)
-
-
-def _query_row(query: Query) -> np.ndarray:
-    """The ``(1, d + 1)`` query matrix of one query."""
-    return query.to_vector()[np.newaxis, :]
+            weights[rows, np.argmin(distances, axis=1)] = 1.0
+        return weights, ~extrapolated

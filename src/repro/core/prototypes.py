@@ -388,9 +388,9 @@ class LocalModelParameters:
     def maps_view(self) -> tuple[LocalLinearMap, ...]:
         """A cached, read-only view of the LLM list.
 
-        Hot loops (winner search, predictor construction) previously paid an
-        O(K) ``list()`` copy on every access; the tuple is built once per
-        growth event instead.
+        Callers that read the maps repeatedly (``LLMModel.local_maps``, the
+        reference quantizers) would otherwise pay an O(K) ``list()`` copy on
+        every access; the tuple is built once per growth event instead.
         """
         if self._maps_view is None:
             self._maps_view = tuple(self.maps)
@@ -417,7 +417,8 @@ class LocalModelParameters:
 
         Returns ``(prototypes, slopes, scalars)`` trimmed to the current
         prototype count.  This is the fused training kernel's write-through
-        API: mutations are immediately visible to the attached
+        API, and what the model's prediction snapshot copies: mutations are
+        immediately visible to the attached
         :class:`LocalLinearMap` objects (and vice versa) because both alias
         the same capacity-doubling storage.  The views are invalidated by
         the next :meth:`add` that doubles capacity, so callers must re-fetch

@@ -27,9 +27,10 @@ erasing the model's cost advantage.
    atomic reference assignment; concurrently running sessions keep
    serving throughout.
 4. **Verify or roll back** — a probe over the recent queries compares the
-   old and new models (estimated fallback rate from
-   :meth:`~repro.core.model.LLMModel.coverage_batch`, RMSE against exact
-   answers); if the new model *regresses*, the previous version is
+   old and new models (estimated fallback rate and RMSE against exact
+   answers, both from one
+   :meth:`~repro.core.model.LLMModel.predict_mean_batch_with_coverage`
+   call per model); if the new model *regresses*, the previous version is
    swapped back and the attempt counts as a failure.
 
 Failures back off exponentially (:attr:`DriftPolicy.cooldown_seconds` ×
@@ -62,6 +63,7 @@ from ..core.model import LLMModel
 from ..core.persistence import load_model, save_model
 from ..core.training import StreamingTrainer
 from ..exceptions import ConfigurationError, LifecycleError, ModelPersistenceError
+from ..metrics.regression import rmse
 from ..queries.query import Query
 from .serving import AnalyticsService
 
@@ -655,25 +657,20 @@ class ModelManager:
         ``old * rollback_rmse_factor``.
         """
         probe = queries[-self.policy.probe_size:]
-        old_covered = np.asarray(old_model.coverage_batch(probe), dtype=bool)
-        new_covered = np.asarray(new_model.coverage_batch(probe), dtype=bool)
-        old_fallback = 1.0 - float(old_covered.mean())
-        new_fallback = 1.0 - float(new_covered.mean())
+        old_values, old_covered = old_model.predict_mean_batch_with_coverage(probe)
+        new_values, new_covered = new_model.predict_mean_batch_with_coverage(probe)
+        old_fallback = 1.0 - float(np.mean(old_covered))
+        new_fallback = 1.0 - float(np.mean(new_covered))
         answers = engine.execute_q1_batch(probe, on_empty="null")  # type: ignore[attr-defined]
         truth = np.array(
             [np.nan if a is None else a.mean for a in answers], dtype=float
         )
         defined = ~np.isnan(truth)
         if defined.any():
-            probe_defined = [q for q, keep in zip(probe, defined) if keep]
-            old_rmse = _rmse(
-                np.asarray(old_model.predict_mean_batch(probe_defined), dtype=float),
-                truth[defined],
-            )
-            new_rmse = _rmse(
-                np.asarray(new_model.predict_mean_batch(probe_defined), dtype=float),
-                truth[defined],
-            )
+            # Model answers are batch-invariant: the whole probe's answers,
+            # restricted to the defined rows, are those rows' own answers.
+            old_rmse = rmse(truth[defined], np.asarray(old_values)[defined])
+            new_rmse = rmse(truth[defined], np.asarray(new_values)[defined])
         else:
             old_rmse = new_rmse = 0.0
         policy = self.policy
@@ -691,10 +688,6 @@ class ModelManager:
                 "new_rmse": new_rmse,
             },
         }
-
-
-def _rmse(predicted: np.ndarray, truth: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((predicted - truth) ** 2)))
 
 
 class LifecycleScheduler:

@@ -17,7 +17,8 @@ import pytest
 
 from repro.config import ModelConfig, TrainingConfig
 from repro.core.model import LLMModel
-from repro.core.prediction import NeighborhoodPredictor, normalized_weight_rows
+from repro.core.persistence import model_from_dict
+from repro.core.prediction import normalized_weight_rows
 from repro.core.prototypes import LocalLinearMap
 from repro.exceptions import DimensionalityMismatchError, InvalidQueryError
 from repro.queries.geometry import overlap_degree, overlap_degree_matrix
@@ -26,6 +27,14 @@ from repro.testing.oracle import ExactOracle, ModelOracle, normalized_overlap_we
 
 DIMENSIONS = (1, 2, 6)
 TOLERANCE = 1e-12
+#: The model's batch methods over a ``Query`` sequence or a raw matrix.
+BATCH_METHODS = (
+    "predict_mean_batch",
+    "predict_mean_batch_with_coverage",
+    "coverage_batch",
+    "predict_q2_batch",
+    "predict_q2_batch_with_coverage",
+)
 
 
 def _synthetic_maps(dimension: int, count: int = 40, seed: int = 5) -> list[LocalLinearMap]:
@@ -44,6 +53,18 @@ def _synthetic_maps(dimension: int, count: int = 40, seed: int = 5) -> list[Loca
             )
         )
     return maps
+
+
+def _model(maps: list[LocalLinearMap]) -> LLMModel:
+    """A fitted Euclidean model holding exactly ``maps``."""
+    return model_from_dict(
+        {
+            "format_version": 2,
+            "dimension": maps[0].dimension,
+            "state": {"steps": len(maps), "frozen": True},
+            "maps": [llm.to_dict() for llm in maps],
+        }
+    )
 
 
 def _mixed_queries(dimension: int, count: int = 60, seed: int = 11) -> list[Query]:
@@ -66,20 +87,18 @@ def _mixed_queries(dimension: int, count: int = 60, seed: int = 11) -> list[Quer
 def setup(request):
     dimension = request.param
     maps = _synthetic_maps(dimension)
-    predictor = NeighborhoodPredictor(maps)
+    model = _model(maps)
     queries = _mixed_queries(dimension)
     matrix = np.vstack([query.to_vector() for query in queries])
-    return dimension, maps, predictor, queries, matrix
+    return dimension, maps, model, queries, matrix
 
 
 class TestOverlapDegreeMatrix:
     def test_matches_scalar_overlap_degree(self, setup):
-        dimension, maps, predictor, queries, matrix = setup
+        dimension, maps, model, queries, matrix = setup
+        prototypes = model.prototype_matrix()
         degrees = overlap_degree_matrix(
-            matrix[:, :-1],
-            matrix[:, -1],
-            predictor._prototypes[:, :-1],
-            predictor._prototypes[:, -1],
+            matrix[:, :-1], matrix[:, -1], prototypes[:, :-1], prototypes[:, -1]
         )
         for i, query in enumerate(queries[:10]):
             for k, llm in enumerate(maps):
@@ -106,8 +125,8 @@ class TestOverlapDegreeMatrix:
 
 class TestQ1Equivalence:
     def test_batch_matches_single(self, setup):
-        _, maps, predictor, queries, matrix = setup
-        batch = predictor.predict_mean_batch(matrix)
+        _, maps, model, queries, matrix = setup
+        batch = model.predict_mean_batch(matrix)
         oracle = ModelOracle(maps)
         single = np.array([oracle.predict_mean(query) for query in queries])
         assert batch.shape == single.shape
@@ -120,8 +139,8 @@ class TestQ1Equivalence:
         assert any(flags) and not all(flags)
 
     def test_batch_reports_extrapolated_rows(self, setup):
-        _, maps, predictor, queries, matrix = setup
-        _, extrapolated = predictor._batch_neighborhood(matrix, norm_order=2.0)
+        _, maps, model, queries, matrix = setup
+        extrapolated = ~model.coverage_batch(matrix)
         oracle = ModelOracle(maps)
         expected = np.array([oracle.neighborhood(query)[2] for query in queries])
         np.testing.assert_array_equal(extrapolated, expected)
@@ -129,8 +148,8 @@ class TestQ1Equivalence:
 
 class TestQ2Equivalence:
     def test_batch_planes_match_single(self, setup):
-        _, maps, predictor, queries, matrix = setup
-        batch = predictor.predict_q2_batch(matrix)
+        _, maps, model, queries, matrix = setup
+        batch = model.predict_q2_batch(matrix)
         assert len(batch) == len(queries)
         oracle = ModelOracle(maps)
         for planes, query in zip(batch, queries):
@@ -148,7 +167,7 @@ class TestQ2Equivalence:
 
 class TestValuePredictionEquivalence:
     def test_batch_matches_single(self, setup):
-        dimension, maps, predictor, _, _ = setup
+        dimension, maps, model, _, _ = setup
         rng = np.random.default_rng(23)
         points = np.vstack(
             [
@@ -157,7 +176,7 @@ class TestValuePredictionEquivalence:
             ]
         )
         radius = 0.15
-        batch = predictor.predict_value_batch(points, radius)
+        batch = model.predict_value_batch(points, radius)
         oracle = ModelOracle(maps)
         single = np.array([oracle.predict_value(point, radius) for point in points])
         np.testing.assert_allclose(batch, single, rtol=0.0, atol=TOLERANCE)
@@ -271,6 +290,21 @@ class TestModelBatchAPI:
             trained.predict_mean_batch(np.array([[0.5, 0.5, -0.1]]))
         with pytest.raises(DimensionalityMismatchError):
             trained.predict_mean_batch(np.array([[0.5, 0.5]]))
+
+    @pytest.mark.parametrize("method", BATCH_METHODS)
+    def test_mixed_dimensions_rejected(self, trained, method):
+        flat = Query(center=np.array([0.5]), radius=0.1)
+        plane = Query(center=np.array([0.5, 0.5]), radius=0.1)
+        for queries in ([plane, flat], [flat, plane], [flat, flat]):
+            with pytest.raises(DimensionalityMismatchError):
+                getattr(trained, method)(queries)
+
+    @pytest.mark.parametrize("method", BATCH_METHODS)
+    @pytest.mark.parametrize("norm_order", (0.5, -1.0, 0.0, float("nan")))
+    def test_matrix_norm_order_below_one_rejected(self, trained, method, norm_order):
+        # ``Query`` and ``ModelConfig`` refuse the same orders.
+        with pytest.raises(InvalidQueryError):
+            getattr(trained, method)(np.array([[0.5, 0.5, 0.1]]), norm_order=norm_order)
 
 
 class TestExecutorQ2BatchEquivalence:

@@ -7,8 +7,11 @@ import pytest
 
 from repro.config import ModelConfig, TrainingConfig
 from repro.core.model import LLMModel
+from repro.core.persistence import model_from_dict
+from repro.core.prototypes import LocalLinearMap
 from repro.exceptions import DimensionalityMismatchError, NotFittedError
 from repro.queries.query import Query, QueryResultPair
+from repro.testing.oracle import ModelOracle
 
 
 def _linear_pairs(count: int, seed: int = 0) -> list[tuple[Query, float]]:
@@ -168,3 +171,98 @@ class TestPrediction:
             model.average_prototype_radius()
         with pytest.raises(NotFittedError):
             model.prototype_matrix()
+
+
+def _plane_bits(plane_lists) -> list[list[bytes]]:
+    return [
+        [
+            np.concatenate(
+                [
+                    [plane.intercept, plane.weight, plane.prototype_radius],
+                    plane.slope,
+                    plane.prototype_center,
+                ]
+            ).tobytes()
+            for plane in planes
+        ]
+        for planes in plane_lists
+    ]
+
+
+class TestPredictionSnapshot:
+    def test_snapshot_owns_its_arrays(self):
+        """A taken snapshot keeps its answers while training moves on."""
+        rng = np.random.default_rng(5)
+        # Eight maps fill the dense stores' initial capacity exactly.
+        maps = [
+            LocalLinearMap(
+                prototype=np.append(rng.uniform(0.3, 0.7, 2), 0.2),
+                mean_output=float(rng.normal()),
+                slope=rng.normal(size=3),
+            )
+            for _ in range(8)
+        ]
+        for llm in maps:
+            # Past its first update a winner's learning rate is below one,
+            # so the step below moves its prototype, intercept and slope.
+            llm.updates = 5
+        model = model_from_dict(
+            {
+                "format_version": 2,
+                "dimension": 2,
+                "training": {"convergence_threshold": 1e-12},
+                "state": {"steps": 8, "frozen": False},
+                "maps": [llm.to_dict() for llm in maps],
+            }
+        )
+        queries = [
+            Query(center=rng.uniform(0.2, 0.8, 2), radius=0.3) for _ in range(20)
+        ]
+        matrix = np.vstack([query.to_vector() for query in queries])
+        snapshot = model._predictor()
+
+        def snapshot_answers() -> tuple:
+            values, _, covered = snapshot.q1(matrix, 2.0)
+            planes, _ = snapshot.q2(matrix, 2.0)
+            data_values = snapshot.data_values(matrix, 2.0)
+            return (
+                values.tobytes(),
+                covered.tobytes(),
+                _plane_bits(planes),
+                data_values.tobytes(),
+            )
+
+        before = snapshot_answers()
+        held_planes = snapshot.q2(matrix, 2.0)[0]
+        held = _plane_bits(held_planes)
+
+        # A pair next to the first prototype moves that winner in place ...
+        model.partial_fit(Query(center=maps[0].center + 0.01, radius=0.21), 5.0)
+        assert model.prototype_count == 8
+        # ... and one far from every prototype grows the stores past capacity.
+        model.partial_fit(Query(center=np.array([9.0, 9.0]), radius=0.2), -5.0)
+        assert model.prototype_count == 9
+
+        assert snapshot_answers() == before
+        assert _plane_bits(held_planes) == held
+
+        oracle = ModelOracle(model.local_maps)
+        values = model.predict_mean_batch(queries)
+        assert values.tobytes() != before[0]
+        np.testing.assert_allclose(
+            values, [oracle.predict_mean(q) for q in queries], rtol=0.0, atol=1e-12
+        )
+        for planes, query in zip(model.predict_q2_batch(queries), queries):
+            expected = oracle.regression_models(query)
+            assert len(planes) == len(expected)
+            for plane, reference in zip(planes, expected):
+                np.testing.assert_array_equal(plane.slope, reference.slope)
+                assert plane.intercept == reference.intercept
+                assert plane.weight == pytest.approx(reference.weight, abs=1e-12)
+        centers = matrix[:, :-1]
+        np.testing.assert_allclose(
+            model.predict_value_batch(centers, 0.3),
+            [oracle.predict_value(center, 0.3) for center in centers],
+            rtol=0.0,
+            atol=1e-12,
+        )

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.prediction import NeighborhoodPredictor
+from repro.core.model import LLMModel
+from repro.core.persistence import model_from_dict
 from repro.core.prototypes import LocalLinearMap
 from repro.exceptions import NotFittedError
 from repro.queries.query import Query
@@ -24,6 +25,18 @@ def _llm(center, radius, mean, slope=None):
     else:
         slope = np.asarray(slope, dtype=float)
     return LocalLinearMap(prototype=prototype, mean_output=mean, slope=slope)
+
+
+def _model(maps: list[LocalLinearMap]) -> LLMModel:
+    """A fitted Euclidean model holding exactly ``maps``."""
+    return model_from_dict(
+        {
+            "format_version": 2,
+            "dimension": maps[0].dimension,
+            "state": {"steps": len(maps), "frozen": True},
+            "maps": [llm.to_dict() for llm in maps],
+        }
+    )
 
 
 @pytest.fixture()
@@ -67,85 +80,85 @@ class TestNormalizedWeights:
 
 class TestQ1Prediction:
     def test_prediction_at_prototype_matches_local_mean(self, maps):
-        predictor = NeighborhoodPredictor(maps)
+        model = _model(maps)
         query = Query(center=np.array([0.5, 0.5]), radius=0.1)
-        assert predictor.predict_mean(query) == pytest.approx(0.5)
+        assert model.predict_mean(query) == pytest.approx(0.5)
 
     def test_prediction_between_prototypes_is_weighted_average(self, maps):
-        predictor = NeighborhoodPredictor(maps)
+        model = _model(maps)
         query = Query(center=np.array([0.35, 0.35]), radius=0.12)
-        value = predictor.predict_mean(query)
+        value = model.predict_mean(query)
         assert 0.2 <= value <= 0.5
 
     def test_extrapolation_uses_closest_prototype(self, maps):
-        predictor = NeighborhoodPredictor(maps)
+        model = _model(maps)
         query = Query(center=np.array([3.0, 3.0]), radius=0.05)
-        value, diagnostics = predictor.predict_mean_with_diagnostics(query)
+        value, diagnostics = model.predict_mean_with_diagnostics(query)
         assert diagnostics.extrapolated
         assert diagnostics.neighborhood_size == 1
         assert diagnostics.used_indices == (2,)
         assert value == pytest.approx(maps[2].evaluate(query.to_vector()))
 
     def test_diagnostics_weights_sum_to_one(self, maps):
-        predictor = NeighborhoodPredictor(maps)
+        model = _model(maps)
         query = Query(center=np.array([0.5, 0.5]), radius=0.6)
-        _, diagnostics = predictor.predict_mean_with_diagnostics(query)
+        _, diagnostics = model.predict_mean_with_diagnostics(query)
         assert sum(diagnostics.weights) == pytest.approx(1.0)
         assert not diagnostics.extrapolated
 
     def test_empty_model_raises(self):
         with pytest.raises(NotFittedError):
-            NeighborhoodPredictor([]).predict_mean(
+            LLMModel(dimension=2).predict_mean(
                 Query(center=np.array([0.0, 0.0]), radius=0.1)
             )
 
 
 class TestQ2Prediction:
     def test_regression_models_report_overlapping_planes(self, maps):
-        predictor = NeighborhoodPredictor(maps)
+        model = _model(maps)
         query = Query(center=np.array([0.5, 0.5]), radius=0.6)
-        planes = predictor.regression_models(query)
+        planes = model.regression_models(query)
         assert len(planes) == 3
         assert sum(plane.weight for plane in planes) == pytest.approx(1.0)
 
     def test_regression_models_extrapolation_returns_single_plane(self, maps):
-        predictor = NeighborhoodPredictor(maps)
+        model = _model(maps)
         query = Query(center=np.array([4.0, 4.0]), radius=0.05)
-        planes = predictor.regression_models(query)
+        planes = model.regression_models(query)
         assert len(planes) == 1
         assert planes[0].weight == pytest.approx(1.0)
 
     def test_plane_coefficients_follow_theorem_three(self):
         llm = _llm([0.5, 0.5], 0.1, mean=1.0, slope=[2.0, 0.0, 0.3])
-        predictor = NeighborhoodPredictor([llm])
+        model = _model([llm])
         query = Query(center=np.array([0.5, 0.5]), radius=0.1)
-        plane = predictor.regression_models(query)[0]
+        plane = model.regression_models(query)[0]
         assert np.allclose(plane.slope, [2.0, 0.0])
         assert plane.intercept == pytest.approx(1.0 - 2.0 * 0.5)
 
 
 class TestCoverageSignal:
     def test_coverage_mask_marks_extrapolated_rows(self, maps):
-        predictor = NeighborhoodPredictor(maps)
+        model = _model(maps)
         matrix = np.array(
             [
                 [0.5, 0.5, 0.2],  # overlaps the middle prototype
                 [4.0, 4.0, 0.05],  # far outside every prototype
             ]
         )
-        covered = predictor.batch_coverage(matrix)
+        covered = model.coverage_batch(matrix)
         assert covered.tolist() == [True, False]
 
     def test_with_coverage_values_match_plain_batch(self, maps):
-        predictor = NeighborhoodPredictor(maps)
+        model = _model(maps)
         rng = np.random.default_rng(3)
         matrix = np.hstack(
             [rng.uniform(-1, 2, size=(32, 2)), rng.uniform(0.05, 0.3, size=(32, 1))]
         )
-        plain = predictor.predict_mean_batch(matrix)
-        values, covered = predictor.predict_mean_batch_with_coverage(matrix)
+        plain = model.predict_mean_batch(matrix)
+        values, covered = model.predict_mean_batch_with_coverage(matrix)
         assert np.array_equal(plain, values)
-        assert np.array_equal(covered, predictor.batch_coverage(matrix))
+        assert np.array_equal(covered, model.coverage_batch(matrix))
         # Covered rows are exactly those the brute-force oracle does not
         # extrapolate.
         oracle = ModelOracle(maps)
@@ -154,10 +167,10 @@ class TestCoverageSignal:
             assert bool(is_covered) == (not oracle.neighborhood(query)[2])
 
     def test_q2_with_coverage_matches_plain_batch(self, maps):
-        predictor = NeighborhoodPredictor(maps)
+        model = _model(maps)
         matrix = np.array([[0.5, 0.5, 0.6], [4.0, 4.0, 0.05]])
-        plain = predictor.predict_q2_batch(matrix)
-        planes, covered = predictor.predict_q2_batch_with_coverage(matrix)
+        plain = model.predict_q2_batch(matrix)
+        planes, covered = model.predict_q2_batch_with_coverage(matrix)
         assert covered.tolist() == [True, False]
         assert [len(plane_list) for plane_list in plain] == [
             len(plane_list) for plane_list in planes
@@ -166,31 +179,11 @@ class TestCoverageSignal:
         assert len(planes[1]) == 1
         assert planes[1][0].weight == pytest.approx(1.0)
 
-    def test_model_level_coverage_groups_norm_orders(self, maps):
-        from repro.core.persistence import model_from_dict
-
+    def test_model_level_coverage_groups_norm_orders(self):
         # A tiny hand-built model exercising the Query-sequence grouping.
-        payload = {
-            "format_version": 2,
-            "dimension": 2,
-            "config": {
-                "quantization_coefficient": 0.25,
-                "norm_order": 2.0,
-                "vigilance_override": None,
-            },
-            "training": {
-                "convergence_threshold": 0.01,
-                "min_steps": 10,
-                "learning_rate_schedule": "hyperbolic",
-                "learning_rate_scale": 1.0,
-            },
-            "state": {"steps": 3, "frozen": True},
-            "maps": [llm.to_dict() for llm in [
-                _llm([0.2, 0.2], 0.1, mean=0.2),
-                _llm([0.8, 0.8], 0.1, mean=0.8),
-            ]],
-        }
-        model = model_from_dict(payload)
+        model = _model(
+            [_llm([0.2, 0.2], 0.1, mean=0.2), _llm([0.8, 0.8], 0.1, mean=0.8)]
+        )
         queries = [
             Query(center=np.array([0.2, 0.2]), radius=0.1, norm_order=2.0),
             Query(center=np.array([4.0, 4.0]), radius=0.1, norm_order=1.0),
@@ -210,12 +203,12 @@ class TestValuePrediction:
         # Radius slope is huge; Equation (14) must ignore it by evaluating
         # each LLM at its own radius.
         llm = _llm([0.5], 0.1, mean=1.0, slope=[2.0, 100.0])
-        predictor = NeighborhoodPredictor([llm])
-        value = predictor.predict_value(np.array([0.6]), radius=0.1)
+        model = _model([llm])
+        value = model.predict_value(np.array([0.6]), radius=0.1)
         assert value == pytest.approx(1.0 + 2.0 * 0.1)
 
     def test_batch_value_prediction(self, maps):
-        predictor = NeighborhoodPredictor(maps)
+        model = _model(maps)
         points = np.array([[0.2, 0.2], [0.5, 0.5], [0.8, 0.8]])
-        values = predictor.predict_value_batch(points, radius=0.1)
+        values = model.predict_value_batch(points, radius=0.1)
         assert np.allclose(values, [0.2, 0.5, 0.8])

@@ -16,11 +16,12 @@ overlap sets (extrapolation), empty subspaces, duplicate rows, a collinear
 subspace and a model with K = 2,100 prototypes.  ``REPRO_DIFFERENTIAL_SOAK=<n>`` appends
 ``n`` randomly drawn model configurations to the model-side oracle test.
 
-An exact answer also depends on its query alone, not on its batch: seeded
-Q1 and Q2 workloads split into random batch partitions must give
-bit-identical answers (d in {1, 2, 3, 6, 8}, p in {1, 2, 3, inf}), and so must
-the engine's own query chunks.  ``REPRO_DIFFERENTIAL_SOAK=<n>`` draws
-``n // 10`` more partitions per case.
+An answer also depends on its query alone, not on its batch: seeded
+workloads split into random batch partitions must give bit-identical
+answers.  On the exact engine that is Q1 and Q2 (d in {1, 2, 3, 6, 8}, p in
+{1, 2, 3, inf}) and the engine's own query chunks; on the model it is Q1
+values, Q2 planes and value predictions (d in {1, 2, 6}, p in {1, 2, inf}).
+``REPRO_DIFFERENTIAL_SOAK=<n>`` draws ``n // 10`` more partitions per case.
 """
 
 from __future__ import annotations
@@ -259,10 +260,11 @@ def test_exact_single_queries_are_batches_of_one(dimension, norm_order, layout):
 
 
 # --------------------------------------------------------------------------- #
-# exact answers do not depend on their batch
+# answers do not depend on their batch
 # --------------------------------------------------------------------------- #
 PARTITION_DIMENSIONS = (1, 2, 3, 6, 8)
 PARTITION_NORMS = NORMS
+MODEL_PARTITION_NORMS = (1.0, 2.0, np.inf)
 
 
 def _random_partitions(count: int, seed: int) -> list[list[np.ndarray]]:
@@ -284,19 +286,24 @@ def _answer_key(answer) -> tuple:
     return answer.cardinality, answer.mean, coefficients, answer.r_squared
 
 
-def _assert_partitions_agree(engine, queries, partitions) -> None:
-    """``engine`` answers every batch partition as it answers the whole batch."""
-    for kind in ("execute_q1_batch", "execute_q2_batch"):
-        execute = getattr(engine, kind)
-        expected = [_answer_key(a) for a in execute(queries, on_empty="null")]
-        for partition in partitions:
-            got: list = [None] * len(queries)
-            for batch in partition:
-                answers = execute([queries[i] for i in batch], on_empty="null")
-                for position, answer in zip(batch, answers):
-                    got[position] = _answer_key(answer)
-            differing = [i for i, key in enumerate(got) if key != expected[i]]
-            assert differing == [], (kind, len(partition), differing)
+def _assert_partitions_agree(answer_keys, queries, partitions) -> None:
+    """``answer_keys`` keys every batch partition as it keys the whole batch.
+
+    ``answer_keys`` maps a list of queries to one key per query.
+    """
+    expected = answer_keys(queries)
+    for partition in partitions:
+        got: list = [None] * len(queries)
+        for batch in partition:
+            keys = answer_keys([queries[i] for i in batch])
+            for position, key in zip(batch, keys):
+                got[position] = key
+        differing = [i for i, key in enumerate(got) if key != expected[i]]
+        assert differing == [], (len(partition), differing)
+
+
+def _exact_answer_keys(execute):
+    return lambda batch: [_answer_key(a) for a in execute(batch, on_empty="null")]
 
 
 def _partition_case(dimension: int, norm_order: float):
@@ -325,7 +332,45 @@ def _partition_case(dimension: int, norm_order: float):
 def test_exact_answers_do_not_depend_on_the_batch(dimension, norm_order):
     dataset, queries = _partition_case(dimension, norm_order)
     partitions = _random_partitions(len(queries), seed=dimension)
-    _assert_partitions_agree(ExactQueryEngine(dataset), queries, partitions)
+    engine = ExactQueryEngine(dataset)
+    for execute in (engine.execute_q1_batch, engine.execute_q2_batch):
+        _assert_partitions_agree(_exact_answer_keys(execute), queries, partitions)
+
+
+def _model_answer_keys(model: LLMModel):
+    """The bits of each query's Q1 value, coverage, Q2 planes and value."""
+
+    def keys(batch: list[Query]) -> list[tuple]:
+        values, covered = model.predict_mean_batch_with_coverage(batch)
+        plane_lists = model.predict_q2_batch(batch)
+        centers = np.array([query.center for query in batch])
+        data_values = model.predict_value_batch(centers, 0.15)
+        return [
+            (
+                np.array([value, data_value]).tobytes(),
+                bool(is_covered),
+                tuple(
+                    np.append([plane.intercept, plane.weight], plane.slope).tobytes()
+                    for plane in planes
+                ),
+            )
+            for value, data_value, is_covered, planes in zip(
+                values, data_values, covered, plane_lists
+            )
+        ]
+
+    return keys
+
+
+@pytest.mark.parametrize("norm_order", MODEL_PARTITION_NORMS)
+@pytest.mark.parametrize("dimension", DIMENSIONS)
+def test_model_answers_do_not_depend_on_the_batch(dimension, norm_order):
+    """50 prototypes and 400 queries, every sixth far enough to extrapolate."""
+    seed = dimension * 31 + int(min(norm_order, 9))
+    model = _model(_maps(dimension, 50, seed), norm_order)
+    queries = _model_queries(dimension, norm_order, seed, count=400)
+    partitions = _random_partitions(len(queries), seed=seed)
+    _assert_partitions_agree(_model_answer_keys(model), queries, partitions)
 
 
 @pytest.mark.parametrize("norm_order", PARTITION_NORMS)
