@@ -31,8 +31,9 @@ during the training phase.  This subpackage provides that substrate:
   (:class:`~repro.dbms.resilience.DegradationPolicy`) and per-tier
   :class:`~repro.dbms.resilience.CircuitBreaker`,
 * :class:`~repro.dbms.concurrent.ConcurrentAnalyticsService` — the
-  concurrent serving front over the service: thread-pool fan-out with
-  bounded admission, a micro-batching coalescer merging concurrent
+  concurrent serving front over the service: bounded admission, a lone
+  session's scripts executed on its own thread and overlapping sessions'
+  fanned out to a thread pool, a micro-batching coalescer merging concurrent
   sessions' statements into bigger (cheaper per-statement) batches, and a
   version-keyed answer cache that model hot-swaps invalidate naturally,
 * :class:`~repro.dbms.lifecycle.ModelManager` — the self-healing model

@@ -23,13 +23,18 @@ front is busy: whether any flush is scheduled, waiting out its window, or
 running.  A script admitted to an *idle* front flushes all of its groups
 at once, since no other session is active to join them (PostgreSQL's group
 commit likewise waits ``commit_delay`` only while ``commit_siblings``
-other transactions are active).  On a busy front the first arrival of a
-group schedules a flush :attr:`~ConcurrencyPolicy.coalesce_window_seconds`
-later; statements from *other* sessions arriving within the window join
-the same pending group, and the flush executes them as **one** batch
-through the inner service's ``execute_*_batch`` / ``predict_*_batch``
-paths.  A flush stops counting as busy before it answers its callers, so
-a lone client woken by its answer finds the front idle.  Results are
+other transactions are active), and it flushes them on the submitting
+thread, one after another, before :meth:`~ConcurrentAnalyticsService.submit_script`
+returns: like a group-commit leader, the first arrival does the work
+itself instead of paying a hand-off to a worker.  Its flushes count as
+busy while they run, so a session arriving meanwhile joins the busy path.
+On a busy front the first arrival of a group schedules a flush on the
+worker pool :attr:`~ConcurrencyPolicy.coalesce_window_seconds` later;
+statements from *other* sessions arriving within the window join the same
+pending group, and the flush executes them as **one** batch through the
+inner service's ``execute_*_batch`` / ``predict_*_batch`` paths.  A flush
+stops counting as busy before it answers its callers, so a lone client
+woken by its answer finds the front idle.  Results are
 demultiplexed back to each caller in submission order with per-statement
 ``degraded`` / ``error`` flags preserved — fault containment stays per
 group, so a mid-batch tier failure errors only the statements of the
@@ -120,9 +125,11 @@ class ConcurrencyPolicy:
     Attributes
     ----------
     max_workers:
-        Worker threads executing flushes.  This bounds how many statement
-        groups execute concurrently; the numpy batch kernels release the
-        GIL, so on multi-core hosts groups genuinely overlap.
+        Worker threads executing the flushes of a busy front.  This bounds
+        how many pooled statement groups execute concurrently; the numpy
+        batch kernels release the GIL, so on multi-core hosts groups
+        genuinely overlap.  A script admitted to an idle front flushes on
+        its submitting thread, so a lone client uses no worker.
     max_pending_statements:
         Admission bound: statements admitted but not yet answered.  A
         submission that would exceed it raises
@@ -131,8 +138,9 @@ class ConcurrencyPolicy:
         How long the first statement of a ``(table, kind, mode)`` group
         waits for co-batchable arrivals before flushing, when its script
         is admitted to a busy front (some flush scheduled, waiting or
-        running).  A script admitted to an idle front flushes at once, so
-        a lone client never pays the window.  2–5 ms merges concurrent
+        running).  A script admitted to an idle front flushes at once, on
+        its submitting thread, so a lone client pays neither the window
+        nor a hand-off to the pool.  2–5 ms merges concurrent
         dashboard traffic without a visible latency cost; ``0`` disables
         coalescing (every submission flushes immediately).
         It must be finite: an infinite window would hold a group until
@@ -458,7 +466,10 @@ class ConcurrentAnalyticsService(PerTableStatistics):
         waits them out).  Any future still unresolved when the drain
         window ends gets :class:`~repro.exceptions.ServiceClosedError`
         attached — a :class:`ScriptFuture` therefore always resolves
-        across a shutdown, never hangs.  Idempotent.
+        across a shutdown, never hangs.  A flush running on its
+        submitter's thread (an idle front's) keeps that thread until it
+        finishes: the close answers its statements with the error, but
+        cannot return their :meth:`submit_script` call early.  Idempotent.
         """
         first_close = not self._closed
         self._closed = True
@@ -531,7 +542,7 @@ class ConcurrentAnalyticsService(PerTableStatistics):
         mode: str = "hybrid",
         on_error: str = "attach",
     ) -> ScriptFuture:
-        """Admit a script and return a :class:`ScriptFuture` immediately.
+        """Admit a script and return its :class:`ScriptFuture`.
 
         Statements are parsed on the calling thread, a text seen before
         from the parse memo (parse errors raise here, synchronously),
@@ -542,6 +553,16 @@ class ConcurrentAnalyticsService(PerTableStatistics):
         per-statement :class:`~repro.dbms.serving.StatementResult` list as
         the inner service's ``execute_script`` — cache hits carry the
         caller's statement and ``cached=True``.
+
+        When the script's misses reach a busy front (another flush
+        scheduled, waiting out its window, or running), this returns at
+        once and the pool answers them.  On an idle front the calling
+        thread executes the script's groups itself before returning, so
+        the future is already done: a lone client pays no hand-off, and
+        neither :meth:`ScriptFuture.result`'s ``timeout`` nor
+        :meth:`close`'s ``drain_seconds`` can cut that execution short.
+        Statement errors and caller errors of an executed group are
+        attached to the future either way, never raised from here.
 
         Raises
         ------
@@ -622,7 +643,11 @@ class ConcurrentAnalyticsService(PerTableStatistics):
         on_error: str = "attach",
         timeout: float | None = None,
     ) -> list[StatementResult]:
-        """Submit a script and block for its results (submission order)."""
+        """Submit a script and block for its results (submission order).
+
+        ``timeout`` bounds the wait for a busy front's pool; a script
+        admitted to an idle front has run by the time the wait starts.
+        """
         return self.submit_script(script, mode=mode, on_error=on_error).result(
             timeout
         )
@@ -733,11 +758,14 @@ class ConcurrentAnalyticsService(PerTableStatistics):
         """Append one script's statements to their groups under one lock hold.
 
         The script decides here, once, whether the front is busy.  On an
-        idle front all of its groups flush at once: no other session is
-        active to join them.  On a busy front every full
-        ``max_batch_statements`` run flushes at once and the rest waits for
-        its group's window.  Either way a flush taking a group sees all of
-        the script's statements of it or none.
+        idle front no other session is active to join its groups, so the
+        caller flushes all of them itself, one after another, before
+        :meth:`submit_script` returns; they count as in flight while they
+        run, so a session arriving meanwhile finds the front busy.  On a
+        busy front every full ``max_batch_statements`` run flushes at once
+        on the pool and the rest waits for its group's window.  Either way
+        a flush taking a group sees all of the script's statements of it or
+        none.
         """
         cap = self._policy.max_batch_statements
         # (group, batch) runs a batch now; (group, None) waits the window.
@@ -749,7 +777,8 @@ class ConcurrentAnalyticsService(PerTableStatistics):
             # racing this submission may already have drained the groups;
             # flushing everything keeps the entries from being stranded in
             # a buffer nothing will ever flush.
-            flush_all = self._closed or not self._in_flight
+            idle = not self._in_flight
+            flush_all = idle or self._closed
             for group_key, entries in groups.items():
                 group = self._groups.get(group_key)
                 if group is None:
@@ -767,6 +796,20 @@ class ConcurrentAnalyticsService(PerTableStatistics):
                     group.flush_scheduled = True
                     flushes.append((group_key, None))
             self._in_flight += len(flushes)
+        if idle:
+            # The caller is the only session: handing its flushes to the
+            # pool would cost it a thread wake-up per script, so it runs
+            # them itself, as a group-commit leader flushes its own log.
+            for ran, (group_key, batch) in enumerate(flushes, 1):
+                try:
+                    self._run_flush(group_key, batch)  # type: ignore[arg-type]
+                except BaseException as exc:
+                    # An interrupt on the caller's thread: the flushes it
+                    # never reached answer with it, so no close() waits on
+                    # them.
+                    self._abandon(flushes[ran:], exc)
+                    raise
+            return
         submitted = 0
         try:
             for group_key, batch in flushes:
@@ -778,28 +821,38 @@ class ConcurrentAnalyticsService(PerTableStatistics):
         except RuntimeError:
             # The pool shut down underneath us: answer the affected
             # entries with the typed closed error instead of hanging them.
-            unsubmitted = flushes[submitted:]
-            stranded = [
-                entry
-                for _, batch in unsubmitted
-                if batch is not None
-                for entry in batch
-            ]
-            with self._groups_lock:
-                note_access(self, "groups")
-                self._in_flight -= len(unsubmitted)
-                for group_key, batch in unsubmitted:
-                    if batch is None:
-                        group = self._groups[group_key]
-                        stranded.extend(group.entries)
-                        group.entries = []
-                        group.flush_scheduled = False
-            exc = ServiceClosedError(
-                "the concurrent serving front closed while the statement "
-                "was being enqueued"
+            self._abandon(
+                flushes[submitted:],
+                ServiceClosedError(
+                    "the concurrent serving front closed while the statement "
+                    "was being enqueued"
+                ),
             )
-            for pending in stranded:
-                self._resolve(pending.future, exc=exc)
+
+    def _abandon(
+        self,
+        flushes: list[tuple[tuple[str, str, str], list[_PendingEntry] | None]],
+        exc: BaseException,
+    ) -> None:
+        """Answer with ``exc`` every entry of counted flushes that never run.
+
+        Each stops counting as in flight; a window flush gives up whatever
+        its group has buffered.
+        """
+        stranded = [
+            entry for _, batch in flushes if batch is not None for entry in batch
+        ]
+        with self._groups_lock:
+            note_access(self, "groups")
+            self._in_flight -= len(flushes)
+            for group_key, batch in flushes:
+                if batch is None:
+                    group = self._groups[group_key]
+                    stranded.extend(group.entries)
+                    group.entries = []
+                    group.flush_scheduled = False
+        for pending in stranded:
+            self._resolve(pending.future, exc=exc)
 
     def _submit_flush(self, task: Callable[..., None], *args: object) -> None:
         """Run a flush counted in ``_in_flight`` on the pool.
@@ -839,22 +892,22 @@ class ConcurrentAnalyticsService(PerTableStatistics):
         """Execute one batch, then answer its callers.
 
         The flush stops counting as in flight before any caller wakes, so
-        a lone client woken by its answer finds the front idle.
+        a lone client woken by its answer finds the front idle.  Whatever
+        escapes the batch answers every caller of this group, and only
+        this group: a caller error (unknown table, bad configuration) is
+        their answer; anything else, such as an interrupt of a flush on
+        its submitter's thread, is re-raised once they have it.
         """
-        error: BaseException | None = None
-        results: list[StatementResult] = []
         try:
             results = self._execute_flush(group_key, entries)
-        except CALLER_ERRORS as exc:
-            # Caller bugs (unknown table, bad configuration) propagate to
-            # every waiting caller of this group — and only this group.
-            error = exc
-        finally:
+        except BaseException as exc:
             self._flush_finished()
-        if error is not None:
             for entry in entries:
-                self._resolve(entry.future, exc=error)
-            return
+                self._resolve(entry.future, exc=exc)
+            if isinstance(exc, CALLER_ERRORS):
+                return
+            raise
+        self._flush_finished()
         for entry, result in zip(entries, results):
             self._resolve(entry.future, result)
 

@@ -102,8 +102,32 @@ def _script(count: int = 6) -> list[str]:
     ] + [f"SELECT COUNT(*) FROM {TABLE} WITHIN 0.2 OF (0.5, 0.5)"]
 
 
-class _FlushHold(FaultInjector):
-    """Holds every flush of ``OTHER`` at its fault point until released."""
+#: How long a held flush waits for its release before it fails the test.
+HOLD_SECONDS = 30.0
+
+
+class _FlushThreads(FaultInjector):
+    """Records ``(table, kind, thread ident)`` of every flush as it starts."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.flushes: list[tuple[object, object, int]] = []
+
+    def fire(self, point: str, **context: object) -> None:
+        if point == "concurrent.flush":
+            self.flushes.append(
+                (context["table"], context["kind"], threading.get_ident())
+            )
+        super().fire(point, **context)
+
+
+class _FlushHold(_FlushThreads):
+    """Holds every flush of ``OTHER`` at its fault point until released.
+
+    A hold that is not released within :data:`HOLD_SECONDS` fails the
+    test instead of letting its flush go on, so a test that deadlocks on
+    its own hold fails loudly rather than passing late.
+    """
 
     def __init__(self) -> None:
         super().__init__()
@@ -113,27 +137,76 @@ class _FlushHold(FaultInjector):
     def fire(self, point: str, **context: object) -> None:
         if point == f"concurrent.flush.{OTHER}":
             self.entered.set()
-            self.released.wait(30.0)
+            if not self.released.wait(HOLD_SECONDS):
+                pytest.fail(
+                    f"a held flush was not released within {HOLD_SECONDS} s"
+                )
         super().fire(point, **context)
+
+
+class _Session(threading.Thread):
+    """Submits one script from its own thread, as another client would.
+
+    On an idle front the script's flushes run on this thread, inside
+    ``submit_script``.
+    """
+
+    def __init__(
+        self, front: ConcurrentAnalyticsService, script, **kwargs
+    ) -> None:
+        super().__init__(daemon=True)
+        self._front = front
+        self._script = script
+        self._kwargs = kwargs
+        self.future = None
+        self.error: BaseException | None = None
+
+    def run(self) -> None:
+        try:
+            self.future = self._front.submit_script(self._script, **self._kwargs)
+        except BaseException as exc:  # a failed hold included
+            self.error = exc
+
+    def submitted(self, timeout: float = 10.0):
+        """Join the thread; the :class:`ScriptFuture` it got back."""
+        self.join(timeout)
+        assert not self.is_alive(), "the session's submit_script never returned"
+        if self.error is not None:
+            raise self.error
+        return self.future
+
+
+def _pending_future(front: ConcurrentAnalyticsService):
+    """The one statement future the front has admitted and not answered."""
+    with front._outstanding_cond:
+        [future] = front._outstanding
+    return future
 
 
 @contextlib.contextmanager
 def _busy_front(front: ConcurrentAnalyticsService, hold: _FlushHold):
     """Keep a flush of ``OTHER`` in flight, so the front is busy.
 
-    Scripts submitted inside wait out the coalesce window, as every
+    Another session submits the held statement; the front is idle, so
+    its flush runs, and is held, on that session's thread.  Scripts
+    submitted inside wait out the coalesce window on the pool, as every
     script does while another session's flush is in flight.  The held
     statement's caller gives it up, so it does not count as pending.
     """
-    held = front.submit_script(
-        [f"SELECT COUNT(*) FROM {OTHER} WITHIN 0.2 OF (0.5, 0.5)"], mode="exact"
+    session = _Session(
+        front,
+        [f"SELECT COUNT(*) FROM {OTHER} WITHIN 0.2 OF (0.5, 0.5)"],
+        mode="exact",
     )
+    session.start()
     try:
         assert hold.entered.wait(10.0), "the held flush never started"
-        held._slots[0].cancel()
-        yield
+        _pending_future(front).cancel()
+        yield session
     finally:
         hold.released.set()
+        session.join(HOLD_SECONDS)
+    session.submitted(0.0)
 
 
 class TestConcurrencyPolicy:
@@ -749,7 +822,8 @@ class TestScriptGroups:
 
 class TestIdleFront:
     """A script waits the coalesce window only on a busy front: one with a
-    flush scheduled, waiting out its window, or running."""
+    flush scheduled, waiting out its window, or running.  A test that
+    needs a script on the pool submits it inside ``_busy_front``."""
 
     @pytest.mark.parametrize("groups", [1, 2], ids=["one-group", "two-groups"])
     def test_lone_script_does_not_wait_the_window(self, engine, model, groups):
@@ -794,9 +868,10 @@ class TestIdleFront:
             injector=hold,
         )
         try:
-            future = front.submit_script(
-                [f"SELECT COUNT(*) FROM {OTHER} WITHIN 0.2 OF (0.5, 0.5)"]
+            session = _Session(
+                front, [f"SELECT COUNT(*) FROM {OTHER} WITHIN 0.2 OF (0.5, 0.5)"]
             )
+            session.start()
             assert hold.entered.wait(10.0), "the flush never started"
             # Done callbacks run on the flush's thread as it resolves the
             # future, after waking the caller.
@@ -807,8 +882,9 @@ class TestIdleFront:
                 seen.append(front._in_flight)
                 called.set()
 
-            future._slots[0].add_done_callback(record)
+            _pending_future(front).add_done_callback(record)
             hold.released.set()
+            future = session.submitted()
             assert future.result(timeout=5.0)[0].ok
             assert called.wait(5.0)
             assert seen == [0]
@@ -880,31 +956,35 @@ class TestIdleFront:
         while front._in_flight and time.monotonic() < deadline:
             time.sleep(0.001)
         assert front._in_flight == 0
+        # An idle front runs the script on this thread, so it needs no
+        # pool: it answers.
         idle = front.submit_script(_script(2))
-        with pytest.raises(ServiceClosedError):
-            idle.result(timeout=5.0)
+        assert idle.done()
+        assert all(r.ok for r in idle.result(timeout=0.0))
         assert front._in_flight == 0
         front.close()
 
     def test_count_returns_to_zero_after_close_with_stragglers(
-        self, engine, model
+        self, engine, other_engine, model
     ):
-        injector = FaultInjector()
+        hold = _FlushHold()
         front = ConcurrentAnalyticsService(
-            _inner(engine, model),
+            AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
             policy=ConcurrencyPolicy(max_workers=1, coalesce_window_seconds=0.0),
-            injector=injector,
+            injector=hold,
         )
-        injector.arm("concurrent.flush", error=None, delay_seconds=0.2, times=None)
-        running = front.submit_script(_script(1)[:1])
-        deadline = time.monotonic() + 5.0
-        while injector.fired_count("concurrent.flush") == 0:
-            assert time.monotonic() < deadline, "the first flush never started"
-            time.sleep(0.001)
-        # Admitted to a busy front, this script's flush queues behind the
-        # running one until close() cancels it.
-        queued = front.submit_script(_script(2)[1:2])
-        front.close(drain_seconds=0.05)
+        hold.arm("concurrent.flush", error=None, delay_seconds=0.2, times=None)
+        with _busy_front(front, hold):
+            # Admitted to a busy front, this script's flush takes the
+            # pool's only worker...
+            running = front.submit_script(_script(1)[:1])
+            deadline = time.monotonic() + 5.0
+            while hold.fired_count("concurrent.flush") < 2:  # held + running
+                assert time.monotonic() < deadline, "the first flush never started"
+                time.sleep(0.001)
+            # ...and this one's queues behind it until close() cancels it.
+            queued = front.submit_script(_script(2)[1:2])
+            front.close(drain_seconds=0.05)
         for future in (running, queued):
             with pytest.raises(ServiceClosedError):
                 future.result(timeout=2.0)
@@ -929,6 +1009,184 @@ class TestIdleFront:
         # The drained groups' window flushes woke to empty buffers, and
         # close() joined them.
         assert front._in_flight == 0
+
+
+def _bits(value):
+    """A served value's exact bits, comparable with ``==``."""
+    if value is None:
+        return None
+    if isinstance(value, (list, tuple)):
+        return [_bits(item) for item in value]
+    return np.asarray(value).tobytes()
+
+
+class _Interrupt(BaseException):
+    """Stands in for a KeyboardInterrupt on the submitting thread."""
+
+
+class TestInlineFlush:
+    """An idle front's script flushes on the thread that submits it, one
+    group after another, before ``submit_script`` returns."""
+
+    @pytest.mark.parametrize("groups", [1, 2], ids=["one-group", "two-groups"])
+    def test_idle_script_is_done_when_submit_returns(self, engine, model, groups):
+        threads = _FlushThreads()
+        with ConcurrentAnalyticsService(
+            _inner(engine, model),
+            policy=ConcurrencyPolicy(coalesce_window_seconds=60.0),
+            injector=threads,
+        ) as front:
+            future = front.submit_script(_script(1)[:groups])  # AVG, COUNT
+            assert future.done()
+            assert front._in_flight == 0
+            assert front.pending_statements == 0
+            assert [r.ok for r in future.result(timeout=0.0)] == [True] * groups
+        assert [kind for _, kind, _ in threads.flushes] == ["q1", "count"][:groups]
+        assert {ident for _, _, ident in threads.flushes} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("mode", ["exact", "model", "hybrid"])
+    def test_two_group_idle_script_equals_the_service_bit_for_bit(
+        self, engine, model, mode
+    ):
+        script = [
+            f"SELECT {kind} FROM {TABLE} WITHIN 0.12 OF "
+            f"({0.1 + 0.07 * i:.3f}, {0.15 + 0.06 * i:.3f})"
+            for i in range(6)
+            for kind in ("AVG(u)", "REGRESSION(u)")
+        ]
+        reference = _inner(engine, model).execute_script(script, mode=mode)
+        threads = _FlushThreads()
+        with ConcurrentAnalyticsService(
+            _inner(engine, model), injector=threads
+        ) as front:
+            future = front.submit_script(script, mode=mode)
+            assert future.done()
+            served = future.result(timeout=0.0)
+        assert [kind for _, kind, _ in threads.flushes] == ["q1", "q2"]
+        assert {ident for _, _, ident in threads.flushes} == {threading.get_ident()}
+        for got, want in zip(served, reference):
+            assert got.statement is want.statement
+            assert _bits(got.value) == _bits(want.value)
+            assert (got.source, got.empty, got.degraded, got.error, got.cached) == (
+                want.source,
+                want.empty,
+                want.degraded,
+                None,
+                False,
+            )
+
+    def test_session_arriving_during_an_inline_flush_waits_on_the_pool(
+        self, engine, other_engine, model
+    ):
+        hold = _FlushHold()
+        front = ConcurrentAnalyticsService(
+            AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
+            policy=ConcurrencyPolicy(coalesce_window_seconds=0.5, cache_capacity=0),
+            injector=hold,
+        )
+        try:
+            # Another session's inline flush is held on its own thread.
+            with _busy_front(front, hold) as session:
+                assert front._in_flight == 1
+                first = front.submit_script(_script(1)[:1], mode="exact")
+                second = front.submit_script(_script(2)[1:2], mode="exact")
+                # Both returned at once, to wait their window on the pool.
+                assert not first.done() and not second.done()
+                served = first.result(timeout=10.0) + second.result(timeout=10.0)
+            assert all(r.ok for r in served)
+            stats = front.statistics_for(TABLE)
+            assert (stats.batches_executed, stats.max_coalesce_width) == (1, 2)
+            [(table, _, held), (_, _, pooled)] = hold.flushes
+            assert (table, held) == (OTHER, session.ident)
+            assert pooled not in (held, threading.get_ident())
+        finally:
+            front.close()
+
+    def test_inline_fault_stays_in_its_group_and_in_the_future(
+        self, engine, other_engine, model
+    ):
+        injector = FaultInjector()
+        front = ConcurrentAnalyticsService(
+            AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
+            policy=ConcurrencyPolicy(cache_capacity=0),
+            injector=injector,
+        )
+        script = [
+            f"SELECT AVG(u) FROM {TABLE} WITHIN 0.15 OF (0.3, 0.3)",
+            f"SELECT AVG(u) FROM {OTHER} WITHIN 0.15 OF (0.3, 0.3)",
+            f"SELECT AVG(u) FROM {TABLE} WITHIN 0.15 OF (0.6, 0.6)",
+        ]
+        try:
+            injector.arm(
+                f"concurrent.flush.{TABLE}", error=InjectedFaultError, times=1
+            )
+            future = front.submit_script(script, mode="exact")
+            assert future.done()
+            mine, theirs, also_mine = future.result(timeout=0.0)
+            for result in (mine, also_mine):
+                assert result.source == "error"
+                assert isinstance(result.error, InjectedFaultError)
+            assert theirs.ok
+            # A caller error reaches the caller through the future too,
+            # and only for its own group.
+            injector.arm(
+                f"concurrent.flush.{TABLE}", error=ConfigurationError, times=1
+            )
+            future = front.submit_script(script, mode="exact")
+            assert future.done()
+            with pytest.raises(ConfigurationError):
+                future.result(timeout=0.0)
+            assert future._slots[1].result(timeout=0.0).ok
+            assert front._in_flight == 0
+            assert front.pending_statements == 0
+            assert front.statistics_for(TABLE).error_count == 2
+        finally:
+            front.close()
+
+    def test_interrupted_inline_flush_answers_every_statement(
+        self, engine, other_engine, model
+    ):
+        injector = FaultInjector()
+        front = ConcurrentAnalyticsService(
+            AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
+            policy=ConcurrencyPolicy(cache_capacity=0),
+            injector=injector,
+        )
+        script = [
+            f"SELECT AVG(u) FROM {TABLE} WITHIN 0.15 OF (0.3, 0.3)",
+            f"SELECT AVG(u) FROM {OTHER} WITHIN 0.15 OF (0.3, 0.3)",
+        ]
+        injector.arm(f"concurrent.flush.{TABLE}", error=_Interrupt, times=1)
+        with pytest.raises(_Interrupt):
+            front.submit_script(script, mode="exact")
+        # Neither the interrupted group nor the one it never reached is
+        # left pending or counted in flight, so close() does not wait.
+        assert front.pending_statements == 0
+        assert front._in_flight == 0
+        assert front.submit_script(script, mode="exact").result(timeout=0.0)[0].ok
+        closer = threading.Thread(target=front.close, daemon=True)
+        closer.start()
+        closer.join(timeout=5.0)
+        assert not closer.is_alive(), "close() waited on an interrupted flush"
+
+    def test_a_hold_on_the_submitting_thread_fails_fast(
+        self, engine, other_engine, model, monkeypatch
+    ):
+        # The deadlock a busy-front test falls into when it submits the
+        # held statement itself: the idle front holds the flush on the
+        # test's own thread, so nothing will release it.
+        monkeypatch.setattr(sys.modules[__name__], "HOLD_SECONDS", 0.05)
+        hold = _FlushHold()
+        front = ConcurrentAnalyticsService(
+            AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
+            injector=hold,
+        )
+        with pytest.raises(pytest.fail.Exception, match="not released"):
+            front.submit_script(
+                [f"SELECT COUNT(*) FROM {OTHER} WITHIN 0.2 OF (0.5, 0.5)"]
+            )
+        assert (front.pending_statements, front._in_flight) == (0, 0)
+        front.close()
 
 
 class TestRefusedAtAdmission:
@@ -1021,13 +1279,20 @@ class TestAdmissionControl:
             ),
         )
         try:
-            first = front.submit_script(_script(3), mode="exact")
+            # Another session's script is admitted and executes slowly on
+            # its own thread.
+            first = _Session(front, _script(3), mode="exact")
+            first.start()
+            deadline = time.monotonic() + 5.0
+            while front.pending_statements == 0:
+                assert time.monotonic() < deadline, "the first script never came"
+                time.sleep(0.001)
             with pytest.raises(ServiceOverloadedError) as excinfo:
                 front.submit_script(_script(3), mode="exact")
             assert excinfo.value.limit == 4
             assert excinfo.value.pending >= 1
             # The admitted script still completes normally.
-            results = first.result(timeout=10.0)
+            results = first.submitted().result(timeout=10.0)
             assert all(r.ok for r in results)
             assert front.pending_statements == 0
         finally:
@@ -1222,58 +1487,92 @@ class TestShutdownDrain:
         assert all(r.ok for r in results)
         assert front.pending_statements == 0
 
-    def test_close_waits_for_in_flight_flush(self, engine, model):
-        injector = FaultInjector()
+    def test_close_waits_for_in_flight_flush(self, engine, other_engine, model):
+        hold = _FlushHold()
         front = ConcurrentAnalyticsService(
-            _inner(engine, model),
+            AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
             policy=ConcurrencyPolicy(coalesce_window_seconds=0.005),
-            injector=injector,
+            injector=hold,
         )
-        injector.arm("concurrent.flush", error=None, delay_seconds=0.2, times=1)
-        future = front.submit_script(_script(2))
-        front.close(drain_seconds=10.0)
+        with _busy_front(front, hold):
+            # On a busy front the script's flushes run on the pool.
+            hold.arm("concurrent.flush", error=None, delay_seconds=0.2, times=1)
+            future = front.submit_script(_script(2))
+            assert not future.done()
+            front.close(drain_seconds=10.0)
         # the slow flush was allowed to finish inside the drain budget
         assert all(r.ok for r in future.result(timeout=1.0))
 
-    def test_straggler_gets_typed_error_never_hangs(self, engine, model):
+    def test_straggler_gets_typed_error_never_hangs(
+        self, engine, other_engine, model
+    ):
         from repro.exceptions import ServiceClosedError
 
+        hold = _FlushHold()
+        front = ConcurrentAnalyticsService(
+            AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
+            policy=ConcurrencyPolicy(coalesce_window_seconds=0.005),
+            injector=hold,
+        )
+        with _busy_front(front, hold):
+            # On a busy front the script's flushes run on the pool.
+            hold.arm("concurrent.flush", error=None, delay_seconds=5.0, times=1)
+            future = front.submit_script(_script(2))
+            # drain budget far below the flush latency: the future must
+            # still resolve promptly, with the typed shutdown error
+            front.close(drain_seconds=0.05)
+            with pytest.raises(ServiceClosedError):
+                future.result(timeout=2.0)
+
+    def test_inline_straggler_gets_typed_error_after_its_flush(
+        self, engine, model
+    ):
         injector = FaultInjector()
         front = ConcurrentAnalyticsService(
             _inner(engine, model),
             policy=ConcurrencyPolicy(coalesce_window_seconds=0.005),
             injector=injector,
         )
-        injector.arm("concurrent.flush", error=None, delay_seconds=5.0, times=1)
-        future = front.submit_script(_script(2))
-        # drain budget far below the flush latency: the future must still
-        # resolve promptly, with the typed shutdown error
+        injector.arm("concurrent.flush", error=None, delay_seconds=1.0, times=1)
+        session = _Session(front, _script(1)[:1])
+        session.start()
+        deadline = time.monotonic() + 5.0
+        while injector.fired_count("concurrent.flush") == 0:
+            assert time.monotonic() < deadline, "the flush never started"
+            time.sleep(0.001)
+        # The idle front's flush runs on the session's thread: close()
+        # answers it with the typed error within its drain budget, but the
+        # session's submit_script returns only when its flush ends.
         front.close(drain_seconds=0.05)
+        assert session.is_alive()
         with pytest.raises(ServiceClosedError):
-            future.result(timeout=2.0)
+            session.submitted().result(timeout=0.0)
+        assert front._in_flight == 0
 
     def test_close_releases_cancelled_flushes_and_closes_again(
-        self, engine, model
+        self, engine, other_engine, model
     ):
         from repro.exceptions import ServiceClosedError
 
-        injector = FaultInjector()
+        hold = _FlushHold()
         front = ConcurrentAnalyticsService(
-            _inner(engine, model),
+            AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
             policy=ConcurrencyPolicy(max_workers=1, coalesce_window_seconds=0.0),
-            injector=injector,
+            injector=hold,
         )
-        injector.arm("concurrent.flush", error=None, delay_seconds=0.2, times=None)
-        first = front.submit_script(_script(1)[:1])
-        deadline = time.monotonic() + 5.0
-        while injector.fired_count("concurrent.flush") == 0:
-            assert time.monotonic() < deadline, "the first flush never started"
-            time.sleep(0.001)
-        # The only worker is busy with the slow first flush, so the second
-        # script's flush is still queued when the drain window ends and
-        # close() cancels it.
-        second = front.submit_script(_script(2)[1:2])
-        front.close(drain_seconds=0.05)
+        hold.arm("concurrent.flush", error=None, delay_seconds=0.2, times=None)
+        with _busy_front(front, hold):
+            # On a busy front the first script's flush runs on the pool.
+            first = front.submit_script(_script(1)[:1])
+            deadline = time.monotonic() + 5.0
+            while hold.fired_count("concurrent.flush") < 2:  # held + first
+                assert time.monotonic() < deadline, "the first flush never started"
+                time.sleep(0.001)
+            # The only worker is busy with the slow first flush, so the
+            # second script's flush is still queued when the drain window
+            # ends and close() cancels it.
+            second = front.submit_script(_script(2)[1:2])
+            front.close(drain_seconds=0.05)
         for future in (first, second):
             with pytest.raises(ServiceClosedError):
                 future.result(timeout=2.0)

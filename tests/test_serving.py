@@ -650,6 +650,31 @@ class TestLatencyHistogram:
         together.record_many(values)
         assert np.array_equal(one_by_one.counts, together.counts)
 
+    def test_a_single_latency_takes_the_searchsorted_bucket(self):
+        # record_many of one latency bisects in Python instead of calling
+        # NumPy; both must pick np.searchsorted's bucket, or histograms
+        # recorded one way and merged with the other would disagree.
+        from repro.dbms.stats import _LATENCY_EDGES
+
+        rng = np.random.default_rng(5)
+        values = [0.0, -1.0, 1e-9, 1e5, float("inf")]
+        for edge in _LATENCY_EDGES:
+            values += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+        values += list(10.0 ** rng.uniform(-8.0, 3.0, 2_000))
+        values += list(rng.uniform(0.0, 1e-3, 500))
+        for value in values:
+            for latency in (value, float(value)):
+                hist = LatencyHistogram()
+                hist.record_many([latency])
+                expected = np.zeros_like(hist.counts)
+                expected[np.searchsorted(_LATENCY_EDGES, value, side="left")] = 1
+                assert np.array_equal(hist.counts, expected), value
+        one_at_a_time, together = LatencyHistogram(), LatencyHistogram()
+        for value in values:
+            one_at_a_time.record_many([value])
+        together.record_many(values)
+        assert np.array_equal(one_at_a_time.counts, together.counts)
+
     def test_copy_is_independent(self):
         hist = LatencyHistogram()
         hist.record(0.01)
