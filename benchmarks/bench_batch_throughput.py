@@ -11,9 +11,15 @@ on the Figure-12 scalability setup:
 * the batched exact executor (``execute_q1_batch`` / ``execute_q2_batch``,
   the segmented cell-aggregate pipeline) against its per-query loops,
 
-and asserts the headline requirements: **>= 10x** Q1 prediction throughput
-and **>= 4x** exact Q2 throughput at batch size 1,000 (the measured exact-Q2
-speedup on the reference container is ~5x; the gate leaves noise margin).
+and asserts the headline requirement of **>= 4x** exact Q2 throughput at
+batch size 1,000 (the measured exact-Q2 speedup on the reference container
+is ~5x; the gate leaves noise margin), plus the batch answers' agreement
+with the loops.  The Q1 speedup over the loop of batches of one is tracked
+as ``info``, not gated: the loop is the single-query path that small-batch
+kernel work makes cheaper, so the ratio fell with no batch any slower
+(smoke minimum 14.0x -> 11.0x over 10 runs when the fused neighbourhood
+pass landed).  The Q1 batch's own throughput, ``q1_batch_qps``, is gated
+against its trajectory instead.
 
 Results are emitted through the ``repro.bench`` harness: a
 :class:`~repro.bench.RunRecord` appended to the JSONL results store plus
@@ -30,9 +36,6 @@ from repro.bench import BenchmarkSpec
 from repro.bench.cli import pytest_entry, script_main
 from repro.eval.experiments import build_context
 from repro.eval.timing import measure_throughput
-
-#: Required speedup of batch Q1 prediction over the per-query loop.
-REQUIRED_SPEEDUP = 10.0
 
 #: Required speedup of the batched exact Q2 executor over its loop.  The
 #: measured value on the reference container is ~5x at batch 1,000; the
@@ -206,7 +209,6 @@ def run_batch_throughput(
             / exact_q2_loop["items_per_second"],
             "max_abs_deviation": q2_dev,
         },
-        "required_speedup": REQUIRED_SPEEDUP,
         "required_exact_q2_speedup": REQUIRED_EXACT_Q2_SPEEDUP,
     }
 
@@ -225,8 +227,7 @@ def _format(result: dict) -> str:
         f" ({q1['loop_mean_latency_ms']:.4f} ms/q)",
         f"  Q1 batch:             {q1['batch_qps']:,.0f} q/s"
         f" ({q1['batch_mean_latency_ms']:.4f} ms/q)",
-        f"  Q1 speedup:           {q1['speedup']:.1f}x (required >= "
-        f"{result['required_speedup']:.0f}x)",
+        f"  Q1 speedup:           {q1['speedup']:.1f}x (info)",
         f"  Q1 max deviation:     {q1['max_abs_deviation']:.2e}",
         f"  Q2 prediction:        {q2['loop_qps']:,.0f} -> {q2['batch_qps']:,.0f} q/s"
         f" ({q2['speedup']:.1f}x)",
@@ -246,11 +247,6 @@ def _check(result: dict) -> list[str]:
     """Return the list of failed headline requirements (empty when green)."""
     failures: list[str] = []
     q1 = result["q1_prediction"]
-    if q1["speedup"] < REQUIRED_SPEEDUP:
-        failures.append(
-            f"Q1 batch speedup {q1['speedup']:.1f}x is below the required "
-            f"{REQUIRED_SPEEDUP:.0f}x"
-        )
     if q1["max_abs_deviation"] > 1e-9:
         failures.append("Q1 batch answers deviate from the per-query loop")
     exact_q2 = result["exact_q2_execution"]
@@ -290,7 +286,7 @@ SPEC = BenchmarkSpec(
     metrics={
         "q1_loop_qps": "info",
         "q1_batch_qps": "higher",
-        "q1_speedup": "higher",
+        "q1_speedup": "info",
         "q2_batch_qps": "higher",
         "value_batch_qps": "higher",
         "exact_q1_batch_qps": "higher",

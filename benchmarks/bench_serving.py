@@ -10,15 +10,21 @@ no overlapping prototypes.
 
 Headline requirements asserted here:
 
-* batched hybrid serving is **>= 10x** the seed-era per-statement exact
-  loop (parse one statement, run one ``execute_q1`` / ``execute_q2`` /
-  ``cardinality`` against the engine),
 * hybrid answers equal the model-direct batch predictions (1e-12) wherever
   the model covers the query, and equal the exact batch answers (1e-12) on
   every fallback,
 * an out-of-coverage workload (model trained on half the cube only)
   reports a strictly positive fallback rate, with fallback answers again
   equal to exact.
+
+The speedup of batched hybrid serving over the seed-era per-statement exact
+loop (parse one statement, run one ``execute_q1`` / ``execute_q2`` /
+``cardinality`` against the engine) is tracked as ``info``, not gated: the
+loop is the batch-of-one path that small-batch kernel work makes cheaper,
+so the ratio fell with no batch any slower (smoke minimum 12.5x -> 11.4x,
+median 16.7x -> 14.0x over 10 runs when the fused range and neighbourhood
+passes landed, against a former 10x gate).  The batched side's own
+throughput, ``hybrid_qps``, is gated against its trajectory instead.
 
 Results are emitted through the ``repro.bench`` harness: a
 :class:`~repro.bench.RunRecord` appended to the JSONL results store plus
@@ -38,9 +44,6 @@ from repro.core.model import LLMModel
 from repro.dbms.sqlfront import parse_statement
 from repro.eval.experiments import build_context
 from repro.eval.timing import measure_throughput
-
-#: Required speedup of batched hybrid serving over the seed exact loop.
-REQUIRED_SPEEDUP = 10.0
 
 #: Agreement budget of hybrid answers vs their model/exact references.
 DEVIATION_BUDGET = 1e-12
@@ -262,7 +265,6 @@ def run_serving_benchmark(
             "max_exact_deviation": half_agreement["max_exact_deviation"],
             "statistics": half_statistics.export_metrics(),
         },
-        "required_speedup": REQUIRED_SPEEDUP,
         "deviation_budget": DEVIATION_BUDGET,
     }
 
@@ -280,8 +282,7 @@ def _format(result: dict) -> str:
             f" ({result['seed_loop']['mean_latency_ms']:.4f} ms/stmt)",
             f"  hybrid serving:       {hybrid['qps']:,.0f} stmt/s"
             f" ({hybrid['mean_latency_ms']:.4f} ms/stmt)",
-            f"  speedup:              {hybrid['speedup']:.1f}x (required >= "
-            f"{result['required_speedup']:.0f}x)",
+            f"  speedup:              {hybrid['speedup']:.1f}x (info)",
             f"  exact serving:        {exact['qps']:,.0f} stmt/s "
             f"({exact['speedup_vs_seed']:.1f}x vs seed)",
             f"  fallback rate:        {hybrid['fallback_rate']:.3f} "
@@ -300,11 +301,6 @@ def _check(result: dict) -> list[str]:
     """Return the list of failed headline requirements (empty when green)."""
     failures: list[str] = []
     hybrid = result["hybrid_serving"]
-    if hybrid["speedup"] < REQUIRED_SPEEDUP:
-        failures.append(
-            f"hybrid serving speedup {hybrid['speedup']:.1f}x is below the "
-            f"required {REQUIRED_SPEEDUP:.0f}x"
-        )
     if hybrid["max_model_deviation"] > DEVIATION_BUDGET:
         failures.append(
             "hybrid answers deviate from the model-direct batch predictions"
@@ -349,7 +345,7 @@ SPEC = BenchmarkSpec(
     metrics={
         "seed_qps": "info",
         "hybrid_qps": "higher",
-        "hybrid_speedup": "higher",
+        "hybrid_speedup": "info",
         "exact_qps": "higher",
         "exact_speedup_vs_seed": "info",
         "fallback_rate": "info",

@@ -40,9 +40,9 @@ them: the single-query methods (``predict_mean``,
   hand each ``(m, d + 1)`` query matrix of one norm order (a ``Query``
   batch is grouped by its queries' orders) to one kernel of
   :class:`~repro.core.prediction.NeighborhoodPredictor`, which computes the
-  full ``(m, K)`` overlap-degree matrix
-  (:func:`~repro.queries.geometry.overlap_degree_matrix`) plus the weighted
-  LLM evaluations as array arithmetic, with no per-query Python loop.  Each
+  full ``(m, K)`` overlap-weight matrix (Equation 9's degrees, normalised,
+  in one in-place pass) plus the weighted LLM evaluations as array
+  arithmetic, with no per-query Python loop.  Each
   LLM evaluation adds its ``d + 1`` terms in a fixed order, so an answer
   does not depend on the batch it came in.  At batch size 1,000 this is an
   order of magnitude (10x+) faster than the per-query loop (see

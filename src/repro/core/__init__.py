@@ -26,7 +26,7 @@ from .learning_rates import (
     get_schedule,
 )
 from .convergence import ConvergenceTracker, ConvergenceRecord
-from .prediction import NeighborhoodPredictor, normalized_weight_rows
+from .prediction import NeighborhoodPredictor
 from .model import LLMModel, TrainingReport
 from .training import StreamingTrainer
 from .persistence import load_model, save_model
@@ -43,7 +43,6 @@ __all__ = [
     "ConvergenceTracker",
     "ConvergenceRecord",
     "NeighborhoodPredictor",
-    "normalized_weight_rows",
     "LLMModel",
     "TrainingReport",
     "StreamingTrainer",

@@ -388,14 +388,6 @@ class LLMModel:
         values, _, covered = self._dispatch(queries, norm_order, NeighborhoodPredictor.q1)
         return values, covered
 
-    def coverage_batch(
-        self,
-        queries: Sequence[Query] | np.ndarray,
-        norm_order: float | None = None,
-    ) -> np.ndarray:
-        """Return the boolean coverage mask of a query batch (``W(q)`` non-empty)."""
-        return self._dispatch(queries, norm_order, NeighborhoodPredictor.q1)[2]
-
     def regression_models(self, query: Query) -> list[RegressionPlane]:
         """Return the list ``S`` of local regression planes (Algorithm 3), a batch of one."""
         return self.predict_q2_batch([query])[0]
@@ -442,12 +434,15 @@ class LLMModel:
             if not order >= 1.0:
                 raise InvalidQueryError(f"norm order must be >= 1, got {order}")
             return kernel(predictor, self._checked_matrix(queries), order)
-        groups = self._query_groups(queries)
+        vectors = self._query_vectors(queries)
+        if not len(queries):
+            return kernel(predictor, vectors, self.config.norm_order)
+        groups = group_by_norm_order(queries, vectors)
         if len(groups) == 1:
-            ((order, _, matrix),) = groups
+            ((order, _, (matrix,)),) = groups
             return kernel(predictor, matrix, order)
         merged: list = []
-        for order, positions, matrix in groups:
+        for order, positions, (matrix,) in groups:
             outputs = kernel(predictor, matrix, order)
             if not merged:
                 merged = [
@@ -464,13 +459,11 @@ class LLMModel:
                     target[positions] = output
         return tuple(merged)
 
-    def _query_groups(
-        self, queries: Sequence[Query]
-    ) -> list[tuple[float, np.ndarray, np.ndarray]]:
-        """Per-norm-order ``(order, positions, (m, d + 1) matrix)`` groups."""
+    def _query_vectors(self, queries: Sequence[Query]) -> np.ndarray:
+        """The ``(m, d + 1)`` matrix of a batch's ``[x, theta]`` rows."""
         vectors = np.empty((len(queries), self.dimension + 1))
         if not len(queries):
-            return [(self.config.norm_order, np.arange(0), vectors)]
+            return vectors
         if queries[0].dimension != self.dimension:
             raise DimensionalityMismatchError(
                 f"query has dimension {queries[0].dimension}, model expects "
@@ -484,10 +477,7 @@ class LLMModel:
                 f"{self.dimension}"
             ) from None
         vectors[:, -1] = [query.radius for query in queries]
-        return [
-            (order, positions, matrix)
-            for order, positions, (matrix,) in group_by_norm_order(queries, vectors)
-        ]
+        return vectors
 
     def _checked_matrix(self, query_matrix: np.ndarray) -> np.ndarray:
         """Validate a raw ``(m, d + 1)`` query matrix."""

@@ -16,75 +16,35 @@ prototype is used (extrapolation).
 :class:`NeighborhoodPredictor` holds the three computations as matrix
 kernels over one immutable snapshot of a model's dense parameter arrays.
 Each kernel turns an ``(m, d + 1)`` query matrix of one norm order into the
-full ``(m, K)`` overlap-degree matrix and the weighted LLM evaluations, with
-no per-query Python loop.  :class:`~repro.core.model.LLMModel` is the
-prediction surface: it checks a batch, groups it by norm order and calls
-one kernel per group.  As in the paper, finding ``W(q)`` is a scan of the
-``K`` prototypes at ``O(dK)`` cost per query; there is no prototype index.
+``(m, K)`` matrix of normalised overlap weights, in one pass that computes
+the Eq. 9 degrees, the covered rows and the weights in place, then into the
+weighted LLM evaluations, with no per-query Python loop.  A batch of one
+pays each NumPy call's fixed cost, so the pass makes 17 NumPy calls at
+``p = 2`` where the separate distance, degree and normalisation helpers it
+replaced made about 38.
+:class:`~repro.core.model.LLMModel` is the prediction surface: it checks a
+batch, groups it by norm order and calls one kernel per group.  As in the
+paper, finding ``W(q)`` is a scan of the ``K`` prototypes at ``O(dK)`` cost
+per query; there is no prototype index.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import DimensionalityMismatchError
-from ..queries.geometry import overlap_degree_matrix
 from .prototypes import RegressionPlane
 
 __all__ = [
-    "normalized_weight_rows",
     "NeighborhoodPredictor",
     "PredictionDiagnostics",
 ]
 
-def normalized_weight_rows(
-    degree_matrix: np.ndarray, overlap_mask: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalise each row of overlap degrees into weights summing to one.
-
-    Parameters
-    ----------
-    degree_matrix:
-        The ``(m, K)`` overlap-degree matrix of a query batch.
-    overlap_mask:
-        Optional ``(m, K)`` boolean mask marking which pairs count as
-        overlapping; defaults to ``degree_matrix > 0``.  Passing an explicit
-        mask reproduces the just-touching convention: a row whose flagged
-        degrees all sum to zero gets uniform weights over the flagged
-        entries, so the prediction stays defined.
-
-    Returns
-    -------
-    tuple
-        ``(weights, needs_extrapolation)`` where ``weights`` is an ``(m, K)``
-        matrix whose rows sum to one (or are all zero for rows with no
-        overlap at all) and ``needs_extrapolation`` is the ``(m,)`` boolean
-        vector of rows with an empty overlap set.
-    """
-    degrees = np.atleast_2d(np.asarray(degree_matrix, dtype=float))
-    mask = degrees > 0.0 if overlap_mask is None else np.asarray(overlap_mask, bool)
-    if mask.shape != degrees.shape:
-        raise DimensionalityMismatchError(
-            f"overlap mask shape {mask.shape} does not match the degree "
-            f"matrix shape {degrees.shape}"
-        )
-    flagged = np.where(mask, degrees, 0.0)
-    totals = flagged.sum(axis=1)
-    needs_extrapolation = ~mask.any(axis=1)
-    positive_rows = totals > 0.0
-    weights = flagged / np.where(positive_rows, totals, 1.0)[:, np.newaxis]
-    if not positive_rows.all():
-        weights[~positive_rows] = 0.0
-        # Defensive just-touching branch: overlap is flagged but every
-        # degree is zero, so fall back to uniform weights over the flagged
-        # prototypes.
-        uniform_rows = (~positive_rows) & (~needs_extrapolation)
-        if uniform_rows.any():
-            uniform = mask[uniform_rows]
-            weights[uniform_rows] = uniform / uniform.sum(axis=1)[:, np.newaxis]
-    return weights, needs_extrapolation
+#: Cap on the float64 elements of one row chunk of the ``(rows, K, d)``
+#: query-to-prototype difference tensor (~128 MiB).
+_DIFFERENCE_CHUNK_ELEMENTS = 16_777_216
 
 
 @dataclass(frozen=True)
@@ -121,9 +81,8 @@ def _evaluate(
     term = np.empty_like(values)
     for column in range(1, slope_columns.shape[0]):
         np.multiply(points[:, column : column + 1], slope_columns[column], out=term)
-        values += term
-    values += offsets
-    return values
+        np.add(values, term, out=values)
+    return np.add(values, offsets, out=values)
 
 
 class NeighborhoodPredictor:
@@ -160,6 +119,17 @@ class NeighborhoodPredictor:
         self._own_radius_offsets = self._means - np.sum(
             self._center_slopes * self._centers, axis=1
         )
+        # Eq. 9's prototype radii, ``[theta_k, -theta_k]``: one addition
+        # gives ``theta + theta_k`` and ``theta - theta_k``.  A prototype
+        # with a negative radius overlaps no query (its degree is never
+        # positive), as one of radius 0; with every radius >= 0,
+        # ``theta + theta_k >= theta > 0``, so the degree needs no separate
+        # overlap mask.
+        overlap_radii = np.maximum(self._radii, 0.0)
+        self._signed_radii = _frozen_copy(
+            np.stack([overlap_radii, -overlap_radii])[:, np.newaxis, :]
+        )
+        self._chunk_rows = max(_DIFFERENCE_CHUNK_ELEMENTS // self._centers.size, 1)
 
     def q1(
         self, matrix: np.ndarray, norm_order: float
@@ -173,8 +143,8 @@ class NeighborhoodPredictor:
         """
         weights, covered = self._neighborhood(matrix, norm_order)
         values = _evaluate(self._offsets, matrix, self._slope_columns)
-        values *= weights
-        return values.sum(axis=1), weights, covered
+        np.multiply(values, weights, out=values)
+        return np.add.reduce(values, axis=1), weights, covered
 
     def q2(
         self, matrix: np.ndarray, norm_order: float
@@ -215,8 +185,8 @@ class NeighborhoodPredictor:
         values = _evaluate(
             self._own_radius_offsets, matrix[:, :-1], self._slope_columns[:-1]
         )
-        values *= weights
-        return values.sum(axis=1)
+        np.multiply(values, weights, out=values)
+        return np.add.reduce(values, axis=1)
 
     def _neighborhood(
         self, matrix: np.ndarray, norm_order: float
@@ -226,16 +196,57 @@ class NeighborhoodPredictor:
         Each row holds the normalised overlap weights of one query; rows
         with an empty overlap set carry a single ``1`` at the closest
         prototype in the query vectorial space (the extrapolation rule).
+
+        One pass, in place: the Eq. 9 degree
+        ``max(0, 1 - max(||x - x_k||, |theta - theta_k|) / (theta + theta_k))``
+        is 0 for disjoint balls (the ratio is at least 1 there), so it needs
+        no overlap mask, and a row is covered exactly when its degree sum is
+        positive.
         """
-        degrees = overlap_degree_matrix(
-            matrix[:, :-1], matrix[:, -1], self._centers, self._radii, p=norm_order
-        )
-        weights, extrapolated = normalized_weight_rows(degrees)
-        if extrapolated.any():
-            rows = np.nonzero(extrapolated)[0]
-            distances = np.linalg.norm(
-                matrix[rows, np.newaxis, :] - self._prototypes[np.newaxis, :, :],
-                axis=2,
-            )
-            weights[rows, np.argmin(distances, axis=1)] = 1.0
-        return weights, ~extrapolated
+        weights = self._center_distances(matrix[:, :-1], norm_order)
+        totals, gaps = np.add(self._signed_radii, matrix[:, -1:])
+        np.abs(gaps, out=gaps)
+        np.maximum(weights, gaps, out=weights)
+        np.divide(weights, totals, out=weights)
+        np.subtract(1.0, weights, out=weights)
+        # fmax, not maximum: a NaN degree (an infinite prototype radius)
+        # counts as no overlap.
+        np.fmax(weights, 0.0, out=weights)
+        row_totals = np.add.reduce(weights, axis=1, keepdims=True)
+        uncovered = np.equal(row_totals, 0.0)
+        # An uncovered row divides its zeros by 1.
+        np.add(row_totals, uncovered, out=row_totals)
+        np.divide(weights, row_totals, out=weights)
+        rows = uncovered.nonzero()[0]
+        if rows.size:
+            offsets = matrix[rows, np.newaxis, :] - self._prototypes
+            np.multiply(offsets, offsets, out=offsets)
+            distances = np.sqrt(np.add.reduce(offsets, axis=2))
+            weights[rows, distances.argmin(axis=1)] = 1.0
+        return weights, np.logical_not(uncovered[:, 0])
+
+    def _center_distances(self, centers: np.ndarray, p: float) -> np.ndarray:
+        """``(m, K)`` Lp distances from the query centers to the prototype centers.
+
+        The ``(rows, K, d)`` difference tensor runs in row chunks of at most
+        ``_DIFFERENCE_CHUNK_ELEMENTS`` elements; each distance sums its own
+        ``d`` terms, so the chunks change no bit.
+        """
+        distances = np.empty((centers.shape[0], self._centers.shape[0]))
+        chunk = self._chunk_rows
+        for start in range(0, centers.shape[0], chunk):
+            terms = centers[start : start + chunk, np.newaxis, :] - self._centers
+            target = distances[start : start + chunk]
+            if p == 2.0:
+                np.multiply(terms, terms, out=terms)
+                np.sqrt(np.add.reduce(terms, axis=2, out=target), out=target)
+                continue
+            np.abs(terms, out=terms)
+            if math.isinf(p):
+                np.maximum.reduce(terms, axis=2, out=target)
+            elif p == 1.0:
+                np.add.reduce(terms, axis=2, out=target)
+            else:
+                np.power(terms, p, out=terms)
+                np.power(np.add.reduce(terms, axis=2, out=target), 1.0 / p, out=target)
+        return distances

@@ -24,11 +24,10 @@ candidate ranges from one vectorised grid pass whose range ends are reads
 of a dense directory over the grid's cell ids, cells certified inside the
 ball summed run by run from two rows of a compensated prefix table
 (translated to the query center once per run for Q2), and exact row tests
-only on boundary cells, one input column at a time over a ``(d, n)``
-column copy of the clustered inputs.  Served traffic gets its parallelism
-from the concurrent front's flush pool
-(:class:`~repro.dbms.concurrent.ConcurrencyPolicy` ``max_workers``), which
-runs independent batches at once.
+only on boundary cells, gathered from a ``(d, n)`` column copy of the
+clustered inputs.  Served traffic gets its parallelism from the concurrent
+front's flush pool (:class:`~repro.dbms.concurrent.ConcurrencyPolicy`
+``max_workers``), which runs independent batches at once.
 
 Rank-deficient or ill-conditioned subspaces fall back to the dense
 per-query OLS over the query's selected rows, keeping the exact
@@ -522,10 +521,11 @@ class SegmentedBatchPipeline:
 
     The cell-clustered inputs are kept column-wise, as one C-contiguous
     ``(d, n)`` copy (the decomposition storage model of Copeland &
-    Khoshafian, SIGMOD 1985): a boundary row test gathers and subtracts one
-    input column at a time, adds the ``d`` columns of Lp terms (see
-    :func:`_lp_norms`), and builds the Q2 moments column-major, with no
-    narrow ``(N, d)`` array and no per-row reduction.
+    Khoshafian, SIGMOD 1985): a boundary row test gathers the ``d`` input
+    rows of its candidates into ``(d, N)`` deltas, adds the ``d`` rows of
+    Lp terms (see :func:`_lp_norms`), and builds the Q2 moments
+    column-major, with no narrow ``(N, d)`` array and no per-row
+    reduction.
 
     The grid, the clustered rows and each prefix table are built once, on
     first use, under one build lock; queries read them without locking.
@@ -594,8 +594,9 @@ class SegmentedBatchPipeline:
         the exact Lp test on the candidates, then a gather back to row ids.
         """
         grid = self.grid
-        qid, starts, ends = grid.candidate_ranges_batch(
-            center[np.newaxis, :], np.array([radius]), p=p
+        # The query was checked once, at the engine; skip the grid's checks.
+        qid, starts, ends, _, _, _ = grid._ranges_batch(  # noqa: SLF001
+            center[np.newaxis, :], np.array([radius]), p, classify=False
         )
         positions, _ = expand_ranges(qid, starts, ends)
         columns, _ = self._clustered_arrays()
@@ -631,12 +632,11 @@ class SegmentedBatchPipeline:
     ) -> None:
         """Add per-query segment sums of ``values``' columns into ``out``'s rows.
 
-        ``values`` is ``(width, N)``, its columns grouped by query in
-        ascending query order, ``counts[q]`` of them for query ``q``.
+        ``values`` is ``(width, N)``, ``N > 0``, its columns grouped by
+        query in ascending query order, ``counts[q]`` of them for query
+        ``q``.
         """
         nonempty = counts > 0
-        if not nonempty.any():
-            return
         segment_offsets = (counts.cumsum() - counts)[nonempty]
         out[nonempty] += np.add.reduceat(values, segment_offsets, axis=1).T
 
@@ -652,13 +652,14 @@ class SegmentedBatchPipeline:
 
         Candidate cells come from one vectorised pass over the batch grid
         (:meth:`GridIndex.classified_ranges_batch`, whose range ends are
-        reads of the grid's cell directory).  Cells certified fully inside
-        the ball come as runs over the occupied-cell directory; each run's
-        sums are the difference of two rows of the kind's prefix table
-        (:meth:`_prefix_table`), translated to the query center once per
-        run for Q2 (:func:`_translate_runs`).  Only the boundary cells' rows
-        get the exact Lp membership test, one input column at a time: each
-        column is gathered at the candidate rows and the candidates' query
+        reads of the grid's cell directory; the engine's queries are checked
+        once per batch, so the pass skips the grid's own checks).  Cells
+        certified fully inside the ball come as runs over the occupied-cell
+        directory; each run's sums are the difference of two rows of the
+        kind's prefix table (:meth:`_prefix_table`), translated to the query
+        center once per run for Q2 (:func:`_translate_runs`).  Only the
+        boundary cells' rows get the exact Lp membership test: the input
+        columns are gathered at the candidate rows and the candidates' query
         centers subtracted, giving ``(d, N)`` deltas whose Lp norms
         (:func:`_lp_norms`) are compared with the radii, and the selected
         columns are compressed once.  Q1 then reduces the selected outputs
@@ -729,36 +730,20 @@ class SegmentedBatchPipeline:
             inner_qid,
             inner_cell_starts,
             inner_cell_ends,
-        ) = grid.classified_ranges_batch(centers, radii, p=p)
+        ) = grid._ranges_batch(centers, radii, p, classify=True)  # noqa: SLF001
         scanned = 0
 
-        # Boundary cells: the exact membership test, one column at a time.
+        # Boundary cells: the exact membership test.
         if boundary_starts.size:
             positions, candidate_qid = expand_ranges(
                 boundary_qid, boundary_starts, boundary_ends
             )
             scanned += positions.size
             columns, clustered_outputs = self._clustered_arrays()
-            deltas = np.empty((self.dimension, positions.size), dtype=float)
-            for k, delta in enumerate(deltas):
-                np.subtract(
-                    columns[k].take(positions),
-                    centers[:, k].take(candidate_qid),
-                    out=delta,
-                )
+            deltas = columns.take(positions, axis=1)
+            np.subtract(deltas, centers.T.take(candidate_qid, axis=1), out=deltas)
             inside = _lp_norms(deltas, p) <= radii.take(candidate_qid)
-            # Candidates come grouped by query, so each query's selected
-            # count is a segment sum of ``inside``.
-            candidate_counts = np.bincount(
-                boundary_qid, weights=boundary_ends - boundary_starts, minlength=m
-            ).astype(np.int64)
-            boundary_counts = np.zeros(m, dtype=np.int64)
-            has_candidates = candidate_counts > 0
-            boundary_counts[has_candidates] = np.add.reduceat(
-                inside,
-                (candidate_counts.cumsum() - candidate_counts)[has_candidates],
-                dtype=np.int64,
-            )
+            boundary_counts = np.bincount(candidate_qid.compress(inside), minlength=m)
             counts += boundary_counts
             selected_positions = positions.compress(inside)
             if selected_positions.size:
@@ -854,7 +839,7 @@ class ExactQueryEngine:
         Rows come in ascending row-id order; an empty subspace gives empty
         arrays.
         """
-        self._validate_batch([query], "raise")
+        self._checked_batch([query], "raise")
         rows, scanned = self._select(query)
         self.statistics.record_batch(1, scanned, int(rows.size))
         return self._inputs[rows], self._outputs[rows]
@@ -896,12 +881,10 @@ class ExactQueryEngine:
             selecting no rows; ``"null"`` returns ``None`` in that query's
             slot instead, keeping the result aligned with the input.
         """
-        batch = self._validate_batch(queries, on_empty)
+        batch, centers, radii = self._checked_batch(queries, on_empty)
         if not batch:
             return []
         answers: list[QueryAnswer | None] = [None] * len(batch)
-        centers = np.array([query.center for query in batch])
-        radii = np.array([query.radius for query in batch])
         scanned = 0
         selected = 0
         for order, group, (group_centers, group_radii) in group_by_norm_order(
@@ -912,12 +895,13 @@ class ExactQueryEngine:
             )
             scanned += scanned_group
             selected += int(counts.sum())
-            for local, position in enumerate(group):
-                if counts[local]:
-                    answers[int(position)] = QueryAnswer(
-                        mean=float(sums[local] / counts[local]),
-                        cardinality=int(counts[local]),
-                    )
+            # A query with no rows has sum 0; its mean is never read.
+            means = sums / np.maximum(counts, 1)
+            for position, count, mean in zip(
+                group.tolist(), counts.tolist(), means.tolist()
+            ):
+                if count:
+                    answers[position] = QueryAnswer(mean=mean, cardinality=count)
         self.statistics.record_batch(len(batch), scanned, selected)
         self._raise_on_empty(batch, answers, on_empty, "Q1")
         return answers
@@ -937,12 +921,10 @@ class ExactQueryEngine:
 
         ``on_empty`` behaves exactly as in :meth:`execute_q1_batch`.
         """
-        batch = self._validate_batch(queries, on_empty)
+        batch, centers, radii = self._checked_batch(queries, on_empty)
         if not batch:
             return []
         answers: list[QueryAnswer | None] = [None] * len(batch)
-        centers = np.array([query.center for query in batch])
-        radii = np.array([query.radius for query in batch])
         scanned = 0
         selected = 0
         fallback_positions: list[int] = []
@@ -985,19 +967,31 @@ class ExactQueryEngine:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _validate_batch(self, queries: Sequence[Query], on_empty: str) -> list[Query]:
+    def _checked_batch(
+        self, queries: Sequence[Query], on_empty: str
+    ) -> tuple[list[Query], np.ndarray, np.ndarray]:
+        """The batch as a list, with its ``(m, d)`` centers and ``(m,)`` radii.
+
+        Each :class:`Query` checked its own center and radius; the batch's
+        dimension is checked once, on the stacked centers, and nothing
+        downstream checks them again.
+        """
         if on_empty not in ("raise", "null"):
             raise ConfigurationError(
                 f"on_empty must be 'raise' or 'null', got {on_empty!r}"
             )
         batch = list(queries)
-        for query in batch:
-            if query.dimension != self.dimension:
-                raise StorageError(
-                    f"query has dimension {query.dimension} but the dataset has "
-                    f"{self.dimension}"
-                )
-        return batch
+        try:
+            centers = np.array([query.center for query in batch], dtype=float)
+        except ValueError:  # centers of different lengths
+            centers = np.empty((0, 0))
+        if batch and centers.shape[1:] != (self.dimension,):
+            query = next(q for q in batch if q.dimension != self.dimension)
+            raise StorageError(
+                f"query has dimension {query.dimension} but the dataset has "
+                f"{self.dimension}"
+            )
+        return batch, centers, np.array([query.radius for query in batch])
 
     @staticmethod
     def _raise_on_empty(

@@ -8,6 +8,17 @@ cells per dimension and the rows are laid out sorted by cell, so a batch of
 ball queries becomes contiguous candidate row ranges over the cells that
 intersect each ball.  For the moderate dimensionalities used by the paper
 (d between 2 and 6) this is a simple and effective pruning structure.
+
+The range pass (:meth:`GridIndex.classified_ranges_batch`) is one pass of
+array operations over the whole query batch.  A batch of one pays each
+operation's fixed NumPy call cost, about a microsecond, so the pass is
+built from few operations: per-grid constants (the leading cells' edges)
+are tabulated once, values that share a formula (a block's near and far
+corner distances, its two chord half-widths, the four last-dimension cell
+coordinates) are computed in one array, and the boundary runs are read
+from the grid's cell directory in one take.  Cell coordinates are clipped
+as floats before any integer cast, so a ball whose box runs past the
+int64 range of cell coordinates keeps its cells.
 """
 
 from __future__ import annotations
@@ -97,6 +108,19 @@ def _cell_directories(
 #: membership test downstream is always evaluated with the caller's radius.
 _CANDIDATE_MARGIN = 1e-9
 
+#: A ball's radius bounds ``[-reach, reach, shrunk]``: the inflated radius
+#: (negated, for the box's low corner) and the deflated one the fully-inside
+#: test uses.
+_RADIUS_FACTORS = np.array(
+    [[-(1.0 + _CANDIDATE_MARGIN)], [1.0 + _CANDIDATE_MARGIN], [1.0 - _CANDIDATE_MARGIN]]
+)
+
+#: Rows ``[inner, half, half, inner]`` of a block's half-widths, and their
+#: signs: the last-dimension coordinates ``c - inner``, ``c - half``,
+#: ``c + half`` and ``c + inner``.
+_CHORD_ROWS = np.array([1, 0, 0, 1])
+_CHORD_SIGNS = np.array([[-1.0], [-1.0], [1.0], [1.0]])
+
 
 class GridIndex:
     """Uniform grid over the input space mapping cells to row indices.
@@ -134,9 +158,10 @@ class GridIndex:
             raise ConfigurationError(
                 f"cells_per_dimension must be >= 1, got {cells_per_dimension}"
             )
-        self._cells_per_dimension = int(cells_per_dimension)
+        cells = self._cells_per_dimension = int(cells_per_dimension)
+        self._top = float(cells - 1)
         # Row-major strides of the cell grid (last dimension contiguous).
-        self._strides = self._cells_per_dimension ** np.arange(
+        self._strides = cells ** np.arange(
             self._dimension - 1, -1, -1, dtype=np.int64
         )
 
@@ -144,8 +169,27 @@ class GridIndex:
         high = pts.max(axis=0)
         span = np.where(high > low, high - low, 1.0)
         self._low = low
-        self._cell_width = span / self._cells_per_dimension
+        self._cell_width = span / cells
         self._cell_width.flags.writeable = False
+
+        # Per-grid constants of the range pass.  The lead-edge table holds,
+        # for each leading dimension k and cell coordinate c, the rows
+        # ``[near low, near high, low, high]`` of the cell's extent: ``low =
+        # low_k + c width_k`` and ``high = low + width_k``, and the same
+        # with the grid's edge cells open to infinity (the cell coordinates
+        # clip there).  Column ``k cells + c`` holds dimension k's cell c.
+        lead = self._dimension - 1
+        low_edges = self._low[:lead, np.newaxis] + np.arange(
+            cells, dtype=np.int64
+        ) * self._cell_width[:lead, np.newaxis]
+        high_edges = low_edges + self._cell_width[:lead, np.newaxis]
+        table = np.stack([low_edges, high_edges, low_edges, high_edges])
+        table[0, :, 0] = -np.inf
+        table[1, :, -1] = np.inf
+        self._lead_edges = table.reshape(4, lead * cells)
+        self._lead_columns = np.arange(lead, dtype=np.int64) * cells
+        self._last_low = self._low[-1:]
+        self._last_width = self._cell_width[-1:]
 
         # Clustered (cell-sorted) layout for the batched candidate path;
         # built lazily on first use under _layout_lock.  _clustered_order is
@@ -179,21 +223,27 @@ class GridIndex:
         """Per-dimension cell widths, ``(d,)`` (read-only)."""
         return self._cell_width
 
-    @property
-    def occupied_cell_count(self) -> int:
-        """Number of non-empty grid cells."""
-        self._ensure_clustered()
-        return self._cell_flats.size
-
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _cell_coordinates(self, points: np.ndarray) -> np.ndarray:
-        """Map points to integer cell coordinates, clipping to the grid."""
-        raw = np.floor((points - self._low) / self._cell_width).astype(np.int64)
+    def _cell_floats(self, points: np.ndarray) -> np.ndarray:
+        """Cell coordinates of points as floats, clipped to the grid.
+
+        The clip comes before any integer cast: a point more than ``2**63``
+        cells out would cast to a wrapped int64.  An in-range coordinate is
+        an exact small integer, so it keeps its bits.
+        """
+        cells = np.subtract(points, self._low)
+        np.divide(cells, self._cell_width, out=cells)
+        np.floor(cells, out=cells)
         # minimum/maximum rather than np.clip: same result, a fraction of
         # the per-call cost on the small arrays of one query.
-        return np.minimum(np.maximum(raw, 0), self._cells_per_dimension - 1)
+        np.maximum(cells, 0.0, out=cells)
+        return np.minimum(cells, self._top, out=cells)
+
+    def _cell_coordinates(self, points: np.ndarray) -> np.ndarray:
+        """Map points to integer cell coordinates, clipping to the grid."""
+        return self._cell_floats(points).astype(np.int64)
 
     # ------------------------------------------------------------------ #
     # clustered layout (batched candidate generation)
@@ -256,34 +306,31 @@ class GridIndex:
             )
         return self._clustered_order
 
-    def _row_ranges(
-        self, first: np.ndarray, last: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Clustered row ranges ``[start, end)`` of the cells ``first..last``.
+    def _row_positions(self, flat: np.ndarray) -> np.ndarray:
+        """First clustered row of a cell with flat id ``>= flat``, per entry.
 
-        Two directory reads: ``searchsorted(first, "left")`` over the
-        clustered rows' sorted cell ids is ``directory[first]``, and
-        ``searchsorted(last, "right")`` is ``directory[last + 1]``.
+        A directory read: ``searchsorted(flat, "left")`` over the clustered
+        rows' sorted cell ids.  The rows of cells ``first..last`` are
+        ``[positions(first), positions(last + 1))``.
         """
-        return self._row_directory.take(first), self._row_directory.take(last + 1)
+        return self._row_directory.take(flat)
 
-    def _cell_ranges(
-        self, first: np.ndarray, last: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Ranges ``[start, end)`` of :attr:`cell_flats` over cells ``first..last``."""
-        return self._cell_directory.take(first), self._cell_directory.take(last + 1)
+    def _cell_positions(self, flat: np.ndarray) -> np.ndarray:
+        """First occupied cell (index into :attr:`cell_flats`) with id ``>= flat``."""
+        return self._cell_directory.take(flat)
 
-    def _box_cells(
+    def _box(
         self, centers: np.ndarray, radii: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each ball's bounding-box corner cells and its inflated radius."""
-        reach = radii * (1.0 + _CANDIDATE_MARGIN)
-        column = reach[:, np.newaxis]
-        corners = self._cell_coordinates(
-            np.concatenate([centers - column, centers + column])
-        )
-        m = centers.shape[0]
-        return corners[:m], corners[m:], reach
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each ball's radius bounds and its bounding box's corner cells.
+
+        Returns the ``(3, m)`` bounds ``[-reach, reach, shrunk]`` (see
+        ``_RADIUS_FACTORS``) and the ``(2, m, d)`` float cell coordinates of
+        the boxes' low and high corners, ``center -+ reach``.
+        """
+        bounds = _RADIUS_FACTORS * radii
+        corners = np.add(centers, bounds[:2, :, np.newaxis])
+        return bounds, self._cell_floats(corners)
 
     def blocks_per_query(self, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
         """Blocks of each ball's bounding box, before any pruning.
@@ -291,8 +338,10 @@ class GridIndex:
         A block is one combination of leading-dimension cells: one
         candidate run along the last dimension.
         """
-        low, high, _ = self._box_cells(centers, radii)
-        return (high[:, :-1] - low[:, :-1] + 1).prod(axis=1)
+        with np.errstate(over="ignore"):
+            _, box = self._box(centers, radii)
+        corners = box[:, :, :-1].astype(np.int64)
+        return (corners[1] - corners[0] + 1).prod(axis=1)
 
     def candidate_ranges_batch(
         self, centers: np.ndarray, radii: np.ndarray, p: float = 2.0
@@ -328,7 +377,7 @@ class GridIndex:
             ranges of one query is a superset of the rows its ball selects.
         """
         qid, starts, ends, _, _, _ = self._ranges_batch(
-            centers, radii, p, classify=False
+            *self._checked(centers, radii), p, classify=False
         )
         return qid, starts, ends
 
@@ -353,14 +402,12 @@ class GridIndex:
             :attr:`cell_flats` / :attr:`cell_row_offsets` /
             :attr:`cell_centers`.  Both groups are sorted by query id.
         """
-        return self._ranges_batch(centers, radii, p, classify=True)
+        return self._ranges_batch(*self._checked(centers, radii), p, classify=True)
 
-    def _ranges_batch(
-        self, centers: np.ndarray, radii: np.ndarray, p: float, *, classify: bool
-    ) -> tuple[np.ndarray, ...]:
-        # Every step is one array operation over the whole batch; a batch of
-        # one pays each step's fixed NumPy call cost once, so steps are
-        # fused where that keeps the arithmetic (and the ranges) unchanged.
+    def _checked(
+        self, centers: np.ndarray, radii: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A caller's ``(m, d)`` centers and ``(m,)`` finite, non-negative radii."""
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         radii = np.asarray(radii, dtype=float).ravel()
         if centers.shape[1] != self._dimension:
@@ -374,129 +421,145 @@ class GridIndex:
             )
         if not ((radii >= 0.0) & (radii < math.inf)).all():
             raise ConfigurationError("radii must all be finite and >= 0")
+        return centers, radii
+
+    # One errstate covers the pass: an overflow to inf, or an inf - inf, is
+    # a far, huge or undecidable bound, which the float clips and the
+    # NaN-aware comparisons below resolve towards more candidates and fewer
+    # inner cells.
+    @np.errstate(over="ignore", invalid="ignore")
+    def _ranges_batch(
+        self, centers: np.ndarray, radii: np.ndarray, p: float, *, classify: bool
+    ) -> tuple[np.ndarray, ...]:
+        """The range pass over checked ``(m, d)`` centers and ``(m,)`` radii.
+
+        :meth:`candidate_ranges_batch` and :meth:`classified_ranges_batch`
+        check a caller's arrays first; the exact engine, whose queries are
+        checked once per batch, calls this directly.
+        """
         self._ensure_clustered()
         empty = np.empty(0, dtype=np.int64)
         m, d = centers.shape
         if m == 0:
             return empty, empty, empty, empty, empty, empty
+        bounds, box = self._box(centers, radii)
+        lead = d - 1
+        if lead:
+            # Every combination of leading-dimension cells of each box (a
+            # ragged cross product across queries): its query id ``qid`` and
+            # its coordinates, digit by digit from its rank in its query.
+            corners = box[:, :, :lead].astype(np.int64)
+            lead_counts = corners[1] - corners[0] + 1
+            per_query = np.multiply.reduce(lead_counts, axis=1)
+            qid = np.arange(m, dtype=np.int64).repeat(per_query)
+            rank = np.arange(qid.size, dtype=np.int64)
+            np.subtract(rank, (per_query.cumsum() - per_query).take(qid), out=rank)
+            coords = corners[0].take(qid, axis=0)
+            for k in range(lead - 1, 0, -1):
+                count = lead_counts[:, k].take(qid)
+                coords[:, k] += rank % count
+                rank //= count
+            np.add(coords[:, 0], rank, out=coords[:, 0])
 
-        lo, hi, reach = self._box_cells(centers, radii)
-
-        # Enumerate every combination of leading-dimension cells (ragged
-        # cross product across queries) with the repeat/mixed-radix idiom.
-        lead_counts = hi[:, : d - 1] - lo[:, : d - 1] + 1  # (m, d - 1)
-        blocks_per_query = lead_counts.prod(axis=1)  # all ones when d == 1
-        qid = np.arange(m, dtype=np.int64).repeat(blocks_per_query)
-        rank = np.arange(qid.size, dtype=np.int64)
-        rank -= (blocks_per_query.cumsum() - blocks_per_query)[qid]
-        lead_coords = np.empty((qid.size, d - 1), dtype=np.int64)
-        block_lo = lo.take(qid, axis=0)
-        block_counts = lead_counts.take(qid, axis=0)
-        for k in range(d - 2, -1, -1):
-            lead_coords[:, k] = block_lo[:, k] + rank % block_counts[:, k]
-            rank //= block_counts[:, k]
-
-        # Lp distances from each query center to its block's leading cell
-        # box: the *closest* point of the box bounds the candidate test
-        # (edge cells extend to infinity, matching coordinate clipping) and
-        # the *farthest* corner bounds the fully-inside test.  ``half`` and
-        # ``half_inner`` are the chords those leave along the last dimension.
-        block_reach = reach.take(qid)
-        block_shrunk = radii.take(qid) * (1.0 - _CANDIDATE_MARGIN)
-        if d > 1:
-            low_edges = self._low[: d - 1] + lead_coords * self._cell_width[: d - 1]
-            high_edges = low_edges + self._cell_width[: d - 1]
-            block_centers = centers[:, : d - 1].take(qid, axis=0)
-            far = np.maximum(block_centers - low_edges, high_edges - block_centers)
-            low_edges[lead_coords == 0] = -np.inf
-            high_edges[lead_coords == self._cells_per_dimension - 1] = np.inf
-            clamp = np.maximum(
-                np.maximum(low_edges - block_centers, block_centers - high_edges), 0.0
-            )
+            # Lp distances from each center to its block's leading cell
+            # box: the *closest* point of the box (edge cells open to
+            # infinity, matching coordinate clipping) bounds the candidate
+            # test, the *farthest* corner the fully-inside test.  One pair
+            # of differences gives both: ``-(a - b)`` is ``b - a`` exactly.
+            edges = self._lead_edges.take(coords + self._lead_columns, axis=1)
+            block_centers = centers[:, :lead].take(qid, axis=0)
+            np.subtract(edges[::3], block_centers, out=edges[::3])
+            np.subtract(block_centers, edges[1:3], out=edges[1:3])
+            terms = np.maximum(edges[0::2], edges[1::2])  # [near, far]
+            np.maximum(terms, 0.0, out=terms)
             if math.isinf(p):
-                keep = clamp.max(axis=1) <= block_reach
-                half = block_reach
-                half_inner = np.where(
-                    far.max(axis=1) <= block_shrunk, block_shrunk, -1.0
-                )
+                reduced = np.maximum.reduce(terms, axis=2)
+                limits = bounds[1:].take(qid, axis=1)
+                inside = reduced <= limits
+                # A block whose far corner is outside gets inner half-width
+                # 0, which leaves no inner cell.
+                roots = np.where(inside, limits, 0.0)
             else:
-                gp = np.power(clamp, p).sum(axis=1)
-                rp = np.power(block_reach, p)
-                keep = gp <= rp
-                with np.errstate(invalid="ignore"):
-                    half = np.power(np.maximum(rp - gp, 0.0), 1.0 / p)
-                    # A far-corner term past float64's range is inf: the
-                    # block is not inside the ball, which is the answer.
-                    with np.errstate(over="ignore"):
-                        gp_far = np.power(far, p).sum(axis=1)
-                    rp_in = np.power(block_shrunk, p)
-                    half_inner = np.where(
-                        gp_far <= rp_in,
-                        np.power(np.maximum(rp_in - gp_far, 0.0), 1.0 / p),
-                        -1.0,
-                    )
+                reduced = np.add.reduce(np.power(terms, p, out=terms), axis=2)
+                limits = np.power(bounds[1:], p).take(qid, axis=1)
+                inside = reduced <= limits
+                # Both chords' half-widths in one root; a far corner outside
+                # the ball gives 0 (no inner cell), or NaN when undecidable.
+                roots = np.subtract(limits, reduced, out=reduced)
+                np.maximum(roots, 0.0, out=roots)
+                np.power(roots, 1.0 / p, out=roots)
+            keep = inside[0]
             qid = qid.compress(keep)
-            half = half.compress(keep)
-            half_inner = half_inner.compress(keep)
-            lead_coords = lead_coords.compress(keep, axis=0)
+            base = coords.compress(keep, axis=0) @ self._strides[:lead]
+            roots = roots.compress(keep, axis=1)
+            last_box = box[:, :, lead].take(qid, axis=1)
+            last_center = centers[:, lead].take(qid)
         else:
-            half = block_reach
-            half_inner = block_shrunk
+            qid = np.arange(m, dtype=np.int64)
+            base = np.zeros(m, dtype=np.int64)
+            roots = bounds[1:]
+            last_box = box[:, :, 0]
+            last_center = centers[:, 0]
 
-        # Last-dimension chord ends in one coordinate pass, narrowed to the
-        # bounding box (the chord can only narrow it, never widen it).
-        blocks = qid.size
-        last_center = centers[:, d - 1].take(qid)
-        width = self._cell_width[d - 1]
-        low = self._low[d - 1]
-        top = self._cells_per_dimension - 1
-        chord = np.floor(
-            (np.concatenate([last_center - half, last_center + half]) - low) / width
-        ).astype(np.int64)
-        last_lo = np.minimum(np.maximum(chord[:blocks], lo[:, d - 1].take(qid)), top)
-        last_hi = np.maximum(np.minimum(chord[blocks:], hi[:, d - 1].take(qid)), 0)
-        base = lead_coords @ self._strides[: d - 1]
-
+        # Last-dimension cell coordinates of ``c - inner``, ``c - half``,
+        # ``c + half`` and ``c + inner`` in one pass: the chord the
+        # candidate test admits and the sub-interval certified inside.
+        chord = np.multiply(roots.take(_CHORD_ROWS, axis=0), _CHORD_SIGNS)
+        np.add(chord, last_center, out=chord)
+        np.subtract(chord, self._last_low, out=chord)
+        np.divide(chord, self._last_width, out=chord)
+        np.ceil(chord[0], out=chord[0])
+        np.floor(chord[1:], out=chord[1:])
+        # The last-dimension cells ``[lo, inner_hi + 1, inner_lo, hi + 1]``
+        # that bound each block's runs, as floats: the chord narrowed to the
+        # bounding box (fmax/fmin, so a NaN chord keeps the box), then the
+        # inner interval within it (maximum/minimum, so a NaN one is empty).
+        # Adding the block's ``base`` makes them flat cell ids.
+        flats = np.empty((4, qid.size))
+        np.fmax(chord[1], last_box[0], out=flats[0])
+        np.fmin(flats[0], self._top, out=flats[0])
+        np.fmin(chord[2], last_box[1], out=flats[3])
+        np.fmax(flats[3], 0.0, out=flats[3])
+        np.add(flats[3], 1.0, out=flats[3])
         if not classify:
-            starts, ends = self._row_ranges(base + last_lo, base + last_hi)
+            ids = flats[::3].astype(np.int64)
+            np.add(ids, base, out=ids)
+            starts, ends = self._row_positions(ids)
             nonempty = ends > starts
-            return qid[nonempty], starts[nonempty], ends[nonempty], empty, empty, empty
-
-        # Fully-inside sub-interval of the last dimension: cells whose own
-        # extent lies within ``half_inner`` of the center on both sides.
-        with np.errstate(invalid="ignore"):
-            inner_lo = np.ceil((last_center - half_inner - low) / width).astype(
-                np.int64
+            return (
+                qid.compress(nonempty),
+                starts.compress(nonempty),
+                ends.compress(nonempty),
+                empty,
+                empty,
+                empty,
             )
-            inner_hi = (
-                np.floor((last_center + half_inner - low) / width).astype(np.int64) - 1
-            )
-        inner_lo = np.maximum(inner_lo, last_lo)
-        inner_hi = np.minimum(inner_hi, last_hi)
-        has_inner = (half_inner >= 0.0) & (inner_lo <= inner_hi)
-        inner_lo = np.where(has_inner, inner_lo, last_hi + 1)
-        inner_hi = np.where(has_inner, inner_hi, last_hi)
+        np.maximum(chord[0], flats[0], out=flats[2])
+        np.minimum(chord[3], flats[3], out=flats[1])
+        # A block with no inner cell is one boundary run, ``[lo, hi]``.
+        flats[1:3] = np.where(flats[2] < flats[1], flats[1:3], flats[3])
+        ids = flats.astype(np.int64)
+        np.add(ids, base, out=ids)
 
-        # Boundary = candidate interval minus the inner interval (two runs).
-        bnd_qid = np.concatenate([qid, qid])
-        bnd_first = np.concatenate([base + last_lo, base + inner_hi + 1])
-        bnd_last = np.concatenate([base + inner_lo - 1, base + last_hi])
-        order = bnd_qid.argsort(kind="stable")
-        ok = bnd_last[order] >= bnd_first[order]
-        order = order[ok]
-        bnd_qid = bnd_qid[order]
-        bnd_starts, bnd_ends = self._row_ranges(bnd_first[order], bnd_last[order])
-        bnd_keep = bnd_ends > bnd_starts
+        # Boundary runs, the candidate interval minus the inner one, grouped
+        # by query: a query's left runs, then its right runs.  A run whose
+        # rows are empty (the inner interval reaching an end, or an empty
+        # chord) is dropped.
+        runs = self._row_positions(ids).reshape(2, -1)
+        pair_qid = np.concatenate([qid, qid])
+        order = pair_qid.argsort(kind="stable")
+        runs = runs.take(order, axis=1)
+        nonempty = runs[1] > runs[0]
+        boundary = runs.compress(nonempty, axis=1)
 
-        cell_starts, cell_ends = self._cell_ranges(
-            (base + inner_lo)[has_inner], (base + inner_hi)[has_inner]
-        )
-        cell_keep = cell_ends > cell_starts
+        cells = self._cell_positions(ids[2:0:-1])
+        occupied = cells[1] > cells[0]
+        inner = cells.compress(occupied, axis=1)
         return (
-            bnd_qid[bnd_keep],
-            bnd_starts[bnd_keep],
-            bnd_ends[bnd_keep],
-            qid[has_inner][cell_keep],
-            cell_starts[cell_keep],
-            cell_ends[cell_keep],
+            pair_qid.take(order).compress(nonempty),
+            boundary[0],
+            boundary[1],
+            qid.compress(occupied),
+            inner[0],
+            inner[1],
         )

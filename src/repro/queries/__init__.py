@@ -8,12 +8,10 @@ random query workloads used in the evaluation (Section VI-A).
 
 from .geometry import (
     lp_distance,
-    lp_distance_matrix,
     lp_norm,
     ball_volume,
     balls_overlap,
     overlap_degree,
-    overlap_degree_matrix,
     pairwise_lp_distance,
     points_within_ball,
 )
@@ -23,12 +21,10 @@ from .stream import LabelledWorkload, QueryLog
 
 __all__ = [
     "lp_distance",
-    "lp_distance_matrix",
     "lp_norm",
     "ball_volume",
     "balls_overlap",
     "overlap_degree",
-    "overlap_degree_matrix",
     "pairwise_lp_distance",
     "points_within_ball",
     "Query",

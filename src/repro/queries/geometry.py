@@ -21,18 +21,11 @@ __all__ = [
     "lp_norm",
     "lp_distance",
     "pairwise_lp_distance",
-    "lp_distance_matrix",
     "points_within_ball",
     "ball_volume",
     "balls_overlap",
     "overlap_degree",
-    "overlap_degree_matrix",
 ]
-
-#: Cap on the number of float64 elements materialised by one chunk of the
-#: pairwise-difference tensor in :func:`lp_distance_matrix` (~128 MiB).
-_BATCH_CHUNK_ELEMENTS = 16_777_216
-
 
 def _as_vector(x: np.ndarray | list | tuple, name: str) -> np.ndarray:
     """Coerce ``x`` into a 1-D float array, validating shape."""
@@ -97,54 +90,6 @@ def pairwise_lp_distance(points: np.ndarray, center: np.ndarray, p: float = 2.0)
     with np.errstate(over="ignore"):
         terms = np.power(np.abs(diff), p)
     return np.power(np.sum(terms, axis=1), 1.0 / p)
-
-
-def lp_distance_matrix(
-    points_a: np.ndarray, points_b: np.ndarray, p: float = 2.0
-) -> np.ndarray:
-    """Return the ``(m, k)`` Lp distance matrix between two point sets.
-
-    Parameters
-    ----------
-    points_a:
-        Array of shape ``(m, d)`` (e.g. query centers).
-    points_b:
-        Array of shape ``(k, d)`` (e.g. prototype centers).
-    p:
-        Norm order; ``numpy.inf`` selects the Chebyshev distance.
-
-    The computation is chunked over the rows of ``points_a`` so the
-    ``(chunk, k, d)`` difference tensor stays within a fixed memory budget,
-    and uses the same elementwise formulation as
-    :func:`pairwise_lp_distance` so single-query and batched callers agree
-    to floating-point rounding.
-    """
-    a = np.atleast_2d(np.asarray(points_a, dtype=float))
-    b = np.atleast_2d(np.asarray(points_b, dtype=float))
-    if a.shape[1] != b.shape[1]:
-        raise DimensionalityMismatchError(
-            f"point sets have different dimensions: {a.shape[1]} vs {b.shape[1]}"
-        )
-    m, d = a.shape
-    k = b.shape[0]
-    out = np.empty((m, k), dtype=float)
-    chunk = max(_BATCH_CHUNK_ELEMENTS // max(k * d, 1), 1)
-    for start in range(0, m, chunk):
-        diff = a[start : start + chunk, np.newaxis, :] - b
-        target = out[start : start + chunk]
-        if math.isinf(p):
-            np.abs(diff, out=diff).max(axis=2, out=target)
-        elif p == 2.0:
-            np.sqrt((diff * diff).sum(axis=2), out=target)
-        elif p == 1.0:
-            np.abs(diff, out=diff).sum(axis=2, out=target)
-        else:
-            np.power(
-                np.power(np.abs(diff, out=diff), p, out=diff).sum(axis=2),
-                1.0 / p,
-                out=target,
-            )
-    return out
 
 
 def points_within_ball(
@@ -221,45 +166,3 @@ def overlap_degree(
     degree = 1.0 - numerator / total
     # Guard against tiny negative values from floating point noise.
     return float(min(1.0, max(0.0, degree)))
-
-
-def overlap_degree_matrix(
-    centers_a: np.ndarray,
-    radii_a: np.ndarray,
-    centers_b: np.ndarray,
-    radii_b: np.ndarray,
-    p: float = 2.0,
-) -> np.ndarray:
-    """Return the ``(m, k)`` degree-of-overlap matrix (vectorised Equation 9).
-
-    Entry ``(i, j)`` is ``delta(q_i, w_j)`` between ball ``i`` of the first
-    family (``centers_a`` of shape ``(m, d)``, ``radii_a`` of shape ``(m,)``)
-    and ball ``j`` of the second (``(k, d)`` and ``(k,)``).  This is the
-    batched form of :func:`overlap_degree` that the query-processing engine
-    uses to compute every overlap set ``W(q)`` of a query batch in one pass:
-    no per-query Python loop, just ``(m, k)``-shaped array arithmetic.
-
-    Pairs whose radius sum is non-positive get degree ``0`` (the predictor's
-    convention for degenerate prototypes); disjoint pairs get ``0``; the
-    result is clipped to ``[0, 1]``.
-    """
-    radii_a = np.asarray(radii_a, dtype=float).ravel()
-    radii_b = np.asarray(radii_b, dtype=float).ravel()
-    distances = lp_distance_matrix(centers_a, centers_b, p=p)
-    if distances.shape != (radii_a.shape[0], radii_b.shape[0]):
-        raise DimensionalityMismatchError(
-            f"radii shapes {radii_a.shape}/{radii_b.shape} do not match the "
-            f"{distances.shape} center-distance matrix"
-        )
-    column_a = radii_a[:, np.newaxis]
-    totals = column_a + radii_b
-    numerators = np.maximum(distances, np.abs(column_a - radii_b))
-    # Disjoint pairs and non-positive radius sums keep the ratio 1 (degree
-    # 0).  Numerators are non-negative, so no degree exceeds 1; only a
-    # negative prototype radius can push one below 0.
-    overlapping = (distances <= totals) & (totals > 0.0)
-    ratios = np.divide(
-        numerators, totals, out=np.ones_like(distances), where=overlapping
-    )
-    degrees = 1.0 - ratios
-    return np.maximum(degrees, 0.0, out=degrees)

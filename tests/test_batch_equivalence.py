@@ -1,13 +1,14 @@
 """Equivalence suite: the batch kernels vs the brute-force oracle.
 
 The batch engine (``predict_mean_batch`` / ``predict_q2_batch`` /
-``predict_value_batch``) computes the full ``(m, K)`` overlap-degree matrix
+``predict_value_batch``) computes the full ``(m, K)`` overlap-weight matrix
 and the weighted LLM evaluations as matrix operations.  These tests assert
 that the batched answers agree with :mod:`repro.testing.oracle` (map-by-map
-Algorithms 2 and 3 and Equation 14; a full Lp scan plus ``lstsq`` on the
-exact side) to within 1e-12 across dimensions d in {1, 2, 6}, including the
-zero-overlap extrapolation branch and the (defensive) all-degrees-zero
-uniform-weight branch.
+Algorithms 2 and 3 and Equation 14 from the scalar Eq. 9 degree; a full Lp
+scan plus ``lstsq`` on the exact side) to within 1e-12 across dimensions d
+in {1, 2, 6} and norm orders {1, 2, 3, inf}, including the zero-overlap
+extrapolation branch next to covered rows and prototypes whose radius is
+zero, negative or infinite.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ import pytest
 from repro.config import ModelConfig, TrainingConfig
 from repro.core.model import LLMModel
 from repro.core.persistence import model_from_dict
-from repro.core.prediction import normalized_weight_rows
 from repro.core.prototypes import LocalLinearMap
 from repro.exceptions import DimensionalityMismatchError, InvalidQueryError
-from repro.queries.geometry import overlap_degree, overlap_degree_matrix
 from repro.queries.query import Query
-from repro.testing.oracle import ExactOracle, ModelOracle, normalized_overlap_weights
+from repro.testing.oracle import ExactOracle, ModelOracle
 
 DIMENSIONS = (1, 2, 6)
 TOLERANCE = 1e-12
@@ -31,7 +30,6 @@ TOLERANCE = 1e-12
 BATCH_METHODS = (
     "predict_mean_batch",
     "predict_mean_batch_with_coverage",
-    "coverage_batch",
     "predict_q2_batch",
     "predict_q2_batch_with_coverage",
 )
@@ -93,34 +91,91 @@ def setup(request):
     return dimension, maps, model, queries, matrix
 
 
-class TestOverlapDegreeMatrix:
-    def test_matches_scalar_overlap_degree(self, setup):
-        dimension, maps, model, queries, matrix = setup
-        prototypes = model.prototype_matrix()
-        degrees = overlap_degree_matrix(
-            matrix[:, :-1], matrix[:, -1], prototypes[:, :-1], prototypes[:, -1]
-        )
-        for i, query in enumerate(queries[:10]):
-            for k, llm in enumerate(maps):
-                expected = overlap_degree(
-                    query.center, query.radius, llm.center, llm.radius
-                )
-                assert degrees[i, k] == pytest.approx(expected, abs=TOLERANCE)
+NORM_ORDERS = (1.0, 2.0, 3.0, np.inf)
 
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
-    def test_norm_orders(self, setup, p):
-        dimension, maps, _, _, _ = setup
-        rng = np.random.default_rng(3)
-        centers = rng.uniform(0, 1, size=(5, dimension))
-        radii = rng.uniform(0.05, 0.5, size=5)
-        protos = np.vstack([llm.prototype for llm in maps])
-        degrees = overlap_degree_matrix(centers, radii, protos[:, :-1], protos[:, -1], p=p)
-        for i in range(5):
-            for k, llm in enumerate(maps):
-                expected = overlap_degree(
-                    centers[i], radii[i], llm.center, llm.radius, p=p
-                )
-                assert degrees[i, k] == pytest.approx(expected, abs=TOLERANCE)
+
+def _dense_oracle_rows(oracle: ModelOracle, queries, count: int):
+    """The oracle's ``(m, K)`` weights and extrapolated-row mask."""
+    weights = np.zeros((len(queries), count))
+    extrapolated = np.zeros(len(queries), dtype=bool)
+    for row, query in enumerate(queries):
+        indices, row_weights, extrapolated[row] = oracle.neighborhood(query)
+        weights[row, indices] = row_weights
+    return weights, extrapolated
+
+
+class TestNeighborhoodKernel:
+    """The fused Eq. 9 pass of ``NeighborhoodPredictor`` vs the scalar oracle."""
+
+    @pytest.mark.parametrize("p", NORM_ORDERS)
+    def test_weights_and_coverage_match_the_oracle(self, setup, p):
+        # Every seventh query is far outside the prototypes: uncovered rows
+        # sit next to covered ones in one batch.
+        dimension, maps, model, queries, matrix = setup
+        queries = [query.with_norm_order(p) for query in queries]
+        values, weights, covered = model._predictor().q1(matrix, p)
+        expected, extrapolated = _dense_oracle_rows(
+            ModelOracle(maps), queries, len(maps)
+        )
+        assert extrapolated.any() and not extrapolated.all()
+        np.testing.assert_array_equal(covered, ~extrapolated)
+        np.testing.assert_allclose(weights, expected, rtol=0.0, atol=TOLERANCE)
+        oracle = ModelOracle(maps)
+        np.testing.assert_allclose(
+            values,
+            [oracle.predict_mean(query) for query in queries],
+            rtol=0.0,
+            atol=TOLERANCE,
+        )
+
+    @pytest.mark.parametrize("p", NORM_ORDERS)
+    def test_prototype_radius_edge_cases(self, p):
+        """Zero, negative and infinite prototype radii overlap no query.
+
+        Eq. 9 over a zero radius is ``1 - max(D, theta) / theta <= 0``; the
+        kernel takes a negative radius as zero, and an infinite one gives
+        ``inf / inf``, a NaN degree that counts as no overlap.  A query
+        overlapping none of the rest takes the closest prototype alone.
+        """
+        rng = np.random.default_rng(17)
+        maps = _synthetic_maps(2, count=12, seed=19)
+        odd_radii = {0: 0.0, 3: -0.2, 5: -1e-12, 8: np.inf}
+        maps = [
+            LocalLinearMap(
+                prototype=np.append(llm.center, odd_radii.get(k, llm.radius)),
+                mean_output=llm.mean_output,
+                slope=llm.slope,
+            )
+            for k, llm in enumerate(maps)
+        ]
+        model = _model(maps)
+        centers = np.vstack(
+            [llm.center for llm in maps] + [rng.uniform(4.0, 5.0, size=(4, 2))]
+        )
+        queries = [
+            Query(center=center, radius=0.15, norm_order=p) for center in centers
+        ]
+        matrix = np.vstack([query.to_vector() for query in queries])
+        # The infinite radius makes its own LLM's value and degree inf / inf.
+        with np.errstate(invalid="ignore"):
+            _, weights, covered = model._predictor().q1(matrix, p)
+        assert (weights[covered][:, list(odd_radii)] == 0.0).all()
+        # The regular prototypes' weights are the oracle's over them alone.
+        regular = [k for k in range(len(maps)) if k not in odd_radii]
+        oracle = ModelOracle([maps[k] for k in regular])
+        for row in np.flatnonzero(covered):
+            indices, row_weights, extrapolated = oracle.neighborhood(queries[row])
+            assert not extrapolated
+            expected = np.zeros(len(maps))
+            expected[np.array(regular)[indices]] = row_weights
+            np.testing.assert_allclose(weights[row], expected, rtol=0.0, atol=TOLERANCE)
+        # Uncovered rows weigh the closest prototype in [x, theta] space.
+        prototypes = np.vstack([llm.prototype for llm in maps])
+        for row in np.flatnonzero(~covered):
+            with np.errstate(invalid="ignore"):
+                nearest = np.argmin(np.linalg.norm(prototypes - matrix[row], axis=1))
+            assert weights[row].tolist() == np.eye(len(maps))[nearest].tolist()
+        assert covered.any() and not covered.all()
 
 
 class TestQ1Equivalence:
@@ -140,7 +195,7 @@ class TestQ1Equivalence:
 
     def test_batch_reports_extrapolated_rows(self, setup):
         _, maps, model, queries, matrix = setup
-        extrapolated = ~model.coverage_batch(matrix)
+        extrapolated = ~model.predict_mean_batch_with_coverage(matrix)[1]
         oracle = ModelOracle(maps)
         expected = np.array([oracle.neighborhood(query)[2] for query in queries])
         np.testing.assert_array_equal(extrapolated, expected)
@@ -180,39 +235,6 @@ class TestValuePredictionEquivalence:
         oracle = ModelOracle(maps)
         single = np.array([oracle.predict_value(point, radius) for point in points])
         np.testing.assert_allclose(batch, single, rtol=0.0, atol=TOLERANCE)
-
-
-class TestWeightNormalisation:
-    def test_rows_match_scalar_helper(self):
-        degrees = np.array([[0.5, 0.0, 0.25], [0.0, 0.0, 0.0], [0.1, 0.1, 0.0]])
-        weights, extrapolated = normalized_weight_rows(degrees)
-        for row_index in range(degrees.shape[0]):
-            overlaps = [
-                (k, float(degrees[row_index, k]))
-                for k in range(degrees.shape[1])
-                if degrees[row_index, k] > 0.0
-            ]
-            expected = dict(normalized_overlap_weights(overlaps))
-            for k in range(degrees.shape[1]):
-                assert weights[row_index, k] == pytest.approx(
-                    expected.get(k, 0.0), abs=TOLERANCE
-                )
-        np.testing.assert_array_equal(extrapolated, [False, True, False])
-
-    def test_all_degrees_zero_uniform_branch(self):
-        # Just-touching balls have overlap flagged but degree zero; both the
-        # scalar helper and the batched helper fall back to uniform weights.
-        degrees = np.array([[0.0, 0.0, 0.0, 0.0]])
-        mask = np.array([[True, False, True, False]])
-        weights, extrapolated = normalized_weight_rows(degrees, overlap_mask=mask)
-        scalar = dict(normalized_overlap_weights([(0, 0.0), (2, 0.0)]))
-        assert not extrapolated[0]
-        np.testing.assert_allclose(weights[0], [0.5, 0.0, 0.5, 0.0], atol=TOLERANCE)
-        assert scalar == {0: 0.5, 2: 0.5}
-
-    def test_mask_shape_mismatch(self):
-        with pytest.raises(DimensionalityMismatchError):
-            normalized_weight_rows(np.zeros((2, 3)), overlap_mask=np.zeros((2, 2), bool))
 
 
 class TestModelBatchAPI:

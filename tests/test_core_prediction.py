@@ -146,7 +146,7 @@ class TestCoverageSignal:
                 [4.0, 4.0, 0.05],  # far outside every prototype
             ]
         )
-        covered = model.coverage_batch(matrix)
+        covered = model.predict_mean_batch_with_coverage(matrix)[1]
         assert covered.tolist() == [True, False]
 
     def test_with_coverage_values_match_plain_batch(self, maps):
@@ -158,7 +158,7 @@ class TestCoverageSignal:
         plain = model.predict_mean_batch(matrix)
         values, covered = model.predict_mean_batch_with_coverage(matrix)
         assert np.array_equal(plain, values)
-        assert np.array_equal(covered, model.coverage_batch(matrix))
+        assert np.array_equal(covered, model.predict_mean_batch_with_coverage(matrix)[1])
         # Covered rows are exactly those the brute-force oracle does not
         # extrapolate.
         oracle = ModelOracle(maps)
@@ -192,7 +192,7 @@ class TestCoverageSignal:
         values, covered = model.predict_mean_batch_with_coverage(queries)
         assert covered.tolist() == [True, False, True]
         assert np.array_equal(values, model.predict_mean_batch(queries))
-        assert np.array_equal(covered, model.coverage_batch(queries))
+        assert np.array_equal(covered, model.predict_mean_batch_with_coverage(queries)[1])
         plane_lists, q2_covered = model.predict_q2_batch_with_coverage(queries)
         assert q2_covered.tolist() == [True, False, True]
         assert len(plane_lists) == 3

@@ -262,8 +262,8 @@ class TestPersistenceBatchPaths:
                 assert np.array_equal(original.slope, copy.slope)
                 assert original.weight == copy.weight
 
-        original_covered = model.coverage_batch(matrix)
-        restored_covered = restored.coverage_batch(matrix)
+        original_covered = model.predict_mean_batch_with_coverage(matrix)[1]
+        restored_covered = restored.predict_mean_batch_with_coverage(matrix)[1]
         assert np.array_equal(original_covered, restored_covered)
 
     def test_trained_model_batch_round_trip(self, tmp_path):

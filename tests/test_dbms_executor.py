@@ -191,6 +191,15 @@ class TestBatchContract:
         with pytest.raises(StorageError):
             getattr(engine, kind)([Query(center=np.array([0.5]), radius=0.1)])
 
+    def test_mixed_dimensions(self, engine, kind):
+        # The batch's dimension is checked once, on its stacked centers; a
+        # batch whose centers differ in length names the odd query.
+        plane = Query(center=np.array([0.5, 0.5]), radius=0.1)
+        line = Query(center=np.array([0.5]), radius=0.1)
+        for batch in ([plane, line], [line, plane]):
+            with pytest.raises(StorageError, match="query has dimension 1 "):
+                getattr(engine, kind)(batch)
+
 
 @pytest.mark.parametrize("dimension", (1, 2, 3, 6, 8))
 class TestMixedBatches:
@@ -615,3 +624,81 @@ def test_large_order_ball_counts_without_overflow_warnings():
         distances = pairwise_lp_distance(inputs, query.center, p=1000.0)
     assert answer.cardinality == oracle_count == true_count == 3_260
     assert np.isinf(distances).any()  # the far rows overflowed, silently
+
+
+def _balls_past_the_grid(dimension: int, norm_order: float) -> list[Query]:
+    """Balls whose bounding box runs more than ``2**63`` cells past the grid.
+
+    A 20k-row table has 10 to 141 fine-grid cells per dimension over
+    [0, 1], so a radius of 1e18 already spans more than ``2**63`` cells.
+    Radii go up to 1e300 where ``radius ** p`` stays a normal float64, and
+    the centers include points 1e300 away.
+    """
+    radii = [1e18, 1e19, 1e100]
+    radii += [1e150] if norm_order == 2.0 else [1e300]
+    centers = [np.full(dimension, 0.5)] * len(radii)
+    huge = 1e150 if norm_order == 2.0 else 1e300
+    # A far center whose ball reaches back over the table, and one whose
+    # ball stops short of it.
+    far = np.full(dimension, 0.5)
+    far[0] = huge
+    centers += [far, -far]
+    radii += [huge, huge / 10.0]
+    return [
+        Query(center=center, radius=radius, norm_order=norm_order)
+        for center, radius in zip(centers, radii)
+    ]
+
+
+@pytest.mark.parametrize("norm_order", (1.0, 2.0, np.inf))
+@pytest.mark.parametrize("dimension", (1, 2, 3))
+def test_balls_past_int64_cell_coordinates_select_the_oracle_rows(
+    dimension, norm_order
+):
+    """Cell coordinates are clipped before the int64 cast.
+
+    A box corner more than ``2**63`` cells out once cast to INT64_MIN and
+    clipped to cell 0, so the box collapsed and a ball covering the table
+    selected a sliver of it.  Through the engine and through
+    ``AnalyticsService``, every such ball selects exactly the oracle's rows,
+    and no ``RuntimeWarning`` reaches the caller.
+    """
+    import warnings
+
+    from repro.dbms.serving import AnalyticsService
+
+    dataset = _table(dimension, 20_000, seed=dimension)
+    oracle = ExactOracle(dataset.inputs, dataset.outputs)
+    queries = _balls_past_the_grid(dimension, norm_order)
+    norm = " NORM INF" if np.isinf(norm_order) else f" NORM {norm_order:g}"
+    texts = [
+        f"SELECT {kind} FROM t WITHIN {query.radius!r} OF "
+        f"({', '.join(repr(float(x)) for x in query.center)}){norm}"
+        for query in queries
+        for kind in ("COUNT(*)", "AVG(u)")
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        engine = ExactQueryEngine(dataset)
+        answers = engine.execute_q1_batch(queries, on_empty="null")
+        singles = [engine.execute_q1_batch([q], on_empty="null")[0] for q in queries]
+        results = AnalyticsService(engines={"t": engine}).execute_script(
+            "; ".join(texts), mode="exact"
+        )
+    assert any(oracle.count(query) == dataset.size for query in queries)
+    assert any(oracle.count(query) == 0 for query in queries)
+    for index, query in enumerate(queries):
+        context = f"ball {index}: {query!r}"
+        count, mean = oracle.count(query), oracle.mean(query)
+        for answer in (answers[index], singles[index]):
+            if count == 0:
+                assert answer is None, context
+                continue
+            assert answer.cardinality == count, context
+            assert answer.mean == pytest.approx(mean, rel=TOLERANCE), context
+        count_result, mean_result = results[2 * index], results[2 * index + 1]
+        assert count_result.value == count, context
+        if count:
+            assert mean_result.value == pytest.approx(mean, rel=TOLERANCE), context
+        else:
+            assert mean_result.value is None and mean_result.empty, context

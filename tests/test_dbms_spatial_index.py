@@ -25,7 +25,7 @@ class TestConstruction:
         assert index.size == 2_000
         assert index.dimension == 2
         assert index.cells_per_dimension == 8
-        assert 0 < index.occupied_cell_count <= 64
+        assert 0 < index.cell_flats.size <= 64
         span = points.max(axis=0) - points.min(axis=0)
         np.testing.assert_array_equal(index.cell_width, span / 8)
         with pytest.raises(ValueError):
@@ -248,16 +248,11 @@ class _SearchsortedGrid(GridIndex):
     def _sorted_ids(self) -> np.ndarray:
         return np.sort(self._cell_coordinates(self._points) @ self._strides)
 
-    def _row_ranges(self, first, last):
-        return self._search(self._sorted_ids(), first, last)
+    def _row_positions(self, flat):
+        return self._sorted_ids().searchsorted(flat, side="left")
 
-    def _cell_ranges(self, first, last):
-        return self._search(np.unique(self._sorted_ids()), first, last)
-
-    @staticmethod
-    def _search(ids, first, last):
-        starts = ids.searchsorted(first, side="left")
-        return starts, ids.searchsorted(last, side="right")
+    def _cell_positions(self, flat):
+        return np.unique(self._sorted_ids()).searchsorted(flat, side="left")
 
 
 def _directory_layout(layout: str, dimension: int, rng) -> np.ndarray:
@@ -319,3 +314,64 @@ class TestCellDirectory:
             assert len(got) == len(want)
             for part, (a, b) in enumerate(zip(got, want)):
                 np.testing.assert_array_equal(a, b, err_msg=f"{method}[{part}]")
+
+
+def _partition_batch(points: np.ndarray, count: int, rng) -> tuple:
+    """Centers and radii of in-domain balls, out-of-domain balls, zero radii
+    at data points and balls that cover the whole domain, interleaved."""
+    dimension = points.shape[1]
+    kinds = np.arange(count) % 4
+    centers = rng.uniform(0.0, 1.0, size=(count, dimension))
+    radii = rng.uniform(0.02, 0.4, size=count)
+    far = kinds == 1
+    centers[far] = rng.uniform(-3.0, 4.0, size=(int(far.sum()), dimension))
+    zero = kinds == 2
+    centers[zero] = points[rng.integers(0, points.shape[0], size=int(zero.sum()))]
+    radii[zero] = 0.0
+    radii[kinds == 3] = rng.uniform(2.0, 50.0, size=int((kinds == 3).sum()))
+    return centers, radii
+
+
+def _query_ranges(result: tuple, query: int) -> list[np.ndarray]:
+    """One query's arrays of a range result, in result order."""
+    parts = []
+    for group in range(0, len(result), 3):
+        mine = result[group] == query
+        parts += [part[mine] for part in result[group + 1 : group + 3]]
+    return parts
+
+
+class TestBatchPartition:
+    """A query's ranges do not depend on the batch that carries it.
+
+    Every step of the range pass works on its own query's blocks, so no
+    fused step may let one query's ranges depend on another's.
+    """
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 6])
+    def test_a_query_has_the_same_ranges_alone_as_in_a_batch(self, dimension, p):
+        rng = np.random.default_rng(dimension * 31 + int(min(p, 9)))
+        points = rng.uniform(0.0, 1.0, size=(1_500, dimension))
+        index = GridIndex(
+            points, cells_per_dimension=batch_grid_cells_per_dimension(1_500, dimension)
+        )
+        centers, radii = _partition_batch(points, 200, rng)
+        for method in ("candidate_ranges_batch", "classified_ranges_batch"):
+            ranges = getattr(index, method)
+            alone = [
+                _query_ranges(ranges(centers[i : i + 1], radii[i : i + 1], p=p), 0)
+                for i in range(200)
+            ]
+            for size in (16, 200):
+                for start in range(0, 200, size):
+                    batch = ranges(
+                        centers[start : start + size], radii[start : start + size], p=p
+                    )
+                    for query in range(min(size, 200 - start)):
+                        got = _query_ranges(batch, query)
+                        want = alone[start + query]
+                        for part, (a, b) in enumerate(zip(got, want)):
+                            np.testing.assert_array_equal(
+                                a, b, err_msg=f"{method} query {start + query} [{part}]"
+                            )

@@ -454,7 +454,7 @@ def test_inner_run_sums_at_their_worst_case(dimension, rows, norm_order, radii):
     engine = ExactQueryEngine(dataset)
     _assert_run_sums_match_oracle(engine, dataset, queries)
     if dimension == 1:
-        assert engine._pipeline.grid.occupied_cell_count == 256
+        assert engine._pipeline.grid.cell_flats.size == 256
 
 
 def _run_sum_radii(dimension: int, norm_order: float) -> tuple[float, float]:

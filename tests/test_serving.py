@@ -356,7 +356,7 @@ class TestHybridMode:
         sources = {result.source for result in results}
         assert "model" in sources and "fallback" in sources
         order = half_model.config.norm_order
-        covered = half_model.coverage_batch(
+        _, covered = half_model.predict_mean_batch_with_coverage(
             [r.statement.to_query(order) for r in results]
         )
         for result, is_covered in zip(results, covered):
