@@ -27,7 +27,12 @@ Headline requirements asserted here:
 
 The throughput at 4 sessions over 1 (``concurrent_speedup``) is reported,
 not gated: its denominator is the lone session, so it rose whenever a lone
-client got slower.
+client got slower.  The cache speedup (``cache_speedup``) is tracked the
+same way, as ``info``: its denominator is the uncached hybrid throughput,
+so a faster miss path (quicker exact fallbacks) lowers it while the hit
+path is unchanged.  The ``>= 5x`` headline check above still holds it, and
+the hit path's own throughput (``cache_hot_qps``) is the regression-gated
+metric.
 
 Results are emitted through the ``repro.bench`` harness: a
 :class:`~repro.bench.RunRecord` appended to the JSONL results store plus
@@ -452,7 +457,9 @@ SPEC = BenchmarkSpec(
     # tracked as info rather than regression-gated.  So are the two ratios
     # over the lone session: ``lone_vs_direct`` is gated by ``_check``, and
     # ``concurrent_speedup`` would read a faster lone client as a
-    # regression.
+    # regression.  ``cache_speedup`` is info too: a faster miss path would
+    # read as a regression; ``_check`` keeps its >= 5x headline and
+    # ``cache_hot_qps`` gates the hit path.
     metrics={
         "qps_single": "info",
         "qps_direct": "info",
@@ -460,7 +467,7 @@ SPEC = BenchmarkSpec(
         "qps_at_gate": "higher",
         "concurrent_speedup": "info",
         "cache_hot_qps": "higher",
-        "cache_speedup": "higher",
+        "cache_speedup": "info",
         "cache_hit_rate": "higher",
         "mean_coalesce_width": "info",
         "max_coalesce_width": "info",

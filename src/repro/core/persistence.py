@@ -4,6 +4,22 @@ Trained models are tiny — ``O(dK)`` floats — so JSON is a convenient,
 inspectable storage format.  :func:`save_model` and :func:`load_model`
 round-trip every trained parameter together with the configuration needed
 to rebuild an equivalent :class:`~repro.core.model.LLMModel`.
+
+A model is finite or it is refused.  ``json`` writes and reads ``NaN`` and
+``Infinity``, and one non-finite parameter makes every answer of the model
+NaN: the dense prediction pass evaluates every map for every query, and a
+zero weight times an infinite value is NaN, while coverage does not change,
+so neither the hybrid fallback nor drift detection reacts.  So
+:func:`model_from_dict` raises :class:`~repro.exceptions.ModelPersistenceError`
+for a map with a non-finite prototype center or radius, slope entry, mean
+output or second moment, or with a prototype or slope whose length is not
+the model's ``dimension + 1``; :func:`save_model` refuses such a model
+before it writes anything.  A negative radius is finite and loads: Eq. 9
+over it is never positive, so the prediction kernel takes it as 0 and its
+prototype overlaps no query (it can still be the nearest prototype of a
+query no prototype covers), and its answers stay finite.  Training never
+produces one, since each radius update is a convex step towards a query's
+positive radius.
 """
 
 from __future__ import annotations
@@ -13,8 +29,15 @@ import os
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
+
 from ..config import ModelConfig, TrainingConfig
-from ..exceptions import ModelPersistenceError, NotFittedError
+from ..exceptions import (
+    DimensionalityMismatchError,
+    InvalidQueryError,
+    ModelPersistenceError,
+    NotFittedError,
+)
 from .model import LLMModel
 from .prototypes import LocalLinearMap
 
@@ -62,7 +85,12 @@ def model_to_dict(model: LLMModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> LLMModel:
-    """Rebuild a model from :func:`model_to_dict` output."""
+    """Rebuild a model from :func:`model_to_dict` output.
+
+    Raises :class:`~repro.exceptions.ModelPersistenceError` for an
+    unsupported format version and for a map that is not finite or not of
+    the model's dimension (see the module docstring).
+    """
     version = payload.get("format_version")
     if version not in READABLE_VERSIONS:
         raise ModelPersistenceError(
@@ -70,19 +98,50 @@ def model_from_dict(payload: dict) -> LLMModel:
             f"(readable: {sorted(READABLE_VERSIONS)})",
             format_version=version,
         )
+    dimension = int(payload["dimension"])
     model = LLMModel(
-        dimension=int(payload["dimension"]),
+        dimension=dimension,
         config=_config_from(ModelConfig, payload.get("config", {})),
         training=_config_from(TrainingConfig, payload.get("training", {})),
     )
-    for map_payload in payload.get("maps", []):
-        llm = LocalLinearMap.from_dict(map_payload)
+    for index, map_payload in enumerate(payload.get("maps", [])):
+        try:
+            llm = LocalLinearMap.from_dict(map_payload)
+        except (DimensionalityMismatchError, InvalidQueryError) as exc:
+            raise ModelPersistenceError(
+                f"map {index} is malformed: {exc}", format_version=version
+            ) from exc
+        _check_map(llm, dimension, index, version)
         model._parameters.add(llm)  # noqa: SLF001 - controlled rebuild
     state = payload.get("state", {})
     model._steps = int(state.get("steps", 0))  # noqa: SLF001
     model._frozen = bool(state.get("frozen", False))  # noqa: SLF001
     model._fitted = bool(payload.get("maps"))  # noqa: SLF001
     return model
+
+
+def _check_map(
+    llm: LocalLinearMap, dimension: int, index: int, version: object
+) -> None:
+    """Refuse map ``index`` of a model unless it is finite and ``d``-dimensional."""
+    if llm.dimension != dimension:
+        raise ModelPersistenceError(
+            f"map {index} has dimension {llm.dimension}, the model {dimension}",
+            format_version=version,
+        )
+    parameters = {
+        "prototype center": llm.center,
+        "prototype radius": llm.radius,
+        "slope": llm.slope,
+        "mean output": llm.mean_output,
+        "second moment": llm.difference_second_moment,
+    }
+    for name, value in parameters.items():
+        if not np.isfinite(value).all():
+            raise ModelPersistenceError(
+                f"map {index} has a non-finite {name}: {value!r}",
+                format_version=version,
+            )
 
 
 def _config_from(cls, values: dict):
@@ -137,9 +196,20 @@ def save_model(model: LLMModel, path: str | Path) -> Path:
     The write is *atomic* (:func:`write_json_atomic`), so a crash
     mid-write never leaves a truncated model file where a readable one
     (old or new) is expected — the invariant the hot-swap/rollback
-    lifecycle relies on.
+    lifecycle relies on.  A model that :func:`model_from_dict` would
+    refuse (a non-finite parameter) raises
+    :class:`~repro.exceptions.ModelPersistenceError` before anything is
+    written, so a model file never holds what cannot be read back.
     """
-    return write_json_atomic(Path(path), model_to_dict(model))
+    target = Path(path)
+    payload = model_to_dict(model)
+    for index, llm in enumerate(model.local_maps):
+        try:
+            _check_map(llm, model.dimension, index, FORMAT_VERSION)
+        except ModelPersistenceError as exc:
+            exc.path = target
+            raise
+    return write_json_atomic(target, payload)
 
 
 def load_model(path: str | Path) -> LLMModel:
@@ -179,7 +249,7 @@ def load_model(path: str | Path) -> LLMModel:
         if exc.path is None:
             exc.path = source
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelPersistenceError(
             f"model file {source} (format version {version!r}) is missing or "
             f"has malformed fields: {exc!r}",

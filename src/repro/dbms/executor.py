@@ -24,10 +24,28 @@ candidate ranges from one vectorised grid pass whose range ends are reads
 of a dense directory over the grid's cell ids, cells certified inside the
 ball summed run by run from two rows of a compensated prefix table
 (translated to the query center once per run for Q2), and exact row tests
-only on boundary cells, gathered from a ``(d, n)`` column copy of the
-clustered inputs.  Served traffic gets its parallelism from the concurrent
-front's flush pool (:class:`~repro.dbms.concurrent.ConcurrencyPolicy`
-``max_workers``), which runs independent batches at once.
+only on boundary cells, gathered from a ``(d + 1, n)`` column copy of the
+clustered inputs and outputs.  Served traffic gets its parallelism from
+the concurrent front's flush pool
+(:class:`~repro.dbms.concurrent.ConcurrencyPolicy` ``max_workers``), which
+runs independent batches at once.
+
+The kernel works column-at-a-time, as vectorised engines do (Boncz et al.,
+"MonetDB/X100", CIDR 2005): every per-row or per-run quantity is one
+contiguous array over the rows or runs of the batch, and a query owns one
+segment of each.
+* The boundary rows are expanded from their runs as positions only; each
+  row's center and radius are its run's, repeated over the run, and each
+  query's selected count is read off its candidate segment.  No per-row
+  query id exists.
+* The inner runs' prefix-table sums are transposed once to ``(k, runs)``,
+  so each term of the Q2 translation (:func:`_translate_runs`) is a 1-D
+  operation over the runs and the per-query segment sums reduce along a
+  contiguous axis.  Each occupied cell's Q2 reference point and
+  last-dimension index are tabulated once, beside the Q2 prefix table.
+* The blocked solve builds each query's centred system in one row and
+  checks, solves and scores every query of the batch in a fixed number of
+  calls (:func:`solve_q2_sufficient_statistics`).
 
 Rank-deficient or ill-conditioned subspaces fall back to the dense
 per-query OLS over the query's selected rows, keeping the exact
@@ -117,19 +135,26 @@ _GRAM_CONDITION_RTOL = 1e-3
 class ExecutionStatistics:
     """Cumulative counters of an exact engine.
 
-    Three running totals — queries executed, rows scanned, rows selected —
-    so recording a query stream of any length costs constant memory.
+    Four running totals, so recording a query stream of any length costs
+    constant memory: queries executed; rows scanned, every row a query
+    accounted for; rows tested, the boundary rows among them that took the
+    exact Lp test (the rest are inner-run rows summed from prefix tables);
+    and rows selected.
     """
 
     queries_executed: int = 0
     rows_scanned: int = 0
     rows_selected: int = 0
+    rows_tested: int = 0
 
-    def record_batch(self, count: int, scanned: int, selected: int) -> None:
+    def record_batch(
+        self, count: int, scanned: int, selected: int, tested: int = 0
+    ) -> None:
         """Add one batch's counters (a single-query call is a batch of one)."""
         self.queries_executed += count
         self.rows_scanned += scanned
         self.rows_selected += selected
+        self.rows_tested += tested
 
 
 # --------------------------------------------------------------------------- #
@@ -164,6 +189,12 @@ def moment_products(deltas: np.ndarray, outputs: np.ndarray) -> np.ndarray:
     products = np.empty((moment_column_count(dimension), rows), dtype=float)
     products[:dimension] = deltas
     products[dimension] = outputs
+    return _fill_moment_products(products, dimension)
+
+
+def _fill_moment_products(products: np.ndarray, dimension: int) -> np.ndarray:
+    """Fill the moment rows past ``d + 1`` from the deltas and outputs above them."""
+    deltas, outputs = products[:dimension], products[dimension]
     np.multiply(outputs, outputs, out=products[dimension + 1])
     np.multiply(deltas, outputs, out=products[dimension + 2 : 2 * dimension + 2])
     row = 2 * dimension + 2
@@ -203,20 +234,26 @@ def _compensated_prefix_table(values: np.ndarray) -> np.ndarray:
 
 
 def _range_sums(table: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Sums of the value rows ``[start, end)`` from a compensated prefix table."""
-    difference = table.take(ends, axis=0) - table.take(starts, axis=0)
+    """Sums of the value rows ``[start, end)`` from a compensated prefix table.
+
+    The run ends come from the grid's cell directory, so they are in range
+    by construction: ``mode="clip"`` only skips the per-index range check.
+    """
+    difference = table.take(ends, axis=0, mode="clip") - table.take(
+        starts, axis=0, mode="clip"
+    )
     width = table.shape[1] // 2
     return difference[:, :width] + difference[:, width:]
 
 
-def _cell_references(
-    grid: GridIndex, cells: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Q2 reference points of occupied cells, their ``j``, and the ``j`` step.
+def _cell_references(grid: GridIndex) -> tuple[np.ndarray, float]:
+    """Q2 reference points of the occupied cells, their ``j``, and the ``j`` step.
 
-    A cell's Q2 moments are taken about its grid center along the leading
-    dimensions and about ``base + j step`` along the last, where ``j`` is
-    its last-dimension grid index.  ``base`` and ``step`` are that
+    Returns a ``(d + 1, C)`` table, one column per occupied cell: rows
+    ``0..d-1`` its reference point and row ``d`` its last-dimension grid
+    index ``j`` (as a float); and the step.  A cell's Q2 moments are taken
+    about its grid center along the leading dimensions and about
+    ``base + j step`` along the last.  ``base`` and ``step`` are that
     dimension's first cell center and cell width rounded to a common
     power-of-two quantum fine enough that every ``base + j step`` is exact
     in float64.  So the references of one grid line differ by exactly
@@ -233,23 +270,30 @@ def _cell_references(
     quantum = math.ulp(2.0 * (abs(origin) + cells_per_dimension * width))
     base = round(origin / quantum) * quantum
     step = round(width / quantum) * quantum
-    index = (grid.cell_flats.take(cells) % cells_per_dimension).astype(float)
-    references = grid.cell_centers.take(cells, axis=0)
-    references[:, -1] = base + index * step
-    return references, index, step
+    centers = grid.cell_centers
+    cells = np.empty((centers.shape[1] + 1, centers.shape[0]), dtype=float)
+    cells[:-1] = centers.T
+    index = cells[-1]
+    np.remainder(grid.cell_flats, cells_per_dimension, out=index, casting="unsafe")
+    cells[-2] = base + index * step
+    return cells, step
 
 
 def _cell_values(
-    kind: str, grid: GridIndex, columns: np.ndarray, outputs: np.ndarray
+    kind: str,
+    grid: GridIndex,
+    columns: np.ndarray,
+    outputs: np.ndarray,
+    references: np.ndarray | None = None,
 ) -> np.ndarray:
     """One row of prefix-table values per occupied cell, in directory order.
 
     ``columns`` (``(d, n)``) and ``outputs`` are the grid's cell-clustered
     rows.  Rows are
     ``[count, sum_y]`` for ``kind="q1"``; for ``kind="q2"`` the cell's
-    ``[count, <moment_products about its reference>]`` (see
-    :func:`_cell_references`) followed by the ``j``-weighted columns
-    ``j count``, ``j sum_y``, ``j m1`` and ``j^2 count`` that
+    ``[count, <moment_products about its reference>]`` (``references`` is
+    the cell table of :func:`_cell_references`) followed by the ``j``-weighted
+    columns ``j count``, ``j sum_y``, ``j m1`` and ``j^2 count`` that
     :func:`_translate_runs` needs (``m1`` the first moments).
     """
     offsets = grid.cell_row_offsets
@@ -259,11 +303,13 @@ def _cell_values(
         values[:, 0] = cell_counts
         values[:, 1] = np.add.reduceat(outputs, offsets[:-1])
         return values
+    if references is None:
+        raise InternalInvariantError("Q2 cell values need the cell references")
     d = columns.shape[0]
+    points, index = references[:d], references[d]
     width = moment_column_count(d)
-    references, index, _ = _cell_references(grid, np.arange(cell_counts.size))
     products = moment_products(
-        columns - np.repeat(references.T, cell_counts, axis=1), outputs
+        columns - np.repeat(points, cell_counts, axis=1), outputs
     )
     values = np.empty((cell_counts.size, 4 + width + d), dtype=float)
     values[:, 0] = cell_counts
@@ -283,15 +329,17 @@ def _translate_runs(
 ) -> np.ndarray:
     """Re-reference the Q2 moments of inner-cell runs to their query centers.
 
-    ``sums`` rows are one run's sums of the Q2 cell values (see
-    :func:`_cell_values`): ``[n, m1, sum_y, sum_y^2, m_zy, M2]`` taken
-    about each cell's reference ``t``, then ``j n``, ``j sum_y``, ``j m1``
-    and ``j^2 n`` with ``j`` the cell's last-dimension grid index.
-    ``first_index`` holds ``j0``, the run's first ``j``; ``shifts`` holds
-    ``s0 = t0 - c``, its first cell's reference minus the query center.  A
-    run lies in one grid line, so cell ``j`` of it sits at
-    ``s = s0 + k step e_d`` with ``k = j - j0`` (see
-    :func:`_cell_references`).  Summing the per-cell translation identities
+    Every array is column-per-run, so each term below is a 1-D operation
+    over the runs.  ``sums`` is ``(k, runs)``: column ``r`` holds run
+    ``r``'s sums of the Q2 cell values (see :func:`_cell_values`),
+    ``[n, m1, sum_y, sum_y^2, m_zy, M2]`` taken about each cell's reference
+    ``t``, then ``j n``, ``j sum_y``, ``j m1`` and ``j^2 n`` with ``j`` the
+    cell's last-dimension grid index.  ``first_index`` holds ``j0``, the
+    run's first ``j``; ``shifts`` (``(d, runs)``) holds ``s0 = t0 - c``,
+    its first cell's reference minus the query center.  A run lies in one
+    grid line, so cell ``j`` of it sits at ``s = s0 + k step e_d`` with
+    ``k = j - j0`` (see :func:`_cell_references`).  Summing the per-cell
+    translation identities
 
     * ``sum (x - c) = m1 + n s``
     * ``sum (x - c) y = m_zy + s sum_y``
@@ -301,39 +349,37 @@ def _translate_runs(
     ``sum_y`` and of ``k n``, ``k sum_y``, ``k m1`` and ``k^2 n`` (each
     ``sum k f = sum j f - j0 sum f``): one translation per run, not per
     cell, and every term stays at the scale of the query radius.  Returns
-    ``[n, <moment_products columns>]`` rows about the query centers.
+    the ``(1 + width, runs)`` ``[n, <moment_products rows>]`` about the
+    query centers.
     """
-    runs, d = shifts.shape
+    d, runs = shifts.shape
     width = moment_column_count(d)
     last = d - 1
-    m1 = sums[:, 1 : 1 + d]
-    # [sum k n, sum k sum_y, sum k m1]; the count column is an exact
-    # integer, the others carry one rounding each.
-    k_sums = sums[:, 1 + width : 3 + width + d] - first_index[
-        :, np.newaxis
-    ] * sums.take(_j_weighted_columns(d), axis=1)
-    k_n = k_sums[:, 0]
+    m1 = sums[1 : 1 + d]
+    # [sum k n, sum k sum_y, sum k m1]; the count row is an exact integer,
+    # the others carry one rounding each.
+    k_sums = sums[1 + width : 3 + width + d] - first_index * sums.take(
+        _j_weighted_columns(d), axis=0
+    )
+    k_n = k_sums[0]
     # sum k^2 n = sum j^2 n - j0 (sum j n + sum k n), in exact integers.
-    k2_n = sums[:, 3 + width + d] - first_index * (sums[:, 1 + width] + k_n)
+    k2_n = sums[3 + width + d] - first_index * (sums[1 + width] + k_n)
     # sum n s and sum s sum_y.
-    weighted = sums[:, [0, 1 + d], np.newaxis] * shifts[:, np.newaxis, :]
-    weighted[:, :, last] += step * k_sums[:, :2]
-    out = np.empty((runs, 1 + width), dtype=float)
-    out[:, : 3 + d] = sums[:, : 3 + d]
-    out[:, 1 : 1 + d] += weighted[:, 0]
-    out[:, 3 + d : 3 + 2 * d] = sums[:, 3 + d : 3 + 2 * d] + weighted[:, 1]
+    weighted = sums[[0, 1 + d], np.newaxis] * shifts
+    weighted[:, last] += step * k_sums[:2]
+    out = np.empty((1 + width, runs), dtype=float)
+    out[: 3 + d] = sums[: 3 + d]
+    out[1 : 1 + d] += weighted[0]
+    np.add(sums[3 + d : 3 + 2 * d], weighted[1], out=out[3 + d : 3 + 2 * d])
     # sum s m1^T + m1 s^T + n s s^T = s0 m1^T + (sum z) s0^T plus the step
     # terms along e_d, where sum z = m1 + sum n s is the translated m1.
-    outer = (
-        shifts[:, :, np.newaxis] * m1[:, np.newaxis, :]
-        + out[:, 1 : 1 + d, np.newaxis] * shifts[:, np.newaxis, :]
-    )
-    step_m1 = step * k_sums[:, 2:]
-    outer[:, last, :] += step_m1
-    outer[:, :, last] += step_m1 + (step * k_n)[:, np.newaxis] * shifts
-    outer[:, last, last] += (step * step) * k2_n
+    outer = shifts[:, np.newaxis] * m1 + out[1 : 1 + d, np.newaxis] * shifts
+    step_m1 = step * k_sums[2:]
+    outer[last] += step_m1
+    outer[:, last] += step_m1 + (step * k_n) * shifts
+    outer[last, last] += (step * step) * k2_n
     first, second = _gram_pairs(d)
-    out[:, 3 + 2 * d :] = sums[:, 3 + 2 * d : 1 + width] + outer[:, first, second]
+    np.add(sums[3 + 2 * d : 1 + width], outer[first, second], out=out[3 + 2 * d :])
     return out
 
 
@@ -348,6 +394,21 @@ def _gram_pairs(dimension: int) -> tuple[np.ndarray, np.ndarray]:
     """``(a, b)`` index arrays of the upper-triangle moment columns, in order."""
     first, second = np.triu_indices(dimension)
     return first, second
+
+
+@functools.lru_cache(maxsize=None)
+def _gram_columns(dimension: int) -> np.ndarray:
+    """Moment column of each entry of the ``(d, d)`` Gram matrix, row-major."""
+    first, second = _gram_pairs(dimension)
+    pairs = np.empty((dimension, dimension), dtype=np.intp)
+    pairs[first, second] = pairs[second, first] = np.arange(first.size)
+    return (2 * dimension + 2 + pairs).ravel()
+
+
+@functools.lru_cache(maxsize=None)
+def _centred_columns(dimension: int) -> np.ndarray:
+    """Moment columns ``sum z y`` then ``sum y^2``: the centred cross terms."""
+    return np.array([*range(dimension + 2, 2 * dimension + 2), dimension + 1])
 
 
 @dataclass(frozen=True)
@@ -381,80 +442,66 @@ def solve_q2_sufficient_statistics(
     moments = np.atleast_2d(np.asarray(moments, dtype=float))
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     m, d = centers.shape
+    gram = moments.take(_gram_columns(d), axis=1).reshape(m, d, d)
+    weight = np.maximum(counts, 1.0)
+    means = moments[:, : d + 1] / weight[:, np.newaxis]
+    z_bar, y_bar = means[:, :d], means[:, d]
 
-    sum_z = moments[:, :d]
-    sum_y = moments[:, d]
-    sum_yy = moments[:, d + 1]
-    sum_zy = moments[:, d + 2 : 2 * d + 2]
-    gram = np.empty((m, d, d), dtype=float)
-    first, second = _gram_pairs(d)
-    gram[:, first, second] = gram[:, second, first] = moments[:, 2 * d + 2 :]
-
-    weight = np.where(counts > 0, counts, 1).astype(float)
-    z_bar = sum_z / weight[:, np.newaxis]
-    y_bar = sum_y / weight
-    gram_c = gram - weight[:, np.newaxis, np.newaxis] * (
-        z_bar[:, :, np.newaxis] * z_bar[:, np.newaxis, :]
-    )
-    cross_c = sum_zy - weight[:, np.newaxis] * z_bar * y_bar[:, np.newaxis]
-    tss = sum_yy - weight * y_bar * y_bar
+    # The centred system [gram_c, cross_c, tss] of each query, in one row:
+    # gram_c = gram - w z_bar z_bar^T, and [cross_c, tss] =
+    # [sum_zy, sum_yy] - w [z_bar, y_bar] y_bar.
+    system = np.empty((m, d * d + d + 1), dtype=float)
+    gram_c = system[:, : d * d].reshape(m, d, d)
+    np.multiply(z_bar[:, :, np.newaxis], z_bar[:, np.newaxis, :], out=gram_c)
+    gram_c *= weight[:, np.newaxis, np.newaxis]
+    np.subtract(gram, gram_c, out=gram_c)
+    centred = system[:, d * d :]
+    np.multiply(weight[:, np.newaxis], means, out=centred)
+    centred *= y_bar[:, np.newaxis]
+    np.subtract(moments.take(_centred_columns(d), axis=1), centred, out=centred)
+    cross_c, tss = centred[:, :d], centred[:, d]
 
     # Under- or exactly-determined systems go to the dense solver: they have
     # no averaging redundancy, so the per-query SVD path's minimum-norm
-    # semantics (and its conditioning) must be preserved verbatim.
-    needs_fallback = counts <= d + 1
-    finite = (
-        np.isfinite(gram_c).all(axis=(1, 2))
-        & np.isfinite(cross_c).all(axis=1)
-        & np.isfinite(tss)
-    )
-    needs_fallback |= ~finite
-    solvable = (~needs_fallback) & (counts > 0)
+    # semantics (and its conditioning) must be preserved verbatim.  So do
+    # systems with a non-finite entry and ill-conditioned ones.
+    solvable = (counts > d + 1) & np.isfinite(system).all(axis=1)
     if solvable.any():
         smallest = np.linalg.eigvalsh(gram_c[solvable])[:, 0]
         # ``sum_a sum z_a^2``: the uncentred moment scale the centred Gram's
         # cancellation error is relative to (see _GRAM_CONDITION_RTOL).
         scale = np.einsum("ijj->i", gram[solvable])
-        ill = smallest <= _GRAM_CONDITION_RTOL * scale
-        rows = np.nonzero(solvable)[0]
-        needs_fallback[rows[ill]] = True
-        solvable[rows[ill]] = False
+        solvable[solvable] = ~(smallest <= _GRAM_CONDITION_RTOL * scale)
 
-    slope = np.zeros((m, d), dtype=float)
+    coefficients = np.zeros((m, d + 1), dtype=float)
+    slope = coefficients[:, 1:]
     if solvable.any():
         slope[solvable] = np.linalg.solve(
             gram_c[solvable], cross_c[solvable][:, :, np.newaxis]
         )[:, :, 0]
-    intercept = (
-        y_bar
-        - np.einsum("ij,ij->i", slope, z_bar)
-        - np.einsum("ij,ij->i", slope, centers)
+    np.subtract(y_bar, np.einsum("ij,ij->i", slope, z_bar), out=coefficients[:, 0])
+    coefficients[:, 0] -= np.einsum("ij,ij->i", slope, centers)
+    # slope^T gram_c slope as a left-to-right sum of its d^2 terms per row,
+    # from 0: the three-operand einsum rounds differently with the batch
+    # size, so a query's R^2 would depend on the rest of its batch.
+    terms = np.zeros((m, 1 + d * d), dtype=float)
+    np.multiply(
+        slope[:, :, np.newaxis] * gram_c,
+        slope[:, np.newaxis, :],
+        out=terms[:, 1:].reshape(m, d, d),
     )
-    # slope^T gram_c slope as a fixed-order sum per row: the three-operand
-    # einsum rounds differently with the batch size, so a query's R^2
-    # would depend on the rest of its batch.
-    quadratic = np.zeros(m, dtype=float)
-    for a in range(d):
-        for b in range(d):
-            quadratic += slope[:, a] * gram_c[:, a, b] * slope[:, b]
+    quadratic = np.add.accumulate(terms, axis=1)[:, -1]
     residual = tss - 2.0 * np.einsum("ij,ij->i", slope, cross_c) + quadratic
     # Constant outputs (TSS 0) score 1.0 when the residual is
     # ``np.isclose(residual, 0.0)`` (default atol 1e-8), else 0.0.
-    positive = tss > 0.0
+    r_squared = np.where(np.abs(residual) <= 1e-8, 1.0, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r_squared = np.where(
-            positive,
-            1.0 - residual / np.where(positive, tss, 1.0),
-            np.where(np.abs(residual) <= 1e-8, 1.0, 0.0),
-        )
-    coefficients = np.empty((m, d + 1), dtype=float)
-    coefficients[:, 0] = intercept
-    coefficients[:, 1:] = slope
+        np.subtract(1.0, residual / tss, out=r_squared, where=tss > 0.0)
     return Q2BatchSolution(
         means=y_bar,
         coefficients=coefficients,
         r_squared=r_squared,
-        needs_fallback=needs_fallback,
+        needs_fallback=~solvable,
     )
 
 
@@ -496,11 +543,18 @@ def _lp_norms(deltas: np.ndarray, p: float) -> np.ndarray:
     return np.power(total, 1.0 / p, out=total)
 
 
-def _clustered_columns(inputs: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The ``(d, n)`` C-contiguous column copy of ``inputs[order]``."""
-    columns = np.empty(inputs.shape[::-1], dtype=float)
-    for k, column in enumerate(columns):
-        inputs[:, k].take(order, out=column)
+def _clustered_columns(
+    inputs: np.ndarray, outputs: np.ndarray, order: np.ndarray
+) -> np.ndarray:
+    """The ``(d + 1, n)`` C-contiguous column copy of ``[inputs, outputs][order]``.
+
+    Rows ``0..d-1`` are the input columns and row ``d`` the outputs.
+    """
+    count, d = inputs.shape
+    columns = np.empty((d + 1, count), dtype=float)
+    for k in range(d):
+        inputs[:, k].take(order, out=columns[k])
+    outputs.take(order, out=columns[d])
     return columns
 
 
@@ -519,12 +573,14 @@ class SegmentedBatchPipeline:
     the Q1 and Q2 prefix tables; :class:`ExactQueryEngine` holds one over
     its whole table.
 
-    The cell-clustered inputs are kept column-wise, as one C-contiguous
-    ``(d, n)`` copy (the decomposition storage model of Copeland &
-    Khoshafian, SIGMOD 1985): a boundary row test gathers the ``d`` input
-    rows of its candidates into ``(d, N)`` deltas, adds the ``d`` rows of
-    Lp terms (see :func:`_lp_norms`), and builds the Q2 moments
-    column-major, with no narrow ``(N, d)`` array and no per-row
+    The cell-clustered rows are kept column-wise, as one C-contiguous
+    ``(d + 1, n)`` copy of the inputs and then the outputs (the
+    decomposition storage model of Copeland & Khoshafian, SIGMOD 1985): a
+    boundary row test gathers the ``d + 1`` rows of its candidates in one
+    take, subtracts the centers in place to get ``(d, N)`` deltas, adds the
+    ``d`` rows of Lp terms (see :func:`_lp_norms`), and gathers the
+    selected deltas and outputs straight into the first rows of the Q2
+    moments, column-major, with no narrow ``(N, d)`` array and no per-row
     reduction.
 
     The grid, the clustered rows and each prefix table are built once, on
@@ -541,8 +597,9 @@ class SegmentedBatchPipeline:
         self._outputs = outputs
         self._build_lock = make_lock("pipeline.build")
         self._grid: GridIndex | None = None
-        self._clustered: tuple[np.ndarray, np.ndarray] | None = None
+        self._clustered: np.ndarray | None = None
         self._prefix_tables: dict[str, np.ndarray] = {}
+        self._references: tuple[np.ndarray, float] | None = None
 
     @property
     def size(self) -> int:
@@ -571,16 +628,15 @@ class SegmentedBatchPipeline:
                 grid = self._grid
         return grid
 
-    def _clustered_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cell-clustered ``(d, n)`` input columns and ``(n,)`` outputs (lazy)."""
+    def _clustered_arrays(self) -> np.ndarray:
+        """Cell-clustered ``(d + 1, n)`` columns: the inputs, then the outputs (lazy)."""
         clustered = self._clustered
         if clustered is None:
             order = self.grid.clustered_order
             with self._build_lock:
                 if self._clustered is None:
-                    self._clustered = (
-                        _clustered_columns(self._inputs, order),
-                        self._outputs[order],
+                    self._clustered = _clustered_columns(
+                        self._inputs, self._outputs, order
                     )
                 clustered = self._clustered
         return clustered
@@ -588,18 +644,18 @@ class SegmentedBatchPipeline:
     def select_rows(
         self, center: np.ndarray, radius: float, p: float
     ) -> tuple[np.ndarray, int]:
-        """Ascending ids of the rows inside one ball, plus rows scanned.
+        """Ascending ids of the rows inside one ball, plus rows tested.
 
         A batch of one through the fine grid: the ball's candidate ranges,
         the exact Lp test on the candidates, then a gather back to row ids.
         """
         grid = self.grid
         # The query was checked once, at the engine; skip the grid's checks.
-        qid, starts, ends, _, _, _ = grid._ranges_batch(  # noqa: SLF001
+        _, starts, ends, _, _, _ = grid._ranges_batch(  # noqa: SLF001
             center[np.newaxis, :], np.array([radius]), p, classify=False
         )
-        positions, _ = expand_ranges(qid, starts, ends)
-        columns, _ = self._clustered_arrays()
+        positions, _ = expand_ranges(starts, ends - starts)
+        columns = self._clustered_arrays()[:-1]
         deltas = columns.take(positions, axis=1) - center[:, np.newaxis]
         inside = _lp_norms(deltas, p) <= radius
         rows = np.sort(grid.clustered_order.take(positions.compress(inside)))
@@ -610,35 +666,55 @@ class SegmentedBatchPipeline:
 
         :func:`_compensated_prefix_table` over the :func:`_cell_values` of
         the occupied cells: a run of inner cells then sums from two table
-        rows, whatever its length.
+        columns, whatever its length.  The Q2 build also keeps the cells'
+        :func:`_cell_references` (:meth:`_q2_references`), which its values
+        are taken about.
         """
         table = self._prefix_tables.get(kind)
         if table is not None:
             return table
         grid = self.grid
-        columns, clustered_outputs = self._clustered_arrays()
+        columns = self._clustered_arrays()
         with self._build_lock:
             table = self._prefix_tables.get(kind)
             if table is None:
+                references = _cell_references(grid) if kind == "q2" else None
                 table = _compensated_prefix_table(
-                    _cell_values(kind, grid, columns, clustered_outputs)
+                    _cell_values(
+                        kind,
+                        grid,
+                        columns[:-1],
+                        columns[-1],
+                        None if references is None else references[0],
+                    )
                 )
+                if references is not None:
+                    self._references = references
+                # Published last: a reader that sees the Q2 table sees the
+                # references it was built about.
                 self._prefix_tables[kind] = table
         return table
 
+    def _q2_references(self) -> tuple[np.ndarray, float]:
+        """The occupied cells' Q2 references, as built with the Q2 table."""
+        self._prefix_table("q2")
+        if self._references is None:
+            raise InternalInvariantError("Q2 prefix table built without references")
+        return self._references
+
     @staticmethod
     def _segment_sums(
-        values: np.ndarray, counts: np.ndarray, out: np.ndarray
+        values: np.ndarray, bounds: np.ndarray, out: np.ndarray
     ) -> None:
         """Add per-query segment sums of ``values``' columns into ``out``'s rows.
 
         ``values`` is ``(width, N)``, ``N > 0``, its columns grouped by
-        query in ascending query order, ``counts[q]`` of them for query
-        ``q``.
+        query in ascending query order: query ``q``'s are
+        ``[bounds[q], bounds[q + 1])``.
         """
-        nonempty = counts > 0
-        segment_offsets = (counts.cumsum() - counts)[nonempty]
-        out[nonempty] += np.add.reduceat(values, segment_offsets, axis=1).T
+        starts = bounds[:-1]
+        nonempty = bounds[1:] > starts
+        out[nonempty] += np.add.reduceat(values, starts[nonempty], axis=1).T
 
     def segment_statistics(
         self,
@@ -647,7 +723,7 @@ class SegmentedBatchPipeline:
         p: float,
         *,
         kind: str,
-    ) -> tuple[np.ndarray, np.ndarray, int]:
+    ) -> tuple[np.ndarray, np.ndarray, int, int]:
         """Sufficient statistics of a (single-norm) batch via the fine grid.
 
         Candidate cells come from one vectorised pass over the batch grid
@@ -655,25 +731,29 @@ class SegmentedBatchPipeline:
         reads of the grid's cell directory; the engine's queries are checked
         once per batch, so the pass skips the grid's own checks).  Cells
         certified fully inside the ball come as runs over the occupied-cell
-        directory; each run's sums are the difference of two rows of the
+        directory; each run's sums are the difference of two columns of the
         kind's prefix table (:meth:`_prefix_table`), translated to the query
         center once per run for Q2 (:func:`_translate_runs`).  Only the
         boundary cells' rows get the exact Lp membership test: the input
-        columns are gathered at the candidate rows and the candidates' query
-        centers subtracted, giving ``(d, N)`` deltas whose Lp norms
-        (:func:`_lp_norms`) are compared with the radii, and the selected
-        columns are compressed once.  Q1 then reduces the selected outputs
-        and Q2 the ``(width, N)`` :func:`moment_products` of the selected
-        deltas.  There is no per-query Python loop anywhere.
+        columns are gathered at the candidate rows and each run's query
+        center, repeated over the run, subtracted, giving ``(d, N)`` deltas
+        whose Lp norms (:func:`_lp_norms`) are compared with the run's
+        radius; the selected columns are compressed once.  Q1 then reduces
+        the selected outputs and Q2 the ``(width, N)``
+        :func:`moment_products` of the selected deltas, each query over its
+        own segment.  There is no per-query Python loop anywhere, and no
+        per-row query id.
 
         The batch runs in query chunks of bounded estimated work (see
         :meth:`_chunk_bounds`), one range pass each.  A query's totals are
         segment reductions over its own runs and rows, so neither the
         chunks nor the rest of its batch change them.
 
-        Returns ``(counts, sums, scanned)`` where ``sums`` is ``(m, 1)``
-        output sums (``kind="q1"``) or the ``(m, width)``
-        :func:`moment_products` column sums (``kind="q2"``).
+        Returns ``(counts, sums, scanned, tested)`` where ``sums`` is
+        ``(m, 1)`` output sums (``kind="q1"``) or the ``(m, width)``
+        :func:`moment_products` column sums (``kind="q2"``), ``tested``
+        the boundary rows that took the exact test and ``scanned`` those
+        plus the rows of the inner runs summed from the prefix tables.
         """
         bounds = self._chunk_bounds(centers, radii)
         parts = [
@@ -682,8 +762,13 @@ class SegmentedBatchPipeline:
         ]
         if len(parts) == 1:
             return parts[0]
-        counts, sums, scanned = zip(*parts)
-        return np.concatenate(counts), np.concatenate(sums), sum(scanned)
+        counts, sums, scanned, tested = zip(*parts)
+        return (
+            np.concatenate(counts),
+            np.concatenate(sums),
+            sum(scanned),
+            sum(tested),
+        )
 
     def _chunk_bounds(self, centers: np.ndarray, radii: np.ndarray) -> list[int]:
         """Query offsets ``[0, ..., m]`` cutting a batch into bounded chunks.
@@ -716,12 +801,12 @@ class SegmentedBatchPipeline:
 
     def _chunk_statistics(
         self, centers: np.ndarray, radii: np.ndarray, p: float, kind: str
-    ) -> tuple[np.ndarray, np.ndarray, int]:
+    ) -> tuple[np.ndarray, np.ndarray, int, int]:
         """:meth:`segment_statistics` of one chunk, in one range pass."""
-        m = centers.shape[0]
-        width = 1 if kind == "q1" else moment_column_count(self.dimension)
-        counts = np.zeros(m, dtype=np.int64)
-        sums = np.zeros((m, width), dtype=float)
+        m, d = centers.shape
+        width = 1 if kind == "q1" else moment_column_count(d)
+        # Per query: its selected rows (exact integers), then its sums.
+        totals = np.zeros((m, 1 + width), dtype=float)
         grid = self.grid
         (
             boundary_qid,
@@ -731,54 +816,69 @@ class SegmentedBatchPipeline:
             inner_cell_starts,
             inner_cell_ends,
         ) = grid._ranges_batch(centers, radii, p, classify=True)  # noqa: SLF001
-        scanned = 0
+        # Both groups of runs are sorted by query, so searching either for
+        # 0..m finds each query's first run, then the end.
+        queries = np.arange(m + 1)
+        tested = boundary_selected = 0
 
-        # Boundary cells: the exact membership test.
+        # Boundary cells: the exact membership test.  A query's runs are
+        # consecutive, so its candidates are one segment of the expanded
+        # positions, and each candidate takes its run's center and radius.
         if boundary_starts.size:
-            positions, candidate_qid = expand_ranges(
-                boundary_qid, boundary_starts, boundary_ends
+            lengths = boundary_ends - boundary_starts
+            positions, run_bounds = expand_ranges(boundary_starts, lengths)
+            tested = positions.size
+            # Positions come from the grid's row directory, so they are in
+            # range: "clip" only skips the per-index range check.
+            candidates = self._clustered_arrays().take(positions, axis=1, mode="clip")
+            deltas = candidates[:-1]
+            np.subtract(
+                deltas,
+                centers.T.take(boundary_qid, axis=1).repeat(lengths, axis=1),
+                out=deltas,
             )
-            scanned += positions.size
-            columns, clustered_outputs = self._clustered_arrays()
-            deltas = columns.take(positions, axis=1)
-            np.subtract(deltas, centers.T.take(candidate_qid, axis=1), out=deltas)
-            inside = _lp_norms(deltas, p) <= radii.take(candidate_qid)
-            boundary_counts = np.bincount(candidate_qid.compress(inside), minlength=m)
-            counts += boundary_counts
-            selected_positions = positions.compress(inside)
-            if selected_positions.size:
-                selected_outputs = clustered_outputs.take(selected_positions)
+            inside = np.less_equal(
+                _lp_norms(deltas, p), radii.take(boundary_qid).repeat(lengths)
+            ).nonzero()[0]
+            boundary_selected = inside.size
+            if boundary_selected:
+                # Where each query's candidate segment starts among the
+                # selected rows.
+                bounds = inside.searchsorted(
+                    run_bounds.take(boundary_qid.searchsorted(queries))
+                )
+                totals[:, 0] = bounds[1:] - bounds[:-1]
                 if kind == "q1":
-                    values = selected_outputs[np.newaxis, :]
+                    values = candidates[-1:].take(inside, axis=1)
                 else:
-                    # The candidate deltas ARE the center-referenced ones;
-                    # compressing them avoids a second gather.
-                    values = moment_products(
-                        deltas.compress(inside, axis=1), selected_outputs
-                    )
-                self._segment_sums(values, boundary_counts, sums)
+                    # The candidate deltas ARE the center-referenced ones:
+                    # the selected deltas and outputs are gathered straight
+                    # into the moments' first rows ("clip" also lets the
+                    # take skip an output buffer).
+                    values = np.empty((width, boundary_selected), dtype=float)
+                    candidates.take(inside, axis=1, out=values[: d + 1], mode="clip")
+                    _fill_moment_products(values, d)
+                self._segment_sums(values, bounds, totals[:, 1:])
 
         # Fully-inside cells: each run sums from two prefix-table rows, with
-        # zero row-level work.
+        # zero row-level work.  The sums go column-per-run, so Q2 translates
+        # them with 1-D operations over the runs.
         if inner_cell_starts.size:
             run_sums = _range_sums(
                 self._prefix_table(kind), inner_cell_starts, inner_cell_ends
-            )
+            ).T
             if kind == "q2":
-                references, first_index, step = _cell_references(
-                    grid, inner_cell_starts
-                )
+                references, step = self._q2_references()
+                firsts = references.take(inner_cell_starts, axis=1, mode="clip")
+                shifts = firsts[:-1]
+                np.subtract(shifts, centers.T.take(inner_qid, axis=1), out=shifts)
                 run_sums = _translate_runs(
-                    run_sums, first_index, references - centers[inner_qid], step
+                    np.ascontiguousarray(run_sums), firsts[-1], shifts, step
                 )
-            run_counts = np.bincount(inner_qid, minlength=m)
-            inner_totals = np.zeros((m, run_sums.shape[1]), dtype=float)
-            self._segment_sums(run_sums.T, run_counts, inner_totals)
-            inner_rows = inner_totals[:, 0]
-            scanned += int(inner_rows.sum())
-            counts += np.rint(inner_rows).astype(np.int64)
-            sums += inner_totals[:, 1:]
-        return counts, sums, scanned
+            self._segment_sums(run_sums, inner_qid.searchsorted(queries), totals)
+        rows = totals[:, 0]
+        summed = int(np.add.reduce(rows)) - boundary_selected
+        return np.rint(rows).astype(np.int64), totals[:, 1:], tested + summed, tested
 
 
 class ExactQueryEngine:
@@ -840,8 +940,8 @@ class ExactQueryEngine:
         arrays.
         """
         self._checked_batch([query], "raise")
-        rows, scanned = self._select(query)
-        self.statistics.record_batch(1, scanned, int(rows.size))
+        rows, tested = self._select(query)
+        self.statistics.record_batch(1, tested, int(rows.size), tested)
         return self._inputs[rows], self._outputs[rows]
 
     def cardinality(self, query: Query) -> int:
@@ -885,15 +985,15 @@ class ExactQueryEngine:
         if not batch:
             return []
         answers: list[QueryAnswer | None] = [None] * len(batch)
-        scanned = 0
-        selected = 0
+        scanned = tested = selected = 0
         for order, group, (group_centers, group_radii) in group_by_norm_order(
             batch, centers, radii
         ):
-            counts, sums, scanned_group = self._statistics(
+            counts, sums, scanned_group, tested_group = self._statistics(
                 group_centers, group_radii, order, "q1"
             )
             scanned += scanned_group
+            tested += tested_group
             selected += int(counts.sum())
             # A query with no rows has sum 0; its mean is never read.
             means = sums / np.maximum(counts, 1)
@@ -902,7 +1002,7 @@ class ExactQueryEngine:
             ):
                 if count:
                     answers[position] = QueryAnswer(mean=mean, cardinality=count)
-        self.statistics.record_batch(len(batch), scanned, selected)
+        self.statistics.record_batch(len(batch), scanned, selected, tested)
         self._raise_on_empty(batch, answers, on_empty, "Q1")
         return answers
 
@@ -925,33 +1025,41 @@ class ExactQueryEngine:
         if not batch:
             return []
         answers: list[QueryAnswer | None] = [None] * len(batch)
-        scanned = 0
-        selected = 0
+        scanned = tested = selected = 0
         fallback_positions: list[int] = []
         for order, group, (group_centers, group_radii) in group_by_norm_order(
             batch, centers, radii
         ):
-            counts, moments, scanned_group = self._statistics(
+            counts, moments, scanned_group, tested_group = self._statistics(
                 group_centers, group_radii, order, "q2"
             )
             scanned += scanned_group
+            tested += tested_group
             selected += int(counts.sum())
             solution = solve_q2_sufficient_statistics(counts, moments, group_centers)
-            for local, position in enumerate(group):
-                if counts[local] == 0:
+            for position, count, fallback, mean, coefficients, r_squared in zip(
+                group.tolist(),
+                counts.tolist(),
+                solution.needs_fallback.tolist(),
+                solution.means.tolist(),
+                solution.coefficients,
+                solution.r_squared.tolist(),
+            ):
+                if not count:
                     continue
-                if solution.needs_fallback[local]:
-                    fallback_positions.append(int(position))
+                if fallback:
+                    fallback_positions.append(position)
                     continue
-                answers[int(position)] = QueryAnswer(
-                    mean=float(solution.means[local]),
-                    cardinality=int(counts[local]),
-                    coefficients=solution.coefficients[local],
-                    r_squared=float(solution.r_squared[local]),
+                answers[position] = QueryAnswer(
+                    mean=mean,
+                    cardinality=count,
+                    coefficients=coefficients,
+                    r_squared=r_squared,
                 )
         for position in fallback_positions:
-            rows, fallback_scanned = self._select(batch[position])
-            scanned += fallback_scanned
+            rows, fallback_tested = self._select(batch[position])
+            scanned += fallback_tested
+            tested += fallback_tested
             inputs, outputs = self._inputs[rows], self._outputs[rows]
             regressor = OLSRegressor().fit(inputs, outputs)
             answers[position] = QueryAnswer(
@@ -960,7 +1068,7 @@ class ExactQueryEngine:
                 coefficients=regressor.coefficients,
                 r_squared=regressor.r_squared(inputs, outputs),
             )
-        self.statistics.record_batch(len(batch), scanned, selected)
+        self.statistics.record_batch(len(batch), scanned, selected, tested)
         self._raise_on_empty(batch, answers, on_empty, "Q2")
         return answers
 
@@ -1018,19 +1126,19 @@ class ExactQueryEngine:
 
     def _statistics(
         self, centers: np.ndarray, radii: np.ndarray, p: float, kind: str
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """``(counts, sums, scanned)`` of one (single-norm) batch.
+    ) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """``(counts, sums, scanned, tested)`` of one (single-norm) batch.
 
         As :meth:`SegmentedBatchPipeline.segment_statistics` returns them,
         with Q1's ``sums`` flattened to ``(m,)``.
         """
-        counts, sums, scanned = self._pipeline.segment_statistics(
+        counts, sums, scanned, tested = self._pipeline.segment_statistics(
             centers, radii, p, kind=kind
         )
-        return counts, sums[:, 0] if kind == "q1" else sums, scanned
+        return counts, sums[:, 0] if kind == "q1" else sums, scanned, tested
 
     def _select(self, query: Query) -> tuple[np.ndarray, int]:
-        """``(ascending selected row ids, rows scanned)`` of one query.
+        """``(ascending selected row ids, rows tested)`` of one query.
 
         The pipeline selects through its grid's candidate ranges and the
         exact Lp test, the same test the batch kernel runs.

@@ -64,20 +64,22 @@ def batch_grid_cells_per_dimension(count: int, dimension: int) -> int:
 
 
 def expand_ranges(
-    query_ids: np.ndarray, starts: np.ndarray, ends: np.ndarray
+    starts: np.ndarray, lengths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten ``[start, end)`` runs into per-element ``(position, qid)``.
+    """Flatten the runs ``[start, start + length)`` into their positions.
 
     The vectorised inverse of range compression: every run contributes its
-    positions in order, tagged with the run's query id.  Used by the
-    executor's segmented batch pipeline.
+    positions in order.  Returns the positions and the ``(runs + 1,)``
+    bounds of the runs among them: run ``i`` fills
+    ``[bounds[i], bounds[i + 1])``.  Used by the executor's segmented batch
+    pipeline, which takes a position's query from the run that holds it,
+    not from a per-position array.
     """
-    lengths = ends - starts
-    offsets = lengths.cumsum() - lengths
-    total = int(offsets[-1] + lengths[-1]) if lengths.size else 0
-    positions = np.arange(total, dtype=np.int64)
-    positions += (starts - offsets).repeat(lengths)
-    return positions, query_ids.repeat(lengths)
+    bounds = np.zeros(lengths.size + 1, dtype=np.int64)
+    lengths.cumsum(out=bounds[1:])
+    positions = np.arange(bounds[-1], dtype=np.int64)
+    positions += (starts - bounds[:-1]).repeat(lengths)
+    return positions, bounds
 
 
 def _cell_directories(

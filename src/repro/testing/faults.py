@@ -263,7 +263,13 @@ class FaultyModel:
 
 
 #: The model-file corruption modes :func:`corrupt_model_file` implements.
-CORRUPTION_MODES = ("truncate", "garbage", "bad_version", "missing_field")
+CORRUPTION_MODES = (
+    "truncate",
+    "garbage",
+    "bad_version",
+    "missing_field",
+    "non_finite",
+)
 
 
 def corrupt_model_file(path: str | Path, mode: str = "truncate") -> Path:
@@ -281,6 +287,9 @@ def corrupt_model_file(path: str | Path, mode: str = "truncate") -> Path:
     ``"missing_field"``
         Keep valid JSON of the right version but drop the required
         ``dimension`` field.
+    ``"non_finite"``
+        Keep valid JSON of the right version but set the last map's
+        prototype radius to ``Infinity``, which ``json`` writes and reads.
     """
     import json
 
@@ -298,9 +307,13 @@ def corrupt_model_file(path: str | Path, mode: str = "truncate") -> Path:
         payload = json.loads(target.read_text(encoding="utf-8"))
         payload["format_version"] = 9999
         target.write_text(json.dumps(payload), encoding="utf-8")
-    else:  # missing_field
+    elif mode == "missing_field":
         payload = json.loads(target.read_text(encoding="utf-8"))
         payload.pop("dimension", None)
+        target.write_text(json.dumps(payload), encoding="utf-8")
+    else:  # non_finite
+        payload = json.loads(target.read_text(encoding="utf-8"))
+        payload["maps"][-1]["prototype"][-1] = float("inf")
         target.write_text(json.dumps(payload), encoding="utf-8")
     return target
 

@@ -19,6 +19,7 @@ import pytest
 from repro.config import ModelConfig, TrainingConfig
 from repro.core.model import LLMModel
 from repro.core.persistence import model_from_dict
+from repro.core.prediction import NeighborhoodPredictor
 from repro.core.prototypes import LocalLinearMap
 from repro.exceptions import DimensionalityMismatchError, InvalidQueryError
 from repro.queries.query import Query
@@ -136,6 +137,8 @@ class TestNeighborhoodKernel:
         kernel takes a negative radius as zero, and an infinite one gives
         ``inf / inf``, a NaN degree that counts as no overlap.  A query
         overlapping none of the rest takes the closest prototype alone.
+        A model file cannot hold an infinite radius (persistence refuses
+        it), so the kernel is built from the maps' arrays directly.
         """
         rng = np.random.default_rng(17)
         maps = _synthetic_maps(2, count=12, seed=19)
@@ -148,7 +151,11 @@ class TestNeighborhoodKernel:
             )
             for k, llm in enumerate(maps)
         ]
-        model = _model(maps)
+        predictor = NeighborhoodPredictor(
+            np.vstack([llm.prototype for llm in maps]),
+            np.vstack([llm.slope for llm in maps]),
+            np.array([llm.mean_output for llm in maps]),
+        )
         centers = np.vstack(
             [llm.center for llm in maps] + [rng.uniform(4.0, 5.0, size=(4, 2))]
         )
@@ -158,7 +165,7 @@ class TestNeighborhoodKernel:
         matrix = np.vstack([query.to_vector() for query in queries])
         # The infinite radius makes its own LLM's value and degree inf / inf.
         with np.errstate(invalid="ignore"):
-            _, weights, covered = model._predictor().q1(matrix, p)
+            _, weights, covered = predictor.q1(matrix, p)
         assert (weights[covered][:, list(odd_radii)] == 0.0).all()
         # The regular prototypes' weights are the oracle's over them alone.
         regular = [k for k in range(len(maps)) if k not in odd_radii]

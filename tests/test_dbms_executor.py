@@ -15,6 +15,7 @@ from repro.dbms.executor import (
     SegmentedBatchPipeline,
     solve_q2_sufficient_statistics,
 )
+from repro.dbms.spatial_index import batch_grid_cells_per_dimension
 from repro.dbms.storage import SQLiteDataStore
 from repro.exceptions import ConfigurationError, EmptySubspaceError, StorageError
 from repro.queries.geometry import pairwise_lp_distance
@@ -265,7 +266,7 @@ class TestMixedBatches:
 
 def _pipeline_statistics(inputs, outputs, centers, radii, kind):
     """``(counts, sums)`` of one row set's pipeline (L2 balls)."""
-    counts, sums, _ = SegmentedBatchPipeline(inputs, outputs).segment_statistics(
+    counts, sums, _, _ = SegmentedBatchPipeline(inputs, outputs).segment_statistics(
         centers, radii, 2.0, kind=kind
     )
     return counts, sums
@@ -382,13 +383,38 @@ class TestStatistics:
                 answer.mean, oracle.mean(query), rtol=TOLERANCE, atol=TOLERANCE
             )
 
+    def test_rows_tested_are_the_boundary_share_of_rows_scanned(
+        self, linear_dataset
+    ):
+        engine = ExactQueryEngine(linear_dataset)
+        oracle = ExactOracle(linear_dataset.inputs, linear_dataset.outputs)
+        queries = [
+            Query(center=np.array([0.5, 0.5]), radius=0.3),
+            Query(center=np.array([0.2, 0.7]), radius=0.1),
+        ]
+        engine.execute_q1_batch(queries)
+        stats = engine.statistics
+        selected = sum(map(oracle.count, queries))
+        # Wide balls sum most of their rows from inner runs.
+        assert 0 < stats.rows_tested < selected < stats.rows_scanned
+        # A ball covering the table is all inner runs: nothing is tested.
+        covering = ExactQueryEngine(linear_dataset)
+        covering.execute_q2_batch([Query(center=np.array([0.5, 0.5]), radius=9.0)])
+        assert covering.statistics.rows_tested == 0
+        assert covering.statistics.rows_scanned == linear_dataset.size
+        # select_subspace tests every candidate it scans.
+        single = ExactQueryEngine(linear_dataset)
+        single.select_subspace(queries[1])
+        assert 0 < single.statistics.rows_tested == single.statistics.rows_scanned
+
     def test_running_aggregates_are_constant_memory(self):
         stats = ExecutionStatistics()
         for index in range(9_999):
-            stats.record_batch(1, 10 + index % 3, 5)
+            stats.record_batch(1, 10 + index % 3, 5, 4)
         assert stats.queries_executed == 9_999
         assert stats.rows_scanned == 9_999 * 11
         assert stats.rows_selected == 9_999 * 5
+        assert stats.rows_tested == 9_999 * 4
         # No per-query containers anywhere in the instance state.
         assert not any(
             isinstance(value, (list, dict, np.ndarray))
@@ -407,6 +433,116 @@ class TestStatistics:
         assert stats.queries_executed == 0
         assert stats.rows_scanned == 0
         assert stats.rows_selected == 0
+        assert stats.rows_tested == 0
+
+
+def _holed_table(dimension: int, size: int = 3_000) -> SyntheticDataset:
+    """:func:`_table` without the rows of a central box a few cells wide."""
+    table = _table(dimension, size, seed=dimension + 5)
+    cells = batch_grid_cells_per_dimension(size, dimension)
+    half = max(0.1, 0.6 / cells)
+    keep = ~(np.abs(table.inputs - 0.5) <= half).all(axis=1)
+    return SyntheticDataset(
+        inputs=table.inputs[keep],
+        outputs=table.outputs[keep],
+        name=table.name,
+        domain=(0.0, 1.0),
+    )
+
+
+def _segment_edge_batch(dataset: SyntheticDataset, norm_order: float):
+    """A batch whose queries sit at every edge of the per-query segments.
+
+    In order: a ball inside one cell (boundary rows, no inner run), a ball
+    covering the table (inner runs, no boundary row), a tiny ball in the
+    table's empty central box (neither), a radius-0 ball on a row (selects
+    it), a ball far outside the domain (boundary rows, none selected), then
+    regular balls with both.  The edge balls repeat at the end, so empty
+    segments sit first, last and between non-empty ones.
+    """
+    rng = np.random.default_rng(dataset.dimension)
+    inputs = dataset.inputs
+    dimension = dataset.dimension
+    cell = SegmentedBatchPipeline(dataset.inputs, dataset.outputs).grid.cell_width
+    scale = dimension ** (1.0 / norm_order) if np.isfinite(norm_order) else 1.0
+    edges = [
+        (inputs[7], 0.2 * float(cell.min())),
+        (np.full(dimension, 0.5), 4.0 * dimension),
+        (np.full(dimension, 0.5), 1e-3),
+        (inputs[11], 0.0),
+        (np.full(dimension, 40.0), 0.3),
+    ]
+    regular = [
+        (rng.uniform(0.0, 1.0, dimension), float(rng.uniform(0.15, 0.4)) * scale)
+        for _ in range(5)
+    ]
+    balls = edges + regular + edges[::-1]
+    centers = np.array([center for center, _ in balls], dtype=float)
+    radii = np.array([radius for _, radius in balls], dtype=float)
+    return centers, radii
+
+
+@pytest.mark.parametrize("kind", ("q1", "q2"))
+@pytest.mark.parametrize("norm_order", (1.0, 2.0, np.inf))
+@pytest.mark.parametrize("dimension", (1, 2, 6))
+def test_segment_offsets_at_their_edges(dimension, norm_order, kind, monkeypatch):
+    """Queries with no boundary row, no inner run or neither, in one batch.
+
+    The batch, its batches of one and its chunked split (one query per
+    chunk) give bit-identical counts and sums, and the same rows scanned
+    and rows tested.
+    """
+    import repro.dbms.executor as executor
+
+    dataset = _holed_table(dimension)
+    centers, radii = _segment_edge_batch(dataset, norm_order)
+    pipeline = SegmentedBatchPipeline(dataset.inputs, dataset.outputs)
+    grid = pipeline.grid
+    (
+        boundary_qid,
+        boundary_starts,
+        boundary_ends,
+        inner_qid,
+        inner_starts,
+        inner_ends,
+    ) = grid.classified_ranges_batch(centers, radii, norm_order)
+    has_boundary = np.isin(np.arange(len(radii)), boundary_qid)
+    has_inner = np.isin(np.arange(len(radii)), inner_qid)
+    assert (has_boundary & ~has_inner).any()
+    assert (~has_boundary & has_inner).any()
+    assert (~has_boundary & ~has_inner).any()
+    assert (has_boundary & has_inner).any()
+
+    counts, sums, scanned, tested = pipeline.segment_statistics(
+        centers, radii, norm_order, kind=kind
+    )
+    # Tested: every boundary candidate; scanned: those plus the inner rows.
+    offsets = grid.cell_row_offsets
+    assert tested == int((boundary_ends - boundary_starts).sum())
+    inner_rows = int((offsets[inner_ends] - offsets[inner_starts]).sum())
+    assert scanned == tested + inner_rows
+    singles = [
+        pipeline.segment_statistics(
+            centers[q : q + 1], radii[q : q + 1], norm_order, kind=kind
+        )
+        for q in range(len(radii))
+    ]
+    assert counts.tobytes() == np.concatenate([s[0] for s in singles]).tobytes()
+    assert sums.tobytes() == np.concatenate([s[1] for s in singles]).tobytes()
+    assert scanned == sum(s[2] for s in singles)
+    assert tested == sum(s[3] for s in singles)
+    monkeypatch.setattr(executor, "_CHUNK_BOUNDARY_ROWS", 1)
+    chunked = pipeline.segment_statistics(centers, radii, norm_order, kind=kind)
+    assert chunked[0].tobytes() == counts.tobytes()
+    assert chunked[1].tobytes() == sums.tobytes()
+    assert chunked[2:] == (scanned, tested)
+    # The counts are the oracle's, and the radius-0 ball selects its row.
+    oracle = ExactOracle(dataset.inputs, dataset.outputs)
+    for q in np.flatnonzero(radii > 0.0):
+        query = Query(center=centers[q], radius=radii[q], norm_order=norm_order)
+        assert counts[q] == oracle.count(query)
+    assert counts[3] >= 1 and counts[2] == counts[4] == 0
+    assert 0 <= tested <= scanned
 
 
 class TestFromStore:

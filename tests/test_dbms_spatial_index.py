@@ -57,7 +57,7 @@ def _candidates(index: GridIndex, center, radius, p=2.0) -> np.ndarray:
     query_ids, starts, ends = index.candidate_ranges_batch(
         np.asarray(center, dtype=float)[np.newaxis, :], np.array([radius]), p=p
     )
-    positions, _ = expand_ranges(query_ids, starts, ends)
+    positions, _ = expand_ranges(starts, ends - starts)
     return index.clustered_order[positions]
 
 

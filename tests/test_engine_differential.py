@@ -230,7 +230,7 @@ def _assert_moments_match_brute_force(
         expected = products.sum(axis=1)
         bound = rtol * np.abs(products).sum(axis=1)
         center, radius = query.center[np.newaxis, :], np.array([query.radius])
-        counts, sums, _ = pipeline.segment_statistics(
+        counts, sums, _, _ = pipeline.segment_statistics(
             center, radius, query.norm_order, kind="q2"
         )
         assert counts[0] == rows.size, context
