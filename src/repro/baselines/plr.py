@@ -135,12 +135,6 @@ class MARSRegressor:
         return coefficients
 
     @property
-    def basis_functions(self) -> list[BasisFunction]:
-        """The retained hinge basis functions (after pruning)."""
-        self._require_fitted()
-        return list(self._basis)
-
-    @property
     def coefficients(self) -> np.ndarray:
         """Coefficients ``[c0, c1, ...]`` aligned with constant + basis terms."""
         return self._fitted_coefficients().copy()

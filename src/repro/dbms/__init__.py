@@ -32,10 +32,11 @@ during the training phase.  This subpackage provides that substrate:
   :class:`~repro.dbms.resilience.CircuitBreaker`,
 * :class:`~repro.dbms.concurrent.ConcurrentAnalyticsService` — the
   concurrent serving front over the service: bounded admission, a lone
-  session's scripts executed on its own thread and overlapping sessions'
-  fanned out to a thread pool, a micro-batching coalescer merging concurrent
-  sessions' statements into bigger (cheaper per-statement) batches, and a
-  version-keyed answer cache that model hot-swaps invalidate naturally,
+  session's scripts executed on its own thread, a self-clocked coalescer
+  that holds overlapping sessions' statements while a flush is in flight
+  and hands them to a thread pool as one round of bigger (cheaper
+  per-statement) batches when the last flush ends, and a version-keyed
+  answer cache that model hot-swaps invalidate naturally,
 * :class:`~repro.dbms.lifecycle.ModelManager` — the self-healing model
   lifecycle: sliding-window drift detection over the serving statistics,
   incremental retraining on the recorded recent query stream, versioned

@@ -1,4 +1,4 @@
-"""Concurrent serving front: fan-out, micro-batching coalescer, answer cache.
+"""Concurrent serving front: fan-out, self-clocked coalescer, answer cache.
 
 The batched serving layer (:class:`~repro.dbms.serving.AnalyticsService`)
 is synchronous and single-caller: one script at a time, one batch per
@@ -17,33 +17,35 @@ When the bound would be exceeded the submission is rejected with a typed
 without bound — bounded queues trade a clean, retryable rejection for the
 unbounded latency collapse of an overloaded server.
 
-**Micro-batching coalescer.**  Admitted statements are grouped by
+**Self-clocked coalescer.**  Admitted statements are grouped by
 ``(table, kind, mode)``.  Each admitted script decides once whether the
-front is busy: whether any flush is scheduled, waiting out its window, or
-running.  A script admitted to an *idle* front flushes all of its groups
-at once, since no other session is active to join them (PostgreSQL's group
-commit likewise waits ``commit_delay`` only while ``commit_siblings``
-other transactions are active), and it flushes them on the submitting
-thread, one after another, before :meth:`~ConcurrentAnalyticsService.submit_script`
+front is busy: whether any flush is in flight.  A script admitted to an
+*idle* front flushes all of its groups at once, since no other session is
+active to join them, and it flushes them on the submitting thread, one
+after another, before :meth:`~ConcurrentAnalyticsService.submit_script`
 returns: like a group-commit leader, the first arrival does the work
-itself instead of paying a hand-off to a worker.  Its flushes count as
-busy while they run, so a session arriving meanwhile joins the busy path.
-On a busy front the first arrival of a group schedules a flush on the
-worker pool :attr:`~ConcurrencyPolicy.coalesce_window_seconds` later;
-statements from *other* sessions arriving within the window join the same
-pending group, and the flush executes them as **one** batch through the
-inner service's ``execute_*_batch`` / ``predict_*_batch`` paths.  A flush
-stops counting as busy before it answers its callers, so a lone client
-woken by its answer finds the front idle.  Results are
-demultiplexed back to each caller in submission order with per-statement
-``degraded`` / ``error`` flags preserved — fault containment stays per
-group, so a mid-batch tier failure errors only the statements of the
-affected ``(table, kind)`` group, never co-batched statements of other
-groups.  A group hitting :attr:`~ConcurrencyPolicy.max_batch_statements`
-flushes immediately (the window is a latency bound, not a throughput
-one).  A script's statements join their groups under one lock hold, so a
-flush takes all of a script's statements of its group or none (short of
-the batch cap).
+itself instead of paying a hand-off to a worker.  On a busy front its
+statements wait in their groups, and the flush that leaves nothing in
+flight hands every waiting group to the worker pool at once, as one
+round: each group executes as **one** batch through the inner service's
+``execute_*_batch`` / ``predict_*_batch`` paths.  No timer decides when a
+batch is full.  The flushes in flight clock it, so a batch grows with the
+arrival rate times the flush time, as a group-commit leader flushes the
+queue that formed during the previous flush (Helland et al., HPTS 1987;
+MySQL's binary-log group commit, whose extra delay defaults to 0).  The
+clock is front-wide: a round waits for every flush in flight, not only
+its own group's.  A flush on a client's thread hands its round to the
+pool; it never runs it.  A flush stops counting as in flight before it
+answers its callers, so a lone client woken by its answer finds the front
+idle.  Results are demultiplexed back to each caller in submission order
+with per-statement ``degraded`` / ``error`` flags preserved — fault
+containment stays per group, so a mid-batch tier failure errors only the
+statements of the affected ``(table, kind)`` group, never co-batched
+statements of other groups.  A round splits a group larger than
+:attr:`~ConcurrencyPolicy.max_batch_statements` into runs of at most that
+size, which bounds a batch's memory.  A script's statements join their
+groups under one lock hold, so a flush takes all of a script's statements
+of its group or none (short of the batch cap).
 
 **Version-keyed answer cache.**  Repeated dashboard traffic is
 short-circuited by an :class:`AnswerCache` keyed on the canonicalised
@@ -82,7 +84,6 @@ statistics entirely, and a swap empties the cache).
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 import time
 from collections import OrderedDict
@@ -92,11 +93,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..analysis.instrument import make_lock, note_access
 from ..config import require_integer
-from ..exceptions import (
-    ConfigurationError,
-    ServiceClosedError,
-    ServiceOverloadedError,
-)
+from ..exceptions import ServiceClosedError, ServiceOverloadedError
 from .serving import (
     CALLER_ERRORS,
     AnalyticsService,
@@ -125,29 +122,19 @@ class ConcurrencyPolicy:
     Attributes
     ----------
     max_workers:
-        Worker threads executing the flushes of a busy front.  This bounds
-        how many pooled statement groups execute concurrently; the numpy
-        batch kernels release the GIL, so on multi-core hosts groups
-        genuinely overlap.  A script admitted to an idle front flushes on
-        its submitting thread, so a lone client uses no worker.
+        Worker threads executing a busy front's rounds: a round's groups
+        run up to this many at a time.  The numpy batch kernels release
+        the GIL, so on multi-core hosts groups genuinely overlap.  A script
+        admitted to an idle front flushes on its submitting thread, so a
+        lone client uses no worker.
     max_pending_statements:
         Admission bound: statements admitted but not yet answered.  A
         submission that would exceed it raises
         :class:`~repro.exceptions.ServiceOverloadedError`.
-    coalesce_window_seconds:
-        How long the first statement of a ``(table, kind, mode)`` group
-        waits for co-batchable arrivals before flushing, when its script
-        is admitted to a busy front (some flush scheduled, waiting or
-        running).  A script admitted to an idle front flushes at once, on
-        its submitting thread, so a lone client pays neither the window
-        nor a hand-off to the pool.  2–5 ms merges concurrent
-        dashboard traffic without a visible latency cost; ``0`` disables
-        coalescing (every submission flushes immediately).
-        It must be finite: an infinite window would hold a group until
-        :meth:`ConcurrentAnalyticsService.close`.
     max_batch_statements:
-        A pending group reaching this size flushes without waiting for
-        the window (bounds per-batch memory and worst-case latency).
+        The most statements one flush executes: a round splits a larger
+        group into runs of at most this size (bounds per-batch memory).
+        It never makes a group flush sooner.
     cache_capacity:
         Answer-cache entries retained (LRU eviction); ``0`` disables the
         cache entirely.
@@ -155,18 +142,12 @@ class ConcurrencyPolicy:
 
     max_workers: int = 4
     max_pending_statements: int = 4096
-    coalesce_window_seconds: float = 0.002
     max_batch_statements: int = 1024
     cache_capacity: int = 4096
 
     def __post_init__(self) -> None:
         require_integer("max_workers", self.max_workers, 1)
         require_integer("max_pending_statements", self.max_pending_statements, 1)
-        if not 0.0 <= self.coalesce_window_seconds < math.inf:
-            raise ConfigurationError(
-                f"coalesce_window_seconds must be finite and >= 0, got "
-                f"{self.coalesce_window_seconds}"
-            )
         require_integer("max_batch_statements", self.max_batch_statements, 1)
         require_integer("cache_capacity", self.cache_capacity, 0)
 
@@ -316,16 +297,6 @@ class _PendingEntry:
         self.enqueued_at = enqueued_at
 
 
-class _PendingGroup:
-    """The coalescer's per-``(table, kind, mode)`` accumulation buffer."""
-
-    __slots__ = ("entries", "flush_scheduled")
-
-    def __init__(self) -> None:
-        self.entries: list[_PendingEntry] = []
-        self.flush_scheduled = False
-
-
 class ConcurrentAnalyticsService(PerTableStatistics):
     """Concurrent, coalescing, caching front over an :class:`AnalyticsService`.
 
@@ -337,8 +308,8 @@ class ConcurrentAnalyticsService(PerTableStatistics):
         omitted service gets a private empty one (register tables through
         the delegating ``register_*`` methods).
     policy:
-        The :class:`ConcurrencyPolicy` (workers, admission bound,
-        coalescing window, cache sizing).
+        The :class:`ConcurrencyPolicy` (workers, admission bound, batch
+        cap, cache sizing).
     injector:
         Optional :class:`~repro.testing.faults.FaultInjector` fired at
         ``"concurrent.flush"`` and ``"concurrent.flush.{table}"`` before
@@ -373,12 +344,15 @@ class ConcurrentAnalyticsService(PerTableStatistics):
             max_workers=self._policy.max_workers,
             thread_name_prefix="repro-concurrent",
         )
-        self._groups: dict[tuple[str, str, str], _PendingGroup] = {}
+        # Statements waiting for the next round, by group (guarded by the
+        # groups lock).  They wait only while a flush is in flight, so the
+        # flush that leaves nothing in flight finds them all here.
+        self._groups: dict[tuple[str, str, str], list[_PendingEntry]] = {}
         self._groups_lock = make_lock(
             "concurrent.ConcurrentAnalyticsService.groups"
         )
-        # Flushes scheduled, waiting out their window, or running (guarded
-        # by the groups lock): the front is busy while this is nonzero.
+        # Flushes running or queued on the pool (guarded by the groups
+        # lock): the front is busy while this is nonzero.
         self._in_flight = 0
         # Admitted statements whose future has not resolved yet: the one
         # pending count (admission bound, drain wait, ``pending_statements``).
@@ -388,7 +362,6 @@ class ConcurrentAnalyticsService(PerTableStatistics):
         )
         self._origins = itertools.count()
         self._closed = False
-        self._closing = threading.Event()  # wakes window sleepers on close
         self._init_statistics("concurrent.ConcurrentAnalyticsService.stats")
         self._cache: AnswerCache | None = None
         self._swap_observer = None
@@ -460,38 +433,24 @@ class ConcurrentAnalyticsService(PerTableStatistics):
         New submissions fail synchronously with
         :class:`~repro.exceptions.ServiceClosedError` from the moment this
         is called.  Statements already admitted are *drained*: every
-        coalescer group still buffering flushes immediately (its window no
-        longer matters — nothing new can join), and the close blocks until
-        they answer, bounded by ``drain_seconds`` when given (no bound
-        waits them out).  Any future still unresolved when the drain
-        window ends gets :class:`~repro.exceptions.ServiceClosedError`
-        attached — a :class:`ScriptFuture` therefore always resolves
-        across a shutdown, never hangs.  A flush running on its
-        submitter's thread (an idle front's) keeps that thread until it
-        finishes: the close answers its statements with the error, but
-        cannot return their :meth:`submit_script` call early.  Idempotent.
+        coalescer group still waiting goes to the pool at once, as a round
+        (nothing new can join it), and the close blocks until they answer,
+        bounded by ``drain_seconds`` when given (no bound waits them out).
+        Any future still unresolved when the drain window ends gets
+        :class:`~repro.exceptions.ServiceClosedError` attached — a
+        :class:`ScriptFuture` therefore always resolves across a shutdown,
+        never hangs.  A flush running on its submitter's thread (an idle
+        front's) keeps that thread until it finishes: the close answers its
+        statements with the error, but cannot return their
+        :meth:`submit_script` call early.  Idempotent.
         """
         first_close = not self._closed
         self._closed = True
-        self._closing.set()
         if first_close:
-            # Flush whatever the coalescer is still buffering: no new
-            # arrivals can top these groups up, so their windows are moot.
             with self._groups_lock:
                 note_access(self, "groups")
-                batches = [
-                    (key, group.entries)
-                    for key, group in self._groups.items()
-                    if group.entries
-                ]
-                for _, group in self._groups.items():
-                    group.entries = []
-                self._in_flight += len(batches)
-            for key, batch in batches:
-                try:
-                    self._submit_flush(self._run_flush, key, batch)
-                except RuntimeError:  # pool already gone: answer inline
-                    self._run_flush(key, batch)
+                runs = self._take_runs(self._groups)
+            self._submit_round(runs)
         deadline = None if drain_seconds is None else self._clock() + drain_seconds
         with self._outstanding_cond:
             while self._outstanding:
@@ -554,15 +513,15 @@ class ConcurrentAnalyticsService(PerTableStatistics):
         the inner service's ``execute_script`` — cache hits carry the
         caller's statement and ``cached=True``.
 
-        When the script's misses reach a busy front (another flush
-        scheduled, waiting out its window, or running), this returns at
-        once and the pool answers them.  On an idle front the calling
-        thread executes the script's groups itself before returning, so
-        the future is already done: a lone client pays no hand-off, and
-        neither :meth:`ScriptFuture.result`'s ``timeout`` nor
-        :meth:`close`'s ``drain_seconds`` can cut that execution short.
-        Statement errors and caller errors of an executed group are
-        attached to the future either way, never raised from here.
+        When the script's misses reach a busy front (a flush in flight),
+        this returns at once: they wait in their groups for the round that
+        the last flush in flight hands to the pool.  On an idle front the
+        calling thread executes the script's groups itself before
+        returning, so the future is already done: a lone client pays no
+        hand-off, and neither :meth:`ScriptFuture.result`'s ``timeout``
+        nor :meth:`close`'s ``drain_seconds`` can cut that execution
+        short.  Statement errors and caller errors of an executed group
+        are attached to the future either way, never raised from here.
 
         Raises
         ------
@@ -755,136 +714,113 @@ class ConcurrentAnalyticsService(PerTableStatistics):
     def _enqueue(
         self, groups: dict[tuple[str, str, str], list[_PendingEntry]]
     ) -> None:
-        """Append one script's statements to their groups under one lock hold.
+        """Add one script's statements to the coalescer under one lock hold.
 
-        The script decides here, once, whether the front is busy.  On an
-        idle front no other session is active to join its groups, so the
-        caller flushes all of them itself, one after another, before
+        The script decides here, once, whether the front is busy.  On a
+        busy front (a flush in flight) its statements wait in their groups
+        for the round that the last flush in flight hands to the pool.  On
+        an idle front no other session is active to join its groups, so
+        the caller flushes all of them itself, one after another, before
         :meth:`submit_script` returns; they count as in flight while they
-        run, so a session arriving meanwhile finds the front busy.  On a
-        busy front every full ``max_batch_statements`` run flushes at once
-        on the pool and the rest waits for its group's window.  Either way
-        a flush taking a group sees all of the script's statements of it or
-        none.
+        run, so a session arriving meanwhile waits for them.  Either way a
+        flush taking a group sees all of the script's statements of it or
+        none (short of the batch cap).
         """
-        cap = self._policy.max_batch_statements
-        # (group, batch) runs a batch now; (group, None) waits the window.
-        flushes: list[tuple[tuple[str, str, str], list[_PendingEntry] | None]] = []
         with self._groups_lock:
             note_access(self, "groups")
-            # Nothing in flight: no other session is active to join these
-            # groups, so waiting would only add latency.  And a close()
-            # racing this submission may already have drained the groups;
-            # flushing everything keeps the entries from being stranded in
-            # a buffer nothing will ever flush.
-            idle = not self._in_flight
-            flush_all = idle or self._closed
-            for group_key, entries in groups.items():
-                group = self._groups.get(group_key)
-                if group is None:
-                    group = self._groups[group_key] = _PendingGroup()
-                pending = group.entries
-                pending.extend(entries)
-                stop = len(pending) if flush_all else len(pending) - len(pending) % cap
-                flushes.extend(
-                    (group_key, pending[start : start + cap])
-                    for start in range(0, stop, cap)
+            # After close() took its round, nothing may wait: a cancelled
+            # flush drops its count inside the pool's shutdown, where
+            # handing the pool a round would deadlock.  So a script that
+            # raced close() flushes as on an idle front.
+            if self._in_flight and not self._closed:
+                for group_key, entries in groups.items():
+                    self._groups.setdefault(group_key, []).extend(entries)
+                return
+            runs = self._take_runs(groups)
+        # The caller is the only session: handing its flushes to the pool
+        # would cost it a thread wake-up per script, so it runs them itself,
+        # as a group-commit leader flushes its own log.
+        for ran, (group_key, batch) in enumerate(runs, 1):
+            try:
+                self._run_flush(group_key, batch)
+            except BaseException as exc:
+                # An interrupt on the caller's thread: the flushes it never
+                # reached answer with it, so no close() waits on them.
+                self._abandon(runs[ran:], exc)
+                raise
+
+    def _take_runs(
+        self, groups: dict[tuple[str, str, str], list[_PendingEntry]]
+    ) -> list[tuple[tuple[str, str, str], list[_PendingEntry]]]:
+        """Empty ``groups`` into runs of at most ``max_batch_statements``.
+
+        The runs count as in flight from here; the caller holds the groups
+        lock.
+        """
+        cap = self._policy.max_batch_statements
+        runs = [
+            (group_key, entries[start : start + cap])
+            for group_key, entries in groups.items()
+            for start in range(0, len(entries), cap)
+        ]
+        groups.clear()
+        self._in_flight += len(runs)
+        return runs
+
+    def _submit_round(
+        self, runs: list[tuple[tuple[str, str, str], list[_PendingEntry]]]
+    ) -> None:
+        """Hand counted runs to the pool, ``max_workers`` of them at a time.
+
+        A run that :meth:`close` cancels before it starts never executes,
+        so its count drops when it is cancelled instead.  A pool that is
+        already shut down answers the runs it refuses with the typed
+        closed error.
+        """
+        for submitted, (group_key, batch) in enumerate(runs):
+            try:
+                task = self._pool.submit(self._run_flush, group_key, batch)
+            except RuntimeError:
+                self._abandon(
+                    runs[submitted:],
+                    ServiceClosedError(
+                        "the concurrent serving front closed while the "
+                        "statement waited to flush"
+                    ),
                 )
-                if stop:
-                    group.entries = pending[stop:]
-                if group.entries and not group.flush_scheduled:
-                    group.flush_scheduled = True
-                    flushes.append((group_key, None))
-            self._in_flight += len(flushes)
-        if idle:
-            # The caller is the only session: handing its flushes to the
-            # pool would cost it a thread wake-up per script, so it runs
-            # them itself, as a group-commit leader flushes its own log.
-            for ran, (group_key, batch) in enumerate(flushes, 1):
-                try:
-                    self._run_flush(group_key, batch)  # type: ignore[arg-type]
-                except BaseException as exc:
-                    # An interrupt on the caller's thread: the flushes it
-                    # never reached answer with it, so no close() waits on
-                    # them.
-                    self._abandon(flushes[ran:], exc)
-                    raise
-            return
-        submitted = 0
-        try:
-            for group_key, batch in flushes:
-                if batch is None:
-                    self._submit_flush(self._window_flush, group_key)
-                else:
-                    self._submit_flush(self._run_flush, group_key, batch)
-                submitted += 1
-        except RuntimeError:
-            # The pool shut down underneath us: answer the affected
-            # entries with the typed closed error instead of hanging them.
-            self._abandon(
-                flushes[submitted:],
-                ServiceClosedError(
-                    "the concurrent serving front closed while the statement "
-                    "was being enqueued"
-                ),
-            )
+                return
+            task.add_done_callback(self._drop_if_cancelled)
 
     def _abandon(
         self,
-        flushes: list[tuple[tuple[str, str, str], list[_PendingEntry] | None]],
+        runs: list[tuple[tuple[str, str, str], list[_PendingEntry]]],
         exc: BaseException,
     ) -> None:
-        """Answer with ``exc`` every entry of counted flushes that never run.
-
-        Each stops counting as in flight; a window flush gives up whatever
-        its group has buffered.
-        """
-        stranded = [
-            entry for _, batch in flushes if batch is not None for entry in batch
-        ]
-        with self._groups_lock:
-            note_access(self, "groups")
-            self._in_flight -= len(flushes)
-            for group_key, batch in flushes:
-                if batch is None:
-                    group = self._groups[group_key]
-                    stranded.extend(group.entries)
-                    group.entries = []
-                    group.flush_scheduled = False
-        for pending in stranded:
-            self._resolve(pending.future, exc=exc)
-
-    def _submit_flush(self, task: Callable[..., None], *args: object) -> None:
-        """Run a flush counted in ``_in_flight`` on the pool.
-
-        A task that :meth:`close` cancels before it starts never runs, so
-        its count drops when it is cancelled instead.
-        """
-        self._pool.submit(task, *args).add_done_callback(self._drop_if_cancelled)
+        """Answer with ``exc`` every entry of counted runs that never execute."""
+        self._flush_finished(len(runs))
+        for _, batch in runs:
+            for entry in batch:
+                self._resolve(entry.future, exc=exc)
 
     def _drop_if_cancelled(self, task: Future) -> None:
         if task.cancelled():
             self._flush_finished()
 
-    def _flush_finished(self) -> None:
-        with self._groups_lock:
-            note_access(self, "groups")
-            self._in_flight -= 1
+    def _flush_finished(self, flushes: int = 1) -> None:
+        """Stop counting ``flushes`` as in flight.
 
-    def _window_flush(self, group_key: tuple[str, str, str]) -> None:
-        window = self._policy.coalesce_window_seconds
-        if window > 0.0:
-            self._closing.wait(window)
+        The flush that leaves nothing in flight hands every waiting group
+        to the pool at once: the round that formed while the front was
+        busy.  Its test is O(1), so a lone client's flush pays nothing
+        for it.
+        """
         with self._groups_lock:
             note_access(self, "groups")
-            group = self._groups[group_key]
-            batch = group.entries
-            group.entries = []
-            group.flush_scheduled = False
-            if not batch:  # close() already flushed them
-                self._in_flight -= 1
-        if batch:
-            self._run_flush(group_key, batch)
+            self._in_flight -= flushes
+            if self._in_flight or not self._groups:
+                return
+            runs = self._take_runs(self._groups)
+        self._submit_round(runs)
 
     def _run_flush(
         self, group_key: tuple[str, str, str], entries: list[_PendingEntry]
@@ -892,10 +828,11 @@ class ConcurrentAnalyticsService(PerTableStatistics):
         """Execute one batch, then answer its callers.
 
         The flush stops counting as in flight before any caller wakes, so
-        a lone client woken by its answer finds the front idle.  Whatever
-        escapes the batch answers every caller of this group, and only
-        this group: a caller error (unknown table, bad configuration) is
-        their answer; anything else, such as an interrupt of a flush on
+        a lone client woken by its answer finds the front idle; the last
+        flush in flight first hands the waiting round to the pool.
+        Whatever escapes the batch answers every caller of this group, and
+        only this group: a caller error (unknown table, bad configuration)
+        is their answer; anything else, such as an interrupt of a flush on
         its submitter's thread, is re-raised once they have it.
         """
         try:

@@ -71,10 +71,6 @@ class TableSchema:
         """All column names, inputs first, output last."""
         return [col.name for col in self.input_columns] + [self.output_column.name]
 
-    @property
-    def input_column_names(self) -> list[str]:
-        return [col.name for col in self.input_columns]
-
     def create_table_sql(self) -> str:
         """Return the CREATE TABLE statement for this schema."""
         columns = ", ".join(

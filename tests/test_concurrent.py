@@ -183,15 +183,35 @@ def _pending_future(front: ConcurrentAnalyticsService):
     return future
 
 
+def _wait_for(condition, timeout: float = 10.0) -> None:
+    """Poll ``condition`` until it holds; fail the test after ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "the condition never held"
+        time.sleep(0.001)
+
+
+def _settled(front: ConcurrentAnalyticsService) -> None:
+    """Wait for nothing in flight, then check that nothing waits either."""
+    _wait_for(lambda: front._in_flight == 0)
+    assert front._groups == {}
+
+
+class _Interrupt(BaseException):
+    """Stands in for a KeyboardInterrupt on the submitting thread."""
+
+
 @contextlib.contextmanager
 def _busy_front(front: ConcurrentAnalyticsService, hold: _FlushHold):
     """Keep a flush of ``OTHER`` in flight, so the front is busy.
 
     Another session submits the held statement; the front is idle, so
     its flush runs, and is held, on that session's thread.  Scripts
-    submitted inside wait out the coalesce window on the pool, as every
-    script does while another session's flush is in flight.  The held
-    statement's caller gives it up, so it does not count as pending.
+    submitted inside wait in their groups, as every script does while a
+    flush is in flight, until the hold is released on exit: the held
+    flush's end hands them to the pool as one round.  So a test blocks on
+    their answers only after the block.  The held statement's caller
+    gives it up, so it does not count as pending.
     """
     session = _Session(
         front,
@@ -213,15 +233,12 @@ class TestConcurrencyPolicy:
     def test_defaults_are_valid(self):
         policy = ConcurrencyPolicy()
         assert policy.max_workers >= 1
-        assert 0.0 < policy.coalesce_window_seconds <= 0.005
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"max_workers": 0},
             {"max_pending_statements": 0},
-            {"coalesce_window_seconds": -0.001},
-            {"coalesce_window_seconds": float("inf")},
             {"max_batch_statements": 0},
             {"cache_capacity": -1},
         ],
@@ -325,7 +342,6 @@ class TestEquivalence:
         hold = _FlushHold()
         front = ConcurrentAnalyticsService(
             AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
-            policy=ConcurrencyPolicy(coalesce_window_seconds=0.005),
             injector=hold,
         )
         try:
@@ -346,15 +362,19 @@ class TestEquivalence:
             with _busy_front(front, hold):
                 for t in threads:
                     t.start()
-                for t in threads:
-                    t.join(timeout=30.0)
-                    assert not t.is_alive()
+                _wait_for(lambda: front.pending_statements == 4 * len(script))
+            for t in threads:
+                t.join(timeout=30.0)
+                assert not t.is_alive()
             for served in outputs:
                 for got, want in zip(served, reference):
                     assert got.value == want.value
             stats = front.statistics_for(TABLE)
-            assert stats.max_coalesce_width >= 2  # sessions actually merged
-            assert stats.coalesced_batches >= 1
+            # One round: each of the script's two groups is one batch of
+            # all four sessions.
+            assert stats.batches_executed == 2
+            assert stats.max_coalesce_width == 4
+            assert stats.coalesced_batches == 2
             assert stats.p99_seconds > 0.0
         finally:
             front.close()
@@ -760,10 +780,7 @@ class TestScriptGroups:
         sys.setswitchinterval(1e-6)  # let a flush thread cut in anywhere
         try:
             with ConcurrentAnalyticsService(
-                inner,
-                policy=ConcurrencyPolicy(
-                    coalesce_window_seconds=0.0, cache_capacity=0
-                ),
+                inner, policy=ConcurrencyPolicy(cache_capacity=0)
             ) as front:
                 for _ in range(200):
                     served = front.execute_script(script, mode="exact")
@@ -790,64 +807,117 @@ class TestScriptGroups:
             for i in range(9)
         ]
         reference = _inner(engine, model).execute_script(script, mode="exact")
-        # On a busy front the window outlasts the test: only a full batch
-        # or close() flushes.
         hold = _FlushHold()
         front = ConcurrentAnalyticsService(
             _Sizes({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
-            policy=ConcurrencyPolicy(
-                coalesce_window_seconds=60.0,
-                max_batch_statements=4,
-                cache_capacity=0,
-            ),
+            policy=ConcurrencyPolicy(max_batch_statements=4, cache_capacity=0),
             injector=hold,
         )
         try:
             with _busy_front(front, hold):
                 waiting = front.submit_script(script[:3], mode="exact")
                 joining = front.submit_script(script[3:], mode="exact")
-                # 3 + 6 pending: two full batches of 4 flush, 1 waits.
-                deadline = time.monotonic() + 10.0
-                while (
-                    front.pending_statements > 1 and time.monotonic() < deadline
-                ):
-                    time.sleep(0.001)
-                assert front.pending_statements == 1
+                # 3 + 6 statements of one group: two full runs of 4 wait
+                # for the held flush like the last one.
+                time.sleep(0.05)
+                assert front.pending_statements == 9
+                assert sizes == []
+            served = waiting.result(timeout=10.0) + joining.result(timeout=10.0)
         finally:
             front.close(drain_seconds=10.0)
+        # The round splits the group into runs of at most 4.
         assert sorted(sizes) == [1, 4, 4]
-        served = waiting.result(timeout=1.0) + joining.result(timeout=1.0)
         assert [r.value for r in served] == [r.value for r in reference]
+        stats = front.statistics_for(TABLE)
+        assert (stats.batches_executed, stats.max_coalesce_width) == (3, 2)
+
+    def test_many_sessions_leave_nothing_waiting(
+        self, engine, other_engine, model
+    ):
+        # More sessions than cores, and a thread switch possible almost
+        # anywhere: every statement executes once and is answered, and the
+        # last flush leaves nothing in flight and nothing waiting.
+        scripts = [
+            [
+                f"SELECT AVG(u) FROM {table} WITHIN 0.1 OF ({0.05 + 0.03 * i:.2f}, 0.5)",
+                f"SELECT COUNT(*) FROM {table} WITHIN 0.1 OF (0.5, {0.05 + 0.03 * i:.2f})",
+            ]
+            for i in range(30)
+            for table in (TABLE, OTHER)
+        ]
+        engines = {TABLE: engine, OTHER: other_engine}
+        reference = [
+            AnalyticsService(engines).execute_script(script, mode="exact")
+            for script in scripts
+        ]
+        front = ConcurrentAnalyticsService(
+            AnalyticsService(engines, {TABLE: model}),
+            policy=ConcurrencyPolicy(max_workers=2, cache_capacity=0),
+        )
+        sessions = 8
+        served: list = [None] * sessions
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(sessions)
+
+        def session(index: int) -> None:
+            try:
+                barrier.wait()
+                served[index] = [
+                    front.execute_script(script, mode="exact", timeout=30.0)
+                    for script in scripts
+                ]
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=session, args=(index,), daemon=True)
+            for index in range(sessions)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            front.close(drain_seconds=10.0)
+        assert errors == []
+        _settled(front)
+        for results in served:
+            for got, want in zip(results, reference):
+                assert [r.value for r in got] == [r.value for r in want]
+        executed = sum(
+            front.service.statistics_for(table).statements_executed
+            for table in engines
+        )
+        assert executed == sessions * 2 * len(scripts)
 
 
 class TestIdleFront:
-    """A script waits the coalesce window only on a busy front: one with a
-    flush scheduled, waiting out its window, or running.  A test that
-    needs a script on the pool submits it inside ``_busy_front``."""
+    """A script waits only on a busy front: one with a flush in flight.  A
+    test that needs a script on the pool submits it inside
+    ``_busy_front``."""
 
     @pytest.mark.parametrize("groups", [1, 2], ids=["one-group", "two-groups"])
     def test_lone_script_does_not_wait_the_window(self, engine, model, groups):
         script = _script(1)[:groups]  # an AVG, then a COUNT
-        with ConcurrentAnalyticsService(
-            _inner(engine, model),
-            policy=ConcurrencyPolicy(coalesce_window_seconds=60.0),
-        ) as front:
+        with ConcurrentAnalyticsService(_inner(engine, model)) as front:
             served = front.submit_script(script).result(timeout=5.0)
             assert [r.ok for r in served] == [True] * groups
             assert front.statistics_for(TABLE).batches_executed == groups
 
     def test_back_to_back_scripts_find_the_front_idle(self, engine, model):
         # A flush stops counting as busy before it answers, so the client
-        # it wakes never sees its own finished flush and waits the window.
+        # it wakes never sees its own finished flush and waits in a group.
         script = _script(1)[:1]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # let the woken client cut in anywhere
         try:
             with ConcurrentAnalyticsService(
-                _inner(engine, model),
-                policy=ConcurrencyPolicy(
-                    coalesce_window_seconds=60.0, cache_capacity=0
-                ),
+                _inner(engine, model), policy=ConcurrencyPolicy(cache_capacity=0)
             ) as front:
                 for _ in range(200):
                     [result] = front.submit_script(script, mode="exact").result(
@@ -896,14 +966,14 @@ class TestIdleFront:
         hold = _FlushHold()
         front = ConcurrentAnalyticsService(
             AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
-            policy=ConcurrencyPolicy(coalesce_window_seconds=0.5, cache_capacity=0),
+            policy=ConcurrencyPolicy(cache_capacity=0),
             injector=hold,
         )
         try:
             with _busy_front(front, hold):
                 first = front.submit_script(_script(1)[:1], mode="exact")
                 second = front.submit_script(_script(2)[1:2], mode="exact")
-                served = first.result(timeout=10.0) + second.result(timeout=10.0)
+            served = first.result(timeout=10.0) + second.result(timeout=10.0)
             assert all(r.ok for r in served)
             stats = front.statistics_for(TABLE)
             assert stats.batches_executed == 1
@@ -911,14 +981,47 @@ class TestIdleFront:
         finally:
             front.close()
 
+    def test_a_held_flush_clocks_the_next_round(
+        self, engine, other_engine, model
+    ):
+        # The front's clock never advances, so no timer could ever expire:
+        # the waiting statements flush when, and because, the held flush
+        # ends, each group as one batch of every script.
+        scripts = [[_script(3)[i], _script(3)[-1]] for i in range(3)]
+        reference = [
+            _inner(engine, model).execute_script(script, mode="exact")
+            for script in scripts
+        ]
+        hold = _FlushHold()
+        front = ConcurrentAnalyticsService(
+            AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
+            policy=ConcurrencyPolicy(cache_capacity=0),
+            injector=hold,
+            clock=lambda: 0.0,
+        )
+        try:
+            with _busy_front(front, hold):
+                futures = [
+                    front.submit_script(script, mode="exact") for script in scripts
+                ]
+                time.sleep(0.05)
+                assert not any(future.done() for future in futures)
+                assert front.statistics_for(TABLE).batches_executed == 0
+            served = [future.result(timeout=10.0) for future in futures]
+        finally:
+            front.close()
+        for got, want in zip(served, reference):
+            assert [r.value for r in got] == [r.value for r in want]
+        stats = front.statistics_for(TABLE)
+        assert stats.batches_executed == 2  # an AVG group and a COUNT group
+        assert stats.max_coalesce_width == stats.mean_coalesce_width == 3
+
     def test_count_is_exact_across_flush_faults_and_caller_errors(
         self, engine, model
     ):
         injector = FaultInjector()
         front = ConcurrentAnalyticsService(
-            _inner(engine, model),
-            policy=ConcurrencyPolicy(coalesce_window_seconds=60.0),
-            injector=injector,
+            _inner(engine, model), injector=injector
         )
         script = _script(1)[:1]
         try:
@@ -935,27 +1038,58 @@ class TestIdleFront:
         finally:
             front.close()
 
+    @pytest.mark.parametrize(
+        "error",
+        [InjectedFaultError, ConfigurationError, _Interrupt],
+        ids=["flush-fault", "caller-error", "interrupt"],
+    )
+    def test_a_failed_flush_still_hands_the_round_on(
+        self, engine, other_engine, model, error
+    ):
+        # The held flush fails once released: contained, a caller error,
+        # or an interrupt of the session's thread.  The statements that
+        # waited for it still flush, and nothing is left waiting.
+        hold = _FlushHold()
+        front = ConcurrentAnalyticsService(
+            AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
+            policy=ConcurrencyPolicy(cache_capacity=0),
+            injector=hold,
+        )
+        hold.arm(f"concurrent.flush.{OTHER}", error=error, times=1)
+        interrupted = (
+            pytest.raises(_Interrupt)
+            if error is _Interrupt
+            else contextlib.nullcontext()
+        )
+        try:
+            with interrupted, _busy_front(front, hold):
+                waiting = front.submit_script(_script(2), mode="exact")
+                assert not waiting.done()
+            assert all(r.ok for r in waiting.result(timeout=10.0))
+            _settled(front)
+            assert front.pending_statements == 0
+        finally:
+            front.close()
+
     def test_count_is_exact_when_the_pool_is_gone(
         self, engine, other_engine, model
     ):
         # close() shuts the pool down after marking the front closed; a
-        # submission racing it finds the pool gone, idle or busy.
+        # round handed over after that finds the pool gone.
         hold = _FlushHold()
         front = ConcurrentAnalyticsService(
             AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
-            policy=ConcurrencyPolicy(coalesce_window_seconds=60.0),
             injector=hold,
         )
         with _busy_front(front, hold):
             front._pool.shutdown(wait=False)
             busy = front.submit_script(_script(2))
-            with pytest.raises(ServiceClosedError):
-                busy.result(timeout=5.0)
             assert front._in_flight == 1  # only the held flush
-        deadline = time.monotonic() + 10.0
-        while front._in_flight and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert front._in_flight == 0
+        # The held flush's end hands the waiting round to the gone pool,
+        # which answers it with the typed error.
+        with pytest.raises(ServiceClosedError):
+            busy.result(timeout=5.0)
+        _settled(front)
         # An idle front runs the script on this thread, so it needs no
         # pool: it answers.
         idle = front.submit_script(_script(2))
@@ -970,28 +1104,22 @@ class TestIdleFront:
         hold = _FlushHold()
         front = ConcurrentAnalyticsService(
             AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
-            policy=ConcurrencyPolicy(max_workers=1, coalesce_window_seconds=0.0),
+            policy=ConcurrencyPolicy(max_workers=1),
             injector=hold,
         )
         hold.arm("concurrent.flush", error=None, delay_seconds=0.2, times=None)
         with _busy_front(front, hold):
-            # Admitted to a busy front, this script's flush takes the
-            # pool's only worker...
-            running = front.submit_script(_script(1)[:1])
-            deadline = time.monotonic() + 5.0
-            while hold.fired_count("concurrent.flush") < 2:  # held + running
-                assert time.monotonic() < deadline, "the first flush never started"
-                time.sleep(0.001)
-            # ...and this one's queues behind it until close() cancels it.
-            queued = front.submit_script(_script(2)[1:2])
-            front.close(drain_seconds=0.05)
+            running = front.submit_script(_script(1)[:1])  # an AVG
+            queued = front.submit_script(_script(1)[1:])  # a COUNT
+        # The held flush's end hands both groups to the pool's only
+        # worker: one flush runs, the other queues behind it until close()
+        # cancels it.
+        _wait_for(lambda: hold.fired_count("concurrent.flush") >= 2)
+        front.close(drain_seconds=0.05)
         for future in (running, queued):
             with pytest.raises(ServiceClosedError):
                 future.result(timeout=2.0)
-        deadline = time.monotonic() + 5.0
-        while front._in_flight and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert front._in_flight == 0
+        _settled(front)
 
     def test_close_drains_a_waiting_group_and_the_count(
         self, engine, other_engine, model
@@ -999,16 +1127,15 @@ class TestIdleFront:
         hold = _FlushHold()
         front = ConcurrentAnalyticsService(
             AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
-            policy=ConcurrencyPolicy(coalesce_window_seconds=60.0),
             injector=hold,
         )
         with _busy_front(front, hold):
             future = front.submit_script(_script(2))
-        front.close(drain_seconds=10.0)
-        assert all(r.ok for r in future.result(timeout=1.0))
-        # The drained groups' window flushes woke to empty buffers, and
-        # close() joined them.
-        assert front._in_flight == 0
+            # The held flush is still in flight: close() hands the waiting
+            # groups to the pool itself, and drains them.
+            front.close(drain_seconds=10.0)
+            assert all(r.ok for r in future.result(timeout=1.0))
+        _settled(front)
 
 
 def _bits(value):
@@ -1020,10 +1147,6 @@ def _bits(value):
     return np.asarray(value).tobytes()
 
 
-class _Interrupt(BaseException):
-    """Stands in for a KeyboardInterrupt on the submitting thread."""
-
-
 class TestInlineFlush:
     """An idle front's script flushes on the thread that submits it, one
     group after another, before ``submit_script`` returns."""
@@ -1032,9 +1155,7 @@ class TestInlineFlush:
     def test_idle_script_is_done_when_submit_returns(self, engine, model, groups):
         threads = _FlushThreads()
         with ConcurrentAnalyticsService(
-            _inner(engine, model),
-            policy=ConcurrencyPolicy(coalesce_window_seconds=60.0),
-            injector=threads,
+            _inner(engine, model), injector=threads
         ) as front:
             future = front.submit_script(_script(1)[:groups])  # AVG, COUNT
             assert future.done()
@@ -1081,7 +1202,7 @@ class TestInlineFlush:
         hold = _FlushHold()
         front = ConcurrentAnalyticsService(
             AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
-            policy=ConcurrencyPolicy(coalesce_window_seconds=0.5, cache_capacity=0),
+            policy=ConcurrencyPolicy(cache_capacity=0),
             injector=hold,
         )
         try:
@@ -1090,9 +1211,11 @@ class TestInlineFlush:
                 assert front._in_flight == 1
                 first = front.submit_script(_script(1)[:1], mode="exact")
                 second = front.submit_script(_script(2)[1:2], mode="exact")
-                # Both returned at once, to wait their window on the pool.
+                # Both returned at once, to wait for the held flush.
                 assert not first.done() and not second.done()
-                served = first.result(timeout=10.0) + second.result(timeout=10.0)
+            # Its end handed them to the pool rather than running them on
+            # the session's thread.
+            served = first.result(timeout=10.0) + second.result(timeout=10.0)
             assert all(r.ok for r in served)
             stats = front.statistics_for(TABLE)
             assert (stats.batches_executed, stats.max_coalesce_width) == (1, 2)
@@ -1228,16 +1351,12 @@ class TestRefusedAtAdmission:
             {TABLE: engine, OTHER: other_engine}, {TABLE: model}
         )
         inner.observers.subscribe(_Events())
-        # On a busy front the window outlasts the test: the valid statement
-        # waits in its group until close() flushes it, so every statement
-        # admitted after it in the same mode would have shared its batch.
+        # On a busy front the valid statement waits in its group until the
+        # held flush ends, so every statement admitted after it in the same
+        # mode would have shared its batch.
         hold = _FlushHold()
         front = ConcurrentAnalyticsService(
-            inner,
-            policy=ConcurrencyPolicy(
-                coalesce_window_seconds=60.0, cache_capacity=0
-            ),
-            injector=hold,
+            inner, policy=ConcurrencyPolicy(cache_capacity=0), injector=hold
         )
         valid = f"SELECT AVG(u) FROM {TABLE} WITHIN 0.15 OF (0.4, 0.4)"
         try:
@@ -1272,11 +1391,7 @@ class TestAdmissionControl:
         )
         front = ConcurrentAnalyticsService(
             AnalyticsService({TABLE: slow}, {TABLE: model}),
-            policy=ConcurrencyPolicy(
-                max_pending_statements=4,
-                coalesce_window_seconds=0.0,
-                cache_capacity=0,
-            ),
+            policy=ConcurrencyPolicy(max_pending_statements=4, cache_capacity=0),
         )
         try:
             # Another session's script is admitted and executes slowly on
@@ -1313,11 +1428,7 @@ class TestFaultContainment:
             {TABLE: engine, OTHER: other_engine}, {TABLE: model}
         )
         front = ConcurrentAnalyticsService(
-            inner,
-            policy=ConcurrencyPolicy(
-                coalesce_window_seconds=0.005, cache_capacity=0
-            ),
-            injector=injector,
+            inner, policy=ConcurrencyPolicy(cache_capacity=0), injector=injector
         )
         try:
             injector.arm(
@@ -1468,22 +1579,19 @@ class TestShutdownDrain:
         assert issubclass(ServiceClosedError, ConfigurationError)
 
     def test_close_flushes_buffered_groups(self, engine, other_engine, model):
-        # on a busy front, a coalesce window far longer than the test:
-        # without the drain flush, these futures would only resolve at
-        # window expiry
+        # On a busy front whose held flush outlasts the close: without the
+        # drain flush, these futures would only resolve once it ends.
         hold = _FlushHold()
         front = ConcurrentAnalyticsService(
             AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
-            policy=ConcurrencyPolicy(
-                coalesce_window_seconds=60.0, max_batch_statements=64
-            ),
+            policy=ConcurrencyPolicy(max_batch_statements=64),
             injector=hold,
         )
         with _busy_front(front, hold):
             future = front.submit_script(_script(4))
             assert front.pending_statements > 0
-        front.close(drain_seconds=10.0)
-        results = future.result(timeout=1.0)
+            front.close(drain_seconds=10.0)
+            results = future.result(timeout=1.0)
         assert all(r.ok for r in results)
         assert front.pending_statements == 0
 
@@ -1491,11 +1599,10 @@ class TestShutdownDrain:
         hold = _FlushHold()
         front = ConcurrentAnalyticsService(
             AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
-            policy=ConcurrencyPolicy(coalesce_window_seconds=0.005),
             injector=hold,
         )
         with _busy_front(front, hold):
-            # On a busy front the script's flushes run on the pool.
+            # close() hands the busy front's waiting groups to the pool.
             hold.arm("concurrent.flush", error=None, delay_seconds=0.2, times=1)
             future = front.submit_script(_script(2))
             assert not future.done()
@@ -1511,11 +1618,10 @@ class TestShutdownDrain:
         hold = _FlushHold()
         front = ConcurrentAnalyticsService(
             AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
-            policy=ConcurrencyPolicy(coalesce_window_seconds=0.005),
             injector=hold,
         )
         with _busy_front(front, hold):
-            # On a busy front the script's flushes run on the pool.
+            # close() hands the busy front's waiting groups to the pool.
             hold.arm("concurrent.flush", error=None, delay_seconds=5.0, times=1)
             future = front.submit_script(_script(2))
             # drain budget far below the flush latency: the future must
@@ -1528,11 +1634,7 @@ class TestShutdownDrain:
         self, engine, model
     ):
         injector = FaultInjector()
-        front = ConcurrentAnalyticsService(
-            _inner(engine, model),
-            policy=ConcurrencyPolicy(coalesce_window_seconds=0.005),
-            injector=injector,
-        )
+        front = ConcurrentAnalyticsService(_inner(engine, model), injector=injector)
         injector.arm("concurrent.flush", error=None, delay_seconds=1.0, times=1)
         session = _Session(front, _script(1)[:1])
         session.start()
@@ -1557,22 +1659,18 @@ class TestShutdownDrain:
         hold = _FlushHold()
         front = ConcurrentAnalyticsService(
             AnalyticsService({TABLE: engine, OTHER: other_engine}, {TABLE: model}),
-            policy=ConcurrencyPolicy(max_workers=1, coalesce_window_seconds=0.0),
+            policy=ConcurrencyPolicy(max_workers=1),
             injector=hold,
         )
         hold.arm("concurrent.flush", error=None, delay_seconds=0.2, times=None)
         with _busy_front(front, hold):
-            # On a busy front the first script's flush runs on the pool.
-            first = front.submit_script(_script(1)[:1])
-            deadline = time.monotonic() + 5.0
-            while hold.fired_count("concurrent.flush") < 2:  # held + first
-                assert time.monotonic() < deadline, "the first flush never started"
-                time.sleep(0.001)
-            # The only worker is busy with the slow first flush, so the
-            # second script's flush is still queued when the drain window
-            # ends and close() cancels it.
-            second = front.submit_script(_script(2)[1:2])
-            front.close(drain_seconds=0.05)
+            first = front.submit_script(_script(1)[:1])  # an AVG
+            second = front.submit_script(_script(1)[1:])  # a COUNT
+        # The held flush's end hands both groups to the pool.  Its only
+        # worker is busy with the slow first flush, so the second is still
+        # queued when the drain window ends and close() cancels it.
+        _wait_for(lambda: hold.fired_count("concurrent.flush") >= 2)
+        front.close(drain_seconds=0.05)
         for future in (first, second):
             with pytest.raises(ServiceClosedError):
                 future.result(timeout=2.0)

@@ -129,7 +129,6 @@ RANGE_CHECKED_FIELDS = [
     (WorkloadSpec, "norm_order", {"dimension": 2}, WorkloadError),
     (WorkloadSpec, "center_low", {"dimension": 2}, WorkloadError),
     (WorkloadSpec, "center_high", {"dimension": 2}, WorkloadError),
-    (ConcurrencyPolicy, "coalesce_window_seconds", {}, ConfigurationError),
     (DriftPolicy, "cooldown_seconds", {}, ConfigurationError),
     (DriftPolicy, "max_backoff_seconds", {}, ConfigurationError),
     (DriftPolicy, "backoff_multiplier", {}, ConfigurationError),

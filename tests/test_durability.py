@@ -23,7 +23,7 @@ import pytest
 from repro.config import ModelConfig, TrainingConfig
 from repro.core.model import LLMModel
 from repro.data.synthetic import SyntheticDataset
-from repro.dbms.concurrent import ConcurrencyPolicy, ConcurrentAnalyticsService
+from repro.dbms.concurrent import ConcurrentAnalyticsService
 from repro.dbms.durability import (
     CHECKPOINT_FORMAT_VERSION,
     RecoveryManager,
@@ -575,10 +575,7 @@ class TestRecovery:
             opened.close()
 
     def test_recover_concurrent_front_with_stats(self, stack):
-        front = ConcurrentAnalyticsService(
-            stack["service"],
-            policy=ConcurrencyPolicy(coalesce_window_seconds=0.0),
-        )
+        front = ConcurrentAnalyticsService(stack["service"])
         front.execute_script([_q1(q) for q in stack["queries"][:8]])
         ckpt = ServiceCheckpointer(
             stack["service"],
@@ -588,10 +585,7 @@ class TestRecovery:
         )
         ckpt.checkpoint()
         front.close()
-        recovered = RecoveryManager(stack["dir"]).recover(
-            concurrent=True,
-            concurrency_policy=ConcurrencyPolicy(coalesce_window_seconds=0.0),
-        )
+        recovered = RecoveryManager(stack["dir"]).recover(concurrent=True)
         assert recovered.front is not None
         assert recovered.serving is recovered.front
         stats = recovered.front.statistics_for(TABLE)
@@ -630,10 +624,7 @@ class TestRecovery:
 # --------------------------------------------------------------------- #
 class TestGracefulShutdown:
     def test_shutdown_drains_and_takes_final_checkpoint(self, stack):
-        front = ConcurrentAnalyticsService(
-            stack["service"],
-            policy=ConcurrencyPolicy(coalesce_window_seconds=0.0),
-        )
+        front = ConcurrentAnalyticsService(stack["service"])
         scheduler = LifecycleScheduler(
             stack["manager"], interval_seconds=0.05
         ).start()

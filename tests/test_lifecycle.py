@@ -628,10 +628,7 @@ class TestCacheUnderHotSwap:
         shape where version-only cache keys would go stale; the registry
         epoch in the key is what must keep it correct.
         """
-        from repro.dbms.concurrent import (
-            ConcurrencyPolicy,
-            ConcurrentAnalyticsService,
-        )
+        from repro.dbms.concurrent import ConcurrentAnalyticsService
         from repro.dbms.executor import ExactQueryEngine
 
         engine = ExactQueryEngine(_linear_dataset())
@@ -653,10 +650,7 @@ class TestCacheUnderHotSwap:
         # would be invisible.
         assert expected["a"] != expected["b"]
 
-        front = ConcurrentAnalyticsService(
-            service,
-            policy=ConcurrencyPolicy(coalesce_window_seconds=0.001),
-        )
+        front = ConcurrentAnalyticsService(service)
         stop = threading.Event()
         reader_errors: list[BaseException] = []
 
